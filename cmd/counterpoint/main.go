@@ -5,8 +5,8 @@
 // of counter samples (header row of event names, one row per sampling
 // interval, as written by hswsim or converted from perf output). Several
 // observation CSVs — a corpus — may be given; they are evaluated
-// concurrently through one engine session, streaming verdicts as they
-// complete.
+// concurrently through one engine session, printing verdicts in corpus
+// order.
 //
 // Usage:
 //
@@ -248,31 +248,24 @@ func run(modelPath string, obsPaths []string, showCons, showPaths bool, confiden
 		return err
 	}
 
-	// Stream the corpus through the session, printing verdicts as they
-	// complete.
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	st := sess.EvaluateStream(context.Background(), in)
-	for item := range st.C {
-		if item.Err != nil {
-			continue // reported via Result below
+	// Evaluate the corpus through the session, printing verdicts in corpus
+	// order as they arrive.
+	res, err := sess.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+		if err != nil {
+			return // returned by EvaluateEach
 		}
-		o, v := corpus[item.Index], item.Verdict
+		o := corpus[i]
 		fmt.Printf("observation: %s (%d samples, %s regions, %.0f%% confidence)\n",
 			o.Label, o.Len(), mode, confidence*100)
 		if v.Feasible {
 			fmt.Println("verdict: FEASIBLE — the observation is consistent with the model")
-			continue
+			return
 		}
 		fmt.Println("verdict: INFEASIBLE — the model is refuted at this confidence level")
 		for _, k := range v.Violations {
 			fmt.Printf("violated: %s\n", k)
 		}
-	}
-	res, err := st.Result()
+	})
 	if err != nil {
 		return err
 	}

@@ -111,6 +111,23 @@ import (
 // requests (streams included) before closing connections.
 const shutdownGrace = 10 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, and idleTimeout how long a kept-alive connection may sit idle
+// between requests, so slow or silent clients cannot pin connections.
+// There is deliberately no read or write timeout: NDJSON ingest uploads
+// and /v1/jobs/{id}/events follows legitimately stay open for as long as
+// the stream or job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the daemon's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // testListenerHook, when set (by tests), receives the bound listener
 // address before the server starts accepting.
 var testListenerHook func(net.Addr)
@@ -250,7 +267,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		fmt.Fprintf(out, "counterpointd: pprof on http://%s/debug/pprof/\n", pln.Addr())
-		go func() { _ = http.Serve(pln, pmux) }()
+		go func() { _ = newHTTPServer(pmux).Serve(pln) }()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -263,7 +280,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "counterpointd: listening on %s (%d models, %d workers)\n",
 		ln.Addr(), srv.Registry().Len(), eng.Workers())
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -257,3 +257,19 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestHTTPServerTimeouts checks the daemon's server bounds header reads
+// and idle keep-alives but leaves whole-request read/write unbounded, so
+// long-lived NDJSON uploads and event follows are never cut.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v / WriteTimeout %v would cut streaming requests", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

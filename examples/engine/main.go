@@ -1,4 +1,4 @@
-// Engine walkthrough: batched and streaming corpus evaluation.
+// Engine walkthrough: batched corpus evaluation with per-verdict callbacks.
 //
 // The quickstart example tests observations one at a time through
 // core.Model. Real workloads — model sweeps, continuously-running counter
@@ -8,8 +8,8 @@
 //  1. an Engine with a bounded worker pool and shared caches,
 //  2. a Session binding a model to an evaluation configuration,
 //  3. Session.Evaluate for one-shot corpus verdicts,
-//  4. Session.EvaluateStream for verdicts streamed as they complete,
-//     with cancellation and early exit,
+//  4. Session.EvaluateEach for verdicts delivered one by one in corpus
+//     order, with early exit at the first refutation,
 //  5. Session.Restrict for counter-set sweeps that share cached work.
 //
 // Run with: go run ./examples/engine
@@ -97,29 +97,19 @@ func main() {
 	fmt.Printf("re-evaluation with warm caches: %.1fms\n",
 		float64(time.Since(t1).Microseconds())/1000)
 
-	// 4. Streaming: verdicts arrive as workers finish them; the consumer
-	// decides when it has seen enough. Here we stop the whole run at the
-	// first refutation via the session config.
+	// 4. Per-verdict delivery: EvaluateEach hands each verdict to a
+	// callback in corpus order while the pool evaluates ahead. Here we stop
+	// the whole run at the first refutation via the session config, so the
+	// partial result is exactly the prefix through that observation.
 	early, err := eng.NewSession(model, engine.Config{StopOnInfeasible: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	st := early.EvaluateStream(context.Background(), in)
-	for item := range st.C {
-		if item.Err != nil {
-			log.Fatal(item.Err)
+	partial, err := early.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+		if err == nil && !v.Feasible {
+			fmt.Printf("refutation from %s (observation #%d)\n", v.Observation, i)
 		}
-		if !item.Verdict.Feasible {
-			fmt.Printf("streamed refutation from %s (observation #%d)\n",
-				item.Verdict.Observation, item.Index)
-		}
-	}
-	partial, err := st.Result()
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func Example_quickstart() {
 
 // Example_engine drives the batched feasibility engine: a Session bound to
 // one model evaluates a whole corpus through the worker pool, aggregates
-// the refutations, and — with StopOnInfeasible — stops a streamed run at
-// the first refutation. (examples/engine is the runnable version.)
+// the refutations, and — with StopOnInfeasible — stops the run at the
+// first refutation in corpus order. (examples/engine is the runnable version.)
 func Example_engine() {
 	model, err := core.ModelFromDSL("pde-cache", pdeModelSrc, pdeSet())
 	if err != nil {
@@ -140,27 +140,27 @@ func Example_engine() {
 		fmt.Printf("  violated %d times: %s\n", res.ViolatedConstraints[k], k)
 	}
 
-	// Early exit: StopOnInfeasible cancels the rest of the run as soon as
-	// one refutation lands.
+	// Early exit: StopOnInfeasible stops the run at the first refutation
+	// in corpus order, so the partial result is the same at any worker
+	// count.
 	early, err := eng.NewSession(model, engine.Config{StopOnInfeasible: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	partial, err := early.EvaluateStream(context.Background(), in).Result()
+	partial, err := early.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+		if err == nil && !v.Feasible {
+			fmt.Printf("first refutation: %s\n", v.Observation)
+		}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("early exit found a refutation before finishing: %v\n",
-		partial.Infeasible >= 1 && partial.Total < len(corpus))
+	fmt.Printf("early exit evaluated %d of %d observations\n", partial.Total, len(corpus))
 	// Output:
 	// corpus: 2/20 observations refute the model
 	//   violated 2 times: load.pde$_miss <= load.causes_walk
-	// early exit found a refutation before finishing: true
+	// first refutation: run-09
+	// early exit evaluated 10 of 20 observations
 }
 
 // Example_service drives the counterpointd HTTP/JSON API in-process:

@@ -1,7 +1,7 @@
 // Package core is CounterPoint's single-verdict feasibility layer: it ties
 // μDDs (package mudd), model cones (package cone), counter confidence
 // regions (package stats) and the exact LP solver (package simplex) into
-// the workflow of Figure 2 (batched and streaming corpus evaluation sits
+// the workflow of Figure 2 (batched corpus evaluation sits
 // one layer up, in package engine):
 //
 //	DSL → μDD → model cone → feasibility testing against confidence regions
@@ -335,7 +335,7 @@ func RegionViolates(r *stats.Region, k cone.Constraint) bool {
 	return min > 0 // no point of the box satisfies a·v ≤ 0
 }
 
-// Corpus evaluation lives in internal/engine: engine.Session.Evaluate and
-// EvaluateStream replace the worker pool the seed version of this package
+// Corpus evaluation lives in internal/engine: engine.Session.EvaluateEach
+// and Evaluate replace the worker pool the seed version of this package
 // rolled inline, sharing confidence-region and LP-workspace caches across
 // observations and models.

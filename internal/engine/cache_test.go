@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/counters"
+	"repro/internal/faultfs"
+	"repro/internal/perfdb"
 )
 
 func TestLRUBasics(t *testing.T) {
@@ -250,5 +252,78 @@ func TestEphemeralSessionsConsultVerdictCache(t *testing.T) {
 	}
 	if v1.Feasible != v2.Feasible {
 		t.Fatal("ephemeral verdict diverges from cached verdict")
+	}
+}
+
+// lateWriterStore wraps a store whose records land from another writer
+// just after this engine's lookup: the first Get of each key misses, later
+// ones see the stored record.
+type lateWriterStore struct {
+	VerdictStore
+	mu     sync.Mutex
+	looked map[[32]byte]bool
+}
+
+func (s *lateWriterStore) Get(key [32]byte) (bool, bool) {
+	s.mu.Lock()
+	first := !s.looked[key]
+	s.looked[key] = true
+	s.mu.Unlock()
+	if first {
+		return false, false
+	}
+	return s.VerdictStore.Get(key)
+}
+
+// TestVerdictStoreConflictCounted checks a fresh verdict contradicting the
+// store's record for the same LP hash is counted as a conflict (not a
+// write error), the store keeps its first verdict, and the served verdicts
+// are the freshly solved ones.
+func TestVerdictStoreConflictCounted(t *testing.T) {
+	corpus := mixedCorpus()
+	rec := &mapStore{}
+	e1 := New(WithVerdictStore(rec))
+	s1, err := e1.NewSession(pdeModel(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s1.Evaluate(context.Background(), corpus)
+	e1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Another writer recorded the opposite verdict for every LP hash.
+	disk, err := perfdb.OpenVerdictStoreFS(faultfs.NewMem(), "verdicts.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for h, v := range rec.m {
+		if err := disk.Put(h, !v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e2 := New(WithVerdictStore(&lateWriterStore{VerdictStore: disk, looked: map[[32]byte]bool{}}))
+	defer e2.Close()
+	s2, err := e2.NewSession(pdeModel(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.Evaluate(context.Background(), corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != want.Total || got.Infeasible != want.Infeasible {
+		t.Fatalf("served %d/%d, fresh solves give %d/%d", got.Infeasible, got.Total, want.Infeasible, want.Total)
+	}
+	c := e2.CacheStats()
+	if c.StoreConflicts != uint64(len(rec.m)) || c.StoreErrors != 0 {
+		t.Fatalf("store_conflicts %d, store_errors %d; want %d, 0", c.StoreConflicts, c.StoreErrors, len(rec.m))
+	}
+	for h, v := range rec.m {
+		if stored, ok := disk.Get(h); !ok || stored == v {
+			t.Fatalf("store lost its first verdict for %x", h[:4])
+		}
 	}
 }

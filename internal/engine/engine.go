@@ -16,7 +16,7 @@
 // A Session binds one model to an evaluation configuration (confidence,
 // noise mode, violation identification, batching, early exit). Sessions
 // are cheap; create one per model and reuse it for every corpus. See
-// session.go for the streaming API.
+// session.go for the evaluation API (EvaluateEach and its adapters).
 package engine
 
 import (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -116,128 +117,169 @@ func TestSessionMatchesCorePerCall(t *testing.T) {
 	}
 }
 
-// TestEvaluateStreamDelivery checks the streaming path delivers one indexed
-// item per observation.
-func TestEvaluateStreamDelivery(t *testing.T) {
-	e := New()
-	defer e.Close()
-	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := mixedCorpus()
-	in := make(chan *counters.Observation)
-	go func() {
-		defer close(in)
-		for _, o := range corpus {
-			in <- o
-		}
-	}()
-	st := s.EvaluateStream(context.Background(), in)
-	seen := map[int]string{}
-	for item := range st.C {
-		if item.Err != nil {
-			t.Fatal(item.Err)
-		}
-		seen[item.Index] = item.Verdict.Observation
-	}
-	if len(seen) != len(corpus) {
-		t.Fatalf("streamed %d items, want %d", len(seen), len(corpus))
-	}
-	for i, o := range corpus {
-		if seen[i] != o.Label {
-			t.Fatalf("index %d streamed %q, want %q", i, seen[i], o.Label)
-		}
-	}
-	res, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != len(corpus) || res.Infeasible != 2 {
-		t.Fatalf("aggregate %d/%d", res.Infeasible, res.Total)
-	}
-}
+// evalWorkers are the pool sizes the evaluation-core contract is pinned
+// on: a serial pool, and one wide enough that chunks complete out of
+// order.
+var evalWorkers = []int{1, 4}
 
-// TestStopOnInfeasible checks the early-exit mode terminates the stream
-// without evaluating the whole corpus, and that the refuting verdict
-// itself is always delivered on the stream channel.
-func TestStopOnInfeasible(t *testing.T) {
-	e := New(WithWorkers(1))
-	defer e.Close()
-	s, err := e.NewSession(pdeModel(t), Config{StopOnInfeasible: true, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One violating observation leading a long tail of feasible ones.
-	corpus := []*counters.Observation{obsAround("bad", 100, 400, 80, 1)}
-	for i := 0; i < 64; i++ {
-		corpus = append(corpus, obsAround("ok", 500, 100, 80, int64(i+2)))
-	}
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	st := s.EvaluateStream(context.Background(), in)
-	sawRefutation := false
-	for item := range st.C {
-		if item.Err != nil {
-			t.Fatal(item.Err)
-		}
-		if !item.Verdict.Feasible {
-			sawRefutation = true
-			if item.Verdict.Observation != "bad" {
-				t.Fatalf("refuting verdict from %q", item.Verdict.Observation)
+// TestEvaluateEachDelivery checks EvaluateEach calls fn once per
+// observation, in corpus order, at every worker count.
+func TestEvaluateEachDelivery(t *testing.T) {
+	for _, workers := range evalWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(WithWorkers(workers))
+			defer e.Close()
+			s, err := e.NewSession(pdeModel(t), Config{BatchSize: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !sawRefutation {
-		t.Fatal("the refuting verdict never appeared on the stream channel")
-	}
-	res, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Infeasible == 0 {
-		t.Fatal("the infeasible observation was not found")
-	}
-	if res.Total == len(corpus) {
-		t.Fatal("early exit did not skip any work")
+			corpus := append(mixedCorpus(), mixedCorpus()...)
+			next := 0
+			res, err := s.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i != next {
+					t.Fatalf("callback for index %d, want %d", i, next)
+				}
+				if v.Observation != corpus[i].Label {
+					t.Fatalf("index %d delivered %q, want %q", i, v.Observation, corpus[i].Label)
+				}
+				next++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != len(corpus) {
+				t.Fatalf("%d callbacks, want %d", next, len(corpus))
+			}
+			if res.Total != len(corpus) || res.Infeasible != 4 {
+				t.Fatalf("aggregate %d/%d", res.Infeasible, res.Total)
+			}
+			for i, v := range res.Verdicts {
+				if v.Observation != corpus[i].Label {
+					t.Fatalf("Verdicts[%d] is %q, want %q", i, v.Observation, corpus[i].Label)
+				}
+			}
+		})
 	}
 }
 
-// TestStreamDeliversErrorItems checks per-item evaluation errors are
-// forwarded on C (not just folded into Result) and fail the run.
+// TestStopOnInfeasible checks the early-exit mode stops exactly after the
+// first refutation in corpus order: the callbacks cover indices 0..k, the
+// result is that prefix, and 20 repeated runs agree at every worker count.
+func TestStopOnInfeasible(t *testing.T) {
+	const k = 5 // the first refuting index
+	var corpus []*counters.Observation
+	for i := 0; i < 48; i++ {
+		corpus = append(corpus, obsAround(fmt.Sprintf("ok-%d", i), 500, 100, 80, int64(i+2)))
+	}
+	corpus[k] = obsAround("bad", 100, 400, 80, 1)
+	corpus[30] = obsAround("later-bad", 100, 400, 80, 99) // must never be reached
+	type summary struct {
+		Total, Infeasible int
+		Violated          map[string]int
+		Labels            []string
+	}
+	for _, workers := range evalWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(WithWorkers(workers))
+			defer e.Close()
+			s, err := e.NewSession(pdeModel(t), Config{StopOnInfeasible: true, BatchSize: 2, IdentifyViolations: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first *summary
+			for run := 0; run < 20; run++ {
+				var seen []int
+				res, err := s.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen = append(seen, i)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, idx := range seen {
+					if idx != i {
+						t.Fatalf("run %d: callback %d has index %d", run, i, idx)
+					}
+				}
+				if len(seen) != k+1 || res.Total != k+1 || res.Infeasible != 1 {
+					t.Fatalf("run %d: %d callbacks, aggregate %d/%d; want 1/%d", run, len(seen), res.Infeasible, res.Total, k+1)
+				}
+				if last := res.Verdicts[len(res.Verdicts)-1]; last.Feasible || last.Observation != "bad" {
+					t.Fatalf("run %d: prefix ends at %q (feasible %v)", run, last.Observation, last.Feasible)
+				}
+				got := &summary{Total: res.Total, Infeasible: res.Infeasible, Violated: res.ViolatedConstraints}
+				for _, v := range res.Verdicts {
+					got.Labels = append(got.Labels, v.Observation)
+				}
+				if first == nil {
+					first = got
+				} else if !reflect.DeepEqual(got, first) {
+					t.Fatalf("run %d: %+v differs from run 0: %+v", run, got, first)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamDeliversErrorItems checks an evaluation error reaches fn at its
+// own index after exactly the verdicts before it, stops the run there even
+// when a later chunk fails first, and is returned.
 func TestStreamDeliversErrorItems(t *testing.T) {
-	e := New(WithWorkers(1))
-	defer e.Close()
-	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
+	const j = 3 // the first failing index
+	var corpus []*counters.Observation
+	for i := 0; i < 16; i++ {
+		corpus = append(corpus, obsAround(fmt.Sprintf("ok-%d", i), 500, 100, 40, int64(i+1)))
 	}
-	empty := counters.NewObservation("empty", pdeSet()) // no samples: region error
-	in := make(chan *counters.Observation, 2)
-	in <- obsAround("ok", 500, 100, 40, 1)
-	in <- empty
-	close(in)
-	st := s.EvaluateStream(context.Background(), in)
-	sawErr := false
-	for item := range st.C {
-		if item.Err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Fatal("error item never appeared on the stream channel")
-	}
-	if _, err := st.Result(); err == nil {
-		t.Fatal("Result must surface the evaluation error")
+	corpus[j] = counters.NewObservation("empty", pdeSet()) // no samples: region error
+	corpus[9] = counters.NewObservation("empty-later", pdeSet())
+	for _, workers := range evalWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(WithWorkers(workers))
+			defer e.Close()
+			s, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts := 0
+			var fnErr error
+			res, err := s.EvaluateEach(context.Background(), corpus, func(i int, v *core.Verdict, err error) {
+				if fnErr != nil {
+					t.Fatalf("callback for index %d after the error", i)
+				}
+				if err != nil {
+					if i != j {
+						t.Fatalf("error delivered at index %d, want %d", i, j)
+					}
+					fnErr = err
+					return
+				}
+				if i != verdicts {
+					t.Fatalf("verdict callback for index %d, want %d", i, verdicts)
+				}
+				verdicts++
+			})
+			if fnErr == nil {
+				t.Fatal("fn never received the error")
+			}
+			if err != fnErr {
+				t.Fatalf("EvaluateEach returned %v, fn received %v", err, fnErr)
+			}
+			if verdicts != j || res.Total != j || len(res.Verdicts) != j {
+				t.Fatalf("%d verdict callbacks, total %d, %d verdicts; want %d", verdicts, res.Total, len(res.Verdicts), j)
+			}
+		})
 	}
 }
 
-// TestEvaluateStreamCancellation is the leak-and-promptness test: cancel
-// mid-run, require a prompt partial result and no goroutines left behind.
-func TestEvaluateStreamCancellation(t *testing.T) {
+// TestEvaluateEachCancellation is the leak-and-promptness test: cancel
+// from the callback mid-run, require a prompt partial result that is a
+// corpus prefix, and no goroutines left behind.
+func TestEvaluateEachCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	e := New(WithWorkers(2))
@@ -245,91 +287,77 @@ func TestEvaluateStreamCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corpus := make([]*counters.Observation, 256)
+	for i := range corpus {
+		corpus[i] = obsAround(fmt.Sprintf("obs-%d", i), 500, 100, 60, int64(i))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan *counters.Observation)
-	feeder := make(chan struct{})
-	go func() {
-		defer close(feeder)
-		// Unbounded feeder: only cancellation stops the stream.
-		for i := 0; ; i++ {
-			o := obsAround("obs", 500, 100, 60, int64(i))
-			select {
-			case in <- o:
-			case <-ctx.Done():
-				return
-			}
+	defer cancel()
+	res, err := s.EvaluateEach(ctx, corpus, func(i int, v *core.Verdict, err error) {
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	st := s.EvaluateStream(ctx, in)
-	got := 0
-	for item := range st.C {
-		if item.Err != nil {
-			t.Fatal(item.Err)
-		}
-		got++
-		if got == 5 {
+		if i == 4 {
 			cancel()
 		}
-	}
-	res, err := st.Result()
+	})
 	if err != context.Canceled {
-		t.Fatalf("Result error = %v, want context.Canceled", err)
+		t.Fatalf("EvaluateEach error = %v, want context.Canceled", err)
 	}
-	if res.Total < 5 {
-		t.Fatalf("partial result lost verdicts: %d", res.Total)
+	if res.Total < 5 || res.Total == len(corpus) {
+		t.Fatalf("partial result covers %d of %d observations", res.Total, len(corpus))
 	}
 	if len(res.Verdicts) != res.Total {
 		t.Fatalf("verdicts %d vs total %d", len(res.Verdicts), res.Total)
 	}
-	<-feeder
-	e.Close()
-
-	// Manual leak check (no external goleak dependency): the goroutine
-	// count must return to its pre-engine baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before {
-			break
+	for i, v := range res.Verdicts {
+		if v.Observation != corpus[i].Label {
+			t.Fatalf("partial result is not a prefix: Verdicts[%d] is %q", i, v.Observation)
 		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after cancel+close\n%s", before, now, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	cancel()
+	// No task outlives the call: only the pool's own workers remain.
+	settleGoroutines(t, before+e.Workers())
+	e.Close()
+	settleGoroutines(t, before)
 }
 
-// TestAbandonedStreamDoesNotWedgePool checks that a consumer which stops
-// reading C (without cancelling or calling Result) cannot starve other
-// sessions sharing the engine's worker pool.
-func TestAbandonedStreamDoesNotWedgePool(t *testing.T) {
-	e := New(WithWorkers(1)) // single worker: any wedge would block everyone
+// TestBlockedCallbackDoesNotWedgePool checks that a caller whose callback
+// blocks (a stalled NDJSON client) holds no pool worker: another session's
+// Evaluate on the same two-worker engine completes while the callback is
+// stuck, and the stuck run returns once its context is cancelled.
+func TestBlockedCallbackDoesNotWedgePool(t *testing.T) {
+	e := New(WithWorkers(2))
 	defer e.Close()
-	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
+	stuck, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Abandon: feed a corpus much larger than the channel buffers, read
-	// nothing from st.C, never cancel.
+	other, err := e.NewSession(pdeModel(t), Config{IdentifyViolations: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	corpus := make([]*counters.Observation, 24)
 	for i := range corpus {
 		corpus[i] = obsAround("ok", 500, 100, 40, int64(i))
 	}
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	_ = s.EvaluateStream(context.Background(), in)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocked := make(chan struct{})
+	stuckDone := make(chan error, 1)
+	go func() {
+		_, err := stuck.EvaluateEach(ctx, corpus, func(i int, v *core.Verdict, err error) {
+			if i == 0 {
+				close(blocked)
+				<-ctx.Done()
+			}
+		})
+		stuckDone <- err
+	}()
+	<-blocked
 
-	// A second evaluation on the same engine must still complete.
 	done := make(chan error, 1)
 	go func() {
-		res, err := s.Evaluate(context.Background(), mixedCorpus())
+		res, err := other.Evaluate(context.Background(), mixedCorpus())
 		if err == nil && res.Total != 4 {
 			err = fmt.Errorf("total %d", res.Total)
 		}
@@ -341,7 +369,16 @@ func TestAbandonedStreamDoesNotWedgePool(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("worker pool wedged by the abandoned stream")
+		t.Fatal("worker pool wedged by the blocked callback")
+	}
+	cancel()
+	select {
+	case err := <-stuckDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("blocked run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocked run never returned after cancel")
 	}
 }
 

@@ -7,15 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 )
 
-// This file is the goroutine-leak regression suite for EvaluateStream, the
-// workload counterpointd exposes to the network: every way a stream can be
-// walked away from — abandoned without a reader, cancelled mid-flight, or
-// orphaned by a client disconnect — must leave zero goroutines once the
-// stream's context ends, since a long-lived service pays for every leak on
-// every request.
+// This file is the goroutine-leak regression suite for EvaluateEach, the
+// evaluation core counterpointd exposes to the network: every way a run
+// can be walked away from — cancelled from its own callback mid-flight,
+// or orphaned by a client disconnect while the callback is stuck writing
+// — must return promptly and leave no goroutine behind once the call
+// returns, since a long-lived service pays for every leak on every
+// request.
 
 // settleGoroutines waits for the goroutine count to drop back to baseline,
 // failing with a full stack dump if it never does.
@@ -37,74 +39,53 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestStreamLeakAbandoned abandons streams entirely — no reads, no Result,
-// no explicit drain — and requires that ending the request-scoped context
-// releases every goroutine the streams spawned.
-func TestStreamLeakAbandoned(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	e := New(WithWorkers(2))
-	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
+// leakCorpus is large enough that a run is still in flight when it is
+// walked away from.
+func leakCorpus(n int) []*counters.Observation {
+	corpus := make([]*counters.Observation, n)
+	for i := range corpus {
+		corpus[i] = obsAround(fmt.Sprintf("obs-%d", i), 500, 100, 40, int64(i))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	for i := 0; i < 8; i++ {
-		corpus := make([]*counters.Observation, 16)
-		for j := range corpus {
-			corpus[j] = obsAround(fmt.Sprintf("obs-%d-%d", i, j), 500, 100, 40, int64(i*16+j))
-		}
-		in := make(chan *counters.Observation, len(corpus))
-		for _, o := range corpus {
-			in <- o
-		}
-		close(in)
-		_ = s.EvaluateStream(ctx, in) // abandoned: nobody ever looks at it
-	}
-	cancel() // the request context ends; nothing else is done
-	e.Close()
-	settleGoroutines(t, baseline)
+	return corpus
 }
 
-// TestStreamLeakMidStreamCancel cancels while verdicts are still being
-// produced and the consumer stops reading at the same moment.
+// TestStreamLeakMidStreamCancel cancels from the callback while later
+// multi-observation chunks are still mid-evaluation: the run must stop
+// with context.Canceled and leave only the pool's own workers behind.
 func TestStreamLeakMidStreamCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := New(WithWorkers(2))
-	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 1})
+	s, err := e.NewSession(pdeModel(t), Config{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	corpus := leakCorpus(512)
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan *counters.Observation)
-	go func() {
-		// Endless supply: only cancellation can end the run.
-		for i := 0; ; i++ {
-			o := obsAround("obs", 500, 100, 40, int64(i))
-			select {
-			case in <- o:
-			case <-ctx.Done():
-				return
-			}
+	defer cancel()
+	res, err := s.EvaluateEach(ctx, corpus, func(i int, v *core.Verdict, err error) {
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	st := s.EvaluateStream(ctx, in)
-	for item := range st.C {
-		if item.Err != nil {
-			t.Fatal(item.Err)
+		if i >= 3 {
+			cancel()
 		}
-		if item.Index >= 3 {
-			break // stop reading...
-		}
+	})
+	if err != context.Canceled {
+		t.Fatalf("EvaluateEach error = %v, want context.Canceled", err)
 	}
-	cancel() // ...and cancel mid-flight, never calling Result
+	if res.Total == len(corpus) {
+		t.Fatal("cancellation did not stop the run")
+	}
+	settleGoroutines(t, baseline+e.Workers())
 	e.Close()
 	settleGoroutines(t, baseline)
 }
 
-// TestStreamLeakServerDisconnect models the service shape: the stream's
-// context is a request context that is cancelled when the client goes
-// away, while the handler drains whatever is left and calls Result. Both
-// the handler's drain and the engine's internals must unwind.
+// TestStreamLeakServerDisconnect models the service shape: the run's
+// context is a request context cancelled by another goroutine when the
+// client goes away, while the handler's callback is stuck on the dead
+// connection. The handler must unwind with context.Canceled and the
+// engine's internals with it.
 func TestStreamLeakServerDisconnect(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := New(WithWorkers(2))
@@ -113,32 +94,25 @@ func TestStreamLeakServerDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqCtx, disconnect := context.WithCancel(context.Background())
-	in := make(chan *counters.Observation)
+	defer disconnect()
+	corpus := leakCorpus(512)
+	vanished := make(chan struct{})
 	go func() {
-		// Unbounded upload: the run cannot finish before the disconnect.
-		for i := 0; ; i++ {
-			o := obsAround(fmt.Sprintf("obs-%d", i), 500, 100, 40, int64(i))
-			select {
-			case in <- o:
-			case <-reqCtx.Done():
-				return
-			}
-		}
+		<-vanished
+		disconnect() // client vanished mid-response
 	}()
-	st := s.EvaluateStream(reqCtx, in)
 	handlerDone := make(chan error, 1)
 	go func() {
-		// The handler: forward verdicts until the stream closes, then
-		// aggregate — exactly what the NDJSON endpoint does.
+		// The handler: write each verdict until the run ends — exactly
+		// what the NDJSON endpoint does.
 		n := 0
-		for item := range st.C {
-			_ = item
+		_, err := s.EvaluateEach(reqCtx, corpus, func(i int, v *core.Verdict, err error) {
 			n++
 			if n == 4 {
-				disconnect() // client vanished mid-response
+				close(vanished)
+				<-reqCtx.Done() // the write blocks until the disconnect lands
 			}
-		}
-		_, err := st.Result()
+		})
 		handlerDone <- err
 	}()
 	select {
@@ -149,6 +123,7 @@ func TestStreamLeakServerDisconnect(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("handler never unwound after the disconnect")
 	}
+	settleGoroutines(t, baseline+e.Workers())
 	e.Close()
 	settleGoroutines(t, baseline)
 }

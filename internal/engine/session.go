@@ -2,11 +2,7 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -207,428 +203,150 @@ func (s *Session) Test(ctx context.Context, o *counters.Observation) (*core.Verd
 	return s.test(sc, o)
 }
 
-// EvaluateBatch evaluates corpus on the engine's worker pool and returns
-// only the aggregate feasible/infeasible counts — the lean batch-submit
-// path for corpus-shaped work that needs neither a verdict stream nor a
-// reassembled verdict slice (the sweep's behaviour-class fan-out).
-// Observations are chunked into Config.BatchSize pool tasks; the first
-// evaluation error cancels the rest and is returned, as is a cancelled
-// ctx. With Config.StopOnInfeasible the remaining chunks are cancelled
-// after the first infeasible verdict and the counts reflect the partial
-// scan. Must not be called from inside an engine pool task — it blocks
-// on pool capacity.
-func (s *Session) EvaluateBatch(ctx context.Context, corpus []*counters.Observation) (feasible, infeasible int, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		stopped  bool // early exit, not a failure
-	)
-	fail := func(e error) {
-		mu.Lock()
-		// Errors that arrive after cancellation are echoes of it, not the
-		// cause; keep only an error observed while the batch was live.
-		if firstErr == nil && !stopped && bctx.Err() == nil {
-			firstErr = e
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for start := 0; start < len(corpus); start += s.cfg.BatchSize {
-		end := start + s.cfg.BatchSize
-		if end > len(corpus) {
-			end = len(corpus)
-		}
-		b := corpus[start:end]
-		wg.Add(1)
-		err := s.eng.submit(bctx, func() {
-			defer wg.Done()
-			sc := s.eng.getScratch()
-			defer s.eng.putScratch(sc)
-			for _, o := range b {
-				if bctx.Err() != nil {
-					return
-				}
-				v, err := s.test(sc, o)
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				if v.Feasible {
-					feasible++
-				} else {
-					infeasible++
-					if s.cfg.StopOnInfeasible && !stopped {
-						stopped = true
-						cancel()
-					}
-				}
-				mu.Unlock()
-			}
-		})
-		if err != nil {
-			wg.Done()
-			fail(err)
-			break
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return feasible, infeasible, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return feasible, infeasible, err
-	}
-	return feasible, infeasible, nil
-}
-
-// Item is one streamed verdict. Index is the observation's position in the
-// input stream (0-based), so out-of-order delivery can be reassembled.
-type Item struct {
-	Index   int
-	Verdict *core.Verdict
-	Err     error
-}
-
 // CorpusResult summarises evaluating one model over a corpus. It is the
 // engine-level replacement for the seed's core.CorpusResult.
 type CorpusResult struct {
 	Model string
 	// Infeasible counts infeasible verdicts; Total counts evaluated
-	// observations. On cancellation or early exit, Total reflects the
-	// partial progress actually made.
+	// observations. A run that stops early — an evaluation error, an
+	// early exit, a cancelled context — covers exactly the corpus prefix
+	// whose verdicts were delivered.
 	Infeasible int
 	Total      int
 	// ViolatedConstraints aggregates, across all infeasible observations,
 	// how many observations violated each constraint (keyed by its string).
 	ViolatedConstraints map[string]int
-	// Verdicts holds the evaluated verdicts in input-stream order. On a
-	// complete run Verdicts[i] corresponds to the i-th observation.
+	// Verdicts holds the evaluated verdicts in corpus order: Verdicts[i]
+	// corresponds to the i-th observation.
 	Verdicts []*core.Verdict
 }
 
 // Feasible reports whether every evaluated observation was feasible.
 func (r *CorpusResult) Feasible() bool { return r.Infeasible == 0 }
 
-// Stream is a running corpus evaluation. Read verdicts from C (closed when
-// the evaluation finishes) and call Result for the aggregate. Result may be
-// called without draining C; it discards any unread items.
-//
-// Forwarding to C is decoupled from evaluation: a consumer that stops
-// reading C never blocks the engine's worker pool or the aggregate. A
-// stream abandoned without cancelling its context retains one forwarder
-// goroutine (and the undelivered items) until the context ends; cancel the
-// context or call Result to release it promptly.
-type Stream struct {
-	// C delivers one Item per evaluated observation, in completion order.
-	C <-chan Item
-
+// chunk is one pool task's share of an EvaluateEach run. The task writes
+// n verdicts into its own slots of the run's verdict slice, stopping early
+// at an evaluation error (err, at slot n), at an infeasible verdict under
+// StopOnInfeasible, or on cancellation; done closes when it returns.
+type chunk struct {
 	done chan struct{}
-	res  *CorpusResult
+	n    int
 	err  error
 }
 
-// forwardQueue is the unbounded buffer between the aggregator and the
-// stream consumer. push never blocks; the forwarder goroutine drains it.
-type forwardQueue struct {
-	mu    sync.Mutex
-	items []Item
-	done  bool
-	ready chan struct{}
-}
-
-func newForwardQueue() *forwardQueue {
-	return &forwardQueue{ready: make(chan struct{}, 1)}
-}
-
-func (q *forwardQueue) signal() {
-	select {
-	case q.ready <- struct{}{}:
-	default:
+// runChunk evaluates obs into out on a pool worker.
+func (s *Session) runChunk(ctx context.Context, c *chunk, obs []*counters.Observation, out []*core.Verdict) {
+	defer close(c.done)
+	sc := s.eng.getScratch()
+	defer s.eng.putScratch(sc)
+	for i, o := range obs {
+		if ctx.Err() != nil {
+			return
+		}
+		v, err := s.test(sc, o)
+		if err != nil {
+			c.err = err
+			return
+		}
+		out[i] = v
+		c.n++
+		if s.cfg.StopOnInfeasible && !v.Feasible {
+			return
+		}
 	}
 }
 
-func (q *forwardQueue) push(it Item) {
-	q.mu.Lock()
-	q.items = append(q.items, it)
-	q.mu.Unlock()
-	q.signal()
-}
-
-func (q *forwardQueue) finish() {
-	q.mu.Lock()
-	q.done = true
-	q.mu.Unlock()
-	q.signal()
-}
-
-func (q *forwardQueue) pop() (it Item, ok, done bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) > 0 {
-		it = q.items[0]
-		q.items = q.items[1:]
-		return it, true, false
+// EvaluateEach tests every observation of corpus against the session's
+// model on the engine's worker pool and returns the aggregate. The corpus
+// is cut into Config.BatchSize chunks, at most two per worker in flight;
+// the calling goroutine consumes them in order and, when fn is non-nil,
+// calls fn(i, v, nil) for each verdict in corpus order.
+//
+// The run stops at the lowest-index evaluation error — fn then receives
+// (i, nil, err) for it and EvaluateEach returns err — or, with
+// Config.StopOnInfeasible, after the lowest-index infeasible verdict. In
+// both cases the result covers exactly the corpus prefix before that
+// point (the infeasible verdict included), at any worker count. A
+// cancelled ctx returns the delivered prefix with ctx's error; a closed
+// engine returns ErrClosed. Every pool task has finished when EvaluateEach
+// returns. Must not be called from inside an engine pool task — it blocks
+// on pool capacity.
+func (s *Session) EvaluateEach(ctx context.Context, corpus []*counters.Observation, fn func(i int, v *core.Verdict, err error)) (*CorpusResult, error) {
+	res := &CorpusResult{Model: s.model.Name, ViolatedConstraints: map[string]int{}}
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
-	return Item{}, false, q.done
-}
-
-// streamDrainGrace bounds how long the forwarder keeps offering items to
-// the consumer after the run's context ends, so the item that terminated
-// an early-exit run still reaches an attentive reader while an abandoned
-// stream is released promptly.
-const streamDrainGrace = 100 * time.Millisecond
-
-// Result blocks until the stream finishes, then returns the aggregated
-// result. On cancellation it returns the partial aggregate together with
-// the context's error; on an evaluation error, the partial aggregate and
-// that error.
-func (st *Stream) Result() (*CorpusResult, error) {
-	for range st.C {
-		// Items are aggregated before they are offered on C; discarding
-		// unread ones loses nothing.
-	}
-	<-st.done
-	return st.res, st.err
-}
-
-// EvaluateStream evaluates every observation arriving on in against the
-// session's model using the engine's worker pool, emitting verdicts as they
-// complete. The stream stops early when ctx is cancelled, when an
-// evaluation fails, or — with Config.StopOnInfeasible — as soon as one
-// infeasible verdict lands. Evaluation and aggregation goroutines exit
-// promptly in every case (a slow or absent consumer of C only delays the
-// dedicated forwarder, never the pool); partial aggregates remain
-// available via Result.
-func (s *Session) EvaluateStream(ctx context.Context, in <-chan *counters.Observation) *Stream {
-	sctx, cancel := context.WithCancel(ctx)
-	out := make(chan Item, s.eng.workers)
-	results := make(chan Item, s.eng.workers)
-	st := &Stream{
-		C:    out,
-		done: make(chan struct{}),
-		res: &CorpusResult{
-			Model:               s.model.Name,
-			ViolatedConstraints: map[string]int{},
-		},
-	}
-
-	var pending sync.WaitGroup
-	dispatched := make(chan struct{})
-	// submitErr records a pool failure (engine closed). Written by the
-	// dispatcher before dispatched closes; read by the aggregator after
-	// results closes, which the closer orders after dispatched.
-	var submitErr error
-
-	// Dispatcher: batch incoming observations and hand each batch to the
-	// engine pool.
-	go func() {
-		defer close(dispatched)
-		index := 0
-		first := 0
-		var batch []*counters.Observation
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			b, start := batch, first
-			batch = nil
-			pending.Add(1)
-			err := s.eng.submit(sctx, func() {
-				defer pending.Done()
-				sc := s.eng.getScratch()
-				defer s.eng.putScratch(sc)
-				for i, o := range b {
-					if sctx.Err() != nil {
-						return
-					}
-					v, err := s.test(sc, o)
-					select {
-					case results <- Item{Index: start + i, Verdict: v, Err: err}:
-					case <-sctx.Done():
-						return
-					}
-				}
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	size := s.cfg.BatchSize
+	verdicts := make([]*core.Verdict, len(corpus))
+	chunks := make([]chunk, (len(corpus)+size-1)/size)
+	window := 2 * s.eng.workers
+	submitted := 0
+	var runErr, submitErr error
+	stopped := false
+	for k := 0; k < len(chunks) && !stopped && runErr == nil; k++ {
+		for submitErr == nil && submitted < len(chunks) && submitted < k+window {
+			start := submitted * size
+			end := min(start+size, len(corpus))
+			c := &chunks[submitted]
+			c.done = make(chan struct{})
+			submitErr = s.eng.submit(cctx, func() {
+				s.runChunk(cctx, c, corpus[start:end], verdicts[start:end])
 			})
-			if err != nil {
-				pending.Done()
-				if errors.Is(err, ErrClosed) {
-					submitErr = err
-				}
-				return false
-			}
-			return true
-		}
-		for {
-			select {
-			case o, ok := <-in:
-				if !ok {
-					flush()
-					return
-				}
-				if len(batch) == 0 {
-					first = index
-				}
-				batch = append(batch, o)
-				index++
-				if len(batch) >= s.cfg.BatchSize {
-					if !flush() {
-						return
-					}
-				}
-			case <-sctx.Done():
-				return
+			if submitErr == nil {
+				submitted++
 			}
 		}
-	}()
-
-	// Closer: results has no more senders once the dispatcher stopped and
-	// every submitted batch drained.
-	go func() {
-		<-dispatched
-		pending.Wait()
-		close(results)
-	}()
-
-	// Aggregator: fold items into the corpus result and queue them for the
-	// forwarder. Items — including error items and the verdict that
-	// triggers an early exit — are queued before any self-cancellation, so
-	// the stream's consumer sees the item that ended the run. The queue
-	// never blocks, so a slow consumer cannot back up the worker pool.
-	fq := newForwardQueue()
-	go func() {
-		defer close(st.done)
-		defer fq.finish()
-		var evalErr error
-		var indices []int
-		for item := range results {
-			if item.Err != nil {
-				if evalErr == nil {
-					evalErr = item.Err
+		if k == submitted {
+			runErr = submitErr
+			break
+		}
+		c := &chunks[k]
+		<-c.done
+		start := k * size
+		for i := start; i < start+c.n; i++ {
+			v := verdicts[i]
+			res.Total++
+			if !v.Feasible {
+				res.Infeasible++
+				for _, vc := range v.Violations {
+					res.ViolatedConstraints[vc.String()]++
 				}
-			} else {
-				st.res.Total++
-				if !item.Verdict.Feasible {
-					st.res.Infeasible++
-					for _, k := range item.Verdict.Violations {
-						st.res.ViolatedConstraints[k.String()]++
-					}
-				}
-				st.res.Verdicts = append(st.res.Verdicts, item.Verdict)
-				indices = append(indices, item.Index)
 			}
-			fq.push(item)
-			if item.Err != nil {
-				cancel() // fail fast; keep draining so workers unblock
-			} else if s.cfg.StopOnInfeasible && !item.Verdict.Feasible {
-				cancel() // early exit
+			if fn != nil {
+				fn(i, v, nil)
+			}
+			if s.cfg.StopOnInfeasible && !v.Feasible {
+				stopped = true
+				break
 			}
 		}
-		sort.Sort(&verdictsByIndex{indices, st.res.Verdicts})
 		switch {
-		case evalErr != nil:
-			st.err = evalErr
-		case submitErr != nil:
-			st.err = submitErr
-		case ctx.Err() != nil:
-			st.err = ctx.Err()
+		case stopped:
+		case c.err != nil:
+			if fn != nil {
+				fn(start+c.n, nil, c.err)
+			}
+			runErr = c.err
+		case start+c.n < min(start+size, len(corpus)):
+			runErr = ctx.Err() // only the caller's context cuts a chunk short
 		}
-	}()
-
-	// Forwarder: drain the queue into C. While the run is live it waits on
-	// the consumer indefinitely (the documented contract: drain, cancel, or
-	// call Result); once the run is cancelled — by the parent context, an
-	// error, or early exit — it keeps offering each remaining item for
-	// streamDrainGrace so an attentive reader still receives the final
-	// verdicts, then gives up. It owns the context cleanup: sctx is only
-	// cancelled for cause elsewhere, so observing sctx.Done here always
-	// means a genuine cancellation, never end-of-run cleanup.
-	go func() {
-		defer cancel()
-		defer close(out)
-		cancelled := false
-		offer := func(it Item) bool {
-			t := time.NewTimer(streamDrainGrace)
-			defer t.Stop()
-			select {
-			case out <- it:
-				return true
-			case <-t.C:
-				return false
-			}
-		}
-		for {
-			it, ok, done := fq.pop()
-			if !ok {
-				if done {
-					return
-				}
-				if cancelled {
-					t := time.NewTimer(streamDrainGrace)
-					select {
-					case <-fq.ready:
-						t.Stop()
-					case <-t.C:
-						return
-					}
-				} else {
-					select {
-					case <-fq.ready:
-					case <-sctx.Done():
-						cancelled = true
-					}
-				}
-				continue
-			}
-			if cancelled {
-				if !offer(it) {
-					return
-				}
-				continue
-			}
-			select {
-			case out <- it:
-			case <-sctx.Done():
-				cancelled = true
-				if !offer(it) {
-					return
-				}
-			}
-		}
-	}()
-
-	return st
-}
-
-// verdictsByIndex sorts the aggregate's verdicts back into input order.
-type verdictsByIndex struct {
-	idx []int
-	v   []*core.Verdict
-}
-
-func (s *verdictsByIndex) Len() int           { return len(s.idx) }
-func (s *verdictsByIndex) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s *verdictsByIndex) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.v[i], s.v[j] = s.v[j], s.v[i]
+	}
+	cancel()
+	for k := range chunks[:submitted] {
+		<-chunks[k].done
+	}
+	clear(verdicts[res.Total:])
+	res.Verdicts = verdicts[:res.Total:res.Total]
+	return res, runErr
 }
 
 // Evaluate tests every observation of corpus against the session's model
-// and returns the aggregate — the drop-in replacement for the seed's
-// core.EvaluateCorpus.
+// and returns the aggregate — EvaluateEach without a per-verdict callback,
+// and the drop-in replacement for the seed's core.EvaluateCorpus.
 func (s *Session) Evaluate(ctx context.Context, corpus []*counters.Observation) (*CorpusResult, error) {
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	return s.EvaluateStream(ctx, in).Result()
+	return s.EvaluateEach(ctx, corpus, nil)
 }
 
 // EvaluateCorpus is a one-shot convenience: a session on the default

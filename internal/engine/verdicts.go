@@ -16,19 +16,22 @@ type VerdictStore interface {
 	// Get returns the stored verdict for key, if any.
 	Get(key [32]byte) (verdict bool, ok bool)
 	// Put records the verdict for key. Errors are the store's to surface
-	// (the engine treats persistence as best-effort and keeps serving).
+	// (the engine treats persistence as best-effort and keeps serving). A
+	// put contradicting a stored verdict must keep the stored one and
+	// fail; the engine counts that as a conflict, not a write error.
 	Put(key [32]byte, verdict bool) error
 }
 
 // cacheStats counts engine cache activity. All counters are atomic; LRU
 // eviction totals live in the caches themselves behind their mutexes.
 type cacheStats struct {
-	lpHits        atomic.Uint64
-	lpMisses      atomic.Uint64
-	verdictHits   atomic.Uint64
-	verdictMisses atomic.Uint64
-	storeHits     atomic.Uint64
-	storeErrors   atomic.Uint64
+	lpHits         atomic.Uint64
+	lpMisses       atomic.Uint64
+	verdictHits    atomic.Uint64
+	verdictMisses  atomic.Uint64
+	storeHits      atomic.Uint64
+	storeErrors    atomic.Uint64
+	storeConflicts atomic.Uint64
 }
 
 // CacheCounts is a point-in-time snapshot of the engine's cache
@@ -43,13 +46,17 @@ type CacheCounts struct {
 	// VerdictHits / VerdictMisses count content-addressed verdict cache
 	// lookups (a hit skips the solve entirely); StoreHits counts the
 	// subset of hits served by the persistent store after a memory miss,
-	// and StoreErrors counts failed persistence writes.
+	// StoreErrors counts failed persistence writes, and StoreConflicts
+	// counts fresh verdicts the store refused because it holds the
+	// opposite verdict for the same LP hash (a solver bug or a hash
+	// collision; nonzero warrants investigation).
 	VerdictHits      uint64 `json:"verdict_hits"`
 	VerdictMisses    uint64 `json:"verdict_misses"`
 	VerdictEvictions uint64 `json:"verdict_evictions"`
 	VerdictEntries   int    `json:"verdict_entries"`
 	StoreHits        uint64 `json:"store_hits"`
 	StoreErrors      uint64 `json:"store_errors"`
+	StoreConflicts   uint64 `json:"store_conflicts"`
 	// ModelEvictions / SessionEvictions count LRU displacement in the
 	// restricted-model and shared-session caches.
 	ModelEvictions   uint64 `json:"model_evictions"`
@@ -59,12 +66,13 @@ type CacheCounts struct {
 // CacheStats snapshots the engine's cache telemetry.
 func (e *Engine) CacheStats() CacheCounts {
 	c := CacheCounts{
-		LPHits:        e.caches.lpHits.Load(),
-		LPMisses:      e.caches.lpMisses.Load(),
-		VerdictHits:   e.caches.verdictHits.Load(),
-		VerdictMisses: e.caches.verdictMisses.Load(),
-		StoreHits:     e.caches.storeHits.Load(),
-		StoreErrors:   e.caches.storeErrors.Load(),
+		LPHits:         e.caches.lpHits.Load(),
+		LPMisses:       e.caches.lpMisses.Load(),
+		VerdictHits:    e.caches.verdictHits.Load(),
+		VerdictMisses:  e.caches.verdictMisses.Load(),
+		StoreHits:      e.caches.storeHits.Load(),
+		StoreErrors:    e.caches.storeErrors.Load(),
+		StoreConflicts: e.caches.storeConflicts.Load(),
 	}
 	e.lpMu.Lock()
 	c.LPEvictions = e.lps.Evictions()
@@ -109,14 +117,19 @@ func (e *Engine) cachedVerdict(h core.LPHash) (feasible, ok bool) {
 }
 
 // storeVerdict records a freshly solved verdict in memory and writes it
-// through to the persistent store when one is attached.
+// through to the persistent store when one is attached. A failed put whose
+// key the store holds with the opposite verdict is a conflict.
 func (e *Engine) storeVerdict(h core.LPHash, feasible bool) {
 	e.verdictMu.Lock()
 	e.verdicts.Add(h, feasible)
 	e.verdictMu.Unlock()
 	if e.store != nil {
 		if err := e.store.Put(h, feasible); err != nil {
-			e.caches.storeErrors.Add(1)
+			if stored, ok := e.store.Get(h); ok && stored != feasible {
+				e.caches.storeConflicts.Add(1)
+			} else {
+				e.caches.storeErrors.Add(1)
+			}
 		}
 	}
 }

@@ -170,6 +170,46 @@ func TestMemTruncateAndSeek(t *testing.T) {
 	}
 }
 
+// TestMemAppendGrowth pins the amortised append path: many small appends
+// keep the watermark semantics, and a write past the end after a
+// truncate (which drops spare capacity holding old bytes) leaves a zero
+// hole rather than resurrecting them.
+func TestMemAppendGrowth(t *testing.T) {
+	m := NewMem()
+	f := openRW(t, m, "j")
+	var want []byte
+	for i := 0; i < 1000; i++ {
+		rec := []byte{byte(i), byte(i >> 8), '\n'}
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec...)
+		if i == 499 {
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := m.Bytes("j"); !bytes.Equal(got, want) {
+		t.Fatalf("Bytes differ after %d appends", 1000)
+	}
+	if got := m.Durable("j"); !bytes.Equal(got, want[:1500]) {
+		t.Fatalf("Durable = %d bytes, want 1500", len(got))
+	}
+	if err := f.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(6, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Bytes("j"); !bytes.Equal(got, append(want[:2:2], 0, 0, 0, 0, 'x')) {
+		t.Fatalf("after truncate and write past the end = %q", got)
+	}
+}
+
 func TestMemOpenRenameRemove(t *testing.T) {
 	m := NewMem()
 	if _, err := m.OpenFile("missing", os.O_RDWR, 0o644); !errors.Is(err, fs.ErrNotExist) {

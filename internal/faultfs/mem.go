@@ -249,9 +249,12 @@ func (f *memFile) Write(p []byte) (int, error) {
 	}
 	end := f.pos + int64(n)
 	if end > int64(len(f.d.buf)) {
-		grown := make([]byte, end)
-		copy(grown, f.d.buf)
-		f.d.buf = grown
+		// Amortised growth: appends extend into spare capacity and
+		// reallocate geometrically, like a real file's page cache, so
+		// an append-only log costs O(total bytes), not O(N²). Spare
+		// capacity is always zero — Crash and Truncate cap it away —
+		// so a write past the end leaves a zero-filled hole.
+		f.d.buf = append(f.d.buf, make([]byte, int(end)-len(f.d.buf))...)
 	}
 	copy(f.d.buf[f.pos:end], p[:n])
 	f.pos = end

@@ -235,8 +235,8 @@ type classVerdict struct {
 //  1. Plan — group grid cells into behaviour classes by decoder
 //     signature before any solving.
 //  2. Evaluate — fan class representatives out onto the engine's worker
-//     pool (bounded by spec.Workers), one EvaluateBatch per class over
-//     its pooled derived corpus.
+//     pool (bounded by spec.Workers), one Session.Evaluate per class
+//     over its pooled derived corpus.
 //  3. Commit — walk cells in strict grid order, blocking on each cell's
 //     class verdict and copying it onto the cell; aliased cells never
 //     touch the engine.
@@ -364,13 +364,13 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 			cfg := cells[plan[k].Cells[0]]
 			dv := dec.DecodeClass(cfg)
 			defer dec.Release(dv)
-			f, inf, err := sess.EvaluateBatch(ctx, dv.Corpus)
+			res, err := sess.Evaluate(ctx, dv.Corpus)
 			if err != nil {
 				return classVerdict{}, fmt.Errorf("jobs: sweep class %s (%s): %w", dv.Sig, cfg, err)
 			}
 			evaluated.Add(1)
 			m.sweep.classesEvaluated.Add(1)
-			return classVerdict{feasible: f, infeasible: inf}, nil
+			return classVerdict{feasible: res.Total - res.Infeasible, infeasible: res.Infeasible}, nil
 		}
 		commit := func(i int) {
 			cfg := cells[i]

@@ -8,10 +8,12 @@ package perfdb
 //
 // Append-only keeps writes crash-tolerant (a torn final line is dropped
 // on load) and makes the file trivially mergeable across machines — cat
-// two stores together and the later record for a key wins, but since a
-// key's verdict is a pure function of its content, duplicates can never
-// disagree. counterpointd opens one with -verdict-db and wires it into
-// the engine via engine.WithVerdictStore.
+// two stores together and the later record for a key wins on load. A
+// key's verdict is a pure function of its content, so duplicates can
+// never legitimately disagree: Put refuses a verdict that contradicts a
+// known one (ErrVerdictConflict) instead of overwriting it.
+// counterpointd opens one with -verdict-db and wires it into the engine
+// via engine.WithVerdictStore.
 //
 // Durability contract: Put acks a verdict only after it has been flushed
 // AND fsynced (Sync) — the OS buffer alone does not survive power loss,
@@ -23,6 +25,7 @@ package perfdb
 import (
 	"bufio"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -30,6 +33,12 @@ import (
 
 	"repro/internal/faultfs"
 )
+
+// ErrVerdictConflict is returned by Put for a known key arriving with the
+// opposite verdict. Verdicts are pure functions of LP content, so a
+// conflict means a solver bug or a hash collision; the first verdict is
+// kept.
+var ErrVerdictConflict = errors.New("perfdb: conflicting verdict for a known LP hash")
 
 // VerdictStore is a concurrency-safe, file-backed map from canonical LP
 // hashes to feasibility verdicts. It satisfies engine.VerdictStore.
@@ -128,14 +137,19 @@ func (s *VerdictStore) Get(key [32]byte) (bool, bool) {
 // appended, flushed, and fsynced before Put returns nil, so an acked
 // verdict survives power loss. The fsync is per fresh verdict, which is
 // noise next to the LP solve that produced it. Duplicate puts of a known
-// key are deduplicated in memory and on disk (and cost no I/O at all).
+// key are deduplicated in memory and on disk (and cost no I/O at all); a
+// put contradicting a known key keeps the stored verdict and returns
+// ErrVerdictConflict.
 func (s *VerdictStore) Put(key [32]byte, verdict bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("perfdb: verdict store closed")
 	}
-	if prev, ok := s.m[key]; ok && prev == verdict {
+	if prev, ok := s.m[key]; ok {
+		if prev != verdict {
+			return ErrVerdictConflict
+		}
 		return nil
 	}
 	s.m[key] = verdict

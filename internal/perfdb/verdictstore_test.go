@@ -1,6 +1,7 @@
 package perfdb
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -132,4 +133,47 @@ func TestVerdictStoreFlushVisibility(t *testing.T) {
 	if v, ok := s2.Get(key(7)); !ok || !v {
 		t.Fatalf("flushed record invisible to reader: %v, %v", v, ok)
 	}
+}
+
+// TestVerdictStoreConflict checks a put contradicting a known key keeps
+// the first verdict, appends nothing, and returns ErrVerdictConflict.
+func TestVerdictStoreConflict(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.db")
+	s, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key(1), true); err != nil {
+		t.Fatal(err)
+	}
+	size := fileSize(t, path)
+	if err := s.Put(key(1), false); !errors.Is(err, ErrVerdictConflict) {
+		t.Fatalf("conflicting Put = %v, want ErrVerdictConflict", err)
+	}
+	if v, ok := s.Get(key(1)); !ok || !v {
+		t.Fatalf("Get after conflict = %v, %v; want the first verdict", v, ok)
+	}
+	if got := fileSize(t, path); got != size {
+		t.Fatalf("conflicting Put grew the log from %d to %d bytes", size, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok := s2.Get(key(1)); !ok || !v || s2.Len() != 1 {
+		t.Fatalf("reopened Get = %v, %v (Len %d); want the first verdict only", v, ok, s2.Len())
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }

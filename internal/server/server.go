@@ -182,7 +182,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/models/{name}", s.handleDescribe)
 	s.mux.HandleFunc("POST /v1/models/{name}/test", s.handleTest)
 	s.mux.HandleFunc("POST /v1/models/{name}/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /v1/models/{name}/evaluate/stream", s.handleEvaluateStream)
+	s.mux.HandleFunc("POST /v1/models/{name}/evaluate/stream", s.handleEvaluateNDJSON)
 	s.mux.HandleFunc("POST /v1/explore", s.handleExploreSubmit)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweepSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobsList)
@@ -713,16 +713,6 @@ func readCorpusMultipart(mr *multipart.Reader) ([]*counters.Observation, error) 
 	return corpus, nil
 }
 
-// corpusChannel feeds a decoded corpus to EvaluateStream.
-func corpusChannel(corpus []*counters.Observation) <-chan *counters.Observation {
-	in := make(chan *counters.Observation, len(corpus))
-	for _, o := range corpus {
-		in <- o
-	}
-	close(in)
-	return in
-}
-
 // --- POST /v1/models/{name}/evaluate ---
 
 type corpusResultJSON struct {
@@ -787,7 +777,7 @@ type streamItemJSON struct {
 	Infeasible int  `json:"infeasible,omitempty"`
 }
 
-func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvaluateNDJSON(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
@@ -806,10 +796,10 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	// The stream's context is the request context: a client disconnect
-	// cancels the engine stream, whose goroutines then exit (the leak
-	// regression tests in internal/engine pin this down). A failed write
-	// cancels explicitly for the same effect.
+	// The run's context is the request context: a client disconnect
+	// cancels the in-flight chunks, and EvaluateEach returns with every
+	// pool task finished. A failed write cancels explicitly for the same
+	// effect.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
@@ -818,28 +808,28 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 
-	st := sess.EvaluateStream(ctx, corpusChannel(corpus))
-	for item := range st.C {
-		line := streamItemJSON{}
-		idx := item.Index
-		line.Index = &idx
-		if item.Err != nil {
-			line.Error = item.Err.Error()
+	broken := false
+	res, err := sess.EvaluateEach(ctx, corpus, func(i int, v *core.Verdict, err error) {
+		if broken {
+			return
+		}
+		line := streamItemJSON{Index: &i}
+		if err != nil {
+			line.Error = err.Error()
 		} else {
-			line.Observation = item.Verdict.Observation
-			f := item.Verdict.Feasible
-			line.Feasible = &f
-			for _, k := range item.Verdict.Violations {
+			line.Observation = v.Observation
+			line.Feasible = &v.Feasible
+			for _, k := range v.Violations {
 				line.Violations = append(line.Violations, k.String())
 			}
 		}
-		if err := enc.Encode(line); err != nil {
+		if enc.Encode(line) != nil {
+			broken = true
 			cancel()
-			break
+			return
 		}
 		rc.Flush()
-	}
-	res, err := st.Result()
+	})
 	final := streamItemJSON{Done: true, Total: res.Total, Infeasible: res.Infeasible}
 	if err != nil {
 		final.Error = err.Error()

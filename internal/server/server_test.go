@@ -380,21 +380,9 @@ func TestEvaluateRejectsBadCorpus(t *testing.T) {
 	})
 }
 
-// TestStreamOrdering drives the NDJSON endpoint over a single-worker
-// engine: with batch=1 verdicts complete in submission order, so the
-// streamed indices must be 0..n-1 in order, then the aggregate line.
-func TestStreamOrdering(t *testing.T) {
-	eng := engine.New(engine.WithWorkers(1))
-	t.Cleanup(eng.Close)
-	ts := newTestServer(t, func(o *Options) { o.Engine = eng })
-
-	const n = 8
-	corpus := corpusJSON{}
-	for i := 0; i < n; i++ {
-		corpus.Observations = append(corpus.Observations,
-			obsAround(fmt.Sprintf("run-%d", i), 500, 100, 40, int64(i)))
-	}
-	resp := postJSON(t, ts.URL+"/v1/models/pde/evaluate/stream?batch=1", corpus)
+// readNDJSON decodes every line of an NDJSON evaluation response.
+func readNDJSON(t *testing.T, resp *http.Response) []streamItemJSON {
+	t.Helper()
 	defer resp.Body.Close()
 	if got := resp.Header.Get("Content-Type"); got != "application/x-ndjson" {
 		t.Fatalf("content type %q", got)
@@ -411,76 +399,91 @@ func TestStreamOrdering(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != n+1 {
-		t.Fatalf("streamed %d lines, want %d verdicts + 1 aggregate", len(lines), n)
+	return lines
+}
+
+// TestStreamOrdering drives the NDJSON endpoint over a one- and a
+// four-worker engine: verdict lines arrive in corpus order at any worker
+// count, so the streamed indices must be exactly 0..n-1, then the
+// aggregate line.
+func TestStreamOrdering(t *testing.T) {
+	const n = 16
+	corpus := corpusJSON{}
+	for i := 0; i < n; i++ {
+		corpus.Observations = append(corpus.Observations,
+			obsAround(fmt.Sprintf("run-%d", i), 500, 100, 40, int64(i)))
 	}
-	for i, item := range lines[:n] {
-		if item.Index == nil || *item.Index != i {
-			t.Fatalf("line %d has index %v, want %d", i, item.Index, i)
-		}
-		if item.Observation != fmt.Sprintf("run-%d", i) {
-			t.Fatalf("line %d is %q", i, item.Observation)
-		}
-		if item.Feasible == nil || !*item.Feasible {
-			t.Fatalf("line %d not feasible: %+v", i, item)
-		}
-	}
-	final := lines[n]
-	if !final.Done || final.Total != n || final.Infeasible != 0 || final.Error != "" {
-		t.Fatalf("aggregate %+v", final)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng := engine.New(engine.WithWorkers(workers))
+			t.Cleanup(eng.Close)
+			ts := newTestServer(t, func(o *Options) { o.Engine = eng })
+			lines := readNDJSON(t, postJSON(t, ts.URL+"/v1/models/pde/evaluate/stream?batch=1", corpus))
+			if len(lines) != n+1 {
+				t.Fatalf("streamed %d lines, want %d verdicts + 1 aggregate", len(lines), n)
+			}
+			for i, item := range lines[:n] {
+				if item.Index == nil || *item.Index != i {
+					t.Fatalf("line %d has index %v, want %d", i, item.Index, i)
+				}
+				if item.Observation != fmt.Sprintf("run-%d", i) {
+					t.Fatalf("line %d is %q", i, item.Observation)
+				}
+				if item.Feasible == nil || !*item.Feasible {
+					t.Fatalf("line %d not feasible: %+v", i, item)
+				}
+			}
+			final := lines[n]
+			if !final.Done || final.Total != n || final.Infeasible != 0 || final.Error != "" {
+				t.Fatalf("aggregate %+v", final)
+			}
+		})
 	}
 }
 
-// TestStreamEarlyExit checks first=true terminates the stream at the first
-// refutation and still delivers the refuting verdict plus the aggregate.
+// TestStreamEarlyExit checks first=true stops the stream at the first
+// refutation in corpus order, at any worker count: the lines are exactly
+// indices 0..k, the last one refuting, then an aggregate with total k+1.
 func TestStreamEarlyExit(t *testing.T) {
-	eng := engine.New(engine.WithWorkers(1))
-	t.Cleanup(eng.Close)
-	ts := newTestServer(t, func(o *Options) { o.Engine = eng })
-
-	corpus := corpusJSON{Observations: []*counters.Observation{
-		obsAround("bad", 100, 400, 60, 1),
-	}}
-	for i := 0; i < 32; i++ {
+	const k = 5 // the first refuting index
+	corpus := corpusJSON{}
+	for i := 0; i < 33; i++ {
 		corpus.Observations = append(corpus.Observations,
 			obsAround(fmt.Sprintf("ok-%d", i), 500, 100, 60, int64(i+2)))
 	}
-	resp := postJSON(t, ts.URL+"/v1/models/pde/evaluate/stream?first=true&batch=1", corpus)
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sawBad, sawDone := false, false
-	total := 0
-	for sc.Scan() {
-		var item streamItemJSON
-		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
-			t.Fatal(err)
-		}
-		if item.Done {
-			sawDone = true
-			total = item.Total
-			continue
-		}
-		if item.Feasible != nil && !*item.Feasible {
-			sawBad = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawBad {
-		t.Fatal("the refuting verdict never reached the stream")
-	}
-	if !sawDone {
-		t.Fatal("the aggregate line never arrived")
-	}
-	if total == len(corpus.Observations) {
-		t.Fatal("early exit evaluated the whole corpus")
+	corpus.Observations[k] = obsAround("bad", 100, 400, 60, 1)
+	corpus.Observations[20] = obsAround("later-bad", 100, 400, 60, 77)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng := engine.New(engine.WithWorkers(workers))
+			t.Cleanup(eng.Close)
+			ts := newTestServer(t, func(o *Options) { o.Engine = eng })
+			lines := readNDJSON(t, postJSON(t, ts.URL+"/v1/models/pde/evaluate/stream?first=true&batch=2", corpus))
+			if len(lines) != k+2 {
+				t.Fatalf("streamed %d lines, want %d verdicts + 1 aggregate", len(lines), k+1)
+			}
+			for i, item := range lines[:k+1] {
+				if item.Index == nil || *item.Index != i {
+					t.Fatalf("line %d has index %v, want %d", i, item.Index, i)
+				}
+				if item.Feasible == nil || *item.Feasible != (i != k) {
+					t.Fatalf("line %d: %+v", i, item)
+				}
+			}
+			if lines[k].Observation != "bad" {
+				t.Fatalf("refuting line is %q", lines[k].Observation)
+			}
+			final := lines[k+1]
+			if !final.Done || final.Total != k+1 || final.Infeasible != 1 || final.Error != "" {
+				t.Fatalf("aggregate %+v", final)
+			}
+		})
 	}
 }
 
 // TestStreamClientDisconnect closes the response mid-stream and requires
 // the server-side evaluation to terminate without leaking goroutines: the
-// request context cancels the engine stream.
+// request context cancels the in-flight chunks.
 func TestStreamClientDisconnect(t *testing.T) {
 	before := runtime.NumGoroutine()
 

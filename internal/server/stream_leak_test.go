@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the stream tier's concurrency/lifecycle regression suite,
-// following the EvaluateStream leak-suite pattern in internal/engine:
+// following the EvaluateEach leak-suite pattern in internal/engine:
 // every way a stream can be walked away from — a producer disconnecting
 // mid-ingest while blocked on a full queue, a close with samples still
 // queued, an idle reap, a whole-server shutdown with live streams — must
