@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/floatlp"
 	"repro/internal/haswell"
 	"repro/internal/pagetable"
 	"repro/internal/simplex"
@@ -66,6 +67,8 @@ func hybridCorpus(t *testing.T) []*counters.Observation {
 // and the exact tier's int64 kernel tableau against the pure big.Rat
 // reference tableau. Zero divergence is required on every verdict; the
 // kernel promotion (overflow fallback) rate is reported, never hidden.
+// Every infeasible filter claim's phase-1 basis certificate is checked
+// on its own as well: it may verify only where the exact tier refutes.
 func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 	models := append(haswell.Table3Models(), haswell.Table7Models()...)
 	if testing.Short() {
@@ -81,8 +84,11 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 	bigWS.ForceBigRat = true
 	hstats := &core.SolverStats{}
 	hybrid := core.NewSolver(hstats)
+	filter := floatlp.NewWorkspace()
+	var cert simplex.Certifier
 
 	var feasible, infeasible int
+	var claims, basisCertified, unitRejected int
 	var kernelFast, kernelPromoted int
 	for _, nf := range models {
 		m, err := haswell.BuildModel(nf.Name, nf.Features, set)
@@ -116,6 +122,22 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 				t.Fatalf("%s/%s: hybrid verdict %v, exact verdict %v — divergence",
 					nf.Name, o.Label, got, want)
 			}
+			if out := filter.Feasibility(p); out.Status == floatlp.Infeasible {
+				claims++
+				if cert.CertifyFarkasBasis(p, out.Basis) {
+					if want {
+						t.Fatalf("%s/%s: basis certificate refutes a feasible LP", nf.Name, o.Label)
+					}
+					basisCertified++
+				}
+				unit := make([]float64, len(out.Basis.Scale))
+				for i := range unit {
+					unit[i] = 1
+				}
+				if !cert.CertifyFarkasBasis(p, simplex.FarkasBasis{Cols: out.Basis.Cols, Sign: out.Basis.Sign, Scale: unit}) {
+					unitRejected++
+				}
+			}
 			if want {
 				feasible++
 			} else {
@@ -131,12 +153,17 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 		100*float64(c.ExactFallbacks)/float64(c.Evaluations))
 	t.Logf("kernel: %d fast solves, %d promoted solves (promotion rate %.0f%%)",
 		kernelFast, kernelPromoted, 100*float64(kernelPromoted)/float64(kernelFast+kernelPromoted))
+	t.Logf("basis certificates: %d of %d infeasible claims verified; unit artificial weights rejected on %d",
+		basisCertified, claims, unitRejected)
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("corpus did not split the catalogue (feasible=%d infeasible=%d): property coverage too thin",
 			feasible, infeasible)
 	}
 	if c.FilterHits() == 0 {
 		t.Fatal("float filter never certified a verdict across the whole catalogue")
+	}
+	if claims == 0 || 10*basisCertified < 9*claims {
+		t.Fatalf("basis certificates verified %d of %d infeasible claims", basisCertified, claims)
 	}
 }
 

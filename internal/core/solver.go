@@ -27,6 +27,7 @@ type SolverStats struct {
 	evaluations      atomic.Uint64
 	filterFeasible   atomic.Uint64
 	filterInfeasible atomic.Uint64
+	basisInfeasible  atomic.Uint64
 	certFailures     atomic.Uint64
 	exactFallbacks   atomic.Uint64
 
@@ -50,8 +51,13 @@ type SolverCounts struct {
 	// float tier with an exactly-verified certificate.
 	FilterFeasible   uint64 `json:"filter_feasible"`
 	FilterInfeasible uint64 `json:"filter_infeasible"`
-	// CertFailures counts float-tier claims whose certificate failed exact
-	// verification (each such evaluation also counts an exact fallback).
+	// FilterInfeasibleBasis counts the FilterInfeasible verdicts certified
+	// by the exact dual of the filter's final phase-1 basis after the
+	// rounded dual ray failed verification.
+	FilterInfeasibleBasis uint64 `json:"filter_infeasible_basis"`
+	// CertFailures counts float-tier claims for which every certificate
+	// failed exact verification (each such evaluation also counts an exact
+	// fallback).
 	CertFailures uint64 `json:"certification_failures"`
 	// ExactFallbacks counts verdicts decided by the exact tier — because
 	// the filter was disabled, the LP was below the filter's size gate,
@@ -68,7 +74,9 @@ type SolverCounts struct {
 	KernelPromotedSolves uint64 `json:"kernel_promoted_solves"`
 	KernelPromotions     uint64 `json:"kernel_promotions"`
 	// CertifyKernel / CertifyBigRat split certificate checks by arithmetic
-	// path: fully int64-kernel versus big.Rat fallback.
+	// path: fully int64-kernel versus a big-number fallback (big.Rat, or
+	// gcd-free big.Int for Farkas multipliers). A refutation certified by
+	// the phase-1 basis after its ray failed counts two checks.
 	CertifyKernel uint64 `json:"certifications_int64"`
 	CertifyBigRat uint64 `json:"certifications_bigrat"`
 
@@ -97,19 +105,20 @@ func (c SolverCounts) FilterHits() uint64 { return c.FilterFeasible + c.FilterIn
 // Snapshot returns current counter values.
 func (s *SolverStats) Snapshot() SolverCounts {
 	return SolverCounts{
-		Evaluations:          s.evaluations.Load(),
-		FilterFeasible:       s.filterFeasible.Load(),
-		FilterInfeasible:     s.filterInfeasible.Load(),
-		CertFailures:         s.certFailures.Load(),
-		ExactFallbacks:       s.exactFallbacks.Load(),
-		KernelFastSolves:     s.kernelFastSolves.Load(),
-		KernelPromotedSolves: s.kernelPromotedSolves.Load(),
-		KernelPromotions:     s.kernelPromotions.Load(),
-		CertifyKernel:        s.certifyKernel.Load(),
-		CertifyBigRat:        s.certifyBigRat.Load(),
-		WarmSolves:           s.warmSolves.Load(),
-		WarmDualPivots:       s.warmDualPivots.Load(),
-		ColdSolves:           s.coldSolves.Load(),
+		Evaluations:           s.evaluations.Load(),
+		FilterFeasible:        s.filterFeasible.Load(),
+		FilterInfeasible:      s.filterInfeasible.Load(),
+		FilterInfeasibleBasis: s.basisInfeasible.Load(),
+		CertFailures:          s.certFailures.Load(),
+		ExactFallbacks:        s.exactFallbacks.Load(),
+		KernelFastSolves:      s.kernelFastSolves.Load(),
+		KernelPromotedSolves:  s.kernelPromotedSolves.Load(),
+		KernelPromotions:      s.kernelPromotions.Load(),
+		CertifyKernel:         s.certifyKernel.Load(),
+		CertifyBigRat:         s.certifyBigRat.Load(),
+		WarmSolves:            s.warmSolves.Load(),
+		WarmDualPivots:        s.warmDualPivots.Load(),
+		ColdSolves:            s.coldSolves.Load(),
 	}
 }
 
@@ -205,7 +214,7 @@ func (s *Solver) certifier() *simplex.Certifier {
 }
 
 // Feasible decides whether p is feasible. The float tier runs first (when
-// present); its claim stands only if the accompanying certificate verifies
+// present); its claim stands only if an accompanying certificate verifies
 // exactly, otherwise the exact simplex decides. The answer is therefore
 // always the exact solver's answer, usually without running it.
 func (s *Solver) Feasible(p *simplex.Problem) bool {
@@ -230,33 +239,8 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 		}
 	}
 	if s.Filter != nil && p.NumVars*len(p.Constraints) >= filterMinSize {
-		switch out := s.Filter.Feasibility(p); out.Status {
-		case floatlp.Feasible:
-			cert := s.certifier()
-			if cert.CertifyPoint(p, out.Point) {
-				s.Stats.noteCertify(cert)
-				if s.Stats != nil {
-					s.Stats.filterFeasible.Add(1)
-				}
-				return true
-			}
-			s.Stats.noteCertify(cert)
-			if s.Stats != nil {
-				s.Stats.certFailures.Add(1)
-			}
-		case floatlp.Infeasible:
-			cert := s.certifier()
-			if cert.CertifyFarkas(p, out.Ray) {
-				s.Stats.noteCertify(cert)
-				if s.Stats != nil {
-					s.Stats.filterInfeasible.Add(1)
-				}
-				return false
-			}
-			s.Stats.noteCertify(cert)
-			if s.Stats != nil {
-				s.Stats.certFailures.Add(1)
-			}
+		if feasible, ok := s.verifyClaim(p, s.Filter.Feasibility(p)); ok {
+			return feasible
 		}
 	}
 	if s.Stats != nil {
@@ -267,4 +251,41 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 	feasible := ws.SolveStatus(p) == simplex.Optimal
 	s.Stats.noteExactSolve(ws)
 	return feasible
+}
+
+// verifyClaim checks the float filter's claim exactly. A feasible claim
+// stands on its rounded point. An infeasible claim stands on its rounded
+// dual ray or, failing that, on the exact dual of the filter's final
+// phase-1 basis. ok=false means the filter was inconclusive or every
+// certificate failed, and the exact tier must decide.
+func (s *Solver) verifyClaim(p *simplex.Problem, out floatlp.Outcome) (feasible, ok bool) {
+	cert := s.certifier()
+	switch out.Status {
+	case floatlp.Feasible:
+		ok = cert.CertifyPoint(p, out.Point)
+		s.Stats.noteCertify(cert)
+		if ok && s.Stats != nil {
+			s.Stats.filterFeasible.Add(1)
+		}
+		feasible = true
+	case floatlp.Infeasible:
+		ok = cert.CertifyFarkas(p, out.Ray)
+		s.Stats.noteCertify(cert)
+		if !ok {
+			ok = cert.CertifyFarkasBasis(p, out.Basis)
+			s.Stats.noteCertify(cert)
+			if ok && s.Stats != nil {
+				s.Stats.basisInfeasible.Add(1)
+			}
+		}
+		if ok && s.Stats != nil {
+			s.Stats.filterInfeasible.Add(1)
+		}
+	default:
+		return false, false
+	}
+	if !ok && s.Stats != nil {
+		s.Stats.certFailures.Add(1)
+	}
+	return feasible, ok
 }

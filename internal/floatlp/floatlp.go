@@ -20,8 +20,11 @@
 //     is δ-interior to the true feasible set and survives both the float
 //     solve's error and the checker's rational rounding.
 //   - INFEASIBLE claims re-solve the original (untightened) problem and
-//     hand over the phase-1 dual ray; the exact Farkas check either proves
-//     infeasibility outright or rejects, never mis-verdicts.
+//     hand over the phase-1 dual ray together with the final phase-1
+//     basis. The ray is checked after rounding; the basis lets the exact
+//     side recompute the dual without rounding (simplex.FarkasBasis).
+//     Either exact Farkas check proves infeasibility outright or rejects,
+//     never mis-verdicts.
 //
 // A Workspace is not safe for concurrent use; pool one per worker next to
 // the exact simplex.Workspace (internal/engine does exactly that).
@@ -55,8 +58,8 @@ func (s Status) String() string {
 	return "inconclusive"
 }
 
-// Outcome is the filter's claim plus its certificate. Point and Ray alias
-// workspace storage: they are valid until the next Feasibility call.
+// Outcome is the filter's claim plus its certificate. Point, Ray and Basis
+// alias workspace storage: they are valid until the next Feasibility call.
 type Outcome struct {
 	Status Status
 	// Point is a candidate feasible point (length NumVars) when Status ==
@@ -66,6 +69,10 @@ type Outcome struct {
 	// Ray holds candidate Farkas multipliers (one per constraint, max
 	// magnitude 1) when Status == Infeasible.
 	Ray []float64
+	// Basis is the final basis of the untightened phase 1 when Status ==
+	// Infeasible: basic columns, row sign flips and row scales, for an
+	// exact dual solve (simplex.Certifier.CertifyFarkasBasis).
+	Basis simplex.FarkasBasis
 }
 
 // Solver tolerances. The certificate checkers protect correctness, so these
@@ -100,6 +107,8 @@ type Workspace struct {
 	rowScl  []float64
 	rel     []simplex.Rel
 	slack   []int // slack column per row, -1 for EQ
+	colVar  []int // original variable per structural column
+	slackOf []int // row per slack column (indexed from nStruct)
 	nReal   int   // structural + slack columns
 	maxAbsB float64
 
@@ -118,6 +127,7 @@ type Workspace struct {
 
 	point []float64
 	ray   []float64
+	bcols []int // final basis in simplex.FarkasBasis column ids
 }
 
 // NewWorkspace returns an empty workspace.
@@ -143,7 +153,7 @@ func (w *Workspace) Feasibility(p *simplex.Problem) Outcome {
 		return Outcome{Status: Inconclusive}
 	}
 	if obj > w.feasTol() {
-		return Outcome{Status: Infeasible, Ray: w.extractRay()}
+		return Outcome{Status: Infeasible, Ray: w.extractRay(), Basis: w.extractBasis()}
 	}
 	// The original problem looks feasible but the tightened one did not:
 	// the feasible set is too thin for a rounding-robust point certificate.
@@ -231,12 +241,15 @@ func (w *Workspace) load(p *simplex.Problem) bool {
 	w.m = len(p.Constraints)
 	w.mapPos = growInt(w.mapPos, w.nVars)
 	w.mapNeg = growInt(w.mapNeg, w.nVars)
+	w.colVar = w.colVar[:0]
 	n := 0
 	for j := 0; j < w.nVars; j++ {
 		w.mapPos[j] = n
+		w.colVar = append(w.colVar, j)
 		n++
 		if p.Free != nil && p.Free[j] {
 			w.mapNeg[j] = n
+			w.colVar = append(w.colVar, j)
 			n++
 		} else {
 			w.mapNeg[j] = -1
@@ -252,6 +265,7 @@ func (w *Workspace) load(p *simplex.Problem) bool {
 	}
 	w.rel = w.rel[:w.m]
 	w.slack = growInt(w.slack, w.m)
+	w.slackOf = w.slackOf[:0]
 	w.maxAbsB = 0
 	nSlack := 0
 	for i := range p.Constraints {
@@ -283,6 +297,7 @@ func (w *Workspace) load(p *simplex.Problem) bool {
 			w.slack[i] = -1
 		} else {
 			w.slack[i] = w.nStruct + nSlack
+			w.slackOf = append(w.slackOf, i)
 			nSlack++
 		}
 	}
@@ -534,4 +549,21 @@ func (w *Workspace) extractRay() []float64 {
 		}
 	}
 	return w.ray
+}
+
+// extractBasis translates the final phase-1 basis into simplex.FarkasBasis
+// column ids, alongside the row sign flips and scales of the same solve.
+func (w *Workspace) extractBasis() simplex.FarkasBasis {
+	w.bcols = growInt(w.bcols, w.m)
+	for k, col := range w.basis {
+		switch {
+		case col >= w.nReal:
+			w.bcols[k] = w.nVars + w.m + col - w.nReal
+		case col >= w.nStruct:
+			w.bcols[k] = w.nVars + w.slackOf[col-w.nStruct]
+		default:
+			w.bcols[k] = w.colVar[col]
+		}
+	}
+	return simplex.FarkasBasis{Cols: w.bcols, Sign: w.sig, Scale: w.rowScl}
 }

@@ -150,3 +150,100 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 		t.Fatalf("corruption coverage too thin: %d points, %d rays", pointsChecked, raysChecked)
 	}
 }
+
+// TestBasisCertificateMatchesExact is the solver-equivalence property of
+// the basis-certificate tier: on randomized LPs, the exact dual of every
+// infeasible claim's final phase-1 basis must verify only when the exact
+// solver agrees the problem is infeasible — and it must verify almost
+// always, including where the rounded ray does not. Tampering with the
+// basis must never certify a feasible problem, and a flipped sign on a
+// row held by a basic artificial must always be rejected: it reverses
+// that multiplier's sign, which an inequality row cannot carry.
+func TestBasisCertificateMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	w := NewWorkspace()
+	ws := simplex.NewWorkspace()
+	var c simplex.Certifier
+	trials := 2000
+	if testing.Short() {
+		trials = 500
+	}
+	var claims, rayOK, basisOK, unitRejected, flipped int
+	var last simplex.FarkasBasis
+	for trial := 0; trial < trials; trial++ {
+		p := randomProblem(rng)
+		exactFeasible := ws.SolveStatus(p) == simplex.Optimal
+		if exactFeasible {
+			// A basis from another problem, forced onto this one's shape:
+			// whatever its dual, a feasible problem has no certificate.
+			if len(last.Cols) > 0 {
+				if c.CertifyFarkasBasis(p, reshape(last, p, rng)) {
+					t.Fatalf("trial %d: foreign basis certified a feasible problem", trial)
+				}
+			}
+			continue
+		}
+		out := w.Feasibility(p)
+		if out.Status != Infeasible {
+			continue
+		}
+		claims++
+		if simplex.CertifyFarkas(p, out.Ray) {
+			rayOK++
+		}
+		b := out.Basis
+		if c.CertifyFarkasBasis(p, b) {
+			basisOK++
+		}
+		last = simplex.FarkasBasis{
+			Cols:  append([]int(nil), b.Cols...),
+			Sign:  append([]float64(nil), b.Sign...),
+			Scale: append([]float64(nil), b.Scale...),
+		}
+		unit := make([]float64, len(b.Scale))
+		for i := range unit {
+			unit[i] = 1
+		}
+		if !c.CertifyFarkasBasis(p, simplex.FarkasBasis{Cols: b.Cols, Sign: b.Sign, Scale: unit}) {
+			unitRejected++
+		}
+		m := len(p.Constraints)
+		for _, col := range b.Cols {
+			r := col - p.NumVars - m
+			if r < 0 || p.Constraints[r].Rel == simplex.EQ {
+				continue
+			}
+			sign := append([]float64(nil), b.Sign...)
+			sign[r] = -sign[r]
+			if c.CertifyFarkasBasis(p, simplex.FarkasBasis{Cols: b.Cols, Sign: sign, Scale: b.Scale}) {
+				t.Fatalf("trial %d: basis with row %d's sign flipped certified", trial, r)
+			}
+			flipped++
+			break
+		}
+	}
+	t.Logf("%d infeasible claims: ray certified %d, basis certified %d; unit weights rejected %d; %d sign flips rejected",
+		claims, rayOK, basisOK, unitRejected, flipped)
+	if claims == 0 || flipped == 0 {
+		t.Fatalf("coverage too thin: %d claims, %d sign flips", claims, flipped)
+	}
+	if basisOK < rayOK || 10*basisOK < 9*claims {
+		t.Fatalf("basis certified %d of %d claims (ray: %d)", basisOK, claims, rayOK)
+	}
+}
+
+// reshape forces b onto p's shape: random column ids, b's signs and
+// scales where its rows reach and random ones beyond.
+func reshape(b simplex.FarkasBasis, p *simplex.Problem, rng *rand.Rand) simplex.FarkasBasis {
+	m := len(p.Constraints)
+	out := simplex.FarkasBasis{Cols: make([]int, m), Sign: make([]float64, m), Scale: make([]float64, m)}
+	for i := range out.Cols {
+		out.Cols[i] = rng.Intn(p.NumVars + 2*m)
+		out.Sign[i] = float64(1 - 2*rng.Intn(2))
+		out.Scale[i] = float64(1+rng.Intn(8)) / 4
+		if i < len(b.Cols) {
+			out.Sign[i], out.Scale[i] = b.Sign[i], b.Scale[i]
+		}
+	}
+	return out
+}

@@ -140,6 +140,12 @@ type Options struct {
 	// (counterpointd wires internal/jobstore here behind -job-db). nil
 	// keeps the manager purely in-memory.
 	Journal Journal
+	// AfterSweepCell, when set, runs on the sweep runner's goroutine after
+	// each committed grid cell, once the cell's event is emitted and
+	// checkpointed: a test hook that holds a scan at a known cell, so a
+	// cancellation lands mid-grid by construction. Production leaves it
+	// nil.
+	AfterSweepCell func(index int)
 
 	// now is the test hook for retention-TTL clocks.
 	now func() time.Time

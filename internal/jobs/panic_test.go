@@ -89,7 +89,8 @@ func TestSweepPanicStillJournalsCheckpointAndTerminal(t *testing.T) {
 	eng := engine.New()
 	defer eng.Close()
 	jr := newRecordingJournal()
-	m := NewManager(Options{Journal: jr})
+	var gate cellHook
+	m := NewManager(Options{Journal: jr, AfterSweepCell: gate.hook})
 	defer m.Close()
 
 	ref, err := m.SubmitSweep(testSweepSpec(eng))
@@ -104,13 +105,8 @@ func TestSweepPanicStillJournalsCheckpointAndTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := testSweepSpec(eng)
-	spec.afterCell = func(i int) {
-		if i == 2 {
-			panic("sweep cell detonated")
-		}
-	}
-	j, err := m.SubmitSweep(spec)
+	gate.arm(2, func() { panic("sweep cell detonated") })
+	j, err := m.SubmitSweep(testSweepSpec(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +139,7 @@ func TestSweepPanicStillJournalsCheckpointAndTerminal(t *testing.T) {
 	}
 
 	// The manager survived the panic and resumes the job bit-identically
-	// (the panic hook fires on cell index 2, which the restored prefix
-	// already covers).
+	// (the panic hook disarmed itself when it fired).
 	r, err := m.ResumeSweep(j.ID)
 	if err != nil {
 		t.Fatal(err)

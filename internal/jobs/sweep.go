@@ -47,10 +47,6 @@ type SweepSpec struct {
 	// passes its shared engine so the sweep's cache dedup shows up in
 	// GET /stats.
 	Engine *engine.Engine
-
-	// afterCell, when set, runs after each cell commits (test hook for
-	// deterministic mid-grid cancellation).
-	afterCell func(index int)
 }
 
 func (spec SweepSpec) validate() error {
@@ -398,8 +394,8 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 			// appends beyond len can never show through the view. The
 			// journal coalesces the burst; only the latest must land.
 			job.SetCheckpoint(results[:len(results):len(results)])
-			if spec.afterCell != nil {
-				spec.afterCell(i)
+			if hook := m.opts.AfterSweepCell; hook != nil {
+				hook(i)
 			}
 		}
 

@@ -119,7 +119,8 @@ func TestSweepBatchedSerialBitIdentity(t *testing.T) {
 func TestSweepBatchedCancelResume(t *testing.T) {
 	eng := engine.New()
 	defer eng.Close()
-	m := NewManager(Options{})
+	var gate cellHook
+	m := NewManager(Options{AfterSweepCell: gate.hook})
 	defer m.Close()
 
 	refSpec := testSweepSpec(eng)
@@ -137,12 +138,10 @@ func TestSweepBatchedCancelResume(t *testing.T) {
 	release := make(chan struct{})
 	spec := testSweepSpec(eng)
 	spec.Workers = 4
-	spec.afterCell = func(i int) {
-		if i == 2 {
-			close(blocked)
-			<-release
-		}
-	}
+	gate.arm(2, func() {
+		close(blocked)
+		<-release
+	})
 	j, err := m.SubmitSweep(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,8 @@ func TestSweepLargeGridResumeEquivalence(t *testing.T) {
 	}
 	eng := engine.New()
 	defer eng.Close()
-	m := NewManager(Options{})
+	var gate cellHook
+	m := NewManager(Options{AfterSweepCell: gate.hook})
 	defer m.Close()
 
 	spec := testSweepSpec(eng)
@@ -237,12 +237,10 @@ func TestSweepLargeGridResumeEquivalence(t *testing.T) {
 	release := make(chan struct{})
 	spec2 := testSweepSpec(eng)
 	spec2.Grid = grid
-	spec2.afterCell = func(i int) {
-		if i == 1000 {
-			close(blocked)
-			<-release
-		}
-	}
+	gate.arm(1000, func() {
+		close(blocked)
+		<-release
+	})
 	j, err := m.SubmitSweep(spec2)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,14 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/engine"
 	"repro/internal/haswell"
@@ -41,6 +44,27 @@ func sweepTestGrid() sweep.Grid {
 		Events: []uint8{0x42, sweep.EventPageWalkerLoads},
 		Umasks: []uint8{0x01, 0x0F, 0x1F},
 		Cmasks: []uint8{0x00, 0x10},
+	}
+}
+
+// cellHook is an Options.AfterSweepCell for tests whose manager also runs
+// reference and resumed scans: inert until armed, it runs fn on the first
+// committed cell with the armed index and disarms itself.
+type cellHook struct {
+	index int
+	fn    func()
+	armed atomic.Bool
+}
+
+// arm must be called while no sweep runs on the manager.
+func (h *cellHook) arm(index int, fn func()) {
+	h.index, h.fn = index, fn
+	h.armed.Store(true)
+}
+
+func (h *cellHook) hook(index int) {
+	if h.armed.Load() && index == h.index && h.armed.CompareAndSwap(true, false) {
+		h.fn()
 	}
 }
 
@@ -161,7 +185,8 @@ func TestSweepSpecValidation(t *testing.T) {
 func TestSweepResumeEquivalence(t *testing.T) {
 	eng := engine.New()
 	defer eng.Close()
-	m := NewManager(Options{})
+	var gate cellHook
+	m := NewManager(Options{AfterSweepCell: gate.hook})
 	defer m.Close()
 
 	ref, err := m.SubmitSweep(testSweepSpec(eng))
@@ -177,14 +202,11 @@ func TestSweepResumeEquivalence(t *testing.T) {
 	// blocked, then release it into the cancelled context.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
-	spec := testSweepSpec(eng)
-	spec.afterCell = func(i int) {
-		if i == 3 {
-			close(blocked)
-			<-release
-		}
-	}
-	j, err := m.SubmitSweep(spec)
+	gate.arm(3, func() {
+		close(blocked)
+		<-release
+	})
+	j, err := m.SubmitSweep(testSweepSpec(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,21 +312,22 @@ func TestResumeDispatchesByKind(t *testing.T) {
 	}
 }
 
-// benchmarkSweep runs full small-grid scans against a warm shared
-// engine: after the first iteration every class's LP content is a
-// verdict-cache hit, so a dedup regression (planner loss, cache
-// rekeying) shows up directly in ns/op and allocs/op — as does a
-// regression in the pooled per-class corpus materialisation.
+// benchmarkSweep runs full cold small-grid scans: every iteration gets a
+// fresh engine and manager, built and torn down outside the timer, so no
+// verdict cache carries over and the per-op figures do not depend on
+// b.N. A dedup regression (planner loss) or a solver-tier regression
+// shows up directly in ns/op and allocs/op — as does a regression in the
+// pooled per-class corpus materialisation.
 func benchmarkSweep(b *testing.B, workers int) {
-	eng := engine.New()
-	defer eng.Close()
-	m := NewManager(Options{})
-	defer m.Close()
-	spec := testSweepSpec(eng)
-	spec.Workers = workers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := engine.New()
+		m := NewManager(Options{})
+		spec := testSweepSpec(eng)
+		spec.Workers = workers
+		b.StartTimer()
 		j, err := m.SubmitSweep(spec)
 		if err != nil {
 			b.Fatal(err)
@@ -312,9 +335,13 @@ func benchmarkSweep(b *testing.B, workers int) {
 		if err := j.Wait(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		if j.Result().(*SweepResult).Verdicts == 0 {
 			b.Fatal("no verdicts")
 		}
+		m.Close()
+		eng.Close()
+		b.StartTimer()
 	}
 }
 
@@ -322,6 +349,43 @@ func benchmarkSweep(b *testing.B, workers int) {
 func BenchmarkSweepGrid(b *testing.B) { benchmarkSweep(b, 1) }
 
 // BenchmarkSweepGridBatched is the batched fan-out (4 class evaluations
-// in flight; wall-clock parity with the serial scan is expected on the
-// 1-core recording box — the benchmark guards allocations, not speedup).
+// in flight); against BenchmarkSweepGrid it records the fan-out's
+// speedup on a multi-core box.
 func BenchmarkSweepGridBatched(b *testing.B) { benchmarkSweep(b, 4) }
+
+// TestSweepBasisCertificatesMatchExact pins the basis-certificate tier on
+// a cold scan: the small grid's refutations are certified from the float
+// filter's phase-1 basis without a single exact-simplex fallback, and the
+// committed cells are byte-identical to a scan forced onto the exact
+// solver.
+func TestSweepBasisCertificatesMatchExact(t *testing.T) {
+	cells := func(forceExact bool) ([]byte, core.SolverCounts) {
+		eng := engine.New()
+		defer eng.Close()
+		m := NewManager(Options{})
+		defer m.Close()
+		spec := testSweepSpec(eng)
+		spec.ForceExact = forceExact
+		j, err := m.SubmitSweep(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(j.Result().(*SweepResult).Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, eng.SolverStats()
+	}
+	hybrid, hs := cells(false)
+	exact, _ := cells(true)
+	if string(hybrid) != string(exact) {
+		t.Fatalf("two-tier cells diverge from the exact solver's:\nhybrid %s\nexact  %s", hybrid, exact)
+	}
+	if hs.ExactFallbacks != 0 || hs.FilterInfeasibleBasis == 0 {
+		t.Fatalf("solver telemetry: %+v (want no exact fallbacks and basis-certified refutations)", hs)
+	}
+	t.Logf("solver telemetry: %+v", hs)
+}

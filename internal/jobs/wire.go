@@ -146,8 +146,7 @@ func (spec ExploreSpec) DurableSpec() (any, bool) {
 }
 
 // sweepWire is SweepSpec's durable form: the pure-function inputs. The
-// Engine and the afterCell test hook are process-local and rebuilt /
-// dropped on recovery.
+// Engine is process-local and rebuilt on recovery.
 type sweepWire struct {
 	Events        []uint8                 `json:"events"`
 	Umasks        []uint8                 `json:"umasks"`

@@ -192,12 +192,18 @@ func TestRecoverAutoResumesInterruptedSweepBitIdentically(t *testing.T) {
 	refEng.Close()
 
 	// Victim: same spec under a journal; power fails after the third
-	// committed cell.
+	// committed cell. The runner is held there until the power is out,
+	// so the crash lands mid-grid however fast the scan is.
 	mem := faultfs.NewMem()
 	st := mustOpen(t, mem)
 	eng := engine.New()
 	defer eng.Close()
-	m := jobs.NewManager(jobs.Options{Journal: st})
+	release := make(chan struct{})
+	m := jobs.NewManager(jobs.Options{Journal: st, AfterSweepCell: func(index int) {
+		if index == 2 {
+			<-release
+		}
+	}})
 	j, err := m.SubmitSweep(sweepSpec(eng))
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +226,7 @@ func TestRecoverAutoResumesInterruptedSweepBitIdentically(t *testing.T) {
 		}
 	}
 	evCancel()
+	close(release)
 	m.Close()
 	st.Close()
 	mem.Heal()

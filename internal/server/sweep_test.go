@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/haswell"
@@ -51,6 +52,29 @@ func sweepResultOf(t *testing.T, st jobs.Status) sweepResultJSON {
 	return res
 }
 
+// cellGate holds every sweep runner at one committed cell until opened:
+// the runner blocks in the manager's AfterSweepCell hook right after that
+// cell's event is emitted, so a DELETE sent while it is held cancels the
+// scan mid-grid by construction, however fast the solver is. Once open,
+// later scans pass the cell without stopping.
+type cellGate struct {
+	index   int
+	once    sync.Once
+	release chan struct{}
+}
+
+func newCellGate(index int) *cellGate {
+	return &cellGate{index: index, release: make(chan struct{})}
+}
+
+func (g *cellGate) hook(index int) {
+	if index == g.index {
+		<-g.release
+	}
+}
+
+func (g *cellGate) open() { g.once.Do(func() { close(g.release) }) }
+
 // sweepBody keeps the simulated base corpus test-sized; the grid (the
 // default, 384 cells) is what carries the scale.
 func sweepBody() map[string]any {
@@ -64,7 +88,11 @@ func sweepBody() map[string]any {
 // uninterrupted run of the same spec — while GET /stats shows the LP and
 // verdict cache hits the grid's aliasing must produce.
 func TestSweepEndToEnd(t *testing.T) {
-	ts, _ := newJobsServer(t, jobs.Options{})
+	gate := newCellGate(4)
+	ts, _ := newJobsServer(t, jobs.Options{AfterSweepCell: gate.hook})
+	// Registered after the manager's Close, so it runs first: a failing
+	// test never leaves a runner held while the manager waits for it.
+	t.Cleanup(gate.open)
 
 	resp := postJSON(t, ts.URL+"/v1/sweep", sweepBody())
 	if resp.StatusCode != http.StatusAccepted {
@@ -83,8 +111,8 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("grid %d cells is not >=10x the %d-model catalogue", sub.GridSize, cat)
 	}
 
-	// Follow the event stream and cancel after the fifth committed cell —
-	// mid-grid by construction.
+	// Follow the event stream and cancel after the fifth committed cell,
+	// while the gate holds the runner there — mid-grid by construction.
 	sresp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +134,7 @@ func TestSweepEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 				dresp.Body.Close()
+				gate.open()
 			}
 		}
 	}
@@ -272,7 +301,11 @@ func TestSweepSubmitValidation(t *testing.T) {
 // through POST /v1/jobs/{id}/resume, finishing bit-identical to an
 // uninterrupted run.
 func TestSweepLargeGridHTTPResume(t *testing.T) {
-	ts, _ := newJobsServer(t, jobs.Options{})
+	gate := newCellGate(999)
+	ts, _ := newJobsServer(t, jobs.Options{AfterSweepCell: gate.hook})
+	// Registered after the manager's Close, so it runs first: a failing
+	// test never leaves a runner held while the manager waits for it.
+	t.Cleanup(gate.open)
 
 	events := []int{0x42, 0x43, 0x44, int(sweep.EventPageWalkerLoads)}
 	var umasks, cmasks []int
@@ -305,7 +338,8 @@ func TestSweepLargeGridHTTPResume(t *testing.T) {
 		t.Fatalf("grid size %d, want %d", sub.GridSize, wantGrid)
 	}
 
-	// Cancel from the event stream once the scan is mid-grid.
+	// Cancel from the event stream at the 1000th cell, while the gate
+	// holds the runner there.
 	sresp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +361,7 @@ func TestSweepLargeGridHTTPResume(t *testing.T) {
 					t.Fatal(err)
 				}
 				dresp.Body.Close()
+				gate.open()
 			}
 		}
 	}

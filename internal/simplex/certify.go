@@ -19,9 +19,13 @@ package simplex
 // Problem's cached Vec64 snapshot (intForm), and every dot product is an
 // overflow-checked exact.Rat64 accumulation. On the first overflow — or a
 // row whose coefficients do not fit int64 — the certification falls back
-// to the big.Rat implementation wholesale, with identical results (both
-// paths compute the same exact rationals). A Certifier carries the scratch
-// buffers; pool one per worker (the engine's evalScratch does).
+// to big-number arithmetic wholesale, with identical results (all paths
+// compute the same exact rationals): the big.Rat implementation for
+// points, and for Farkas multipliers the gcd-free big.Int check of
+// basis.go, which keeps big.Rat (checkFarkasBig) for rows outside the
+// int64 snapshot. A Certifier carries the scratch buffers; pool one per
+// worker (the engine's evalScratch does). basis.go also adds a third
+// certificate: the exact dual of the float filter's final phase-1 basis.
 
 import (
 	"math"
@@ -62,6 +66,9 @@ type Certifier struct {
 	// Retained big.Int scratch of the gcd-free row comparison (the
 	// second-tier fallback for int64 rows whose dot accumulator overflows).
 	sn, sd, bt1, bt2 *big.Int
+
+	// basis is the scratch of CertifyFarkasBasis's exact basis solve.
+	basis basisSolve
 
 	// lastKernel reports whether the previous certification ran fully on
 	// the int64 kernel (telemetry; see core.SolverStats).
@@ -495,9 +502,9 @@ func (c *Certifier) CertifyFarkas(p *Problem, ray []float64) bool {
 			c.lastKernel = true
 			return verdict
 		}
-		return checkFarkasBig(p, c.materializeBigX(rq))
+		return c.checkFarkasRat(p, c.materializeBigX(rq))
 	}
-	return certifyFarkasBig(p, ray, scale)
+	return c.certifyFarkasBig(p, ray, scale)
 }
 
 // snapFarkasEntry applies the float-noise snapping shared by both paths.
@@ -519,7 +526,7 @@ func snapFarkasEntry(p *Problem, i int, q float64) float64 {
 }
 
 // certifyFarkasBig is the big.Rat path of CertifyFarkas.
-func certifyFarkasBig(p *Problem, ray []float64, scale float64) bool {
+func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) bool {
 	rq := make(exact.Vec, len(ray))
 	for i, q := range ray {
 		q = snapFarkasEntry(p, i, q/scale)
@@ -529,7 +536,7 @@ func certifyFarkasBig(p *Problem, ray []float64, scale float64) bool {
 		}
 		rq[i] = r
 	}
-	return checkFarkasBig(p, rq)
+	return c.checkFarkasRat(p, rq)
 }
 
 // CertifyPoints certifies a batch of candidate feasible points against p

@@ -22,6 +22,7 @@ type iarith struct {
 	promotions uint64
 
 	t1, t2, t3, t4 *big.Int // scratch for mixed-representation operations
+	quo, rem       *big.Int // retained quotient and remainder of exact divisions
 }
 
 func (k *iarith) initScratch() {
@@ -30,6 +31,8 @@ func (k *iarith) initScratch() {
 		k.t2 = new(big.Int)
 		k.t3 = new(big.Int)
 		k.t4 = new(big.Int)
+		k.quo = new(big.Int)
+		k.rem = new(big.Int)
 	}
 }
 
@@ -113,8 +116,7 @@ func (k *iarith) pivotUpdate(dst, x, p, y, z *ient) {
 	m1 := k.t1.Mul(x.view(k.t1), p.view(k.t2))
 	m2 := k.t3.Mul(y.view(k.t3), z.view(k.t4))
 	m1.Sub(m1, m2)
-	m1.Quo(m1, k.delta.view(k.t2))
-	k.setBig(dst, m1)
+	k.setBig(dst, k.divExact(m1, k.delta.view(k.t2)))
 }
 
 // scaleUpdate sets dst = dst·p/Δ — the degenerate rank-one update for rows
@@ -135,8 +137,24 @@ func (k *iarith) scaleUpdate(dst, p *ient) {
 		k.promotions++
 	}
 	m := k.t1.Mul(dst.view(k.t1), p.view(k.t2))
-	m.Quo(m, k.delta.view(k.t2))
-	k.setBig(dst, m)
+	k.setBig(dst, k.divExact(m, k.delta.view(k.t2)))
+}
+
+// divExact returns x/d for a division known to be exact, in the retained
+// quotient register (valid until the next divExact). It panics on a
+// non-zero remainder, like the int64 paths: a bookkeeping bug must never
+// silently corrupt a verdict.
+func (k *iarith) divExact(x, d *big.Int) *big.Int {
+	k.quo.QuoRem(x, d, k.rem)
+	if k.rem.Sign() != 0 {
+		panic("simplex: fraction-free pivot division not exact")
+	}
+	return k.quo
+}
+
+// quoExact sets dst = dst/d for a division known to be exact.
+func (k *iarith) quoExact(dst *ient, d *big.Int) {
+	k.setBig(dst, k.divExact(dst.view(k.t1), d))
 }
 
 // mulAcc adds x·y into the big.Int accumulator acc.

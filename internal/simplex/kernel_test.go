@@ -133,6 +133,31 @@ func TestElementPromotionAndDemotion(t *testing.T) {
 	}
 }
 
+// TestPromotedDivisionAsserted pins the exactness assert of the promoted
+// (big.Int) path: like the int64 path, an inexact fraction-free division
+// panics instead of truncating, and an exact one lands in dst with no
+// leftover state in the retained quotient/remainder registers.
+func TestPromotedDivisionAsserted(t *testing.T) {
+	var k ktab
+	k.initScratch()
+	k.delta.setInt(3)
+	var x, p, zero, dst ient
+	x.setInt(math.MaxInt64)
+	p.setInt(4) // 4·(2⁶³−1) = 2⁶⁵−4 ≡ 1 (mod 3): inexact
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("inexact promoted division did not panic")
+		}
+	}()
+	p2 := ient{v: 6} // 6·(2⁶³−1)/3 exact, promoted
+	k.pivotUpdate(&dst, &x, &p2, &zero, &zero)
+	want := new(big.Int).Mul(big.NewInt(math.MaxInt64), big.NewInt(2))
+	if dst.view(k.t1).Cmp(want) != 0 || k.rem.Sign() != 0 {
+		t.Fatalf("exact promoted division: %s, want %s", dst.view(k.t1), want)
+	}
+	k.pivotUpdate(&dst, &x, &p, &zero, &zero)
+}
+
 // TestIntFormInvalidation pins the generation-counter contract: rebuilding
 // a problem through Reset/GrowConstraint must refresh the kernel snapshot.
 func TestIntFormInvalidation(t *testing.T) {
