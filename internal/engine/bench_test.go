@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -170,10 +171,12 @@ func BenchmarkSweepSession(b *testing.B) {
 //   - fresh — every ingested observation is new content, the steady state
 //     of a live counter feed: an uncached confidence region, a fresh
 //     feasibility LP and a warm-started dual-simplex solve per ingest,
-//     with only the canonical-hash probe of the verdict cache shared;
+//     with only the LP-hash memo insert and the verdict-cache probe
+//     shared;
 //   - warm — the same observation re-ingested, isolating the fixed
-//     per-ingest overhead (state fold, scratch reuse, verdict-cache hit)
-//     with no solve of any tier in the timed loop.
+//     per-ingest overhead (state fold, scratch reuse, memo and
+//     verdict-cache hits) with no LP built, hashed or solved in the
+//     timed loop.
 func BenchmarkStreamIngest(b *testing.B) {
 	const chunk = 512
 	freshChunk := func(lap int) []*counters.Observation {
@@ -248,8 +251,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 // BenchmarkVerdictCacheHit measures the content-addressed verdict cache's
 // steady state: the same observation tested over and over against the
 // same model, so after the first call every Test is a verdict-cache hit —
-// region lookup, LP-cache hit, cached canonical hash, memoised verdict —
-// with no simplex solve of any tier in the timed loop.
+// region lookup, region content key, LP-hash memo hit, memoised verdict —
+// with no LP built, hashed or solved in the timed loop.
 func BenchmarkVerdictCacheHit(b *testing.B) {
 	m := pdeModel(b)
 	e := New(WithWorkers(1))
@@ -273,4 +276,62 @@ func BenchmarkVerdictCacheHit(b *testing.B) {
 	if cc := e.CacheStats(); cc.VerdictHits == 0 {
 		b.Fatal("no verdict-cache hits recorded")
 	}
+}
+
+// BenchmarkVerdictCacheHitEphemeral measures the verdict-cache hit path
+// of an ephemeral session — the shape of every counterpointd request for
+// content the daemon has seen before: each iteration tests a freshly
+// decoded copy of the same observation, so the region is rebuilt and
+// its content key recomputed, the LP-hash memo and the verdict cache
+// both hit, and no LP is built, hashed or solved. Copies are decoded
+// outside the timer, in chunks.
+func BenchmarkVerdictCacheHitEphemeral(b *testing.B) {
+	const chunk = 1024
+	m := pdeModel(b)
+	e := New(WithWorkers(1))
+	defer e.Close()
+	s, err := e.NewSession(m, Config{EphemeralObservations: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := obsAround("steady", 500, 100, 100, 42)
+	if _, err := s.Test(context.Background(), o); err != nil {
+		b.Fatal(err)
+	}
+	hits := e.CacheStats().VerdictHits
+	var copies []*counters.Observation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%chunk == 0 {
+			b.StopTimer()
+			copies = decodedCopies(b, o, min(chunk, b.N-i))
+			b.StartTimer()
+		}
+		if _, err := s.Test(context.Background(), copies[i%chunk]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := e.CacheStats().VerdictHits - hits; got != uint64(b.N) {
+		b.Fatalf("%d verdict-cache hits over %d tests", got, b.N)
+	}
+}
+
+// decodedCopies returns n independently JSON-decoded copies of o, as a
+// service decodes a fresh *Observation per request.
+func decodedCopies(t testing.TB, o *counters.Observation, n int) []*counters.Observation {
+	t.Helper()
+	data, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*counters.Observation, n)
+	for i := range out {
+		out[i] = new(counters.Observation)
+		if err := json.Unmarshal(data, out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -41,10 +42,65 @@ func TestLRUBasics(t *testing.T) {
 	}
 }
 
+// TestLRUMatchesReference drives the index-linked ring through random
+// Gets and Adds against a plain recency-ordered slice: every lookup,
+// first-writer-wins result, length and eviction count must agree.
+func TestLRUMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, limit := range []int{1, 2, 3, 8} {
+		c := newLRU[int, int](limit)
+		type kv struct{ k, v int }
+		var ref []kv // most recently used first
+		var evictions uint64
+		find := func(k int) int {
+			for i, e := range ref {
+				if e.k == k {
+					return i
+				}
+			}
+			return -1
+		}
+		for op := 0; op < 5000; op++ {
+			k, v := rng.Intn(3*limit), op
+			if rng.Intn(2) == 0 {
+				got, ok := c.Get(k)
+				i := find(k)
+				if ok != (i >= 0) || ok && got != ref[i].v {
+					t.Fatalf("limit %d op %d: Get(%d) = %d, %v; reference %v", limit, op, k, got, ok, ref)
+				}
+				if ok {
+					e := ref[i]
+					ref = append([]kv{e}, append(ref[:i:i], ref[i+1:]...)...)
+				}
+				continue
+			}
+			got := c.Add(k, v)
+			if i := find(k); i >= 0 {
+				e := ref[i]
+				ref = append([]kv{e}, append(ref[:i:i], ref[i+1:]...)...)
+				v = e.v
+			} else {
+				if len(ref) == limit {
+					ref = ref[:limit-1]
+					evictions++
+				}
+				ref = append([]kv{{k, v}}, ref...)
+			}
+			if got != v {
+				t.Fatalf("limit %d op %d: Add(%d) = %d, want %d", limit, op, k, got, v)
+			}
+			if c.Len() != len(ref) || c.Evictions() != evictions {
+				t.Fatalf("limit %d op %d: len %d evictions %d, want %d %d", limit, op, c.Len(), c.Evictions(), len(ref), evictions)
+			}
+		}
+	}
+}
+
 // TestLPCacheAdmitsPastLimit is the regression test for the frozen-cache
 // admission bug: the old map-based cache stopped admitting entries once
 // full, so a long-lived engine eventually served every request uncached.
-// With LRU, entries admitted after the cap is reached must still hit.
+// With LRU, LP-hash memo entries admitted after the cap is reached must
+// still hit.
 func TestLPCacheAdmitsPastLimit(t *testing.T) {
 	e := New(WithCacheLimits(4, 1))
 	defer e.Close()
@@ -53,7 +109,7 @@ func TestLPCacheAdmitsPastLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 8 distinct observations fill the 4-entry LP cache twice over.
+	// 8 distinct observations fill the 4-entry memo twice over.
 	var corpus []*counters.Observation
 	for i := 0; i < 8; i++ {
 		corpus = append(corpus, obsAround(fmt.Sprintf("o%d", i), 400+30*float64(i), 100, 50, int64(40+i)))
@@ -224,8 +280,9 @@ func TestVerdictStoreErrorsAreNonFatal(t *testing.T) {
 }
 
 // TestEphemeralSessionsConsultVerdictCache: ephemeral observations build
-// their LP outside the cache but still hash it and hit the verdict cache
-// when the content matches an earlier (cached or ephemeral) evaluation.
+// their region outside the cache but share the LP-hash memo and hit the
+// verdict cache when the content matches an earlier (cached or
+// ephemeral) evaluation.
 func TestEphemeralSessionsConsultVerdictCache(t *testing.T) {
 	e := New()
 	defer e.Close()

@@ -59,7 +59,7 @@ type Engine struct {
 	models *lruCache[restrictKey, *core.Model]
 
 	lpMu sync.Mutex
-	lps  *lruCache[lpKey, lpEntry]
+	lps  *lruCache[lpKey, core.LPHash]
 
 	verdictMu sync.Mutex
 	verdicts  *lruCache[core.LPHash, bool]
@@ -83,21 +83,13 @@ type restrictKey struct {
 	set     string
 }
 
-// lpKey identifies a cached feasibility LP by content: the model's
-// content key and the region's content key. Content keys (unlike the
-// pointer keys this cache used to hold) survive rebuilt regions and
-// deduplicate identical payloads arriving through different pointers.
+// lpKey addresses the LP-hash memo by content: the model's content key
+// and the region's content key. Both are digests, so an entry pins
+// nothing of the request that produced it, and identical payloads
+// arriving through different pointers share one entry.
 type lpKey struct {
 	model  string
-	region string
-}
-
-// lpEntry pairs a cached LP with its canonical content hash, computed
-// once at build time so verdict-cache lookups on the hot path cost a map
-// probe instead of a canonicalization pass.
-type lpEntry struct {
-	p    *simplex.Problem
-	hash core.LPHash
+	region [16]byte
 }
 
 // evalScratch is the per-worker reusable state: the exact LP workspace,
@@ -153,8 +145,8 @@ func WithVerdictStore(s VerdictStore) Option {
 	return func(e *Engine) { e.store = s }
 }
 
-// WithCacheLimits overrides the LP and verdict cache bounds. Values below
-// 1 keep the corresponding default.
+// WithCacheLimits overrides the LP-hash memo and verdict cache bounds.
+// Values below 1 keep the corresponding default.
 func WithCacheLimits(lps, verdicts int) Option {
 	return func(e *Engine) {
 		if lps >= 1 {
@@ -183,7 +175,7 @@ func New(opts ...Option) *Engine {
 		o(e)
 	}
 	e.models = newLRU[restrictKey, *core.Model](modelCacheLimit)
-	e.lps = newLRU[lpKey, lpEntry](e.lpLimit)
+	e.lps = newLRU[lpKey, core.LPHash](e.lpLimit)
 	e.verdicts = newLRU[core.LPHash, bool](e.verdictLimit)
 	e.sessions = newLRU[sessionKey, *Session](sessionCacheLimit)
 	e.scratch.New = func() any {
@@ -258,7 +250,7 @@ func (e *Engine) submit(ctx context.Context, f func()) error {
 func (e *Engine) getScratch() *evalScratch  { return e.scratch.Get().(*evalScratch) }
 func (e *Engine) putScratch(s *evalScratch) { e.scratch.Put(s) }
 
-// lpCacheLimit bounds the per-(model, region) LP cache. The cache is
+// lpCacheLimit bounds the (model, region) → LP-hash memo. The memo is
 // LRU: workloads that revisit pairs keep their hot set resident no matter
 // how many one-shot LPs (explore searches evaluate each node once) pass
 // through in between.
@@ -268,29 +260,24 @@ const lpCacheLimit = 1 << 16
 // cache. Entries are a hash and a bool, so the cap is generous.
 const verdictCacheLimit = 1 << 18
 
-// lpFor returns the feasibility LP of (m, r) and its content hash. The LP
-// is built once and re-solved by every subsequent verdict over the same
-// region content — sweeps that revisit a corpus skip the whole
-// constraint-row construction, and the hash addresses the verdict cache.
-func (e *Engine) lpFor(m *core.Model, r *stats.Region) (*simplex.Problem, core.LPHash, error) {
-	k := lpKey{model: m.ContentKey(), region: r.Key()}
+// lpHash returns the memoised canonical LP hash for k, if any.
+func (e *Engine) lpHash(k lpKey) (core.LPHash, bool) {
 	e.lpMu.Lock()
-	ent, ok := e.lps.Get(k)
+	h, ok := e.lps.Get(k)
 	e.lpMu.Unlock()
 	if ok {
 		e.caches.lpHits.Add(1)
-		return ent.p, ent.hash, nil
+	} else {
+		e.caches.lpMisses.Add(1)
 	}
-	e.caches.lpMisses.Add(1)
-	p := simplex.NewProblem(0)
-	if err := m.RegionLP(p, r); err != nil {
-		return nil, core.LPHash{}, err
-	}
-	ent = lpEntry{p: p, hash: core.HashLP(p)}
+	return h, ok
+}
+
+// memoLPHash records the canonical hash of k's LP.
+func (e *Engine) memoLPHash(k lpKey, h core.LPHash) {
 	e.lpMu.Lock()
-	ent = e.lps.Add(k, ent) // first writer wins
+	e.lps.Add(k, h)
 	e.lpMu.Unlock()
-	return ent.p, ent.hash, nil
 }
 
 // modelFor returns m restricted to set, memoised per (diagram, set) so

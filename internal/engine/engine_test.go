@@ -524,8 +524,8 @@ func TestSessionForSharing(t *testing.T) {
 }
 
 // TestEphemeralObservationsBypassCaches checks ephemeral sessions build
-// regions and LPs without inserting request-scoped pointers into the
-// engine caches, while verdicts stay identical to the cached path.
+// regions without inserting request-scoped pointers into the engine's
+// region cache, while verdicts stay identical to the cached path.
 func TestEphemeralObservationsBypassCaches(t *testing.T) {
 	e := New()
 	defer e.Close()

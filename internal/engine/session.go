@@ -37,12 +37,12 @@ type Config struct {
 	ForceExact bool
 	// EphemeralObservations marks the session's observations as
 	// request-scoped data that will never be evaluated again: confidence
-	// regions and feasibility LPs are built fresh per verdict instead of
-	// being inserted into the engine caches, whose pointer keys would
-	// otherwise pin every payload (and, once the caps fill, disable
-	// caching for everything else) in a long-lived service. Model-side
-	// caches — χ² quantiles, restricted models, constraints, sessions —
-	// still amortise.
+	// regions are built fresh per verdict instead of being inserted into
+	// the engine's region cache, whose pointer keys would otherwise pin
+	// every payload (and, once the cap fills, disable region caching for
+	// everything else) in a long-lived service. It governs region caching
+	// only: the LP-hash memo and the verdict cache are content-keyed and
+	// pin nothing, so ephemeral sessions share them like any other.
 	EphemeralObservations bool
 }
 
@@ -134,54 +134,51 @@ func (s *Session) Restrict(set *counters.Set) (*Session, error) {
 	return s.eng.NewSession(m, s.cfg)
 }
 
-// test evaluates one observation using pooled scratch state, the
-// engine-wide region and LP caches (or, for ephemeral sessions, fresh
-// uncached structures that die with the verdict), and the
-// content-addressed verdict cache. A verdict-cache hit skips the solve
-// entirely — the region's violation report is closed-form, so the full
-// Verdict is still reconstructed. Both paths consult the cache: an
-// ephemeral observation pays one canonicalization pass for the chance
-// that its LP content was seen before (possibly in a previous process,
-// via the persistent store).
+// test evaluates one observation using pooled scratch state. The region
+// content key, with the model's, addresses the LP-hash memo, and the hash
+// the verdict cache; a verdict hit never builds the LP (violations are
+// closed-form over the region). The LP is built at most once, into the
+// scratch workspace: on a memo miss, to hash it, and for any solve.
 func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict, error) {
-	var (
-		r    *stats.Region
-		p    *simplex.Problem
-		hash core.LPHash
-		err  error
-	)
+	region := s.eng.regions.Region
 	if s.cfg.EphemeralObservations {
-		r, err = s.eng.regions.RegionUncached(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
-		if err != nil {
-			return nil, err
-		}
-		p = sc.ws.Prepare(0)
-		if err := s.model.RegionLP(p, r); err != nil {
+		region = s.eng.regions.RegionUncached
+	}
+	r, err := region(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
+	if err != nil {
+		return nil, err
+	}
+	var p *simplex.Problem
+	k := lpKey{model: s.model.ContentKey(), region: r.Key()}
+	hash, ok := s.eng.lpHash(k)
+	if !ok {
+		if p, err = s.buildLP(sc, r); err != nil {
 			return nil, err
 		}
 		hash = core.HashLP(p)
-	} else {
-		r, err = s.eng.regions.Region(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
-		if err != nil {
-			return nil, err
-		}
-		p, hash, err = s.eng.lpFor(s.model, r)
-		if err != nil {
-			return nil, err
-		}
+		s.eng.memoLPHash(k, hash)
 	}
 	var v *core.Verdict
-	if s.cfg.ForceExact {
-		// The pure cold baseline: no float filter, no warm starts, no
-		// verdict cache — every evaluation is a from-scratch exact solve.
-		sv := core.Solver{Exact: sc.ws, Cert: sc.cert, Stats: s.eng.solver}
-		v, err = s.model.TestRegionLP(&sv, p, r, s.cfg.IdentifyViolations)
-	} else if feasible, ok := s.eng.cachedVerdict(hash); ok {
+	feasible, hit := false, false
+	if !s.cfg.ForceExact {
+		feasible, hit = s.eng.cachedVerdict(hash)
+	}
+	if hit {
 		v, err = s.model.VerdictForRegion(r, feasible, s.cfg.IdentifyViolations)
 	} else {
-		sv := core.Solver{Exact: sc.ws, Filter: sc.fl, Cert: sc.cert, Stats: s.eng.solver, Warm: sc.warmFor(s.model)}
+		if p == nil {
+			if p, err = s.buildLP(sc, r); err != nil {
+				return nil, err
+			}
+		}
+		// ForceExact is the cold baseline: no float filter, warm start or
+		// verdict cache, only a from-scratch exact solve.
+		sv := core.Solver{Exact: sc.ws, Cert: sc.cert, Stats: s.eng.solver}
+		if !s.cfg.ForceExact {
+			sv.Filter, sv.Warm = sc.fl, sc.warmFor(s.model)
+		}
 		v, err = s.model.TestRegionLP(&sv, p, r, s.cfg.IdentifyViolations)
-		if err == nil {
+		if err == nil && !s.cfg.ForceExact {
 			s.eng.storeVerdict(hash, v.Feasible)
 		}
 	}
@@ -190,6 +187,12 @@ func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict,
 	}
 	v.Observation = o.Label
 	return v, nil
+}
+
+// buildLP builds r's feasibility LP into the scratch workspace.
+func (s *Session) buildLP(sc *evalScratch, r *stats.Region) (*simplex.Problem, error) {
+	p := sc.ws.Prepare(0)
+	return p, s.model.RegionLP(p, r)
 }
 
 // Test evaluates a single observation inline (no pool round-trip), still

@@ -37,8 +37,8 @@ type cacheStats struct {
 // CacheCounts is a point-in-time snapshot of the engine's cache
 // telemetry, shaped for JSON (counterpointd's /stats endpoint).
 type CacheCounts struct {
-	// LPHits / LPMisses count content-keyed LP cache lookups; LPEvictions
-	// counts entries displaced by the LRU policy.
+	// LPHits / LPMisses count LP-hash memo lookups, made by every session;
+	// LPEvictions counts entries displaced by the LRU policy.
 	LPHits      uint64 `json:"lp_hits"`
 	LPMisses    uint64 `json:"lp_misses"`
 	LPEvictions uint64 `json:"lp_evictions"`

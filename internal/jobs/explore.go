@@ -42,7 +42,7 @@ type ExploreSpec struct {
 	SkipElimination bool
 	// Engine hosts the evaluation sessions. nil gives the job a private
 	// engine created at start and closed at completion, so the job's
-	// region/LP caches — keyed by its corpus pointers — die with it
+	// region cache — keyed by its corpus pointers — dies with it
 	// instead of pinning the corpus in a shared engine for the life of
 	// the process.
 	Engine *engine.Engine

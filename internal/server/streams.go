@@ -505,6 +505,11 @@ type streamManager struct {
 	closed      bool
 	janitorStop chan struct{}
 	wg          sync.WaitGroup
+
+	// workerHold, when non-nil, holds every stream worker created while
+	// it is set until the channel closes. Tests set it (under mu) so a
+	// burst overflows a small queue by construction rather than by timing.
+	workerHold chan struct{}
 }
 
 func newStreamManager(eng *engine.Engine, maxStreams, buffer int, idleTTL time.Duration, now func() time.Time) *streamManager {
@@ -583,8 +588,12 @@ func (m *streamManager) create(model *core.Model, cfg engine.Config, policy stri
 		"buffer": buffer,
 	}, false)
 	m.wg.Add(1)
+	hold := m.workerHold
 	go func() {
 		defer m.wg.Done()
+		if hold != nil {
+			<-hold
+		}
 		st.run()
 	}()
 	if m.janitorStop == nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,6 +337,7 @@ func TestStreamOversizedLine(t *testing.T) {
 // high-water mark.
 func TestStreamDropPolicy(t *testing.T) {
 	ts, srv := newStreamServer(t)
+	release := holdStreamWorkers(t, srv)
 	st := createStream(t, ts.URL, map[string]any{"model": "pde", "policy": "drop", "buffer": 2})
 	if st.Buffer != 2 {
 		t.Fatalf("buffer %d", st.Buffer)
@@ -345,6 +347,7 @@ func TestStreamDropPolicy(t *testing.T) {
 		lines[i] = ndjsonObs(fmt.Sprintf("o%d", i), 500, 100, 60, int64(i))
 	}
 	status, sum := ingestLines(t, ts.URL, st.ID, lines...)
+	release()
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -373,10 +376,26 @@ func TestStreamDropPolicy(t *testing.T) {
 	}
 }
 
+// holdStreamWorkers holds the workers of streams created from now on
+// until the returned release runs (at the latest, at test cleanup, before
+// the server shuts down), so their queues fill deterministically.
+func holdStreamWorkers(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	srv.streams.mu.Lock()
+	srv.streams.workerHold = hold
+	srv.streams.mu.Unlock()
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	return release
+}
+
 // TestStreamRejectPolicy exercises the fail-fast policy: the first
 // full-queue line 429s the request, reporting how far it got.
 func TestStreamRejectPolicy(t *testing.T) {
 	ts, srv := newStreamServer(t)
+	holdStreamWorkers(t, srv)
 	st := createStream(t, ts.URL, map[string]any{"model": "pde", "policy": "reject", "buffer": 2})
 	lines := make([]string, 64)
 	for i := range lines {

@@ -3,9 +3,7 @@ package stats
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/counters"
@@ -136,19 +134,17 @@ func quantizeAxes(axes [][]float64) [][]float64 {
 	return out
 }
 
-// Key returns a compact content key for the region: a hash over the
-// counter set, noise mode, confidence level, and the exact float64 bit
-// patterns of the mean, axes and half-widths. Two regions with equal
-// keys produce bit-identical feasibility LPs downstream, so the engine
-// uses the key (with the model's content key) to address its LP cache.
-func (r *Region) Key() string {
-	h := sha256.New()
-	io.WriteString(h, r.Set.Key())
-	var scratch [8]byte
-	word := func(bits uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], bits)
-		h.Write(scratch[:])
-	}
+// Key returns a compact content key for the region: the first 16 bytes
+// of a SHA-256 over the counter set, noise mode, confidence level, and
+// the exact float64 bit patterns of the mean, axes and half-widths. Two
+// regions with equal keys produce bit-identical feasibility LPs
+// downstream, so the engine uses the key (with the model's content key)
+// to address its LP-hash memo.
+func (r *Region) Key() [16]byte {
+	// Small regions encode on the stack; the key path allocates nothing.
+	var buf [1024]byte
+	b := append(buf[:0], r.Set.Key()...)
+	word := func(bits uint64) { b = binary.LittleEndian.AppendUint64(b, bits) }
 	word(uint64(r.Mode))
 	word(math.Float64bits(r.Confidence))
 	word(uint64(len(r.Mean)))
@@ -163,8 +159,8 @@ func (r *Region) Key() string {
 	for _, v := range r.HalfWidths {
 		word(math.Float64bits(v))
 	}
-	sum := h.Sum(scratch[:0:0])
-	return hex.EncodeToString(sum[:16])
+	sum := sha256.Sum256(b)
+	return [16]byte(sum[:16])
 }
 
 // Contains reports whether v lies inside the bounding box.

@@ -153,7 +153,7 @@ func TestDecoderCmaskGatesToZero(t *testing.T) {
 	}
 	// Synthetic base values stay under 200 per column, so a threshold of
 	// 0x10<<8 = 4096 gates every sample: different signature, identical
-	// derived content (content-level aliasing the LP cache must catch).
+	// derived content (content-level aliasing the LP-hash memo must catch).
 	gated := d.Decode(RawConfig{Event: 0x42, Umask: 0x0F, Cmask: 0x10})
 	if gated == zero {
 		t.Fatal("distinct signatures should not share a derivation")
