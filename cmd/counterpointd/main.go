@@ -50,7 +50,8 @@
 //	-stream-ttl d      idle stream reap TTL (default 5m)
 //	-no-catalog        start with an empty model registry
 //	-verdict-db path   persistent content-addressed verdict store; cached
-//	                   feasibility verdicts survive restarts (off by default)
+//	                   feasibility verdicts survive restarts (off by default;
+//	                   a store in the old text format is refused)
 //	-job-db path       durable job journal (append-only, checksummed); jobs
 //	                   survive restarts, and a restarting daemon re-lists
 //	                   finished jobs and auto-resumes interrupted ones from
@@ -103,6 +104,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/perfdb"
+	"repro/internal/recordlog"
 	"repro/internal/server"
 	"repro/internal/stats"
 )
@@ -182,11 +184,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	engOpts := []engine.Option{engine.WithWorkers(*workers)}
 	if *verdictDB != "" {
 		vs, err := perfdb.OpenVerdictStore(*verdictDB)
+		if errors.Is(err, recordlog.ErrForeign) {
+			return fmt.Errorf("%w (a verdict store in the old text format is no longer read: move or delete it and the daemon starts a fresh one)", err)
+		}
 		if err != nil {
 			return err
 		}
 		defer vs.Close()
-		fmt.Fprintf(out, "counterpointd: verdict store %s (%d verdicts)\n", *verdictDB, vs.Len())
+		fmt.Fprintf(out, "counterpointd: verdict store %s (%d verdicts", *verdictDB, vs.Len())
+		if vs.Repaired() {
+			fmt.Fprint(out, ", torn tail repaired")
+		}
+		fmt.Fprintln(out, ")")
 		engOpts = append(engOpts, engine.WithVerdictStore(vs))
 	}
 	eng := engine.New(engOpts...)

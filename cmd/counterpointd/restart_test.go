@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/perfdb"
 )
 
 // bootDaemon starts run() with the given extra flags on an ephemeral
@@ -124,5 +128,63 @@ func TestVerdictStoreSurvivesRestart(t *testing.T) {
 	}
 	if evals != 0 {
 		t.Fatalf("restarted daemon ran %d solver evaluations, want 0 (persisted verdicts)", evals)
+	}
+}
+
+// TestVerdictStoreBootLog: the boot line reports a repaired verdict
+// store the way the job-journal line does, and a store in the old text
+// format fails boot with a message naming the fix, its bytes untouched.
+func TestVerdictStoreBootLog(t *testing.T) {
+	boot := func(path string) (string, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // print the boot lines, then shut straight down
+		var out bytes.Buffer
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-no-catalog", "-verdict-db", path}, &out)
+		return out.String(), err
+	}
+
+	torn := filepath.Join(t.TempDir(), "verdicts.db")
+	vs, err := perfdb.OpenVerdictStore(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.Put([32]byte{1}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(torn, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame header cut short by a crash.
+	if _, err := f.Write([]byte{0xCF, 0x4A, 0x10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := boot(torn)
+	if err != nil {
+		t.Fatalf("boot on a torn store: %v", err)
+	}
+	if !strings.Contains(out, "(1 verdicts, torn tail repaired)") {
+		t.Fatalf("boot log does not report the repair: %q", out)
+	}
+	if out, err = boot(torn); err != nil || strings.Contains(out, "repaired") {
+		t.Fatalf("second boot: err %v, log %q; want a clean open", err, out)
+	}
+
+	legacy := filepath.Join(t.TempDir(), "verdicts.db")
+	text := []byte("0101010101010101010101010101010101010101010101010101010101010101 1\n")
+	if err := os.WriteFile(legacy, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boot(legacy); err == nil || !strings.Contains(err.Error(), "move or delete it") {
+		t.Fatalf("boot on a legacy text store: err = %v, want a move-or-delete message", err)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, text) {
+		t.Fatalf("legacy store changed by the refused boot: %q, %v", got, err)
 	}
 }

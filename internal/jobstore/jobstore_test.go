@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/haswell"
 	"repro/internal/jobs"
+	"repro/internal/recordlog"
 	"repro/internal/sweep"
 )
 
@@ -550,5 +552,26 @@ func BenchmarkJournalAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		data["cell"] = i
 		st.JobEvent("j000001", jobs.Event{Seq: i, Kind: "cell", Data: data})
+	}
+}
+
+// TestOpenRefusesForeignFile: a -job-db pointed at a file that is not a
+// journal (here a text file) fails to open and leaves the file intact,
+// instead of truncating it as a torn tail.
+func TestOpenRefusesForeignFile(t *testing.T) {
+	mem := faultfs.NewMem()
+	text := []byte("not a journal\n")
+	f, err := mem.OpenFile("jobs.db", os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open("jobs.db", fastOpts(mem)); !errors.Is(err, recordlog.ErrForeign) {
+		t.Fatalf("Open on a text file: err = %v, want ErrForeign", err)
+	}
+	if got := mem.Bytes("jobs.db"); !bytes.Equal(got, text) {
+		t.Fatalf("foreign file changed to %q", got)
 	}
 }

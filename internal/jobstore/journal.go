@@ -1,24 +1,11 @@
 package jobstore
 
-// The journal's on-disk format: a flat sequence of CRC-framed records,
-//
-//	[magic 0xCF 0x4A][type 1B][len u32le][crc32c u32le][payload]
-//
-// where payload is a JSON envelope per record type. Append-only with
-// fsync at commit points; a crash can only damage the tail, so the
-// loader's repair rule is simple and total: scan frames until the first
-// bad one (torn header, short payload, CRC mismatch, bad magic), keep
-// everything before it, truncate the rest. CRCs make "bad" detectable
-// even when the tear lands inside a payload; a record is trusted only
-// when its checksum verifies.
+// The journal's records: one internal/recordlog frame per record, whose
+// payload is a JSON envelope per record type. Append-only with fsync at
+// commit points; recordlog repairs a torn tail on open.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"time"
 
 	"repro/internal/jobs"
@@ -26,36 +13,13 @@ import (
 
 // Record types. Unknown types with valid CRCs are skipped on load
 // (forward compatibility), never treated as corruption.
-type recordType byte
-
 const (
-	recSpec       recordType = 1 // a job was submitted
-	recEvent      recordType = 2 // one event appended to a job's log
-	recCheckpoint recordType = 3 // a job's latest resumable state
-	recTerminal   recordType = 4 // a job reached a terminal state
-	recRemove     recordType = 5 // a job left the retained ring
+	recSpec       byte = 1 // a job was submitted
+	recEvent      byte = 2 // one event appended to a job's log
+	recCheckpoint byte = 3 // a job's latest resumable state
+	recTerminal   byte = 4 // a job reached a terminal state
+	recRemove     byte = 5 // a job left the retained ring
 )
-
-const (
-	frameMagic0 = 0xCF
-	frameMagic1 = 0x4A
-	frameHeader = 2 + 1 + 4 + 4
-	// maxPayload bounds a frame's declared length; anything larger is
-	// corruption by definition (a torn length field reading garbage).
-	maxPayload = 64 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// frame encodes one record.
-func frame(typ recordType, payload []byte) []byte {
-	b := make([]byte, frameHeader+len(payload))
-	b[0], b[1], b[2] = frameMagic0, frameMagic1, byte(typ)
-	binary.LittleEndian.PutUint32(b[3:7], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[7:11], crc32.Checksum(payload, crcTable))
-	copy(b[frameHeader:], payload)
-	return b
-}
 
 // Payload envelopes. Raw JSON stays raw (json.RawMessage) end to end, so
 // a recovered job replays its journaled history byte-identically.
@@ -91,38 +55,4 @@ type terminalRecord struct {
 
 type removeRecord struct {
 	ID string `json:"id"`
-}
-
-// readFrame reads one frame from r. io.EOF at the first header byte
-// means a clean end; any other failure (short header, short payload,
-// bad magic, insane length, CRC mismatch) returns errTorn — the caller
-// truncates there.
-var errTorn = fmt.Errorf("jobstore: torn or corrupt frame")
-
-func readFrame(r *bufio.Reader) (recordType, []byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, errTorn
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, errTorn
-	}
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return 0, nil, errTorn
-	}
-	n := binary.LittleEndian.Uint32(hdr[3:7])
-	if n > maxPayload {
-		return 0, nil, errTorn
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, errTorn
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[7:11]) {
-		return 0, nil, errTorn
-	}
-	return recordType(hdr[2]), payload, nil
 }

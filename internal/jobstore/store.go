@@ -1,5 +1,5 @@
 // Package jobstore is counterpointd's durable job journal: an
-// append-only, CRC-framed record log (see journal.go for the format)
+// append-only internal/recordlog log (see journal.go for the records)
 // that implements jobs.Journal, so every submit, event, checkpoint and
 // terminal outcome of a jobs.Manager survives a crash. On reopen the
 // loader repairs a torn tail (truncate at the first bad frame), and
@@ -27,17 +27,15 @@
 package jobstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/jobs"
+	"repro/internal/recordlog"
 )
 
 // ErrClosed reports an append on a closed store.
@@ -140,11 +138,9 @@ type jobEntry struct {
 // methods are safe for concurrent use.
 type Store struct {
 	opts Options
-	path string
 
 	mu     sync.Mutex
-	f      faultfs.File
-	off    int64 // known-good end of the file (frame-aligned)
+	log    *recordlog.Log
 	live   int64 // bytes of live records (compaction denominator)
 	index  map[string]*jobEntry
 	order  []string
@@ -173,60 +169,19 @@ type Store struct {
 // jobs.Manager via jobs.Options.Journal.
 func Open(path string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	f, err := opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	s := &Store{opts: opts, index: map[string]*jobEntry{}}
+	log, repaired, err := recordlog.Open(opts.FS, path, s.applyLocked)
 	if err != nil {
-		return nil, fmt.Errorf("jobstore: open %s: %w", path, err)
+		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	s := &Store{
-		opts:  opts,
-		path:  path,
-		f:     f,
-		index: map[string]*jobEntry{},
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobstore: seek %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobstore: seek %s: %w", path, err)
-	}
-	r := bufio.NewReader(f)
-	for {
-		typ, payload, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn tail: everything before this frame is intact (CRCs
-			// verified); everything from here on is the crash's damage.
-			// Truncate and carry on — losing an unsynced suffix is the
-			// journal's contract, not corruption.
-			s.repaired = true
-			break
-		}
-		s.applyLocked(typ, payload)
-		s.off += int64(frameHeader + len(payload))
-	}
-	if s.repaired || s.off < size {
-		if err := f.Truncate(s.off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobstore: repair %s: %w", path, err)
-		}
-		s.repaired = true
-	}
-	if _, err := f.Seek(s.off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobstore: seek %s: %w", path, err)
-	}
+	s.log, s.repaired = log, repaired
 	s.recomputeLiveLocked()
 	s.maybeCompactLocked()
 	return s, nil
 }
 
 // applyLocked folds one loaded record into the index.
-func (s *Store) applyLocked(typ recordType, payload []byte) {
+func (s *Store) applyLocked(typ byte, payload []byte) {
 	switch typ {
 	case recSpec:
 		var rec specRecord
@@ -288,91 +243,25 @@ func (s *Store) removeEntryLocked(id string) {
 	}
 }
 
-func frameLen(payload []byte) int64 { return int64(frameHeader + len(payload)) }
-
 func (s *Store) recomputeLiveLocked() {
 	s.live = 0
 	for _, e := range s.index {
-		s.live += frameLen(e.specP)
+		s.live += recordlog.FrameLen(e.specP)
 		for _, p := range e.events {
-			s.live += frameLen(p)
+			s.live += recordlog.FrameLen(p)
 		}
 		if e.ckptP != nil {
-			s.live += frameLen(e.ckptP)
+			s.live += recordlog.FrameLen(e.ckptP)
 		}
 		if e.termP != nil {
-			s.live += frameLen(e.termP)
+			s.live += recordlog.FrameLen(e.termP)
 		}
 	}
-}
-
-// reopenLocked (re)opens the journal file positioned at the known-good
-// offset, truncating anything a dying handle left beyond it.
-func (s *Store) reopenLocked() error {
-	f, err := s.opts.FS.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(s.off); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Seek(s.off, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	s.f = f
-	return nil
-}
-
-// resetTailLocked restores the file to the last known-good frame
-// boundary after a failed append; if even that fails, the handle is
-// dropped so the next attempt reopens and repairs.
-func (s *Store) resetTailLocked() {
-	if s.f == nil {
-		return
-	}
-	if err := s.f.Truncate(s.off); err != nil {
-		s.f.Close()
-		s.f = nil
-		return
-	}
-	if _, err := s.f.Seek(s.off, io.SeekStart); err != nil {
-		s.f.Close()
-		s.f = nil
-	}
-}
-
-// writeFrameLocked writes one frame (optionally through an fsync
-// barrier), advancing the known-good offset only on full success.
-func (s *Store) writeFrameLocked(fr []byte, sync bool) error {
-	if s.f == nil {
-		if err := s.reopenLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := s.f.Write(fr); err != nil {
-		s.resetTailLocked()
-		return err
-	}
-	if sync {
-		if err := s.f.Sync(); err != nil {
-			// Written but not durable is indistinguishable from not
-			// written for the caller; roll the tail back so the in-memory
-			// offset keeps matching the trusted file prefix.
-			s.resetTailLocked()
-			return err
-		}
-		s.fsyncs++
-	}
-	s.off += int64(len(fr))
-	s.appends++
-	return nil
 }
 
 // appendLocked is the journal's write path: degradation gate, bounded
 // retries with doubling backoff, then degradation on persistent failure.
-func (s *Store) appendLocked(typ recordType, payload []byte, sync bool) error {
+func (s *Store) appendLocked(typ byte, payload []byte, sync bool) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -380,7 +269,6 @@ func (s *Store) appendLocked(typ recordType, payload []byte, sync bool) error {
 		s.dropped++
 		return fmt.Errorf("jobstore: degraded: %w", s.lastErr)
 	}
-	fr := frame(typ, payload)
 	backoff := s.opts.RetryBackoff
 	var err error
 	for try := 0; try < s.opts.RetryAttempts; try++ {
@@ -389,7 +277,11 @@ func (s *Store) appendLocked(typ recordType, payload []byte, sync bool) error {
 			s.opts.sleep(backoff)
 			backoff *= 2
 		}
-		if err = s.writeFrameLocked(fr, sync); err == nil {
+		if err = s.log.Append(typ, payload, sync); err == nil {
+			s.appends++
+			if sync {
+				s.fsyncs++
+			}
 			if s.degraded {
 				// Probe succeeded: back to healthy.
 				s.degraded = false
@@ -417,12 +309,8 @@ func (s *Store) degradeLocked(err error) {
 		}
 	}
 	s.nextRetry = s.opts.now().Add(s.degradeBackoff)
-	// Drop the handle: the probe after nextRetry reopens from scratch,
-	// which also heals transient fd-level damage.
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
+	// Drop the handle: the probe after nextRetry reopens from scratch.
+	s.log.Drop()
 }
 
 // encodeSpec serializes a submission spec for the journal via the
@@ -469,7 +357,7 @@ func (s *Store) JobSubmitted(id, kind, resumedFrom string, created time.Time, sp
 	e := &jobEntry{id: id, spec: rec, specP: payload}
 	s.index[id] = e
 	s.order = append(s.order, id)
-	s.live += frameLen(payload)
+	s.live += recordlog.FrameLen(payload)
 	return nil
 }
 
@@ -499,7 +387,7 @@ func (s *Store) JobEvent(id string, ev jobs.Event) {
 	// The in-memory index is authoritative even when the disk write
 	// fails: a later compaction rewrites from it, healing the gap.
 	e.events = append(e.events, payload)
-	s.live += frameLen(payload)
+	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recEvent, payload, false)
 }
 
@@ -539,10 +427,10 @@ func (s *Store) flushCheckpointLocked(e *jobEntry, sync bool) {
 		return
 	}
 	if e.ckptP != nil {
-		s.live -= frameLen(e.ckptP)
+		s.live -= recordlog.FrameLen(e.ckptP)
 	}
 	e.ckptP = payload
-	s.live += frameLen(payload)
+	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recCheckpoint, payload, sync)
 }
 
@@ -574,7 +462,7 @@ func (s *Store) JobFinished(id string, state jobs.State, errMsg string, result a
 	e.term = rec
 	e.termP = payload
 	e.terminal = true
-	s.live += frameLen(payload)
+	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recTerminal, payload, true)
 	s.maybeCompactLocked()
 }
@@ -594,15 +482,15 @@ func (s *Store) JobRemoved(id string) {
 		s.encodeErrors++
 		return
 	}
-	s.live -= frameLen(e.specP)
+	s.live -= recordlog.FrameLen(e.specP)
 	for _, p := range e.events {
-		s.live -= frameLen(p)
+		s.live -= recordlog.FrameLen(p)
 	}
 	if e.ckptP != nil {
-		s.live -= frameLen(e.ckptP)
+		s.live -= recordlog.FrameLen(e.ckptP)
 	}
 	if e.termP != nil {
-		s.live -= frameLen(e.termP)
+		s.live -= recordlog.FrameLen(e.termP)
 	}
 	s.removeEntryLocked(id)
 	s.appendLocked(recRemove, payload, false)
@@ -614,10 +502,10 @@ func (s *Store) maybeCompactLocked() {
 	if s.closed || s.degraded {
 		return
 	}
-	if s.off <= s.opts.CompactMinBytes {
+	if s.log.Size() <= s.opts.CompactMinBytes {
 		return
 	}
-	if float64(s.off) <= s.opts.CompactFactor*float64(s.live) {
+	if float64(s.log.Size()) <= s.opts.CompactFactor*float64(s.live) {
 		return
 	}
 	s.compactLocked()
@@ -644,75 +532,36 @@ func (s *Store) compactLocked() error {
 				continue
 			}
 			if e.ckptP != nil {
-				s.live -= frameLen(e.ckptP)
+				s.live -= recordlog.FrameLen(e.ckptP)
 			}
 			e.ckptP = payload
-			s.live += frameLen(payload)
+			s.live += recordlog.FrameLen(payload)
 		}
 	}
-	tmp := s.path + ".compact"
-	tf, err := s.opts.FS.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := s.log.Rewrite(func(put func(typ byte, payload []byte)) {
+		for _, id := range s.order {
+			e := s.index[id]
+			if e == nil {
+				continue
+			}
+			put(recSpec, e.specP)
+			for _, p := range e.events {
+				put(recEvent, p)
+			}
+			if e.ckptP != nil {
+				put(recCheckpoint, e.ckptP)
+			}
+			if e.termP != nil {
+				put(recTerminal, e.termP)
+			}
+		}
+	})
 	if err != nil {
 		return err
 	}
-	abort := func(err error) error {
-		tf.Close()
-		s.opts.FS.Remove(tmp)
-		return err
-	}
-	w := bufio.NewWriterSize(tf, 1<<16)
-	var off int64
-	for _, id := range s.order {
-		e := s.index[id]
-		if e == nil {
-			continue
-		}
-		recs := [][]byte{e.specP}
-		types := []recordType{recSpec}
-		for _, p := range e.events {
-			recs = append(recs, p)
-			types = append(types, recEvent)
-		}
-		if e.ckptP != nil {
-			recs = append(recs, e.ckptP)
-			types = append(types, recCheckpoint)
-		}
-		if e.termP != nil {
-			recs = append(recs, e.termP)
-			types = append(types, recTerminal)
-		}
-		for i, p := range recs {
-			fr := frame(types[i], p)
-			if _, err := w.Write(fr); err != nil {
-				return abort(err)
-			}
-			off += int64(len(fr))
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return abort(err)
-	}
-	if err := tf.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := tf.Close(); err != nil {
-		s.opts.FS.Remove(tmp)
-		return err
-	}
-	// Swap: close the old handle, rename over it, reopen at the new end.
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
-	if err := s.opts.FS.Rename(tmp, s.path); err != nil {
-		s.opts.FS.Remove(tmp)
-		s.reopenLocked() // back to the old journal
-		return err
-	}
-	s.off = off
-	s.live = off
+	s.live = s.log.Size()
 	s.compactions++
-	return s.reopenLocked()
+	return nil
 }
 
 // Compact forces a compaction (tests and operators; the write path
@@ -738,10 +587,7 @@ func (s *Store) Sync() error {
 			s.flushCheckpointLocked(e, false)
 		}
 	}
-	if s.f == nil {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return err
 	}
 	s.fsyncs++
@@ -762,16 +608,7 @@ func (s *Store) Close() error {
 		}
 	}
 	s.closed = true
-	if s.f == nil {
-		return nil
-	}
-	serr := s.f.Sync()
-	cerr := s.f.Close()
-	s.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return s.log.Close()
 }
 
 // Degraded reports whether the store is currently refusing durable
@@ -835,7 +672,7 @@ func (s *Store) Stats() Counts {
 	c := Counts{
 		State:          "ok",
 		Jobs:           len(s.index),
-		SizeBytes:      s.off,
+		SizeBytes:      s.log.Size(),
 		LiveBytes:      s.live,
 		Appends:        s.appends,
 		Fsyncs:         s.fsyncs,

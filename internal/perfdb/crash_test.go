@@ -167,3 +167,61 @@ func TestVerdictStoreTornTailRepair(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", r2.Len())
 	}
 }
+
+// TestVerdictStoreReputAfterFailedSyncIsDurable is the lost-ack
+// regression: a Put whose fsync failed leaves its verdict in memory, and
+// the next Put of the same key must append it again before acking —
+// not ack it from memory and lose it in the next crash.
+func TestVerdictStoreReputAfterFailedSyncIsDurable(t *testing.T) {
+	m := faultfs.NewMem()
+	s, err := OpenVerdictStoreFS(m, "v.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FailSyncs(1, nil)
+	if err := s.Put(vkey(10), true); err == nil {
+		t.Fatal("Put acked a verdict whose fsync failed")
+	}
+	if err := s.Put(vkey(10), true); err != nil {
+		t.Fatalf("re-put after a failed fsync: %v", err)
+	}
+	m.Crash(0)
+	r, err := OpenVerdictStoreFS(m, "v.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v, ok := r.Get(vkey(10)); !ok || !v {
+		t.Fatalf("acked re-put lost in crash: (%v, %v)", v, ok)
+	}
+}
+
+// TestVerdictStoreShortWriteDoesNotStick: one short write fails one Put
+// and nothing more. The next Put of a new key is acked and survives a
+// crash, with no torn frame left between them.
+func TestVerdictStoreShortWriteDoesNotStick(t *testing.T) {
+	m := faultfs.NewMem()
+	s, err := OpenVerdictStoreFS(m, "v.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ShortWrites(1)
+	if err := s.Put(vkey(11), true); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("short-write Put err = %v, want ErrShortWrite", err)
+	}
+	if err := s.Put(vkey(12), false); err != nil {
+		t.Fatalf("Put after one short write: %v", err)
+	}
+	m.Crash(0)
+	r, err := OpenVerdictStoreFS(m, "v.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Repaired() {
+		t.Fatal("short write left a torn frame behind")
+	}
+	if v, ok := r.Get(vkey(12)); !ok || v {
+		t.Fatalf("verdict acked after a short write lost in crash: (%v, %v)", v, ok)
+	}
+}

@@ -1,10 +1,13 @@
 package perfdb
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/recordlog"
 )
 
 func key(b byte) (k [32]byte) {
@@ -69,17 +72,124 @@ func TestVerdictStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVerdictStoreToleratesCorruptLines(t *testing.T) {
+// TestVerdictStoreBitFlipTruncates: one flipped byte inside a middle
+// record must not be served as a verdict. The prefix before it loads,
+// that record and everything after it are cut, the repair is reported,
+// and the store appends cleanly afterwards.
+func TestVerdictStoreBitFlipTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.db")
-	good := "2222222222222222222222222222222222222222222222222222222222222222 1\n"
-	corrupt := "# comment line\n" +
-		"\n" +
-		"nothex!22222222222222222222222222222222222222222222222222222222 1\n" +
-		"22222222222222222222222222222222222222222222222222222222222222 1\n" + // short key
-		good +
-		"3333333333333333333333333333333333333333333333333333333333333333 2\n" + // bad verdict
-		"4444444444444444444444444444444444444444444444444444444444444444" // torn final line
-	if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
+	s, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []bool{true, false, true} {
+		if err := s.Put(key(byte(i+1)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := len(b) / 3
+	b[rec+rec/2] ^= 0x01 // inside the second record's payload
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s2.Repaired() {
+		t.Fatal("bit flip not reported as a repair")
+	}
+	if v, ok := s2.Get(key(1)); !ok || !v {
+		t.Fatalf("prefix record lost: %v, %v", v, ok)
+	}
+	for _, k := range []byte{2, 3} {
+		if _, ok := s2.Get(key(k)); ok {
+			t.Fatalf("record %d at or after the flipped byte was served", k)
+		}
+	}
+	if s2.Len() != 1 || fileSize(t, path) != int64(rec) {
+		t.Fatalf("after repair Len = %d, size = %d; want 1, %d", s2.Len(), fileSize(t, path), rec)
+	}
+	if err := s2.Put(key(5), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Repaired() || s3.Len() != 2 {
+		t.Fatalf("reopen after repair: repaired %v, Len %d; want false, 2", s3.Repaired(), s3.Len())
+	}
+	if v, ok := s3.Get(key(5)); !ok || v {
+		t.Fatalf("post-repair append lost: %v, %v", v, ok)
+	}
+}
+
+// TestVerdictStoreRefusesLegacyText: a store in the old "hexhash 0|1"
+// text format is not a record log. Opening it fails with ErrForeign and
+// leaves every byte as it was.
+func TestVerdictStoreRefusesLegacyText(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.db")
+	text := []byte("2222222222222222222222222222222222222222222222222222222222222222 1\n" +
+		"3333333333333333333333333333333333333333333333333333333333333333 0\n")
+	if err := os.WriteFile(path, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenVerdictStore(path); !errors.Is(err, recordlog.ErrForeign) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open legacy text store: err = %v, want ErrForeign", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, text) {
+		t.Fatalf("legacy file changed by the refused open:\n%q\nwant\n%q", got, text)
+	}
+}
+
+// TestVerdictStoreConcatenatedLogs: two stores concatenated byte for
+// byte load as their union, and for a key both hold with different
+// verdicts the first log's verdict wins.
+func TestVerdictStoreConcatenatedLogs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, recs map[byte]bool) []byte {
+		path := filepath.Join(dir, name)
+		s, err := OpenVerdictStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range recs {
+			if err := s.Put(key(k), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a := write("a.db", map[byte]bool{1: true, 2: false, 9: true})
+	b := write("b.db", map[byte]bool{3: true, 9: false})
+	path := filepath.Join(dir, "merged.db")
+	if err := os.WriteFile(path, append(a, b...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenVerdictStore(path)
@@ -87,27 +197,14 @@ func TestVerdictStoreToleratesCorruptLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (only the well-formed record)", s.Len())
+	if s.Repaired() || s.Len() != 4 {
+		t.Fatalf("merged store: repaired %v, Len %d; want false, 4", s.Repaired(), s.Len())
 	}
-	if v, ok := s.Get(key(0x22)); !ok || !v {
-		t.Fatalf("well-formed record lost: %v, %v", v, ok)
-	}
-	// The store must still accept appends after loading a corrupt file,
-	// and a reopen must see them.
-	if err := s.Put(key(5), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenVerdictStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok := s2.Get(key(5)); !ok || v {
-		t.Fatalf("post-corruption append lost: %v, %v", v, ok)
+	want := map[byte]bool{1: true, 2: false, 3: true, 9: true}
+	for k, w := range want {
+		if v, ok := s.Get(key(k)); !ok || v != w {
+			t.Fatalf("merged Get(%d) = %v, %v; want %v", k, v, ok, w)
+		}
 	}
 }
 
@@ -119,9 +216,6 @@ func TestVerdictStoreFlushVisibility(t *testing.T) {
 	}
 	defer s.Close()
 	if err := s.Put(key(7), true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Another reader (a second process in real use) sees flushed records.
