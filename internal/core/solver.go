@@ -84,8 +84,8 @@ type SolverCounts struct {
 	// re-entering a cached basis; WarmDualPivots totals the dual pivots
 	// those solves performed (mean pivots per warm start is the ratio).
 	// ColdSolves counts verdicts decided by a from-scratch exact solve —
-	// the exact-tier fallback or a warm-solver cold seed. Filter-decided
-	// verdicts count as neither.
+	// the exact-tier fallback or a warm-solver cold seed. The filter runs
+	// first, so both count only LPs it left undecided.
 	WarmSolves     uint64 `json:"warm_solves"`
 	WarmDualPivots uint64 `json:"warm_dual_pivots"`
 	ColdSolves     uint64 `json:"cold_solves"`
@@ -164,12 +164,12 @@ type Solver struct {
 	// Cert holds the certificate checker's kernel scratch; nil allocates
 	// one on first use.
 	Cert *simplex.Certifier
-	// Warm, when non-nil, is tried before the float filter: it re-enters
-	// the cached optimal basis of the previous structurally-overlapping
-	// LP by dual simplex. The engine threads one per (worker, model)
-	// through consecutive region tests; a declined attempt (first
+	// Warm, when non-nil, is tried after the float filter, on the LPs it
+	// left undecided: it re-enters the cached optimal basis of the
+	// previous structurally-overlapping undecided LP by dual simplex. The
+	// engine threads one per (worker, model); a declined attempt (first
 	// sighting, low overlap, unsupported shape) costs one
-	// canonicalization scan and falls through to the usual tiers.
+	// canonicalization scan and falls through to the exact tier.
 	Warm *simplex.WarmSolver
 	// Stats, when non-nil, receives per-evaluation telemetry.
 	Stats *SolverStats
@@ -188,13 +188,13 @@ func NewSolver(stats *SolverStats) *Solver {
 
 // filterMinSize gates the float tier by LP size (variables × rows). Below
 // it the exact simplex beats the filter's convert + solve + certify round
-// trip. PR 5 measured the crossover at ~512 against the freshly-landed
-// int64 kernel, but the kernel also made certificate checks cheap, and
-// re-measuring with the warm tier in place moved the crossover back down:
-// on the Fig 9a groups the filter now wins ~1.5× at size 32 (Ret), ~2.4×
-// at size 320 (L2TLB) and ~8.5× at size 2420 (Walk), and only ties at
-// size 8 (the 2-counter pde model; BenchmarkTinyGate in this package
-// re-measures the bottom end). Only trivially small LPs skip the filter.
+// trip. The crossover first sat at ~512 against the freshly-landed int64
+// kernel, but the kernel also made certificate checks cheap, and
+// re-measuring moved it back down: on the Fig 9a groups the filter now
+// wins ~1.5× at size 32 (Ret), ~2.4× at size 320 (L2TLB) and ~8.5× at
+// size 2420 (Walk), and only ties at size 8 (the 2-counter pde model;
+// BenchmarkTinyGate in this package re-measures the bottom end). Only
+// trivially small LPs skip the filter; they go to the warm tier first.
 const filterMinSize = 16
 
 // exactWS returns the exact workspace, allocating one on first use.
@@ -214,15 +214,20 @@ func (s *Solver) certifier() *simplex.Certifier {
 }
 
 // Feasible decides whether p is feasible. The float tier runs first (when
-// present); its claim stands only if an accompanying certificate verifies
-// exactly, otherwise the exact simplex decides. The answer is therefore
-// always the exact solver's answer, usually without running it.
+// present and p is not below filterMinSize); its claim stands only if a
+// certificate verifies exactly. What it leaves undecided goes to the warm
+// tier (when present), then the exact simplex: always the exact answer.
 func (s *Solver) Feasible(p *simplex.Problem) bool {
 	if s == nil {
 		return simplex.NewWorkspace().SolveStatus(p) == simplex.Optimal
 	}
 	if s.Stats != nil {
 		s.Stats.evaluations.Add(1)
+	}
+	if s.Filter != nil && p.NumVars*len(p.Constraints) >= filterMinSize {
+		if feasible, ok := s.verifyClaim(p, s.Filter.Feasibility(p)); ok {
+			return feasible
+		}
 	}
 	if s.Warm != nil {
 		if feasible, ok := s.Warm.Feasible(p); ok {
@@ -235,11 +240,6 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 					s.Stats.coldSolves.Add(1)
 				}
 			}
-			return feasible
-		}
-	}
-	if s.Filter != nil && p.NumVars*len(p.Constraints) >= filterMinSize {
-		if feasible, ok := s.verifyClaim(p, s.Filter.Feasibility(p)); ok {
 			return feasible
 		}
 	}

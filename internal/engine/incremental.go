@@ -15,9 +15,10 @@ import (
 // feeds observations one at a time as they arrive (a perf_event_open
 // group emitting samples continuously, counterpointd's /v1/streams
 // ingest). Each Ingest evaluates exactly one observation — building its
-// confidence region through the engine's RegionBuilder and re-entering
-// the warm-start dual simplex basis left by the previous observation —
-// and folds the verdict into a monotone stream state. The fold is
+// confidence region through the engine's RegionBuilder and deciding its
+// LP on a dedicated scratch, where what the float filter leaves undecided
+// re-enters the warm-start basis left by an earlier observation — and
+// folds the verdict into a monotone stream state. The fold is
 // defined so that the state after N ingests is bit-identical to the
 // state derived from a cold batch Evaluate of the same N-observation
 // corpus (StateOf); the differential suite in incremental_diff_test.go
@@ -108,9 +109,10 @@ type IngestResult struct {
 //
 // Ingests are serialised (Ingest holds the session lock for the solve):
 // an incremental session models one ordered sample stream, and the
-// warm-start dual simplex only pays when consecutive LPs arrive on the
-// same scratch in order. Open one session per stream; sessions are
-// independent.
+// warm-start dual simplex, which decides the LPs the float filter leaves
+// undecided (in practice those below its size gate), only pays when
+// consecutive LPs arrive on the same scratch in order. Open one session
+// per stream; sessions are independent.
 type IncrementalSession struct {
 	s *Session
 
@@ -123,9 +125,10 @@ type IncrementalSession struct {
 
 // Incremental opens an online-refutation session: a dedicated evaluation
 // scratch is checked out of the engine pool for the session's lifetime,
-// so every ingest re-enters the same warm-start solver state (each new
-// observation's feasibility LP is the bound-drift / row-add case the
-// dual simplex repairs in a handful of pivots). Call Close when done.
+// so every ingest the float filter leaves undecided re-enters the same
+// warm-start solver state (each new observation's feasibility LP is the
+// bound-drift / row-add case the dual simplex repairs in a handful of
+// pivots). Call Close when done.
 func (s *Session) Incremental() *IncrementalSession {
 	return &IncrementalSession{
 		s:    s,

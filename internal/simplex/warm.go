@@ -37,10 +37,11 @@ package simplex
 // differential tests against Workspace.SolveStatus enforce.
 //
 // A WarmSolver only seeds on the second sighting of a constraint family
-// (two successive supported LPs sharing at least half their rows).
-// Workloads that never repeat structure — explore sweeps evaluate each
-// LP once — therefore pay only the canonicalization scan and keep going
-// through the float filter, which beats a cold dual solve on large LPs.
+// (two successive supported LPs sharing at least half their rows), so
+// LPs that never repeat structure pay only the canonicalization scan.
+// core.Solver consults it only for LPs the float filter leaves undecided
+// (in practice those below the filter's size gate): on large LPs a
+// certified filter verdict beats a cold dual seed.
 
 import (
 	"math"
