@@ -127,6 +127,46 @@ func BenchmarkFig9aFeasibility(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionLPHash measures building one Fig 9a region LP into a
+// reused problem and hashing its canonical form — the per-verdict work of
+// every fresh LP before any solver runs, and of every LP-hash memo miss.
+func BenchmarkRegionLPHash(b *testing.B) {
+	d, err := haswell.BuildDiagram("bench", haswell.DiscoveredModelFeatures())
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := benchObservation(b)
+	reg := counters.NewHaswellRegistry(false)
+	var acc []counters.Event
+	for _, g := range []counters.Group{counters.GroupRet, counters.GroupSTLB, counters.GroupWalk} {
+		acc = append(acc, reg.GroupEvents(g)...)
+		set := counters.NewSet(acc...)
+		m, err := core.NewModel("bench", d, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := stats.NewRegion(obs.Project(set), core.DefaultConfidence, stats.Correlated)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(g), func(b *testing.B) {
+			ws := simplex.NewWorkspace()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := ws.Prepare(0)
+				if err := m.RegionLP(p, r); err != nil {
+					b.Fatal(err)
+				}
+				lpHashSink = core.HashLP(p)
+			}
+		})
+	}
+}
+
+// lpHashSink keeps BenchmarkRegionLPHash's hash live.
+var lpHashSink core.LPHash
+
 // BenchmarkFig9bDeduction measures constraint deduction per cumulative
 // counter group (the paper's Figure 9b, exponential in groups).
 func BenchmarkFig9bDeduction(b *testing.B) {

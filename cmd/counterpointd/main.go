@@ -51,7 +51,9 @@
 //	-no-catalog        start with an empty model registry
 //	-verdict-db path   persistent content-addressed verdict store; cached
 //	                   feasibility verdicts survive restarts (off by default;
-//	                   a store in the old text format is refused)
+//	                   a store in the old text format is refused, and
+//	                   verdicts keyed by the retired clp1 LP encoding are
+//	                   skipped and counted on the boot line)
 //	-job-db path       durable job journal (append-only, checksummed); jobs
 //	                   survive restarts, and a restarting daemon re-lists
 //	                   finished jobs and auto-resumes interrupted ones from
@@ -192,6 +194,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		defer vs.Close()
 		fmt.Fprintf(out, "counterpointd: verdict store %s (%d verdicts", *verdictDB, vs.Len())
+		if n := vs.SkippedCLP1(); n > 0 {
+			fmt.Fprintf(out, ", %d clp1 verdicts skipped", n)
+		}
 		if vs.Repaired() {
 			fmt.Fprint(out, ", torn tail repaired")
 		}

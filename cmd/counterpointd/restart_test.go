@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/perfdb"
+	"repro/internal/recordlog"
 )
 
 // bootDaemon starts run() with the given extra flags on an ephemeral
@@ -186,5 +188,93 @@ func TestVerdictStoreBootLog(t *testing.T) {
 	}
 	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, text) {
 		t.Fatalf("legacy store changed by the refused boot: %q, %v", got, err)
+	}
+}
+
+// TestVerdictStoreSkipsCLP1Records: verdicts keyed by the retired clp1
+// LP encoding (record type 0x10) are skipped and counted on boot, never
+// served — even one whose key equals the clp2 hash of a request's LP and
+// whose verdict is wrong. The daemon solves that request afresh.
+func TestVerdictStoreSkipsCLP1Records(t *testing.T) {
+	reg := `{"name":"pde","source":"incr load.causes_walk;\nswitch Pde$Status { Hit => pass; Miss => incr load.pde$_miss; };\ndone;"}`
+	body := `{"label":"x","events":["load.causes_walk","load.pde$_miss"],"samples":[[10,2],[11,2],[10,3],[12,2],[11,3]]}`
+	serve := func(base string) bool {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/models", "application/json", strings.NewReader(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		resp, err = http.Post(base+"/v1/models/pde/test", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v struct {
+			Feasible bool `json:"feasible"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("test endpoint status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v.Feasible
+	}
+
+	// A first daemon persists the request's verdict under its clp2 key.
+	fresh := filepath.Join(t.TempDir(), "fresh.db")
+	base, shutdown := bootDaemon(t, "-no-catalog", "-verdict-db", fresh)
+	want := serve(base)
+	shutdown()
+	var key []byte
+	log, _, err := recordlog.Open(faultfs.OS{}, fresh, func(typ byte, p []byte) { key = append([]byte(nil), p[:32]...) })
+	if err != nil || key == nil {
+		t.Fatalf("reading the fresh store: key %x, err %v", key, err)
+	}
+	log.Close()
+
+	// A store holding only clp1 records: one under that key with the
+	// opposite verdict, one under an unrelated key.
+	old := filepath.Join(t.TempDir(), "clp1.db")
+	log, _, err = recordlog.Open(faultfs.OS{}, old, func(byte, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := byte(1)
+	if want {
+		wrong = 0
+	}
+	for _, rec := range [][]byte{append(append([]byte(nil), key...), wrong), append(make([]byte, 32), 1)} {
+		if err := log.Append(0x10, rec, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // print the boot lines, then shut straight down
+	var out bytes.Buffer
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-no-catalog", "-verdict-db", old}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(0 verdicts, 2 clp1 verdicts skipped)") {
+		t.Fatalf("boot log does not count the skipped clp1 verdicts: %q", out.String())
+	}
+
+	base, shutdown = bootDaemon(t, "-no-catalog", "-verdict-db", old)
+	defer shutdown()
+	if got := serve(base); got != want {
+		t.Fatalf("verdict %v, want %v: a clp1 record was served", got, want)
+	}
+	st := daemonStats(t, base)
+	var evals uint64
+	if err := json.Unmarshal(st["evaluations"], &evals); err != nil {
+		t.Fatal(err)
+	}
+	if evals != 1 {
+		t.Fatalf("daemon ran %d solver evaluations, want 1 (clp1 records are never served)", evals)
 	}
 }

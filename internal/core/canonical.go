@@ -1,40 +1,46 @@
 package core
 
-// Content-addressed LP identity. canonicalizing a feasibility LP to a
-// deterministic byte encoding — stable row order, primitive integer
-// rows, reduced rationals — gives every LP a content hash that survives
-// serialization boundaries: two Problems built independently (different
-// pointers, different row order, scaled rows) hash equal exactly when
-// they denote the same constraint system. The engine keys its verdict
-// cache on this hash, and internal/perfdb persists verdicts under it, so
-// cache hits outlive a counterpointd restart and can be shared across
-// future distributed workers (ROADMAP).
+// Content-addressed LP identity. Canonicalizing a feasibility LP to a
+// deterministic byte encoding — primitive integer rows in a stable order
+// — gives every LP a content hash that survives serialization boundaries:
+// two Problems built independently (different pointers, different row
+// order, scaled rows) hash equal exactly when they denote the same
+// constraint system. The engine keys its verdict cache on this hash, and
+// internal/perfdb persists verdicts under it, so cache hits outlive a
+// counterpointd restart and can be shared across future distributed
+// workers (ROADMAP).
 //
-// Canonical form, one text line per constraint:
+// Canonical form clp2, binary, every integer little-endian:
 //
-//	clp1
-//	v <numVars>
-//	f <free indices, ascending>           (omitted when none)
-//	o <min|max> <c0> <c1> ...             (omitted for feasibility LPs)
-//	c <le|eq> <a0> ... <a(n-1)> <rhs>
+//	"clp2"
+//	u64 NumVars
+//	u64 number of free variables, then one u64 per free index, ascending
+//	u8 objective: 0 none, 1 min, 2 max; then per coefficient its reduced
+//	   numerator and denominator as big integers
+//	rows, narrow ones first, each group sorted and deduplicated:
+//	   narrow: int64 tag (0 le, 1 eq), then NumVars+1 int64 words
+//	   wide:   int64 tag (2 le, 3 eq), then NumVars+1 big integers
 //
-// Rows are scaled to primitive integers (GE rows are negated onto LE
-// first; EQ rows get a positive leading sign), byte-sorted and
-// deduplicated — all equivalence transformations of the feasible set.
-// The hash is SHA-256 over the encoding.
+// A big integer is a u8 sign (0 non-negative, 1 negative), a u32 byte
+// count and the magnitude's bytes, big-endian. A row is the problem's
+// primitive integer row (coefficients, then the right-hand side; see
+// simplex.Problem.IntRow), with GE rows negated onto LE and EQ rows
+// negated when their first non-zero entry is negative — all equivalence
+// transformations of the feasible set. A row is narrow when every entry
+// fits int64, which depends only on its values. The hash is SHA-256 over
+// the encoding.
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/big"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
+	"sync"
 
-	"repro/internal/exact"
 	"repro/internal/simplex"
 )
 
@@ -58,283 +64,223 @@ func ParseLPHash(s string) (LPHash, error) {
 	return h, nil
 }
 
-// HashLP returns the content hash of p's canonical form.
-func HashLP(p *simplex.Problem) LPHash {
-	return sha256.Sum256(EncodeLP(p))
+// Row tags of the clp2 encoding.
+const (
+	tagLE   = 0
+	tagEQ   = 1
+	tagWide = 2 // added to tagLE/tagEQ for a wide row
+)
+
+// lpEncoder is the pooled scratch of one encoding: the narrow canonical
+// rows (tag, then entries) in one flat slice, their sort order, and the
+// rare wide rows.
+type lpEncoder struct {
+	buf   []byte
+	rows  []int64
+	width int // words per narrow row: the tag and NumVars+1 entries
+	order []int32
+	wide  []wideCanon
 }
 
-// EncodeLP returns p's canonical encoding. Encoding never fails: rows
-// outside the int64 fast path take a big.Int slow path with identical
-// output on the shared domain.
+// wideCanon is a canonical row with an entry outside int64.
+type wideCanon struct {
+	tag int64
+	a   []*big.Int
+}
+
+var encoders = sync.Pool{New: func() any { return new(lpEncoder) }}
+
+// HashLP returns the content hash of p's canonical form.
+func HashLP(p *simplex.Problem) LPHash {
+	e := encoders.Get().(*lpEncoder)
+	e.encode(p)
+	h := sha256.Sum256(e.buf)
+	encoders.Put(e)
+	return h
+}
+
+// EncodeLP returns p's canonical encoding: the bytes HashLP hashes.
 func EncodeLP(p *simplex.Problem) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("clp1\nv ")
-	buf.WriteString(strconv.Itoa(p.NumVars))
-	buf.WriteByte('\n')
-	if p.Free != nil {
-		first := true
-		for i, f := range p.Free {
-			if !f {
-				continue
-			}
-			if first {
-				buf.WriteString("f")
-				first = false
-			}
-			buf.WriteByte(' ')
-			buf.WriteString(strconv.Itoa(i))
-		}
-		if !first {
-			buf.WriteByte('\n')
-		}
-	}
-	if p.Objective != nil {
-		if p.Sense == simplex.Maximize {
-			buf.WriteString("o max")
-		} else {
-			buf.WriteString("o min")
-		}
-		for _, c := range p.Objective {
-			buf.WriteByte(' ')
-			buf.WriteString(c.RatString())
-		}
-		buf.WriteByte('\n')
-	}
-	rows := make([]string, len(p.Constraints))
+	var e lpEncoder
+	e.encode(p)
+	return e.buf
+}
+
+func (e *lpEncoder) Len() int      { return len(e.order) }
+func (e *lpEncoder) Swap(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] }
+func (e *lpEncoder) Less(i, j int) bool {
+	return slices.Compare(e.row(e.order[i]), e.row(e.order[j])) < 0
+}
+
+func (e *lpEncoder) row(k int32) []int64 {
+	return e.rows[int(k)*e.width : int(k+1)*e.width]
+}
+
+// encode writes p's canonical encoding into e.buf.
+func (e *lpEncoder) encode(p *simplex.Problem) {
+	n := p.NumVars
+	e.width = n + 2
+	e.rows = e.rows[:0]
+	e.order = e.order[:0]
+	e.wide = e.wide[:0]
 	for i := range p.Constraints {
-		rows[i] = canonRowLine(p, i)
+		e.addRow(p, i)
 	}
-	sort.Strings(rows)
-	prev := ""
-	for _, r := range rows {
-		if r == prev {
+	sort.Sort(e)
+
+	b := append(e.buf[:0], "clp2"...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	free := 0
+	for _, f := range p.Free {
+		if f {
+			free++
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(free))
+	for j, f := range p.Free {
+		if f {
+			b = binary.LittleEndian.AppendUint64(b, uint64(j))
+		}
+	}
+	switch {
+	case p.Objective == nil:
+		b = append(b, 0)
+	case p.Sense == simplex.Maximize:
+		b = append(b, 2)
+	default:
+		b = append(b, 1)
+	}
+	for _, c := range p.Objective {
+		b = appendBig(b, c.Num())
+		b = appendBig(b, c.Denom())
+	}
+	var prev []int64
+	for _, k := range e.order {
+		r := e.row(k)
+		if slices.Equal(r, prev) {
 			continue // duplicate constraints denote one half-space
 		}
 		prev = r
-		buf.WriteString(r)
-		buf.WriteByte('\n')
+		for _, x := range r {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
 	}
-	return buf.Bytes()
+	if len(e.wide) > 0 {
+		slices.SortFunc(e.wide, cmpWide)
+		for i, w := range e.wide {
+			if i > 0 && cmpWide(w, e.wide[i-1]) == 0 {
+				continue
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(w.tag))
+			for _, x := range w.a {
+				b = appendBig(b, x)
+			}
+		}
+	}
+	e.buf = b
 }
 
-// canonRowLine renders constraint i in canonical primitive-integer form.
-func canonRowLine(p *simplex.Problem, i int) string {
+// addRow appends constraint i in canonical form: as a narrow row when
+// every entry fits int64, otherwise to the wide rows.
+func (e *lpEncoder) addRow(p *simplex.Problem, i int) {
 	rel := p.Constraints[i].Rel
-	if v, rhs, ok := p.SnapshotRow(i); ok {
-		if s, ok := canonRowFast(v, rhs, rel); ok {
-			return s
-		}
-	}
-	return canonRowBig(&p.Constraints[i])
-}
-
-// canonRowFast is the overflow-checked int64 canonicalization.
-func canonRowFast(v exact.Vec64, rhs exact.Rat64, rel simplex.Rel) (string, bool) {
-	n := len(v.Num)
-	ints := make([]int64, n+1)
-	// Common scale L = lcm(v.Den, rhs.Den()).
-	g := int64(exact.GCD64(uint64(v.Den), uint64(rhs.Den())))
-	l, ok := exact.MulInt64(v.Den, rhs.Den()/g)
-	if !ok {
-		return "", false
-	}
-	cs, rs := l/v.Den, l/rhs.Den()
-	for j, num := range v.Num {
-		ints[j], ok = exact.MulInt64(num, cs)
-		if !ok {
-			return "", false
-		}
-	}
-	ints[n], ok = exact.MulInt64(rhs.Num(), rs)
-	if !ok {
-		return "", false
-	}
-	negate := rel == simplex.GE
+	tag := int64(tagLE)
 	if rel == simplex.EQ {
-		for _, x := range ints {
-			if x != 0 {
-				negate = x < 0
-				break
+		tag = tagEQ
+	}
+	a, _, ok := p.IntRow(i)
+	if !ok {
+		ba, _ := p.BigIntRow(i)
+		if a, ok = int64Entries(ba); !ok {
+			w := wideCanon{tag: tag + tagWide, a: ba}
+			if canonNegate(rel, len(ba), func(j int) int { return ba[j].Sign() }) {
+				w.a = make([]*big.Int, len(ba))
+				for j, x := range ba {
+					w.a[j] = new(big.Int).Neg(x)
+				}
 			}
+			e.wide = append(e.wide, w)
+			return
 		}
 	}
-	var gg uint64
-	for _, x := range ints {
-		if x != 0 {
-			gg = exact.GCD64(gg, exact.AbsU64(x))
+	neg := canonNegate(rel, len(a), func(j int) int { return sign64(a[j]) })
+	k := len(e.order)
+	e.rows = append(e.rows, tag)
+	e.rows = append(e.rows, a...)
+	if neg {
+		for j := k*e.width + 1; j < len(e.rows); j++ {
+			e.rows[j] = -e.rows[j] // no MinInt64 entries
 		}
 	}
-	if gg > 1 {
-		for j := range ints {
-			ints[j] /= int64(gg)
-		}
-	}
-	if negate {
-		for j, x := range ints {
-			if x == int64(-1)<<63 {
-				return "", false
-			}
-			ints[j] = -x
-		}
-	}
-	var sb strings.Builder
-	if rel == simplex.EQ {
-		sb.WriteString("c eq")
-	} else {
-		sb.WriteString("c le")
-	}
-	for _, x := range ints {
-		sb.WriteByte(' ')
-		sb.WriteString(strconv.FormatInt(x, 10))
-	}
-	return sb.String(), true
+	e.order = append(e.order, int32(k))
 }
 
-// canonRowBig is the arbitrary-precision canonicalization, bit-identical
-// to canonRowFast on the shared domain.
-func canonRowBig(con *simplex.Constraint) string {
-	n := len(con.Coeffs)
-	scale := new(big.Int).Set(con.RHS.Denom())
-	g := new(big.Int)
-	for _, c := range con.Coeffs {
-		d := c.Denom()
-		g.GCD(nil, nil, scale, d)
-		scale.Div(scale, g)
-		scale.Mul(scale, d)
-	}
-	ints := make([]*big.Int, n+1)
-	for j, c := range con.Coeffs {
-		v := new(big.Int).Div(scale, c.Denom())
-		ints[j] = v.Mul(v, c.Num())
-	}
-	v := new(big.Int).Div(scale, con.RHS.Denom())
-	ints[n] = v.Mul(v, con.RHS.Num())
-	negate := con.Rel == simplex.GE
-	if con.Rel == simplex.EQ {
-		for _, x := range ints {
-			if x.Sign() != 0 {
-				negate = x.Sign() < 0
-				break
-			}
+// int64Entries converts a wide row's entries when each fits int64 (and is
+// not MinInt64): a row whose scale alone is wide is narrow by value.
+func int64Entries(ba []*big.Int) ([]int64, bool) {
+	a := make([]int64, len(ba))
+	for j, x := range ba {
+		if !x.IsInt64() || x.Int64() == math.MinInt64 {
+			return nil, false
 		}
+		a[j] = x.Int64()
 	}
-	g.SetInt64(0)
-	abs := new(big.Int)
-	for _, x := range ints {
-		if x.Sign() == 0 {
-			continue
-		}
-		if g.Sign() == 0 {
-			g.Abs(x)
-			continue
-		}
-		g.GCD(nil, nil, g, abs.Abs(x))
-	}
-	if g.Cmp(big.NewInt(1)) > 0 {
-		for _, x := range ints {
-			x.Div(x, g)
-		}
-	}
-	if negate {
-		for _, x := range ints {
-			x.Neg(x)
-		}
-	}
-	var sb strings.Builder
-	if con.Rel == simplex.EQ {
-		sb.WriteString("c eq")
-	} else {
-		sb.WriteString("c le")
-	}
-	for _, x := range ints {
-		sb.WriteByte(' ')
-		sb.WriteString(x.String())
-	}
-	return sb.String()
+	return a, true
 }
 
-// DecodeLP reconstructs a Problem from a canonical encoding. The result
-// denotes the same feasible set (and objective) as the encoded LP; its
-// rows are the canonical ones, so EncodeLP(DecodeLP(e)) == e for any e
-// produced by EncodeLP.
-func DecodeLP(data []byte) (*simplex.Problem, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() || sc.Text() != "clp1" {
-		return nil, fmt.Errorf("core: not a canonical LP encoding")
-	}
-	if !sc.Scan() {
-		return nil, fmt.Errorf("core: truncated LP encoding")
-	}
-	head := strings.Fields(sc.Text())
-	if len(head) != 2 || head[0] != "v" {
-		return nil, fmt.Errorf("core: bad variable header %q", sc.Text())
-	}
-	n, err := strconv.Atoi(head[1])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("core: bad variable count %q", head[1])
-	}
-	p := simplex.NewProblem(n)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "f":
-			for _, tok := range fields[1:] {
-				idx, err := strconv.Atoi(tok)
-				if err != nil || idx < 0 || idx >= n {
-					return nil, fmt.Errorf("core: bad free index %q", tok)
-				}
-				p.MarkFree(idx)
+// canonNegate reports whether a row of n entries with relation rel is
+// negated in canonical form: GE rows always (onto LE), EQ rows when their
+// first non-zero entry is negative.
+func canonNegate(rel simplex.Rel, n int, sign func(j int) int) bool {
+	switch rel {
+	case simplex.GE:
+		return true
+	case simplex.EQ:
+		for j := 0; j < n; j++ {
+			if s := sign(j); s != 0 {
+				return s < 0
 			}
-		case "o":
-			if len(fields) != n+2 {
-				return nil, fmt.Errorf("core: objective width %d, want %d", len(fields)-2, n)
-			}
-			switch fields[1] {
-			case "min":
-				p.Sense = simplex.Minimize
-			case "max":
-				p.Sense = simplex.Maximize
-			default:
-				return nil, fmt.Errorf("core: bad objective sense %q", fields[1])
-			}
-			p.Objective = exact.NewVec(n)
-			for j, tok := range fields[2:] {
-				if _, ok := p.Objective[j].SetString(tok); !ok {
-					return nil, fmt.Errorf("core: bad objective coefficient %q", tok)
-				}
-			}
-		case "c":
-			if len(fields) != n+3 {
-				return nil, fmt.Errorf("core: row width %d, want %d", len(fields)-2, n+1)
-			}
-			var rel simplex.Rel
-			switch fields[1] {
-			case "le":
-				rel = simplex.LE
-			case "eq":
-				rel = simplex.EQ
-			default:
-				return nil, fmt.Errorf("core: bad row relation %q", fields[1])
-			}
-			coeffs, rhs := p.GrowConstraint(rel)
-			for j, tok := range fields[2 : n+2] {
-				if _, ok := coeffs[j].SetString(tok); !ok {
-					return nil, fmt.Errorf("core: bad coefficient %q", tok)
-				}
-			}
-			if _, ok := rhs.SetString(fields[n+2]); !ok {
-				return nil, fmt.Errorf("core: bad right-hand side %q", fields[n+2])
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown encoding line %q", sc.Text())
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("core: scanning LP encoding: %w", err)
+	return false
+}
+
+func sign64(x int64) int {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
 	}
-	return p, nil
+	return 0
+}
+
+// cmpWide orders wide canonical rows by tag, then entries.
+func cmpWide(a, b wideCanon) int {
+	if a.tag != b.tag {
+		if a.tag < b.tag {
+			return -1
+		}
+		return 1
+	}
+	for j := range a.a {
+		if c := a.a[j].Cmp(b.a[j]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// appendBig appends x as a big integer of the encoding.
+func appendBig(b []byte, x *big.Int) []byte {
+	var sign byte
+	if x.Sign() < 0 {
+		sign = 1
+	}
+	size := (x.BitLen() + 7) / 8
+	b = append(b, sign)
+	b = binary.LittleEndian.AppendUint32(b, uint32(size))
+	b = slices.Grow(b, size)[:len(b)+size]
+	x.FillBytes(b[len(b)-size:])
+	return b
 }

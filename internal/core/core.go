@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/cone"
@@ -49,12 +50,12 @@ type Model struct {
 	numPaths int
 	kcone    *cone.Cone
 
-	// genOnce/genF cache the cone generators converted to float64 — the
-	// generator-dot-axis coefficient rows of the feasibility LP reuse this
-	// matrix for every observation instead of re-converting each big.Rat
-	// component per verdict.
+	// genOnce/genF cache the cone generators' non-zero components
+	// converted to float64 — the generator-dot-axis coefficient rows of the
+	// feasibility LP reuse them for every observation instead of
+	// re-converting each big.Rat component per verdict.
 	genOnce sync.Once
-	genF    [][]float64
+	genF    []sparseGen
 
 	// keyOnce/key cache the model content key (see ContentKey).
 	keyOnce sync.Once
@@ -226,18 +227,27 @@ func (m *Model) TestObservation(o *counters.Observation, confidence float64, mod
 	return verdict, nil
 }
 
-// generatorFloats returns the cone generators as float64 rows, converted
-// once per (model, counter set) and shared by every subsequent verdict.
-func (m *Model) generatorFloats() [][]float64 {
+// sparseGen is a cone generator's non-zero components: μpath signatures
+// increment few of the counters under analysis.
+type sparseGen struct {
+	idx []int
+	val []float64
+}
+
+// generatorFloats returns the cone generators' non-zero components as
+// float64s, converted once per (model, counter set) and shared by every
+// subsequent verdict.
+func (m *Model) generatorFloats() []sparseGen {
 	m.genOnce.Do(func() {
-		n := m.Set.Len()
-		m.genF = make([][]float64, len(m.kcone.Generators))
+		m.genF = make([]sparseGen, len(m.kcone.Generators))
 		for j, g := range m.kcone.Generators {
-			row := make([]float64, n)
-			for k := 0; k < n; k++ {
-				row[k], _ = g[k].Float64()
+			for k, c := range g {
+				if c.Sign() != 0 {
+					v, _ := c.Float64()
+					m.genF[j].idx = append(m.genF[j].idx, k)
+					m.genF[j].val = append(m.genF[j].val, v)
+				}
 			}
-			m.genF[j] = row
 		}
 	})
 	return m.genF
@@ -249,6 +259,12 @@ func (m *Model) generatorFloats() [][]float64 {
 // that v = G·f lies inside every principal-axis slab of the region.
 // Counter non-negativity is implied (G ≥ 0, f ≥ 0).
 //
+// Every coefficient is a float64 dot product of an axis (snapped to a
+// dyadic grid) with a generator (small integers), and every bound is
+// quantised onto a dyadic grid, so each row is a vector of exact float64
+// values: p.AddFloatRow writes it straight into the problem's primitive
+// integer form, touching no big.Rat.
+//
 // The LP depends only on (model, region); solving never mutates it, so
 // callers may cache the problem and re-solve it from any workspace.
 func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
@@ -258,27 +274,27 @@ func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
 	gens := m.generatorFloats()
 	p.Reset(len(gens))
 	n := m.Set.Len()
+	var buf [256]float64 // the dot products of one axis, on the stack for most models
+	dots := buf[:]
+	if len(gens) > len(buf) {
+		dots = make([]float64, len(gens))
+	}
+	dots = dots[:len(gens)]
 	for i, axis := range r.Axes {
-		// e·(G f) ≤ e·Ȳ + h   and   e·(G f) ≥ e·Ȳ − h
-		upper, hi := p.GrowConstraint(simplex.LE)
-		lower, lo := p.GrowConstraint(simplex.GE)
+		for _, v := range axis {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: model %q, axis %d: non-finite component %v", m.Name, i, v)
+			}
+		}
+		// Summing only a generator's non-zero components gives the dense
+		// dot product bit for bit: with a finite axis every skipped term is
+		// ±0, and adding ±0 to a sum that starts at +0 changes nothing.
 		for j, g := range gens {
 			dot := 0.0
-			for k := 0; k < n; k++ {
-				dot += axis[k] * g[k]
+			for t, k := range g.idx {
+				dot += axis[k] * g.val[t]
 			}
-			// Materialise directly into the integer representation: the
-			// axes are snapped to a dyadic grid and the generators are
-			// small integers, so the dot is a small dyadic rational that
-			// the int64 kernel converts exactly without a big.Rat
-			// decomposition; SetRatFromFloat covers everything else with
-			// the identical value.
-			if r64, ok := exact.Rat64FromFloat(dot); ok {
-				r64.RatInto(upper[j])
-			} else if err := exact.SetRatFromFloat(upper[j], dot); err != nil {
-				return fmt.Errorf("core: model %q, axis %d: %w", m.Name, i, err)
-			}
-			lower[j].Set(upper[j])
+			dots[j] = dot
 		}
 		eDotMean := 0.0
 		for k := 0; k < n; k++ {
@@ -286,17 +302,21 @@ func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
 		}
 		// Quantise the slab bounds outward onto a coarse dyadic grid: the
 		// box only grows (never flips a verdict to infeasible), and the LP
-		// works with denominator-256 rationals instead of 2^52 ones. The
-		// Rat64 fast path is bit-identical to QuantizeInto on its domain.
-		if q, ok := exact.Quantize64(eDotMean+r.HalfWidths[i], true, lpQuantum); ok {
-			q.RatInto(hi)
-		} else if err := exact.QuantizeInto(hi, eDotMean+r.HalfWidths[i], true, lpQuantum); err != nil {
+		// works with denominator-256 bounds instead of 2^52 ones.
+		hi, err := exact.QuantizeFloat(eDotMean+r.HalfWidths[i], true, lpQuantum)
+		if err != nil {
 			return fmt.Errorf("core: model %q, axis %d upper bound: %w", m.Name, i, err)
 		}
-		if q, ok := exact.Quantize64(eDotMean-r.HalfWidths[i], false, lpQuantum); ok {
-			q.RatInto(lo)
-		} else if err := exact.QuantizeInto(lo, eDotMean-r.HalfWidths[i], false, lpQuantum); err != nil {
+		lo, err := exact.QuantizeFloat(eDotMean-r.HalfWidths[i], false, lpQuantum)
+		if err != nil {
 			return fmt.Errorf("core: model %q, axis %d lower bound: %w", m.Name, i, err)
+		}
+		// e·(G f) ≤ e·Ȳ + h   and   e·(G f) ≥ e·Ȳ − h
+		if err := p.AddFloatRow(simplex.LE, dots, hi); err != nil {
+			return fmt.Errorf("core: model %q, axis %d: %w", m.Name, i, err)
+		}
+		if err := p.AddFloatRow(simplex.GE, dots, lo); err != nil {
+			return fmt.Errorf("core: model %q, axis %d: %w", m.Name, i, err)
 		}
 	}
 	return nil

@@ -74,8 +74,8 @@ type SolverCounts struct {
 	KernelPromotedSolves uint64 `json:"kernel_promoted_solves"`
 	KernelPromotions     uint64 `json:"kernel_promotions"`
 	// CertifyKernel / CertifyBigRat split certificate checks by arithmetic
-	// path: fully int64-kernel versus a big-number fallback (big.Rat, or
-	// gcd-free big.Int for Farkas multipliers). A refutation certified by
+	// path: fully int64-kernel versus the gcd-free big.Int fallback
+	// (the JSON name keeps its historical "bigrat"). A refutation certified by
 	// the phase-1 basis after its ray failed counts two checks.
 	CertifyKernel uint64 `json:"certifications_int64"`
 	CertifyBigRat uint64 `json:"certifications_bigrat"`

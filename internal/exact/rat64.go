@@ -16,6 +16,7 @@ package exact
 // core.SolverStats and counterpointd's /stats).
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -397,29 +398,28 @@ func (a Rat64) Cmp(b Rat64) int {
 // Equal reports a == b (exact; never overflows).
 func (a Rat64) Equal(b Rat64) bool { return a.n == b.n && a.d == b.d }
 
-// Quantize64 is the int64 fast path of QuantizeInto: it rounds f outward
-// onto the grid of multiples of 1/denom for power-of-two denominators whose
-// scaled magnitude stays in the float64-exact integer range. ok=false sends
-// the caller to QuantizeInto's big path; when ok, the result is bit-identical
-// to QuantizeInto's.
-func Quantize64(f float64, ceil bool, denom int64) (Rat64, bool) {
-	if denom <= 0 {
-		return Rat64{}, false
+// QuantizeFloat is QuantizeInto for a power-of-two denominator with the
+// result as a float64: f rounded outward onto the grid of multiples of
+// 1/denom, a value float64 represents exactly. Where |f·denom| < 2⁵³ the
+// scaling and rounding are exact in float64; beyond it f·denom is already
+// an integer, so f lies on the grid and is its own quantisation. Either
+// way the result equals QuantizeInto's. It fails on a non-finite f and
+// panics on a denominator that is not a positive power of two.
+func QuantizeFloat(f float64, ceil bool, denom int64) (float64, error) {
+	if denom <= 0 || denom&(denom-1) != 0 {
+		panic(fmt.Sprintf("exact: quantize denominator must be a positive power of two, got %d", denom))
 	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return Rat64{}, false
+		return 0, fmt.Errorf("exact: cannot quantize non-finite value %v", f)
 	}
 	scaled := f * float64(denom)
-	if denom&(denom-1) != 0 || math.Abs(scaled) >= 1<<53 {
-		return Rat64{}, false
+	if math.Abs(scaled) >= 1<<53 {
+		return f, nil
 	}
-	var n int64
 	if ceil {
-		n = int64(math.Ceil(scaled))
-	} else {
-		n = int64(math.Floor(scaled))
+		return math.Ceil(scaled) / float64(denom), nil
 	}
-	return MakeRat64(n, denom)
+	return math.Floor(scaled) / float64(denom), nil
 }
 
 // SimplestRat64Within is the int64 fast path of SimplestRatWithin: the
@@ -434,8 +434,17 @@ func SimplestRat64Within(f, tol float64) (Rat64, bool) {
 	if tol <= 0 {
 		return Rat64FromFloat(f)
 	}
-	lo, okLo := Rat64FromFloat(f - tol)
-	hi, okHi := Rat64FromFloat(f + tol)
+	fl, fh := f-tol, f+tol
+	if fl <= 0 && fh >= 0 && !math.IsInf(fl, 0) && !math.IsInf(fh, 0) {
+		// The interval straddles zero, so 0 is its simplest element. This is
+		// decided on the same float endpoints SimplestRatWithin converts, so
+		// the answer is identical even when an endpoint's exact value needs
+		// a denominator beyond int64 (|f| ≲ tol ≈ 2⁻⁴⁰ for the certifier's
+		// point rounding).
+		return Rat64{0, 1}, true
+	}
+	lo, okLo := Rat64FromFloat(fl)
+	hi, okHi := Rat64FromFloat(fh)
 	if !okLo || !okHi {
 		return Rat64{}, false
 	}

@@ -145,30 +145,6 @@ func TestRat64FromFloat(t *testing.T) {
 	}
 }
 
-func TestQuantize64MatchesQuantizeInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	denoms := []int64{1, 2, 256, 65536, 3, 1000}
-	for trial := 0; trial < 5000; trial++ {
-		f := (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(60))
-		denom := denoms[rng.Intn(len(denoms))]
-		ceil := rng.Intn(2) == 0
-		got, ok := Quantize64(f, ceil, denom)
-		want := new(big.Rat)
-		if err := QuantizeInto(want, f, ceil, denom); err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if denom&(denom-1) == 0 && math.Abs(f*float64(denom)) < 1<<53 {
-				t.Fatalf("Quantize64(%v, %v, %d) refused the fast-path domain", f, ceil, denom)
-			}
-			continue
-		}
-		if got.Rat(nil).Cmp(want) != 0 {
-			t.Fatalf("Quantize64(%v, %v, %d) = %s, want %s", f, ceil, denom, got, want.RatString())
-		}
-	}
-}
-
 func TestSimplestRat64WithinMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5000; trial++ {
@@ -202,7 +178,19 @@ func FuzzRat64VsBigRat(f *testing.F) {
 	f.Add(int64(math.MinInt64), int64(3), int64(5), int64(7), uint8(1))
 	f.Add(int64(1), int64(math.MaxInt64), int64(1), int64(math.MaxInt64-1), uint8(0))
 	f.Add(int64(1<<62), int64(3), int64(3), int64(1<<61), uint8(2))
+	// Rounding seeds (op 4): values within the certifier's point tolerance
+	// of zero, whose rounding interval straddles 0 but whose endpoints need
+	// denominators beyond int64, and small values just outside it.
+	f.Add(int64(1), int64(1<<62), int64(4), int64(0), uint8(4))
+	f.Add(int64(3), int64(10000000000000), int64(0), int64(0), uint8(4))
+	f.Add(int64(-4), int64(10000000000000), int64(0), int64(0), uint8(4))
+	f.Add(int64(1), int64(1000000000000), int64(0), int64(0), uint8(4))
+	f.Add(int64(-7), int64(3), int64(70), int64(1), uint8(4))
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64, op uint8) {
+		if op%5 == 4 {
+			fuzzSimplestRat64(t, an, ad, bn, bd)
+			return
+		}
 		if ad == 0 || bd == 0 {
 			return
 		}
@@ -221,7 +209,7 @@ func FuzzRat64VsBigRat(f *testing.F) {
 			want = new(big.Rat)
 			name string
 		)
-		switch op % 4 {
+		switch op % 5 {
 		case 0:
 			name = "add"
 			got, ok = a.Add(b)
@@ -251,4 +239,65 @@ func FuzzRat64VsBigRat(f *testing.F) {
 			t.Fatalf("cmp(%s, %s) = %d, big says %d", a, b, got, want)
 		}
 	})
+}
+
+// fuzzSimplestRat64 checks SimplestRat64Within against SimplestRatWithin
+// on f = an/ad·2^−(bn mod 80), with the certifier's point tolerance
+// 2⁻⁴⁰·(1+|f|) (bd even) or the Farkas tolerance 1e-9·(1+|f|) (bd odd):
+// when the int64 path answers it must agree, and an interval that
+// straddles zero must always be answered.
+func fuzzSimplestRat64(t *testing.T, an, ad, bn, bd int64) {
+	if ad == 0 {
+		return
+	}
+	f := math.Ldexp(float64(an)/float64(ad), -int(uint64(bn)%80))
+	tol := math.Ldexp(1, -40) * (1 + math.Abs(f))
+	if bd%2 != 0 {
+		tol = 1e-9 * (1 + math.Abs(f))
+	}
+	got, ok := SimplestRat64Within(f, tol)
+	want, err := SimplestRatWithin(f, tol)
+	if err != nil {
+		if ok {
+			t.Fatalf("SimplestRat64Within(%g, %g) = %s, big path failed: %v", f, tol, got, err)
+		}
+		return
+	}
+	if ok && got.Rat(nil).Cmp(want) != 0 {
+		t.Fatalf("SimplestRat64Within(%g, %g) = %s, big path %s", f, tol, got, want.RatString())
+	}
+	if !ok && f-tol <= 0 && f+tol >= 0 {
+		t.Fatalf("SimplestRat64Within(%g, %g) gave up on an interval straddling zero", f, tol)
+	}
+}
+
+// TestQuantizeFloatMatchesQuantizeInto pins the float64 quantiser to the
+// exact one across power-of-two denominators and magnitudes, including
+// the range where f·denom is already an integer and the one where it
+// overflows float64.
+func TestQuantizeFloatMatchesQuantizeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vals := []float64{0, math.Copysign(0, -1), 1.0 / 512, -1.0 / 512, 1e15, -3e45, 1e300, -math.MaxFloat64, 5e-324}
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, (rng.Float64()-0.5)*math.Ldexp(1, rng.Intn(60)))
+	}
+	want := new(big.Rat)
+	for _, f := range vals {
+		for _, denom := range []int64{1, 2, 256, 65536} {
+			ceil := rng.Intn(2) == 0
+			got, err := QuantizeFloat(f, ceil, denom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := QuantizeInto(want, f, ceil, denom); err != nil {
+				t.Fatal(err)
+			}
+			if new(big.Rat).SetFloat64(got).Cmp(want) != 0 {
+				t.Fatalf("QuantizeFloat(%g, %v, %d) = %g, QuantizeInto %s", f, ceil, denom, got, want.RatString())
+			}
+		}
+	}
+	if _, err := QuantizeFloat(math.NaN(), true, 256); err == nil {
+		t.Fatal("NaN quantised")
+	}
 }

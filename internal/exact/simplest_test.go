@@ -94,3 +94,32 @@ func TestSimplestRatWithinEdgeCases(t *testing.T) {
 		t.Errorf("tol covering zero: got %v, want 0", r)
 	}
 }
+
+// TestSimplestRat64WithinStraddlesZero pins the int64 rounding on values
+// within the certifier's point tolerance of zero: the interval [v−tol,
+// v+tol] contains 0, so the answer is 0 — even though an endpoint's exact
+// value needs a denominator far beyond int64 — and it agrees with the
+// big.Rat path. Values just outside the tolerance must still agree with
+// the big path whenever the int64 path answers.
+func TestSimplestRat64WithinStraddlesZero(t *testing.T) {
+	tolOf := func(v float64) float64 { return math.Ldexp(1, -40) * (1 + math.Abs(v)) }
+	for _, v := range []float64{1e-20, 3e-13, -4e-13, 9e-13, -9e-13, 5e-324, -1e-300, 0} {
+		got, ok := SimplestRat64Within(v, tolOf(v))
+		if !ok || got.Sign() != 0 {
+			t.Errorf("SimplestRat64Within(%g) = %s, %v; want 0, true", v, got, ok)
+		}
+		if want, err := SimplestRatWithin(v, tolOf(v)); err != nil || want.Sign() != 0 {
+			t.Errorf("SimplestRatWithin(%g) = %v, %v; want 0", v, want, err)
+		}
+	}
+	for _, v := range []float64{1e-12, -2e-12, 1e-9, 0.5} {
+		got, ok := SimplestRat64Within(v, tolOf(v))
+		want, err := SimplestRatWithin(v, tolOf(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && got.Rat(nil).Cmp(want) != 0 {
+			t.Errorf("SimplestRat64Within(%g) = %s, big path %s", v, got, want.RatString())
+		}
+	}
+}

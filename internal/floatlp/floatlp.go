@@ -32,7 +32,9 @@ package floatlp
 
 import (
 	"math"
+	"math/big"
 
+	"repro/internal/exact"
 	"repro/internal/simplex"
 )
 
@@ -188,47 +190,53 @@ func growInt(s []int, n int) []int {
 func int64Exact(x int64) bool { return x >= -(1<<53) && x <= 1<<53 }
 
 // loadRow fills row with constraint i's float64 coefficients and returns
-// the row's max magnitude and right-hand side. It prefers the problem's
-// int64 kernel snapshot — one correctly-rounded IEEE division per entry,
-// bit-identical to big.Rat.Float64 on exactly-converting values and free
-// of the big.Rat conversion allocations — falling back to big.Rat per row.
-// ok=false flags a non-finite coefficient.
+// the row's max magnitude and right-hand side: each value is the exact
+// rational scale·aⱼ of the problem's integer form rounded to the nearest
+// float64. When scale's numerator and denominator and every product
+// aⱼ·num(scale) convert exactly (≤ 2⁵³), one correctly-rounded IEEE
+// division per entry does it, bit-identical to big.Rat.Float64; otherwise
+// the row goes through big.Rat. ok=false flags a non-finite value.
 func loadRow(p *simplex.Problem, i int, row []float64) (maxAbs, rhs float64, ok bool) {
-	con := &p.Constraints[i]
-	if kc, krhs, snap := p.SnapshotRow(i); snap && int64Exact(kc.Den) {
-		den := float64(kc.Den)
+	if a, scale, narrow := p.IntRow(i); narrow && int64Exact(scale.Num()) && int64Exact(scale.Den()) {
+		num, den := scale.Num(), float64(scale.Den())
 		fast := true
-		for j := range row {
-			num := kc.Num[j]
-			if !int64Exact(num) {
+		for j, x := range a {
+			v, fits := exact.MulInt64(x, num)
+			if !fits || !int64Exact(v) {
 				fast = false
 				break
 			}
-			v := float64(num) / den
-			row[j] = v
-			if a := math.Abs(v); a > maxAbs {
+			f := float64(v) / den
+			if j == len(row) {
+				rhs = f
+				break
+			}
+			row[j] = f
+			if a := math.Abs(f); a > maxAbs {
 				maxAbs = a
 			}
 		}
 		if fast {
-			// Snapshot values are finite by construction.
-			return maxAbs, krhs.Float64(), true
+			// Exactly-converting values are finite.
+			return maxAbs, rhs, true
 		}
 		maxAbs = 0
 	}
-	for j := range row {
-		v, _ := con.Coeffs[j].Float64()
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	a, scale := p.BigIntRow(i)
+	v := new(big.Rat)
+	for j, x := range a {
+		f, _ := v.Mul(v.SetInt(x), scale).Float64()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return 0, 0, false
 		}
-		row[j] = v
-		if a := math.Abs(v); a > maxAbs {
+		if j == len(row) {
+			rhs = f
+			break
+		}
+		row[j] = f
+		if a := math.Abs(f); a > maxAbs {
 			maxAbs = a
 		}
-	}
-	rhs, _ = con.RHS.Float64()
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return 0, 0, false
 	}
 	return maxAbs, rhs, true
 }

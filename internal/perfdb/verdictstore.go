@@ -3,8 +3,11 @@ package perfdb
 // File-backed verdict store: the persistence tier of the engine's
 // content-addressed verdict cache. The file is an internal/recordlog log
 // of recVerdict records, each a 33-byte payload: the 32-byte canonical LP
-// hash, then 0 (infeasible) or 1 (feasible). The CRC frame means a
-// flipped byte is a repaired tail, never a silently inverted verdict.
+// hash (core.HashLP, the clp2 encoding), then 0 (infeasible) or 1
+// (feasible). The CRC frame means a flipped byte is a repaired tail, never
+// a silently inverted verdict. Records keyed by the retired clp1 text
+// encoding (type recVerdictCLP1) are skipped and counted on load, never
+// served: their keys hash different bytes, so they could only ever miss.
 //
 // Append-only keeps writes crash-tolerant and makes stores mergeable
 // across machines — cat two logs together and the first record for a key
@@ -32,8 +35,13 @@ import (
 	"repro/internal/recordlog"
 )
 
-// recVerdict is the verdict store's only record type.
-const recVerdict byte = 0x10
+// Verdict record types: recVerdict keys by the clp2 canonical hash;
+// recVerdictCLP1 records, keyed by the retired clp1 text encoding, are
+// skipped on load.
+const (
+	recVerdictCLP1 byte = 0x10
+	recVerdict     byte = 0x11
+)
 
 // ErrVerdictConflict is returned by Put for a known key arriving with the
 // opposite verdict. Verdicts are pure functions of LP content, so a
@@ -49,6 +57,7 @@ type VerdictStore struct {
 	unsynced map[[32]byte]bool // served from memory, not yet durable
 	log      *recordlog.Log
 	repaired bool
+	skipped  int // clp1 records skipped on load
 	closed   bool
 }
 
@@ -67,6 +76,10 @@ func OpenVerdictStore(path string) (*VerdictStore, error) {
 func OpenVerdictStoreFS(fsys faultfs.FS, path string) (*VerdictStore, error) {
 	s := &VerdictStore{m: make(map[[32]byte]bool), unsynced: make(map[[32]byte]bool)}
 	log, repaired, err := recordlog.Open(fsys, path, func(typ byte, p []byte) {
+		if typ == recVerdictCLP1 {
+			s.skipped++
+			return
+		}
 		if typ != recVerdict || len(p) != 33 || p[32] > 1 {
 			return
 		}
@@ -83,6 +96,10 @@ func OpenVerdictStoreFS(fsys faultfs.FS, path string) (*VerdictStore, error) {
 
 // Repaired reports whether opening the store truncated a damaged tail.
 func (s *VerdictStore) Repaired() bool { return s.repaired }
+
+// SkippedCLP1 reports how many verdicts keyed by the retired clp1 LP
+// encoding opening the store skipped.
+func (s *VerdictStore) SkippedCLP1() int { return s.skipped }
 
 // Get returns the stored verdict for key, if any.
 func (s *VerdictStore) Get(key [32]byte) (bool, bool) {

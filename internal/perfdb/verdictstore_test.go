@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/recordlog"
 )
 
@@ -270,4 +271,44 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestVerdictStoreSkipsCLP1: records keyed by the retired clp1 encoding
+// are counted and never served, while clp2 records beside them load.
+func TestVerdictStoreSkipsCLP1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.db")
+	log, _, err := recordlog.Open(faultfs.OS{}, path, func(byte, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := key(1), key(2)
+	for _, rec := range []struct {
+		typ byte
+		p   []byte
+	}{
+		{recVerdictCLP1, append(k1[:], 1)},
+		{recVerdict, append(k2[:], 0)},
+		{recVerdictCLP1, append(k2[:], 1)},
+	} {
+		if err := log.Append(rec.typ, rec.p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.SkippedCLP1() != 2 || s.Len() != 1 {
+		t.Fatalf("skipped %d, loaded %d; want 2 and 1", s.SkippedCLP1(), s.Len())
+	}
+	if _, ok := s.Get(k1); ok {
+		t.Fatal("a clp1 verdict was served")
+	}
+	if v, ok := s.Get(k2); !ok || v {
+		t.Fatalf("Get(clp2 key) = %v, %v; want false, true", v, ok)
+	}
 }

@@ -138,13 +138,17 @@ func TestStreamBackpressureSoak(t *testing.T) {
 	}
 
 	// /stats carries the same totals, plus the 429 path: a reject-policy
-	// stream overloaded the same way counts its refusals.
+	// stream overloaded the same way counts its refusals. Its worker is
+	// held during the blast so the 4-slot queue fills however fast
+	// verdicts are.
+	release := holdStreamWorkers(t, srv)
 	rj := createStream(t, ts.URL, map[string]any{"model": "pde", "policy": "reject", "buffer": 4})
 	blast := make([]string, 256)
 	for i := range blast {
 		blast[i] = ndjsonObs(fmt.Sprintf("r%d", i), 500, 100, 60, int64(i))
 	}
 	status, sum := ingestLines(t, ts.URL, rj.ID, blast...)
+	release()
 	if status != http.StatusTooManyRequests || sum.Rejected == 0 {
 		t.Fatalf("reject soak: status %d %+v", status, sum)
 	}

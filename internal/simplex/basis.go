@@ -25,12 +25,15 @@ package simplex
 // of the *scaled* rows, so unit weights would be the dual of a different
 // objective, which on refuted region LPs often fails to verify. wᵣ enters
 // as its exact dyadic value.
+// The solve runs on the primitive integer rows (introw.go), whose
+// multipliers are uᵢ = qᵢ·scaleᵢ, so a basic artificial fixes
+// u_r = σ_r·scale_r/w_r.
 // Only the rows no slack or artificial fixes are unknown, one per basic
 // structural column; they are solved by fraction-free Gauss–Jordan
 // elimination (Bareiss/Edmonds) over the same adaptive integers, exact
 // divisions and retained big.Int scratch as the kernel tableau. A
-// singular basis, or rows too wide for the int64 snapshot, decline; a
-// solved dual that fails CheckFarkas's conditions is rejected. Either way
+// singular basis declines; a solved dual that fails CheckFarkas's
+// conditions is rejected. Either way
 // the caller falls back to the exact simplex, so a wrong basis can cost
 // time but never a verdict.
 
@@ -78,8 +81,7 @@ type basisSolve struct {
 	mat [][]ient // k × (k+1) augmented system, reused row storage
 	g   []ient   // −(artificial multiplier)·D per row, D the common denominator
 	q   []ient   // integer certificate, one per row
-	acc []ient   // checkFarkas's combination Σᵢ qᵢ·aᵢ, scaled to integers
-	x   ient     // checkFarkas's current row multiplier
+	acc []ient   // checkFarkas's combination Σᵢ qᵢ·aᵢ, then Σᵢ qᵢ·bᵢ
 
 	num, den, lcm, gcd *big.Int
 }
@@ -93,140 +95,110 @@ func (bs *basisSolve) init() {
 
 // CertifyFarkasBasis solves the exact dual of b's basis on p and checks it
 // as a Farkas certificate of p's infeasibility. It returns false — never
-// a wrong verdict — when the basis is malformed or singular, when a row
-// it needs does not fit the int64 snapshot, or when the dual fails
-// verification.
+// a wrong verdict — when the basis is malformed or singular, or when the
+// dual fails verification.
 func (c *Certifier) CertifyFarkasBasis(p *Problem, b FarkasBasis) bool {
 	c.lastKernel = false
 	q, ok := c.solveBasisDual(p, b)
 	if !ok {
 		return false
 	}
-	rq := c.scratch(len(q))
+	us := c.scratch(len(q))
 	fits := true
 	for i := range q {
 		if q[i].wide {
 			fits = false
 			break
 		}
-		rq[i] = exact.Rat64FromInt64(q[i].v)
+		us[i] = exact.Rat64FromInt64(q[i].v)
 	}
 	if fits {
-		if verdict, decided := c.kernelCheckFarkas(p, rq); decided {
+		if verdict, decided := c.kernelCheckFarkas(p, us); decided {
 			c.lastKernel = true
 			return verdict
 		}
 	}
-	verdict, _ := c.basis.checkFarkas(p, q) // solveBasisDual only uses snapshot rows
-	return verdict
+	return c.basis.checkFarkas(p, q)
 }
 
-// checkFarkasRat checks rational multipliers: scaled onto integers by
-// the lcm of their denominators (a positive factor, so the Farkas
-// conditions are unchanged) for the gcd-free integer check, with the
-// big.Rat reference for rows outside the int64 snapshot.
+// checkFarkasRat checks rational multipliers of the constraints: each is
+// carried onto its integer row (qᵢ·scaleᵢ) and the results are scaled onto
+// integers by a common positive denominator, which leaves the Farkas
+// conditions unchanged, for the gcd-free integer check.
 func (c *Certifier) checkFarkasRat(p *Problem, ray exact.Vec) bool {
 	if len(ray) != len(p.Constraints) || len(ray) == 0 {
 		return false
 	}
 	bs := &c.basis
 	bs.init()
+	iform := p.intForm()
+	// Row i's multiplier is Nᵢ/Dᵢ with Nᵢ = num(rayᵢ)·num(scaleᵢ) and
+	// Dᵢ = den(rayᵢ)·den(scaleᵢ); L is the lcm of the Dᵢ.
+	rowFrac := func(i int) (num, den *big.Int) {
+		ir := &iform.rows[i]
+		if ir.wide != nil {
+			bs.num.Mul(ray[i].Num(), ir.wide.scale.Num())
+			bs.den.Mul(ray[i].Denom(), ir.wide.scale.Denom())
+		} else {
+			bs.num.Mul(ray[i].Num(), bs.t1.SetInt64(ir.scale.Num()))
+			bs.den.Mul(ray[i].Denom(), bs.t1.SetInt64(ir.scale.Den()))
+		}
+		return bs.num, bs.den
+	}
 	bs.lcm.SetInt64(1)
-	for _, r := range ray {
-		bs.lcmInto(bs.lcm, r.Denom())
+	for i := range ray {
+		if ray[i].Sign() != 0 {
+			_, den := rowFrac(i)
+			bs.lcmInto(bs.lcm, den)
+		}
 	}
 	bs.q = growIents(bs.q, len(ray))
-	for i, r := range ray {
-		bs.num.Mul(r.Num(), bs.divExact(bs.lcm, r.Denom()))
-		bs.setBig(&bs.q[i], bs.num)
+	for i := range ray {
+		if ray[i].Sign() == 0 {
+			bs.q[i].setInt(0)
+			continue
+		}
+		num, den := rowFrac(i)
+		bs.t4.Set(bs.divExact(bs.lcm, den))
+		bs.setBig(&bs.q[i], bs.t4.Mul(bs.t4, num))
 	}
-	if verdict, decided := bs.checkFarkas(p, bs.q); decided {
-		return verdict
-	}
-	return checkFarkasBig(p, ray)
+	return bs.checkFarkas(p, bs.q)
 }
 
 // checkFarkas decides CheckFarkas's conditions for integer multipliers q
-// without a single gcd reduction. The combination d = Σᵢ qᵢ·aᵢ is
-// accumulated over the rows' common denominator L as Σᵢ qᵢ·(L/Denᵢ)·Numᵢ
-// in adaptive integers, and the right-hand side Σᵢ qᵢ·bᵢ over the lcm of
-// its denominators; only signs are read off either. decided=false when a
-// row with qᵢ ≠ 0 is outside the int64 snapshot.
-func (bs *basisSolve) checkFarkas(p *Problem, q []ient) (verdict, decided bool) {
+// of the integer rows without a single gcd reduction: the combination
+// d = Σᵢ qᵢ·aᵢ and the right-hand side Σᵢ qᵢ·bᵢ are accumulated in
+// adaptive integers, and only their signs are read off.
+func (bs *basisSolve) checkFarkas(p *Problem, q []ient) bool {
 	bs.init()
-	iform := p.intForm()
-	bs.lcm.SetInt64(1) // L, the rows' common denominator
-	bs.den.SetInt64(1) // the right-hand sides' common denominator
 	nonzero := false
-	for i := range p.Constraints {
-		s := q[i].sign()
-		if s == 0 {
-			continue
+	for i := range q {
+		if q[i].sign() != 0 {
+			nonzero = true
+			break
 		}
-		switch p.Constraints[i].Rel {
-		case LE:
-			if s > 0 {
-				return false, true
-			}
-		case GE:
-			if s < 0 {
-				return false, true
-			}
-		}
-		ir := &iform.rows[i]
-		if !ir.ok {
-			return false, false
-		}
-		bs.lcmInto(bs.lcm, bs.t1.SetInt64(ir.coeffs.Den))
-		bs.lcmInto(bs.den, bs.t1.SetInt64(ir.rhs.Den()))
-		nonzero = true
 	}
-	if !nonzero {
-		return false, true
+	if !nonzero || !farkasSigns(p, func(i int) int { return q[i].sign() }) {
+		return false
 	}
-	bs.num.SetInt64(0)
-	for i := range p.Constraints {
-		if q[i].sign() == 0 {
-			continue
-		}
-		rhs := iform.rows[i].rhs
-		bs.t1.Set(bs.divExact(bs.den, bs.t2.SetInt64(rhs.Den())))
-		bs.t1.Mul(bs.t1, q[i].view(bs.t2))
-		bs.t1.Mul(bs.t1, bs.t2.SetInt64(rhs.Num()))
-		bs.num.Add(bs.num, bs.t1)
-	}
-	if bs.num.Sign() <= 0 {
-		return false, true
-	}
-	bs.acc = growIents(bs.acc, p.NumVars)
+	iform := p.intForm()
+	n := p.NumVars
+	bs.acc = growIents(bs.acc, n+1) // d, then the right-hand side
 	for j := range bs.acc {
 		bs.acc[j].setInt(0)
 	}
-	for i := range p.Constraints {
+	for i := range q {
 		if q[i].sign() == 0 {
 			continue
 		}
-		ir := &iform.rows[i]
-		bs.t1.Set(bs.divExact(bs.lcm, bs.t2.SetInt64(ir.coeffs.Den)))
-		bs.t1.Mul(bs.t1, q[i].view(bs.t2))
-		bs.setBig(&bs.x, bs.t1)
-		for j, num := range ir.coeffs.Num {
-			if num != 0 {
-				bs.addMulInt(&bs.acc[j], &bs.x, num)
-			}
+		for j := 0; j <= n; j++ {
+			bs.addMulEntry(&bs.acc[j], &q[i], &iform.rows[i], j)
 		}
 	}
-	for j := range bs.acc {
-		s := bs.acc[j].sign()
-		if p.Free != nil && p.Free[j] {
-			if s != 0 {
-				return false, true
-			}
-		} else if s > 0 {
-			return false, true
-		}
+	if bs.acc[n].sign() <= 0 {
+		return false
 	}
-	return true, true
+	return farkasCombination(p, func(j int) int { return bs.acc[j].sign() })
 }
 
 // lcmInto sets l = lcm(l, d) for positive l and d.
@@ -236,8 +208,33 @@ func (bs *basisSolve) lcmInto(l, d *big.Int) {
 	l.Mul(l, bs.t3)
 }
 
-// solveBasisDual returns the integer multipliers of b's dual, scaled by a
-// positive constant and divided by their gcd; ok=false declines.
+// setEntry stores entry j of integer row ir into dst.
+func (bs *basisSolve) setEntry(dst *ient, ir *intRow, j int) {
+	if ir.wide != nil {
+		bs.setBig(dst, ir.wide.a[j])
+		return
+	}
+	dst.setInt(ir.a[j])
+}
+
+// addMulEntry adds x times entry j of integer row ir into dst.
+func (bs *basisSolve) addMulEntry(dst, x *ient, ir *intRow, j int) {
+	if ir.wide == nil {
+		if a := ir.a[j]; a != 0 {
+			bs.addMulInt(dst, x, a)
+		}
+		return
+	}
+	if a := ir.wide.a[j]; a.Sign() != 0 {
+		bs.t1.Mul(x.view(bs.t2), a)
+		bs.t3.Add(dst.view(bs.t4), bs.t1)
+		bs.setBig(dst, bs.t3)
+	}
+}
+
+// solveBasisDual returns the integer multipliers of b's dual on the
+// integer rows, scaled by a positive constant and divided by their gcd;
+// ok=false declines.
 func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	m, n := len(p.Constraints), p.NumVars
 	if m == 0 || len(b.Cols) != m || len(b.Sign) != m || len(b.Scale) != m {
@@ -282,12 +279,6 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	iform := p.intForm()
 	bs.free = bs.free[:0]
 	for i := range p.Constraints {
-		if bs.role[i] == roleSlack {
-			continue
-		}
-		if !iform.rows[i].ok {
-			return nil, false
-		}
 		if bs.role[i] == roleFree {
 			bs.free = append(bs.free, i)
 		}
@@ -297,9 +288,8 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		return nil, false
 	}
 
-	// Fixed multipliers q_r = σ_r/w_r, written per unit of row r's integer
-	// numerators as σ_r/(w_r·Den_r), over the common denominator D of all
-	// artificial rows.
+	// Fixed multipliers of the integer rows, u_r = σ_r·scale_r/w_r, over
+	// the common denominator D of all artificial rows.
 	bs.lcm.SetInt64(1)
 	for i := range p.Constraints {
 		if bs.role[i] != roleArt {
@@ -309,20 +299,18 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		if !(w > 0) || math.IsInf(w, 0) || (s != 1 && s != -1) {
 			return nil, false
 		}
-		bs.artDen(bs.den, w, iform.rows[i].coeffs.Den)
+		bs.artFrac(&iform.rows[i], w)
 		bs.lcmInto(bs.lcm, bs.den)
 	}
-	// g_r = −D·σ_r/(w_r·Den_r), an integer.
+	// g_r = −D·u_r, an integer.
 	bs.g = growIents(bs.g, m)
 	for i := range p.Constraints {
 		if bs.role[i] != roleArt {
 			continue
 		}
-		e := bs.artDen(bs.den, b.Scale[i], iform.rows[i].coeffs.Den)
-		bs.num.Set(bs.divExact(bs.lcm, bs.den))
-		if e < 0 {
-			bs.num.Lsh(bs.num, uint(-e))
-		}
+		bs.artFrac(&iform.rows[i], b.Scale[i])
+		bs.t4.Set(bs.divExact(bs.lcm, bs.den))
+		bs.num.Mul(bs.num, bs.t4)
 		if b.Sign[i] > 0 {
 			bs.num.Neg(bs.num)
 		}
@@ -330,27 +318,24 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	}
 
 	// Augmented system: one equation per basic structural variable v,
-	// Σ_{i free} u_i·Num_iv = Σ_{r art} g_r·Num_rv, with u_i = q_i/Den_i
-	// on the same scale D.
+	// Σ_{i free} U_i·a_iv = Σ_{r art} g_r·a_rv, with U_i = D·u_i.
 	bs.mat = growMat(bs.mat, k, k+1)
 	for e, v := range bs.vars {
 		row := bs.mat[e]
 		for c, i := range bs.free {
-			row[c].setInt(iform.rows[i].coeffs.Num[v])
+			bs.setEntry(&row[c], &iform.rows[i], v)
 		}
 		rhs := &row[k]
 		rhs.setInt(0)
 		for i := range p.Constraints {
 			if bs.role[i] == roleArt {
-				if num := iform.rows[i].coeffs.Num[v]; num != 0 {
-					bs.addMulInt(rhs, &bs.g[i], num)
-				}
+				bs.addMulEntry(rhs, &bs.g[i], &iform.rows[i], v)
 			}
 		}
 	}
 
 	// Fraction-free Gauss–Jordan: after pivoting every unknown, the
-	// right-hand side of unknown c's pivot row holds Δ·u_c exactly. A
+	// right-hand side of unknown c's pivot row holds Δ·U_c exactly. A
 	// negative pivot row is negated first (the same equation), so Δ stays
 	// positive as iarith requires.
 	bs.delta.setInt(1)
@@ -389,14 +374,14 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		bs.set(&bs.delta, piv)
 	}
 
-	// q_i = Δ·u_i·Den_i on free rows and Δ·(−g_r)·Den_r on artificial
-	// rows: q scaled by the positive Δ·D.
+	// q_i = Δ·U_i on free rows and Δ·(−g_r) on artificial rows: the
+	// integer-row multipliers scaled by the positive Δ·D.
 	bs.q = growIents(bs.q, m)
 	for i := range bs.q {
 		bs.q[i].setInt(0)
 	}
 	for c, i := range bs.free {
-		bs.mulSetInt(&bs.q[i], &bs.mat[bs.pivOf[c]][k], iform.rows[i].coeffs.Den)
+		bs.set(&bs.q[i], &bs.mat[bs.pivOf[c]][k])
 	}
 	for i := range p.Constraints {
 		if bs.role[i] != roleArt {
@@ -405,7 +390,6 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		bs.num.Mul(bs.g[i].view(bs.t2), bs.delta.view(bs.t3))
 		bs.num.Neg(bs.num)
 		bs.setBig(&bs.q[i], bs.num)
-		bs.mulSetInt(&bs.q[i], &bs.q[i], iform.rows[i].coeffs.Den)
 	}
 	// Divide out the common factor so the check stays on the int64 kernel
 	// whenever the reduced certificate fits.
@@ -426,18 +410,25 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	return bs.q, true
 }
 
-// artDen writes the denominator of 1/(w·den) into d — with w = mant·2^e
-// exactly, 1/(w·den) = 2^(−e)/(mant·den) for e < 0 and 1/(mant·den·2^e)
-// otherwise — and returns e.
-func (bs *basisSolve) artDen(d *big.Int, w float64, den int64) int {
-	mant, e := dyadic(w)
-	d.SetInt64(mant)
-	bs.t1.SetInt64(den)
-	d.Mul(d, bs.t1)
-	if e > 0 {
-		d.Lsh(d, uint(e))
+// artFrac writes the fraction scale/w of a basic artificial's integer row
+// into num/den (both positive, not necessarily reduced): with w = mant·2^e
+// exactly and scale = sN/sD, scale/w = sN·2^(−e)/(sD·mant) for e < 0 and
+// sN/(sD·mant·2^e) otherwise.
+func (bs *basisSolve) artFrac(ir *intRow, w float64) {
+	if ir.wide != nil {
+		bs.num.Set(ir.wide.scale.Num())
+		bs.den.Set(ir.wide.scale.Denom())
+	} else {
+		bs.num.SetInt64(ir.scale.Num())
+		bs.den.SetInt64(ir.scale.Den())
 	}
-	return e
+	mant, e := dyadic(w)
+	bs.den.Mul(bs.den, bs.t1.SetInt64(mant))
+	if e > 0 {
+		bs.den.Lsh(bs.den, uint(e))
+	} else {
+		bs.num.Lsh(bs.num, uint(-e))
+	}
 }
 
 // dyadic returns w = mant·2^e exactly for a finite positive float64, with

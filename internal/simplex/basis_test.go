@@ -36,8 +36,10 @@ func TestCertifyFarkasBasis(t *testing.T) {
 	if !ok {
 		t.Fatal("basis solve declined")
 	}
-	// Scaled by a positive constant and divided by the gcd: (3, 1, −3).
-	for i, want := range []int64{3, 1, -3} {
+	// Multipliers of the primitive integer rows (1 0 | 2), (0 1 | 2) and
+	// (1 1 | 1) — the second constraint's scale 3 folds its 1/3 in — scaled
+	// by a positive constant and divided by the gcd: (1, 1, −1).
+	for i, want := range []int64{1, 1, -1} {
 		if q[i].wide || q[i].v != want {
 			t.Fatalf("q[%d] = %v, want %d", i, q[i].view(new(big.Int)), want)
 		}
@@ -53,13 +55,13 @@ func TestCertifyFarkasBasis(t *testing.T) {
 	}
 
 	// Written as −x − y ≥ −1, the third row puts a negative pivot in the
-	// elimination; the dual is the same certificate, (3, 1, 3).
+	// elimination; the dual is the same certificate, (1, 1, 1).
 	p.Constraints[2] = Constraint{Coeffs: exact.VecFromInts(-1, -1), Rel: GE, RHS: big.NewRat(-1, 1)}
 	p.Invalidate()
 	if q, ok = c.solveBasisDual(p, b); !ok {
 		t.Fatal("basis solve declined on a negative pivot")
 	}
-	for i, want := range []int64{3, 1, 3} {
+	for i, want := range []int64{1, 1, 1} {
 		if q[i].wide || q[i].v != want {
 			t.Fatalf("negative pivot: q[%d] = %v, want %d", i, q[i].view(new(big.Int)), want)
 		}

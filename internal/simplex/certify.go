@@ -16,16 +16,16 @@ package simplex
 //
 // The hot path runs on the int64 kernel: candidate coordinates round
 // through exact.SimplestRat64Within, constraint rows come from the
-// Problem's cached Vec64 snapshot (intForm), and every dot product is an
+// Problem's integer form (introw.go), and every dot product is an
 // overflow-checked exact.Rat64 accumulation. On the first overflow — or a
-// row whose coefficients do not fit int64 — the certification falls back
-// to big-number arithmetic wholesale, with identical results (all paths
-// compute the same exact rationals): the big.Rat implementation for
-// points, and for Farkas multipliers the gcd-free big.Int check of
-// basis.go, which keeps big.Rat (checkFarkasBig) for rows outside the
-// int64 snapshot. A Certifier carries the scratch buffers; pool one per
-// worker (the engine's evalScratch does). basis.go also adds a third
-// certificate: the exact dual of the float filter's final phase-1 basis.
+// row too wide for int64 — a check falls back to big-number arithmetic
+// that never reduces a fraction, with identical results (all paths
+// compute the same exact rationals): a point is compared row by row as
+// Σⱼ aⱼ·nⱼ/dⱼ against b by cross-multiplication, and Farkas multipliers
+// are scaled onto integers and combined by basis.go's gcd-free check. A
+// Certifier carries the scratch buffers; pool one per worker (the
+// engine's evalScratch does). basis.go also adds a third certificate: the
+// exact dual of the float filter's final phase-1 basis.
 
 import (
 	"math"
@@ -54,20 +54,20 @@ const farkasSnapTol = 1e-9
 
 // Certifier verifies float-tier certificates over the int64 kernel,
 // holding the rounded-candidate and accumulator scratch — including the
-// retained big.Rat storage of the per-row fallback — so a pooled instance
+// retained big-number storage of the fallbacks — so a pooled instance
 // certifies without allocating. Not safe for concurrent use.
 type Certifier struct {
 	xs []exact.Rat64 // rounded candidate point / ray multipliers
+	us []exact.Rat64 // ray multipliers of the integer rows
 	d  []exact.Rat64 // Farkas combination accumulator
 
-	bigX     exact.Vec // retained big.Rat image of xs (built on demand)
-	bsum, bt *big.Rat  // retained dot-product scratch
+	bigX exact.Vec // retained big image of the rounded candidate (built on demand)
 
-	// Retained big.Int scratch of the gcd-free row comparison (the
-	// second-tier fallback for int64 rows whose dot accumulator overflows).
+	// Retained big.Int scratch of the gcd-free row comparison.
 	sn, sd, bt1, bt2 *big.Int
 
-	// basis is the scratch of CertifyFarkasBasis's exact basis solve.
+	// basis is the scratch of CertifyFarkasBasis's exact basis solve and
+	// of the gcd-free Farkas check.
 	basis basisSolve
 
 	// lastKernel reports whether the previous certification ran fully on
@@ -79,7 +79,7 @@ type Certifier struct {
 func NewCertifier() *Certifier { return &Certifier{} }
 
 // LastKernel reports whether the previous Certify call completed without
-// falling back to big.Rat arithmetic.
+// falling back to big-number arithmetic.
 func (c *Certifier) LastKernel() bool { return c.lastKernel }
 
 func (c *Certifier) scratch(n int) []exact.Rat64 {
@@ -102,24 +102,30 @@ func (c *Certifier) accum(n int) []exact.Rat64 {
 	return c.d
 }
 
-// materializeBigX writes xs into the retained big.Rat vector and returns it.
-func (c *Certifier) materializeBigX(xs []exact.Rat64) exact.Vec {
-	for len(c.bigX) < len(xs) {
+// bigVec returns the retained big.Rat vector resized to n.
+func (c *Certifier) bigVec(n int) exact.Vec {
+	for len(c.bigX) < n {
 		c.bigX = append(c.bigX, new(big.Rat))
 	}
-	bx := c.bigX[:len(xs)]
+	return c.bigX[:n]
+}
+
+// materializeBigX writes xs into the retained big.Rat vector and returns it.
+func (c *Certifier) materializeBigX(xs []exact.Rat64) exact.Vec {
+	bx := c.bigVec(len(xs))
 	for j := range xs {
 		xs[j].RatInto(bx[j])
 	}
 	return bx
 }
 
-// rowCmpBig compares (Σⱼ Numⱼ·xsⱼ)/Den with the row's right-hand side for
-// an int64 row whose dot overflowed the Rat64 accumulator. The sum is
-// accumulated gcd-free over big.Int (sn/sd with sd = product of the
-// multipliers' denominators) in retained scratch, and the comparison
-// cross-multiplies — no big.Rat normalisation, no steady-state allocation.
-func (c *Certifier) rowCmpBig(ir *intRow, xs []exact.Rat64) int {
+// rowCmpBig compares Σⱼ aⱼ·xⱼ with the right-hand side b of integer row ir.
+// The sum is accumulated gcd-free over big.Int (sn/sd, sd the product of
+// the coordinates' denominators) in retained scratch and compared by
+// cross-multiplication — no fraction is ever reduced, and the steady state
+// does not allocate. x holds reduced rationals; only their numerators and
+// denominators are read.
+func (c *Certifier) rowCmpBig(ir *intRow, x exact.Vec) int {
 	if c.sn == nil {
 		c.sn = new(big.Int)
 		c.sd = new(big.Int)
@@ -128,52 +134,43 @@ func (c *Certifier) rowCmpBig(ir *intRow, xs []exact.Rat64) int {
 	}
 	c.sn.SetInt64(0)
 	c.sd.SetInt64(1)
-	for j, num := range ir.coeffs.Num {
-		x := xs[j]
-		if num == 0 || x.Num() == 0 {
+	n := len(x)
+	for j := 0; j < n; j++ {
+		if x[j].Sign() == 0 {
 			continue
 		}
-		// sn/sd += num·x  ⇒  sn = sn·xd + num·xn·sd, sd = sd·xd.
-		c.bt1.SetInt64(num)
-		c.bt2.SetInt64(x.Num())
-		c.bt1.Mul(c.bt1, c.bt2)
+		a := ir.elem(j, c.bt2)
+		if a.Sign() == 0 {
+			continue
+		}
+		// sn/sd += a·xn/xd  ⇒  sn = sn·xd + a·xn·sd, sd = sd·xd.
+		c.bt1.Mul(a, x[j].Num())
 		c.bt1.Mul(c.bt1, c.sd)
-		c.bt2.SetInt64(x.Den())
-		c.sn.Mul(c.sn, c.bt2)
+		if xd := x[j].Denom(); !xd.IsInt64() || xd.Int64() != 1 {
+			c.sn.Mul(c.sn, xd)
+			c.sd.Mul(c.sd, xd)
+		}
 		c.sn.Add(c.sn, c.bt1)
-		c.sd.Mul(c.sd, c.bt2)
 	}
-	// sn/(sd·Den) vs rhsN/rhsD  ⇔  sn·rhsD vs rhsN·sd·Den (denominators
-	// positive throughout).
-	c.bt1.SetInt64(ir.coeffs.Den)
-	c.bt1.Mul(c.bt1, c.sd)
-	c.bt2.SetInt64(ir.rhs.Num())
-	c.bt1.Mul(c.bt1, c.bt2)
-	c.bt2.SetInt64(ir.rhs.Den())
-	c.bt2.Mul(c.bt2, c.sn)
-	return c.bt2.Cmp(c.bt1)
+	// sn/sd vs b  ⇔  sn vs b·sd (sd > 0).
+	c.bt1.Mul(ir.elem(n, c.bt2), c.sd)
+	return c.sn.Cmp(c.bt1)
 }
 
-// bigDot computes coeffs·x into the retained scratch and returns it.
-func (c *Certifier) bigDot(coeffs, x exact.Vec) *big.Rat {
-	if c.bsum == nil {
-		c.bsum = new(big.Rat)
-		c.bt = new(big.Rat)
+// relHolds reports whether cmp (the sign of lhs − rhs) satisfies rel.
+func relHolds(rel Rel, cmp int) bool {
+	switch rel {
+	case LE:
+		return cmp <= 0
+	case GE:
+		return cmp >= 0
 	}
-	c.bsum.SetInt64(0)
-	for i := range coeffs {
-		if coeffs[i].Sign() == 0 || x[i].Sign() == 0 {
-			continue
-		}
-		c.bt.Mul(coeffs[i], x[i])
-		c.bsum.Add(c.bsum, c.bt)
-	}
-	return c.bsum
+	return cmp == 0
 }
 
 // checkPointKernel checks the rounded candidate xs against p: int64 dot
-// products on the intForm rows, with a per-row big.Rat fallback (retained
-// scratch, identical exact values) for rows too wide for the kernel.
+// products on the integer rows, with the gcd-free big.Int comparison for
+// rows whose accumulator overflows or that are too wide for int64.
 func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 	for j := range xs {
 		if (p.Free == nil || !p.Free[j]) && xs[j].Sign() < 0 {
@@ -184,36 +181,56 @@ func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 	var bx exact.Vec
 	for i := range p.Constraints {
 		ir := &iform.rows[i]
-		var cmp int
-		switch {
-		case ir.ok:
-			if dot, ok := ir.coeffs.DotRat64s(xs); ok {
-				cmp = dot.Cmp(ir.rhs)
-			} else {
-				// int64 row, overflowing accumulator: gcd-free big.Int
-				// comparison in retained scratch.
-				c.lastKernel = false
-				cmp = c.rowCmpBig(ir, xs)
+		cmp, ok := 0, false
+		if ir.wide == nil {
+			n := len(ir.a) - 1
+			if dot, fits := (exact.Vec64{Num: ir.a[:n], Den: 1}).DotRat64s(xs); fits {
+				cmp, ok = dot.Cmp(exact.Rat64FromInt64(ir.a[n])), true
 			}
-		default:
+		}
+		if !ok {
 			if bx == nil {
 				bx = c.materializeBigX(xs)
 			}
 			c.lastKernel = false
-			con := &p.Constraints[i]
-			cmp = c.bigDot(con.Coeffs, bx).Cmp(con.RHS)
+			cmp = c.rowCmpBig(ir, bx)
 		}
+		if !relHolds(p.Constraints[i].Rel, cmp) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPointRat checks a candidate of reduced big rationals against p by
+// the gcd-free row comparison alone.
+func (c *Certifier) checkPointRat(p *Problem, x exact.Vec) bool {
+	for j, v := range x {
+		if (p.Free == nil || !p.Free[j]) && v.Sign() < 0 {
+			return false
+		}
+	}
+	iform := p.intForm()
+	for i := range p.Constraints {
+		if !relHolds(p.Constraints[i].Rel, c.rowCmpBig(&iform.rows[i], x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// farkasSigns reports whether every multiplier's sign is admissible for
+// its row: qᵢ ≤ 0 on ≤ rows, qᵢ ≥ 0 on ≥ rows (= rows unrestricted).
+func farkasSigns(p *Problem, sign func(i int) int) bool {
+	for i := range p.Constraints {
+		s := sign(i)
 		switch p.Constraints[i].Rel {
 		case LE:
-			if cmp > 0 {
+			if s > 0 {
 				return false
 			}
 		case GE:
-			if cmp < 0 {
-				return false
-			}
-		case EQ:
-			if cmp != 0 {
+			if s < 0 {
 				return false
 			}
 		}
@@ -221,82 +238,97 @@ func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 	return true
 }
 
-// kernelCheckFarkas checks the rounded multipliers rq against p on the
-// int64 kernel; decided=false sends the caller to the big.Rat path.
-func (c *Certifier) kernelCheckFarkas(p *Problem, rq []exact.Rat64) (verdict, decided bool) {
-	if len(rq) != len(p.Constraints) || len(rq) == 0 {
+// kernelCheckFarkas checks multipliers on the integer rows — us[i]
+// multiplies the primitive row a, not the constraint — on the int64
+// kernel; decided=false sends the caller to the gcd-free check.
+func (c *Certifier) kernelCheckFarkas(p *Problem, us []exact.Rat64) (verdict, decided bool) {
+	if len(us) != len(p.Constraints) || len(us) == 0 {
 		return false, true
 	}
-	for i := range p.Constraints {
-		s := rq[i].Sign()
-		switch p.Constraints[i].Rel {
-		case LE:
-			if s > 0 {
-				return false, true
-			}
-		case GE:
-			if s < 0 {
-				return false, true
-			}
-		}
+	if !farkasSigns(p, func(i int) int { return us[i].Sign() }) {
+		return false, true
 	}
 	iform := p.intForm()
 	d := c.accum(p.NumVars)
 	rhs := exact.Rat64FromInt64(0)
-	for i := range p.Constraints {
-		if rq[i].Sign() == 0 {
+	for i, u := range us {
+		if u.Sign() == 0 {
 			continue
 		}
 		ir := &iform.rows[i]
-		if !ir.ok {
+		if ir.wide != nil {
 			return false, false
 		}
-		qd, ok := rq[i].Quo(exact.Rat64FromInt64(ir.coeffs.Den))
-		if !ok {
-			return false, false
-		}
-		for j, num := range ir.coeffs.Num {
-			if num == 0 {
+		n := len(ir.a) - 1
+		for j, a := range ir.a[:n] {
+			if a == 0 {
 				continue
 			}
-			t, ok := qd.MulInt(num)
+			t, ok := u.MulInt(a)
 			if !ok {
 				return false, false
 			}
-			d[j], ok = d[j].Add(t)
-			if !ok {
+			if d[j], ok = d[j].Add(t); !ok {
 				return false, false
 			}
 		}
-		t, ok := rq[i].Mul(ir.rhs)
+		t, ok := u.MulInt(ir.a[n])
 		if !ok {
 			return false, false
 		}
-		rhs, ok = rhs.Add(t)
-		if !ok {
+		if rhs, ok = rhs.Add(t); !ok {
 			return false, false
 		}
 	}
 	if rhs.Sign() <= 0 {
 		return false, true
 	}
-	for j := range d {
+	return farkasCombination(p, func(j int) int { return d[j].Sign() }), true
+}
+
+// farkasCombination reports whether the combination d = Σᵢ qᵢ·aᵢ has
+// dⱼ ≤ 0 for every non-free variable and dⱼ = 0 for every free one.
+func farkasCombination(p *Problem, sign func(j int) int) bool {
+	for j := 0; j < p.NumVars; j++ {
+		s := sign(j)
 		if p.Free != nil && p.Free[j] {
-			if d[j].Sign() != 0 {
-				return false, true
+			if s != 0 {
+				return false
 			}
-		} else if d[j].Sign() > 0 {
-			return false, true
+		} else if s > 0 {
+			return false
 		}
 	}
-	return true, true
+	return true
+}
+
+// rowMultipliers converts multipliers of the constraints (rq) into
+// multipliers of their integer rows in place: uᵢ = rqᵢ·scaleᵢ. ok=false
+// on overflow or a wide row with a non-zero multiplier.
+func rowMultipliers(p *Problem, rq []exact.Rat64) bool {
+	iform := p.intForm()
+	for i := range rq {
+		if rq[i].Sign() == 0 {
+			continue
+		}
+		ir := &iform.rows[i]
+		if ir.wide != nil {
+			return false
+		}
+		u, ok := rq[i].Mul(ir.scale)
+		if !ok {
+			return false
+		}
+		rq[i] = u
+	}
+	return true
 }
 
 // CheckPoint reports whether x is an exact feasibility witness for p: it
 // has length p.NumVars, respects the non-negativity of every non-free
 // variable, and satisfies every constraint exactly. Dot products only; p
 // is not mutated. Runs on the int64 kernel when x and the constraint rows
-// fit, with a bit-identical big.Rat fallback otherwise.
+// fit, with the gcd-free big-number comparison otherwise.
 func CheckPoint(p *Problem, x exact.Vec) bool {
 	if len(x) != p.NumVars {
 		return false
@@ -306,39 +338,11 @@ func CheckPoint(p *Problem, x exact.Vec) bool {
 	for j, v := range x {
 		r, ok := exact.Rat64FromRat(v)
 		if !ok {
-			return checkPointBig(p, x)
+			return c.checkPointRat(p, x)
 		}
 		xs[j] = r
 	}
 	return c.checkPointKernel(p, xs)
-}
-
-// checkPointBig is the big.Rat reference implementation of CheckPoint.
-func checkPointBig(p *Problem, x exact.Vec) bool {
-	for j, v := range x {
-		if (p.Free == nil || !p.Free[j]) && v.Sign() < 0 {
-			return false
-		}
-	}
-	for i := range p.Constraints {
-		con := &p.Constraints[i]
-		dot := con.Coeffs.Dot(x)
-		switch con.Rel {
-		case LE:
-			if dot.Cmp(con.RHS) > 0 {
-				return false
-			}
-		case GE:
-			if dot.Cmp(con.RHS) < 0 {
-				return false
-			}
-		case EQ:
-			if dot.Cmp(con.RHS) != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CheckFarkas reports whether ray (one multiplier qᵢ per constraint) is an
@@ -351,73 +355,26 @@ func checkPointBig(p *Problem, x exact.Vec) bool {
 // Multiplying each constraint by its qᵢ and summing shows d·x ≥ Σ qᵢbᵢ > 0
 // for any x in p's feasible set, while the sign conditions force d·x ≤ 0 —
 // a contradiction, so no feasible x exists. Runs on the int64 kernel when
-// everything fits, with a bit-identical big.Rat fallback.
+// everything fits, with the gcd-free big-number check otherwise.
 func CheckFarkas(p *Problem, ray exact.Vec) bool {
 	if len(ray) != len(p.Constraints) || len(ray) == 0 {
 		return false
 	}
 	var c Certifier
 	rq := c.scratch(len(ray))
-	fits := true
 	for i, v := range ray {
 		r, ok := exact.Rat64FromRat(v)
 		if !ok {
-			fits = false
-			break
+			return c.checkFarkasRat(p, ray)
 		}
 		rq[i] = r
 	}
-	if fits {
+	if rowMultipliers(p, rq) {
 		if verdict, decided := c.kernelCheckFarkas(p, rq); decided {
 			return verdict
 		}
 	}
-	return checkFarkasBig(p, ray)
-}
-
-// checkFarkasBig is the big.Rat reference implementation of CheckFarkas.
-func checkFarkasBig(p *Problem, ray exact.Vec) bool {
-	if len(ray) != len(p.Constraints) || len(ray) == 0 {
-		return false
-	}
-	for i := range p.Constraints {
-		s := ray[i].Sign()
-		switch p.Constraints[i].Rel {
-		case LE:
-			if s > 0 {
-				return false
-			}
-		case GE:
-			if s < 0 {
-				return false
-			}
-		}
-	}
-	d := exact.NewVec(p.NumVars)
-	rhs := new(big.Rat)
-	t := new(big.Rat)
-	for i := range p.Constraints {
-		if ray[i].Sign() == 0 {
-			continue
-		}
-		con := &p.Constraints[i]
-		d.AddScaled(ray[i], con.Coeffs)
-		t.Mul(ray[i], con.RHS)
-		rhs.Add(rhs, t)
-	}
-	if rhs.Sign() <= 0 {
-		return false
-	}
-	for j, v := range d {
-		if p.Free != nil && p.Free[j] {
-			if v.Sign() != 0 {
-				return false
-			}
-		} else if v.Sign() > 0 {
-			return false
-		}
-	}
-	return true
+	return c.checkFarkasRat(p, ray)
 }
 
 // CertifyPoint rounds a float64 candidate point onto nearby rationals and
@@ -430,42 +387,52 @@ func (c *Certifier) CertifyPoint(p *Problem, x []float64) bool {
 		return false
 	}
 	xs := c.scratch(len(x))
-	fits := true
 	for j, v := range x {
-		if v < 0 && (p.Free == nil || !p.Free[j]) {
-			// Float vertices sit on x ≥ 0 bounds up to round-off; a tiny
-			// negative is the solver's zero.
-			v = 0
-		}
+		v = pointCoord(p, j, v)
 		r, ok := exact.SimplestRat64Within(v, pointRoundTol*(1+math.Abs(v)))
 		if !ok {
-			fits = false
-			break
+			return c.certifyPointBig(p, x, j)
 		}
 		xs[j] = r
 	}
-	if fits {
-		c.lastKernel = true // checkPointKernel clears it on a row fallback
-		return c.checkPointKernel(p, xs)
-	}
-	return certifyPointBig(p, x)
+	c.lastKernel = true // checkPointKernel clears it on a row fallback
+	return c.checkPointKernel(p, xs)
 }
 
-// certifyPointBig is the big.Rat path: identical rounding (the int64
-// rounding is a verified twin of SimplestRatWithin) and reference checks.
-func certifyPointBig(p *Problem, x []float64) bool {
-	rx := make(exact.Vec, len(x))
-	for j, v := range x {
-		if v < 0 && (p.Free == nil || !p.Free[j]) {
-			v = 0
+// pointCoord is the candidate coordinate the rounding starts from: float
+// vertices sit on x ≥ 0 bounds up to round-off, so a tiny negative on a
+// non-free variable is the solver's zero.
+func pointCoord(p *Problem, j int, v float64) float64 {
+	if v < 0 && (p.Free == nil || !p.Free[j]) {
+		return 0
+	}
+	return v
+}
+
+// certifyPointBig finishes CertifyPoint once coordinate from failed the
+// int64 rounding: coordinates before it keep their int64 roundings, the
+// rest round through SimplestRatWithin (the int64 rounding is its
+// verified twin, so the point is identical), and every row is checked by
+// the gcd-free comparison.
+func (c *Certifier) certifyPointBig(p *Problem, x []float64, from int) bool {
+	bx := c.bigVec(len(x))
+	for j := range x {
+		if j < from {
+			c.xs[j].RatInto(bx[j])
+			continue
+		}
+		v := pointCoord(p, j, x[j])
+		if r, ok := exact.SimplestRat64Within(v, pointRoundTol*(1+math.Abs(v))); ok {
+			r.RatInto(bx[j])
+			continue
 		}
 		r, err := exact.SimplestRatWithin(v, pointRoundTol*(1+math.Abs(v)))
 		if err != nil {
 			return false
 		}
-		rx[j] = r
+		bx[j].Set(r)
 	}
-	return checkPointBig(p, rx)
+	return c.checkPointRat(p, bx)
 }
 
 // CertifyFarkas normalises and rounds a float64 Farkas ray, then checks it
@@ -487,24 +454,26 @@ func (c *Certifier) CertifyFarkas(p *Problem, ray []float64) bool {
 		return false
 	}
 	rq := c.scratch(len(ray))
-	fits := true
 	for i, q := range ray {
 		q = snapFarkasEntry(p, i, q/scale)
 		r, ok := exact.SimplestRat64Within(q, farkasRoundTol*(1+math.Abs(q)))
 		if !ok {
-			fits = false
-			break
+			return c.certifyFarkasBig(p, ray, scale)
 		}
 		rq[i] = r
 	}
-	if fits {
-		if verdict, decided := c.kernelCheckFarkas(p, rq); decided {
+	if cap(c.us) < len(rq) {
+		c.us = make([]exact.Rat64, len(rq))
+	}
+	us := c.us[:len(rq)]
+	copy(us, rq)
+	if rowMultipliers(p, us) {
+		if verdict, decided := c.kernelCheckFarkas(p, us); decided {
 			c.lastKernel = true
 			return verdict
 		}
-		return c.checkFarkasRat(p, c.materializeBigX(rq))
 	}
-	return c.certifyFarkasBig(p, ray, scale)
+	return c.checkFarkasRat(p, c.materializeBigX(rq))
 }
 
 // snapFarkasEntry applies the float-noise snapping shared by both paths.
@@ -540,12 +509,12 @@ func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) b
 }
 
 // CertifyPoints certifies a batch of candidate feasible points against p
-// in order, sharing the certifier's rounding scratch and p's cached
-// kernel snapshot across the whole batch, and returns the index of the
+// in order, sharing the certifier's rounding scratch and p's integer
+// form across the whole batch, and returns the index of the
 // first candidate that verifies exactly, or −1 when none does. A
 // warm-started walk yields several nearby candidates per basis (the
 // previous region's witness often still lies inside the next region's
-// box); batching the checks runs the snapshot lookup and scratch sizing
+// box); batching the checks runs the integer-form lookup and scratch sizing
 // once instead of per candidate and stops at the first success.
 func (c *Certifier) CertifyPoints(p *Problem, xs [][]float64) int {
 	for i, x := range xs {

@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -160,5 +161,55 @@ func TestCertifyFarkasRoundsFloatNoise(t *testing.T) {
 	feasible := boxProblem()
 	if CertifyFarkas(feasible, []float64{-1, 1, -0.5, 0.5}) {
 		t.Error("ray certified against a feasible problem")
+	}
+}
+
+// TestCheckPointRatMatchesBig pins the gcd-free point comparison (the
+// path of points whose rounding leaves int64, and of rows whose int64 dot
+// overflows) against the big.Rat reference, on integer-native and
+// rational problems, with coordinates on and off the int64 range.
+func TestCheckPointRatMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	huge := new(big.Int).Lsh(big.NewInt(1), 70)
+	coord := func() *big.Rat {
+		switch rng.Intn(4) {
+		case 0:
+			return new(big.Rat)
+		case 1:
+			return new(big.Rat).SetFrac(big.NewInt(rng.Int63n(7)+1), huge)
+		}
+		return big.NewRat(rng.Int63n(400)-20, rng.Int63n(1<<uint(rng.Intn(40)))+1)
+	}
+	var c Certifier
+	feasible := 0
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(4)
+		p := NewProblem(n)
+		for i := 0; i < 1+rng.Intn(5); i++ {
+			row := make([]float64, n)
+			for j := range row {
+				row[j] = math.Ldexp(float64(rng.Intn(41)-20), rng.Intn(12)-8)
+			}
+			if err := p.AddFloatRow(Rel(rng.Intn(2)), row, math.Ldexp(float64(rng.Intn(801)-100), -rng.Intn(9))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x := make(exact.Vec, n)
+		for j := range x {
+			x[j] = coord()
+		}
+		want := checkPointBig(p, x)
+		if got := c.checkPointRat(p, x); got != want {
+			t.Fatalf("trial %d: gcd-free check %v, big.Rat reference %v", trial, got, want)
+		}
+		if got := CheckPoint(p, x); got != want {
+			t.Fatalf("trial %d: CheckPoint %v, big.Rat reference %v", trial, got, want)
+		}
+		if want {
+			feasible++
+		}
+	}
+	if feasible < 20 {
+		t.Fatalf("only %d feasible points: coverage too thin", feasible)
 	}
 }

@@ -22,12 +22,13 @@ package simplex
 // Entries are adaptive integers: overflow-checked int64 words (math/bits)
 // that promote, per element, to a retained *big.Int on the first operation
 // whose exact result leaves the int64 range, and demote as soon as a
-// result fits again. Rows are materialised from the Problem's cached
-// Vec64/Rat64 snapshot (intForm); constraint rows are pre-scaled to
-// integers, which is an equivalence transformation (row scaling by the
-// positive common denominator), so the reduced-cost signs, ratio
-// comparisons and Bland pivot sequence — and therefore every verdict and
-// solution — are bit-identical to the big.Rat reference tableau.
+// result fits again. Rows are materialised from the Problem's integer form
+// (introw.go) as the constraint times the lcm of its denominators — the
+// primitive row times its scale's numerator — which is an equivalence
+// transformation (row scaling by a positive constant), so the reduced-cost
+// signs, ratio comparisons and Bland pivot sequence — and therefore every
+// verdict and solution — are bit-identical to the big.Rat reference
+// tableau.
 // Workspace.ForceBigRat routes a solve through that reference instead; the
 // differential tests pin the two paths against each other.
 
@@ -75,63 +76,6 @@ func (e *ient) view(tmp *big.Int) *big.Int {
 // rat writes e's value divided by delta into dst (reduced by SetFrac).
 func (e *ient) rat(dst *big.Rat, delta *ient, t1, t2 *big.Int) *big.Rat {
 	return dst.SetFrac(e.view(t1), delta.view(t2))
-}
-
-// intRow is one LP constraint in kernel form: the coefficient vector with a
-// common denominator, plus the right-hand side. ok=false keeps the big.Rat
-// row authoritative (a coefficient or the RHS did not fit int64).
-type intRow struct {
-	coeffs exact.Vec64
-	rhs    exact.Rat64
-	ok     bool
-}
-
-// intForm is an immutable int64 snapshot of a Problem's constraint system,
-// cached on the Problem and invalidated by the mutation generation counter.
-// Solving never mutates a Problem, so concurrent solvers may share one
-// snapshot; rebuilding races are benign (last store wins, all stores agree).
-type intForm struct {
-	gen  uint64
-	rows []intRow
-}
-
-// intForm returns the problem's kernel snapshot, building it on first use
-// after each mutation.
-func (p *Problem) intForm() *intForm {
-	if f := p.iform.Load(); f != nil && f.gen == p.gen {
-		return f
-	}
-	f := &intForm{gen: p.gen, rows: make([]intRow, len(p.Constraints))}
-	for i := range p.Constraints {
-		con := &p.Constraints[i]
-		v, ok := exact.Vec64FromVec(con.Coeffs)
-		if !ok {
-			continue
-		}
-		rhs, ok := exact.Rat64FromRat(con.RHS)
-		if !ok {
-			continue
-		}
-		f.rows[i] = intRow{coeffs: v, rhs: rhs, ok: true}
-	}
-	p.iform.Store(f)
-	return f
-}
-
-// Invalidate marks the problem's cached kernel snapshot stale. Reset,
-// GrowConstraint and AddConstraint call it automatically; callers that
-// mutate Constraints or RHS storage directly must call it before the next
-// solve.
-func (p *Problem) Invalidate() { p.gen++ }
-
-// SnapshotRow returns the int64-kernel form of constraint i from the
-// problem's cached snapshot: the coefficient vector in common-denominator
-// form plus the right-hand side. ok is false when the row does not fit
-// int64 — callers fall back to the big.Rat Constraints[i]. The returned
-// vector shares the snapshot's storage; treat it as read-only.
-func (p *Problem) SnapshotRow(i int) (coeffs exact.Vec64, rhs exact.Rat64, ok bool) {
-	ir := &p.intForm().rows[i]
-	return ir.coeffs, ir.rhs, ir.ok
 }
 
 // ktab is the kernel tableau. Like the big.Rat tableau it lives inside a
@@ -273,8 +217,8 @@ func (w *Workspace) runKernel(p *Problem) Status {
 	for i := range p.Constraints {
 		con := &p.Constraints[i]
 		row := k.row(k.n)
-		if !k.fillRowFast(row, &k.b[i], &iform.rows[i], maps, p.NumVars) {
-			k.fillRowBig(row, &k.b[i], con, maps, p.NumVars)
+		if !k.fillRowFast(row, &k.b[i], &iform.rows[i], maps) {
+			k.fillRowBig(row, &k.b[i], &iform.rows[i], maps)
 		}
 		switch con.Rel {
 		case LE:
@@ -343,90 +287,59 @@ func (w *Workspace) runKernel(p *Problem) Status {
 	return Optimal
 }
 
-// fillRowFast materialises constraint row i from its intForm snapshot,
-// scaled to integers by the (positive) common denominator of the
-// coefficients and the right-hand side. Row scaling is an equivalence
-// transformation, so verdicts and pivot choices are unaffected. Returns
-// false when the row has no snapshot or the scaling overflows.
-func (k *ktab) fillRowFast(row []ient, rhs *ient, ir *intRow, maps []varMap, numVars int) bool {
-	if !ir.ok {
+// fillRowFast writes constraint row ir into the tableau as the primitive
+// row times its scale's numerator (the constraint times the lcm of its
+// denominators). It returns false, leaving the row to fillRowBig, when the
+// row is wide or a product overflows.
+func (k *ktab) fillRowFast(row []ient, rhs *ient, ir *intRow, maps []varMap) bool {
+	if ir.wide != nil {
 		return false
 	}
-	den := ir.coeffs.Den
-	rd := ir.rhs.Den()
-	g := int64(exact.GCD64(uint64(den), uint64(rd)))
-	scale, ok := exact.MulInt64(den, rd/g)
-	if !ok {
-		return false
-	}
-	cs := scale / den // coefficient multiplier
-	rs := scale / rd  // rhs multiplier
-	rv, ok := exact.MulInt64(ir.rhs.Num(), rs)
-	if !ok {
-		return false
-	}
-	for j := 0; j < numVars; j++ {
-		num := ir.coeffs.Num[j]
-		if num == 0 {
-			continue
-		}
-		v, ok := exact.MulInt64(num, cs)
-		if !ok {
-			// Roll back the entries already written.
-			for q := 0; q < j; q++ {
-				row[maps[q].pos].setInt(0)
-				if maps[q].neg >= 0 {
-					row[maps[q].neg].setInt(0)
-				}
-			}
-			return false
-		}
-		row[maps[j].pos].setInt(v)
-		if maps[j].neg >= 0 {
-			if v == math.MinInt64 {
-				for q := 0; q <= j; q++ {
-					row[maps[q].pos].setInt(0)
-					if maps[q].neg >= 0 {
-						row[maps[q].neg].setInt(0)
-					}
-				}
+	s := ir.scale.Num()
+	n := len(ir.a) - 1
+	if s != 1 {
+		for _, x := range ir.a {
+			if _, ok := exact.MulInt64(x, s); !ok {
 				return false
 			}
-			row[maps[j].neg].setInt(-v)
 		}
 	}
-	rhs.setInt(rv)
+	for j, x := range ir.a[:n] {
+		if x == 0 {
+			continue
+		}
+		x *= s // checked above; |x·s| < 2^63, so −x fits too
+		row[maps[j].pos].setInt(x)
+		if maps[j].neg >= 0 {
+			row[maps[j].neg].setInt(-x)
+		}
+	}
+	rhs.setInt(ir.a[n] * s)
 	return true
 }
 
 // fillRowBig is the arbitrary-precision fallback of fillRowFast.
-func (k *ktab) fillRowBig(row []ient, rhs *ient, con *Constraint, maps []varMap, numVars int) {
-	// scale = lcm of all denominators (coefficients and RHS).
-	scale := k.t1.Set(con.RHS.Denom())
-	g := k.t2
-	for j := 0; j < numVars; j++ {
-		d := con.Coeffs[j].Denom()
-		g.GCD(nil, nil, scale, d)
-		scale.Div(scale, g)
-		scale.Mul(scale, d)
+func (k *ktab) fillRowBig(row []ient, rhs *ient, ir *intRow, maps []varMap) {
+	s := k.t2
+	if ir.wide != nil {
+		s.Set(ir.wide.scale.Num())
+	} else {
+		s.SetInt64(ir.scale.Num())
 	}
-	val := new(big.Int)
-	for j := 0; j < numVars; j++ {
-		c := con.Coeffs[j]
-		if c.Sign() == 0 {
+	val := k.t3
+	n := len(maps)
+	for j := 0; j < n; j++ {
+		val.Mul(ir.elem(j, k.t1), s)
+		if val.Sign() == 0 {
 			continue
 		}
-		val.Div(scale, c.Denom())
-		val.Mul(val, c.Num())
 		k.setBig(&row[maps[j].pos], val)
 		if maps[j].neg >= 0 {
 			val.Neg(val)
 			k.setBig(&row[maps[j].neg], val)
 		}
 	}
-	val.Div(scale, con.RHS.Denom())
-	val.Mul(val, con.RHS.Num())
-	k.setBig(rhs, val)
+	k.setBig(rhs, val.Mul(ir.elem(n, k.t1), s))
 }
 
 // fillCosts materialises the phase-2 cost row: the objective scaled to

@@ -12,6 +12,7 @@ package simplex
 import (
 	"fmt"
 	"math/big"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/exact"
@@ -57,8 +58,13 @@ type Constraint struct {
 
 // Problem is a linear program. Variables are non-negative unless marked
 // free. A nil Objective means a pure feasibility problem. A Problem must
-// not be copied after first use (it caches its int64-kernel snapshot in an
-// atomic pointer).
+// not be copied after first use (it caches its integer form in an atomic
+// pointer).
+//
+// Constraints always has one entry per row with its Rel. Its Coeffs and
+// RHS are authoritative for rows added by GrowConstraint/AddConstraint;
+// for rows added by AddFloatRow they are empty until RatConstraints fills
+// them in (see introw.go).
 type Problem struct {
 	NumVars     int
 	Sense       Sense
@@ -66,10 +72,18 @@ type Problem struct {
 	Constraints []Constraint
 	Free        []bool // optional; len NumVars if non-nil
 
-	// gen counts structural mutations; iform caches the int64-kernel
-	// snapshot of the constraint system, keyed by gen (see kernel.go).
+	// gen counts structural mutations; iform caches the integer form
+	// derived from rational rows, keyed by gen.
 	gen   uint64
 	iform atomic.Pointer[intForm]
+
+	// native marks integer-native rows (AddFloatRow), whose integer form
+	// own is authoritative; ratGen is the gen at which RatConstraints last
+	// filled in their rational view, under ratMu.
+	native bool
+	own    intForm
+	ratMu  sync.Mutex
+	ratGen uint64
 }
 
 // NewProblem returns an empty problem with n non-negative variables.
@@ -98,6 +112,9 @@ func (p *Problem) Reset(n int) {
 	p.Objective = nil
 	p.Free = nil
 	p.Constraints = p.Constraints[:0]
+	p.native = false
+	p.own.rows = p.own.rows[:0]
+	p.own.store = p.own.store[:0]
 	p.Invalidate()
 }
 
@@ -106,26 +123,17 @@ func (p *Problem) Reset(n int) {
 // fill in place. Unlike AddConstraint it reuses the storage of constraints
 // discarded by Reset, so repeated build/solve cycles are allocation-free.
 func (p *Problem) GrowConstraint(rel Rel) (coeffs exact.Vec, rhs *big.Rat) {
-	p.Invalidate()
-	if len(p.Constraints) < cap(p.Constraints) {
-		p.Constraints = p.Constraints[:len(p.Constraints)+1]
-	} else {
-		p.Constraints = append(p.Constraints, Constraint{})
+	if p.native {
+		panic("simplex: GrowConstraint on a problem with integer-native rows")
 	}
-	c := &p.Constraints[len(p.Constraints)-1]
-	c.Rel = rel
+	p.Invalidate()
+	c := p.growRel(rel)
 	if c.RHS == nil {
 		c.RHS = new(big.Rat)
 	} else {
 		c.RHS.SetInt64(0)
 	}
-	for len(c.Coeffs) < p.NumVars {
-		c.Coeffs = append(c.Coeffs, new(big.Rat))
-	}
-	c.Coeffs = c.Coeffs[:p.NumVars]
-	for i := range c.Coeffs {
-		c.Coeffs[i].SetInt64(0)
-	}
+	c.Coeffs = zeroVec(c.Coeffs, p.NumVars)
 	return c.Coeffs, c.RHS
 }
 
@@ -367,8 +375,9 @@ func (w *Workspace) layout(p *Problem) layout {
 		}
 	}
 	nArt := 0
+	iform := p.intForm()
 	for i, con := range p.Constraints {
-		negated := con.RHS.Sign() < 0
+		negated := iform.rows[i].rhsSign() < 0
 		if (con.Rel == LE && !negated) || (con.Rel == GE && negated) {
 			artCol[i] = -1
 		} else {
@@ -428,7 +437,7 @@ func (w *Workspace) runBig(p *Problem) Status {
 	t.basis = w.basis[:m]
 	negOne := ratNegOne
 
-	for i, con := range p.Constraints {
+	for i, con := range p.RatConstraints() {
 		row := w.vec(t.n)
 		for j := 0; j < p.NumVars; j++ {
 			if con.Coeffs[j].Sign() == 0 {

@@ -207,17 +207,12 @@ func (w *WarmSolver) canonRows(p *Problem) (rows []wcons, supported bool) {
 			w.in = rows
 			return nil, false
 		}
-		v, rhs, ok := p.SnapshotRow(i)
+		a, _, ok := p.IntRow(i)
 		if !ok {
 			w.in = rows
 			return nil, false
 		}
-		wc, ok := w.canonRow(v, rhs, rel == GE)
-		if !ok {
-			w.in = rows
-			return nil, false
-		}
-		rows = append(rows, wc)
+		rows = append(rows, w.canonRow(a, rel == GE))
 	}
 	w.in = rows
 	return rows, true
@@ -240,54 +235,45 @@ func (w *WarmSolver) primRow(n int) []int64 {
 	return r
 }
 
-// canonRow canonicalises one ≤/≥ row given its int64 snapshot. flip
-// negates the row (GE → LE). The prim slice is pool-backed: valid until
-// the next Feasible call, copied on retention.
-func (w *WarmSolver) canonRow(v exact.Vec64, rhs exact.Rat64, flip bool) (wcons, bool) {
-	prim := w.primRow(len(v.Num))
+// canonRow canonicalises one ≤/≥ row given its primitive integer form a
+// (coefficients, then the right-hand side). flip negates the row (GE →
+// LE). The prim slice is pool-backed: valid until the next Feasible call,
+// copied on retention.
+func (w *WarmSolver) canonRow(a []int64, flip bool) wcons {
+	n := len(a) - 1
+	prim := w.primRow(n)
 	var g uint64
-	for _, x := range v.Num {
+	for _, x := range a[:n] {
 		if x != 0 {
 			g = exact.GCD64(g, exact.AbsU64(x))
 		}
 	}
+	b := a[n]
+	if flip {
+		b = -b // integer-form entries are never MinInt64
+	}
 	if g == 0 {
 		// Zero row: 0 ≤ rhs (after normalisation) — keep only the sign.
-		for j := range prim {
-			prim[j] = 0
+		clear(prim)
+		s := int64(0)
+		switch {
+		case b > 0:
+			s = 1
+		case b < 0:
+			s = -1
 		}
-		s := int64(rhs.Sign())
-		if flip {
-			s = -s
-		}
-		return wcons{prim: prim, hash: hashPrim(prim), rn: s, rd: 1, scale: 1, bInt: s}, true
+		return wcons{prim: prim, hash: hashPrim(prim), rn: s, rd: 1, scale: 1, bInt: s}
 	}
 	gi := int64(g)
-	for j, x := range v.Num {
+	for j, x := range a[:n] {
 		q := x / gi
 		if flip {
-			if q == math.MinInt64 {
-				return wcons{}, false
-			}
 			q = -q
 		}
 		prim[j] = q
 	}
-	// prim·x ≤ rhs·Den/g  (value rhs is rhs.Num()/rhs.Den()).
-	rn, ok := exact.MulInt64(rhs.Num(), v.Den)
-	if !ok {
-		return wcons{}, false
-	}
-	rd, ok := exact.MulInt64(rhs.Den(), gi)
-	if !ok {
-		return wcons{}, false
-	}
-	if flip {
-		if rn == math.MinInt64 {
-			return wcons{}, false
-		}
-		rn = -rn
-	}
+	// prim·x ≤ b/g, reduced.
+	rn, rd := b, gi
 	if rn == 0 {
 		rd = 1
 	} else {
@@ -295,7 +281,7 @@ func (w *WarmSolver) canonRow(v exact.Vec64, rhs exact.Rat64, flip bool) (wcons,
 		rn /= gg
 		rd /= gg
 	}
-	return wcons{prim: prim, hash: hashPrim(prim), rn: rn, rd: rd, scale: rd, bInt: rn}, true
+	return wcons{prim: prim, hash: hashPrim(prim), rn: rn, rd: rd, scale: rd, bInt: rn}
 }
 
 // hashPrim is FNV-1a over the row's int64 coefficients.

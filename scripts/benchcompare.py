@@ -4,6 +4,7 @@
 Usage:
     scripts/benchcompare.py OLD.json NEW.json [--guard PATTERN MAXRATIO]
                                               [--guard-ns PATTERN MAXRATIO]
+                                              [--max-allocs PATTERN MAX]
 
 Prints one line per benchmark present in either file with the % delta for
 ns/op and allocs/op (negative = improvement).
@@ -15,7 +16,9 @@ gates ns/op the same way (use it only for benchmarks whose wall time is
 dominated by work that cannot vanish into noise, like the warm-start path
 vs its cold baseline). Benchmarks present on only one side are reported
 but never fail either guard (they are additions or removals, not
-regressions).
+regressions). --max-allocs fails any benchmark in NEW matching PATTERN
+whose allocs/op exceeds the absolute bound MAX — the gate for paths whose
+baseline is (near) zero allocations, where a ratio cannot bite.
 """
 import json
 import re
@@ -49,6 +52,7 @@ def main():
     args = sys.argv[1:]
     guard_pat, guard_ratio, args = pop_guard(args, "--guard")
     ns_pat, ns_ratio, args = pop_guard(args, "--guard-ns")
+    max_pat, max_allocs, args = pop_guard(args, "--max-allocs")
     if len(args) != 2:
         sys.exit(__doc__)
     old, new = load(args[0]), load(args[1])
@@ -80,12 +84,22 @@ def main():
             and wns > ons * ns_ratio
         ):
             failures.append((n, "ns/op", ons, wns, ns_ratio))
+        if (
+            max_pat is not None
+            and max_pat.search(n)
+            and wal is not None
+            and wal > max_allocs
+        ):
+            failures.append((n, "allocs/op", oal, wal, None))
     if failures:
         print()
         for n, metric, oval, wval, ratio in failures:
+            if ratio is None:
+                budget = f"> {max_allocs:g} absolute bound"
+            else:
+                budget = f"> {ratio:g}x budget"
             print(
-                f"GUARD FAIL: {n} {metric} {oval} -> {wval} "
-                f"(> {ratio:g}x budget)",
+                f"GUARD FAIL: {n} {metric} {oval} -> {wval} ({budget})",
                 file=sys.stderr,
             )
         sys.exit(1)

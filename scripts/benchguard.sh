@@ -2,6 +2,8 @@
 # CI bench smoke + regression guard: runs the solver benchmarks briefly,
 # then fails against the committed BENCH_results.json baseline if
 #   - any exact-path benchmark's allocs/op regressed by more than 20%, or
+#   - a region-LP build + hash benchmark allocates more than 4 times per
+#     op, or
 #   - the warm-start / verdict-cache-hit benchmarks regressed ns/op or
 #     allocs/op by more than 20% (their wall time is the point of the
 #     warm tier, so it gates; the other benchmarks' ns/op deltas are
@@ -14,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility}"
+BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
 GUARDBENCH="${GUARDBENCH:-WalkWarmStart|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
@@ -46,6 +48,10 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # path of every journaled job (one frame per committed cell/node), so
 # allocation creep there multiplies across whole sweeps, while its wall
 # time on the in-memory fault fs just tracks memcpy throughput.
+# RegionLPHash (build + canonical hash of a fresh region LP) gates
+# allocs/op against an absolute bound of 4 per op: its baseline is zero,
+# where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
   --guard '/exact$|WalkWarmStart/warm$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend' 1.2 \
-  --guard-ns 'WalkWarmStart/warm$|VerdictCacheHit$' 1.2
+  --guard-ns 'WalkWarmStart/warm$|VerdictCacheHit$' 1.2 \
+  --max-allocs 'RegionLPHash/' 4
