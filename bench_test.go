@@ -6,7 +6,6 @@ package repro
 
 import (
 	"io"
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -282,132 +281,6 @@ func BenchmarkFeasibilityLP(b *testing.B) {
 			}
 		})
 	}
-}
-
-// driftObservation returns a copy of o with every sample shifted by the
-// same constant vector (frac of the mean, per coordinate, rounded to an
-// integer so counter samples stay integers and the LP bounds stay cheap
-// rationals). The shift leaves the sample covariance — and therefore the
-// confidence-region axes — bit-identical, so consecutive regions of a
-// drift sequence yield feasibility LPs sharing their coefficient rows
-// with drifting bounds: the workload the warm-start dual simplex
-// re-enters a cached basis for.
-func driftObservation(o *counters.Observation, frac float64) *counters.Observation {
-	mean := o.Mean()
-	out := counters.NewObservation(o.Label, o.Set)
-	for _, s := range o.Samples {
-		v := make([]float64, len(s))
-		for j := range s {
-			v[j] = s[j] + math.Round(frac*(1+mean[j]))
-		}
-		out.Append(v)
-	}
-	return out
-}
-
-// BenchmarkWalkWarmStart measures the walk steady state the warm-start
-// dual simplex targets: a sequence of confidence regions whose axes are
-// identical and whose bounds drift step to step (driftObservation), each
-// step needing one exact feasibility verdict on the full analysis set —
-// the same LP shape as Fig9a's Walk group. "cold" solves every step from
-// scratch on the exact workspace (the PR 5 walk baseline); "warm"
-// re-enters the previous step's optimal basis and repairs it with dual
-// pivots. Both arms rebuild the LP rows per step (bounds change);
-// verdicts are checked identical before timing.
-func BenchmarkWalkWarmStart(b *testing.B) {
-	// The same cumulative Walk-group counter set as Fig9a's Walk case, so
-	// "cold" here is directly comparable to Fig9aFeasibility/Walk/exact.
-	reg := counters.NewHaswellRegistry(false)
-	var acc []counters.Event
-	for _, g := range []counters.Group{counters.GroupRet, counters.GroupSTLB, counters.GroupWalk} {
-		acc = append(acc, reg.GroupEvents(g)...)
-	}
-	set := counters.NewSet(acc...)
-	m, err := haswell.BuildModel("bench", haswell.DiscoveredModelFeatures(), set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proj := benchObservation(b).Project(set)
-	const steps = 32
-	regions := make([]*stats.Region, steps)
-	for k := 0; k < steps; k++ {
-		r, err := stats.NewRegion(driftObservation(proj, 0.002*float64(k)), core.DefaultConfidence, stats.Correlated)
-		if err != nil {
-			b.Fatal(err)
-		}
-		regions[k] = r
-	}
-
-	// Untimed equivalence pass: the warm path must agree with the exact
-	// solver on every step of the drift sequence.
-	{
-		ws := simplex.NewWorkspace()
-		warm := simplex.NewWarmSolver()
-		p := simplex.NewProblem(0)
-		warmHits := 0
-		for _, r := range regions {
-			p.Reset(0)
-			if err := m.RegionLP(p, r); err != nil {
-				b.Fatal(err)
-			}
-			want := ws.SolveStatus(p) == simplex.Optimal
-			if got, ok := warm.Feasible(p); ok {
-				if got != want {
-					b.Fatalf("warm verdict %v, exact verdict %v — divergence", got, want)
-				}
-				if w, _ := warm.LastSolve(); w {
-					warmHits++
-				}
-			}
-		}
-		if warmHits == 0 {
-			b.Fatal("warm-start path never engaged on the drift sequence")
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		ws := simplex.NewWorkspace()
-		p := simplex.NewProblem(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := regions[i%steps]
-			p.Reset(0)
-			if err := m.RegionLP(p, r); err != nil {
-				b.Fatal(err)
-			}
-			_ = ws.SolveStatus(p) == simplex.Optimal
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		warm := simplex.NewWarmSolver()
-		p := simplex.NewProblem(0)
-		// Two untimed passes prime and then seed every structure in the
-		// drift cycle, so the timed loop is the steady state — pure basis
-		// re-entries — and ns/op and allocs/op do not depend on how many
-		// iterations the cold seeds amortise over.
-		for pass := 0; pass < 2; pass++ {
-			for _, r := range regions {
-				p.Reset(0)
-				if err := m.RegionLP(p, r); err != nil {
-					b.Fatal(err)
-				}
-				warm.Feasible(p)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := regions[i%steps]
-			p.Reset(0)
-			if err := m.RegionLP(p, r); err != nil {
-				b.Fatal(err)
-			}
-			if _, ok := warm.Feasible(p); !ok {
-				b.Fatal("warm solver declined a seeded structure")
-			}
-		}
-	})
 }
 
 func BenchmarkReplay(b *testing.B)    { benchExperiment(b, "replay") }

@@ -62,9 +62,9 @@
 //	                   loopback only — profiles expose internals)
 //
 // GET /stats reports the two-tier solver's telemetry (evaluations, float
-// filter hits, certification failures, exact fallbacks, warm-start dual
-// simplex counts and mean pivots, plus the int64 kernel's
-// fast-path/promotion counters and the certification arithmetic split),
+// filter hits, certification failures and exact fallbacks, plus the int64
+// kernel's fast-path/promotion counters and the certification arithmetic
+// split),
 // the engine's LP/verdict cache hit, miss and eviction counters, the
 // sweep planner's telemetry (cells/classes planned, classes evaluated,
 // evaluations_avoided ratio), and the stream tier's telemetry (lifecycle
@@ -135,6 +135,10 @@ func newHTTPServer(h http.Handler) *http.Server {
 // testListenerHook, when set (by tests), receives the bound listener
 // address before the server starts accepting.
 var testListenerHook func(net.Addr)
+
+// testAfterSweepCell, when set (by tests), becomes the job manager's
+// AfterSweepCell hook, so a test can hold a sweep at a known cell.
+var testAfterSweepCell func(index int)
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -217,9 +221,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	var jst *jobstore.Store
 	jopts := jobs.Options{
-		MaxConcurrent: *maxJobs,
-		MaxRetained:   *jobHistory,
-		RetainFor:     *jobTTL,
+		MaxConcurrent:  *maxJobs,
+		MaxRetained:    *jobHistory,
+		RetainFor:      *jobTTL,
+		AfterSweepCell: testAfterSweepCell,
 	}
 	if *jobDB != "" {
 		var err error

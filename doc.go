@@ -95,9 +95,8 @@
 //	curl -s -X DELETE localhost:8417/v1/streams/s000001
 //
 //	# telemetry: two-tier solver counters (float-filter hits,
-//	# certification failures, exact fallbacks), arithmetic-kernel and
-//	# warm-start counters, engine caches, sweep planning, stream
-//	# queues/latency
+//	# certification failures, exact fallbacks), arithmetic-kernel
+//	# counters, engine caches, sweep planning, stream queues/latency
 //	curl -s localhost:8417/stats
 //
 // Guided exploration runs as asynchronous jobs: submit a

@@ -166,70 +166,3 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 		t.Fatalf("basis certificates verified %d of %d infeasible claims", basisCertified, claims)
 	}
 }
-
-// TestWarmMatchesExactOnCatalogue sweeps the warm-start dual simplex over
-// the same Table 3/5/7 catalogue: every (model, observation) pair becomes
-// a three-step drift sequence (identical constraint rows, drifting
-// bounds — the workload warm starts exist for), solved by a fresh
-// WarmSolver alongside the exact workspace. The warm protocol seeds on
-// the second sighting of a structure, so step 0 primes, step 1 cold-seeds
-// and step 2 re-enters the cached basis with dual pivots. Zero divergence
-// is required on every verdict the warm solver offers, and the sweep must
-// actually exercise warm re-entries (not just declines).
-func TestWarmMatchesExactOnCatalogue(t *testing.T) {
-	models := append(haswell.Table3Models(), haswell.Table7Models()...)
-	if testing.Short() {
-		models = models[:4]
-	} else {
-		models = append(models, haswell.Table5Models()...)
-	}
-	set := haswell.AnalysisSet()
-	corpus := hybridCorpus(t)
-
-	ws := simplex.NewWorkspace()
-	var verdicts, warmSolves, coldSeeds, declines int
-	var pivots uint64
-	for _, nf := range models {
-		m, err := haswell.BuildModel(nf.Name, nf.Features, set)
-		if err != nil {
-			t.Fatalf("%s: %v", nf.Name, err)
-		}
-		for _, o := range corpus {
-			proj := o.Project(set)
-			warm := simplex.NewWarmSolver()
-			p := simplex.NewProblem(0)
-			for step, frac := range []float64{0, 0.001, 0.002} {
-				r, err := stats.NewRegion(driftObservation(proj, frac), core.DefaultConfidence, stats.Correlated)
-				if err != nil {
-					t.Fatalf("%s/%s step %d: %v", nf.Name, o.Label, step, err)
-				}
-				p.Reset(0)
-				if err := m.RegionLP(p, r); err != nil {
-					t.Fatalf("%s/%s step %d: %v", nf.Name, o.Label, step, err)
-				}
-				want := ws.SolveStatus(p) == simplex.Optimal
-				got, ok := warm.Feasible(p)
-				if !ok {
-					declines++
-					continue
-				}
-				verdicts++
-				if got != want {
-					t.Fatalf("%s/%s step %d: warm verdict %v, exact verdict %v — divergence",
-						nf.Name, o.Label, step, got, want)
-				}
-				if w, piv := warm.LastSolve(); w {
-					warmSolves++
-					pivots += piv
-				} else {
-					coldSeeds++
-				}
-			}
-		}
-	}
-	t.Logf("catalogue warm sweep: %d verdicts compared (%d warm re-entries, %d cold seeds, %d primer declines), 0 diverged; %d dual pivots total",
-		verdicts, warmSolves, coldSeeds, declines, pivots)
-	if warmSolves == 0 {
-		t.Fatal("warm-start path never re-entered a basis across the catalogue sweep")
-	}
-}

@@ -36,10 +36,6 @@ type SolverStats struct {
 	kernelPromotions     atomic.Uint64
 	certifyKernel        atomic.Uint64
 	certifyBigRat        atomic.Uint64
-
-	warmSolves     atomic.Uint64
-	warmDualPivots atomic.Uint64
-	coldSolves     atomic.Uint64
 }
 
 // SolverCounts is a point-in-time snapshot of SolverStats, shaped for JSON
@@ -80,23 +76,13 @@ type SolverCounts struct {
 	CertifyKernel uint64 `json:"certifications_int64"`
 	CertifyBigRat uint64 `json:"certifications_bigrat"`
 
-	// WarmSolves counts verdicts decided by the warm-start dual simplex
-	// re-entering a cached basis; WarmDualPivots totals the dual pivots
-	// those solves performed (mean pivots per warm start is the ratio).
-	// ColdSolves counts verdicts decided by a from-scratch exact solve —
-	// the exact-tier fallback or a warm-solver cold seed. The filter runs
-	// first, so both count only LPs it left undecided.
+	// WarmSolves and WarmDualPivots are always 0: the warm-start tier is
+	// gone. ColdSolves counts from-scratch exact solves and always equals
+	// ExactFallbacks. All three remain only for the bench module, which
+	// still reads them.
 	WarmSolves     uint64 `json:"warm_solves"`
 	WarmDualPivots uint64 `json:"warm_dual_pivots"`
 	ColdSolves     uint64 `json:"cold_solves"`
-}
-
-// MeanWarmPivots returns the mean dual pivots per warm-started solve.
-func (c SolverCounts) MeanWarmPivots() float64 {
-	if c.WarmSolves == 0 {
-		return 0
-	}
-	return float64(c.WarmDualPivots) / float64(c.WarmSolves)
 }
 
 // FilterHits is the number of evaluations the float tier settled.
@@ -104,7 +90,7 @@ func (c SolverCounts) FilterHits() uint64 { return c.FilterFeasible + c.FilterIn
 
 // Snapshot returns current counter values.
 func (s *SolverStats) Snapshot() SolverCounts {
-	return SolverCounts{
+	c := SolverCounts{
 		Evaluations:           s.evaluations.Load(),
 		FilterFeasible:        s.filterFeasible.Load(),
 		FilterInfeasible:      s.filterInfeasible.Load(),
@@ -116,10 +102,9 @@ func (s *SolverStats) Snapshot() SolverCounts {
 		KernelPromotions:      s.kernelPromotions.Load(),
 		CertifyKernel:         s.certifyKernel.Load(),
 		CertifyBigRat:         s.certifyBigRat.Load(),
-		WarmSolves:            s.warmSolves.Load(),
-		WarmDualPivots:        s.warmDualPivots.Load(),
-		ColdSolves:            s.coldSolves.Load(),
 	}
+	c.ColdSolves = c.ExactFallbacks
+	return c
 }
 
 // noteCertify records which arithmetic path a certificate check took.
@@ -164,13 +149,6 @@ type Solver struct {
 	// Cert holds the certificate checker's kernel scratch; nil allocates
 	// one on first use.
 	Cert *simplex.Certifier
-	// Warm, when non-nil, is tried after the float filter, on the LPs it
-	// left undecided: it re-enters the cached optimal basis of the
-	// previous structurally-overlapping undecided LP by dual simplex. The
-	// engine threads one per (worker, model); a declined attempt (first
-	// sighting, low overlap, unsupported shape) costs one
-	// canonicalization scan and falls through to the exact tier.
-	Warm *simplex.WarmSolver
 	// Stats, when non-nil, receives per-evaluation telemetry.
 	Stats *SolverStats
 }
@@ -194,7 +172,7 @@ func NewSolver(stats *SolverStats) *Solver {
 // wins ~1.5× at size 32 (Ret), ~2.4× at size 320 (L2TLB) and ~8.5× at
 // size 2420 (Walk), and only ties at size 8 (the 2-counter pde model;
 // BenchmarkTinyGate in this package re-measures the bottom end). Only
-// trivially small LPs skip the filter; they go to the warm tier first.
+// trivially small LPs skip the filter; they go straight to the exact tier.
 const filterMinSize = 16
 
 // exactWS returns the exact workspace, allocating one on first use.
@@ -215,8 +193,8 @@ func (s *Solver) certifier() *simplex.Certifier {
 
 // Feasible decides whether p is feasible. The float tier runs first (when
 // present and p is not below filterMinSize); its claim stands only if a
-// certificate verifies exactly. What it leaves undecided goes to the warm
-// tier (when present), then the exact simplex: always the exact answer.
+// certificate verifies exactly. What it leaves undecided goes to the exact
+// simplex: always the exact answer.
 func (s *Solver) Feasible(p *simplex.Problem) bool {
 	if s == nil {
 		return simplex.NewWorkspace().SolveStatus(p) == simplex.Optimal
@@ -229,23 +207,8 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 			return feasible
 		}
 	}
-	if s.Warm != nil {
-		if feasible, ok := s.Warm.Feasible(p); ok {
-			if s.Stats != nil {
-				warm, pivots := s.Warm.LastSolve()
-				if warm {
-					s.Stats.warmSolves.Add(1)
-					s.Stats.warmDualPivots.Add(pivots)
-				} else {
-					s.Stats.coldSolves.Add(1)
-				}
-			}
-			return feasible
-		}
-	}
 	if s.Stats != nil {
 		s.Stats.exactFallbacks.Add(1)
-		s.Stats.coldSolves.Add(1)
 	}
 	ws := s.exactWS()
 	feasible := ws.SolveStatus(p) == simplex.Optimal

@@ -76,8 +76,7 @@ func TestVerifyClaimBasisTier(t *testing.T) {
 // 21): three slab pairs aᵢ·x ∈ [cᵢ/2 − 4, cᵢ/2], cᵢ = 10(i+1) + k, over
 // x ≥ 0 under the fixed cap x₀ + x₁ ≤ 12, which the first slab crosses
 // once k > 22. Successive k share every coefficient row and move only the
-// bounds — the drift the warm-start dual simplex re-enters a cached basis
-// for.
+// bounds.
 func slabDriftLP(k int) *simplex.Problem {
 	p := simplex.NewProblem(3)
 	for i, a := range [][]int64{{1, 1, 0}, {0, 2, 1}, {1, 0, 3}} {
@@ -126,58 +125,37 @@ func pdeDriftLPs(t *testing.T, n int) []*simplex.Problem {
 	return lps
 }
 
-// TestFilterDecidesBeforeWarm pins the tier order of Solver.Feasible: the
-// float filter and its exact certificates run before the warm-start tier,
-// which only sees what the filter leaves undecided. A bound-drift sequence
-// the warm solver would seed on and re-enter never reaches it when the
-// filter certifies every step; a sub-gate sequence skips the filter and
-// still goes warm. Every verdict is the exact solver's.
-func TestFilterDecidesBeforeWarm(t *testing.T) {
+// TestTierOrder pins the tier order of Solver.Feasible: cache → filter +
+// certify → exact, with no tier in between. A bound-drift sequence above
+// the filter's size gate is certified by the filter and runs no exact
+// solve; a sub-gate drift sequence skips the filter and every step is a
+// from-scratch exact solve. Every verdict is the exact solver's.
+func TestTierOrder(t *testing.T) {
 	ref := simplex.NewWorkspace()
-	solve := func(t *testing.T, s *Solver, lps []*simplex.Problem) {
+	solve := func(t *testing.T, lps []*simplex.Problem) SolverCounts {
 		t.Helper()
+		s := NewSolver(&SolverStats{})
 		for k, p := range lps {
 			want := ref.SolveStatus(p) == simplex.Optimal
 			if got := s.Feasible(p); got != want {
 				t.Fatalf("step %d: verdict %v, exact solver says %v", k, got, want)
 			}
 		}
-	}
-	newSolver := func() *Solver {
-		return &Solver{
-			Exact:  simplex.NewWorkspace(),
-			Filter: floatlp.NewWorkspace(),
-			Cert:   simplex.NewCertifier(),
-			Warm:   simplex.NewWarmSolver(),
-			Stats:  &SolverStats{},
-		}
+		return s.Stats.Snapshot()
 	}
 
 	t.Run("filter certifies above the gate", func(t *testing.T) {
-		lps := []*simplex.Problem{slabDriftLP(0), slabDriftLP(1), slabDriftLP(40)}
-		s := newSolver()
-		solve(t, s, lps)
-		c := s.Stats.Snapshot()
-		if c.FilterFeasible != 2 || c.FilterInfeasible != 1 || c.WarmSolves != 0 || c.ColdSolves != 0 || c.ExactFallbacks != 0 {
-			t.Fatalf("filter-certified drift reached a later tier: %+v", c)
-		}
-		// The sequence is one the warm solver does re-enter on its own,
-		// so the zero counts above come from the order, not from the LPs.
-		w := simplex.NewWarmSolver()
-		for _, p := range lps {
-			w.Feasible(p)
-		}
-		if warm, _ := w.Totals(); warm == 0 {
-			t.Fatal("the drift sequence never re-enters a warm basis")
+		c := solve(t, []*simplex.Problem{slabDriftLP(0), slabDriftLP(1), slabDriftLP(40)})
+		if c.FilterFeasible != 2 || c.FilterInfeasible != 1 || c.ExactFallbacks != 0 || c.ColdSolves != 0 {
+			t.Fatalf("filter-certified drift reached the exact tier: %+v", c)
 		}
 	})
 
-	t.Run("sub-gate LP reaches the warm tier", func(t *testing.T) {
-		s := newSolver()
-		solve(t, s, pdeDriftLPs(t, 3))
-		c := s.Stats.Snapshot()
-		if c.FilterHits() != 0 || c.WarmSolves == 0 {
-			t.Fatalf("sub-gate drift: want no filter verdict and a warm solve, got %+v", c)
+	t.Run("sub-gate LP goes to the exact tier", func(t *testing.T) {
+		lps := pdeDriftLPs(t, 3)
+		c := solve(t, lps)
+		if c.FilterHits() != 0 || c.ExactFallbacks != uint64(len(lps)) || c.ColdSolves != c.ExactFallbacks || c.WarmSolves != 0 {
+			t.Fatalf("sub-gate drift: want %d exact solves and no other tier, got %+v", len(lps), c)
 		}
 	})
 }

@@ -44,7 +44,6 @@ func (r *recordChoices) Intn(n int) int {
 // do — at most 8 variables (some free) and 12 rows of slab pairs, single
 // LE/GE rows and EQ rows, with dyadic coefficients — and returns it with
 // two bound-drifted copies: every right-hand side moves by δ/4, then 2δ/4.
-// Three steps let a warm-start solver prime, seed, then re-enter a basis.
 func tierLPs(c chooser) []*simplex.Problem {
 	type row struct {
 		coeffs exact.Vec
@@ -97,7 +96,7 @@ func tierLPs(c chooser) []*simplex.Problem {
 
 // FuzzTierAgreement decodes a bounded LP and its bound-drifted copies and
 // decides each through every tier arrangement: the hybrid Solver (filter,
-// certificates and a warm-start solver carried across the steps), an
+// certificates and exact fallback, carried across the steps), an
 // exact-only Solver, the int64 kernel and the big.Rat reference tableau.
 // All four must agree, and every filter certificate that verifies exactly
 // must certify the reference verdict.
@@ -109,13 +108,7 @@ func FuzzTierAgreement(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzChoices(data)
-		hybrid := &Solver{
-			Exact:  simplex.NewWorkspace(),
-			Filter: floatlp.NewWorkspace(),
-			Cert:   simplex.NewCertifier(),
-			Warm:   simplex.NewWarmSolver(),
-			Stats:  &SolverStats{},
-		}
+		hybrid := NewSolver(&SolverStats{})
 		exactOnly := &Solver{Exact: simplex.NewWorkspace()}
 		kernel := simplex.NewWorkspace()
 		ref := &simplex.Workspace{ForceBigRat: true}

@@ -170,9 +170,9 @@ func BenchmarkSweepSession(b *testing.B) {
 //
 //   - fresh — every ingested observation is new content, the steady state
 //     of a live counter feed: an uncached confidence region, a fresh
-//     feasibility LP and a warm-started dual-simplex solve per ingest,
-//     with only the LP-hash memo insert and the verdict-cache probe
-//     shared;
+//     feasibility LP and an exact solve per ingest (the pde LP is below
+//     the float filter's size gate), with only the LP-hash memo insert
+//     and the verdict-cache probe shared;
 //   - warm — the same observation re-ingested, isolating the fixed
 //     per-ingest overhead (state fold, scratch reuse, memo and
 //     verdict-cache hits) with no LP built, hashed or solved in the
@@ -180,8 +180,8 @@ func BenchmarkSweepSession(b *testing.B) {
 func BenchmarkStreamIngest(b *testing.B) {
 	const chunk = 512
 	freshChunk := func(lap int) []*counters.Observation {
-		// Slow drift, like a real feed: each lap is new content, near
-		// enough to its neighbours that the warm-start path engages.
+		// Slow drift, like a real feed: each lap is new content, close to
+		// its neighbours.
 		return driftCorpus(pdeSet(), chunk, 60,
 			[]float64{500, 200}, []float64{0.25, 0.125}, int64(1000+lap))
 	}

@@ -14,8 +14,7 @@ import (
 // sample covariance — and therefore the region axes — are bit-identical
 // across the corpus while the region bounds drift. Consecutive
 // feasibility LPs then share their coefficient rows and differ only in
-// right-hand sides: exactly the workload the warm-start dual simplex
-// re-enters a cached basis for.
+// right-hand sides.
 func driftCorpus(set *counters.Set, n, samples int, base []float64, step []float64, seed int64) []*counters.Observation {
 	rng := rand.New(rand.NewSource(seed))
 	noise := make([][]float64, samples)
@@ -40,11 +39,12 @@ func driftCorpus(set *counters.Set, n, samples int, base []float64, step []float
 	return out
 }
 
-// TestWarmStartEquivalence drives a drifting-bounds corpus through a
+// TestDriftMatchesForceExact drives a drifting-bounds corpus through a
 // default session and a ForceExact (cold baseline) session on separate
-// engines: the warm-start path must actually fire and every verdict must
-// match the cold baseline bit-for-bit.
-func TestWarmStartEquivalence(t *testing.T) {
+// one-worker engines: every verdict must match the cold baseline
+// bit-for-bit, and the default session's sub-gate LPs must each be one
+// from-scratch exact solve.
+func TestDriftMatchesForceExact(t *testing.T) {
 	set := pdeSet()
 	corpus := driftCorpus(set, 24, 60, []float64{500, 200}, []float64{4, 2.5}, 17)
 
@@ -59,32 +59,28 @@ func TestWarmStartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One worker and batch = corpus so one scratch's warm solver sees the
-	// whole drift sequence in order.
-	warm := New(WithWorkers(1))
-	defer warm.Close()
-	wsess, err := warm.NewSession(pdeModel(t), Config{BatchSize: len(corpus)})
+	def := New(WithWorkers(1))
+	defer def.Close()
+	ds, err := def.NewSession(pdeModel(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := wsess.Evaluate(context.Background(), corpus)
+	res, err := ds.Evaluate(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if warmRes.Total != coldRes.Total {
-		t.Fatalf("totals diverge: %d vs %d", warmRes.Total, coldRes.Total)
+	if res.Total != coldRes.Total {
+		t.Fatalf("totals diverge: %d vs %d", res.Total, coldRes.Total)
 	}
 	for i := range coldRes.Verdicts {
-		if warmRes.Verdicts[i].Feasible != coldRes.Verdicts[i].Feasible {
-			t.Fatalf("verdict %d diverges: warm %v, cold %v",
-				i, warmRes.Verdicts[i].Feasible, coldRes.Verdicts[i].Feasible)
+		if res.Verdicts[i].Feasible != coldRes.Verdicts[i].Feasible {
+			t.Fatalf("verdict %d diverges: default %v, cold %v",
+				i, res.Verdicts[i].Feasible, coldRes.Verdicts[i].Feasible)
 		}
 	}
-	c := warm.SolverStats()
-	if c.WarmSolves == 0 {
-		t.Fatalf("warm-start dual simplex never fired on a drifting-bounds corpus: %+v", c)
+	c := def.SolverStats()
+	if c.ExactFallbacks != c.Evaluations || c.ColdSolves != c.ExactFallbacks || c.WarmSolves != 0 {
+		t.Fatalf("sub-gate drift: want every evaluation decided by one exact solve, got %+v", c)
 	}
-	t.Logf("warm solves: %d/%d, mean dual pivots per warm start: %.2f",
-		c.WarmSolves, c.Evaluations, c.MeanWarmPivots())
 }

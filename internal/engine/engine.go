@@ -93,35 +93,13 @@ type lpKey struct {
 }
 
 // evalScratch is the per-worker reusable state: the exact LP workspace,
-// the float-filter workspace of the two-tier solver, the certificate
-// checker's int64-kernel scratch, and the warm-start solvers keyed by
-// model. Pooled rather than per-worker so Session.Test (which runs
-// inline, off-pool) can borrow one too.
+// the float-filter workspace of the two-tier solver and the certificate
+// checker's int64-kernel scratch. Pooled rather than per-worker so
+// Session.Test (which runs inline, off-pool) can borrow one too.
 type evalScratch struct {
 	ws   *simplex.Workspace
 	fl   *floatlp.Workspace
 	cert *simplex.Certifier
-	warm map[*core.Model]*simplex.WarmSolver
-}
-
-// warmPerScratchLimit bounds the warm solvers one scratch retains; each
-// holds a live integer tableau, so a scratch that has served many models
-// sheds them all rather than growing without bound.
-const warmPerScratchLimit = 16
-
-// warmFor returns the scratch's warm-start solver for m, creating one on
-// first use. Basis reuse only pays within one model's stream of regions,
-// so solvers are per (scratch, model).
-func (sc *evalScratch) warmFor(m *core.Model) *simplex.WarmSolver {
-	if w, ok := sc.warm[m]; ok {
-		return w
-	}
-	if sc.warm == nil || len(sc.warm) >= warmPerScratchLimit {
-		sc.warm = make(map[*core.Model]*simplex.WarmSolver)
-	}
-	w := simplex.NewWarmSolver()
-	sc.warm[m] = w
-	return w
 }
 
 // Option configures an Engine.

@@ -16,13 +16,11 @@ import (
 // group emitting samples continuously, counterpointd's /v1/streams
 // ingest). Each Ingest evaluates exactly one observation — building its
 // confidence region through the engine's RegionBuilder and deciding its
-// LP on a dedicated scratch, where what the float filter leaves undecided
-// re-enters the warm-start basis left by an earlier observation — and
-// folds the verdict into a monotone stream state. The fold is
-// defined so that the state after N ingests is bit-identical to the
-// state derived from a cold batch Evaluate of the same N-observation
-// corpus (StateOf); the differential suite in incremental_diff_test.go
-// pins this at every prefix.
+// LP on a dedicated scratch — and folds the verdict into a monotone
+// stream state. The fold is defined so that the state after N ingests is
+// bit-identical to the state derived from a cold batch Evaluate of the
+// same N-observation corpus (StateOf); the differential suite in
+// incremental_diff_test.go pins this at every prefix.
 
 // ErrSessionClosed is returned by Ingest after Close.
 var ErrSessionClosed = errors.New("engine: incremental session closed")
@@ -108,11 +106,9 @@ type IngestResult struct {
 // so the dedicated scratch returns to the engine pool.
 //
 // Ingests are serialised (Ingest holds the session lock for the solve):
-// an incremental session models one ordered sample stream, and the
-// warm-start dual simplex, which decides the LPs the float filter leaves
-// undecided (in practice those below its size gate), only pays when
-// consecutive LPs arrive on the same scratch in order. Open one session
-// per stream; sessions are independent.
+// an incremental session models one ordered sample stream, and its
+// FirstRefuted is defined by arrival order. Open one session per stream;
+// sessions are independent.
 type IncrementalSession struct {
 	s *Session
 
@@ -125,10 +121,7 @@ type IncrementalSession struct {
 
 // Incremental opens an online-refutation session: a dedicated evaluation
 // scratch is checked out of the engine pool for the session's lifetime,
-// so every ingest the float filter leaves undecided re-enters the same
-// warm-start solver state (each new observation's feasibility LP is the
-// bound-drift / row-add case the dual simplex repairs in a handful of
-// pivots). Call Close when done.
+// so ingests pay no pool round trip. Call Close when done.
 func (s *Session) Incremental() *IncrementalSession {
 	return &IncrementalSession{
 		s:    s,

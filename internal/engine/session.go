@@ -28,12 +28,11 @@ type Config struct {
 	// model refuted at all?" queries (explore's pruning phase).
 	StopOnInfeasible bool
 	// ForceExact routes every verdict straight to the exact rational
-	// simplex, bypassing the float64 revised-simplex filter, the
-	// warm-start dual simplex and the content-addressed verdict cache.
-	// Verdicts are identical either way (every accelerated path is
-	// exactly verified or exactly equivalent); the knob exists for
-	// benchmarking the accelerated paths against the cold baseline and as
-	// an operational escape hatch.
+	// simplex, bypassing the float64 revised-simplex filter and the
+	// content-addressed verdict cache. Verdicts are identical either way
+	// (every filter claim is exactly certified and every cached verdict
+	// is an exact one); the knob exists for benchmarking the accelerated
+	// paths against the cold baseline and as an operational escape hatch.
 	ForceExact bool
 	// EphemeralObservations marks the session's observations as
 	// request-scoped data that will never be evaluated again: confidence
@@ -171,11 +170,11 @@ func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict,
 				return nil, err
 			}
 		}
-		// ForceExact is the cold baseline: no float filter, warm start or
-		// verdict cache, only a from-scratch exact solve.
+		// ForceExact is the cold baseline: no float filter or verdict
+		// cache, only a from-scratch exact solve.
 		sv := core.Solver{Exact: sc.ws, Cert: sc.cert, Stats: s.eng.solver}
 		if !s.cfg.ForceExact {
-			sv.Filter, sv.Warm = sc.fl, sc.warmFor(s.model)
+			sv.Filter = sc.fl
 		}
 		v, err = s.model.TestRegionLP(&sv, p, r, s.cfg.IdentifyViolations)
 		if err == nil && !s.cfg.ForceExact {

@@ -456,13 +456,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // feasibility LPs were decided, how many the float64 filter settled with a
 // verified certificate, how many fell back to the exact rational simplex
 // (the fallback rate is the service's honesty metric — it is reported,
-// never hidden), how many re-entered a warm-started dual-simplex basis,
-// and how the engine's content-addressed caches performed.
+// never hidden), and how the engine's content-addressed caches performed.
 type statsJSON struct {
 	core.SolverCounts
-	FilterHits     uint64             `json:"filter_hits"`
-	MeanWarmPivots float64            `json:"mean_warm_pivots"`
-	Caches         engine.CacheCounts `json:"caches"`
+	FilterHits uint64             `json:"filter_hits"`
+	Caches     engine.CacheCounts `json:"caches"`
 	// Sweep reports batched-sweep dedup: cells/classes planned, engine
 	// evaluations actually performed, and the evaluations-avoided ratio.
 	Sweep jobs.SweepCounts `json:"sweep"`
@@ -481,15 +479,14 @@ type statsJSON struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	counts := s.eng.SolverStats()
 	out := statsJSON{
-		SolverCounts:   counts,
-		FilterHits:     counts.FilterHits(),
-		MeanWarmPivots: counts.MeanWarmPivots(),
-		Caches:         s.eng.CacheStats(),
-		Sweep:          s.jobs.SweepStats(),
-		Streams:        s.streams.stats(),
-		Models:         s.reg.Len(),
-		Workers:        s.eng.Workers(),
-		Regions:        s.eng.Regions().Len(),
+		SolverCounts: counts,
+		FilterHits:   counts.FilterHits(),
+		Caches:       s.eng.CacheStats(),
+		Sweep:        s.jobs.SweepStats(),
+		Streams:      s.streams.stats(),
+		Models:       s.reg.Len(),
+		Workers:      s.eng.Workers(),
+		Regions:      s.eng.Regions().Len(),
 	}
 	if s.store != nil {
 		sc := s.store.Stats()

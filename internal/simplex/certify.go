@@ -511,11 +511,9 @@ func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) b
 // CertifyPoints certifies a batch of candidate feasible points against p
 // in order, sharing the certifier's rounding scratch and p's integer
 // form across the whole batch, and returns the index of the
-// first candidate that verifies exactly, or −1 when none does. A
-// warm-started walk yields several nearby candidates per basis (the
-// previous region's witness often still lies inside the next region's
-// box); batching the checks runs the integer-form lookup and scratch sizing
-// once instead of per candidate and stops at the first success.
+// first candidate that verifies exactly, or −1 when none does. Batching
+// the checks runs the integer-form lookup and scratch sizing once instead
+// of per candidate and stops at the first success.
 func (c *Certifier) CertifyPoints(p *Problem, xs [][]float64) int {
 	for i, x := range xs {
 		if c.CertifyPoint(p, x) {

@@ -3,9 +3,9 @@ package simplex
 // iarith is the shared arithmetic core of the fraction-free integer
 // tableaux: the common denominator Δ, the promotion counter, the big.Int
 // scratch registers and every elementary operation on adaptive ient
-// elements. Both the primal kernel tableau (ktab) and the warm-start dual
-// solver (WarmSolver) embed one, so the overflow-checked fast paths and
-// their exact-division asserts exist exactly once.
+// elements. Both the primal kernel tableau (ktab) and the certifier's
+// basis solve (basisSolve) embed one, so the overflow-checked fast paths
+// and their exact-division asserts exist exactly once.
 
 import (
 	"math"
@@ -155,27 +155,6 @@ func (k *iarith) divExact(x, d *big.Int) *big.Int {
 // quoExact sets dst = dst/d for a division known to be exact.
 func (k *iarith) quoExact(dst *ient, d *big.Int) {
 	k.setBig(dst, k.divExact(dst.view(k.t1), d))
-}
-
-// mulAcc adds x·y into the big.Int accumulator acc.
-func (k *iarith) mulAcc(acc *big.Int, x, y *ient) {
-	k.t1.Mul(x.view(k.t1), y.view(k.t2))
-	acc.Add(acc, k.t1)
-}
-
-// mulSetInt sets dst = x·m for an int64 multiplier.
-func (k *iarith) mulSetInt(dst, x *ient, m int64) {
-	if !x.wide {
-		if v, ok := exact.MulInt64(x.v, m); ok {
-			dst.v = v
-			dst.wide = false
-			return
-		}
-		k.promotions++
-	}
-	k.t1.SetInt64(m)
-	k.t1.Mul(x.view(k.t2), k.t1)
-	k.setBig(dst, k.t1)
 }
 
 // addMulInt adds x·m into dst for an int64 multiplier. dst may alias x.

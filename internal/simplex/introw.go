@@ -5,12 +5,12 @@ package simplex
 // Every consumer of a constraint row reads it in one shape: a primitive
 // integer row a = (a₁ … aₙ, b) — gcd 1 — and a positive rational scale s
 // with the constraint equal to (s·a₁ … s·aₙ)·x rel s·b. That covers the
-// kernel tableau, the certificate checkers, the warm solver, the float
-// filter's conversion and core's canonical LP hash. Scaling a row by a
-// positive constant does not move its half-space, so sign tests, ratio
-// tests and certificate checks run on a directly; only the float filter
-// (which must see each rational coefficient rounded exactly as before) and
-// the multipliers of original rows read s.
+// kernel tableau, the certificate checkers, the float filter's conversion
+// and core's canonical LP hash. Scaling a row by a positive constant does
+// not move its half-space, so sign tests, ratio tests and certificate
+// checks run on a directly; only the float filter (which must see each
+// rational coefficient rounded exactly as before) and the multipliers of
+// original rows read s.
 //
 // A Problem holds its rows under one of two authorities, fixed per Reset:
 //

@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|WalkWarmStart|VerdictCacheHit|SolveWorkspace|SolveFresh|CorpusSession|CorpusPerCall|ExploreSequential|ExploreParallel|SweepGrid|StreamIngest|JournalAppend}"
+BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|VerdictCacheHit|SolveWorkspace|SolveFresh|CorpusSession|CorpusPerCall|ExploreSequential|ExploreParallel|SweepGrid|StreamIngest|JournalAppend}"
 COUNT="${COUNT:-1}"
 TXT=BENCH_results.txt
 JSON=BENCH_results.json

@@ -4,12 +4,12 @@
 #   - any exact-path benchmark's allocs/op regressed by more than 20%, or
 #   - a region-LP build + hash benchmark allocates more than 4 times per
 #     op, or
-#   - the warm-start / verdict-cache-hit benchmarks regressed ns/op or
-#     allocs/op by more than 20% (their wall time is the point of the
-#     warm tier, so it gates; the other benchmarks' ns/op deltas are
-#     printed but never gate — they move with the runner's hardware).
+#   - the verdict-cache-hit benchmark regressed ns/op or allocs/op by
+#     more than 20% (its wall time is the point of the cache, so it
+#     gates; the other benchmarks' ns/op deltas are printed but never
+#     gate — they move with the runner's hardware).
 #
-# The smoke benchmarks run a fixed short -benchtime; the gated warm
+# The smoke benchmarks run a fixed short -benchtime; the guarded
 # benchmarks run the default 1s benchtime so their ns/op converges the
 # same way the recorded baseline did (short fixed-count runs are too
 # sensitive to transient CPU state to gate at a 20% budget).
@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
-GUARDBENCH="${GUARDBENCH:-WalkWarmStart|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend}"
+GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
@@ -52,6 +52,6 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # allocs/op against an absolute bound of 4 per op: its baseline is zero,
 # where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
-  --guard '/exact$|WalkWarmStart/warm$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend' 1.2 \
-  --guard-ns 'WalkWarmStart/warm$|VerdictCacheHit$' 1.2 \
+  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend' 1.2 \
+  --guard-ns 'VerdictCacheHit$' 1.2 \
   --max-allocs 'RegionLPHash/' 4
