@@ -20,8 +20,8 @@
 //     full-counter-set feasibility LP, bit-identical verdicts);
 //   - internal/counters — event names, counter groups, ordered counter
 //     sets, observations, CSV/JSON I/O;
-//   - internal/stats, internal/multiplex — confidence regions (with the
-//     memoising RegionBuilder) and counter multiplexing;
+//   - internal/stats, internal/multiplex — confidence regions (with their
+//     content digest) and counter multiplexing;
 //   - internal/core — single-verdict feasibility testing and the two-tier
 //     Solver;
 //   - internal/engine — the batched feasibility engine: long-lived

@@ -166,7 +166,7 @@ func BenchmarkSweepSession(b *testing.B) {
 // BenchmarkStreamIngest measures the per-observation cost of the online
 // refutation path: one long-lived IncrementalSession — the object behind
 // POST /v1/streams/{id}/ingest — folding observations one at a time under
-// the service configuration (ephemeral observations, violations on).
+// the service configuration (violations on).
 //
 //   - fresh — every ingested observation is new content, the steady state
 //     of a live counter feed: an uncached confidence region, a fresh
@@ -187,7 +187,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}
 	newIngestSession := func(b *testing.B) (*Engine, *IncrementalSession) {
 		e := New(WithWorkers(1))
-		s, err := e.NewSession(pdeModel(b), Config{IdentifyViolations: true, EphemeralObservations: true})
+		s, err := e.NewSession(pdeModel(b), Config{IdentifyViolations: true})
 		if err != nil {
 			e.Close()
 			b.Fatal(err)
@@ -278,19 +278,19 @@ func BenchmarkVerdictCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkVerdictCacheHitEphemeral measures the verdict-cache hit path
-// of an ephemeral session — the shape of every counterpointd request for
-// content the daemon has seen before: each iteration tests a freshly
-// decoded copy of the same observation, so the region is rebuilt and
-// its content key recomputed, the LP-hash memo and the verdict cache
-// both hit, and no LP is built, hashed or solved. Copies are decoded
-// outside the timer, in chunks.
+// BenchmarkVerdictCacheHitEphemeral measures the cache hit path for
+// request-scoped observations — the shape of every counterpointd request
+// for content the daemon has seen before: each iteration tests a freshly
+// decoded copy of the same observation, so the sample digest is
+// recomputed, the region cache, the LP-hash memo and the verdict cache
+// all hit, and no region or LP is built, hashed or solved. Copies are
+// decoded outside the timer, in chunks.
 func BenchmarkVerdictCacheHitEphemeral(b *testing.B) {
 	const chunk = 1024
 	m := pdeModel(b)
 	e := New(WithWorkers(1))
 	defer e.Close()
-	s, err := e.NewSession(m, Config{EphemeralObservations: true})
+	s, err := e.NewSession(m, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -279,10 +279,10 @@ func TestVerdictStoreErrorsAreNonFatal(t *testing.T) {
 	}
 }
 
-// TestEphemeralSessionsConsultVerdictCache: ephemeral observations build
-// their region outside the cache but share the LP-hash memo and hit the
-// verdict cache when the content matches an earlier (cached or
-// ephemeral) evaluation.
+// TestEphemeralSessionsConsultVerdictCache: a session set up with the
+// deprecated EphemeralObservations flag shares the region cache, the
+// LP-hash memo and the verdict cache with every other session, so
+// content seen before is never re-solved.
 func TestEphemeralSessionsConsultVerdictCache(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -309,6 +309,9 @@ func TestEphemeralSessionsConsultVerdictCache(t *testing.T) {
 	}
 	if v1.Feasible != v2.Feasible {
 		t.Fatal("ephemeral verdict diverges from cached verdict")
+	}
+	if v2.Region != v1.Region {
+		t.Fatal("ephemeral test rebuilt a cached region")
 	}
 }
 

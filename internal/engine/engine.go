@@ -6,8 +6,14 @@
 // An Engine is long-lived. It owns
 //
 //   - a bounded, context-aware worker pool shared by every Session,
-//   - a stats.RegionBuilder memoising χ² quantiles and confidence regions
-//     across observations, models and sessions,
+//   - a content-addressed LRU of confidence regions, keyed by a digest
+//     of the samples a region is built from, so every model tested
+//     against the same data (a sweep, the refine loop, a re-sent
+//     request) shares one covariance and eigendecomposition; cached
+//     regions hold the model's counter set and derived numbers only,
+//     never a request's payload,
+//   - content-addressed LRUs from (model, region) to canonical LP hash
+//     and from LP hash to verdict, optionally backed by a VerdictStore,
 //   - a pool of simplex.Workspaces so the exact LP reuses its rational
 //     tableau from verdict to verdict,
 //   - a cache of Restricted models, so counter-group sweeps (Figure 1b/9)
@@ -40,7 +46,7 @@ var ErrClosed = errors.New("engine: closed")
 // call New. Engines are safe for concurrent use.
 type Engine struct {
 	workers      int
-	regions      *stats.RegionBuilder
+	builder      *stats.RegionBuilder
 	solver       *core.SolverStats
 	caches       *cacheStats
 	store        VerdictStore
@@ -66,6 +72,9 @@ type Engine struct {
 
 	sessMu   sync.Mutex
 	sessions *lruCache[sessionKey, *Session]
+
+	regionMu sync.Mutex
+	regions  *lruCache[[16]byte, *stats.Region]
 }
 
 // sessionKey identifies a shared session. Config is a comparable value
@@ -93,13 +102,15 @@ type lpKey struct {
 }
 
 // evalScratch is the per-worker reusable state: the exact LP workspace,
-// the float-filter workspace of the two-tier solver and the certificate
-// checker's int64-kernel scratch. Pooled rather than per-worker so
-// Session.Test (which runs inline, off-pool) can borrow one too.
+// the float-filter workspace of the two-tier solver, the certificate
+// checker's int64-kernel scratch and the region digest's hash state.
+// Pooled rather than per-worker so Session.Test (which runs inline,
+// off-pool) can borrow one too.
 type evalScratch struct {
-	ws   *simplex.Workspace
-	fl   *floatlp.Workspace
-	cert *simplex.Certifier
+	ws     *simplex.Workspace
+	fl     *floatlp.Workspace
+	cert   *simplex.Certifier
+	digest stats.RegionDigest
 }
 
 // Option configures an Engine.
@@ -142,7 +153,7 @@ func WithCacheLimits(lps, verdicts int) Option {
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers:      runtime.GOMAXPROCS(0),
-		regions:      stats.NewRegionBuilder(),
+		builder:      stats.NewRegionBuilder(),
 		solver:       &core.SolverStats{},
 		caches:       &cacheStats{},
 		lpLimit:      lpCacheLimit,
@@ -156,6 +167,7 @@ func New(opts ...Option) *Engine {
 	e.lps = newLRU[lpKey, core.LPHash](e.lpLimit)
 	e.verdicts = newLRU[core.LPHash, bool](e.verdictLimit)
 	e.sessions = newLRU[sessionKey, *Session](sessionCacheLimit)
+	e.regions = newLRU[[16]byte, *stats.Region](regionCacheLimit)
 	e.scratch.New = func() any {
 		return &evalScratch{
 			ws:   simplex.NewWorkspace(),
@@ -197,9 +209,6 @@ func Default() *Engine {
 // Workers reports the pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Regions exposes the engine's shared region builder.
-func (e *Engine) Regions() *stats.RegionBuilder { return e.regions }
-
 // SolverStats snapshots the engine's two-tier solver telemetry: total
 // evaluations, float-filter hits by verdict, certification failures and
 // exact fallbacks. Counters accumulate across every session of the engine.
@@ -237,6 +246,37 @@ const lpCacheLimit = 1 << 16
 // verdictCacheLimit bounds the in-memory content-addressed verdict
 // cache. Entries are a hash and a bool, so the cap is generous.
 const verdictCacheLimit = 1 << 18
+
+// regionCacheLimit bounds the content-addressed region LRU. A region over
+// n counters holds about 8n²+16n bytes of axes, mean and half-widths, so
+// the cap is about 15 MB at 20 counters.
+const regionCacheLimit = 1 << 12
+
+// region returns the confidence region of o projected onto the session
+// model's counter set, from the region LRU when a region over the same
+// content is cached and built afresh otherwise. Concurrent misses on one
+// digest may both build; the first to finish is kept and the other is
+// dropped, which is cheaper than holding a lock across the spectral work.
+func (s *Session) region(sc *evalScratch, o *counters.Observation) (*stats.Region, error) {
+	e := s.eng
+	k := sc.digest.Key(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
+	e.regionMu.Lock()
+	r, ok := e.regions.Get(k)
+	e.regionMu.Unlock()
+	if ok {
+		e.caches.regionHits.Add(1)
+		return r, nil
+	}
+	e.caches.regionMisses.Add(1)
+	r, err := e.builder.RegionUncached(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
+	if err != nil {
+		return nil, err
+	}
+	e.regionMu.Lock()
+	r = e.regions.Add(k, r)
+	e.regionMu.Unlock()
+	return r, nil
+}
 
 // lpHash returns the memoised canonical LP hash for k, if any.
 func (e *Engine) lpHash(k lpKey) (core.LPHash, bool) {

@@ -415,45 +415,6 @@ func TestRestrictSharing(t *testing.T) {
 	}
 }
 
-// TestRegionCacheShared checks two sessions over different models share
-// region construction through the engine.
-func TestRegionCacheShared(t *testing.T) {
-	e := New()
-	defer e.Close()
-	corpus := mixedCorpus()
-	m1 := pdeModel(t)
-	m2, err := core.ModelFromDSL("refined", `
-do LookupPde$;
-switch Pde$Status {
-    Hit  => pass;
-    Miss => {
-        incr load.pde$_miss;
-        switch Abort { Yes => done; No => pass; };
-    };
-};
-do StartWalk;
-incr load.causes_walk;
-done;
-`, pdeSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*core.Model{m1, m2} {
-		s, err := e.NewSession(m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Evaluate(context.Background(), corpus); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Four observations, one counter set, one confidence, one mode: four
-	// cached regions total, not eight.
-	if got := e.Regions().Len(); got != len(corpus) {
-		t.Fatalf("region cache holds %d entries, want %d", got, len(corpus))
-	}
-}
-
 // TestSessionValidation covers config validation and eager constraint
 // deduction failure propagation.
 func TestSessionValidation(t *testing.T) {
@@ -518,54 +479,11 @@ func TestSessionForSharing(t *testing.T) {
 	if s3 == s1 {
 		t.Fatal("distinct configs shared a session")
 	}
+	// The deprecated EphemeralObservations flag is normalised away.
+	if s4, err := e.SessionFor(m, Config{EphemeralObservations: true}); err != nil || s4 != s1 {
+		t.Fatalf("EphemeralObservations split the session (err %v)", err)
+	}
 	if _, err := e.SessionFor(m, Config{Confidence: math.NaN()}); err == nil {
 		t.Fatal("NaN confidence must be rejected")
-	}
-}
-
-// TestEphemeralObservationsBypassCaches checks ephemeral sessions build
-// regions without inserting request-scoped pointers into the engine's
-// region cache, while verdicts stay identical to the cached path.
-func TestEphemeralObservationsBypassCaches(t *testing.T) {
-	e := New()
-	defer e.Close()
-	m := pdeModel(t)
-	eph, err := e.SessionFor(m, Config{EphemeralObservations: true, IdentifyViolations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := e.SessionFor(m, Config{IdentifyViolations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := mixedCorpus()
-	verdicts := make([]*core.Verdict, len(corpus))
-	for i, o := range corpus {
-		v, err := eph.Test(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verdicts[i] = v
-	}
-	if got := e.Regions().Len(); got != 0 {
-		t.Fatalf("ephemeral session inserted %d regions into the cache", got)
-	}
-	for i, o := range corpus {
-		want, err := cached.Test(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := verdicts[i]
-		if got.Feasible != want.Feasible || len(got.Violations) != len(want.Violations) {
-			t.Fatalf("%s: ephemeral verdict %v/%d, cached %v/%d", o.Label,
-				got.Feasible, len(got.Violations), want.Feasible, len(want.Violations))
-		}
-	}
-	res, err := eph.Evaluate(context.Background(), mixedCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != 4 || res.Infeasible != 2 {
-		t.Fatalf("ephemeral aggregate %d/%d", res.Infeasible, res.Total)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // a corpus and calling Evaluate, a caller opens an IncrementalSession and
 // feeds observations one at a time as they arrive (a perf_event_open
 // group emitting samples continuously, counterpointd's /v1/streams
-// ingest). Each Ingest evaluates exactly one observation — building its
-// confidence region through the engine's RegionBuilder and deciding its
+// ingest). Each Ingest evaluates exactly one observation — taking its
+// confidence region from the engine's region cache and deciding its
 // LP on a dedicated scratch — and folds the verdict into a monotone
 // stream state. The fold is defined so that the state after N ingests is
 // bit-identical to the state derived from a cold batch Evaluate of the

@@ -54,20 +54,20 @@ func verdictsMatch(a, b *core.Verdict) bool {
 // diffPrefixes feeds corpus through an incremental session on engIncr
 // one observation at a time and, after every ingest, batch-evaluates the
 // same prefix cold on engBatch, requiring bit-identical state.
-func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, incrCfg, batchCfg Config) {
+func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, cfg Config) {
 	t.Helper()
 	engIncr := New(WithWorkers(1))
 	defer engIncr.Close()
 	engBatch := New(WithWorkers(1))
 	defer engBatch.Close()
 
-	is, err := engIncr.NewSession(m, incrCfg)
+	is, err := engIncr.NewSession(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc := is.Incremental()
 	defer inc.Close()
-	bs, err := engBatch.NewSession(m, batchCfg)
+	bs, err := engBatch.NewSession(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +112,14 @@ func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, i
 
 // TestIncrementalMatchesBatchPrefixes is the randomized-corpus
 // differential: several seeds, every prefix, bit-identical state and
-// verdicts. The incremental side runs the service configuration
-// (ephemeral observations, as /v1/streams forces) against a
-// non-ephemeral batch baseline, so the cache-path split is part of what
-// the differential pins.
+// verdicts, under the service configuration (violations on).
 func TestIncrementalMatchesBatchPrefixes(t *testing.T) {
 	m := pdeModel(t)
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			corpus := randomCorpus(12, seed)
-			diffPrefixes(t, m, corpus,
-				Config{IdentifyViolations: true, EphemeralObservations: true},
-				Config{IdentifyViolations: true})
+			diffPrefixes(t, m, corpus, Config{IdentifyViolations: true})
 		})
 	}
 }
@@ -271,9 +266,7 @@ func TestIncrementalCatalogueDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffPrefixes(t, m, corpus,
-				Config{IdentifyViolations: true, EphemeralObservations: true},
-				Config{IdentifyViolations: true})
+			diffPrefixes(t, m, corpus, Config{IdentifyViolations: true})
 			e := New(WithWorkers(1))
 			defer e.Close()
 			s, err := e.NewSession(m, Config{})

@@ -11,9 +11,8 @@ import (
 	"repro/internal/counters"
 )
 
-// This file pins the contract of the engine's LP-hash memo: every session,
-// ephemeral ones included, maps (model content, region content) to the
-// canonical LP hash, so a verdict-cache hit needs neither the LP nor its
+// This file pins the contract of the engine's LP-hash memo: every session
+// maps (model content, region content) to the canonical LP hash, so a verdict-cache hit needs neither the LP nor its
 // hash — and nothing about that shortcut may change a verdict.
 
 // memoWorkers are the pool sizes every memo contract test runs on: the
@@ -101,16 +100,17 @@ func forceExactVerdicts(t *testing.T, m *core.Model, corpus []*counters.Observat
 	return out
 }
 
-// TestMemoEphemeralMatchesForceExact: an ephemeral session evaluating the
-// same corpus twice, from freshly decoded copies each time, gives verdicts
-// byte-identical to the cold exact baseline on both passes, and the second
-// pass is served entirely by the memo and the verdict cache.
+// TestMemoEphemeralMatchesForceExact: a session evaluating the same corpus
+// twice, from freshly decoded copies each time (as a service decodes every
+// request), gives verdicts byte-identical to the cold exact baseline on
+// both passes, and the second pass is served entirely by the region
+// cache, the memo and the verdict cache.
 func TestMemoEphemeralMatchesForceExact(t *testing.T) {
 	m := pdeModel(t)
 	corpus := memoCorpus()
 	want := forceExactVerdicts(t, m, corpus)
 	forEachMemoEngine(t, func(t *testing.T, e *Engine) {
-		s, err := e.NewSession(m, Config{IdentifyViolations: true, EphemeralObservations: true})
+		s, err := e.NewSession(m, Config{IdentifyViolations: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,14 +132,14 @@ func TestMemoEphemeralMatchesForceExact(t *testing.T) {
 			}
 		}
 		after := e.CacheStats()
+		if hits, misses := after.RegionHits-before.RegionHits, after.RegionMisses-before.RegionMisses; hits != uint64(len(corpus)) || misses != 0 {
+			t.Fatalf("second pass: %d region hits, %d misses; want %d, 0", hits, misses, len(corpus))
+		}
 		if hits, misses := after.LPHits-before.LPHits, after.LPMisses-before.LPMisses; hits != uint64(len(corpus)) || misses != 0 {
 			t.Fatalf("second pass: %d memo hits, %d misses; want %d, 0", hits, misses, len(corpus))
 		}
 		if got := e.SolverStats().Evaluations; got != evals {
 			t.Fatalf("second pass ran %d solver evaluations, want 0", got-evals)
-		}
-		if e.Regions().Len() != 0 {
-			t.Fatal("ephemeral session inserted regions into the region cache")
 		}
 	})
 }
@@ -171,7 +171,7 @@ func TestMemoKeysOnModelContent(t *testing.T) {
 	bad := obsAround("bad", 100, 400, 100, 3)
 	forEachMemoEngine(t, func(t *testing.T, e *Engine) {
 		for i, m := range []*core.Model{pde, ind, pde, ind} {
-			s, err := e.SessionFor(m, Config{EphemeralObservations: true})
+			s, err := e.SessionFor(m, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestMemoHitAfterVerdictEviction(t *testing.T) {
 	ok, bad := obsAround("ok", 500, 100, 100, 21), obsAround("bad", 100, 400, 100, 22)
 	want := forceExactVerdicts(t, m, []*counters.Observation{ok, bad})
 	forEachMemoEngine(t, func(t *testing.T, e *Engine) {
-		s, err := e.NewSession(m, Config{IdentifyViolations: true, EphemeralObservations: true})
+		s, err := e.NewSession(m, Config{IdentifyViolations: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,32 +245,30 @@ func TestMemoForceExactAlwaysSolves(t *testing.T) {
 		if _, err := warm.Evaluate(context.Background(), corpus); err != nil {
 			t.Fatal(err)
 		}
-		for _, ephemeral := range []bool{false, true} {
-			s, err := e.NewSession(m, Config{IdentifyViolations: true, ForceExact: true, EphemeralObservations: ephemeral})
-			if err != nil {
-				t.Fatal(err)
+		s, err := e.NewSession(m, Config{IdentifyViolations: true, ForceExact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, solver := e.CacheStats(), e.SolverStats()
+		res, err := s.Evaluate(context.Background(), decodeCorpus(t, corpus))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range res.Verdicts {
+			if got := verdictBytes(t, v); !bytes.Equal(got, want[i]) {
+				t.Fatalf("observation %d:\n got %s\nwant %s", i, got, want[i])
 			}
-			before, solver := e.CacheStats(), e.SolverStats()
-			res, err := s.Evaluate(context.Background(), decodeCorpus(t, corpus))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range res.Verdicts {
-				if got := verdictBytes(t, v); !bytes.Equal(got, want[i]) {
-					t.Fatalf("ephemeral=%v, observation %d:\n got %s\nwant %s", ephemeral, i, got, want[i])
-				}
-			}
-			after, solved := e.CacheStats(), e.SolverStats()
-			if hits := after.LPHits - before.LPHits; hits != uint64(len(corpus)) {
-				t.Fatalf("ephemeral=%v: %d memo hits, want %d", ephemeral, hits, len(corpus))
-			}
-			if after.VerdictHits != before.VerdictHits || after.VerdictMisses != before.VerdictMisses {
-				t.Fatalf("ephemeral=%v: ForceExact consulted the verdict cache", ephemeral)
-			}
-			n := uint64(len(corpus))
-			if evals, exact := solved.Evaluations-solver.Evaluations, solved.ExactFallbacks-solver.ExactFallbacks; evals != n || exact != n {
-				t.Fatalf("ephemeral=%v: %d evaluations, %d exact solves; want %d each", ephemeral, evals, exact, n)
-			}
+		}
+		after, solved := e.CacheStats(), e.SolverStats()
+		if hits := after.LPHits - before.LPHits; hits != uint64(len(corpus)) {
+			t.Fatalf("%d memo hits, want %d", hits, len(corpus))
+		}
+		if after.VerdictHits != before.VerdictHits || after.VerdictMisses != before.VerdictMisses {
+			t.Fatal("ForceExact consulted the verdict cache")
+		}
+		n := uint64(len(corpus))
+		if evals, exact := solved.Evaluations-solver.Evaluations, solved.ExactFallbacks-solver.ExactFallbacks; evals != n || exact != n {
+			t.Fatalf("%d evaluations, %d exact solves; want %d each", evals, exact, n)
 		}
 	})
 }

@@ -34,14 +34,10 @@ type Config struct {
 	// is an exact one); the knob exists for benchmarking the accelerated
 	// paths against the cold baseline and as an operational escape hatch.
 	ForceExact bool
-	// EphemeralObservations marks the session's observations as
-	// request-scoped data that will never be evaluated again: confidence
-	// regions are built fresh per verdict instead of being inserted into
-	// the engine's region cache, whose pointer keys would otherwise pin
-	// every payload (and, once the cap fills, disable region caching for
-	// everything else) in a long-lived service. It governs region caching
-	// only: the LP-hash memo and the verdict cache are content-keyed and
-	// pin nothing, so ephemeral sessions share them like any other.
+	// Deprecated: EphemeralObservations has no effect. The region cache
+	// is content-addressed and pins no observation, so request-scoped
+	// data shares it like any other; withDefaults clears the field, so
+	// configurations differing only here share a session.
 	EphemeralObservations bool
 }
 
@@ -56,6 +52,7 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
+	c.EphemeralObservations = false
 	return c
 }
 
@@ -133,17 +130,14 @@ func (s *Session) Restrict(set *counters.Set) (*Session, error) {
 	return s.eng.NewSession(m, s.cfg)
 }
 
-// test evaluates one observation using pooled scratch state. The region
-// content key, with the model's, addresses the LP-hash memo, and the hash
-// the verdict cache; a verdict hit never builds the LP (violations are
+// test evaluates one observation using pooled scratch state. The digest
+// of the observation's samples addresses the region LRU, the region
+// content key (with the model's) the LP-hash memo, and the hash the
+// verdict cache; a verdict hit never builds the LP (violations are
 // closed-form over the region). The LP is built at most once, into the
 // scratch workspace: on a memo miss, to hash it, and for any solve.
 func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict, error) {
-	region := s.eng.regions.Region
-	if s.cfg.EphemeralObservations {
-		region = s.eng.regions.RegionUncached
-	}
-	r, err := region(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
+	r, err := s.region(sc, o)
 	if err != nil {
 		return nil, err
 	}

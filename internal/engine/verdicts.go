@@ -25,6 +25,8 @@ type VerdictStore interface {
 // cacheStats counts engine cache activity. All counters are atomic; LRU
 // eviction totals live in the caches themselves behind their mutexes.
 type cacheStats struct {
+	regionHits     atomic.Uint64
+	regionMisses   atomic.Uint64
 	lpHits         atomic.Uint64
 	lpMisses       atomic.Uint64
 	verdictHits    atomic.Uint64
@@ -37,6 +39,13 @@ type cacheStats struct {
 // CacheCounts is a point-in-time snapshot of the engine's cache
 // telemetry, shaped for JSON (counterpointd's /stats endpoint).
 type CacheCounts struct {
+	// RegionHits / RegionMisses count region LRU lookups by sample
+	// digest (a hit skips covariance, eigendecomposition and the region
+	// key); RegionEvictions counts entries displaced by the LRU policy.
+	RegionHits      uint64 `json:"region_hits"`
+	RegionMisses    uint64 `json:"region_misses"`
+	RegionEvictions uint64 `json:"region_evictions"`
+	RegionEntries   int    `json:"region_entries"`
 	// LPHits / LPMisses count LP-hash memo lookups, made by every session;
 	// LPEvictions counts entries displaced by the LRU policy.
 	LPHits      uint64 `json:"lp_hits"`
@@ -66,6 +75,8 @@ type CacheCounts struct {
 // CacheStats snapshots the engine's cache telemetry.
 func (e *Engine) CacheStats() CacheCounts {
 	c := CacheCounts{
+		RegionHits:     e.caches.regionHits.Load(),
+		RegionMisses:   e.caches.regionMisses.Load(),
 		LPHits:         e.caches.lpHits.Load(),
 		LPMisses:       e.caches.lpMisses.Load(),
 		VerdictHits:    e.caches.verdictHits.Load(),
@@ -74,6 +85,10 @@ func (e *Engine) CacheStats() CacheCounts {
 		StoreErrors:    e.caches.storeErrors.Load(),
 		StoreConflicts: e.caches.storeConflicts.Load(),
 	}
+	e.regionMu.Lock()
+	c.RegionEvictions = e.regions.Evictions()
+	c.RegionEntries = e.regions.Len()
+	e.regionMu.Unlock()
 	e.lpMu.Lock()
 	c.LPEvictions = e.lps.Evictions()
 	c.LPEntries = e.lps.Len()

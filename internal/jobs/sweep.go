@@ -281,19 +281,16 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 		if err != nil {
 			return nil, err
 		}
-		// Ephemeral observations on purpose: the planner already collapsed
-		// aliases, so each (class, observation) pair reaches the engine
-		// exactly once per scan — pointer-keyed region caching could never
-		// hit within the scan, and at 100×-catalogue grid sizes it would
-		// only evict the service's real working set (it would also read
-		// stale regions off the pooled DecodeClass buffers). The
-		// content-addressed verdict cache still dedups identical LP content
-		// across scans and processes.
+		// The planner already collapsed aliases, so within a scan each
+		// (class, observation) pair reaches the engine once; the engine's
+		// content-addressed region, LP-hash and verdict caches dedup
+		// identical content across scans (a repeated seed, a resume).
+		// Region keys are digests of the samples, so the pooled
+		// DecodeClass buffers are never read back through a stale entry.
 		sess, err := eng.NewSession(model, engine.Config{
-			Confidence:            spec.Confidence,
-			Mode:                  spec.Mode,
-			ForceExact:            spec.ForceExact,
-			EphemeralObservations: true,
+			Confidence: spec.Confidence,
+			Mode:       spec.Mode,
+			ForceExact: spec.ForceExact,
 		})
 		if err != nil {
 			return nil, err

@@ -358,10 +358,6 @@ func (s *Server) requestConfig(r *http.Request) (engine.Config, error) {
 		}
 		cfg.BatchSize = n
 	}
-	// Request payloads are decoded fresh per request and never recur, so
-	// the engine must not retain them in its pointer-keyed caches. This is
-	// service policy, not client-tunable.
-	cfg.EphemeralObservations = true
 	return cfg, nil
 }
 
@@ -436,7 +432,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:  "ok",
 		Models:  s.reg.Len(),
 		Workers: s.eng.Workers(),
-		Regions: s.eng.Regions().Len(),
+		Regions: s.eng.CacheStats().RegionEntries,
 		Jobs:    s.jobs.Len(),
 		Streams: s.streams.stats().Active,
 		Durable: s.store != nil,
@@ -477,16 +473,16 @@ type statsJSON struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	counts := s.eng.SolverStats()
+	counts, caches := s.eng.SolverStats(), s.eng.CacheStats()
 	out := statsJSON{
 		SolverCounts: counts,
 		FilterHits:   counts.FilterHits(),
-		Caches:       s.eng.CacheStats(),
+		Caches:       caches,
 		Sweep:        s.jobs.SweepStats(),
 		Streams:      s.streams.stats(),
 		Models:       s.reg.Len(),
 		Workers:      s.eng.Workers(),
-		Regions:      s.eng.Regions().Len(),
+		Regions:      caches.RegionEntries,
 	}
 	if s.store != nil {
 		sc := s.store.Stats()

@@ -575,24 +575,49 @@ func TestConcurrencyCap(t *testing.T) {
 	}
 }
 
-// TestRequestsDoNotPinCaches checks request payloads are treated as
-// ephemeral: the engine's pointer-keyed region cache must stay empty no
-// matter how many observations flow through, since per-request pointers
-// can never produce a hit and would otherwise be retained until the cap
-// disables caching for everyone.
-func TestRequestsDoNotPinCaches(t *testing.T) {
-	eng := engine.New(engine.WithWorkers(2))
-	t.Cleanup(eng.Close)
-	ts := newTestServer(t, func(o *Options) { o.Engine = eng })
-	for i := 0; i < 3; i++ {
-		resp := postJSON(t, ts.URL+"/v1/models/pde/test", obsAround("ok", 500, 100, 60, int64(i)))
+// TestRequestsShareRegionCache checks request payloads share the engine's
+// content-addressed region cache: re-sending an observation under another
+// label hits the region built for the first copy, while each verdict keeps
+// its own request's label, and /stats and /healthz report the cache.
+func TestRequestsShareRegionCache(t *testing.T) {
+	ts := newTestServer(t)
+	o := obsAround("ok", 500, 100, 60, 1)
+	for i, label := range []string{"first", "second", "third"} {
+		o.Label = label
+		resp := postJSON(t, ts.URL+"/v1/models/pde/test", o)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
-		resp.Body.Close()
+		var v verdictJSON
+		decodeBody(t, resp, &v)
+		if v.Observation != label {
+			t.Fatalf("request %d: verdict labelled %q, want %q", i, v.Observation, label)
+		}
 	}
-	if got := eng.Regions().Len(); got != 0 {
-		t.Fatalf("request observations pinned %d regions in the engine cache", got)
+	resp := postJSON(t, ts.URL+"/v1/models/pde/test", obsAround("other", 500, 100, 60, 2))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	var st statsJSON
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &st)
+	if c := st.Caches; c.RegionMisses != 2 || c.RegionHits != 2 || c.RegionEntries != 2 || c.RegionEvictions != 0 || st.Regions != 2 {
+		t.Fatalf("region misses %d hits %d entries %d evictions %d cached_regions %d, want 2/2/2/0/2",
+			c.RegionMisses, c.RegionHits, c.RegionEntries, c.RegionEvictions, st.Regions)
+	}
+	var h healthJSON
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &h)
+	if h.Regions != 2 {
+		t.Fatalf("healthz cached_regions %d, want 2", h.Regions)
 	}
 }
 

@@ -508,21 +508,6 @@ func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) b
 	return c.checkFarkasRat(p, rq)
 }
 
-// CertifyPoints certifies a batch of candidate feasible points against p
-// in order, sharing the certifier's rounding scratch and p's integer
-// form across the whole batch, and returns the index of the
-// first candidate that verifies exactly, or −1 when none does. Batching
-// the checks runs the integer-form lookup and scratch sizing once instead
-// of per candidate and stops at the first success.
-func (c *Certifier) CertifyPoints(p *Problem, xs [][]float64) int {
-	for i, x := range xs {
-		if c.CertifyPoint(p, x) {
-			return i
-		}
-	}
-	return -1
-}
-
 // CertifyPoint is the pooled-scratch-free convenience form of
 // Certifier.CertifyPoint; hot paths hold a Certifier instead.
 func CertifyPoint(p *Problem, x []float64) bool {

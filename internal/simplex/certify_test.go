@@ -125,29 +125,6 @@ func TestCertifyPointRoundsFloatNoise(t *testing.T) {
 	}
 }
 
-func TestCertifyPointsBatch(t *testing.T) {
-	p := boxProblem()
-	var c Certifier
-	// First certifiable candidate wins; exterior candidates are skipped.
-	got := c.CertifyPoints(p, [][]float64{
-		{10, 10},    // outside
-		{-1, 0.5},   // outside (x < 0)
-		{1.0, 0.75}, // inside — first success
-		{1.5, 0.5},  // inside too, but never reached
-	})
-	if got != 2 {
-		t.Fatalf("CertifyPoints = %d, want 2", got)
-	}
-	// No candidate certifies.
-	if got := c.CertifyPoints(p, [][]float64{{10, 10}, {5, 5}}); got != -1 {
-		t.Fatalf("CertifyPoints = %d, want -1", got)
-	}
-	// Empty batch.
-	if got := c.CertifyPoints(p, nil); got != -1 {
-		t.Fatalf("CertifyPoints(nil) = %d, want -1", got)
-	}
-}
-
 func TestCertifyFarkasRoundsFloatNoise(t *testing.T) {
 	p := NewProblem(1)
 	p.AddConstraint(exact.VecFromInts(1), GE, big.NewRat(2, 1))

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,13 +21,15 @@ func builderObs(label string, seed int64) *counters.Observation {
 	return o
 }
 
-// TestBuilderMatchesNewRegion checks the memoised path is observationally
-// identical to the direct construction.
+// TestBuilderMatchesNewRegion checks the builder's construction is
+// observationally identical to the direct one, bit for bit, and that the
+// region holds the requested set, not the observation's.
 func TestBuilderMatchesNewRegion(t *testing.T) {
 	b := NewRegionBuilder()
 	o := builderObs("x", 1)
+	twin := counters.NewSet("a", "b", "c")
 	for _, mode := range []NoiseMode{Correlated, Independent} {
-		got, err := b.Region(o, nil, 0.99, mode)
+		got, err := b.RegionUncached(o, twin, 0.99, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,62 +37,59 @@ func TestBuilderMatchesNewRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Set.Equal(want.Set) || got.Mode != want.Mode {
+		if got.Set != twin || got.Mode != want.Mode || got.Key() != want.Key() {
 			t.Fatalf("region identity mismatch")
 		}
-		for i := range want.HalfWidths {
-			if math.Abs(got.HalfWidths[i]-want.HalfWidths[i]) > 1e-12 {
-				t.Fatalf("half-width %d: %g vs %g", i, got.HalfWidths[i], want.HalfWidths[i])
-			}
-			for j := range want.Axes[i] {
-				if got.Axes[i][j] != want.Axes[i][j] {
-					t.Fatalf("axis (%d,%d): %g vs %g", i, j, got.Axes[i][j], want.Axes[i][j])
-				}
-			}
+		if got.Key() != got.contentKey() {
+			t.Fatal("memoised key differs from the content key")
+		}
+		if !reflect.DeepEqual(got.Mean, want.Mean) || !reflect.DeepEqual(got.Axes, want.Axes) || !reflect.DeepEqual(got.HalfWidths, want.HalfWidths) {
+			t.Fatalf("%v: builder region differs from NewRegion", mode)
 		}
 	}
 }
 
-// TestBuilderMemoises checks pointer-identical reuse for repeated requests
-// and distinct entries per (set, confidence, mode).
-func TestBuilderMemoises(t *testing.T) {
-	b := NewRegionBuilder()
+// TestRegionDigestKeys checks the digest addresses a region by exactly
+// the content it is built from: copies differing in label or pointer, and
+// a superset observation against its explicit projection, share a key;
+// the target set, mode, confidence and a one-ULP sample change each get
+// their own; and a warm digest allocates nothing.
+func TestRegionDigestKeys(t *testing.T) {
+	var d RegionDigest
 	o := builderObs("x", 2)
-	r1, err := b.Region(o, nil, 0.99, Correlated)
-	if err != nil {
-		t.Fatal(err)
+	key := func(o *counters.Observation, set *counters.Set, c float64, m NoiseMode) [16]byte {
+		return d.Key(o, set, c, m)
 	}
-	r2, err := b.Region(o, nil, 0.99, Correlated)
-	if err != nil {
-		t.Fatal(err)
+	base := key(o, nil, 0.99, Correlated)
+	copyOf := &counters.Observation{Label: "renamed", Set: counters.NewSet("a", "b", "c"), Samples: o.Samples}
+	if key(copyOf, nil, 0.99, Correlated) != base {
+		t.Fatal("label or set pointer changed the digest")
 	}
-	if r1 != r2 {
-		t.Fatal("repeated request did not hit the cache")
+	sub := counters.NewSet("c", "a")
+	if key(o, sub, 0.99, Correlated) != key(o.Project(sub), nil, 0.99, Correlated) {
+		t.Fatal("in-place projection digest differs from Project's")
 	}
-	if b.Len() != 1 {
-		t.Fatalf("cache size %d, want 1", b.Len())
+	wide := counters.NewSet("a", "z", "b", "c")
+	if key(o, wide, 0.99, Correlated) != key(o.Project(wide), nil, 0.99, Correlated) {
+		t.Fatal("missing counters do not digest as Project's zeros")
 	}
-	// A projection onto a subset is a distinct cache entry.
-	sub := counters.NewSet("a", "b")
-	r3, err := b.Region(o, sub, 0.99, Correlated)
-	if err != nil {
-		t.Fatal(err)
+	bumped := o.Project(o.Set)
+	bumped.Samples[7][1] = math.Nextafter(bumped.Samples[7][1], math.Inf(1))
+	distinct := map[[16]byte]string{base: "base"}
+	for name, k := range map[string][16]byte{
+		"subset":      key(o, sub, 0.99, Correlated),
+		"independent": key(o, nil, 0.99, Independent),
+		"confidence":  key(o, nil, 0.95, Correlated),
+		"one ULP":     key(bumped, nil, 0.99, Correlated),
+		"one sample":  key(&counters.Observation{Set: o.Set, Samples: o.Samples[1:]}, nil, 0.99, Correlated),
+	} {
+		if prev, dup := distinct[k]; dup {
+			t.Fatalf("%s shares a digest with %s", name, prev)
+		}
+		distinct[k] = name
 	}
-	if !r3.Set.Equal(sub) {
-		t.Fatalf("projected region set %v", r3.Set)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("cache size %d, want 2", b.Len())
-	}
-	// Different mode and confidence are distinct entries too.
-	if _, err := b.Region(o, nil, 0.99, Independent); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Region(o, nil, 0.95, Correlated); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 4 {
-		t.Fatalf("cache size %d, want 4", b.Len())
+	if n := testing.AllocsPerRun(20, func() { key(o, wide, 0.99, Correlated) }); n != 0 {
+		t.Fatalf("warm digest allocates %v times", n)
 	}
 }
 
@@ -116,31 +116,52 @@ func TestBuilderChiSquareMemo(t *testing.T) {
 }
 
 // TestBuilderConcurrent hammers one builder from many goroutines; the race
-// detector plus the pointer-identity check catch unsynchronised access.
+// detector catches unsynchronised access to the χ² memo, and every build
+// of one observation must give the same region key.
 func TestBuilderConcurrent(t *testing.T) {
 	b := NewRegionBuilder()
 	obs := []*counters.Observation{builderObs("p", 3), builderObs("q", 4)}
 	var wg sync.WaitGroup
-	regions := make([]*Region, 16)
+	keys := make([][16]byte, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := b.Region(obs[i%2], nil, 0.99, Correlated)
+			r, err := b.RegionUncached(obs[i%2], nil, 0.99, Correlated)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			regions[i] = r
+			keys[i] = r.Key()
 		}(i)
 	}
 	wg.Wait()
 	for i := 2; i < 16; i++ {
-		if regions[i] != regions[i%2] {
-			t.Fatalf("goroutine %d got a non-canonical region", i)
+		if keys[i] != keys[i%2] {
+			t.Fatalf("goroutine %d built a different region", i)
 		}
 	}
-	if b.Len() != 2 {
-		t.Fatalf("cache size %d, want 2", b.Len())
+	if keys[0] == keys[1] {
+		t.Fatal("distinct observations share a region key")
+	}
+}
+
+// BenchmarkRegionDigest measures the region cache's key: a SHA-256 over
+// an observation's samples, read in place over its own set (own) and
+// projected onto a reordered subset (projected).
+func BenchmarkRegionDigest(b *testing.B) {
+	o := builderObs("x", 5)
+	sub := counters.NewSet("c", "a")
+	var d RegionDigest
+	for _, c := range []struct {
+		name string
+		set  *counters.Set
+	}{{"own", nil}, {"projected", sub}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				d.Key(o, c.set, 0.99, Correlated)
+			}
+		})
 	}
 }

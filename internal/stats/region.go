@@ -37,6 +37,9 @@ func (m NoiseMode) String() string {
 //
 // encoded as |eᵢ·(v−Ȳ)| ≤ √(λᵢ·χ²) per eigenpair (λᵢ, eᵢ) of Σ_Ȳ
 // (Figure 5c, Appendix A).
+//
+// A region is immutable once built: the engine shares one instance among
+// every verdict over the same data, and Key is computed at construction.
 type Region struct {
 	Set        *counters.Set
 	Mode       NoiseMode
@@ -44,6 +47,8 @@ type Region struct {
 	Mean       []float64
 	Axes       [][]float64 // unit eigenvectors eᵢ, rows
 	HalfWidths []float64   // √(λᵢ·χ²), same order as Axes
+
+	key [16]byte // Key, memoised by newRegion; zero on a hand-built region
 }
 
 // NewRegion builds the confidence region of an observation at the given
@@ -51,8 +56,8 @@ type Region struct {
 // plug-in estimator Σ_Ȳ = Σ_Y / M.
 //
 // Callers evaluating many observations (or the same observations against
-// many models) should go through a RegionBuilder, which memoises both the
-// χ² quantiles and the finished regions.
+// many models) should go through the engine, which memoises both the χ²
+// quantiles and the finished regions.
 func NewRegion(o *counters.Observation, confidence float64, mode NoiseMode) (*Region, error) {
 	return newRegion(o, confidence, mode, ChiSquareQuantile)
 }
@@ -113,6 +118,7 @@ func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quan
 		}
 		r.HalfWidths[i] += 1e-4*hmax + 1e-6*(1+math.Abs(dot))
 	}
+	r.key = r.contentKey()
 	return r, nil
 }
 
@@ -139,8 +145,16 @@ func quantizeAxes(axes [][]float64) [][]float64 {
 // the exact float64 bit patterns of the mean, axes and half-widths. Two
 // regions with equal keys produce bit-identical feasibility LPs
 // downstream, so the engine uses the key (with the model's content key)
-// to address its LP-hash memo.
+// to address its LP-hash memo. Regions built by this package compute it
+// once, at construction.
 func (r *Region) Key() [16]byte {
+	if r.key == ([16]byte{}) {
+		return r.contentKey()
+	}
+	return r.key
+}
+
+func (r *Region) contentKey() [16]byte {
 	// Small regions encode on the stack; the key path allocates nothing.
 	var buf [1024]byte
 	b := append(buf[:0], r.Set.Key()...)

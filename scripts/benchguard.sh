@@ -35,13 +35,13 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # unanchored SweepGrid pattern matches both deliberately.)
 # StreamIngest gates allocs/op only, on both variants: per-observation
 # allocation on the live ingest path is the stream tier's memory story,
-# while its wall time — dominated by the ephemeral per-ingest region
-# build — tracks allocator/GC throughput on the runner and is too noisy
-# to gate at a 20% budget.
+# while its wall time — dominated by the per-ingest region build (fresh)
+# or the sample digest (warm) — is too noisy on the runner to gate at a
+# 20% budget.
 # VerdictCacheHitEphemeral gates allocs/op only: it is the verdict-cache
-# hit path of every service request (fresh region, LP-hash memo hit, no
-# LP built or hashed), so an allocation there is paid per observation
-# served, while its wall time is the region build's and as noisy as
+# hit path of every service request (sample digest, region-cache and
+# LP-hash memo hits, no region or LP built), so an allocation there is
+# paid per observation served, while its wall time is as noisy as
 # StreamIngest's. The ns/op gate is anchored so it keeps covering exactly
 # VerdictCacheHit.
 # JournalAppend gates allocs/op only: the per-event append is the hot
