@@ -181,8 +181,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
-	// Close the stream (its backlog still evaluates), then report what
-	// the server measured.
+	// Close the stream (its backlog still evaluates), wait for it to
+	// finish, then report what the server measured.
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/streams/"+stream.ID, nil)
 	if err != nil {
 		return err
@@ -191,6 +191,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	drain(resp)
+	// DELETE returns before the worker has drained the backlog. The events
+	// feed ends after the terminal "closed" event, which follows the last
+	// verdict, so read it to the end before describing the stream.
+	if req, err = http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/streams/"+stream.ID+"/events", nil); err != nil {
+		return err
+	}
+	if resp, err = client.Do(req); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("follow events: %w", err)
+	}
 	resp, err = client.Get(base + "/v1/streams/" + stream.ID)
 	if err != nil {
 		return err

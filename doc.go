@@ -26,9 +26,9 @@
 //     Solver;
 //   - internal/engine — the batched feasibility engine: long-lived
 //     Engine/Session pipeline with a bounded worker pool, region/LP
-//     caching, streaming corpus evaluation, and incremental
-//     (per-observation) sessions whose folded verdict state is
-//     bit-identical to a batch evaluation of the same observations;
+//     caching, streaming corpus evaluation, and the stream fold whose
+//     per-observation verdict state is bit-identical to a batch
+//     evaluation of the same observations;
 //   - internal/explore — guided model exploration (§5, Appendix C):
 //     frontier-parallel yet bit-identical to the sequential search,
 //     progress events, checkpoint/restore, and the #if/#endif DSL
@@ -42,7 +42,7 @@
 //   - internal/server — the HTTP/JSON feasibility service over the
 //     engine, the jobs API over the manager, and live ingest streams
 //     (bounded queues, explicit backpressure, replayable verdict
-//     events) over incremental sessions;
+//     events) over engine sessions and the jobs event log;
 //   - internal/haswell, internal/pagetable, internal/memsim,
 //     internal/workloads — the simulated Haswell MMU substrate that stands
 //     in for the paper's silicon;

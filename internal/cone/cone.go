@@ -173,9 +173,6 @@ func New(set *counters.Set, signatures []exact.Vec) *Cone {
 	return c
 }
 
-// Dim returns the ambient dimension (number of counters).
-func (c *Cone) Dim() int { return c.Set.Len() }
-
 // Contains reports whether v lies in the cone, i.e. whether non-negative
 // flows f with Σ f_i g_i = v exist (solved by phase-1 simplex). One-off
 // convenience; loops (SubsetOf, constraint deduction) share a workspace
@@ -197,11 +194,6 @@ func (c *Cone) containsWS(ws *simplex.Workspace, v exact.Vec) bool {
 		rhs.Set(v[i])
 	}
 	return ws.SolveStatus(p) == simplex.Optimal
-}
-
-// ContainsFloat is Contains for float64 vectors (converted exactly).
-func (c *Cone) ContainsFloat(v []float64) bool {
-	return c.Contains(exact.VecFromFloats(v))
 }
 
 // EssentialGenerators returns the generators that are not redundant, i.e.

@@ -428,11 +428,6 @@ func (o *Observation) Append(sample []float64) {
 	o.Samples = append(o.Samples, row)
 }
 
-// AppendVector adds a Vector sample, projecting it onto the observation set.
-func (o *Observation) AppendVector(v Vector) {
-	o.Append(v.Project(o.Set).Values)
-}
-
 // Len returns the number of samples.
 func (o *Observation) Len() int { return len(o.Samples) }
 

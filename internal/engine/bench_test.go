@@ -164,8 +164,8 @@ func BenchmarkSweepSession(b *testing.B) {
 }
 
 // BenchmarkStreamIngest measures the per-observation cost of the online
-// refutation path: one long-lived IncrementalSession — the object behind
-// POST /v1/streams/{id}/ingest — folding observations one at a time under
+// refutation path behind POST /v1/streams/{id}/ingest: Session.Test on
+// one long-lived session, each verdict folded into a StreamFold, under
 // the service configuration (violations on).
 //
 //   - fresh — every ingested observation is new content, the steady state
@@ -174,7 +174,7 @@ func BenchmarkSweepSession(b *testing.B) {
 //     the float filter's size gate), with only the LP-hash memo insert
 //     and the verdict-cache probe shared;
 //   - warm — the same observation re-ingested, isolating the fixed
-//     per-ingest overhead (state fold, scratch reuse, memo and
+//     per-ingest overhead (state fold, scratch checkout, memo and
 //     verdict-cache hits) with no LP built, hashed or solved in the
 //     timed loop.
 func BenchmarkStreamIngest(b *testing.B) {
@@ -185,25 +185,29 @@ func BenchmarkStreamIngest(b *testing.B) {
 		return driftCorpus(pdeSet(), chunk, 60,
 			[]float64{500, 200}, []float64{0.25, 0.125}, int64(1000+lap))
 	}
-	newIngestSession := func(b *testing.B) (*Engine, *IncrementalSession) {
+	newIngestSession := func(b *testing.B) (*Engine, *Session, StreamFold) {
 		e := New(WithWorkers(1))
 		s, err := e.NewSession(pdeModel(b), Config{IdentifyViolations: true})
 		if err != nil {
 			e.Close()
 			b.Fatal(err)
 		}
-		return e, s.Incremental()
+		return e, s, NewStreamFold(s.Config().Confidence)
+	}
+	ingest := func(b *testing.B, s *Session, f *StreamFold, o *counters.Observation) {
+		v, err := s.Test(context.Background(), o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Add(v)
 	}
 
 	b.Run("fresh", func(b *testing.B) {
-		e, inc := newIngestSession(b)
+		e, s, f := newIngestSession(b)
 		defer e.Close()
-		defer inc.Close()
 		// Warm once with content outside the drift corpus, so every timed
 		// ingest really is first-sight content.
-		if _, err := inc.Ingest(context.Background(), obsAround("warm", 500, 100, 60, 7)); err != nil {
-			b.Fatal(err)
-		}
+		ingest(b, s, &f, obsAround("warm", 500, 100, 60, 7))
 		corpus := freshChunk(0)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -213,36 +217,29 @@ func BenchmarkStreamIngest(b *testing.B) {
 				corpus = freshChunk(i / chunk)
 				b.StartTimer()
 			}
-			if _, err := inc.Ingest(context.Background(), corpus[i%chunk]); err != nil {
-				b.Fatal(err)
-			}
+			ingest(b, s, &f, corpus[i%chunk])
 		}
 		b.StopTimer()
-		if st := inc.State(); st.Total != b.N+1 {
-			b.Fatalf("state total %d after %d ingests", st.Total, b.N+1)
+		if f.State.Total != b.N+1 {
+			b.Fatalf("state total %d after %d ingests", f.State.Total, b.N+1)
 		}
 	})
 
 	b.Run("warm", func(b *testing.B) {
-		e, inc := newIngestSession(b)
+		e, s, f := newIngestSession(b)
 		defer e.Close()
-		defer inc.Close()
 		o := obsAround("steady", 500, 100, 60, 42)
-		if _, err := inc.Ingest(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
+		ingest(b, s, &f, o)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := inc.Ingest(context.Background(), o); err != nil {
-				b.Fatal(err)
-			}
+			ingest(b, s, &f, o)
 		}
 		b.StopTimer()
 		if cc := e.CacheStats(); cc.VerdictHits == 0 {
 			b.Fatal("no verdict-cache hits recorded")
 		}
-		if st := inc.State(); st.Total != b.N+1 || st.Infeasible != 0 {
+		if st := f.State; st.Total != b.N+1 || st.Infeasible != 0 {
 			b.Fatalf("state %+v after %d ingests", st, b.N+1)
 		}
 	})

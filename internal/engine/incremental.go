@@ -1,32 +1,22 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"math"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/counters"
 )
 
-// This file is the engine's online-refutation path: instead of collecting
-// a corpus and calling Evaluate, a caller opens an IncrementalSession and
-// feeds observations one at a time as they arrive (a perf_event_open
-// group emitting samples continuously, counterpointd's /v1/streams
-// ingest). Each Ingest evaluates exactly one observation — taking its
-// confidence region from the engine's region cache and deciding its
-// LP on a dedicated scratch — and folds the verdict into a monotone
-// stream state. The fold is defined so that the state after N ingests is
-// bit-identical to the state derived from a cold batch Evaluate of the
-// same N-observation corpus (StateOf); the differential suite in
-// incremental_diff_test.go pins this at every prefix.
+// This file is the engine's online-refutation fold: instead of collecting
+// a corpus and calling Evaluate, a caller tests observations one at a
+// time with Session.Test as they arrive (a perf_event_open group emitting
+// samples continuously, counterpointd's /v1/streams ingest) and adds each
+// verdict to a StreamFold. The fold is defined so that the state after N
+// verdicts is bit-identical to the state derived from a cold batch
+// Evaluate of the same N-observation corpus (StateOf); the differential
+// suite in incremental_diff_test.go pins this at every prefix.
 
-// ErrSessionClosed is returned by Ingest after Close.
-var ErrSessionClosed = errors.New("engine: incremental session closed")
-
-// StreamState is the monotone verdict state of an incremental session:
-// a comparable scalar summary of every observation ingested so far.
+// StreamState is the monotone verdict state of a stream: a comparable
+// scalar summary of every observation folded in so far.
 //
 // The state machine is one-way: Refuted flips from false to true on the
 // first infeasible observation and never back — subsequent feasible
@@ -70,8 +60,8 @@ func RefutationConfidence(confidence float64, infeasible int) float64 {
 }
 
 // StateOf derives the stream state a batch evaluation implies: the state
-// an incremental session would report after ingesting the corpus behind
-// res in order. This is the reference side of the incremental-vs-batch
+// a StreamFold reports after adding the verdicts of the corpus behind res
+// in order. This is the reference side of the incremental-vs-batch
 // differential contract — the two paths must agree bit-for-bit on every
 // field, FirstRefuted included.
 func StateOf(res *CorpusResult, confidence float64) StreamState {
@@ -91,116 +81,46 @@ func StateOf(res *CorpusResult, confidence float64) StreamState {
 	return st
 }
 
-// IngestResult is one Ingest's outcome: the observation's verdict, its
-// ingest index, and the stream state after folding it in.
-type IngestResult struct {
-	// Index is the observation's 0-based position in the ingest order.
-	Index   int
-	Verdict *core.Verdict
-	State   StreamState
+// StreamFold folds verdicts into a stream's state one at a time, in
+// arrival order: the online twin of EvaluateEach's aggregation. After the
+// verdicts of a corpus prefix are added, State equals StateOf a batch
+// Evaluate of that prefix and Violated equals its ViolatedConstraints. A
+// fold holds no lock; its owner serialises Add and every read.
+type StreamFold struct {
+	State StreamState
+	// Violated counts, per constraint, the infeasible verdicts violating
+	// it (populated only when the session's Config.IdentifyViolations is
+	// set, exactly as in batch evaluation).
+	Violated   map[string]int
+	confidence float64
 }
 
-// IncrementalSession evaluates observations one at a time as they
-// arrive, maintaining the monotone stream state. Create with
-// Session.Incremental, feed with Ingest, and Close when the stream ends
-// so the dedicated scratch returns to the engine pool.
-//
-// Ingests are serialised (Ingest holds the session lock for the solve):
-// an incremental session models one ordered sample stream, and its
-// FirstRefuted is defined by arrival order. Open one session per stream;
-// sessions are independent.
-type IncrementalSession struct {
-	s *Session
-
-	mu     sync.Mutex
-	sc     *evalScratch
-	st     StreamState
-	viol   map[string]int
-	closed bool
-}
-
-// Incremental opens an online-refutation session: a dedicated evaluation
-// scratch is checked out of the engine pool for the session's lifetime,
-// so ingests pay no pool round trip. Call Close when done.
-func (s *Session) Incremental() *IncrementalSession {
-	return &IncrementalSession{
-		s:    s,
-		sc:   s.eng.getScratch(),
-		st:   StreamState{FirstRefuted: -1},
-		viol: map[string]int{},
+// NewStreamFold returns the empty fold of a stream evaluated at the
+// given confidence (the session's Config().Confidence).
+func NewStreamFold(confidence float64) StreamFold {
+	return StreamFold{
+		State:      StreamState{FirstRefuted: -1},
+		Violated:   map[string]int{},
+		confidence: confidence,
 	}
 }
 
-// Session returns the underlying session.
-func (inc *IncrementalSession) Session() *Session { return inc.s }
-
-// Ingest evaluates one observation and folds its verdict into the
-// stream state, returning both. The verdict is computed exactly as a
-// batch evaluation would compute it — same region construction, same
-// two-tier solve, same content-addressed caches — so the state after N
-// ingests matches StateOf a batch Evaluate of the same prefix
-// bit-for-bit. An evaluation error (or a cancelled ctx) leaves the
-// state untouched: the observation is not counted.
-func (inc *IncrementalSession) Ingest(ctx context.Context, o *counters.Observation) (IngestResult, error) {
-	if err := ctx.Err(); err != nil {
-		return IngestResult{}, err
-	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if inc.closed {
-		return IngestResult{}, ErrSessionClosed
-	}
-	v, err := inc.s.test(inc.sc, o)
-	if err != nil {
-		return IngestResult{}, err
-	}
-	idx := inc.st.Total
-	inc.st.Total++
+// Add folds in the next verdict and returns its 0-based arrival index. A
+// caller whose evaluation failed has no verdict to add, so a failed or
+// cancelled evaluation is never counted.
+func (f *StreamFold) Add(v *core.Verdict) int {
+	idx := f.State.Total
+	f.State.Total++
 	if !v.Feasible {
-		inc.st.Infeasible++
-		inc.st.Refuted = true
-		if inc.st.FirstRefuted < 0 {
-			inc.st.FirstRefuted = idx
+		f.State.Infeasible++
+		f.State.Refuted = true
+		if f.State.FirstRefuted < 0 {
+			f.State.FirstRefuted = idx
 		}
-		inc.st.Confidence = RefutationConfidence(inc.s.cfg.Confidence, inc.st.Infeasible)
+		f.State.Confidence = RefutationConfidence(f.confidence, f.State.Infeasible)
 		for _, k := range v.Violations {
-			inc.viol[k.String()]++
+			f.Violated[k.String()]++
 		}
 	}
-	return IngestResult{Index: idx, Verdict: v, State: inc.st}, nil
-}
-
-// State snapshots the current stream state.
-func (inc *IncrementalSession) State() StreamState {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.st
-}
-
-// Violated returns a copy of the per-constraint violation counts
-// aggregated across every infeasible ingest — the incremental twin of
-// CorpusResult.ViolatedConstraints (populated only when the session's
-// Config.IdentifyViolations is set, exactly as in batch evaluation).
-func (inc *IncrementalSession) Violated() map[string]int {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	out := make(map[string]int, len(inc.viol))
-	for k, n := range inc.viol {
-		out[k] = n
-	}
-	return out
-}
-
-// Close ends the session, returning its scratch to the engine pool. The
-// final state stays readable through State and Violated; further
-// Ingests fail with ErrSessionClosed. Close is idempotent.
-func (inc *IncrementalSession) Close() {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if inc.closed {
-		return
-	}
-	inc.closed = true
-	inc.s.eng.putScratch(inc.sc)
-	inc.sc = nil
+	return idx
 }

@@ -14,12 +14,13 @@ import (
 )
 
 // This file is the incremental-vs-batch differential property suite: the
-// online path's whole correctness story is that the stream state after N
-// ingests is bit-identical to a cold batch evaluation of the same
-// N-observation corpus — every field of StreamState (first-refuting
-// index included), every verdict, every violation count, at every
-// prefix. Incremental and batch run on SEPARATE engines so no shared
-// cache can make the comparison vacuous.
+// online path (Session.Test, one observation at a time, folded into a
+// StreamFold) is correct exactly when the stream state after N verdicts
+// is bit-identical to a cold batch evaluation of the same N-observation
+// corpus — every field of StreamState (first-refuting index included),
+// every verdict, every violation count, at every prefix. Incremental and
+// batch run on SEPARATE engines so no shared cache can make the
+// comparison vacuous.
 
 // randomCorpus draws n observations around randomly feasible or
 // infeasible means for the PDE model (misses ≤ walks is the deducible
@@ -51,9 +52,24 @@ func verdictsMatch(a, b *core.Verdict) bool {
 	return true
 }
 
-// diffPrefixes feeds corpus through an incremental session on engIncr
-// one observation at a time and, after every ingest, batch-evaluates the
-// same prefix cold on engBatch, requiring bit-identical state.
+// foldCorpus tests corpus one observation at a time on s and folds the
+// verdicts in, as a stream worker does.
+func foldCorpus(t *testing.T, s *Session, corpus []*counters.Observation) StreamFold {
+	t.Helper()
+	f := NewStreamFold(s.Config().Confidence)
+	for i, o := range corpus {
+		v, err := s.Test(context.Background(), o)
+		if err != nil {
+			t.Fatalf("%s: test %d: %v", s.Model().Name, i, err)
+		}
+		f.Add(v)
+	}
+	return f
+}
+
+// diffPrefixes tests corpus on engIncr one observation at a time, folding
+// each verdict in, and after every verdict batch-evaluates the same
+// prefix cold on engBatch, requiring bit-identical state.
 func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, cfg Config) {
 	t.Helper()
 	engIncr := New(WithWorkers(1))
@@ -65,8 +81,7 @@ func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := is.Incremental()
-	defer inc.Close()
+	fold := NewStreamFold(is.Config().Confidence)
 	bs, err := engBatch.NewSession(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,31 +89,28 @@ func diffPrefixes(t *testing.T, m *core.Model, corpus []*counters.Observation, c
 
 	ctx := context.Background()
 	for i, o := range corpus {
-		res, err := inc.Ingest(ctx, o)
+		v, err := is.Test(ctx, o)
 		if err != nil {
-			t.Fatalf("%s: ingest %d: %v", m.Name, i, err)
+			t.Fatalf("%s: test %d: %v", m.Name, i, err)
 		}
-		if res.Index != i {
-			t.Fatalf("%s: ingest %d returned index %d", m.Name, i, res.Index)
+		if idx := fold.Add(v); idx != i {
+			t.Fatalf("%s: verdict %d folded at index %d", m.Name, i, idx)
 		}
 		batch, err := bs.Evaluate(ctx, corpus[:i+1])
 		if err != nil {
 			t.Fatalf("%s: batch prefix %d: %v", m.Name, i+1, err)
 		}
 		want := StateOf(batch, core.DefaultConfidence)
-		if got := inc.State(); got != want {
+		if got := fold.State; got != want {
 			t.Fatalf("%s: prefix %d: incremental state %+v != batch state %+v", m.Name, i+1, got, want)
 		}
-		if res.State != want {
-			t.Fatalf("%s: prefix %d: ingest-returned state %+v != batch state %+v", m.Name, i+1, res.State, want)
-		}
-		if !verdictsMatch(res.Verdict, batch.Verdicts[i]) {
+		if !verdictsMatch(v, batch.Verdicts[i]) {
 			t.Fatalf("%s: observation %d: incremental verdict %+v != batch verdict %+v",
-				m.Name, i, res.Verdict, batch.Verdicts[i])
+				m.Name, i, v, batch.Verdicts[i])
 		}
 		// The aggregated violation counts must match the batch aggregate
 		// at every prefix too.
-		got, want2 := inc.Violated(), batch.ViolatedConstraints
+		got, want2 := fold.Violated, batch.ViolatedConstraints
 		if len(got) != len(want2) {
 			t.Fatalf("%s: prefix %d: violations %v != %v", m.Name, i+1, got, want2)
 		}
@@ -142,13 +154,14 @@ func TestIncrementalFirstRefutedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := s.Incremental()
-	defer inc.Close()
+	fold := NewStreamFold(s.Config().Confidence)
 	for i, o := range corpus {
-		if _, err := inc.Ingest(context.Background(), o); err != nil {
+		v, err := s.Test(context.Background(), o)
+		if err != nil {
 			t.Fatal(err)
 		}
-		st := inc.State()
+		fold.Add(v)
+		st := fold.State
 		switch {
 		case i < 2:
 			if st.Refuted || st.FirstRefuted != -1 || st.Confidence != 0 {
@@ -160,7 +173,7 @@ func TestIncrementalFirstRefutedIndex(t *testing.T) {
 			}
 		}
 	}
-	st := inc.State()
+	st := fold.State
 	if st.Infeasible != 2 {
 		t.Fatalf("infeasible: %d, want 2", st.Infeasible)
 	}
@@ -184,14 +197,12 @@ func TestIncrementalShuffleInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc := s.Incremental()
-		defer inc.Close()
-		for _, idx := range order {
-			if _, err := inc.Ingest(context.Background(), corpus[idx]); err != nil {
-				t.Fatal(err)
-			}
+		shuffled := make([]*counters.Observation, len(order))
+		for i, idx := range order {
+			shuffled[i] = corpus[idx]
 		}
-		return inc.State(), inc.Violated()
+		f := foldCorpus(t, s, shuffled)
+		return f.State, f.Violated
 	}
 
 	order := make([]int, len(corpus))
@@ -273,14 +284,7 @@ func TestIncrementalCatalogueDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc := s.Incremental()
-			defer inc.Close()
-			for _, o := range corpus {
-				if _, err := inc.Ingest(context.Background(), o); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if inc.State().Refuted {
+			if foldCorpus(t, s, corpus).State.Refuted {
 				refuted++
 			}
 		})
@@ -290,41 +294,5 @@ func TestIncrementalCatalogueDifferential(t *testing.T) {
 	// differential that saw only one outcome would prove little.
 	if !t.Failed() && (refuted == 0 || refuted == len(models)) {
 		t.Fatalf("catalogue outcomes did not split: %d/%d refuted", refuted, len(models))
-	}
-}
-
-// TestIncrementalClosedAndErrorPaths pins the lifecycle contract: a
-// cancelled context or failed evaluation leaves the state untouched, and
-// a closed session refuses further ingests while keeping its final state
-// readable.
-func TestIncrementalClosedAndErrorPaths(t *testing.T) {
-	e := New(WithWorkers(1))
-	defer e.Close()
-	s, err := e.NewSession(pdeModel(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := s.Incremental()
-	if _, err := inc.Ingest(context.Background(), obsAround("ok", 500, 100, 40, 1)); err != nil {
-		t.Fatal(err)
-	}
-	before := inc.State()
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := inc.Ingest(cancelled, obsAround("late", 500, 100, 40, 2)); err == nil {
-		t.Fatal("cancelled ingest must fail")
-	}
-	if inc.State() != before {
-		t.Fatal("failed ingest mutated state")
-	}
-
-	inc.Close()
-	inc.Close() // idempotent
-	if _, err := inc.Ingest(context.Background(), obsAround("x", 500, 100, 40, 3)); err != ErrSessionClosed {
-		t.Fatalf("ingest after close: %v, want ErrSessionClosed", err)
-	}
-	if inc.State() != before {
-		t.Fatal("close mutated state")
 	}
 }

@@ -7,7 +7,6 @@ package exact
 // materialisation in internal/core.
 
 import (
-	"math"
 	"math/big"
 	"strconv"
 	"strings"
@@ -16,27 +15,13 @@ import (
 // Vec64 is a dense rational vector with one shared positive denominator:
 // component i has the exact value Num[i]/Den. GCD-normalised integer
 // vectors (cone generators, DD rays) have Den == 1. The zero value (nil
-// Num, Den 0) is not a valid vector; construct with Vec64FromVec,
-// Vec64FromInts, or fill Num and set Den explicitly (Den must be > 0 and
-// entries must not be MinInt64 — magnitude 2⁶³ is outside the kernel's
-// domain, so every value stays negatable; the checked constructors
-// enforce this).
+// Num, Den 0) is not a valid vector; construct with Vec64FromVec, or
+// fill Num and set Den explicitly (Den must be > 0 and entries must not
+// be MinInt64 — magnitude 2⁶³ is outside the kernel's domain, so every
+// value stays negatable; the checked constructor enforces this).
 type Vec64 struct {
 	Num []int64
 	Den int64
-}
-
-// Vec64FromInts builds an integer vector (Den 1) over its own copy of xs.
-// MinInt64 entries are outside the kernel domain and panic.
-func Vec64FromInts(xs ...int64) Vec64 {
-	num := make([]int64, len(xs))
-	for i, x := range xs {
-		if x == math.MinInt64 {
-			panic("exact: Vec64 entry magnitude 2⁶³ is outside the kernel domain")
-		}
-		num[i] = x
-	}
-	return Vec64{Num: num, Den: 1}
 }
 
 // Vec64FromVec converts v into common-denominator form. ok is false when

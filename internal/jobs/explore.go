@@ -219,10 +219,11 @@ func exploreRunner(spec ExploreSpec, restore []*explore.Node) Runner {
 					n := nodeJSON(ev.Node)
 					data.Node = &n
 				}
-				job.Emit(string(ev.Kind), data)
 				if ev.Kind == explore.EventNodeEvaluated && ev.Node != nil {
 					committed = append(committed, ev.Node)
-					job.SetCheckpoint(committed[:len(committed):len(committed)])
+					job.EmitCheckpoint(string(ev.Kind), data, committed[:len(committed):len(committed)])
+				} else {
+					job.Emit(string(ev.Kind), data)
 				}
 			}
 		}()

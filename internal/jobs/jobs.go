@@ -40,11 +40,11 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Event is one progress record in a job's event log. The log is retained
-// for the life of the job, so late subscribers replay the full history;
-// Seq is the event's position in it. The job's terminal state is appended
-// as a final event (kind "done", "failed" or "cancelled") so streaming
-// consumers get closure in-band.
+// Event is one record in a Log: a job's progress, or a live stream's
+// verdicts. A job's log is retained for the life of the job, so late
+// subscribers replay the full history; Seq is the event's position in it.
+// The job's terminal state is appended as a final event (kind "done",
+// "failed" or "cancelled") so streaming consumers get closure in-band.
 type Event struct {
 	Seq  int    `json:"seq"`
 	Kind string `json:"kind"`
@@ -251,7 +251,7 @@ func (m *Manager) submit(kind string, run Runner, spec any, resumedFrom string) 
 		cancel:      cancel,
 		run:         run,
 		state:       StateQueued,
-		wake:        make(chan struct{}),
+		log:         NewLog(0),
 		start:       make(chan struct{}),
 		created:     created,
 		spec:        spec,
@@ -508,6 +508,8 @@ func (m *Manager) Adopt(a AdoptedJob) (*Job, error) {
 	if a.Error != "" {
 		jerr = errors.New(a.Error)
 	}
+	log := NewLog(0)
+	log.events, log.next, log.terminal = append([]Event(nil), a.Events...), len(a.Events), true
 	j := &Job{
 		ID:          a.ID,
 		Kind:        a.Kind,
@@ -518,8 +520,7 @@ func (m *Manager) Adopt(a AdoptedJob) (*Job, error) {
 		state:       a.State,
 		err:         jerr,
 		result:      a.Result,
-		events:      append([]Event(nil), a.Events...),
-		wake:        make(chan struct{}),
+		log:         log,
 		created:     a.Created,
 		started:     a.Started,
 		finished:    a.Finished,
@@ -565,8 +566,7 @@ type Job struct {
 	state       State
 	err         error
 	result      any
-	events      []Event
-	wake        chan struct{} // closed and replaced on every append/state change
+	log         *Log
 	created     time.Time
 	started     time.Time
 	finished    time.Time
@@ -600,7 +600,7 @@ func (j *Job) Status() Status {
 		ID:          j.ID,
 		Kind:        j.Kind,
 		State:       j.state,
-		Events:      len(j.events),
+		Events:      j.log.Len(),
 		Created:     j.created,
 		ResumedFrom: j.resumedFrom,
 		Restored:    j.restored,
@@ -654,15 +654,11 @@ func (j *Job) FinishedAt() time.Time {
 func (j *Job) Emit(kind string, data any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	ev := Event{Seq: len(j.events), Kind: kind, Data: data}
-	j.events = append(j.events, ev)
+	var commit func(Event)
 	if j.journal != nil {
-		j.journal.JobEvent(j.ID, ev)
+		commit = func(ev Event) { j.journal.JobEvent(j.ID, ev) }
 	}
-	j.broadcastLocked()
+	j.log.Append(kind, data, false, commit)
 }
 
 // SetCheckpoint records the runner's latest resumable state. The
@@ -681,7 +677,24 @@ func (j *Job) SetCheckpoint(cp any) {
 	}
 }
 
-// Checkpoint returns the latest checkpoint recorded with SetCheckpoint.
+// EmitCheckpoint is Emit followed by SetCheckpoint(cp) as one step: the
+// event reaches subscribers only once the journal holds both it and cp,
+// so a watcher that saw the event (and then killed the daemon) can count
+// on a resume from at least cp, within the journal's checkpoint window.
+func (j *Job) EmitCheckpoint(kind string, data, cp any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.log.Append(kind, data, false, func(ev Event) {
+		j.checkpoint = cp
+		if j.journal != nil {
+			j.journal.JobEvent(j.ID, ev)
+			j.journal.JobCheckpoint(j.ID, cp)
+		}
+	})
+}
+
+// Checkpoint returns the latest checkpoint recorded with SetCheckpoint or
+// EmitCheckpoint.
 func (j *Job) Checkpoint() any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -704,7 +717,6 @@ func (j *Job) setRunning(now time.Time) {
 	}
 	j.state = StateRunning
 	j.started = now
-	j.broadcastLocked()
 }
 
 // finalize classifies the runner's outcome, appends the terminal event,
@@ -724,12 +736,11 @@ func (j *Job) finalize(res any, err error, now time.Time) {
 	if err != nil {
 		data = map[string]string{"error": err.Error()}
 	}
-	ev := Event{Seq: len(j.events), Kind: string(state), Data: data}
-	j.events = append(j.events, ev)
 	j.state = state
 	j.err = err
 	j.result = res
 	j.finished = now
+	var commit func(Event)
 	if j.journal != nil {
 		// The terminal record is the commit point: the journal flushes any
 		// coalesced checkpoint and fsyncs here, so the panic/cancel exit
@@ -739,77 +750,28 @@ func (j *Job) finalize(res any, err error, now time.Time) {
 		if err != nil {
 			errMsg = err.Error()
 		}
-		j.journal.JobEvent(j.ID, ev)
-		j.journal.JobFinished(j.ID, state, errMsg, res, j.started, now)
+		commit = func(ev Event) {
+			j.journal.JobEvent(j.ID, ev)
+			j.journal.JobFinished(j.ID, state, errMsg, res, j.started, now)
+		}
 	}
-	j.broadcastLocked()
-}
-
-// broadcastLocked wakes every Events subscriber and Wait caller.
-func (j *Job) broadcastLocked() {
-	close(j.wake)
-	j.wake = make(chan struct{})
+	j.log.Append(string(state), data, true, commit)
 }
 
 // Wait blocks until the job reaches a terminal state (returning its error)
 // or ctx ends (returning the context error).
 func (j *Job) Wait(ctx context.Context) error {
-	for {
-		j.mu.Lock()
-		state, err, wake := j.state, j.err, j.wake
-		j.mu.Unlock()
-		if state.Terminal() {
-			return err
-		}
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if err := j.log.Wait(ctx); err != nil {
+		return err
 	}
+	// finalize sets the error and appends the terminal event under j.mu,
+	// so once the log is terminal, Err returns the final error.
+	return j.Err()
 }
 
 // Events streams the job's event log: every event with Seq >= from (the
-// full history for from = 0), then live events as they land. The channel
-// closes once the terminal event has been delivered, or when ctx ends; the
-// subscription goroutine exits with it either way, so an HTTP handler that
-// ties ctx to its request context leaks nothing on client disconnect.
+// full history for from = 0), then live events as they land, closing
+// after the terminal event or when ctx ends (see Log.Events).
 func (j *Job) Events(ctx context.Context, from int) <-chan Event {
-	out := make(chan Event)
-	go func() {
-		defer close(out)
-		next := from
-		if next < 0 {
-			next = 0
-		}
-		for {
-			j.mu.Lock()
-			var batch []Event
-			if next < len(j.events) {
-				batch = append(batch, j.events[next:]...)
-			}
-			// finalize appends the terminal event and flips the state under
-			// one lock hold, so a terminal snapshot always includes it.
-			terminal := j.state.Terminal()
-			wake := j.wake
-			j.mu.Unlock()
-			for _, ev := range batch {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			next += len(batch)
-			if terminal {
-				return
-			}
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
+	return j.log.Events(ctx, from)
 }

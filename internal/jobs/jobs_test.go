@@ -171,6 +171,62 @@ func TestEventsReplayAndLive(t *testing.T) {
 	}
 }
 
+// TestLogBoundedReplay pins a bounded log (a live stream's): past its
+// limit the oldest events leave, Seq keeps counting, a subscriber from an
+// evicted Seq starts at the oldest retained event, and appends after the
+// terminal event are dropped.
+func TestLogBoundedReplay(t *testing.T) {
+	l := NewLog(3)
+	for i := 0; i < 100; i++ {
+		l.Append("tick", i, false, nil)
+	}
+	l.Append("closed", nil, true, nil)
+	l.Append("late", nil, false, nil)
+	if n := l.Len(); n != 101 {
+		t.Fatalf("Len %d, want 101", n)
+	}
+	if err := l.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []int{0, 98, 99, 100, 101} {
+		var seqs []int
+		for ev := range l.Events(context.Background(), from) {
+			seqs = append(seqs, ev.Seq)
+		}
+		want := map[int]string{0: "[98 99 100]", 98: "[98 99 100]", 99: "[99 100]", 100: "[100]", 101: "[]"}[from]
+		if fmt.Sprint(seqs) != want {
+			t.Fatalf("from=%d: seqs %v, want %s", from, seqs, want)
+		}
+	}
+
+	// Live: subscribers following a bounded log while it is appended to
+	// see strictly increasing Seqs (gaps allowed) ending in the terminal.
+	l = NewLog(4)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		ch := l.Events(context.Background(), 0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := Event{Seq: -1}
+			for ev := range ch {
+				if ev.Seq <= last.Seq {
+					t.Errorf("seq %d after %d", ev.Seq, last.Seq)
+				}
+				last = ev
+			}
+			if last.Kind != "closed" || last.Seq != 1000 {
+				t.Errorf("last event %+v, want closed at seq 1000", last)
+			}
+		}()
+	}
+	for i := 0; i < 1000; i++ {
+		l.Append("tick", i, false, nil)
+	}
+	l.Append("closed", nil, true, nil)
+	wg.Wait()
+}
+
 func TestEventsSubscriberCancel(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Close()

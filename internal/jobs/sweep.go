@@ -384,13 +384,12 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 			results = append(results, cell)
 			m.sweep.cellsCommitted.Add(1)
 			c := cell
-			job.Emit("cell", SweepEventData{Cell: &c})
-			// Checkpoint after every committed cell so the durable journal
+			// Checkpoint with every committed cell so the durable journal
 			// can resume a kill -9'd scan from here. The capped three-index
 			// slice is O(1): committed prefixes are immutable, and later
 			// appends beyond len can never show through the view. The
 			// journal coalesces the burst; only the latest must land.
-			job.SetCheckpoint(results[:len(results):len(results)])
+			job.EmitCheckpoint("cell", SweepEventData{Cell: &c}, results[:len(results):len(results)])
 			if hook := m.opts.AfterSweepCell; hook != nil {
 				hook(i)
 			}

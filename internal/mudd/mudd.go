@@ -144,14 +144,6 @@ func (d *Diagram) Nodes() []Node {
 	return out
 }
 
-// Out returns the outgoing causality edges of id.
-func (d *Diagram) Out(id NodeID) []Edge {
-	es := d.out[id]
-	out := make([]Edge, len(es))
-	copy(out, es)
-	return out
-}
-
 // HBEdges returns the happens-before edges.
 func (d *Diagram) HBEdges() []HBEdge {
 	out := make([]HBEdge, len(d.hb))

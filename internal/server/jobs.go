@@ -21,11 +21,9 @@ package server
 // server Config and the same query parameters the evaluate endpoints take.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"repro/internal/counters"
 	"repro/internal/explore"
@@ -199,34 +197,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // disconnect unsubscribes — it never cancels the job itself, which other
 // watchers may still be following.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "from must be a non-negative integer, got %q", v)
-			return
-		}
-		from = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	rc.Flush()
-	enc := json.NewEncoder(w)
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	for ev := range j.Events(ctx, from) {
-		if err := enc.Encode(ev); err != nil {
-			// The write failed (client gone): cancel the subscription and
-			// drain so its goroutine exits before the handler does.
-			cancel()
-			break
-		}
-		rc.Flush()
+	if j, ok := s.lookupJob(w, r); ok {
+		serveEvents(w, r, j.Events)
 	}
 }
 

@@ -45,10 +45,10 @@
 // grid for encodings consistent with the page-walker reference count
 // (sweep.go and internal/sweep); sweeps share the engine, so their grid-
 // cell dedup shows up in /stats. The /v1/streams endpoints are the online
-// counterpart of batch evaluation: each stream wraps an
-// engine.IncrementalSession behind a bounded queue with an explicit
-// backpressure policy, and its monotone verdict state is bit-identical
-// to a batch evaluation of the same observations (streams.go). See
+// counterpart of batch evaluation: each stream runs Session.Test behind
+// a bounded queue with an explicit backpressure policy, folds verdicts
+// into a monotone state bit-identical to a batch evaluation of the same
+// observations, and publishes them on the jobs event log (streams.go). See
 // docs/API.md for the full endpoint reference.
 package server
 
@@ -256,6 +256,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// serveEvents writes an event log as NDJSON: the events from ?from=seq
+// onward, then live ones, until the terminal event or the client leaves.
+// The subscription runs under the request context, so a disconnected
+// watcher unsubscribes without touching the job or stream it watched.
+func serveEvents(w http.ResponseWriter, r *http.Request, subscribe func(context.Context, int) <-chan jobs.Event) {
+	from := 0
+	if v := r.URL.Query().Get("from"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, "from must be a non-negative integer, got %q", v)
+			return
+		}
+		from = n
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	rc.Flush()
+	enc := json.NewEncoder(w)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	events := subscribe(ctx, from)
+	for ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			// The write failed (client gone): cancel the subscription and
+			// drain it so its goroutine exits before the handler does.
+			cancel()
+			for range events {
+			}
+			return
+		}
+		rc.Flush()
+	}
 }
 
 // durableOK gates endpoints that would journal new work (submit,

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // TestStreamBackpressureSoak is the backpressure soak (a named CI step):
@@ -53,7 +55,7 @@ func TestStreamBackpressureSoak(t *testing.T) {
 		defer resp.Body.Close()
 		dec := json.NewDecoder(resp.Body)
 		for {
-			var ev streamEvent
+			var ev jobs.Event
 			if err := dec.Decode(&ev); err != nil {
 				return
 			}
@@ -126,7 +128,7 @@ func TestStreamBackpressureSoak(t *testing.T) {
 	}
 
 	// No reordering: verdict indexes strictly increase and the stream
-	// state is monotone (gaps are fine — the event ring is bounded).
+	// state is monotone (gaps are fine — the event log is bounded).
 	for i := 1; i < len(watch.indexes); i++ {
 		if watch.indexes[i] <= watch.indexes[i-1] || watch.totals[i] <= watch.totals[i-1] {
 			t.Fatalf("reordered verdicts at %d: indexes %d..%d totals %d..%d",

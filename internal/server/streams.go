@@ -1,14 +1,14 @@
 package server
 
 // The online-refutation stream API: a live ingest tier over
-// engine.IncrementalSession. A stream binds one registered model to one
-// evaluation configuration; observations arrive as NDJSON lines on
-// POST /v1/streams/{id}/ingest, verdicts and monotone stream state flow
-// out as events on GET /v1/streams/{id}/events, and the whole lifecycle
-// (create / describe / close, idle-TTL reaping) is bounded: a per-stream
-// queue no deeper than the configured high-water mark, a bounded event
-// ring, and an explicit backpressure policy when the producer outruns
-// the solver —
+// engine.Session.Test and engine.StreamFold. A stream binds one
+// registered model to one evaluation configuration; observations arrive
+// as NDJSON lines on POST /v1/streams/{id}/ingest, verdicts and monotone
+// stream state flow out as events on GET /v1/streams/{id}/events, and the
+// whole lifecycle (create / describe / close, idle-TTL reaping) is
+// bounded: a per-stream queue no deeper than the configured high-water
+// mark, a bounded jobs.Log (the event log the jobs API uses), and an
+// explicit backpressure policy when the producer outruns the solver —
 //
 //   - "block"  (default): the ingest request stops reading until the
 //     queue drains — backpressure propagates to the producer through
@@ -22,7 +22,7 @@ package server
 // per-line "error" event and an entry in the ingest summary. Stream
 // verdict state is monotone (feasible → refuted is one-way) and
 // bit-identical to a batch evaluation of the same observations — see
-// engine.IncrementalSession and DESIGN.md "Online refutation".
+// engine.StreamFold and DESIGN.md "Online refutation".
 
 import (
 	"bufio"
@@ -31,9 +31,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/engine"
+	"repro/internal/jobs"
 )
 
 // Stream-tier defaults.
@@ -60,7 +61,7 @@ const (
 	// oversized line is a per-line error that ends the request (the line
 	// boundary is lost past the cap, so resynchronisation is impossible).
 	DefaultMaxStreamLineBytes = 1 << 20
-	// streamEventLimit bounds the retained event ring per stream; late
+	// streamEventLimit bounds the retained event log per stream; late
 	// subscribers to a hot stream replay only the retained tail.
 	streamEventLimit = 4096
 	// maxReportedLineErrors caps the per-line error detail echoed in one
@@ -161,102 +162,6 @@ func (h *latencyHist) snapshot() latencyJSON {
 	}
 }
 
-// streamEvent is one entry in a stream's event log.
-type streamEvent struct {
-	Seq  int    `json:"seq"`
-	Kind string `json:"kind"`
-	Data any    `json:"data,omitempty"`
-}
-
-// eventLog is a bounded, replayable event ring: appenders drop the
-// oldest retained event past the cap, subscribers replay the retained
-// tail from their requested sequence number and then follow live until
-// the terminal event. Modelled on jobs.Job's event log, but bounded —
-// a 10k samples/sec stream would otherwise grow its history without
-// limit, violating the per-stream memory bound.
-type eventLog struct {
-	mu       sync.Mutex
-	cap      int
-	events   []streamEvent // retained tail; events[0].Seq == first
-	first    int
-	next     int
-	terminal bool
-	wake     chan struct{}
-}
-
-func newEventLog(capacity int) *eventLog {
-	return &eventLog{cap: capacity, wake: make(chan struct{})}
-}
-
-func (l *eventLog) append(kind string, data any, terminal bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.terminal {
-		return
-	}
-	l.events = append(l.events, streamEvent{Seq: l.next, Kind: kind, Data: data})
-	l.next++
-	if len(l.events) > l.cap {
-		drop := len(l.events) - l.cap
-		l.events = append(l.events[:0], l.events[drop:]...)
-		l.first += drop
-	}
-	l.terminal = terminal
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
-func (l *eventLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-// subscribe streams retained events with Seq >= from, then live events,
-// closing after the terminal event has been delivered or ctx ends. The
-// goroutine exits with the channel either way, so a handler tying ctx to
-// its request context leaks nothing on client disconnect.
-func (l *eventLog) subscribe(ctx context.Context, from int) <-chan streamEvent {
-	out := make(chan streamEvent)
-	go func() {
-		defer close(out)
-		next := from
-		if next < 0 {
-			next = 0
-		}
-		for {
-			l.mu.Lock()
-			if next < l.first {
-				next = l.first // older events left the ring
-			}
-			var batch []streamEvent
-			if next < l.next {
-				batch = append(batch, l.events[next-l.first:]...)
-			}
-			terminal := l.terminal
-			wake := l.wake
-			l.mu.Unlock()
-			for _, ev := range batch {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			next += len(batch)
-			if terminal {
-				return
-			}
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
 // queuedObs is one observation waiting for the stream worker, stamped at
 // enqueue time so the recorded verdict latency covers queue wait + solve.
 type queuedObs struct {
@@ -264,20 +169,19 @@ type queuedObs struct {
 	enq time.Time
 }
 
-// stream is one live ingest session: a bounded queue in front of a
-// dedicated engine.IncrementalSession, drained by one worker goroutine
-// so verdicts land in strict ingest order.
+// stream is one live ingest session: a bounded queue in front of an
+// engine session, drained by one worker goroutine so verdicts land in
+// strict ingest order.
 type stream struct {
 	id      string
 	model   *core.Model
-	cfg     engine.Config
 	policy  string
 	buffer  int
 	created time.Time
 
-	mgr *streamManager
-	inc *engine.IncrementalSession
-	log *eventLog
+	mgr  *streamManager
+	sess *engine.Session
+	log  *jobs.Log
 
 	queue    chan queuedObs
 	closedCh chan struct{} // closed exactly once, under qmu
@@ -300,6 +204,7 @@ type stream struct {
 	lat latencyHist
 
 	mu         sync.Mutex
+	fold       engine.StreamFold
 	lastActive time.Time
 	ingested   uint64 // observations queued
 	dropped    uint64
@@ -321,6 +226,13 @@ func (st *stream) terminal() bool {
 	default:
 		return false
 	}
+}
+
+// state snapshots the stream's verdict state.
+func (st *stream) state() engine.StreamState {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.fold.State
 }
 
 func (st *stream) touch(now time.Time) {
@@ -370,8 +282,8 @@ func (st *stream) enqueue(ctx context.Context, o *counters.Observation) disposit
 	return dispQueued
 }
 
-// run is the stream worker: it drains the queue into the incremental
-// session one observation at a time (strict FIFO — the no-reordering
+// run is the stream worker: it drains the queue into the stream's fold
+// one observation at a time (strict FIFO — the no-reordering
 // guarantee), and on close finishes the queued backlog before appending
 // the terminal event. Exactly one worker runs per stream.
 func (st *stream) run() {
@@ -382,11 +294,10 @@ func (st *stream) run() {
 			case qo := <-st.queue:
 				st.process(qo)
 			default:
-				st.inc.Close()
-				st.log.append("closed", map[string]any{
+				st.log.Append("closed", map[string]any{
 					"reason": st.closeReason,
-					"state":  st.inc.State(),
-				}, true)
+					"state":  st.state(),
+				}, true, nil)
 				return
 			}
 		}
@@ -413,8 +324,12 @@ type verdictEventJSON struct {
 	State       engine.StreamState `json:"state"`
 }
 
+// process evaluates one observation and folds its verdict into the
+// stream state. Its latency is recorded first, so a reader that sees
+// Total n also sees at least n latencies. A failed evaluation is counted
+// in eval_errors and never folded in.
 func (st *stream) process(qo queuedObs) {
-	res, err := st.inc.Ingest(context.Background(), qo.o)
+	v, err := st.sess.Test(context.Background(), qo.o)
 	d := time.Since(qo.enq)
 	st.lat.record(d)
 	st.mgr.lat.record(d)
@@ -423,23 +338,27 @@ func (st *stream) process(qo queuedObs) {
 		st.evalErrors++
 		st.mu.Unlock()
 		st.mgr.counts.evalErrors.Add(1)
-		st.log.append("error", map[string]any{
+		st.log.Append("error", map[string]any{
 			"observation": qo.o.Label,
 			"error":       err.Error(),
-		}, false)
+		}, false, nil)
 		return
 	}
+	st.mu.Lock()
+	idx := st.fold.Add(v)
+	state := st.fold.State
+	st.mu.Unlock()
 	st.mgr.counts.verdicts.Add(1)
 	ev := verdictEventJSON{
-		Index:       res.Index,
-		Observation: res.Verdict.Observation,
-		Feasible:    res.Verdict.Feasible,
-		State:       res.State,
+		Index:       idx,
+		Observation: v.Observation,
+		Feasible:    v.Feasible,
+		State:       state,
 	}
-	for _, k := range res.Verdict.Violations {
+	for _, k := range v.Violations {
 		ev.Violations = append(ev.Violations, k.String())
 	}
-	st.log.append("verdict", ev, false)
+	st.log.Append("verdict", ev, false, nil)
 }
 
 // streamCounters is the manager-wide stream telemetry (GET /stats).
@@ -566,14 +485,14 @@ func (m *streamManager) create(model *core.Model, cfg engine.Config, policy stri
 	st := &stream{
 		id:         fmt.Sprintf("s%06d", m.nextID),
 		model:      model,
-		cfg:        cfg,
 		policy:     policy,
 		buffer:     buffer,
 		created:    now,
 		lastActive: now,
 		mgr:        m,
-		inc:        sess.Incremental(),
-		log:        newEventLog(streamEventLimit),
+		sess:       sess,
+		fold:       engine.NewStreamFold(sess.Config().Confidence),
+		log:        jobs.NewLog(streamEventLimit),
 		queue:      make(chan queuedObs, buffer),
 		closedCh:   make(chan struct{}),
 		done:       make(chan struct{}),
@@ -581,12 +500,12 @@ func (m *streamManager) create(model *core.Model, cfg engine.Config, policy stri
 	m.streams[st.id] = st
 	m.order = append(m.order, st)
 	m.counts.created.Add(1)
-	st.log.append("created", map[string]any{
+	st.log.Append("created", map[string]any{
 		"stream": st.id,
 		"model":  model.Name,
 		"policy": policy,
 		"buffer": buffer,
-	}, false)
+	}, false, nil)
 	m.wg.Add(1)
 	hold := m.workerHold
 	go func() {
@@ -795,13 +714,13 @@ func (st *stream) describe() streamJSON {
 		CloseReason: reason,
 		Created:     st.created,
 		LastActive:  st.lastActive,
+		State:       st.fold.State,
+	}
+	if len(st.fold.Violated) > 0 {
+		out.ViolatedConstraints = maps.Clone(st.fold.Violated)
 	}
 	st.mu.Unlock()
-	out.State = st.inc.State()
-	if v := st.inc.Violated(); len(v) > 0 {
-		out.ViolatedConstraints = v
-	}
-	out.Events = st.log.len()
+	out.Events = st.log.Len()
 	out.Latency = st.lat.snapshot()
 	return out
 }
@@ -1009,7 +928,7 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		if len(sum.Errors) < maxReportedLineErrors {
 			sum.Errors = append(sum.Errors, lineErrorJSON{Line: line, Error: err.Error()})
 		}
-		st.log.append("error", map[string]any{"line": line, "error": err.Error()}, false)
+		st.log.Append("error", map[string]any{"line": line, "error": err.Error()}, false, nil)
 	}
 	deliver := func(line int, o *counters.Observation) bool {
 		switch st.enqueue(r.Context(), o) {
@@ -1036,42 +955,20 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		onError(received+1, fmt.Errorf("line exceeds %d bytes; ingest aborted", s.streams.maxLine))
 	}
 	if sum.Dropped > 0 {
-		st.log.append("dropped", map[string]any{"count": sum.Dropped}, false)
+		st.log.Append("dropped", map[string]any{"count": sum.Dropped}, false, nil)
 	}
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	sum.State = st.inc.State()
+	sum.State = st.state()
 	writeJSON(w, status, sum)
 }
 
 // --- GET /v1/streams/{id}/events ---
 
 func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupStream(w, r)
-	if !ok {
-		return
-	}
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "from must be a non-negative integer, got %q", v)
-			return
-		}
-		from = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	// The subscription runs under the request context: a disconnected
-	// watcher unsubscribes without touching the stream itself.
-	for ev := range st.log.subscribe(r.Context(), from) {
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-		rc.Flush()
+	if st, ok := s.lookupStream(w, r); ok {
+		serveEvents(w, r, st.log.Events)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/engine"
+	"repro/internal/jobs"
 )
 
 // newStreamServer is newTestServer returning the Server too, for tests
@@ -107,7 +109,7 @@ func waitTotal(t *testing.T, base, id string, n int) streamJSON {
 }
 
 // readEvents consumes the NDJSON event stream until terminal or n events.
-func readEvents(t *testing.T, base, id string, from, n int) []streamEvent {
+func readEvents(t *testing.T, base, id string, from, n int) []jobs.Event {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -121,11 +123,11 @@ func readEvents(t *testing.T, base, id string, from, n int) []streamEvent {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out []streamEvent
+	var out []jobs.Event
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	for sc.Scan() {
-		var ev streamEvent
+		var ev jobs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("event line %q: %v", sc.Text(), err)
 		}
@@ -219,6 +221,45 @@ func TestStreamLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantError(t, r, http.StatusNotFound, "unknown stream")
+}
+
+// TestStreamEvalErrorNotCounted pins the worker's failure path: an
+// observation whose evaluation fails (here one with no samples, which the
+// ingest decoder would have refused, queued directly) is counted in
+// eval_errors and reported as an "error" event, but never folded into the
+// state, so the next verdict still takes index 0.
+func TestStreamEvalErrorNotCounted(t *testing.T) {
+	ts, srv := newStreamServer(t)
+	id := createStream(t, ts.URL, map[string]any{"model": "pde"}).ID
+	st, _ := srv.streams.get(id)
+	if d := st.enqueue(context.Background(), counters.NewObservation("empty", pdeSet())); d != dispQueued {
+		t.Fatalf("enqueue: disposition %d", d)
+	}
+	if status, _ := ingestLines(t, ts.URL, id, ndjsonObs("bad", 100, 400, 40, 3)); status != http.StatusOK {
+		t.Fatalf("ingest status %d", status)
+	}
+	got := waitTotal(t, ts.URL, id, 1)
+	if got.EvalErrors != 1 || got.State.Total != 1 || got.State.FirstRefuted != 0 || got.Ingested != 2 {
+		t.Fatalf("describe %+v", got)
+	}
+	if n := srv.streams.stats().EvalErrors; n != 1 {
+		t.Fatalf("/stats eval_errors %d", n)
+	}
+	evs := readEvents(t, ts.URL, id, 0, 3)
+	if len(evs) != 3 || evs[1].Kind != "error" || evs[2].Kind != "verdict" {
+		t.Fatalf("events %+v", evs)
+	}
+	if data, _ := evs[1].Data.(map[string]any); data["observation"] != "empty" {
+		t.Fatalf("error event %+v", evs[1])
+	}
+	var v verdictEventJSON
+	b, _ := json.Marshal(evs[2].Data)
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Index != 0 || v.State.Total != 1 {
+		t.Fatalf("verdict after a failed evaluation: %+v", v)
+	}
 }
 
 // TestStreamCreateValidation covers the create-side error surface.
