@@ -115,8 +115,8 @@ func BenchmarkFig9aFeasibility(b *testing.B) {
 				}
 			case floatlp.Infeasible:
 				for i := 0; i < b.N; i++ {
-					if !cert.CertifyFarkas(p, out.Ray) {
-						b.Fatal("Farkas certificate rejected")
+					if !cert.CertifyFarkasBasis(p, out.Basis) {
+						b.Fatal("Farkas basis certificate rejected")
 					}
 				}
 			default:

@@ -28,6 +28,7 @@ import (
 	"repro/internal/counters"
 	"repro/internal/dsl"
 	"repro/internal/exact"
+	"repro/internal/floatlp"
 	"repro/internal/mudd"
 	"repro/internal/simplex"
 	"repro/internal/stats"
@@ -55,7 +56,7 @@ type Model struct {
 	// feasibility LP reuse them for every observation instead of
 	// re-converting each big.Rat component per verdict.
 	genOnce sync.Once
-	genF    []sparseGen
+	genF    []floatlp.Sparse
 
 	// keyOnce/key cache the model content key (see ContentKey).
 	keyOnce sync.Once
@@ -183,8 +184,12 @@ func (m *Model) TestRegionSolver(sv *Solver, r *stats.Region, identifyViolations
 // LP (see RegionLP). The engine caches the LP per (model, region) so
 // repeated sweeps re-solve without rebuilding constraint rows. A nil sv
 // solves exact-only through a temporary workspace.
+//
+// The float filter prices p's columns through its factorisation: row pair
+// i is r's axis i dotted with the cone generators (see RegionLP).
 func (m *Model) TestRegionLP(sv *Solver, p *simplex.Problem, r *stats.Region, identifyViolations bool) (*Verdict, error) {
-	return m.VerdictForRegion(r, sv.Feasible(p), identifyViolations)
+	hint := floatlp.Structure{Axes: r.Axes, Gens: m.generatorFloats()}
+	return m.VerdictForRegion(r, sv.feasible(p, hint), identifyViolations)
 }
 
 // VerdictForRegion assembles the verdict for r from an already-decided
@@ -227,25 +232,19 @@ func (m *Model) TestObservation(o *counters.Observation, confidence float64, mod
 	return verdict, nil
 }
 
-// sparseGen is a cone generator's non-zero components: μpath signatures
-// increment few of the counters under analysis.
-type sparseGen struct {
-	idx []int
-	val []float64
-}
-
 // generatorFloats returns the cone generators' non-zero components as
-// float64s, converted once per (model, counter set) and shared by every
+// float64s (μpath signatures increment few of the counters under
+// analysis), converted once per (model, counter set) and shared by every
 // subsequent verdict.
-func (m *Model) generatorFloats() []sparseGen {
+func (m *Model) generatorFloats() []floatlp.Sparse {
 	m.genOnce.Do(func() {
-		m.genF = make([]sparseGen, len(m.kcone.Generators))
+		m.genF = make([]floatlp.Sparse, len(m.kcone.Generators))
 		for j, g := range m.kcone.Generators {
 			for k, c := range g {
 				if c.Sign() != 0 {
 					v, _ := c.Float64()
-					m.genF[j].idx = append(m.genF[j].idx, k)
-					m.genF[j].val = append(m.genF[j].val, v)
+					m.genF[j].Idx = append(m.genF[j].Idx, k)
+					m.genF[j].Val = append(m.genF[j].Val, v)
 				}
 			}
 		}
@@ -291,8 +290,8 @@ func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
 		// ±0, and adding ±0 to a sum that starts at +0 changes nothing.
 		for j, g := range gens {
 			dot := 0.0
-			for t, k := range g.idx {
-				dot += axis[k] * g.val[t]
+			for t, k := range g.Idx {
+				dot += axis[k] * g.Val[t]
 			}
 			dots[j] = dot
 		}

@@ -48,12 +48,14 @@ type SolverCounts struct {
 	FilterFeasible   uint64 `json:"filter_feasible"`
 	FilterInfeasible uint64 `json:"filter_infeasible"`
 	// FilterInfeasibleBasis counts the FilterInfeasible verdicts certified
-	// by the exact dual of the filter's final phase-1 basis after the
-	// rounded dual ray failed verification.
+	// by the exact dual of the filter's final phase-1 basis. Every filter
+	// refutation is certified that way, so it equals FilterInfeasible; the
+	// field remains for telemetry readers.
 	FilterInfeasibleBasis uint64 `json:"filter_infeasible_basis"`
-	// CertFailures counts float-tier claims for which every certificate
-	// failed exact verification (each such evaluation also counts an exact
-	// fallback).
+	// CertFailures counts evaluations whose last float-tier claim failed
+	// exact verification (each also counts an exact fallback). A tightened
+	// solve's basis that fails is not counted: the untightened solve's
+	// claim gets its turn first.
 	CertFailures uint64 `json:"certification_failures"`
 	// ExactFallbacks counts verdicts decided by the exact tier — because
 	// the filter was disabled, the LP was below the filter's size gate,
@@ -71,8 +73,9 @@ type SolverCounts struct {
 	KernelPromotions     uint64 `json:"kernel_promotions"`
 	// CertifyKernel / CertifyBigRat split certificate checks by arithmetic
 	// path: fully int64-kernel versus the gcd-free big.Int fallback
-	// (the JSON name keeps its historical "bigrat"). A refutation certified by
-	// the phase-1 basis after its ray failed counts two checks.
+	// (the JSON name keeps its historical "bigrat"). A refutation certified
+	// by the untightened solve's basis after the tightened solve's basis
+	// failed counts two checks.
 	CertifyKernel uint64 `json:"certifications_int64"`
 	CertifyBigRat uint64 `json:"certifications_bigrat"`
 
@@ -196,6 +199,14 @@ func (s *Solver) certifier() *simplex.Certifier {
 // certificate verifies exactly. What it leaves undecided goes to the exact
 // simplex: always the exact answer.
 func (s *Solver) Feasible(p *simplex.Problem) bool {
+	return s.feasible(p, floatlp.Structure{})
+}
+
+// feasible is Feasible with a pricing hint for the float tier (see
+// floatlp.Structure). An infeasible claim is certified from the tightened
+// solve's basis first; only when that fails does the filter re-solve p
+// untightened for a second claim.
+func (s *Solver) feasible(p *simplex.Problem, hint floatlp.Structure) bool {
 	if s == nil {
 		return simplex.NewWorkspace().SolveStatus(p) == simplex.Optimal
 	}
@@ -203,7 +214,14 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 		s.Stats.evaluations.Add(1)
 	}
 	if s.Filter != nil && p.NumVars*len(p.Constraints) >= filterMinSize {
-		if feasible, ok := s.verifyClaim(p, s.Filter.Feasibility(p)); ok {
+		out := s.Filter.FeasibilityStructured(p, hint)
+		if out.Status == floatlp.Infeasible {
+			if _, ok := s.certify(p, out); ok {
+				return false
+			}
+			out = s.Filter.Untightened()
+		}
+		if feasible, ok := s.verifyClaim(p, out); ok {
 			return feasible
 		}
 	}
@@ -216,12 +234,22 @@ func (s *Solver) Feasible(p *simplex.Problem) bool {
 	return feasible
 }
 
-// verifyClaim checks the float filter's claim exactly. A feasible claim
-// stands on its rounded point. An infeasible claim stands on its rounded
-// dual ray or, failing that, on the exact dual of the filter's final
-// phase-1 basis. ok=false means the filter was inconclusive or every
-// certificate failed, and the exact tier must decide.
+// verifyClaim checks the float filter's claim exactly (see certify) and
+// counts a claim whose certificate fails as a certification failure.
+// ok=false means the filter was inconclusive or the certificate failed,
+// and the exact tier must decide.
 func (s *Solver) verifyClaim(p *simplex.Problem, out floatlp.Outcome) (feasible, ok bool) {
+	feasible, ok = s.certify(p, out)
+	if !ok && out.Status != floatlp.Inconclusive && s.Stats != nil {
+		s.Stats.certFailures.Add(1)
+	}
+	return feasible, ok
+}
+
+// certify checks a claim's certificate: a feasible claim stands on its
+// rounded point, an infeasible one on the exact dual of the filter's final
+// phase-1 basis. Only certified claims reach the filter counters.
+func (s *Solver) certify(p *simplex.Problem, out floatlp.Outcome) (feasible, ok bool) {
 	cert := s.certifier()
 	switch out.Status {
 	case floatlp.Feasible:
@@ -230,25 +258,15 @@ func (s *Solver) verifyClaim(p *simplex.Problem, out floatlp.Outcome) (feasible,
 		if ok && s.Stats != nil {
 			s.Stats.filterFeasible.Add(1)
 		}
-		feasible = true
+		return true, ok
 	case floatlp.Infeasible:
-		ok = cert.CertifyFarkas(p, out.Ray)
+		ok = cert.CertifyFarkasBasis(p, out.Basis)
 		s.Stats.noteCertify(cert)
-		if !ok {
-			ok = cert.CertifyFarkasBasis(p, out.Basis)
-			s.Stats.noteCertify(cert)
-			if ok && s.Stats != nil {
-				s.Stats.basisInfeasible.Add(1)
-			}
-		}
 		if ok && s.Stats != nil {
 			s.Stats.filterInfeasible.Add(1)
+			s.Stats.basisInfeasible.Add(1)
 		}
-	default:
-		return false, false
+		return false, ok
 	}
-	if !ok && s.Stats != nil {
-		s.Stats.certFailures.Add(1)
-	}
-	return feasible, ok
+	return false, false
 }

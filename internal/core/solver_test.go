@@ -13,8 +13,8 @@ import (
 )
 
 // basisClaim is an infeasible filter claim on x ≥ 2, 3y ≥ 6, x + y ≤ 1
-// (x, y ≥ 0) whose ray is useless (all zero), so only the phase-1 basis
-// {art₀, art₁, x} — row scales 1, 3, 1 — can certify it.
+// (x, y ≥ 0) certified by its phase-1 basis {art₀, art₁, x} — row scales
+// 1, 3, 1.
 func basisClaim() (*simplex.Problem, floatlp.Outcome) {
 	p := simplex.NewProblem(2)
 	p.AddConstraint(exact.VecFromInts(1, 0), simplex.GE, big.NewRat(2, 1))
@@ -22,7 +22,6 @@ func basisClaim() (*simplex.Problem, floatlp.Outcome) {
 	p.AddConstraint(exact.VecFromInts(1, 1), simplex.LE, big.NewRat(1, 1))
 	return p, floatlp.Outcome{
 		Status: floatlp.Infeasible,
-		Ray:    make([]float64, 3),
 		Basis: simplex.FarkasBasis{
 			Cols:  []int{2 + 3 + 0, 2 + 3 + 1, 0},
 			Sign:  []float64{1, 1, 1},
@@ -31,9 +30,9 @@ func basisClaim() (*simplex.Problem, floatlp.Outcome) {
 	}
 }
 
-// TestVerifyClaimBasisTier pins the certificate chain of an infeasible
-// claim: a failed ray hands over to the basis certificate, whose success
-// counts as a filter refutation certified by the basis; a tampered basis
+// TestVerifyClaimBasisTier pins the certificate of an infeasible claim:
+// the basis certificate's success counts as a filter refutation certified
+// by the basis; a tampered basis
 // (swapped column, unit artificial weights, flipped row sign) is rejected
 // and the claim falls back to the exact tier as a certification failure.
 func TestVerifyClaimBasisTier(t *testing.T) {

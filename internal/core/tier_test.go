@@ -44,6 +44,9 @@ func (r *recordChoices) Intn(n int) int {
 // do — at most 8 variables (some free) and 12 rows of slab pairs, single
 // LE/GE rows and EQ rows, with dyadic coefficients — and returns it with
 // two bound-drifted copies: every right-hand side moves by δ/4, then 2δ/4.
+// Two slab-pair variants probe the filter's range rows: zero-width slabs
+// (lo = hi) and inverted pairs whose GE bound lies above the LE bound,
+// which must stay unpaired.
 func tierLPs(c chooser) []*simplex.Problem {
 	type row struct {
 		coeffs exact.Vec
@@ -62,16 +65,26 @@ func tierLPs(c chooser) []*simplex.Problem {
 			coeffs[j].SetFrac64(int64(c.Intn(21)-10), int64(1<<uint(c.Intn(5))))
 		}
 		center := int64(c.Intn(400) - 200)
-		switch c.Intn(4) {
-		case 0: // slab pair
+		// The row kind is kind mod 4, as when it was drawn mod 4, so
+		// inputs recorded then decode to the same LPs; two of every ten
+		// slab pairs take a variant.
+		switch kind := c.Intn(40); {
+		case kind%20 == 4: // zero-width slab pair
+			rows = append(rows, row{coeffs, simplex.LE, big.NewRat(center, 4)},
+				row{coeffs, simplex.GE, big.NewRat(center, 4)})
+		case kind%20 == 8: // inverted pair
+			width := int64(1 + c.Intn(30))
+			rows = append(rows, row{coeffs, simplex.LE, big.NewRat(center-width, 4)},
+				row{coeffs, simplex.GE, big.NewRat(center+width, 4)})
+		case kind%4 == 0: // slab pair
 			width := int64(1 + c.Intn(30))
 			rows = append(rows, row{coeffs, simplex.LE, big.NewRat(center+width, 4)},
 				row{coeffs, simplex.GE, big.NewRat(center-width, 4)})
-		case 1:
+		case kind%4 == 1:
 			rows = append(rows, row{coeffs, simplex.LE, big.NewRat(center, 4)})
-		case 2:
+		case kind%4 == 2:
 			rows = append(rows, row{coeffs, simplex.GE, big.NewRat(center, 4)})
-		case 3:
+		default:
 			rows = append(rows, row{coeffs, simplex.EQ, big.NewRat(center, 8)})
 		}
 	}
@@ -99,7 +112,9 @@ func tierLPs(c chooser) []*simplex.Problem {
 // certificates and exact fallback, carried across the steps), an
 // exact-only Solver, the int64 kernel and the big.Rat reference tableau.
 // All four must agree, and every filter certificate that verifies exactly
-// must certify the reference verdict.
+// must certify the reference verdict: the point, and the basis of the
+// tightened solve and then of the untightened one, each of which must
+// name one basic column per row.
 func FuzzTierAgreement(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, 99} {
 		r := &recordChoices{rng: rand.New(rand.NewSource(seed))}
@@ -132,11 +147,13 @@ func FuzzTierAgreement(f *testing.F) {
 					t.Fatalf("step %d: point certificate verified on an infeasible LP", k)
 				}
 			case floatlp.Infeasible:
-				if cert.CertifyFarkas(p, out.Ray) && want {
-					t.Fatalf("step %d: Farkas ray verified on a feasible LP", k)
-				}
-				if cert.CertifyFarkasBasis(p, out.Basis) && want {
-					t.Fatalf("step %d: Farkas basis verified on a feasible LP", k)
+				for ; out.Status == floatlp.Infeasible; out = fl.Untightened() {
+					if len(out.Basis.Cols) != len(p.Constraints) {
+						t.Fatalf("step %d: basis of %d columns for %d rows", k, len(out.Basis.Cols), len(p.Constraints))
+					}
+					if cert.CertifyFarkasBasis(p, out.Basis) && want {
+						t.Fatalf("step %d: Farkas basis verified on a feasible LP", k)
+					}
 				}
 			}
 		}

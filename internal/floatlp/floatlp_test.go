@@ -31,8 +31,12 @@ func TestFeasibilityInfeasible(t *testing.T) {
 	if out.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", out.Status)
 	}
-	if !simplex.CertifyFarkas(p, out.Ray) {
-		t.Fatalf("Farkas certificate %v failed exact verification", out.Ray)
+	if len(out.Basis.Cols) != len(p.Constraints) {
+		t.Fatalf("basis %v does not cover the %d rows", out.Basis.Cols, len(p.Constraints))
+	}
+	var c simplex.Certifier
+	if !c.CertifyFarkasBasis(p, out.Basis) {
+		t.Fatalf("Farkas basis certificate %+v failed exact verification", out.Basis)
 	}
 }
 
@@ -68,7 +72,7 @@ func TestFeasibilityEqualityRows(t *testing.T) {
 	if out.Status == Feasible {
 		t.Fatal("contradictory equalities claimed feasible")
 	}
-	if out.Status == Infeasible && !simplex.CertifyFarkas(q, out.Ray) {
+	if out.Status == Infeasible && !new(simplex.Certifier).CertifyFarkasBasis(q, out.Basis) {
 		t.Logf("infeasible claim not certified (acceptable: falls back to exact)")
 	}
 }

@@ -43,6 +43,16 @@ func randomProblem(rng *rand.Rand) *simplex.Problem {
 	return p
 }
 
+// refute certifies an infeasible claim the way core.Solver does: the
+// tightened solve's basis first, then the untightened solve's.
+func refute(w *Workspace, c *simplex.Certifier, p *simplex.Problem, out Outcome) (Outcome, bool) {
+	if c.CertifyFarkasBasis(p, out.Basis) {
+		return out, true
+	}
+	out = w.Untightened()
+	return out, out.Status == Infeasible && c.CertifyFarkasBasis(p, out.Basis)
+}
+
 // TestHybridMatchesExactOnRandomLPs is the solver-equivalence property: for
 // randomized LPs the certificate-filtered verdict must equal the exact
 // solver's verdict whenever the filter makes a claim, and every claim's
@@ -51,6 +61,7 @@ func TestHybridMatchesExactOnRandomLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := NewWorkspace()
 	ws := simplex.NewWorkspace()
+	var c simplex.Certifier
 	trials := 500
 	if testing.Short() {
 		trials = 120
@@ -70,11 +81,14 @@ func TestHybridMatchesExactOnRandomLPs(t *testing.T) {
 				certFail++
 			}
 		case Infeasible:
+			// A tightened solve may refute a feasible set too thin for
+			// its margins; the untightened claim that follows may not.
 			claims++
-			if exactFeasible {
+			out, ok := refute(w, &c, p, out)
+			if exactFeasible && out.Status == Infeasible {
 				t.Fatalf("trial %d: filter claims infeasible, exact says feasible", trial)
 			}
-			if !simplex.CertifyFarkas(p, out.Ray) {
+			if !ok {
 				certFail++
 			}
 		default:
@@ -93,9 +107,9 @@ func TestHybridMatchesExactOnRandomLPs(t *testing.T) {
 func TestCorruptedCertificatesRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	w := NewWorkspace()
-	ws := simplex.NewWorkspace()
-	var pointsChecked, raysChecked int
-	for trial := 0; trial < 400 && (pointsChecked < 25 || raysChecked < 25); trial++ {
+	var c simplex.Certifier
+	var pointsChecked, basesChecked int
+	for trial := 0; trial < 400 && (pointsChecked < 25 || basesChecked < 25); trial++ {
 		p := randomProblem(rng)
 		out := w.Feasibility(p)
 		switch out.Status {
@@ -125,29 +139,28 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 				}
 			}
 		case Infeasible:
-			if !simplex.CertifyFarkas(p, out.Ray) {
+			out, ok := refute(w, &c, p, out)
+			if !ok {
 				continue
 			}
-			raysChecked++
-			// Flipping the ray's sign breaks the sign conditions.
-			bad := make([]float64, len(out.Ray))
-			for k, v := range out.Ray {
-				bad[k] = -v
+			basesChecked++
+			// Negating every row sign negates the whole dual, so its
+			// right-hand side Σ qᵢbᵢ turns negative: always rejected.
+			neg := make([]float64, len(out.Basis.Sign))
+			for k, v := range out.Basis.Sign {
+				neg[k] = -v
 			}
-			if simplex.CertifyFarkas(p, bad) && ws.SolveStatus(p) == simplex.Optimal {
-				t.Fatalf("trial %d: corrupted ray certified against feasible problem", trial)
+			if c.CertifyFarkasBasis(p, simplex.FarkasBasis{Cols: out.Basis.Cols, Sign: neg, Scale: out.Basis.Scale}) {
+				t.Fatalf("trial %d: basis with every sign flipped certified", trial)
 			}
-			// Zeroing the ray must always be rejected.
-			for k := range bad {
-				bad[k] = 0
-			}
-			if simplex.CertifyFarkas(p, bad) {
-				t.Fatalf("trial %d: zero ray certified", trial)
+			// Dropping a basic column leaves a malformed basis.
+			if c.CertifyFarkasBasis(p, simplex.FarkasBasis{Cols: out.Basis.Cols[1:], Sign: out.Basis.Sign, Scale: out.Basis.Scale}) {
+				t.Fatalf("trial %d: truncated basis certified", trial)
 			}
 		}
 	}
-	if pointsChecked == 0 || raysChecked == 0 {
-		t.Fatalf("corruption coverage too thin: %d points, %d rays", pointsChecked, raysChecked)
+	if pointsChecked == 0 || basesChecked == 0 {
+		t.Fatalf("corruption coverage too thin: %d points, %d bases", pointsChecked, basesChecked)
 	}
 }
 
@@ -155,7 +168,7 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 // the basis-certificate tier: on randomized LPs, the exact dual of every
 // infeasible claim's final phase-1 basis must verify only when the exact
 // solver agrees the problem is infeasible — and it must verify almost
-// always, including where the rounded ray does not. Tampering with the
+// always. Tampering with the
 // basis must never certify a feasible problem, and a flipped sign on a
 // row held by a basic artificial must always be rejected: it reverses
 // that multiplier's sign, which an inequality row cannot carry.
@@ -168,7 +181,7 @@ func TestBasisCertificateMatchesExact(t *testing.T) {
 	if testing.Short() {
 		trials = 500
 	}
-	var claims, rayOK, basisOK, unitRejected, flipped int
+	var claims, basisOK, unitRejected, flipped int
 	var last simplex.FarkasBasis
 	for trial := 0; trial < trials; trial++ {
 		p := randomProblem(rng)
@@ -188,12 +201,13 @@ func TestBasisCertificateMatchesExact(t *testing.T) {
 			continue
 		}
 		claims++
-		if simplex.CertifyFarkas(p, out.Ray) {
-			rayOK++
+		out, ok := refute(w, &c, p, out)
+		if ok {
+			basisOK++
 		}
 		b := out.Basis
-		if c.CertifyFarkasBasis(p, b) {
-			basisOK++
+		if out.Status != Infeasible {
+			continue
 		}
 		last = simplex.FarkasBasis{
 			Cols:  append([]int(nil), b.Cols...),
@@ -222,13 +236,13 @@ func TestBasisCertificateMatchesExact(t *testing.T) {
 			break
 		}
 	}
-	t.Logf("%d infeasible claims: ray certified %d, basis certified %d; unit weights rejected %d; %d sign flips rejected",
-		claims, rayOK, basisOK, unitRejected, flipped)
+	t.Logf("%d infeasible claims: basis certified %d; unit weights rejected %d; %d sign flips rejected",
+		claims, basisOK, unitRejected, flipped)
 	if claims == 0 || flipped == 0 {
 		t.Fatalf("coverage too thin: %d claims, %d sign flips", claims, flipped)
 	}
-	if basisOK < rayOK || 10*basisOK < 9*claims {
-		t.Fatalf("basis certified %d of %d claims (ray: %d)", basisOK, claims, rayOK)
+	if 10*basisOK < 9*claims {
+		t.Fatalf("basis certified %d of %d claims", basisOK, claims)
 	}
 }
 

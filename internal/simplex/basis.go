@@ -2,19 +2,21 @@ package simplex
 
 // Exact Farkas certificates from a float phase-1 basis.
 //
-// When the float filter (internal/floatlp) claims infeasibility, its
-// rounded dual ray often fails exact verification: the exact phase-1 dual
-// carries determinant-sized denominators that rounding a float vector onto
-// nearby small rationals cannot recover. The float solve's final *basis*,
-// though, is combinatorial — if it is optimal over ℚ too, its exact dual
-// is a Farkas certificate. CertifyFarkasBasis recovers that dual by one
+// When the float filter (internal/floatlp) claims infeasibility, it hands
+// over its final phase-1 basis rather than a float dual ray: the exact
+// phase-1 dual carries determinant-sized denominators that rounding a
+// float vector onto nearby small rationals cannot recover, while the basis
+// is combinatorial — if it is optimal over ℚ too, its exact dual is a
+// Farkas certificate. CertifyFarkasBasis recovers that dual by one
 // fraction-free solve of Bᵀy = c_B on the integer constraint rows and
 // hands it to the kernel Farkas check, so no exact simplex runs at all.
 //
-// The float phase 1 works on the sign-normalised, row-equilibrated
-// standard form: row i is σᵢ·(aᵢ·x + slack)/wᵢ + artᵢ = σᵢ·bᵢ/wᵢ with
-// σᵢ = ±1 chosen so the right-hand side is non-negative and wᵢ the row's
-// equilibration scale, minimising Σ artᵢ. Writing the dual of that basis
+// The certificate describes a phase 1 on the sign-normalised,
+// row-equilibrated standard form: row i is
+// σᵢ·(aᵢ·x ± slackᵢ)/wᵢ + artᵢ = σᵢ·bᵢ/wᵢ with σᵢ = ±1 chosen so the
+// artificial starts non-negative and wᵢ the row's equilibration scale,
+// minimising Σ artᵢ. (The filter solves LE/GE pairs as range rows and
+// maps its basis back onto this form; see floatlp.) Writing the dual of that basis
 // in original-row multipliers qᵢ = σᵢ·yᵢ/wᵢ, the equations Bᵀy = c_B read
 //
 //	basic slack of row r:       q_r = 0

@@ -3,16 +3,16 @@ package simplex
 // Exact certificate checking for the two-tier feasibility solver.
 //
 // The float64 revised simplex in internal/floatlp is fast but inexact: its
-// verdicts are treated as *claims*, each backed by a certificate that this
-// file verifies over ℚ using dot products only — no pivoting, no
-// elimination. A FEASIBLE claim carries a candidate point, an INFEASIBLE
-// claim a Farkas dual ray. Certificates are rounded from float64 onto
-// nearby small rationals (exact.SimplestRatWithin and its int64 twin)
-// before checking, so candidates whose true values are simple rationals
-// survive verification; anything that does not check out exactly is
-// rejected, and the caller falls back to the exact solver. Verdicts
-// therefore remain bit-exact by construction regardless of floating-point
-// behaviour.
+// verdicts are treated as *claims*, each backed by a certificate that is
+// verified over ℚ. A FEASIBLE claim carries a candidate point, checked
+// here by dot products only: it is rounded from float64 onto nearby small
+// rationals (exact.SimplestRatWithin and its int64 twin), so candidates
+// whose true values are simple rationals survive verification. An
+// INFEASIBLE claim carries the filter's final phase-1 basis, whose exact
+// dual basis.go recomputes and checks as a Farkas certificate. Anything
+// that does not check out exactly is rejected, and the caller falls back
+// to the exact solver. Verdicts therefore remain bit-exact by construction
+// regardless of floating-point behaviour.
 //
 // The hot path runs on the int64 kernel: candidate coordinates round
 // through exact.SimplestRat64Within, constraint rows come from the
@@ -24,8 +24,7 @@ package simplex
 // Σⱼ aⱼ·nⱼ/dⱼ against b by cross-multiplication, and Farkas multipliers
 // are scaled onto integers and combined by basis.go's gcd-free check. A
 // Certifier carries the scratch buffers; pool one per worker (the
-// engine's evalScratch does). basis.go also adds a third certificate: the
-// exact dual of the float filter's final phase-1 basis.
+// engine's evalScratch does).
 
 import (
 	"math"
@@ -41,24 +40,12 @@ import (
 // interior point across a constraint.
 var pointRoundTol = math.Ldexp(1, -40)
 
-// farkasRoundTol is the relative rounding tolerance for Farkas multipliers
-// (after normalising the ray to unit max-magnitude). It is looser than the
-// point tolerance: the ray's exact counterpart often has small rational
-// entries (sparse combinations of few rows), and a wider interval lets the
-// continued-fraction rounding find them through the float solve's error.
-const farkasRoundTol = 1e-9
-
-// farkasSnapTol is the threshold, relative to the largest multiplier, below
-// which a ray entry is snapped to zero before rounding.
-const farkasSnapTol = 1e-9
-
 // Certifier verifies float-tier certificates over the int64 kernel,
 // holding the rounded-candidate and accumulator scratch — including the
 // retained big-number storage of the fallbacks — so a pooled instance
 // certifies without allocating. Not safe for concurrent use.
 type Certifier struct {
-	xs []exact.Rat64 // rounded candidate point / ray multipliers
-	us []exact.Rat64 // ray multipliers of the integer rows
+	xs []exact.Rat64 // rounded candidate point / basis-dual multipliers
 	d  []exact.Rat64 // Farkas combination accumulator
 
 	bigX exact.Vec // retained big image of the rounded candidate (built on demand)
@@ -435,77 +422,15 @@ func (c *Certifier) certifyPointBig(p *Problem, x []float64, from int) bool {
 	return c.checkPointRat(p, bx)
 }
 
-// CertifyFarkas normalises and rounds a float64 Farkas ray, then checks it
-// exactly against p. Entries tiny relative to the largest multiplier, or
-// carrying the wrong sign for their row, are snapped to zero first (both
-// are float noise; zero multipliers are always sign-admissible).
-func (c *Certifier) CertifyFarkas(p *Problem, ray []float64) bool {
+// CertifyFarkas declines every ray.
+//
+// Deprecated: infeasibility claims are certified by CertifyFarkasBasis,
+// the exact dual of the float filter's phase-1 basis, which certified
+// every claim the rounded ray did. The method remains only because the
+// bench module (bench/trace.go) still calls it.
+func (c *Certifier) CertifyFarkas(*Problem, []float64) bool {
 	c.lastKernel = false
-	if len(ray) != len(p.Constraints) {
-		return false
-	}
-	scale := 0.0
-	for _, q := range ray {
-		if a := math.Abs(q); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		return false
-	}
-	rq := c.scratch(len(ray))
-	for i, q := range ray {
-		q = snapFarkasEntry(p, i, q/scale)
-		r, ok := exact.SimplestRat64Within(q, farkasRoundTol*(1+math.Abs(q)))
-		if !ok {
-			return c.certifyFarkasBig(p, ray, scale)
-		}
-		rq[i] = r
-	}
-	if cap(c.us) < len(rq) {
-		c.us = make([]exact.Rat64, len(rq))
-	}
-	us := c.us[:len(rq)]
-	copy(us, rq)
-	if rowMultipliers(p, us) {
-		if verdict, decided := c.kernelCheckFarkas(p, us); decided {
-			c.lastKernel = true
-			return verdict
-		}
-	}
-	return c.checkFarkasRat(p, c.materializeBigX(rq))
-}
-
-// snapFarkasEntry applies the float-noise snapping shared by both paths.
-func snapFarkasEntry(p *Problem, i int, q float64) float64 {
-	if math.Abs(q) < farkasSnapTol {
-		return 0
-	}
-	switch p.Constraints[i].Rel {
-	case LE:
-		if q > 0 {
-			return 0
-		}
-	case GE:
-		if q < 0 {
-			return 0
-		}
-	}
-	return q
-}
-
-// certifyFarkasBig is the big.Rat path of CertifyFarkas.
-func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) bool {
-	rq := make(exact.Vec, len(ray))
-	for i, q := range ray {
-		q = snapFarkasEntry(p, i, q/scale)
-		r, err := exact.SimplestRatWithin(q, farkasRoundTol*(1+math.Abs(q)))
-		if err != nil {
-			return false
-		}
-		rq[i] = r
-	}
-	return c.checkFarkasRat(p, rq)
+	return false
 }
 
 // CertifyPoint is the pooled-scratch-free convenience form of
@@ -513,11 +438,4 @@ func (c *Certifier) certifyFarkasBig(p *Problem, ray []float64, scale float64) b
 func CertifyPoint(p *Problem, x []float64) bool {
 	var c Certifier
 	return c.CertifyPoint(p, x)
-}
-
-// CertifyFarkas is the pooled-scratch-free convenience form of
-// Certifier.CertifyFarkas; hot paths hold a Certifier instead.
-func CertifyFarkas(p *Problem, ray []float64) bool {
-	var c Certifier
-	return c.CertifyFarkas(p, ray)
 }

@@ -125,19 +125,26 @@ func TestCertifyPointRoundsFloatNoise(t *testing.T) {
 	}
 }
 
-func TestCertifyFarkasRoundsFloatNoise(t *testing.T) {
+// TestCertifyFarkasDeclinesRays: infeasibility is certified from a phase-1
+// basis alone. On x ≥ 2, x ≤ 1 the basis {art₀, x} certifies where the
+// ray (1, −1) used to, the deprecated ray check declines even that valid
+// ray, and no basis certifies a feasible problem.
+func TestCertifyFarkasDeclinesRays(t *testing.T) {
 	p := NewProblem(1)
 	p.AddConstraint(exact.VecFromInts(1), GE, big.NewRat(2, 1))
 	p.AddConstraint(exact.VecFromInts(1), LE, big.NewRat(1, 1))
-	if !CertifyFarkas(p, []float64{1 - 1e-13, -1 - 1e-13}) {
-		t.Error("noisy valid ray failed certification")
+	var c Certifier
+	b := FarkasBasis{Cols: []int{1 + 2 + 0, 0}, Sign: []float64{1, 1}, Scale: []float64{1, 1}}
+	if !c.CertifyFarkasBasis(p, b) {
+		t.Error("phase-1 basis of a slab conflict failed certification")
 	}
-	if CertifyFarkas(p, []float64{0, 0}) {
-		t.Error("zero float ray certified")
+	if c.CertifyFarkas(p, []float64{1, -1}) {
+		t.Error("deprecated ray check certified a ray")
 	}
 	feasible := boxProblem()
-	if CertifyFarkas(feasible, []float64{-1, 1, -0.5, 0.5}) {
-		t.Error("ray certified against a feasible problem")
+	fb := FarkasBasis{Cols: []int{2 + 4 + 1, 2 + 4 + 3, 0, 1}, Sign: []float64{1, 1, 1, 1}, Scale: []float64{1, 1, 1, 1}}
+	if c.CertifyFarkasBasis(feasible, fb) {
+		t.Error("basis certified a feasible problem")
 	}
 }
 
