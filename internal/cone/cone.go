@@ -48,14 +48,38 @@ type Constraint struct {
 	Set    *counters.Set
 	Coeffs exact.Vec
 	Rel    Rel
+
+	// floats and text hold Floats() and String() for constraints deduced
+	// by Cone.Constraints, converted once per model; a constraint built by
+	// hand leaves them empty and converts on every call. Either way they
+	// are derived from Coeffs, so a copy must not be given other Coeffs.
+	floats []float64
+	text   string
+}
+
+// Floats returns the coefficients as float64s, each the nearest to its
+// rational (big.Rat.Float64). A deduced constraint returns its stored
+// table, which callers must not modify.
+func (c Constraint) Floats() []float64 {
+	if c.floats != nil {
+		return c.floats
+	}
+	return c.coeffFloats()
+}
+
+func (c Constraint) coeffFloats() []float64 {
+	af := make([]float64, len(c.Coeffs))
+	for i, a := range c.Coeffs {
+		af[i], _ = a.Float64()
+	}
+	return af
 }
 
 // Eval returns a·v for a float-valued counter vector aligned with the
 // constraint's set.
 func (c Constraint) Eval(v []float64) float64 {
 	sum := 0.0
-	for i, a := range c.Coeffs {
-		f, _ := a.Float64()
+	for i, f := range c.Floats() {
 		sum += f * v[i]
 	}
 	return sum
@@ -72,8 +96,16 @@ func (c Constraint) SatisfiedBy(v exact.Vec) bool {
 
 // String renders the constraint with negative terms moved to the right-hand
 // side, matching the paper's presentation, e.g.
-// "load.pde$_miss <= load.causes_walk".
+// "load.pde$_miss <= load.causes_walk". A deduced constraint returns the
+// text stored when it was deduced.
 func (c Constraint) String() string {
+	if c.text != "" {
+		return c.text
+	}
+	return c.format()
+}
+
+func (c Constraint) format() string {
 	var lhs, rhs []string
 	term := func(coeff *big.Rat, ev counters.Event) string {
 		abs := new(big.Rat).Abs(coeff)
@@ -139,14 +171,36 @@ func (c *Cone) generators64() [][]int64 {
 type HRep struct {
 	Equalities   []Constraint
 	Inequalities []Constraint
+
+	all []Constraint // All's result, built with the deduced system
 }
 
-// All returns equalities followed by inequalities.
+// All returns equalities followed by inequalities. For a deduced system
+// the list is built once and shared: callers must not modify its
+// elements (appending is safe, its capacity is its length).
 func (h *HRep) All() []Constraint {
+	if h.all != nil {
+		return h.all
+	}
+	return h.join()
+}
+
+func (h *HRep) join() []Constraint {
 	out := make([]Constraint, 0, len(h.Equalities)+len(h.Inequalities))
 	out = append(out, h.Equalities...)
-	out = append(out, h.Inequalities...)
-	return out
+	return append(out, h.Inequalities...)
+}
+
+// tabulate stores each constraint's float coefficients and text, and the
+// joined list, so verdicts read them instead of converting big.Rats.
+func (h *HRep) tabulate() {
+	for _, cs := range [][]Constraint{h.Equalities, h.Inequalities} {
+		for i := range cs {
+			cs[i].floats = cs[i].coeffFloats()
+			cs[i].text = cs[i].format()
+		}
+	}
+	h.all = h.join()
 }
 
 // New builds a cone over set from raw signatures: signatures are GCD-
@@ -242,7 +296,11 @@ func inConicHull(ws *simplex.Workspace, v exact.Vec, gens []exact.Vec) bool {
 // concurrent use: first callers racing on an undeduced cone (the service
 // layer's concurrent requests) share a single deduction.
 func (c *Cone) Constraints() (*HRep, error) {
-	c.hOnce.Do(func() { c.hRep, c.hErr = c.buildConstraints() })
+	c.hOnce.Do(func() {
+		if c.hRep, c.hErr = c.buildConstraints(); c.hErr == nil {
+			c.hRep.tabulate()
+		}
+	})
 	return c.hRep, c.hErr
 }
 

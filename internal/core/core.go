@@ -326,21 +326,21 @@ func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
 // closed-form extrema of a linear function over the principal-axis box:
 //
 //	min/max over box of a·v = a·Ȳ ∓ Σᵢ |a·eᵢ|·hᵢ
+//
+// The coefficients are the constraint's float table (cone.Constraint.
+// Floats), stored once per model for deduced constraints, so testing a
+// deduced constraint allocates nothing.
 func RegionViolates(r *stats.Region, k cone.Constraint) bool {
-	n := len(r.Mean)
-	af := make([]float64, n)
-	for i, c := range k.Coeffs {
-		af[i], _ = c.Float64()
-	}
+	af := k.Floats()
 	center := 0.0
-	for i := 0; i < n; i++ {
-		center += af[i] * r.Mean[i]
+	for i, a := range af {
+		center += a * r.Mean[i]
 	}
 	spread := 0.0
 	for i, axis := range r.Axes {
 		dot := 0.0
-		for j := 0; j < n; j++ {
-			dot += af[j] * axis[j]
+		for j, a := range af {
+			dot += a * axis[j]
 		}
 		if dot < 0 {
 			dot = -dot

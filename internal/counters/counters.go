@@ -219,7 +219,7 @@ type Set struct {
 // NewSet builds a Set from events, preserving first-occurrence order and
 // dropping duplicates.
 func NewSet(events ...Event) *Set {
-	s := &Set{index: make(map[Event]int, len(events))}
+	s := &Set{index: make(map[Event]int, len(events)), events: make([]Event, 0, len(events))}
 	for _, e := range events {
 		if _, dup := s.index[e]; dup {
 			continue
@@ -343,13 +343,6 @@ func (v Vector) Get(e Event) float64 {
 func (v Vector) Add(e Event, delta float64) {
 	if i, ok := v.Set.Index(e); ok {
 		v.Values[i] += delta
-	}
-}
-
-// Set assigns value to event e if present in the set.
-func (v Vector) SetValue(e Event, value float64) {
-	if i, ok := v.Set.Index(e); ok {
-		v.Values[i] = value
 	}
 }
 

@@ -123,7 +123,7 @@ func TestVectorOps(t *testing.T) {
 	if v.Get("a") != 3 || v.Get("zz") != 0 {
 		t.Fatalf("get: %v", v.Values)
 	}
-	v.SetValue("b", 7)
+	v.Values[1] = 7
 	w := v.Clone()
 	w.Add("b", 1)
 	if v.Get("b") != 7 {
@@ -211,9 +211,7 @@ func TestVectorProjectProperty(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		s := NewSet("x", "y", "z")
 		v := NewVector(s)
-		v.SetValue("x", a)
-		v.SetValue("y", b)
-		v.SetValue("z", c)
+		v.Values[0], v.Values[1], v.Values[2] = a, b, c
 		p := v.Project(s)
 		return p.Get("x") == a && p.Get("y") == b && p.Get("z") == c
 	}

@@ -1,9 +1,6 @@
 package counters
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // observationJSON is the wire form of an Observation: the event names fix
 // the column order of the sample matrix, exactly as the CSV encoding's
@@ -27,32 +24,9 @@ func (o *Observation) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the wire form written by MarshalJSON, validating
 // what the typed API enforces by construction: at least one event, no
-// duplicate events, and every sample row as wide as the event list.
+// empty or duplicate events, and every sample row as wide as the event
+// list. It accepts and decodes exactly what encoding/json would decode
+// into {label, events, samples} (see DecodeObservation).
 func (o *Observation) UnmarshalJSON(data []byte) error {
-	var w observationJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("counters: decode observation: %w", err)
-	}
-	if len(w.Events) == 0 {
-		return fmt.Errorf("counters: observation %q has no events", w.Label)
-	}
-	for _, e := range w.Events {
-		if e == "" {
-			return fmt.Errorf("counters: observation %q has an empty event name", w.Label)
-		}
-	}
-	set := NewSet(w.Events...)
-	if set.Len() != len(w.Events) {
-		return fmt.Errorf("counters: observation %q has duplicate events", w.Label)
-	}
-	for i, row := range w.Samples {
-		if len(row) != set.Len() {
-			return fmt.Errorf("counters: observation %q sample %d has %d values, want %d",
-				w.Label, i, len(row), set.Len())
-		}
-	}
-	o.Label = w.Label
-	o.Set = set
-	o.Samples = w.Samples
-	return nil
+	return decodeOne(data, true, o)
 }

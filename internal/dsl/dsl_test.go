@@ -260,19 +260,6 @@ incr z;
 	}
 }
 
-func TestStmtString(t *testing.T) {
-	prog, err := Parse("incr a; do b; pass; switch P { X => pass; }; done;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"incr a", "do b", "pass", "switch P (1 cases)", "done"}
-	for i, s := range prog.Stmts {
-		if got := StmtString(s); got != want[i] {
-			t.Errorf("stmt %d: got %q want %q", i, got, want[i])
-		}
-	}
-}
-
 func TestMustCompilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

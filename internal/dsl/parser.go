@@ -1,7 +1,5 @@
 package dsl
 
-import "fmt"
-
 // AST node types. A program is a []Stmt.
 
 // Stmt is any DSL statement.
@@ -269,21 +267,4 @@ func (p *parser) parseSwitch(at pos) (Stmt, error) {
 		return nil, errAt(l, c, "switch %s has no cases", sw.Property)
 	}
 	return sw, nil
-}
-
-// String renders a statement for diagnostics.
-func StmtString(s Stmt) string {
-	switch t := s.(type) {
-	case *IncrStmt:
-		return "incr " + t.Counter
-	case *DoStmt:
-		return "do " + t.Event
-	case *PassStmt:
-		return "pass"
-	case *DoneStmt:
-		return "done"
-	case *SwitchStmt:
-		return fmt.Sprintf("switch %s (%d cases)", t.Property, len(t.Cases))
-	}
-	return "?"
 }

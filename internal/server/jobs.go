@@ -69,7 +69,7 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req exploreRequestJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		writeError(w, bodyStatus(err), "decode request: %v", err)
 		return
 	}
 	cfg, err := s.requestConfig(r)

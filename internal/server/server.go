@@ -53,6 +53,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,6 +63,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -250,6 +252,41 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// bodyBuffers recycles request-body buffers: the observation decoders
+// copy out everything they keep, so a buffer is free again once its body
+// is decoded.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers kept for reuse, so one large upload
+// does not stay pinned.
+const maxPooledBody = 1 << 20
+
+// readBody reads the request body whole, bounded by ServeHTTP's
+// MaxBytesReader, into a pooled buffer. The caller hands the buffer back
+// with putBody once it has decoded the bytes.
+func readBody(r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	return buf, err
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBuffers.Put(buf)
+	}
+}
+
+// bodyStatus is the status for a request body that could not be read or
+// decoded: 413 when it ran past MaxBodyBytes, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -567,7 +604,7 @@ func summarise(m *core.Model) modelSummaryJSON {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		writeError(w, bodyStatus(err), "decode request: %v", err)
 		return
 	}
 	e, err := s.reg.Register(req.Name, req.Source)
@@ -635,8 +672,11 @@ type verdictJSON struct {
 
 func verdictToJSON(v *core.Verdict) verdictJSON {
 	out := verdictJSON{Observation: v.Observation, Feasible: v.Feasible}
-	for _, k := range v.Violations {
-		out.Violations = append(out.Violations, k.String())
+	if len(v.Violations) > 0 {
+		out.Violations = make([]string, len(v.Violations))
+		for i, k := range v.Violations {
+			out.Violations[i] = k.String()
+		}
 	}
 	return out
 }
@@ -648,16 +688,22 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var o counters.Observation
-	if err := json.NewDecoder(r.Body).Decode(&o); err != nil {
-		writeError(w, http.StatusBadRequest, "decode observation: %v", err)
+	body, err := readBody(r)
+	defer putBody(body)
+	if err != nil {
+		writeError(w, bodyStatus(err), "read observation: %v", err)
+		return
+	}
+	o, err := counters.DecodeObservationBody(body.Bytes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if o.Len() == 0 {
 		writeError(w, http.StatusBadRequest, "observation %q has no samples", o.Label)
 		return
 	}
-	if !checkCovers(w, sess, &o) {
+	if !checkCovers(w, sess, o) {
 		return
 	}
 	if err := s.acquire(r.Context()); err != nil {
@@ -665,7 +711,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	v, err := sess.Test(r.Context(), &o)
+	v, err := sess.Test(r.Context(), o)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -674,10 +720,6 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- corpus decoding shared by evaluate and stream ---
-
-type corpusJSON struct {
-	Observations []*counters.Observation `json:"observations"`
-}
 
 // readCorpus decodes the request corpus: a JSON body {"observations":
 // [...]} or a multipart/form-data upload whose file parts are observation
@@ -691,16 +733,20 @@ func readCorpus(r *http.Request) ([]*counters.Observation, error) {
 	if mt == "multipart/form-data" {
 		return readCorpusMultipart(multipart.NewReader(r.Body, params["boundary"]))
 	}
-	var c corpusJSON
-	if err := json.NewDecoder(r.Body).Decode(&c); err != nil {
-		return nil, fmt.Errorf("decode corpus: %w", err)
+	body, err := readBody(r)
+	defer putBody(body)
+	if err != nil {
+		return nil, fmt.Errorf("read corpus: %w", err)
 	}
-	if len(c.Observations) == 0 {
+	corpus, err := counters.DecodeCorpusBody(body.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	if len(corpus) == 0 {
 		return nil, fmt.Errorf("corpus has no observations")
 	}
-	for i, o := range c.Observations {
-		// A JSON null element decodes to a nil pointer without ever
-		// reaching Observation.UnmarshalJSON's validation.
+	for i, o := range corpus {
+		// A JSON null element decodes to a nil observation.
 		if o == nil {
 			return nil, fmt.Errorf("observation %d is null", i)
 		}
@@ -708,7 +754,7 @@ func readCorpus(r *http.Request) ([]*counters.Observation, error) {
 			return nil, fmt.Errorf("observation %q has no samples", o.Label)
 		}
 	}
-	return c.Observations, nil
+	return corpus, nil
 }
 
 func readCorpusMultipart(mr *multipart.Reader) ([]*counters.Observation, error) {
@@ -759,7 +805,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	corpus, err := readCorpus(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if !checkCovers(w, sess, corpus...) {
@@ -812,7 +858,7 @@ func (s *Server) handleEvaluateNDJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	corpus, err := readCorpus(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if !checkCovers(w, sess, corpus...) {

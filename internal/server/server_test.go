@@ -89,6 +89,11 @@ func wantError(t *testing.T, resp *http.Response, status int, substr string) {
 	}
 }
 
+// corpusJSON is the /evaluate request body.
+type corpusJSON struct {
+	Observations []*counters.Observation `json:"observations"`
+}
+
 func postJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(v)
@@ -378,6 +383,59 @@ func TestEvaluateRejectsBadCorpus(t *testing.T) {
 		}
 		wantError(t, resp, http.StatusBadRequest, "null")
 	})
+}
+
+// TestOverCapBodies413 sends bodies past Options.MaxBodyBytes to every
+// kind of handler that reads one: each answers 413, not the 400 of a
+// malformed body, while a body under the cap is still served.
+func TestOverCapBodies413(t *testing.T) {
+	ts := newTestServer(t, func(o *Options) { o.MaxBodyBytes = 512 })
+	small, err := json.Marshal(obsAround("small", 500, 100, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := json.Marshal(obsAround("big", 500, 100, 40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(small) >= 512 || len(big) <= 512 {
+		t.Fatalf("test bodies of %d and %d bytes do not straddle the cap", len(small), len(big))
+	}
+	post := func(path string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post("/v1/models/pde/test", small)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("under-cap /test: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	corpus := []byte(`{"observations":[` + string(big) + `]}`)
+	register := []byte(`{"name":"huge","source":"` + strings.Repeat("incr load.ret;", 64) + `"}`)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/models/pde/test", string(big)},
+		{"/v1/models/pde/evaluate", string(corpus)},
+		{"/v1/models/pde/evaluate/stream", string(corpus)},
+		{"/v1/models", string(register)},
+		{"/v1/sweep", `{"seed":1,"samples":8,"uops_per_sample":1500,"pad":"` + strings.Repeat("x", 600) + `"}`},
+	} {
+		wantError(t, post(c.path, []byte(c.body)), http.StatusRequestEntityTooLarge, "request body too large")
+	}
+
+	st := createStream(t, ts.URL, map[string]any{"model": "pde"})
+	status, sum := ingestLines(t, ts.URL, st.ID, string(small), string(big))
+	// The scanner hands over the line the cap cut short before it reports
+	// the cap, so that line is a line error too.
+	if status != http.StatusRequestEntityTooLarge || sum.Queued != 1 || len(sum.Errors) == 0 ||
+		!strings.Contains(sum.Errors[len(sum.Errors)-1].Error, "body exceeds 512 bytes") {
+		t.Fatalf("over-cap ingest: status %d, summary %+v; want 413, one queued, last error on the cap", status, sum)
+	}
 }
 
 // readNDJSON decodes every line of an NDJSON evaluation response.

@@ -740,7 +740,7 @@ type streamCreateJSON struct {
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	var req streamCreateJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		writeError(w, bodyStatus(err), "decode request: %v", err)
 		return
 	}
 	e, err := s.reg.Get(req.Model)
@@ -853,17 +853,17 @@ type ingestSummaryJSON struct {
 // the stream's model: well-formed observation JSON, at least one sample,
 // and coverage of every model counter.
 func decodeStreamObs(line []byte, m *core.Model) (*counters.Observation, error) {
-	var o counters.Observation
-	if err := json.Unmarshal(line, &o); err != nil {
+	o, err := counters.DecodeObservation(line)
+	if err != nil {
 		return nil, err
 	}
 	if o.Len() == 0 {
 		return nil, fmt.Errorf("observation %q has no samples", o.Label)
 	}
-	if missing := missingCounters(m, &o); len(missing) > 0 {
+	if missing := missingCounters(m, o); len(missing) > 0 {
 		return nil, fmt.Errorf("observation %q does not record model counters %v", o.Label, missing)
 	}
-	return &o, nil
+	return o, nil
 }
 
 // scanNDJSON drives one ingest body: each non-blank line is decoded and
@@ -953,6 +953,9 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 	sum.Received = received
 	if scanErr == bufio.ErrTooLong {
 		onError(received+1, fmt.Errorf("line exceeds %d bytes; ingest aborted", s.streams.maxLine))
+	} else if scanErr != nil && bodyStatus(scanErr) == http.StatusRequestEntityTooLarge {
+		onError(received+1, fmt.Errorf("body exceeds %d bytes; ingest aborted", s.bodyLimit))
+		status = http.StatusRequestEntityTooLarge
 	}
 	if sum.Dropped > 0 {
 		st.log.Append("dropped", map[string]any{"count": sum.Dropped}, false, nil)

@@ -72,7 +72,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req sweepRequestJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		writeError(w, bodyStatus(err), "decode request: %v", err)
 		return
 	}
 	cfg, err := s.requestConfig(r)

@@ -2,6 +2,8 @@
 # CI bench smoke + regression guard: runs the solver benchmarks briefly,
 # then fails against the committed BENCH_results.json baseline if
 #   - any exact-path benchmark's allocs/op regressed by more than 20%, or
+#   - the /evaluate body decode benchmark's allocs/op regressed by more
+#     than 20%, or
 #   - a region-LP build + hash benchmark allocates more than 4 times per
 #     op, or
 #   - the verdict-cache-hit benchmark regressed ns/op or allocs/op by
@@ -17,14 +19,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
-GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend}"
+GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
 
 {
   go test -run=NONE -bench "${BENCH}" -benchmem -benchtime="${BENCHTIME}" -timeout 30m .
-  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/engine ./internal/jobs ./internal/jobstore
+  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/counters ./internal/engine ./internal/jobs ./internal/jobstore
 } | tee "${TMP}/bench.txt"
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/bench.txt" > "${TMP}/bench.json"
 
@@ -48,10 +50,15 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # path of every journaled job (one frame per committed cell/node), so
 # allocation creep there multiplies across whole sweeps, while its wall
 # time on the in-memory fault fs just tracks memcpy throughput.
+# CorpusDecode gates allocs/op only: it decodes an /evaluate body of 16
+# observations, and its allocations are a few per observation whatever
+# the rows and columns (TestDecodeAllocsPerObservation), so growth means
+# a per-row or per-value allocation crept back into the decoder. Its
+# encoding/json reference, CorpusDecodeJSON, is not run.
 # RegionLPHash (build + canonical hash of a fresh region LP) gates
 # allocs/op against an absolute bound of 4 per op: its baseline is zero,
 # where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
-  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend' 1.2 \
+  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$' 1.2 \
   --guard-ns 'VerdictCacheHit$' 1.2 \
   --max-allocs 'RegionLPHash/' 4
