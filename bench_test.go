@@ -246,7 +246,7 @@ func BenchmarkPathEnumeration(b *testing.B) {
 // BenchmarkFeasibilityLP measures one feasibility LP verdict on the full
 // analysis counter set over a cached LP — the engine's steady state, where
 // RegionLP construction is amortised by the per-(model, region) cache and
-// the solve is the hot path. "exact" is the rational two-phase simplex;
+// the solve is the hot path. "exact" is the rational phase-1 simplex;
 // "hybrid" is the two-tier solver (float64 revised-simplex filter + exact
 // certificate check, falling back to the exact solver when certification
 // fails). The ISSUE 3 acceptance criterion is hybrid ≥2× fewer ns/op.

@@ -14,9 +14,8 @@ package core
 //
 //	"clp2"
 //	u64 NumVars
-//	u64 number of free variables, then one u64 per free index, ascending
-//	u8 objective: 0 none, 1 min, 2 max; then per coefficient its reduced
-//	   numerator and denominator as big integers
+//	u64 0 (free-variable count: every variable is non-negative)
+//	u8 0 (objective tag: every LP is a pure feasibility question)
 //	rows, narrow ones first, each group sorted and deduplicated:
 //	   narrow: int64 tag (0 le, 1 eq), then NumVars+1 int64 words
 //	   wide:   int64 tag (2 le, 3 eq), then NumVars+1 big integers
@@ -130,30 +129,11 @@ func (e *lpEncoder) encode(p *simplex.Problem) {
 
 	b := append(e.buf[:0], "clp2"...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	free := 0
-	for _, f := range p.Free {
-		if f {
-			free++
-		}
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(free))
-	for j, f := range p.Free {
-		if f {
-			b = binary.LittleEndian.AppendUint64(b, uint64(j))
-		}
-	}
-	switch {
-	case p.Objective == nil:
-		b = append(b, 0)
-	case p.Sense == simplex.Maximize:
-		b = append(b, 2)
-	default:
-		b = append(b, 1)
-	}
-	for _, c := range p.Objective {
-		b = appendBig(b, c.Num())
-		b = appendBig(b, c.Denom())
-	}
+	// The free-variable count and the objective tag are always zero. They
+	// stay in the layout because stored verdicts (-verdict-db) are keyed
+	// by hashes of it.
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = append(b, 0)
 	var prev []int64
 	for _, k := range e.order {
 		r := e.row(k)

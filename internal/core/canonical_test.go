@@ -15,16 +15,11 @@ import (
 )
 
 // randomProblem builds a random feasibility LP with small rational
-// coefficients, occasionally free variables, and a mix of relations,
-// including degenerate zero rows and duplicate rows.
+// coefficients and a mix of relations, including degenerate zero rows and
+// duplicate rows.
 func randomProblem(rng *rand.Rand) *simplex.Problem {
 	n := 1 + rng.Intn(5)
 	p := simplex.NewProblem(n)
-	for j := 0; j < n; j++ {
-		if rng.Intn(4) == 0 {
-			p.MarkFree(j)
-		}
-	}
 	rows := 1 + rng.Intn(7)
 	for i := 0; i < rows; i++ {
 		rel := simplex.LE
@@ -59,18 +54,6 @@ func randomProblem(rng *rand.Rand) *simplex.Problem {
 // permuted returns a copy of p with its rows in a random order.
 func permuted(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 	q := simplex.NewProblem(p.NumVars)
-	for j := 0; j < p.NumVars; j++ {
-		if p.Free != nil && p.Free[j] {
-			q.MarkFree(j)
-		}
-	}
-	if p.Objective != nil {
-		q.Sense = p.Sense
-		q.Objective = exact.NewVec(len(p.Objective))
-		for j := range p.Objective {
-			q.Objective[j].Set(p.Objective[j])
-		}
-	}
 	order := rng.Perm(len(p.Constraints))
 	for _, i := range order {
 		src := &p.Constraints[i]
@@ -88,11 +71,6 @@ func permuted(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 // relation) — pure equivalence transformations of the feasible set.
 func scaledRows(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 	q := simplex.NewProblem(p.NumVars)
-	for j := 0; j < p.NumVars; j++ {
-		if p.Free != nil && p.Free[j] {
-			q.MarkFree(j)
-		}
-	}
 	var m big.Rat
 	for i := range p.Constraints {
 		src := &p.Constraints[i]
@@ -301,11 +279,6 @@ func FuzzCanonicalLP(f *testing.F) {
 		n := 1 + int(nvars)%6
 		rows := 1 + int(nrows)%8
 		p := simplex.NewProblem(n)
-		for j := 0; j < n; j++ {
-			if rng.Intn(4) == 0 {
-				p.MarkFree(j)
-			}
-		}
 		for i := 0; i < rows; i++ {
 			rel := simplex.LE
 			switch rng.Intn(3) {
@@ -401,43 +374,15 @@ func decodeLP(data []byte) (*simplex.Problem, error) {
 	if err := binary.Read(r, binary.LittleEndian, &free); err != nil {
 		return nil, err
 	}
-	for ; free > 0; free-- {
-		var j uint64
-		if err := binary.Read(r, binary.LittleEndian, &j); err != nil {
-			return nil, err
-		}
-		if j >= n {
-			return nil, fmt.Errorf("core: free index %d out of range", j)
-		}
-		p.MarkFree(int(j))
+	if free != 0 {
+		return nil, fmt.Errorf("core: free-variable count %d, want 0", free)
 	}
 	obj, err := r.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	if obj > 2 {
-		return nil, fmt.Errorf("core: bad objective tag %d", obj)
-	}
 	if obj != 0 {
-		p.Sense = simplex.Minimize
-		if obj == 2 {
-			p.Sense = simplex.Maximize
-		}
-		p.Objective = exact.NewVec(int(n))
-		for j := range p.Objective {
-			num, err := readBig(r)
-			if err != nil {
-				return nil, err
-			}
-			den, err := readBig(r)
-			if err != nil {
-				return nil, err
-			}
-			if den.Sign() <= 0 {
-				return nil, fmt.Errorf("core: bad objective denominator")
-			}
-			p.Objective[j].SetFrac(num, den)
-		}
+		return nil, fmt.Errorf("core: objective tag %d, want 0", obj)
 	}
 	for r.Len() > 0 {
 		var tag int64

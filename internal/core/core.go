@@ -153,16 +153,11 @@ type Verdict struct {
 // TestRegion decides whether the confidence region intersects the model
 // cone (Appendix A LP). When infeasible and identifyViolations is true, the
 // model constraints are deduced and each is tested against the region.
+// It solves exact-only through a temporary workspace; hot paths (the
+// engine's corpus evaluation) use TestRegionSolver with a pooled hybrid
+// Solver instead.
 func (m *Model) TestRegion(r *stats.Region, identifyViolations bool) (*Verdict, error) {
-	return m.TestRegionWS(nil, r, identifyViolations)
-}
-
-// TestRegionWS is TestRegion with an explicit exact LP workspace, solved
-// exact-only — the convenience path for callers without a Solver; a nil ws
-// allocates a temporary one. Hot paths (the engine's corpus evaluation)
-// should use TestRegionSolver with a pooled hybrid Solver instead.
-func (m *Model) TestRegionWS(ws *simplex.Workspace, r *stats.Region, identifyViolations bool) (*Verdict, error) {
-	return m.TestRegionSolver(&Solver{Exact: ws}, r, identifyViolations)
+	return m.TestRegionSolver(nil, r, identifyViolations)
 }
 
 // TestRegionSolver is TestRegion through an explicit two-tier solver: the

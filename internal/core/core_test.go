@@ -264,7 +264,7 @@ func TestRegionWSReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.TestRegionWS(ws, r, true)
+		got, err := m.TestRegionSolver(&Solver{Exact: ws}, r, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func (r *recordChoices) Intn(n int) int {
 }
 
 // tierLPs draws a bounded feasibility LP the way floatlp's property tests
-// do — at most 8 variables (some free) and 12 rows of slab pairs, single
+// do — at most 8 variables and 12 rows of slab pairs, single
 // LE/GE rows and EQ rows, with dyadic coefficients — and returns it with
 // two bound-drifted copies: every right-hand side moves by δ/4, then 2δ/4.
 // Two slab-pair variants probe the filter's range rows: zero-width slabs
@@ -54,10 +54,6 @@ func tierLPs(c chooser) []*simplex.Problem {
 		rhs    *big.Rat
 	}
 	vars := 1 + c.Intn(8)
-	free := make([]bool, vars)
-	for j := range free {
-		free[j] = c.Intn(6) == 0
-	}
 	var rows []row
 	for groups := 1 + c.Intn(6); groups > 0; groups-- {
 		coeffs := exact.NewVec(vars)
@@ -93,11 +89,6 @@ func tierLPs(c chooser) []*simplex.Problem {
 	shift := new(big.Rat)
 	for k := range lps {
 		p := simplex.NewProblem(vars)
-		for j, f := range free {
-			if f {
-				p.MarkFree(j)
-			}
-		}
 		for _, r := range rows {
 			p.AddConstraint(r.coeffs, r.rel, new(big.Rat).Add(r.rhs, shift))
 		}

@@ -38,17 +38,6 @@ func VecFromInts(xs ...int64) Vec {
 	return v
 }
 
-// VecFromFloats builds a vector from float64 values exactly.
-func VecFromFloats(xs []float64) Vec {
-	v := make(Vec, len(xs))
-	for i, x := range xs {
-		r := new(big.Rat)
-		r.SetFloat64(x)
-		v[i] = r
-	}
-	return v
-}
-
 // Clone returns a deep copy of v.
 func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
@@ -248,26 +237,6 @@ func (m *Mat) Clone() *Mat {
 	return out
 }
 
-// MulVec returns m·v.
-func (m *Mat) MulVec(v Vec) Vec {
-	out := NewVec(m.Rows)
-	for i, row := range m.Data {
-		out[i] = row.Dot(v)
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Mat) Transpose() *Mat {
-	out := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j][i].Set(m.Data[i][j])
-		}
-	}
-	return out
-}
-
 // RowEchelon reduces m in place to reduced row-echelon form and returns the
 // pivot column of each pivot row, in order. Rows below the returned rank are
 // zero.
@@ -357,18 +326,6 @@ func NullSpaceBasis(rows []Vec, cols int) []Vec {
 		basis = append(basis, v.NormalizeIntegral())
 	}
 	return basis
-}
-
-// InSpan reports whether v lies in the span of basis (any vectors).
-func InSpan(v Vec, basis []Vec) bool {
-	if v.IsZero() {
-		return true
-	}
-	rows := make([]Vec, 0, len(basis)+1)
-	rows = append(rows, basis...)
-	r0 := len(RowSpaceBasis(rows))
-	rows = append(rows, v)
-	return len(RowSpaceBasis(rows)) == r0
 }
 
 // SolveInSpan expresses v as a combination of basis vectors, returning the

@@ -8,7 +8,7 @@
 // The filter never decides a verdict on its own. Its certificates are
 // verified over ℚ by internal/simplex (CertifyPoint / CertifyFarkasBasis,
 // rational arithmetic only), and anything that fails exact verification
-// falls back to the exact two-phase simplex, so verdicts remain bit-exact
+// falls back to the exact phase-1 simplex, so verdicts remain bit-exact
 // by construction. This is the QSopt_ex / SoPlex float-filtering scheme
 // specialised to pure feasibility: hardware floats do the pivoting, exact
 // arithmetic only checks.
@@ -17,8 +17,8 @@
 // an LE row followed by a GE row with the same coefficients. The filter
 // solves every such pair as one range row a·x − s = lo with a bounded
 // slack 0 ≤ s ≤ hi − lo, which halves the rows the basis spans. Unpaired
-// LE, GE and EQ rows and free variables go through the same loop with
-// infinite bounds. Because every certificate is checked on the unchanged
+// LE, GE and EQ rows go through the same loop with infinite or zero slack
+// bounds. Because every certificate is checked on the unchanged
 // LE/GE problem, the filter may solve any equivalent form: the final
 // basis is mapped back onto the original rows for the exact side.
 //
@@ -142,12 +142,11 @@ const (
 	rowEQ           // a·x = lo, no slack
 )
 
-// Column states. Structural column j < nVars is variable j (free ones at 0
-// while nonbasic), nVars+r is row r's slack and nVars+m+r its artificial.
+// Column states. Structural column j < nVars is variable j, nVars+r is
+// row r's slack and nVars+m+r its artificial.
 const (
 	atLower = iota
 	atUpper
-	atZero // nonbasic free variable
 	inBasis
 	retired // artificial that left the basis: never re-enters
 )
@@ -157,7 +156,6 @@ const (
 type Workspace struct {
 	// Conversion of the current problem (row-equilibrated).
 	nVars int
-	free  []bool
 	nOrig int       // rows of the problem
 	m     int       // rows of the solved form
 	coef  []float64 // m × nVars row-major, scaled by 1/scl
@@ -191,7 +189,7 @@ type Workspace struct {
 	binv  []float64 // m × m row-major
 	xb    []float64
 	basis []int
-	stat  []int8 // per column: atLower, atUpper, atZero, inBasis, retired
+	stat  []int8 // per column: atLower, atUpper, inBasis, retired
 	y     []float64
 	d     []float64
 	a     []float64
@@ -215,8 +213,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // Phase1Runs returns the number of phase-1 solves the workspace has run.
 func (w *Workspace) Phase1Runs() uint64 { return w.runs }
 
-// Feasibility runs the float filter on p (objective ignored — this tier
-// serves pure feasibility queries) with no pricing hint. See
+// Feasibility runs the float filter on p with no pricing hint. See
 // FeasibilityStructured.
 func (w *Workspace) Feasibility(p *simplex.Problem) Outcome {
 	return w.FeasibilityStructured(p, Structure{})
@@ -369,10 +366,6 @@ func (w *Workspace) load(p *simplex.Problem) bool {
 	n := p.NumVars
 	w.nVars = n
 	w.nOrig = len(p.Constraints)
-	w.free = grow(w.free, n)
-	for j := range w.free {
-		w.free[j] = p.Free != nil && p.Free[j]
-	}
 	// Rows load in place at their problem index; solved row r ≤ i then
 	// compacts over them, so a source row is never overwritten early.
 	w.coef = grow(w.coef, w.nOrig*n)
@@ -498,8 +491,8 @@ func (w *Workspace) price(s Structure) {
 }
 
 // fits reports whether s describes the loaded problem's shape: one axis
-// per row, every row a merged range pair, one generator per variable, no
-// free variable, and every index inside the axes.
+// per row, every row a merged range pair, one generator per variable, and
+// every index inside the axes.
 func (w *Workspace) fits(s Structure) bool {
 	if len(s.Axes) != w.m || len(s.Gens) != w.nVars || w.m == 0 || w.m*2 != w.nOrig {
 		return false
@@ -510,8 +503,8 @@ func (w *Workspace) fits(s Structure) bool {
 			return false
 		}
 	}
-	for j, g := range s.Gens {
-		if w.free[j] || len(g.Idx) != len(g.Val) {
+	for _, g := range s.Gens {
+		if len(g.Idx) != len(g.Val) {
 			return false
 		}
 		for _, k := range g.Idx {
@@ -563,15 +556,8 @@ func (w *Workspace) prepare(tighten bool) {
 
 // bounds returns column j's bounds.
 func (w *Workspace) bounds(j int) (lo, up float64) {
-	n, m := w.nVars, w.m
-	switch {
-	case j < n:
-		if w.free[j] {
-			return math.Inf(-1), math.Inf(1)
-		}
-		return 0, math.Inf(1)
-	case j < n+m:
-		return w.sLo[j-n], w.sUp[j-n]
+	if r := j - w.nVars; r >= 0 && r < w.m {
+		return w.sLo[r], w.sUp[r]
 	}
 	return 0, math.Inf(1)
 }
@@ -608,9 +594,6 @@ func (w *Workspace) phase1(tighten bool) (obj float64, ok bool) {
 	w.a = grow(w.a, m)
 	for j := 0; j < n; j++ {
 		w.stat[j] = atLower
-		if w.free[j] {
-			w.stat[j] = atZero
-		}
 	}
 
 	// Crash basis at x = 0: row r needs s = −bᵣ. A slack that can take that
@@ -781,7 +764,8 @@ func (w *Workspace) phase1(tighten bool) (obj float64, ok bool) {
 }
 
 // choose prices the nonbasic columns against the current duals y and
-// returns the entering column and its direction (+1 up, −1 down), or -1.
+// returns the entering column and its direction (+1 up, −1 down; only a
+// slack at its upper bound moves down), or -1.
 // The rule is Dantzig's on reduced costs scaled by the column's norm (a
 // slack's is 1), over a window of the structural columns on wide
 // problems, degrading to Bland (first eligible) for anti-cycling.
@@ -815,8 +799,7 @@ func (w *Workspace) choose(bland bool) (enter, dir int) {
 		if j >= n {
 			j -= n
 		}
-		st := w.stat[j]
-		if st == inBasis {
+		if w.stat[j] == inBasis {
 			continue
 		}
 		g := &w.gens[j]
@@ -824,23 +807,15 @@ func (w *Workspace) choose(bland bool) (enter, dir int) {
 		for t, k := range g.Idx {
 			dot += v[k] * g.Val[t]
 		}
-		// x_j improves going up when dot > 0, and going down (free x_j
-		// only) when dot < 0.
-		d := 1
-		if dot < 0 {
-			if st != atZero {
-				continue
-			}
-			dot, d = -dot, -1
-		}
+		// x_j improves going up when dot > 0.
 		if dot <= tolDJ {
 			continue
 		}
 		if bland {
-			return j, d
+			return j, 1
 		}
 		if score := dot * w.invN[j]; score > best {
-			enter, dir, best = j, d, score
+			enter, dir, best = j, 1, score
 		}
 	}
 	if window < n {
@@ -871,7 +846,7 @@ func (w *Workspace) choose(bland bool) (enter, dir int) {
 }
 
 // extractPoint maps the current basic solution back to original variables,
-// clamping float-noise negatives on sign-restricted coordinates.
+// clamping float-noise negatives to zero.
 func (w *Workspace) extractPoint() []float64 {
 	w.point = zero(w.point, w.nVars)
 	for k, col := range w.basis {
@@ -880,7 +855,7 @@ func (w *Workspace) extractPoint() []float64 {
 		}
 	}
 	for j, x := range w.point {
-		if x < 0 && !w.free[j] {
+		if x < 0 {
 			w.point[j] = 0
 		}
 	}

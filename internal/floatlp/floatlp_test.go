@@ -78,10 +78,9 @@ func TestFeasibilityEqualityRows(t *testing.T) {
 }
 
 func TestFeasibilityFreeVariables(t *testing.T) {
-	// x free with x ≤ −5: feasible only because x may go negative.
-	p := simplex.NewProblem(1)
-	p.MarkFree(0)
-	p.AddConstraint(exact.VecFromInts(1), simplex.LE, big.NewRat(-5, 1))
+	// x free, written x⁺ − x⁻, with x ≤ −5: feasible through x⁻.
+	p := simplex.NewProblem(2)
+	p.AddConstraint(exact.VecFromInts(1, -1), simplex.LE, big.NewRat(-5, 1))
 	w := NewWorkspace()
 	out := w.Feasibility(p)
 	if out.Status != Feasible {
@@ -90,7 +89,7 @@ func TestFeasibilityFreeVariables(t *testing.T) {
 	if !simplex.CertifyPoint(p, out.Point) {
 		t.Fatalf("free-variable point %v failed certification", out.Point)
 	}
-	// Same constraint without freedom: infeasible.
+	// Same constraint on a non-negative x alone: infeasible.
 	q := simplex.NewProblem(1)
 	q.AddConstraint(exact.VecFromInts(1), simplex.LE, big.NewRat(-5, 1))
 	out = w.Feasibility(q)

@@ -9,17 +9,12 @@ import (
 	"repro/internal/simplex"
 )
 
-// randomProblem generates a mixed LE/GE/EQ feasibility problem with
-// occasional free variables: slab pairs like core.RegionLP's rows plus
-// random equality rows like cone membership tests.
+// randomProblem generates a mixed LE/GE/EQ feasibility problem: slab
+// pairs like core.RegionLP's rows plus random equality rows like cone
+// membership tests.
 func randomProblem(rng *rand.Rand) *simplex.Problem {
 	vars := 1 + rng.Intn(8)
 	p := simplex.NewProblem(vars)
-	for j := 0; j < vars; j++ {
-		if rng.Intn(6) == 0 {
-			p.MarkFree(j)
-		}
-	}
 	rows := 1 + rng.Intn(6)
 	for i := 0; i < rows; i++ {
 		coeffs := exact.NewVec(vars)

@@ -14,16 +14,10 @@ import (
 // reach: slab pairs (LE then GE, same coefficients) that merge into range
 // rows, mixed with unpaired LE and GE rows, LE/GE neighbours with
 // different coefficients and inverted pairs whose GE bound lies above the
-// LE bound — all of which must stay unpaired — over variables of which
-// some are free.
+// LE bound — all of which must stay unpaired.
 func randomRangeProblem(rng *rand.Rand) *simplex.Problem {
 	vars := 1 + rng.Intn(8)
 	p := simplex.NewProblem(vars)
-	for j := 0; j < vars; j++ {
-		if rng.Intn(4) == 0 {
-			p.MarkFree(j)
-		}
-	}
 	coeffs := func() exact.Vec {
 		c := exact.NewVec(vars)
 		for j := range c {
@@ -56,7 +50,7 @@ func randomRangeProblem(rng *rand.Rand) *simplex.Problem {
 }
 
 // TestRangeRowsMatchExact is the range form's property test. On random
-// range LPs with free variables and mixed unpaired rows, every infeasible
+// range LPs with mixed unpaired rows, every infeasible
 // claim's basis (tightened, then untightened) names one basic column per
 // original LE/GE row and certifies only where the exact solver refutes;
 // every feasible claim's point certifies; only LE rows followed by a GE

@@ -430,11 +430,14 @@ func TestOverCapBodies413(t *testing.T) {
 
 	st := createStream(t, ts.URL, map[string]any{"model": "pde"})
 	status, sum := ingestLines(t, ts.URL, st.ID, string(small), string(big))
-	// The scanner hands over the line the cap cut short before it reports
-	// the cap, so that line is a line error too.
-	if status != http.StatusRequestEntityTooLarge || sum.Queued != 1 || len(sum.Errors) == 0 ||
-		!strings.Contains(sum.Errors[len(sum.Errors)-1].Error, "body exceeds 512 bytes") {
-		t.Fatalf("over-cap ingest: status %d, summary %+v; want 413, one queued, last error on the cap", status, sum)
+	// The line the cap cut short is one aborted line: counted once in
+	// received and once in error_lines, and never decoded.
+	if status != http.StatusRequestEntityTooLarge || sum.Queued != 1 || sum.ErrorLines != 1 || len(sum.Errors) != 1 ||
+		!strings.Contains(sum.Errors[0].Error, "body exceeds 512 bytes") {
+		t.Fatalf("over-cap ingest: status %d, summary %+v; want 413, one queued, one error on the cap", status, sum)
+	}
+	if sum.Received != sum.Queued+sum.Dropped+sum.Rejected+sum.ErrorLines {
+		t.Fatalf("over-cap ingest summary %+v: received != queued + dropped + rejected + error_lines", sum)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // per-line error, never a panic and never a silently skipped sample.
 // The accounting invariant is total: every non-blank line is either
 // delivered (and then satisfies every invariant the stream worker
-// relies on) or reported to the error callback, and the whole scan is
-// deterministic.
+// relies on), reported to the error callback, or the one aborted line
+// the scan returns, and the whole scan is deterministic.
 func FuzzStreamNDJSON(f *testing.F) {
 	m, err := core.ModelFromDSL("pde", pdeModelSrc, pdeSet())
 	if err != nil {
@@ -44,7 +44,8 @@ func FuzzStreamNDJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scan := func() (received, delivered, errored int, scanErr error) {
-			received, scanErr = scanNDJSON(bytes.NewReader(data), maxLine, m,
+			var aborted int
+			received, aborted, scanErr = scanNDJSON(bytes.NewReader(data), maxLine, m,
 				func(line int, o *counters.Observation) bool {
 					delivered++
 					if line <= 0 {
@@ -66,6 +67,12 @@ func FuzzStreamNDJSON(f *testing.F) {
 						t.Fatalf("error callback line %d err %v", line, err)
 					}
 				})
+			if (scanErr != nil) != (aborted > 0) {
+				t.Fatalf("scan error %v with aborted line %d", scanErr, aborted)
+			}
+			if scanErr != nil {
+				errored++ // the caller reports the aborted line
+			}
 			return
 		}
 		received, delivered, errored, scanErr := scan()
@@ -99,7 +106,7 @@ func TestScanNDJSONStopsOnDeliverFalse(t *testing.T) {
 		ndjsonObs("c", 500, 100, 4, 3),
 	}, "\n")
 	calls := 0
-	received, scanErr := scanNDJSON(strings.NewReader(body), 1<<20, m,
+	received, _, scanErr := scanNDJSON(strings.NewReader(body), 1<<20, m,
 		func(int, *counters.Observation) bool { calls++; return calls < 2 },
 		func(int, error) { t.Fatal("no malformed lines in this body") })
 	if scanErr != nil {

@@ -870,11 +870,21 @@ func decodeStreamObs(line []byte, m *core.Model) (*counters.Observation, error) 
 // validated, then handed to deliver; malformed lines go to onError with
 // their 1-based line number and are never silently skipped. deliver
 // returning false stops the scan (reject-policy full queue, closed
-// stream). Returns the non-blank line count and the scanner error, which
-// is bufio.ErrTooLong for an oversized line — the line boundary is lost,
-// so the scan cannot resynchronise and stops.
-func scanNDJSON(r io.Reader, maxLine int, m *core.Model, deliver func(line int, o *counters.Observation) bool, onError func(line int, err error)) (int, error) {
-	sc := bufio.NewScanner(r)
+// stream). It returns the non-blank line count and the scanner error.
+// That error aborts the scan: bufio.ErrTooLong for an oversized line (the
+// line boundary is lost, so the scan cannot resynchronise) or the body's
+// read error (such as the body cap). The aborted line is counted, its
+// 1-based number is returned for the caller to report, and the fragment
+// a read error cut short is never decoded.
+func scanNDJSON(r io.Reader, maxLine int, m *core.Model, deliver func(line int, o *counters.Observation) bool, onError func(line int, err error)) (received, aborted int, err error) {
+	body := &readErrReader{r: r}
+	sc := bufio.NewScanner(body)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && body.err != nil && bytes.IndexByte(data, '\n') < 0 {
+			return 0, nil, nil // the fragment the read error cut short
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	// The scanner's effective cap is max(cap(buf), maxLine) — keep the
 	// initial buffer at or under maxLine so the cap actually binds.
 	initial := 64 * 1024
@@ -882,7 +892,6 @@ func scanNDJSON(r io.Reader, maxLine int, m *core.Model, deliver func(line int, 
 		initial = maxLine
 	}
 	sc.Buffer(make([]byte, initial), maxLine)
-	received := 0
 	line := 0
 	for sc.Scan() {
 		line++
@@ -900,7 +909,24 @@ func scanNDJSON(r io.Reader, maxLine int, m *core.Model, deliver func(line int, 
 			break
 		}
 	}
-	return received, sc.Err()
+	if err := sc.Err(); err != nil {
+		return received + 1, line + 1, err
+	}
+	return received, 0, nil
+}
+
+// readErrReader records the first read error other than io.EOF.
+type readErrReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *readErrReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF && b.err == nil {
+		b.err = err
+	}
+	return n, err
 }
 
 func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
@@ -949,13 +975,17 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 			return false
 		}
 	}
-	received, scanErr := scanNDJSON(r.Body, s.streams.maxLine, st.model, deliver, onError)
+	received, aborted, scanErr := scanNDJSON(r.Body, s.streams.maxLine, st.model, deliver, onError)
 	sum.Received = received
-	if scanErr == bufio.ErrTooLong {
-		onError(received+1, fmt.Errorf("line exceeds %d bytes; ingest aborted", s.streams.maxLine))
-	} else if scanErr != nil && bodyStatus(scanErr) == http.StatusRequestEntityTooLarge {
-		onError(received+1, fmt.Errorf("body exceeds %d bytes; ingest aborted", s.bodyLimit))
+	switch {
+	case scanErr == nil:
+	case scanErr == bufio.ErrTooLong:
+		onError(aborted, fmt.Errorf("line exceeds %d bytes; ingest aborted", s.streams.maxLine))
+	case bodyStatus(scanErr) == http.StatusRequestEntityTooLarge:
+		onError(aborted, fmt.Errorf("body exceeds %d bytes; ingest aborted", s.bodyLimit))
 		status = http.StatusRequestEntityTooLarge
+	default:
+		onError(aborted, fmt.Errorf("reading body: %v; ingest aborted", scanErr))
 	}
 	if sum.Dropped > 0 {
 		st.log.Append("dropped", map[string]any{"count": sum.Dropped}, false, nil)

@@ -366,8 +366,12 @@ func TestStreamOversizedLine(t *testing.T) {
 	if status != http.StatusOK || sum.Queued != 1 || sum.ErrorLines != 1 {
 		t.Fatalf("status %d summary %+v", status, sum)
 	}
-	if !strings.Contains(sum.Errors[0].Error, "exceeds") {
-		t.Fatalf("error %+v", sum.Errors[0])
+	// The aborted line counts once in received and once in error_lines.
+	if sum.Received != sum.Queued+sum.Dropped+sum.Rejected+sum.ErrorLines {
+		t.Fatalf("summary %+v: received != queued + dropped + rejected + error_lines", sum)
+	}
+	if !strings.Contains(sum.Errors[0].Error, "exceeds") || sum.Errors[0].Line != 2 {
+		t.Fatalf("error %+v, want line 2 over the cap", sum.Errors[0])
 	}
 }
 

@@ -51,9 +51,8 @@ import (
 // may alias the producer's workspace.
 type FarkasBasis struct {
 	// Cols names the basic column of every basis position: j < NumVars
-	// is structural variable j (either half of a split free variable),
-	// NumVars+i is row i's slack and NumVars+m+i is row i's artificial,
-	// for m constraints.
+	// is structural variable j, NumVars+i is row i's slack and
+	// NumVars+m+i is row i's artificial, for m constraints.
 	Cols []int
 	// Sign holds the row sign flips σᵢ (±1).
 	Sign []float64
@@ -254,7 +253,7 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		switch {
 		case col >= 0 && col < n:
 			if bs.seen[col] {
-				return nil, false // both halves of a free variable: singular
+				return nil, false // a column listed twice: singular
 			}
 			bs.seen[col] = true
 			bs.vars = append(bs.vars, col)

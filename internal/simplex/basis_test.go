@@ -152,11 +152,6 @@ func TestCheckFarkasIntMatchesBig(t *testing.T) {
 		n := 1 + rng.Intn(5)
 		m := 2 + rng.Intn(5)
 		p := NewProblem(n)
-		for j := 0; j < n; j++ {
-			if rng.Intn(5) == 0 {
-				p.MarkFree(j)
-			}
-		}
 		ray := make(exact.Vec, m)
 		d := exact.NewVec(n)
 		rhs := new(big.Rat)
@@ -180,14 +175,11 @@ func TestCheckFarkasIntMatchesBig(t *testing.T) {
 			rhs.Add(rhs, new(big.Rat).Mul(q, b))
 		}
 		// The last row (multiplier 1, a ≥ row) closes the combination to
-		// −s with s ≥ 0 (s = 0 on free variables), occasionally breaking
-		// one entry; its right-hand side sets the sign of Σ qᵢbᵢ.
+		// −s with s ≥ 0, occasionally breaking one entry; its right-hand
+		// side sets the sign of Σ qᵢbᵢ.
 		last := exact.NewVec(n)
 		for j := range last {
-			s := new(big.Rat)
-			if p.Free == nil || !p.Free[j] {
-				s.SetInt64(rng.Int63n(3))
-			}
+			s := big.NewRat(rng.Int63n(3), 1)
 			if rng.Intn(8) == 0 {
 				s.SetInt64(-1)
 			}

@@ -160,7 +160,7 @@ func relHolds(rel Rel, cmp int) bool {
 // rows whose accumulator overflows or that are too wide for int64.
 func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 	for j := range xs {
-		if (p.Free == nil || !p.Free[j]) && xs[j].Sign() < 0 {
+		if xs[j].Sign() < 0 {
 			return false
 		}
 	}
@@ -192,8 +192,8 @@ func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 // checkPointRat checks a candidate of reduced big rationals against p by
 // the gcd-free row comparison alone.
 func (c *Certifier) checkPointRat(p *Problem, x exact.Vec) bool {
-	for j, v := range x {
-		if (p.Free == nil || !p.Free[j]) && v.Sign() < 0 {
+	for _, v := range x {
+		if v.Sign() < 0 {
 			return false
 		}
 	}
@@ -274,15 +274,10 @@ func (c *Certifier) kernelCheckFarkas(p *Problem, us []exact.Rat64) (verdict, de
 }
 
 // farkasCombination reports whether the combination d = Σᵢ qᵢ·aᵢ has
-// dⱼ ≤ 0 for every non-free variable and dⱼ = 0 for every free one.
+// dⱼ ≤ 0 for every variable.
 func farkasCombination(p *Problem, sign func(j int) int) bool {
 	for j := 0; j < p.NumVars; j++ {
-		s := sign(j)
-		if p.Free != nil && p.Free[j] {
-			if s != 0 {
-				return false
-			}
-		} else if s > 0 {
+		if sign(j) > 0 {
 			return false
 		}
 	}
@@ -312,10 +307,10 @@ func rowMultipliers(p *Problem, rq []exact.Rat64) bool {
 }
 
 // CheckPoint reports whether x is an exact feasibility witness for p: it
-// has length p.NumVars, respects the non-negativity of every non-free
-// variable, and satisfies every constraint exactly. Dot products only; p
-// is not mutated. Runs on the int64 kernel when x and the constraint rows
-// fit, with the gcd-free big-number comparison otherwise.
+// has length p.NumVars, is non-negative, and satisfies every constraint
+// exactly. Dot products only; p is not mutated. Runs on the int64 kernel
+// when x and the constraint rows fit, with the gcd-free big-number
+// comparison otherwise.
 func CheckPoint(p *Problem, x exact.Vec) bool {
 	if len(x) != p.NumVars {
 		return false
@@ -336,8 +331,7 @@ func CheckPoint(p *Problem, x exact.Vec) bool {
 // exact Farkas certificate of p's infeasibility:
 //
 //	qᵢ ≤ 0 for ≤ rows, qᵢ ≥ 0 for ≥ rows (= rows unrestricted),
-//	d := Σᵢ qᵢ·aᵢ has dⱼ ≤ 0 for every non-free variable and dⱼ = 0
-//	for every free variable, and Σᵢ qᵢ·bᵢ > 0.
+//	d := Σᵢ qᵢ·aᵢ has dⱼ ≤ 0 for every variable, and Σᵢ qᵢ·bᵢ > 0.
 //
 // Multiplying each constraint by its qᵢ and summing shows d·x ≥ Σ qᵢbᵢ > 0
 // for any x in p's feasible set, while the sign conditions force d·x ≤ 0 —
@@ -375,7 +369,7 @@ func (c *Certifier) CertifyPoint(p *Problem, x []float64) bool {
 	}
 	xs := c.scratch(len(x))
 	for j, v := range x {
-		v = pointCoord(p, j, v)
+		v = pointCoord(v)
 		r, ok := exact.SimplestRat64Within(v, pointRoundTol*(1+math.Abs(v)))
 		if !ok {
 			return c.certifyPointBig(p, x, j)
@@ -387,10 +381,10 @@ func (c *Certifier) CertifyPoint(p *Problem, x []float64) bool {
 }
 
 // pointCoord is the candidate coordinate the rounding starts from: float
-// vertices sit on x ≥ 0 bounds up to round-off, so a tiny negative on a
-// non-free variable is the solver's zero.
-func pointCoord(p *Problem, j int, v float64) float64 {
-	if v < 0 && (p.Free == nil || !p.Free[j]) {
+// vertices sit on x ≥ 0 bounds up to round-off, so a tiny negative is the
+// solver's zero.
+func pointCoord(v float64) float64 {
+	if v < 0 {
 		return 0
 	}
 	return v
@@ -408,7 +402,7 @@ func (c *Certifier) certifyPointBig(p *Problem, x []float64, from int) bool {
 			c.xs[j].RatInto(bx[j])
 			continue
 		}
-		v := pointCoord(p, j, x[j])
+		v := pointCoord(x[j])
 		if r, ok := exact.SimplestRat64Within(v, pointRoundTol*(1+math.Abs(v))); ok {
 			r.RatInto(bx[j])
 			continue

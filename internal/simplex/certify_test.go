@@ -39,16 +39,33 @@ func TestCheckPoint(t *testing.T) {
 }
 
 func TestCheckPointFreeAndEquality(t *testing.T) {
-	p := NewProblem(2)
-	p.MarkFree(0)
-	p.AddConstraint(exact.VecFromInts(1, 1), EQ, big.NewRat(1, 1))
-	ok := exact.Vec{big.NewRat(-1, 1), big.NewRat(2, 1)}
+	// x free, written x⁺ − x⁻ over columns (x⁺, x⁻, y): x + y = 1.
+	p := NewProblem(3)
+	p.AddConstraint(exact.VecFromInts(1, -1, 1), EQ, big.NewRat(1, 1))
+	ok := exact.Vec{big.NewRat(0, 1), big.NewRat(1, 1), big.NewRat(2, 1)} // x = −1
 	if !CheckPoint(p, ok) {
 		t.Error("free negative coordinate rejected")
 	}
-	near := exact.Vec{big.NewRat(-1, 1), new(big.Rat).SetFloat64(2.0000001)}
+	near := exact.Vec{big.NewRat(0, 1), big.NewRat(1, 1), new(big.Rat).SetFloat64(2.0000001)}
 	if CheckPoint(p, near) {
 		t.Error("approximate equality accepted — the checker must be exact")
+	}
+	neg := exact.Vec{big.NewRat(-1, 1), big.NewRat(0, 1), big.NewRat(2, 1)}
+	if CheckPoint(p, neg) {
+		t.Error("negative coordinate accepted on a satisfied equality")
+	}
+}
+
+func TestCheckFarkasFreeVariable(t *testing.T) {
+	// x free, written x⁺ − x⁻ over columns (x⁺, x⁻, y): a certificate
+	// whose combination leaves a nonzero coefficient on x puts a positive
+	// one on x⁺ or x⁻ and proves nothing.
+	p := NewProblem(3)
+	p.AddConstraint(exact.VecFromInts(1, -1, 1), GE, big.NewRat(2, 1))
+	p.AddConstraint(exact.VecFromInts(0, 0, 1), LE, big.NewRat(1, 1))
+	ray := exact.Vec{big.NewRat(1, 1), big.NewRat(-1, 1)} // d = (1, −1, 0)
+	if CheckFarkas(p, ray) {
+		t.Error("ray with nonzero free-variable coefficient accepted")
 	}
 }
 
@@ -90,19 +107,6 @@ func TestCheckFarkas(t *testing.T) {
 		if CheckFarkas(feasible, ray) {
 			t.Fatalf("trial %d: Farkas ray %v verified against a feasible problem", i, ray)
 		}
-	}
-}
-
-func TestCheckFarkasFreeVariable(t *testing.T) {
-	// With x free, a certificate whose combination leaves a nonzero
-	// coefficient on x proves nothing.
-	p := NewProblem(2)
-	p.MarkFree(0)
-	p.AddConstraint(exact.VecFromInts(1, 1), GE, big.NewRat(2, 1))
-	p.AddConstraint(exact.VecFromInts(0, 1), LE, big.NewRat(1, 1))
-	ray := exact.Vec{big.NewRat(1, 1), big.NewRat(-1, 1)} // d = (1, 0) ≠ 0 on free x
-	if CheckFarkas(p, ray) {
-		t.Error("ray with nonzero free-variable coefficient accepted")
 	}
 }
 

@@ -84,14 +84,13 @@ func (e *ient) rat(dst *big.Rat, delta *ient, t1, t2 *big.Int) *big.Rat {
 type ktab struct {
 	iarith // Δ, promotion counter, big.Int scratch, ient arithmetic
 
-	a      [][]ient // scaled tableau T = Δ·B⁻¹·A
-	b      []ient   // scaled right-hand side β = Δ·B⁻¹·b
-	c      []ient   // integer cost row (positively scaled objective)
-	r      []ient   // maintained scaled reduced costs Δ·λ·(c − c_B·B⁻¹A)
-	basis  []int
-	basic  []bool // basic-column flags for O(1) scan lookup
-	n, m   int
-	frozen int
+	a     [][]ient // scaled tableau T = Δ·B⁻¹·A
+	b     []ient   // scaled right-hand side β = Δ·B⁻¹·b
+	c     []ient   // phase-1 cost row: 1 on artificials
+	r     []ient   // maintained scaled reduced costs Δ·(c − c_B·B⁻¹A)
+	basis []int
+	basic []bool // basic-column flags for O(1) scan lookup
+	n, m  int
 
 	rows     [][]ient // arena of ient rows, reused in call order
 	rowsUsed int
@@ -182,26 +181,20 @@ func mag128(a, b int64) (neg bool, hi, lo uint64) {
 }
 
 // runKernel mirrors runBig on the kernel tableau: identical standard-form
-// construction, crash basis, two phases and Bland pivoting — on the scaled
+// construction, crash basis, phase 1 and Bland pivoting — on the scaled
 // integer representation instead of big.Rat elements.
 func (w *Workspace) runKernel(p *Problem) Status {
-	w.vecUsed = 0
 	w.kactive = true
-	obj := p.Objective
-	if obj != nil && len(obj) != p.NumVars {
-		panic("simplex: objective width mismatch")
-	}
 
 	lay := w.layout(p)
-	maps, slackCol, artCol := lay.maps, lay.slack, lay.art
-	n, m, nArt := lay.n, lay.m, lay.nArt
+	slackCol, artCol := lay.slack, lay.art
+	m, nArt := lay.m, lay.nArt
 
 	k := &w.kt
 	k.initScratch()
 	k.promotions = 0
 	k.rowsUsed = 0
-	k.n, k.m = n+nArt, m
-	k.frozen = 0
+	k.n, k.m = lay.n+nArt, m
 	k.delta.setInt(1)
 	if cap(k.a) < m {
 		k.a = make([][]ient, m)
@@ -217,8 +210,8 @@ func (w *Workspace) runKernel(p *Problem) Status {
 	for i := range p.Constraints {
 		con := &p.Constraints[i]
 		row := k.row(k.n)
-		if !k.fillRowFast(row, &k.b[i], &iform.rows[i], maps) {
-			k.fillRowBig(row, &k.b[i], &iform.rows[i], maps)
+		if !k.fillRowFast(row, &k.b[i], &iform.rows[i]) {
+			k.fillRowBig(row, &k.b[i], &iform.rows[i], p.NumVars)
 		}
 		switch con.Rel {
 		case LE:
@@ -244,6 +237,7 @@ func (w *Workspace) runKernel(p *Problem) Status {
 	}
 
 	// Phase 1: minimise the sum of artificials.
+	st := Optimal
 	if nArt > 0 {
 		phase1 := k.row(k.n)
 		for i := 0; i < m; i++ {
@@ -254,44 +248,20 @@ func (w *Workspace) runKernel(p *Problem) Status {
 		k.c = phase1
 		k.syncBasic()
 		k.computeReducedCosts()
-		if st := k.optimize(); st == Unbounded {
-			panic("simplex: phase 1 unbounded")
-		}
+		k.optimize()
 		if k.objectiveSign() > 0 {
-			w.lastPromotions = k.promotions
-			return Infeasible
+			st = Infeasible
 		}
-		k.expelArtificials(n)
 	}
-
-	// Phase 2: original objective (scaled to integers by its positive
-	// common denominator — reduced-cost signs are unchanged); artificial
-	// columns frozen out.
-	c2 := k.row(k.n)
-	if obj != nil {
-		k.fillCosts(c2, obj, maps, p.Sense)
-	}
-	k.c = c2
-	k.frozen = n
-	k.syncBasic()
-	k.computeReducedCosts()
-	st := k.optimize()
 	w.lastPromotions = k.promotions
-	if st == Unbounded {
-		return Unbounded
-	}
-	if obj == nil {
-		obj = w.vec(p.NumVars)
-	}
-	w.lastObj = obj
-	return Optimal
+	return st
 }
 
 // fillRowFast writes constraint row ir into the tableau as the primitive
 // row times its scale's numerator (the constraint times the lcm of its
 // denominators). It returns false, leaving the row to fillRowBig, when the
 // row is wide or a product overflows.
-func (k *ktab) fillRowFast(row []ient, rhs *ient, ir *intRow, maps []varMap) bool {
+func (k *ktab) fillRowFast(row []ient, rhs *ient, ir *intRow) bool {
 	if ir.wide != nil {
 		return false
 	}
@@ -308,18 +278,15 @@ func (k *ktab) fillRowFast(row []ient, rhs *ient, ir *intRow, maps []varMap) boo
 		if x == 0 {
 			continue
 		}
-		x *= s // checked above; |x·s| < 2^63, so −x fits too
-		row[maps[j].pos].setInt(x)
-		if maps[j].neg >= 0 {
-			row[maps[j].neg].setInt(-x)
-		}
+		row[j].setInt(x * s) // checked above
 	}
 	rhs.setInt(ir.a[n] * s)
 	return true
 }
 
-// fillRowBig is the arbitrary-precision fallback of fillRowFast.
-func (k *ktab) fillRowBig(row []ient, rhs *ient, ir *intRow, maps []varMap) {
+// fillRowBig is the arbitrary-precision fallback of fillRowFast for a row
+// over n variables.
+func (k *ktab) fillRowBig(row []ient, rhs *ient, ir *intRow, n int) {
 	s := k.t2
 	if ir.wide != nil {
 		s.Set(ir.wide.scale.Num())
@@ -327,83 +294,26 @@ func (k *ktab) fillRowBig(row []ient, rhs *ient, ir *intRow, maps []varMap) {
 		s.SetInt64(ir.scale.Num())
 	}
 	val := k.t3
-	n := len(maps)
 	for j := 0; j < n; j++ {
 		val.Mul(ir.elem(j, k.t1), s)
 		if val.Sign() == 0 {
 			continue
 		}
-		k.setBig(&row[maps[j].pos], val)
-		if maps[j].neg >= 0 {
-			val.Neg(val)
-			k.setBig(&row[maps[j].neg], val)
-		}
+		k.setBig(&row[j], val)
 	}
 	k.setBig(rhs, val.Mul(ir.elem(n, k.t1), s))
 }
 
-// fillCosts materialises the phase-2 cost row: the objective scaled to
-// integers by its positive common denominator λ (reduced-cost signs, and
-// therefore pivoting, are invariant under positive scaling).
-func (k *ktab) fillCosts(c2 []ient, obj exact.Vec, maps []varMap, sense Sense) {
-	if o64, ok := exact.Vec64FromVec(obj); ok {
-		for j, num := range o64.Num {
-			if num == 0 {
-				continue
-			}
-			c2[maps[j].pos].setInt(num)
-			if maps[j].neg >= 0 {
-				if num == math.MinInt64 {
-					k.ensureBig(&c2[maps[j].neg]).SetInt64(num)
-					c2[maps[j].neg].wide = true
-					c2[maps[j].neg].b.Neg(c2[maps[j].neg].b)
-				} else {
-					c2[maps[j].neg].setInt(-num)
-				}
-			}
-		}
-	} else {
-		scale := k.t1.SetInt64(1)
-		g := k.t2
-		for _, c := range obj {
-			d := c.Denom()
-			g.GCD(nil, nil, scale, d)
-			scale.Div(scale, g)
-			scale.Mul(scale, d)
-		}
-		val := new(big.Int)
-		for j, c := range obj {
-			if c.Sign() == 0 {
-				continue
-			}
-			val.Div(scale, c.Denom())
-			val.Mul(val, c.Num())
-			k.setBig(&c2[maps[j].pos], val)
-			if maps[j].neg >= 0 {
-				val.Neg(val)
-				k.setBig(&c2[maps[j].neg], val)
-			}
-		}
-	}
-	if sense == Maximize {
-		for j := range c2 {
-			if c2[j].sign() != 0 {
-				k.neg(&c2[j])
-			}
-		}
-	}
-}
-
 // optimize runs Bland-rule primal simplex on the kernel tableau.
-func (k *ktab) optimize() Status {
+func (k *ktab) optimize() {
 	for {
 		col := k.enteringColumn()
 		if col < 0 {
-			return Optimal
+			return
 		}
 		row := k.leavingRow(col)
 		if row < 0 {
-			return Unbounded
+			panic("simplex: phase 1 unbounded") // bounded below by 0
 		}
 		k.pivot(row, col)
 	}
@@ -423,18 +333,9 @@ func (k *ktab) syncBasic() {
 	}
 }
 
-// rlimit bounds the columns whose reduced costs are maintained: frozen
-// (artificial) columns never enter in phase 2, so their entries are dead.
-func (k *ktab) rlimit() int {
-	if k.frozen > 0 {
-		return k.frozen
-	}
-	return k.n
-}
-
 // computeReducedCosts initialises the maintained row from the current
 // basis: R[j] = C[j]·Δ − Σᵢ C[basis[i]]·T[i][j], the reduced costs scaled
-// by the positive Δ·λ. Recomputing reduced costs on every entering-column
+// by the positive Δ. Recomputing reduced costs on every entering-column
 // scan is O(n·m) exact multiplications per iteration — the dominant cost
 // of the big.Rat tableau; maintaining the row through pivots makes the
 // scan a row of integer sign checks. The maintained values are positive
@@ -442,9 +343,8 @@ func (k *ktab) rlimit() int {
 // sequence — and every verdict — is unchanged.
 func (k *ktab) computeReducedCosts() {
 	k.r = k.row(k.n)
-	limit := k.rlimit()
 	acc := new(big.Int)
-	for j := 0; j < limit; j++ {
+	for j := 0; j < k.n; j++ {
 		rj := &k.r[j]
 		if k.c[j].sign() == 0 && !k.c[j].wide {
 			acc.SetInt64(0)
@@ -467,8 +367,7 @@ func (k *ktab) computeReducedCosts() {
 // (Bland's rule), or -1 at optimality — the same rule, on the same exact
 // signs, as the big.Rat tableau, so the pivot sequences are identical.
 func (k *ktab) enteringColumn() int {
-	limit := k.rlimit()
-	for j := 0; j < limit; j++ {
+	for j := 0; j < k.n; j++ {
 		if k.basic[j] {
 			continue
 		}
@@ -541,15 +440,14 @@ func (k *ktab) pivot(row, col int) {
 	// Maintained reduced-cost row: the same rank-one update with the cost
 	// entry of the pivot column as the factor; R[col] lands on exactly zero.
 	rfac := &k.r[col]
-	limit := k.rlimit()
 	if rfac.sign() == 0 {
-		for j := 0; j < limit; j++ {
+		for j := 0; j < k.n; j++ {
 			if k.r[j].sign() != 0 {
 				k.scaleUpdate(&k.r[j], piv)
 			}
 		}
 	} else {
-		for j := 0; j < limit; j++ {
+		for j := 0; j < k.n; j++ {
 			if j == col {
 				continue
 			}
@@ -567,7 +465,7 @@ func (k *ktab) pivot(row, col int) {
 }
 
 // objectiveSign returns the sign of the current objective value
-// Σᵢ c_basis[i]·β[i] (/Δλ — positive, so the sign is exact).
+// Σᵢ c_basis[i]·β[i] (/Δ — positive, so the sign is exact).
 func (k *ktab) objectiveSign() int {
 	acc := new(big.Int)
 	for i, bi := range k.basis {
@@ -578,41 +476,4 @@ func (k *ktab) objectiveSign() int {
 		acc.Add(acc, k.t1)
 	}
 	return acc.Sign()
-}
-
-// expelArtificials pivots basic artificial variables out of the basis where
-// a non-artificial pivot column exists, mirroring the big.Rat tableau.
-func (k *ktab) expelArtificials(firstArt int) {
-	for i := 0; i < k.m; i++ {
-		if k.basis[i] < firstArt {
-			continue
-		}
-		if k.b[i].sign() != 0 {
-			continue
-		}
-		for j := 0; j < firstArt; j++ {
-			if k.a[i][j].sign() != 0 && !k.basic[j] {
-				k.kpivotAnySign(i, j)
-				break
-			}
-		}
-	}
-}
-
-// kpivotAnySign pivots at (row, col) where the pivot element may be
-// negative (expelling artificials from degenerate rows). The fraction-free
-// update requires Δ > 0, so a negative pivot first flips the whole pivot
-// row (legal: the row represents the equation 0 = 0 ... scaled; flipping a
-// tableau row's sign is a basis-change bookkeeping no-op for a degenerate
-// row with β = 0).
-func (k *ktab) kpivotAnySign(row, col int) {
-	if k.a[row][col].sign() < 0 {
-		for j := 0; j < k.n; j++ {
-			if k.a[row][j].sign() != 0 {
-				k.neg(&k.a[row][j])
-			}
-		}
-		// β[row] is zero here (degenerate row), nothing to flip.
-	}
-	k.pivot(row, col)
 }

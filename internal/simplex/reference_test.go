@@ -9,8 +9,8 @@ import (
 // checkPointBig is the big.Rat reference of CheckPoint, run on the
 // rational view of p's rows.
 func checkPointBig(p *Problem, x exact.Vec) bool {
-	for j, v := range x {
-		if (p.Free == nil || !p.Free[j]) && v.Sign() < 0 {
+	for _, v := range x {
+		if v.Sign() < 0 {
 			return false
 		}
 	}

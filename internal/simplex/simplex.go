@@ -1,5 +1,8 @@
-// Package simplex implements an exact two-phase primal simplex solver over
-// the rationals.
+// Package simplex decides exact feasibility of linear programs over the
+// rationals: does some x ≥ 0 satisfy every LE, GE and EQ row? It runs the
+// phase 1 of the primal simplex (minimise the sum of artificials) and
+// nothing else, because every LP CounterPoint solves is a feasibility
+// question over non-negative flows.
 //
 // CounterPoint uses linear programming in three places (paper §4, §6 and
 // Appendix A): deciding whether a counter confidence region intersects a
@@ -16,15 +19,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exact"
-)
-
-// Sense selects the optimisation direction.
-type Sense int
-
-// Optimisation senses.
-const (
-	Minimize Sense = iota
-	Maximize
 )
 
 // Rel is a constraint relation.
@@ -56,10 +50,9 @@ type Constraint struct {
 	RHS    *big.Rat
 }
 
-// Problem is a linear program. Variables are non-negative unless marked
-// free. A nil Objective means a pure feasibility problem. A Problem must
-// not be copied after first use (it caches its integer form in an atomic
-// pointer).
+// Problem is a feasibility LP over NumVars non-negative variables. A
+// Problem must not be copied after first use (it caches its integer form
+// in an atomic pointer).
 //
 // Constraints always has one entry per row with its Rel. Its Coeffs and
 // RHS are authoritative for rows added by GrowConstraint/AddConstraint;
@@ -67,10 +60,7 @@ type Constraint struct {
 // them in (see introw.go).
 type Problem struct {
 	NumVars     int
-	Sense       Sense
-	Objective   exact.Vec
 	Constraints []Constraint
-	Free        []bool // optional; len NumVars if non-nil
 
 	// gen counts structural mutations; iform caches the integer form
 	// derived from rational rows, keyed by gen.
@@ -108,9 +98,6 @@ func (p *Problem) AddConstraint(coeffs exact.Vec, rel Rel, rhs *big.Rat) {
 // hot loop (one LP per observation) stops allocating rationals.
 func (p *Problem) Reset(n int) {
 	p.NumVars = n
-	p.Sense = Minimize
-	p.Objective = nil
-	p.Free = nil
 	p.Constraints = p.Constraints[:0]
 	p.native = false
 	p.own.rows = p.own.rows[:0]
@@ -137,22 +124,13 @@ func (p *Problem) GrowConstraint(rel Rel) (coeffs exact.Vec, rhs *big.Rat) {
 	return c.Coeffs, c.RHS
 }
 
-// MarkFree declares variable i free (unrestricted in sign).
-func (p *Problem) MarkFree(i int) {
-	if p.Free == nil {
-		p.Free = make([]bool, p.NumVars)
-	}
-	p.Free[i] = true
-}
-
 // Status reports the outcome of Solve.
 type Status int
 
-// Solve outcomes.
+// Solve outcomes. Optimal means feasible: phase 1 reached a zero optimum.
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
 )
 
 func (s Status) String() string {
@@ -161,18 +139,15 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	}
 	return "unknown"
 }
 
-// Result holds the solver outcome. X and Objective are valid only when
-// Status == Optimal.
+// Result holds the solver outcome. X, valid only when Status == Optimal,
+// is the basic solution phase 1 ended on: a feasibility witness.
 type Result struct {
-	Status    Status
-	X         exact.Vec
-	Objective *big.Rat
+	Status Status
+	X      exact.Vec
 }
 
 // tableau is the standard-form working representation:
@@ -180,12 +155,9 @@ type Result struct {
 type tableau struct {
 	a     []exact.Vec // m rows, each of width n
 	b     exact.Vec   // m
-	c     exact.Vec   // n (phase-2 costs)
+	c     exact.Vec   // n (phase-1 costs: 1 on artificials)
 	basis []int       // m basic variable indices
 	n, m  int
-	// frozen, when positive, is the first column index that may not enter
-	// the basis (locks artificial columns out during phase 2).
-	frozen int
 	// Pivot-loop scratch rationals, reused across iterations so the hot
 	// loop does not allocate.
 	sInv, sTmp, sFactor, sRatio, sBestRatio *big.Rat
@@ -201,8 +173,8 @@ func (t *tableau) initScratch() {
 	}
 }
 
-// Workspace holds reusable storage for the solver: tableau rows, cost
-// vectors, the basis, and a scratch Problem. Solving through a Workspace
+// Workspace holds reusable storage for the solver: tableau rows, the cost
+// vector, the basis, and a scratch Problem. Solving through a Workspace
 // avoids re-allocating the O(m·n) big.Rat tableau for every LP — the
 // dominant allocation cost of per-observation feasibility testing. A
 // Workspace is not safe for concurrent use; pool one per worker.
@@ -211,15 +183,13 @@ type Workspace struct {
 	vecUsed int
 	rows    []exact.Vec
 	basis   []int
-	maps    []varMap
 	slack   []int
 	art     []int
 	t       tableau
 	prob    *Problem
-	lastObj exact.Vec // objective vector of the last successful run
 
 	// ForceBigRat routes every solve through the pure big.Rat reference
-	// tableau instead of the int64 kernel tableau. Verdicts and solutions
+	// tableau instead of the int64 kernel tableau. Verdicts and witnesses
 	// are bit-identical either way (the kernel is exact, element-promoting
 	// on overflow); the knob exists for differential testing and as an
 	// operational escape hatch.
@@ -269,11 +239,8 @@ func (w *Workspace) vec(n int) exact.Vec {
 	return v
 }
 
-type varMap struct{ pos, neg int }
-
 // Solve solves the problem through a freshly allocated Workspace — the
-// convenience path for one-off solves only. A nil objective is treated as
-// the zero objective (feasibility only). Callers that solve in a loop
+// convenience path for one-off solves only. Callers that solve in a loop
 // should hold a Workspace (or pool one per worker) and go through its
 // Solve/SolveStatus, which reuse the rational tableau and problem storage
 // across calls instead of re-allocating them per LP.
@@ -287,33 +254,24 @@ func (w *Workspace) Solve(p *Problem) Result {
 	if st != Optimal {
 		return Result{Status: st}
 	}
-	obj := w.lastObj
-
-	// Extract solution. X is built from fresh rationals so the Result
-	// survives workspace reuse.
-	var y exact.Vec
+	// Variable j is column j; non-basic columns are zero. X is built from
+	// fresh rationals so the Result survives workspace reuse.
+	x := exact.NewVec(p.NumVars)
 	if w.kactive {
 		kt := &w.kt
-		y = w.vec(kt.n)
 		for i, bi := range kt.basis {
-			kt.b[i].rat(y[bi], &kt.delta, kt.t1, kt.t2)
+			if bi < p.NumVars {
+				kt.b[i].rat(x[bi], &kt.delta, kt.t1, kt.t2)
+			}
 		}
 	} else {
-		t := &w.t
-		y = w.vec(t.n)
-		for i, bi := range t.basis {
-			y[bi].Set(t.b[i])
+		for i, bi := range w.t.basis {
+			if bi < p.NumVars {
+				x[bi].Set(w.t.b[i])
+			}
 		}
 	}
-	x := exact.NewVec(p.NumVars)
-	for j := 0; j < p.NumVars; j++ {
-		x[j].Set(y[w.maps[j].pos])
-		if w.maps[j].neg >= 0 {
-			x[j].Sub(x[j], y[w.maps[j].neg])
-		}
-	}
-	objVal := obj.Dot(x)
-	return Result{Status: Optimal, X: x, Objective: objVal}
+	return Result{Status: Optimal, X: x}
 }
 
 // SolveStatus runs the solver and reports only the status, skipping
@@ -326,37 +284,22 @@ func (w *Workspace) SolveStatus(p *Problem) Status {
 }
 
 // layout holds the standard-form column plan shared by the kernel and
-// big.Rat tableaux: the variable→column maps, slack and artificial column
-// assignments, the pre-artificial column count n, row count m and
+// big.Rat tableaux: variable j is column j, then the slack and artificial
+// column assignments, the pre-artificial column count n, row count m and
 // artificial count nArt.
 type layout struct {
-	maps       []varMap
 	slack, art []int
 	n, m, nArt int
 }
 
 // layout computes the standard-form plan into the workspace's reusable
-// slices. Free variables split into positive and negative parts. A row
+// slices. A row
 // whose slack carries coefficient +1 after sign normalisation (LE with
 // RHS ≥ 0, or GE with RHS < 0) seeds the phase-1 basis with its slack
 // instead of an artificial — the standard crash basis, which shrinks the
 // tableau and often skips phase-1 pivoting entirely.
 func (w *Workspace) layout(p *Problem) layout {
-	if cap(w.maps) < p.NumVars {
-		w.maps = make([]varMap, p.NumVars)
-	}
-	maps := w.maps[:p.NumVars]
-	n := 0
-	for i := 0; i < p.NumVars; i++ {
-		maps[i].pos = n
-		n++
-		if p.Free != nil && p.Free[i] {
-			maps[i].neg = n
-			n++
-		} else {
-			maps[i].neg = -1
-		}
-	}
+	n := p.NumVars
 	m := len(p.Constraints)
 	if cap(w.slack) < m {
 		w.slack = make([]int, m)
@@ -385,10 +328,10 @@ func (w *Workspace) layout(p *Problem) layout {
 			nArt++
 		}
 	}
-	return layout{maps: maps, slack: slackCol, art: artCol, n: n, m: m, nArt: nArt}
+	return layout{slack: slackCol, art: artCol, n: n, m: m, nArt: nArt}
 }
 
-// run executes both simplex phases, on the int64 kernel tableau by default
+// run executes phase 1, on the int64 kernel tableau by default
 // or on the big.Rat reference tableau when ForceBigRat is set, and leaves
 // the final state in place for extraction.
 func (w *Workspace) run(p *Problem) Status {
@@ -410,21 +353,13 @@ func (w *Workspace) runBig(p *Problem) Status {
 	w.vecUsed = 0
 	w.kactive = false
 	w.lastPromotions = 0
-	obj := p.Objective
-	if obj == nil {
-		obj = w.vec(p.NumVars)
-	}
-	if len(obj) != p.NumVars {
-		panic("simplex: objective width mismatch")
-	}
 
 	lay := w.layout(p)
-	maps, slackCol, artCol := lay.maps, lay.slack, lay.art
+	slackCol, artCol := lay.slack, lay.art
 	n, m, nArt := lay.n, lay.m, lay.nArt
 
 	t := &w.t
 	t.n, t.m = n+nArt, m
-	t.frozen = 0
 	t.initScratch()
 	if cap(w.rows) < m {
 		w.rows = make([]exact.Vec, m)
@@ -439,14 +374,8 @@ func (w *Workspace) runBig(p *Problem) Status {
 
 	for i, con := range p.RatConstraints() {
 		row := w.vec(t.n)
-		for j := 0; j < p.NumVars; j++ {
-			if con.Coeffs[j].Sign() == 0 {
-				continue
-			}
-			row[maps[j].pos].Set(con.Coeffs[j])
-			if maps[j].neg >= 0 {
-				row[maps[j].neg].Neg(con.Coeffs[j])
-			}
+		for j, c := range con.Coeffs {
+			row[j].Set(c)
 		}
 		rhs := t.b[i]
 		rhs.Set(con.RHS)
@@ -474,7 +403,8 @@ func (w *Workspace) runBig(p *Problem) Status {
 	}
 
 	// Phase 1: minimise the sum of artificials (skipped when the crash
-	// basis is already feasible).
+	// basis is already feasible). Artificials left basic at zero stay: the
+	// basic solution is already the witness.
 	if nArt > 0 {
 		phase1 := w.vec(t.n)
 		for i := 0; i < m; i++ {
@@ -483,51 +413,24 @@ func (w *Workspace) runBig(p *Problem) Status {
 			}
 		}
 		t.c = phase1
-		if st := t.optimize(); st == Unbounded {
-			// Phase-1 objective is bounded below by 0; unbounded cannot happen.
-			panic("simplex: phase 1 unbounded")
-		}
+		t.optimize()
 		if t.objectiveValue().Sign() > 0 {
 			return Infeasible
 		}
-		// Drive remaining artificials out of the basis where possible.
-		t.expelArtificials(n)
 	}
-
-	// Phase 2: original objective over standard-form columns; artificial
-	// columns get prohibitive handling by freezing them at zero (they are
-	// nonbasic or basic at zero after phase 1; we simply forbid entering).
-	c2 := w.vec(t.n)
-	for j := 0; j < p.NumVars; j++ {
-		c2[maps[j].pos].Set(obj[j])
-		if maps[j].neg >= 0 {
-			c2[maps[j].neg].Neg(obj[j])
-		}
-	}
-	if p.Sense == Maximize {
-		for j := range c2 {
-			c2[j].Neg(c2[j])
-		}
-	}
-	t.c = c2
-	t.frozen = n // columns ≥ n (artificials) may not enter
-	if st := t.optimize(); st == Unbounded {
-		return Unbounded
-	}
-	w.lastObj = obj
 	return Optimal
 }
 
 // optimize runs Bland-rule primal simplex on the current tableau/costs.
-func (t *tableau) optimize() Status {
-	for iter := 0; ; iter++ {
+func (t *tableau) optimize() {
+	for {
 		col := t.enteringColumn()
 		if col < 0 {
-			return Optimal
+			return
 		}
 		row := t.leavingRow(col)
 		if row < 0 {
-			return Unbounded
+			panic("simplex: phase 1 unbounded") // bounded below by 0
 		}
 		t.pivot(row, col)
 	}
@@ -538,12 +441,8 @@ func (t *tableau) optimize() Status {
 func (t *tableau) enteringColumn() int {
 	// reduced cost r_j = c_j - cB · B^-1 A_j; with explicit tableau the
 	// rows of t.a are already B^-1 A, so r_j = c_j - Σ_i c_basis[i]·a[i][j].
-	limit := t.n
-	if t.frozen > 0 {
-		limit = t.frozen
-	}
 	r, tmp := t.sRatio, t.sTmp
-	for j := 0; j < limit; j++ {
+	for j := 0; j < t.n; j++ {
 		if t.isBasic(j) {
 			continue
 		}
@@ -629,25 +528,4 @@ func (t *tableau) objectiveValue() *big.Rat {
 		v.Add(v, tmp)
 	}
 	return v
-}
-
-// expelArtificials pivots basic artificial variables (columns ≥ firstArt)
-// out of the basis when a non-artificial pivot column exists; rows that are
-// entirely zero over real columns are redundant and left in place (the
-// artificial stays basic at value zero, harmlessly).
-func (t *tableau) expelArtificials(firstArt int) {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < firstArt {
-			continue
-		}
-		if t.b[i].Sign() != 0 {
-			continue // should not happen after a zero phase-1 optimum
-		}
-		for j := 0; j < firstArt; j++ {
-			if t.a[i][j].Sign() != 0 && !t.isBasic(j) {
-				t.pivot(i, j)
-				break
-			}
-		}
-	}
 }

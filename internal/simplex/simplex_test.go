@@ -10,35 +10,58 @@ import (
 
 func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
 
-func TestMaximizeBasic(t *testing.T) {
-	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 → x=4, y=0, obj 12.
-	p := NewProblem(2)
-	p.Sense = Maximize
-	p.Objective = exact.VecFromInts(3, 2)
-	p.AddConstraint(exact.VecFromInts(1, 1), LE, rat(4, 1))
-	p.AddConstraint(exact.VecFromInts(1, 3), LE, rat(6, 1))
+// solveFeasible solves p, requires a feasible verdict and checks the
+// witness exactly against the big.Rat reference.
+func solveFeasible(t *testing.T, p *Problem) exact.Vec {
+	t.Helper()
 	res := Solve(p)
 	if res.Status != Optimal {
-		t.Fatalf("status %v", res.Status)
+		t.Fatalf("status %v, want feasible", res.Status)
 	}
-	if res.Objective.Cmp(rat(12, 1)) != 0 {
-		t.Fatalf("objective %s, want 12", res.Objective.RatString())
+	if !checkPointBig(p, res.X) {
+		t.Fatalf("witness %v violates the problem", res.X)
+	}
+	return res.X
+}
+
+// levelSet returns p with the row c·x rel v appended.
+func levelSet(p *Problem, c exact.Vec, rel Rel, v *big.Rat) *Problem {
+	q := NewProblem(p.NumVars)
+	for _, con := range p.Constraints {
+		q.AddConstraint(con.Coeffs, con.Rel, con.RHS)
+	}
+	q.AddConstraint(c, rel, v)
+	return q
+}
+
+func TestMaximizeBasic(t *testing.T) {
+	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 is 12 (at x=4, y=0): the
+	// level set 3x + 2y >= 12 is feasible and 3x + 2y >= 12+1/100 is not.
+	p := NewProblem(2)
+	p.AddConstraint(exact.VecFromInts(1, 1), LE, rat(4, 1))
+	p.AddConstraint(exact.VecFromInts(1, 3), LE, rat(6, 1))
+	obj := exact.VecFromInts(3, 2)
+	x := solveFeasible(t, levelSet(p, obj, GE, rat(12, 1)))
+	if obj.Dot(x).Cmp(rat(12, 1)) != 0 {
+		t.Fatalf("witness %v off the optimal face", x)
+	}
+	if res := Solve(levelSet(p, obj, GE, rat(1201, 100))); res.Status != Infeasible {
+		t.Fatalf("status %v above the optimum, want infeasible", res.Status)
 	}
 }
 
 func TestMinimizeWithGE(t *testing.T) {
-	// min x + y s.t. x + 2y >= 4, 3x + y >= 6 → intersection (8/5, 6/5), obj 14/5.
+	// min x + y s.t. x + 2y >= 4, 3x + y >= 6 is 14/5, at (8/5, 6/5).
 	p := NewProblem(2)
-	p.Sense = Minimize
-	p.Objective = exact.VecFromInts(1, 1)
 	p.AddConstraint(exact.VecFromInts(1, 2), GE, rat(4, 1))
 	p.AddConstraint(exact.VecFromInts(3, 1), GE, rat(6, 1))
-	res := Solve(p)
-	if res.Status != Optimal {
-		t.Fatalf("status %v", res.Status)
+	obj := exact.VecFromInts(1, 1)
+	x := solveFeasible(t, levelSet(p, obj, LE, rat(14, 5)))
+	if !x.Equal(exact.Vec{rat(8, 5), rat(6, 5)}) {
+		t.Fatalf("witness %v, want the unique point (8/5, 6/5)", x)
 	}
-	if res.Objective.Cmp(rat(14, 5)) != 0 {
-		t.Fatalf("objective %s, want 14/5", res.Objective.RatString())
+	if res := Solve(levelSet(p, obj, LE, rat(139, 50))); res.Status != Infeasible {
+		t.Fatalf("status %v below the optimum, want infeasible", res.Status)
 	}
 }
 
@@ -53,47 +76,38 @@ func TestInfeasible(t *testing.T) {
 }
 
 func TestUnbounded(t *testing.T) {
-	// max x s.t. x >= 0 only.
-	p := NewProblem(1)
-	p.Sense = Maximize
-	p.Objective = exact.VecFromInts(1)
-	p.AddConstraint(exact.VecFromInts(1), GE, rat(0, 1))
-	if res := Solve(p); res.Status != Unbounded {
-		t.Fatalf("status %v, want unbounded", res.Status)
+	// An unbounded feasible set (x - y >= 1 over x, y >= 0) is feasible.
+	p := NewProblem(2)
+	p.AddConstraint(exact.VecFromInts(1, -1), GE, rat(1, 1))
+	solveFeasible(t, p)
+}
+
+func TestFreeVariable(t *testing.T) {
+	// Every variable is non-negative; a sign-free x is written as
+	// x⁺ − x⁻. min x s.t. x >= -5 is -5: the level set x⁺ − x⁻ <= -5 is
+	// feasible (x⁻ carries it) and x⁺ − x⁻ <= -5-1/100 is not.
+	p := NewProblem(2)
+	p.AddConstraint(exact.VecFromInts(1, -1), GE, rat(-5, 1))
+	x := exact.VecFromInts(1, -1)
+	w := solveFeasible(t, levelSet(p, x, LE, rat(-5, 1)))
+	if x.Dot(w).Cmp(rat(-5, 1)) != 0 {
+		t.Fatalf("witness %v: x = %v, want -5", w, x.Dot(w))
+	}
+	if res := Solve(levelSet(p, x, LE, rat(-501, 100))); res.Status != Infeasible {
+		t.Fatalf("status %v below the minimum, want infeasible", res.Status)
 	}
 }
 
 func TestEqualityConstraint(t *testing.T) {
-	// max x + y s.t. x + y = 3, x <= 2 → obj 3.
+	// x + y = 3, x <= 2: feasible.
 	p := NewProblem(2)
-	p.Sense = Maximize
-	p.Objective = exact.VecFromInts(1, 1)
 	p.AddConstraint(exact.VecFromInts(1, 1), EQ, rat(3, 1))
 	p.AddConstraint(exact.VecFromInts(1, 0), LE, rat(2, 1))
-	res := Solve(p)
-	if res.Status != Optimal || res.Objective.Cmp(rat(3, 1)) != 0 {
-		t.Fatalf("got %v obj=%v", res.Status, res.Objective)
-	}
-}
-
-func TestFreeVariable(t *testing.T) {
-	// min x with x free and x >= -5 → x = -5.
-	p := NewProblem(1)
-	p.MarkFree(0)
-	p.Sense = Minimize
-	p.Objective = exact.VecFromInts(1)
-	p.AddConstraint(exact.VecFromInts(1), GE, rat(-5, 1))
-	res := Solve(p)
-	if res.Status != Optimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	if res.X[0].Cmp(rat(-5, 1)) != 0 {
-		t.Fatalf("x = %s, want -5", res.X[0].RatString())
-	}
+	solveFeasible(t, p)
 }
 
 func TestFeasibilityOnly(t *testing.T) {
-	// No objective: just decide feasibility of x + y = 2, x,y >= 0.
+	// Decide feasibility of x + y = 2, x,y >= 0.
 	p := NewProblem(2)
 	p.AddConstraint(exact.VecFromInts(1, 1), EQ, rat(2, 1))
 	res := Solve(p)
@@ -107,61 +121,55 @@ func TestFeasibilityOnly(t *testing.T) {
 }
 
 func TestNegativeRHS(t *testing.T) {
-	// -x <= -3 means x >= 3; min x → 3.
+	// -x <= -3 means x >= 3: phase 1 enters x at exactly 3. With x <= 2
+	// as well it is infeasible.
 	p := NewProblem(1)
-	p.Sense = Minimize
-	p.Objective = exact.VecFromInts(1)
 	p.AddConstraint(exact.VecFromInts(-1), LE, rat(-3, 1))
-	res := Solve(p)
-	if res.Status != Optimal || res.X[0].Cmp(rat(3, 1)) != 0 {
-		t.Fatalf("got %v x=%v", res.Status, res.X)
+	if x := solveFeasible(t, p); x[0].Cmp(rat(3, 1)) != 0 {
+		t.Fatalf("x = %v, want 3", x)
+	}
+	p.AddConstraint(exact.VecFromInts(1), LE, rat(2, 1))
+	if res := Solve(p); res.Status != Infeasible {
+		t.Fatalf("status %v, want infeasible", res.Status)
 	}
 }
 
 func TestDegenerateCycleGuard(t *testing.T) {
-	// The classic Beale cycling example; Bland's rule must terminate.
+	// The classic Beale cycling example, min c·x = −1/20 at a degenerate
+	// vertex. Its level set c·x <= −1/20 has a negative right-hand side,
+	// so phase 1 must pivot through the degenerate vertex; Bland's rule
+	// must terminate there, and one step past the optimum is infeasible.
 	p := NewProblem(4)
-	p.Sense = Minimize
-	p.Objective = exact.Vec{rat(-3, 4), rat(150, 1), rat(-1, 50), rat(6, 1)}
 	p.AddConstraint(exact.Vec{rat(1, 4), rat(-60, 1), rat(-1, 25), rat(9, 1)}, LE, rat(0, 1))
 	p.AddConstraint(exact.Vec{rat(1, 2), rat(-90, 1), rat(-1, 50), rat(3, 1)}, LE, rat(0, 1))
 	p.AddConstraint(exact.Vec{rat(0, 1), rat(0, 1), rat(1, 1), rat(0, 1)}, LE, rat(1, 1))
-	res := Solve(p)
-	if res.Status != Optimal {
-		t.Fatalf("status %v", res.Status)
+	obj := exact.Vec{rat(-3, 4), rat(150, 1), rat(-1, 50), rat(6, 1)}
+	x := solveFeasible(t, levelSet(p, obj, LE, rat(-1, 20)))
+	if obj.Dot(x).Cmp(rat(-1, 20)) != 0 {
+		t.Fatalf("witness %v off the optimal face", x)
 	}
-	if res.Objective.Cmp(rat(-1, 20)) != 0 {
-		t.Fatalf("objective %s, want -1/20", res.Objective.RatString())
+	if res := Solve(levelSet(p, obj, LE, rat(-51, 1000))); res.Status != Infeasible {
+		t.Fatalf("status %v below the optimum, want infeasible", res.Status)
 	}
 }
 
 func TestRedundantEquality(t *testing.T) {
-	// Duplicate equality rows exercise the artificial-expulsion path.
+	// Duplicate equality rows leave an artificial basic at zero after
+	// phase 1; the witness must still satisfy both rows.
 	p := NewProblem(2)
-	p.Sense = Maximize
-	p.Objective = exact.VecFromInts(1, 0)
 	p.AddConstraint(exact.VecFromInts(1, 1), EQ, rat(2, 1))
 	p.AddConstraint(exact.VecFromInts(2, 2), EQ, rat(4, 1))
-	res := Solve(p)
-	if res.Status != Optimal || res.Objective.Cmp(rat(2, 1)) != 0 {
-		t.Fatalf("got %v obj=%v", res.Status, res.Objective)
-	}
+	solveFeasible(t, p)
 }
 
 func TestSolutionSatisfiesConstraintsRandom(t *testing.T) {
-	// Property: whenever Solve reports Optimal, the returned point satisfies
-	// every constraint exactly.
+	// Property: whenever Solve reports Optimal, the returned witness
+	// satisfies every constraint exactly.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		nv := rng.Intn(4) + 1
 		nc := rng.Intn(5) + 1
 		p := NewProblem(nv)
-		p.Sense = Sense(rng.Intn(2))
-		obj := exact.NewVec(nv)
-		for i := range obj {
-			obj[i].SetInt64(int64(rng.Intn(7) - 3))
-		}
-		p.Objective = obj
 		for c := 0; c < nc; c++ {
 			coeffs := exact.NewVec(nv)
 			for i := range coeffs {
@@ -192,7 +200,7 @@ func TestSolutionSatisfiesConstraintsRandom(t *testing.T) {
 			}
 		}
 		for i, x := range res.X {
-			if (p.Free == nil || !p.Free[i]) && x.Sign() < 0 {
+			if x.Sign() < 0 {
 				t.Fatalf("trial %d: x[%d]=%s negative", trial, i, x.RatString())
 			}
 		}
