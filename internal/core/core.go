@@ -325,14 +325,27 @@ func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
 // The coefficients are the constraint's float table (cone.Constraint.
 // Floats), stored once per model for deduced constraints, so testing a
 // deduced constraint allocates nothing.
+//
+// The spread sums non-negative terms (half-widths are never negative), so
+// its partial sums never decrease: once one reaches the centre's distance
+// from the half-space (center for LE, |center| for EQ) the region is known
+// to touch the feasible side and the rest of the sum is skipped. The
+// answer is the full sum's, bit for bit.
 func RegionViolates(r *stats.Region, k cone.Constraint) bool {
 	af := k.Floats()
 	center := 0.0
 	for i, a := range af {
 		center += a * r.Mean[i]
 	}
+	limit := center
+	if k.Rel == cone.EQZero {
+		limit = math.Abs(center)
+	}
 	spread := 0.0
 	for i, axis := range r.Axes {
+		if spread >= limit {
+			return false
+		}
 		dot := 0.0
 		for j, a := range af {
 			dot += a * axis[j]

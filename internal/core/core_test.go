@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -239,6 +242,125 @@ func TestRegionViolatesClosedForm(t *testing.T) {
 	k3 := cone.Constraint{Set: set, Coeffs: exact.VecFromInts(1, -1), Rel: cone.EQZero}
 	if !RegionViolates(r, k3) {
 		t.Fatal("region should violate equality")
+	}
+}
+
+// regionViolatesFullSum is RegionViolates without the early exit: the
+// closed form summed over every axis.
+func regionViolatesFullSum(r *stats.Region, k cone.Constraint) bool {
+	af := k.Floats()
+	center := 0.0
+	for i, a := range af {
+		center += a * r.Mean[i]
+	}
+	spread := 0.0
+	for i, axis := range r.Axes {
+		dot := 0.0
+		for j, a := range af {
+			dot += a * axis[j]
+		}
+		if dot < 0 {
+			dot = -dot
+		}
+		spread += dot * r.HalfWidths[i]
+	}
+	min, max := center-spread, center+spread
+	if k.Rel == cone.EQZero {
+		return min > 0 || max < 0
+	}
+	return min > 0
+}
+
+// TestRegionViolatesEarlyExitMatchesFullSum checks the early exit against
+// the full sum on random regions and constraints, LE and EQ, with ±0,
+// ±Inf and NaN among the means, axis entries and half-widths and infinite
+// coefficients among the constraints.
+func TestRegionViolatesEarlyExitMatchesFullSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	value := func() float64 {
+		switch rng.Intn(12) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(1)
+		case 3:
+			return math.Inf(-1)
+		case 4:
+			return math.NaN()
+		default:
+			return float64(rng.Intn(41)-20) + rng.Float64()
+		}
+	}
+	halfWidth := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(1)
+		case 3:
+			return math.NaN()
+		default:
+			return rng.ExpFloat64()
+		}
+	}
+	huge := new(big.Rat).SetFrac(new(big.Int).Exp(big.NewInt(10), big.NewInt(400), nil), big.NewInt(1))
+	violated, satisfied := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(5)
+		events := make([]counters.Event, n)
+		for i := range events {
+			events[i] = counters.Event(fmt.Sprintf("e%d", i))
+		}
+		set := counters.NewSet(events...)
+		clean := rng.Intn(2) == 0 // half the cases draw only finite values
+		draw := func(special func() float64, finite func() float64) float64 {
+			if clean {
+				return finite()
+			}
+			return special()
+		}
+		r := &stats.Region{Set: set, Mean: make([]float64, n), HalfWidths: make([]float64, n)}
+		for i := 0; i < n; i++ {
+			r.Mean[i] = draw(value, func() float64 { return 40*rng.Float64() - 20 })
+			axis := make([]float64, n)
+			for j := range axis {
+				axis[j] = draw(value, func() float64 { return 2*rng.Float64() - 1 })
+			}
+			r.Axes = append(r.Axes, axis)
+			r.HalfWidths[i] = draw(halfWidth, func() float64 { return 3 * rng.Float64() })
+		}
+		coeffs := exact.NewVec(n)
+		for j := range coeffs {
+			coeffs[j].SetInt64(int64(rng.Intn(7) - 3))
+			if !clean && rng.Intn(15) == 0 {
+				coeffs[j].Set(huge)
+				if rng.Intn(2) == 0 {
+					coeffs[j].Neg(coeffs[j])
+				}
+			}
+		}
+		rel := cone.LEZero
+		if rng.Intn(3) == 0 {
+			rel = cone.EQZero
+		}
+		k := cone.Constraint{Set: set, Coeffs: coeffs, Rel: rel}
+		got, want := RegionViolates(r, k), regionViolatesFullSum(r, k)
+		if got != want {
+			t.Fatalf("trial %d: RegionViolates = %v, full sum %v (rel %v, coeffs %v, mean %v, axes %v, half-widths %v)",
+				trial, got, want, rel, k.Floats(), r.Mean, r.Axes, r.HalfWidths)
+		}
+		if want {
+			violated++
+		} else {
+			satisfied++
+		}
+	}
+	if violated < 1000 || satisfied < 1000 {
+		t.Fatalf("unbalanced cases: %d violated, %d satisfied", violated, satisfied)
 	}
 }
 

@@ -2,12 +2,18 @@ package haswell
 
 // tlbCache is a set-associative LRU TLB keyed by virtual page number.
 type tlbCache struct {
-	sets  int
-	ways  int
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
-	clock uint64
+	sets int
+	ways int
+	// entries is set-major: set s occupies entries[s*ways : (s+1)*ways].
+	entries []tlbEntry
+	clock   uint64
+}
+
+// tlbEntry is one way of a set; lru is the clock of its last use.
+type tlbEntry struct {
+	vpn   uint64
+	lru   uint64
+	valid bool
 }
 
 func newTLB(entries, ways int) *tlbCache {
@@ -16,27 +22,22 @@ func newTLB(entries, ways int) *tlbCache {
 		sets = 1
 		ways = entries
 	}
-	t := &tlbCache{sets: sets, ways: ways}
-	t.tags = make([][]uint64, sets)
-	t.valid = make([][]bool, sets)
-	t.lru = make([][]uint64, sets)
-	for i := range t.tags {
-		t.tags[i] = make([]uint64, ways)
-		t.valid[i] = make([]bool, ways)
-		t.lru[i] = make([]uint64, ways)
-	}
-	return t
+	return &tlbCache{sets: sets, ways: ways, entries: make([]tlbEntry, sets*ways)}
 }
 
-func (t *tlbCache) set(vpn uint64) int { return int(vpn % uint64(t.sets)) }
+// set returns the ways of the set vpn maps to.
+func (t *tlbCache) set(vpn uint64) []tlbEntry {
+	s := int(vpn % uint64(t.sets))
+	return t.entries[s*t.ways : (s+1)*t.ways]
+}
 
 // Lookup reports whether vpn is cached, updating LRU state on hit.
 func (t *tlbCache) Lookup(vpn uint64) bool {
-	s := t.set(vpn)
+	ways := t.set(vpn)
 	t.clock++
-	for w := 0; w < t.ways; w++ {
-		if t.valid[s][w] && t.tags[s][w] == vpn {
-			t.lru[s][w] = t.clock
+	for w := range ways {
+		if ways[w].valid && ways[w].vpn == vpn {
+			ways[w].lru = t.clock
 			return true
 		}
 	}
@@ -45,34 +46,23 @@ func (t *tlbCache) Lookup(vpn uint64) bool {
 
 // Fill inserts vpn, evicting the LRU way.
 func (t *tlbCache) Fill(vpn uint64) {
-	s := t.set(vpn)
+	ways := t.set(vpn)
 	t.clock++
 	victim := 0
-	for w := 0; w < t.ways; w++ {
-		if t.valid[s][w] && t.tags[s][w] == vpn {
-			t.lru[s][w] = t.clock
+	for w := range ways {
+		if ways[w].valid && ways[w].vpn == vpn {
+			ways[w].lru = t.clock
 			return
 		}
-		if !t.valid[s][w] {
+		if !ways[w].valid {
 			victim = w
 			break
 		}
-		if t.lru[s][w] < t.lru[s][victim] {
+		if ways[w].lru < ways[victim].lru {
 			victim = w
 		}
 	}
-	t.tags[s][victim] = vpn
-	t.valid[s][victim] = true
-	t.lru[s][victim] = t.clock
-}
-
-// Flush invalidates every entry.
-func (t *tlbCache) Flush() {
-	for s := range t.valid {
-		for w := range t.valid[s] {
-			t.valid[s][w] = false
-		}
-	}
+	ways[victim] = tlbEntry{vpn: vpn, lru: t.clock, valid: true}
 }
 
 // pscCache is a small fully-associative LRU paging-structure cache (PDE,
@@ -122,10 +112,4 @@ func (c *pscCache) Fill(prefix uint64) {
 	}
 	c.tags[victim] = prefix
 	c.lru[victim] = c.clock
-}
-
-// Flush empties the cache.
-func (c *pscCache) Flush() {
-	c.tags = c.tags[:0]
-	c.lru = c.lru[:0]
 }

@@ -1,8 +1,11 @@
 package haswell
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/counters"
 	"repro/internal/pagetable"
@@ -33,11 +36,12 @@ func QuickCorpusSpec() CorpusSpec {
 	return CorpusSpec{Samples: 12, UopsPerSample: 8000, Quick: true, Seed: 1}
 }
 
-// corpusEntry couples a workload constructor with a simulator config.
-type corpusEntry struct {
-	label string
-	gen   func() (workloads.Generator, error)
-	cfg   Config
+// Entry is one corpus observation to simulate: a workload constructor run
+// on a simulator configuration.
+type Entry struct {
+	Label  string
+	Config Config
+	Gen    func() (workloads.Generator, error)
 }
 
 // BuildCorpus simulates the workload corpus on the ground-truth hardware
@@ -55,29 +59,37 @@ type corpusEntry struct {
 //   - linear sweeps with mixed load-store ratios → prefetcher triggers and
 //     store behaviour.
 func BuildCorpus(spec CorpusSpec) ([]*counters.Observation, error) {
-	entries := corpusEntries(spec)
+	return SimulateEntries(context.Background(), corpusEntries(spec), spec.Samples, spec.UopsPerSample)
+}
+
+// SimulateEntries simulates every entry for samples intervals of uops
+// micro-ops each, after a one-interval warm-up, and returns the
+// observations in entry order, labelled "<entry label>/<workload>" and
+// extended with the walk_ref aggregate. Entries are independent, so a
+// fixed pool of min(GOMAXPROCS, len(entries)) workers takes them in order
+// and each result lands in its entry's slot: the corpus does not depend
+// on scheduling. ctx is checked before each entry; the first error in
+// entry order is returned with no corpus.
+func SimulateEntries(ctx context.Context, entries []Entry, samples, uops int) ([]*counters.Observation, error) {
 	obs := make([]*counters.Observation, len(entries))
 	errs := make([]error, len(entries))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i, e := range entries {
+	for range min(runtime.GOMAXPROCS(0), len(entries)) {
 		wg.Add(1)
-		go func(i int, e corpusEntry) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			gen, err := e.gen()
-			if err != nil {
-				errs[i] = fmt.Errorf("corpus %s: %w", e.label, err)
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(entries) {
+					return
+				}
+				if errs[i] = ctx.Err(); errs[i] != nil {
+					return
+				}
+				obs[i], errs[i] = simulateEntry(entries[i], samples, uops)
 			}
-			sim := NewSimulator(e.cfg)
-			// Warm up: one sample's worth of micro-ops reaches steady state.
-			sim.Step(gen, spec.UopsPerSample)
-			o := sim.Observation(gen, spec.Samples, spec.UopsPerSample)
-			o.Label = e.label + "/" + o.Label
-			obs[i] = WithAggregateWalkRef(o)
-		}(i, e)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -88,13 +100,26 @@ func BuildCorpus(spec CorpusSpec) ([]*counters.Observation, error) {
 	return obs, nil
 }
 
-func corpusEntries(spec CorpusSpec) []corpusEntry {
+func simulateEntry(e Entry, samples, uops int) (*counters.Observation, error) {
+	gen, err := e.Gen()
+	if err != nil {
+		return nil, fmt.Errorf("corpus %s: %w", e.Label, err)
+	}
+	sim := NewSimulator(e.Config)
+	// Warm up: one sample's worth of micro-ops reaches steady state.
+	sim.Step(gen, uops)
+	o := sim.Observation(gen, samples, uops)
+	o.Label = e.Label + "/" + o.Label
+	return WithAggregateWalkRef(o), nil
+}
+
+func corpusEntries(spec CorpusSpec) []Entry {
 	seed := spec.Seed
 	cfg4k := func() Config { return DefaultConfig(pagetable.Page4K) }
-	var out []corpusEntry
+	var out []Entry
 	add := func(label string, cfg Config, gen func() (workloads.Generator, error)) {
 		cfg.Seed = seed + int64(len(out))
-		out = append(out, corpusEntry{label: label, gen: gen, cfg: cfg})
+		out = append(out, Entry{Label: label, Config: cfg, Gen: gen})
 	}
 
 	// Burst-random: merging + early-PSC anomaly (pde$_miss > causes_walk).

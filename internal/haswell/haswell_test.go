@@ -1,6 +1,9 @@
 package haswell
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -338,6 +341,37 @@ func TestQuickCorpus(t *testing.T) {
 		if !o.Set.Contains(AggregateWalkRef) {
 			t.Fatalf("observation %s missing aggregate", o.Label)
 		}
+	}
+}
+
+// TestSimulateEntriesFirstError checks that the worker pool reports the
+// first failing entry in entry order, whichever worker reaches it first,
+// and returns no corpus.
+func TestSimulateEntriesFirstError(t *testing.T) {
+	ok := func() (workloads.Generator, error) { return workloads.NewStencil(64<<10, 0.9) }
+	fail := func(msg string) func() (workloads.Generator, error) {
+		return func() (workloads.Generator, error) { return nil, errors.New(msg) }
+	}
+	cfg := DefaultConfig(pagetable.Page4K)
+	entries := []Entry{
+		{Label: "a", Config: cfg, Gen: ok},
+		{Label: "b", Config: cfg, Gen: fail("first")},
+		{Label: "c", Config: cfg, Gen: ok},
+		{Label: "d", Config: cfg, Gen: fail("second")},
+	}
+	obs, err := SimulateEntries(context.Background(), entries, 2, 100)
+	if err == nil || !strings.Contains(err.Error(), "corpus b: first") {
+		t.Fatalf("err = %v, want entry b's error", err)
+	}
+	if obs != nil {
+		t.Fatalf("failed run returned %d observations", len(obs))
+	}
+	obs, err = SimulateEntries(context.Background(), []Entry{entries[0], entries[2]}, 2, 100)
+	if err != nil || len(obs) != 2 {
+		t.Fatalf("good entries: %v, %d observations", err, len(obs))
+	}
+	if !strings.HasPrefix(obs[0].Label, "a/") || !strings.HasPrefix(obs[1].Label, "c/") {
+		t.Fatalf("observations out of entry order: %q, %q", obs[0].Label, obs[1].Label)
 	}
 }
 

@@ -25,6 +25,12 @@ type Simulator struct {
 
 	counts counters.Vector
 	set    *counters.Set
+	// Column of each event in counts.Values, resolved once from set; -1
+	// marks an event outside the set, which is not counted (an
+	// unprogrammed hardware counter does not count either).
+	typedCol [2][numTypedEvents]int // [tLoad or tStore][ev*]
+	refCol   [memsim.Mem + 1]int    // walk_ref.* by serving level
+	steps    []pagetable.Step       // walk buffer reused across accesses
 
 	// Prefetcher trigger state: last load's page and cache line index.
 	lastLoadPage uint64
@@ -39,6 +45,43 @@ type Simulator struct {
 	pendingFills []fillReq
 
 	uops uint64
+}
+
+// Access-type indices into Simulator.typedCol.
+const (
+	tLoad = iota
+	tStore
+)
+
+// Per-access-type events, indices into Simulator.typedCol[t].
+const (
+	evRet = iota
+	evRetSTLBMiss
+	evSTLBHit
+	evSTLBHit4K
+	evSTLBHit2M
+	evCausesWalk
+	evPDEMiss
+	evWalkDone
+	evWalkDone4K
+	evWalkDone2M
+	evWalkDone1G
+	numTypedEvents
+)
+
+// typedSuffixes names each per-access-type event.
+var typedSuffixes = [numTypedEvents]string{
+	evRet:         counters.Ret,
+	evRetSTLBMiss: counters.RetSTLBMiss,
+	evSTLBHit:     counters.STLBHit,
+	evSTLBHit4K:   counters.STLBHit4K,
+	evSTLBHit2M:   counters.STLBHit2M,
+	evCausesWalk:  counters.CausesWalk,
+	evPDEMiss:     counters.PDECacheMis,
+	evWalkDone:    counters.WalkDone,
+	evWalkDone4K:  counters.WalkDone4K,
+	evWalkDone2M:  counters.WalkDone2M,
+	evWalkDone1G:  counters.WalkDone1G,
 }
 
 // physBase places page-table pages far above workload identity-mapped data
@@ -63,7 +106,26 @@ func NewSimulator(cfg Config) *Simulator {
 		windowLeft:  cfg.WindowUops,
 	}
 	s.counts = counters.NewVector(s.set)
+	for t, at := range [...]counters.AccessType{tLoad: counters.Load, tStore: counters.Store} {
+		for ev, suffix := range typedSuffixes {
+			s.typedCol[t][ev] = column(s.set, counters.E(at, suffix))
+		}
+	}
+	for lvl, e := range [...]counters.Event{
+		memsim.L1: counters.WalkRefL1, memsim.L2: counters.WalkRefL2,
+		memsim.L3: counters.WalkRefL3, memsim.Mem: counters.WalkRefMem,
+	} {
+		s.refCol[lvl] = column(s.set, e)
+	}
 	return s
+}
+
+// column returns e's index in set, or -1 if set lacks it.
+func column(set *counters.Set, e counters.Event) int {
+	if i, ok := set.Index(e); ok {
+		return i
+	}
+	return -1
 }
 
 // Config returns the simulator's configuration (defaults applied).
@@ -77,10 +139,15 @@ func (s *Simulator) Uops() uint64 { return s.uops }
 
 func (s *Simulator) vpn(va uint64) uint64 { return va / uint64(s.cfg.PageSize) }
 
-func (s *Simulator) incr(e counters.Event) { s.counts.Add(e, 1) }
+// incr counts one occurrence of the per-access-type event ev for access
+// type t.
+func (s *Simulator) incr(t, ev int) { s.bump(s.typedCol[t][ev]) }
 
-func (s *Simulator) typed(t counters.AccessType, suffix string) counters.Event {
-	return counters.E(t, suffix)
+// bump increments counter column col; -1 is an event outside the set.
+func (s *Simulator) bump(col int) {
+	if col >= 0 {
+		s.counts.Values[col]++
+	}
 }
 
 // Step processes n accesses from gen.
@@ -110,7 +177,17 @@ func (s *Simulator) Observation(gen workloads.Generator, numSamples, uopsPerSamp
 	return o
 }
 
+// process runs one access: its translation, whose walker references reach
+// the data-cache hierarchy first, then the data access itself
+// (identity-mapped), which keeps the hierarchy realistic.
 func (s *Simulator) process(a workloads.Access) {
+	s.translate(a)
+	s.mem.Access(a.VA)
+}
+
+// translate runs an access's address translation through the TLBs, the
+// paging-structure caches and the page walker, counting its events.
+func (s *Simulator) translate(a workloads.Access) {
 	s.uops++
 	if s.cfg.AccessedClearEvery > 0 && s.uops%uint64(s.cfg.AccessedClearEvery) == 0 {
 		s.table.ClearAccessed()
@@ -120,9 +197,9 @@ func (s *Simulator) process(a workloads.Access) {
 	}
 	s.windowLeft--
 
-	t := counters.Store
+	t := tStore
 	if a.IsLoad {
-		t = counters.Load
+		t = tLoad
 	}
 	retired := s.rng.Float64() >= s.cfg.SpecRate
 
@@ -149,28 +226,25 @@ func (s *Simulator) process(a workloads.Access) {
 		s.haveLastLoad = true
 	}
 
-	// Data access (identity-mapped) keeps the hierarchy realistic.
-	defer s.mem.Access(a.VA)
-
 	// L1 DTLB.
 	if s.dtlb.Lookup(vpn) {
 		if retired {
-			s.incr(s.typed(t, counters.Ret))
+			s.incr(t, evRet)
 		}
 		return
 	}
 	// STLB.
 	if s.stlb.Lookup(vpn) {
-		s.incr(s.typed(t, counters.STLBHit))
+		s.incr(t, evSTLBHit)
 		switch ps {
 		case pagetable.Page4K:
-			s.incr(s.typed(t, counters.STLBHit4K))
+			s.incr(t, evSTLBHit4K)
 		case pagetable.Page2M:
-			s.incr(s.typed(t, counters.STLBHit2M))
+			s.incr(t, evSTLBHit2M)
 		}
 		s.dtlb.Fill(vpn)
 		if retired {
-			s.incr(s.typed(t, counters.Ret))
+			s.incr(t, evRet)
 		}
 		return
 	}
@@ -191,14 +265,14 @@ func (s *Simulator) process(a workloads.Access) {
 		// Merged into the outstanding walk: no causes_walk, no refs; the
 		// micro-op obtains its translation from the owner walk.
 		if retired {
-			s.incr(s.typed(t, counters.Ret))
-			s.incr(s.typed(t, counters.RetSTLBMiss))
+			s.incr(t, evRet)
+			s.incr(t, evRetSTLBMiss)
 		}
 		return
 	}
 	s.pendingVPNs[vpn] = true
 
-	s.incr(s.typed(t, counters.CausesWalk))
+	s.incr(t, evCausesWalk)
 	if !s.cfg.Features.EarlyPSC {
 		// Conventional hardware: only the walk owner consults the PDE cache,
 		// at walk start.
@@ -219,15 +293,15 @@ func (s *Simulator) process(a workloads.Access) {
 			// fills, but its references are not recorded by walk_ref.
 			s.replayWalk(a.VA, ps, vpn)
 			s.walkDone(t, ps)
-			s.incr(s.typed(t, counters.Ret))
-			s.incr(s.typed(t, counters.RetSTLBMiss))
+			s.incr(t, evRet)
+			s.incr(t, evRetSTLBMiss)
 		}
 		// Squashed (or replay-less hardware): the translation is abandoned.
 		return
 	}
 
 	// Normal demand walk.
-	steps, ok := s.table.Walk(a.VA, startLevel, true, false)
+	steps, ok := s.walk(a.VA, startLevel, true, false)
 	for _, st := range steps {
 		s.walkRef(st.EntryPhys)
 	}
@@ -239,18 +313,18 @@ func (s *Simulator) process(a workloads.Access) {
 	s.fillAfterWalk(a.VA, ps, vpn)
 	s.walkDone(t, ps)
 	if retired {
-		s.incr(s.typed(t, counters.Ret))
-		s.incr(s.typed(t, counters.RetSTLBMiss))
+		s.incr(t, evRet)
+		s.incr(t, evRetSTLBMiss)
 	}
 }
 
 // pdeLookup probes the PDE cache for a translation request of type t,
 // incrementing T.pde$_miss on a miss. Only 4K regions can hit: 2M/1G leaf
 // entries are never cached, so those probes always miss.
-func (s *Simulator) pdeLookup(va uint64, ps pagetable.PageSize, t counters.AccessType) bool {
+func (s *Simulator) pdeLookup(va uint64, ps pagetable.PageSize, t int) bool {
 	hit := ps == pagetable.Page4K && s.pde.Lookup(va>>21)
 	if !hit {
-		s.incr(s.typed(t, counters.PDECacheMis))
+		s.incr(t, evPDEMiss)
 	}
 	return hit
 }
@@ -294,22 +368,21 @@ func (s *Simulator) walkStartLevel(va uint64, ps pagetable.PageSize, pdeLooked, 
 
 // walkRef issues one page-walker load and classifies it by serving level.
 func (s *Simulator) walkRef(entryPhys uint64) {
-	switch s.mem.Access(entryPhys) {
-	case memsim.L1:
-		s.incr(counters.WalkRefL1)
-	case memsim.L2:
-		s.incr(counters.WalkRefL2)
-	case memsim.L3:
-		s.incr(counters.WalkRefL3)
-	default:
-		s.incr(counters.WalkRefMem)
-	}
+	s.bump(s.refCol[s.mem.Access(entryPhys)])
+}
+
+// walk runs a page walk into the simulator's reused step buffer; the
+// steps are valid until the next walk.
+func (s *Simulator) walk(va uint64, startLevel int, setAccessed, abortOnUnaccessed bool) ([]pagetable.Step, bool) {
+	var ok bool
+	s.steps, ok = s.table.Walk(s.steps[:0], va, startLevel, setAccessed, abortOnUnaccessed)
+	return s.steps, ok
 }
 
 // partialWalkRefs emits the reference prefix a machine-cleared walk issued
 // before the clear (anywhere from zero to all of its reads).
 func (s *Simulator) partialWalkRefs(va uint64, startLevel int) {
-	steps, _ := s.table.Walk(va, startLevel, false, false)
+	steps, _ := s.walk(va, startLevel, false, false)
 	if len(steps) == 0 {
 		return
 	}
@@ -323,7 +396,7 @@ func (s *Simulator) partialWalkRefs(va uint64, startLevel int) {
 // filled, but no walk_ref counters increment (replay loads carry special
 // non-speculative attributes that walk_ref does not capture — paper §C.4).
 func (s *Simulator) replayWalk(va uint64, ps pagetable.PageSize, vpn uint64) {
-	if _, ok := s.table.Walk(va, 0, true, false); !ok {
+	if _, ok := s.walk(va, 0, true, false); !ok {
 		return
 	}
 	s.fillAfterWalk(va, ps, vpn)
@@ -364,20 +437,18 @@ func (s *Simulator) rollWindow() {
 		}
 	}
 	s.pendingFills = s.pendingFills[:0]
-	for k := range s.pendingVPNs {
-		delete(s.pendingVPNs, k)
-	}
+	clear(s.pendingVPNs)
 }
 
-func (s *Simulator) walkDone(t counters.AccessType, ps pagetable.PageSize) {
-	s.incr(s.typed(t, counters.WalkDone))
+func (s *Simulator) walkDone(t int, ps pagetable.PageSize) {
+	s.incr(t, evWalkDone)
 	switch ps {
 	case pagetable.Page4K:
-		s.incr(s.typed(t, counters.WalkDone4K))
+		s.incr(t, evWalkDone4K)
 	case pagetable.Page2M:
-		s.incr(s.typed(t, counters.WalkDone2M))
+		s.incr(t, evWalkDone2M)
 	default:
-		s.incr(s.typed(t, counters.WalkDone1G))
+		s.incr(t, evWalkDone1G)
 	}
 }
 
@@ -393,7 +464,7 @@ func (s *Simulator) prefetch(va uint64) {
 		pdeHit = s.pde.Lookup(va >> 21)
 		if !pdeHit {
 			// The prefetcher lives on the load side.
-			s.incr(s.typed(counters.Load, counters.PDECacheMis))
+			s.incr(tLoad, evPDEMiss)
 		}
 	}
 	startLevel := 0
@@ -404,7 +475,7 @@ func (s *Simulator) prefetch(va uint64) {
 	} else if s.cfg.Features.PML4ECache && s.pml4e.Lookup(va>>39) {
 		startLevel = 1
 	}
-	steps, ok := s.table.Walk(va, startLevel, false, true)
+	steps, ok := s.walk(va, startLevel, false, true)
 	for _, st := range steps {
 		s.walkRef(st.EntryPhys)
 	}

@@ -317,7 +317,10 @@ func TestResumeDispatchesByKind(t *testing.T) {
 // verdict cache carries over and the per-op figures do not depend on
 // b.N. A dedup regression (planner loss) or a solver-tier regression
 // shows up directly in ns/op and allocs/op — as does a regression in the
-// pooled per-class corpus materialisation.
+// pooled per-class corpus materialisation. The spec carries a prebuilt
+// base corpus (sweepTestBase), so these figures exclude corpus
+// synthesis, which dominates a daemon's sweep job; BenchmarkBaseCorpus
+// in internal/sweep times that part.
 func benchmarkSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()

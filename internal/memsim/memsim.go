@@ -9,7 +9,10 @@
 // entries compete with data for capacity, as on real hardware.
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level identifies where an access was served.
 type Level int
@@ -41,11 +44,18 @@ type Cache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	// tags[set][way]; lru[set][way] = age counter (higher = more recent)
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
+	setBits  uint // log2(sets): the tag is the line number above the set index
+	// lines is set-major: set s occupies lines[s*ways : (s+1)*ways].
+	lines []line
 	clock uint64
+}
+
+// line is one way of a set; lru is the clock of its last use (higher =
+// more recent).
+type line struct {
+	tag   uint64
+	lru   uint64
+	valid bool
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and
@@ -65,66 +75,48 @@ func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("memsim: set count %d not a power of two", sets)
 	}
-	lineBits := uint(0)
-	for 1<<lineBits != lineBytes {
-		lineBits++
-	}
-	c := &Cache{sets: sets, ways: ways, lineBits: lineBits}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
-	}
-	return c, nil
+	return &Cache{
+		sets:     sets,
+		ways:     ways,
+		lineBits: uint(bits.TrailingZeros(uint(lineBytes))),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		lines:    make([]line, sets*ways),
+	}, nil
 }
 
 // Access looks up addr, filling on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line) & (c.sets - 1)
-	tag := line >> uint(log2(c.sets))
+	ln := addr >> c.lineBits
+	set := int(ln) & (c.sets - 1)
+	tag := ln >> c.setBits
 	c.clock++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.clock
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
+			ways[w].lru = c.clock
 			return true
 		}
 	}
-	// Miss: fill LRU way.
+	// Miss: fill the first invalid way after way 0, else the LRU way.
 	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if !c.valid[set][w] {
+	for w := 1; w < len(ways); w++ {
+		if !ways[w].valid {
 			victim = w
 			break
 		}
-		if c.lru[set][w] < c.lru[set][victim] {
+		if ways[w].lru < ways[victim].lru {
 			victim = w
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.clock
+	ways[victim] = line{tag: tag, lru: c.clock, valid: true}
 	return false
 }
 
 // Flush invalidates all lines.
 func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
-}
-
-func log2(x int) int {
-	n := 0
-	for 1<<n < x {
-		n++
-	}
-	return n
 }
 
 // Hierarchy is an inclusive three-level cache hierarchy.

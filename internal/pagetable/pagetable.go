@@ -153,15 +153,17 @@ type Step struct {
 	TargetPhys  uint64 // leaf steps: translated frame base
 }
 
-// Walk returns the sequence of entry reads for va starting at startLevel
-// (0 = full walk from PML4; a paging-structure-cache hit lets the walker
-// skip levels). setAccessed controls whether the walk sets accessed bits as
-// it goes (demand walks do; prefetch walks must not). If abortOnUnaccessed
-// is true the walk stops after reading the first entry whose accessed bit
-// is unset (prefetch semantics), reporting ok=false.
+// Walk appends the sequence of entry reads for va to steps and returns it
+// (a caller that walks on every access can pass one reused buffer). The
+// walk starts at startLevel (0 = full walk from PML4; a
+// paging-structure-cache hit lets the walker skip levels). setAccessed
+// controls whether the walk sets accessed bits as it goes (demand walks
+// do; prefetch walks must not). If abortOnUnaccessed is true the walk
+// stops after reading the first entry whose accessed bit is unset
+// (prefetch semantics), reporting ok=false.
 //
 // ok reports whether a complete translation was obtained.
-func (t *Table) Walk(va uint64, startLevel int, setAccessed, abortOnUnaccessed bool) (steps []Step, ok bool) {
+func (t *Table) Walk(steps []Step, va uint64, startLevel int, setAccessed, abortOnUnaccessed bool) (_ []Step, ok bool) {
 	idx := indices(va)
 	n := t.root
 	// Descend silently to startLevel (these levels were served by a
@@ -171,7 +173,7 @@ func (t *Table) Walk(va uint64, startLevel int, setAccessed, abortOnUnaccessed b
 		if !n.present[i] || n.leaf[i] {
 			// Cache claimed a hit for a prefix that does not exist or was a
 			// leaf above startLevel; treat as a failed translation.
-			return nil, false
+			return steps, false
 		}
 		n = n.children[i]
 	}

@@ -63,7 +63,7 @@ func TestWalkFull4K(t *testing.T) {
 	pt := New(1 << 40)
 	va := uint64(0x10_0000_0000)
 	pt.EnsureMapped(va, Page4K)
-	steps, ok := pt.Walk(va, 0, true, false)
+	steps, ok := pt.Walk(nil, va, 0, true, false)
 	if !ok {
 		t.Fatal("walk should complete")
 	}
@@ -82,7 +82,7 @@ func TestWalkFull4K(t *testing.T) {
 		t.Fatal("last step should be leaf")
 	}
 	// Second walk sees accessed bits set.
-	steps2, _ := pt.Walk(va, 0, false, false)
+	steps2, _ := pt.Walk(nil, va, 0, false, false)
 	for i, st := range steps2 {
 		if !st.AccessedWas {
 			t.Fatalf("step %d accessed bit should be set", i)
@@ -94,7 +94,7 @@ func TestWalkStartLevelSkips(t *testing.T) {
 	pt := New(1 << 40)
 	va := uint64(0x10_0000_0000)
 	pt.EnsureMapped(va, Page4K)
-	steps, ok := pt.Walk(va, 3, true, false)
+	steps, ok := pt.Walk(nil, va, 3, true, false)
 	if !ok || len(steps) != 1 {
 		t.Fatalf("PDE-hit walk: ok=%v steps=%d", ok, len(steps))
 	}
@@ -107,13 +107,13 @@ func TestWalkHugePages(t *testing.T) {
 	pt := New(1 << 40)
 	va := uint64(0x40_0000_0000)
 	pt.EnsureMapped(va, Page1G)
-	steps, ok := pt.Walk(va, 0, true, false)
+	steps, ok := pt.Walk(nil, va, 0, true, false)
 	if !ok || len(steps) != 2 {
 		t.Fatalf("1G walk: ok=%v steps=%d, want 2", ok, len(steps))
 	}
 	pt2 := New(1 << 40)
 	pt2.EnsureMapped(va, Page2M)
-	steps, ok = pt2.Walk(va, 0, true, false)
+	steps, ok = pt2.Walk(nil, va, 0, true, false)
 	if !ok || len(steps) != 3 {
 		t.Fatalf("2M walk: ok=%v steps=%d, want 3", ok, len(steps))
 	}
@@ -125,7 +125,7 @@ func TestWalkAbortOnUnaccessed(t *testing.T) {
 	pt.EnsureMapped(va, Page4K)
 	// Prefetch-style walk on a never-demand-walked page: the first entry's
 	// accessed bit is unset → abort after one read.
-	steps, ok := pt.Walk(va, 0, false, true)
+	steps, ok := pt.Walk(nil, va, 0, false, true)
 	if ok {
 		t.Fatal("prefetch walk over unaccessed entries must abort")
 	}
@@ -133,16 +133,16 @@ func TestWalkAbortOnUnaccessed(t *testing.T) {
 		t.Fatalf("abort after %d steps, want 1", len(steps))
 	}
 	// Demand-walk it (sets accessed bits), then prefetch completes.
-	if _, ok := pt.Walk(va, 0, true, false); !ok {
+	if _, ok := pt.Walk(nil, va, 0, true, false); !ok {
 		t.Fatal("demand walk failed")
 	}
-	if _, ok := pt.Walk(va, 0, false, true); !ok {
+	if _, ok := pt.Walk(nil, va, 0, false, true); !ok {
 		t.Fatal("prefetch over accessed entries should complete")
 	}
 	// Neighbour page: shared upper levels accessed, fresh PT leaf unset.
 	va2 := va + uint64(Page4K)
 	pt.EnsureMapped(va2, Page4K)
-	steps, ok = pt.Walk(va2, 0, false, true)
+	steps, ok = pt.Walk(nil, va2, 0, false, true)
 	if ok {
 		t.Fatal("prefetch of fresh neighbour page must abort at leaf")
 	}
@@ -155,9 +155,9 @@ func TestClearAccessed(t *testing.T) {
 	pt := New(1 << 40)
 	va := uint64(0x10_0000_0000)
 	pt.EnsureMapped(va, Page4K)
-	pt.Walk(va, 0, true, false)
+	pt.Walk(nil, va, 0, true, false)
 	pt.ClearAccessed()
-	steps, _ := pt.Walk(va, 0, false, false)
+	steps, _ := pt.Walk(nil, va, 0, false, false)
 	for _, st := range steps {
 		if st.AccessedWas {
 			t.Fatal("accessed bits should be cleared")
@@ -170,7 +170,7 @@ func TestWalkUnmappedFaults(t *testing.T) {
 	va := uint64(0x10_0000_0000)
 	pt.EnsureMapped(va, Page4K)
 	// A different PML4 region entirely: the very first entry read faults.
-	steps, ok := pt.Walk(0x7f_0000_0000_00, 0, true, false)
+	steps, ok := pt.Walk(nil, 0x7f_0000_0000_00, 0, true, false)
 	if ok {
 		t.Fatal("unmapped walk should fail")
 	}
@@ -187,7 +187,7 @@ func TestEntryPhysDistinct(t *testing.T) {
 	f := func(page uint16) bool {
 		va := uint64(0x10_0000_0000) + uint64(page)*uint64(Page4K)
 		pt.EnsureMapped(va, Page4K)
-		steps, ok := pt.Walk(va, 0, false, false)
+		steps, ok := pt.Walk(nil, va, 0, false, false)
 		if !ok || len(steps) != 4 {
 			return false
 		}

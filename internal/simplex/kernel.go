@@ -343,7 +343,7 @@ func (k *ktab) syncBasic() {
 // sequence — and every verdict — is unchanged.
 func (k *ktab) computeReducedCosts() {
 	k.r = k.row(k.n)
-	acc := new(big.Int)
+	acc := k.t3 // the loop's products use t1 and t2
 	for j := 0; j < k.n; j++ {
 		rj := &k.r[j]
 		if k.c[j].sign() == 0 && !k.c[j].wide {
@@ -467,7 +467,8 @@ func (k *ktab) pivot(row, col int) {
 // objectiveSign returns the sign of the current objective value
 // Σᵢ c_basis[i]·β[i] (/Δ — positive, so the sign is exact).
 func (k *ktab) objectiveSign() int {
-	acc := new(big.Int)
+	acc := k.t3 // the loop's products use t1 and t2
+	acc.SetInt64(0)
 	for i, bi := range k.basis {
 		if k.c[bi].sign() == 0 {
 			continue

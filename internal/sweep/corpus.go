@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/counters"
 	"repro/internal/haswell"
@@ -41,62 +40,46 @@ func (s BaseSpec) withDefaults() BaseSpec {
 	return s
 }
 
-type baseEntry struct {
-	label string
-	ps    pagetable.PageSize
-	gen   func(seed int64) (workloads.Generator, error)
-}
-
 // baseEntries is the flat workload table behind every sweep. Order is
 // load-bearing: entry index feeds each simulator seed, and resumed jobs
 // rebuild the corpus expecting bit-identical samples.
-var baseEntries = []baseEntry{
-	{"burst8-256m", pagetable.Page4K, func(seed int64) (workloads.Generator, error) {
+func baseEntries(seed int64) []haswell.Entry {
+	var out []haswell.Entry
+	add := func(label string, ps pagetable.PageSize, gen func() (workloads.Generator, error)) {
+		cfg := haswell.DefaultConfig(ps)
+		cfg.Seed = seed + int64(len(out))
+		out = append(out, haswell.Entry{Label: label, Config: cfg, Gen: gen})
+	}
+	add("burst8-256m", pagetable.Page4K, func() (workloads.Generator, error) {
 		return workloads.NewRandomBurst(256<<20, 8, 0.8, seed+11)
-	}},
-	{"random-24m", pagetable.Page4K, func(seed int64) (workloads.Generator, error) {
+	})
+	add("random-24m", pagetable.Page4K, func() (workloads.Generator, error) {
 		return workloads.NewRandom(24<<20, 1.0, seed+23)
-	}},
-	{"random-2mpage", pagetable.Page2M, func(seed int64) (workloads.Generator, error) {
+	})
+	add("random-2mpage", pagetable.Page2M, func() (workloads.Generator, error) {
 		return workloads.NewRandom(8<<30, 0.9, seed+31)
-	}},
+	})
 	// Descending linear whose stride does not divide the footprint: the
 	// exact shape the pre-fix Linear turned into 2^64-wrapped addresses.
-	{"linear-desc-nondiv", pagetable.Page4K, func(seed int64) (workloads.Generator, error) {
+	add("linear-desc-nondiv", pagetable.Page4K, func() (workloads.Generator, error) {
 		return workloads.NewLinear(32<<20+100, 64, 1.0, true)
-	}},
-	{"stencil-loop", pagetable.Page4K, func(seed int64) (workloads.Generator, error) {
+	})
+	add("stencil-loop", pagetable.Page4K, func() (workloads.Generator, error) {
 		return workloads.NewStencil(160<<10, 0.9)
-	}},
-	{"zipfian-64m", pagetable.Page4K, func(seed int64) (workloads.Generator, error) {
+	})
+	add("zipfian-64m", pagetable.Page4K, func() (workloads.Generator, error) {
 		return workloads.NewZipfian(64<<20, 1.3, 0.85, seed+47)
-	}},
+	})
+	return out
 }
 
 // BuildBaseCorpus simulates the sweep's workload table on the ground-truth
 // hardware and returns one observation per entry, extended with the
-// walk_ref aggregate. Entries run sequentially so the context is honoured
-// between simulations (corpus synthesis is the slow prefix of a sweep
-// job, and a cancelled job must not keep simulating).
+// walk_ref aggregate. The entries run on haswell.SimulateEntries' worker
+// pool, which checks the context before each one (corpus synthesis is the
+// slow prefix of a sweep job, and a cancelled job must not keep
+// simulating).
 func BuildBaseCorpus(ctx context.Context, spec BaseSpec) ([]*counters.Observation, error) {
 	spec = spec.withDefaults()
-	obs := make([]*counters.Observation, 0, len(baseEntries))
-	for i, e := range baseEntries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen, err := e.gen(spec.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: corpus %s: %w", e.label, err)
-		}
-		cfg := haswell.DefaultConfig(e.ps)
-		cfg.Seed = spec.Seed + int64(i)
-		sim := haswell.NewSimulator(cfg)
-		// Warm up: one sample's worth of micro-ops reaches steady state.
-		sim.Step(gen, spec.UopsPerSample)
-		o := sim.Observation(gen, spec.Samples, spec.UopsPerSample)
-		o.Label = e.label + "/" + o.Label
-		obs = append(obs, haswell.WithAggregateWalkRef(o))
-	}
-	return obs, nil
+	return haswell.SimulateEntries(ctx, baseEntries(spec.Seed), spec.Samples, spec.UopsPerSample)
 }

@@ -363,7 +363,7 @@ func TestBuildBaseCorpusDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(baseEntries) {
+	if len(a) != len(baseEntries(spec.Seed)) {
 		t.Fatalf("corpus size: %d", len(a))
 	}
 	seen := map[string]bool{}

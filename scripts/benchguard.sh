@@ -19,14 +19,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
-GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$}"
+GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
 
 {
   go test -run=NONE -bench "${BENCH}" -benchmem -benchtime="${BENCHTIME}" -timeout 30m .
-  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/counters ./internal/engine ./internal/jobs ./internal/jobstore
+  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/counters ./internal/engine ./internal/jobs ./internal/jobstore ./internal/sweep
 } | tee "${TMP}/bench.txt"
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/bench.txt" > "${TMP}/bench.json"
 
@@ -55,10 +55,16 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # the rows and columns (TestDecodeAllocsPerObservation), so growth means
 # a per-row or per-value allocation crept back into the decoder. Its
 # encoding/json reference, CorpusDecodeJSON, is not run.
+# BaseCorpus gates allocs/op only: it simulates a sweep's default base
+# corpus, and with flat cache tables and index-addressed counters a
+# simulator allocates a few slices, not one per cache set or counted
+# event, so growth means a per-set or per-access allocation crept back
+# into the simulator. Its wall time depends on how many cores the runner
+# gives the per-entry worker pool.
 # RegionLPHash (build + canonical hash of a fresh region LP) gates
 # allocs/op against an absolute bound of 4 per op: its baseline is zero,
 # where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
-  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$' 1.2 \
+  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus' 1.2 \
   --guard-ns 'VerdictCacheHit$' 1.2 \
   --max-allocs 'RegionLPHash/' 4
