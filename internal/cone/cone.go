@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/exact"
-	"repro/internal/simplex"
 )
 
 // Rel distinguishes equality from inequality model constraints.
@@ -228,66 +227,36 @@ func New(set *counters.Set, signatures []exact.Vec) *Cone {
 }
 
 // Contains reports whether v lies in the cone, i.e. whether non-negative
-// flows f with Σ f_i g_i = v exist (solved by phase-1 simplex). One-off
-// convenience; loops (SubsetOf, constraint deduction) share a workspace
-// through containsWS so the rational tableau is built once.
+// flows f with Σ f_i g_i = v exist. One-off convenience: each call builds
+// a fresh solver.
 func (c *Cone) Contains(v exact.Vec) bool {
-	return c.containsWS(simplex.NewWorkspace(), v)
+	return newHullSolver().inHull(vecOf(v), c.hullGens())
 }
 
-// containsWS is Contains on a caller-held workspace: the membership LP is
-// rebuilt into the workspace's reusable problem storage, so a loop of
-// membership tests stops allocating tableaux.
-func (c *Cone) containsWS(ws *simplex.Workspace, v exact.Vec) bool {
-	p := ws.Prepare(len(c.Generators))
-	for i := 0; i < c.Set.Len(); i++ {
-		row, rhs := p.GrowConstraint(simplex.EQ)
-		for j, g := range c.Generators {
-			row[j].Set(g[i])
-		}
-		rhs.Set(v[i])
+// hullGens returns the generators as membership-LP vectors.
+func (c *Cone) hullGens() []hullVec {
+	gen64 := c.generators64()
+	out := make([]hullVec, len(c.Generators))
+	for i, g := range c.Generators {
+		out[i] = newHullVec(gen64[i], g)
 	}
-	return ws.SolveStatus(p) == simplex.Optimal
+	return out
 }
 
 // EssentialGenerators returns the generators that are not redundant, i.e.
 // those not expressible as conic combinations of the remaining generators.
 // This is the paper's LP-based interior-signature pruning step.
 func (c *Cone) EssentialGenerators() []exact.Vec {
-	gens := make([]exact.Vec, len(c.Generators))
-	copy(gens, c.Generators)
-	// Iterate until fixpoint is unnecessary: removing a redundant generator
-	// keeps others' redundancy status, as cone(G \ {g}) = cone(G) when g is
-	// redundant. One pass with progressive removal is sound.
-	out := make([]exact.Vec, 0, len(gens))
-	remaining := make([]exact.Vec, len(gens))
-	copy(remaining, gens)
-	ws := simplex.NewWorkspace() // one tableau for the whole pruning loop
-	for i := 0; i < len(remaining); i++ {
-		g := remaining[i]
-		others := make([]exact.Vec, 0, len(remaining)-1+len(out))
-		others = append(others, out...)
-		others = append(others, remaining[i+1:]...)
-		if !inConicHull(ws, g, others) {
-			out = append(out, g)
-		}
-	}
-	return out
+	return c.essentialGenerators(newHullSolver())
 }
 
-func inConicHull(ws *simplex.Workspace, v exact.Vec, gens []exact.Vec) bool {
-	if len(gens) == 0 {
-		return v.IsZero()
+func (c *Cone) essentialGenerators(h *hullSolver) []exact.Vec {
+	keep := h.essential(c.hullGens())
+	out := make([]exact.Vec, len(keep))
+	for i, k := range keep {
+		out[i] = c.Generators[k]
 	}
-	p := ws.Prepare(len(gens))
-	for i := range v {
-		row, rhs := p.GrowConstraint(simplex.EQ)
-		for j, g := range gens {
-			row[j].Set(g[i])
-		}
-		rhs.Set(v[i])
-	}
-	return ws.SolveStatus(p) == simplex.Optimal
+	return out
 }
 
 // Constraints computes (and caches) the complete H-representation of the
@@ -297,14 +266,16 @@ func inConicHull(ws *simplex.Workspace, v exact.Vec, gens []exact.Vec) bool {
 // layer's concurrent requests) share a single deduction.
 func (c *Cone) Constraints() (*HRep, error) {
 	c.hOnce.Do(func() {
-		if c.hRep, c.hErr = c.buildConstraints(); c.hErr == nil {
+		if c.hRep, c.hErr = c.buildConstraints(newHullSolver()); c.hErr == nil {
 			c.hRep.tabulate()
 		}
 	})
 	return c.hRep, c.hErr
 }
 
-func (c *Cone) buildConstraints() (*HRep, error) {
+// buildConstraints deduces the H-representation, deciding every
+// membership LP on hs.
+func (c *Cone) buildConstraints(hs *hullSolver) (*HRep, error) {
 	n := c.Set.Len()
 	h := &HRep{}
 
@@ -321,7 +292,7 @@ func (c *Cone) buildConstraints() (*HRep, error) {
 	}
 
 	// Step 3 (§6): prune interior/redundant generators with LP.
-	gens := c.EssentialGenerators()
+	gens := c.essentialGenerators(hs)
 
 	// Express generators in coordinates of a row-space basis B, making the
 	// cone full-dimensional for the dual computation.
@@ -338,7 +309,7 @@ func (c *Cone) buildConstraints() (*HRep, error) {
 
 	// Step 4 (§6): facets of cone(ys) = extreme rays of the dual cone
 	// {a in R^d : a·y ≤ 0 for all y}, via exact double description.
-	rays, err := dualExtremeRays(ys, d)
+	rays, err := dualExtremeRays(hs, ys, d)
 	if err != nil {
 		return nil, err
 	}
@@ -402,9 +373,9 @@ func (c *Cone) Implies(k Constraint) bool {
 // the model cone (paper §5: "the model cones are verified to ensure that
 // the model cone is expanded").
 func (c *Cone) SubsetOf(d *Cone) bool {
-	ws := simplex.NewWorkspace() // one tableau across all membership tests
-	for _, g := range c.Generators {
-		if !d.containsWS(ws, g) {
+	h, gens := newHullSolver(), d.hullGens()
+	for _, g := range c.hullGens() {
+		if !h.inHull(g, gens) {
 			return false
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 
 	"repro/internal/exact"
-	"repro/internal/simplex"
 )
 
 // bitset is a fixed-width bit vector over processed inequality indices.
@@ -220,8 +219,9 @@ func allZero(xs []int64) bool {
 // Preconditions: the ys span ℝ^d (guaranteed by the caller, which works in
 // row-space coordinates), so D is pointed and the final state carries no
 // lineality. The returned rays are GCD-normalised and minimal (each verified
-// non-redundant by LP), and are exactly the facet normals of cone(ys).
-func dualExtremeRays(ys []exact.Vec, d int) ([]exact.Vec, error) {
+// non-redundant by an LP decided on h), and are exactly the facet normals
+// of cone(ys).
+func dualExtremeRays(h *hullSolver, ys []exact.Vec, d int) ([]exact.Vec, error) {
 	if d == 0 {
 		return nil, nil
 	}
@@ -370,19 +370,14 @@ func dualExtremeRays(ys []exact.Vec, d int) ([]exact.Vec, error) {
 	}
 
 	// Final minimality pass: drop any ray in the conic hull of the others.
-	vecs := make([]exact.Vec, len(rays))
+	vs := make([]hullVec, len(rays))
 	for i := range rays {
-		vecs[i] = rays[i].vec()
+		vs[i] = newHullVec(rays[i].iv, rays[i].bv)
 	}
-	var out []exact.Vec
-	ws := simplex.NewWorkspace() // one tableau for the whole minimality pass
-	for i, v := range vecs {
-		others := make([]exact.Vec, 0, len(vecs)-1+len(out))
-		others = append(others, out...)
-		others = append(others, vecs[i+1:]...)
-		if !inConicHull(ws, v, others) {
-			out = append(out, v)
-		}
+	keep := h.essential(vs)
+	out := make([]exact.Vec, len(keep))
+	for i, k := range keep {
+		out[i] = rays[k].vec()
 	}
 	return out, nil
 }

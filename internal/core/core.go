@@ -168,7 +168,7 @@ func (m *Model) TestRegionSolver(sv *Solver, r *stats.Region, identifyViolations
 	if sv == nil {
 		sv = &Solver{}
 	}
-	p := sv.exactWS().Prepare(0) // RegionLP resets the problem to the generator count
+	p := sv.ExactWorkspace().Prepare(0) // RegionLP resets the problem to the generator count
 	if err := m.RegionLP(p, r); err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func (m *Model) TestRegionSolver(sv *Solver, r *stats.Region, identifyViolations
 // i is r's axis i dotted with the cone generators (see RegionLP).
 func (m *Model) TestRegionLP(sv *Solver, p *simplex.Problem, r *stats.Region, identifyViolations bool) (*Verdict, error) {
 	hint := floatlp.Structure{Axes: r.Axes, Gens: m.generatorFloats()}
-	return m.VerdictForRegion(r, sv.feasible(p, hint), identifyViolations)
+	return m.VerdictForRegion(r, sv.FeasibleStructured(p, hint), identifyViolations)
 }
 
 // VerdictForRegion assembles the verdict for r from an already-decided

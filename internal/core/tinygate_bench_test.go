@@ -8,13 +8,14 @@ import (
 	"repro/internal/floatlp"
 	"repro/internal/simplex"
 	"repro/internal/stats"
+	"repro/internal/tier"
 )
 
 // BenchmarkTinyGate measures both feasibility tiers on the smallest LP in
 // the test fleet (the 2-counter pde model, size 2×4 = 8) — the bottom end
-// of the filterMinSize crossover. Fig9aFeasibility covers sizes 32/320/2420;
-// together they are the data the filterMinSize constant is tuned against
-// (see the comment on filterMinSize in solver.go).
+// of the tier.FilterMinSize crossover. Fig9aFeasibility covers sizes
+// 32/320/2420; together they are the data the constant is tuned against
+// (see its comment).
 func BenchmarkTinyGate(b *testing.B) {
 	src := "incr load.causes_walk;\nswitch Pde$Status { Hit => pass; Miss => incr load.pde$_miss; };\ndone;"
 	set := counters.NewSet("load.causes_walk", "load.pde$_miss")
@@ -35,8 +36,8 @@ func BenchmarkTinyGate(b *testing.B) {
 	if err := m.RegionLP(p, r); err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("size = %d vars x %d rows = %d (filterMinSize %d)",
-		p.NumVars, len(p.Constraints), p.NumVars*len(p.Constraints), filterMinSize)
+	b.Logf("size = %d vars x %d rows = %d (tier.FilterMinSize %d)",
+		p.NumVars, len(p.Constraints), p.NumVars*len(p.Constraints), tier.FilterMinSize)
 	b.Run("exact", func(b *testing.B) {
 		ws := simplex.NewWorkspace()
 		b.ReportAllocs()

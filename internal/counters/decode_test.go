@@ -74,8 +74,13 @@ func BenchmarkCorpusDecodeJSON(b *testing.B) {
 // TestDecodeAllocsPerObservation pins the decoder's allocation profile:
 // each further observation in a body costs the same few allocations
 // whether it has 12 or 48 samples and 26 or 52 events, since rows share
-// one backing array and a repeated events list shares one set.
+// one backing array and a repeated events list shares one set. The race
+// runtime allocates on its own account (4.1–4.4 per observation here),
+// so under -race the test is skipped.
 func TestDecodeAllocsPerObservation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations")
+	}
 	const k = 16
 	marginal := func(events, rows int) float64 {
 		one, two := corpusBody(k, events, rows), corpusBody(2*k, events, rows)

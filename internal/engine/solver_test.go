@@ -88,7 +88,7 @@ func TestSolverTelemetry(t *testing.T) {
 }
 
 // TestTinyLPsSkipFilter pins the size gate: the 2-counter pde model's LP
-// is below filterMinSize, so every verdict is an exact fallback (the
+// is below tier.FilterMinSize, so every verdict is an exact fallback (the
 // filter would only add overhead there) while verdicts stay correct.
 func TestTinyLPsSkipFilter(t *testing.T) {
 	e := New()

@@ -58,7 +58,7 @@ type Certifier struct {
 	basis basisSolve
 
 	// lastKernel reports whether the previous certification ran fully on
-	// the int64 kernel (telemetry; see core.SolverStats).
+	// the int64 kernel (telemetry; see tier.Stats).
 	lastKernel bool
 }
 
