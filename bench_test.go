@@ -193,6 +193,37 @@ func BenchmarkFig9bDeduction(b *testing.B) {
 	}
 }
 
+// BenchmarkModelSetup measures what a catalogue model costs before its
+// first verdict with identify on: compile the DSL, build the model over
+// its own counter set (μpath enumeration and the cone) and deduce its
+// constraints. m0, a3 and discovered are the models counterpointd's
+// test-fresh benchmark workload describes at setup.
+func BenchmarkModelSetup(b *testing.B) {
+	for _, name := range []string{"m0", "a3", "discovered"} {
+		var src string
+		for _, cm := range haswell.Catalog() {
+			if cm.Name == name {
+				src = cm.Source
+			}
+		}
+		if src == "" {
+			b.Fatalf("catalogue has no model %s", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := core.ModelFromDSL(name, src, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Constraints(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func benchObservation(b *testing.B) *counters.Observation {
 	b.Helper()
 	sim := haswell.NewSimulator(haswell.DefaultConfig(pagetable.Page4K))

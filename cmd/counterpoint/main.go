@@ -209,7 +209,7 @@ func run(modelPath string, obsPaths []string, showCons, showPaths bool, confiden
 	}
 	fmt.Printf("model: %s\n", modelPath)
 	fmt.Printf("counters (%d): %s\n", set.Len(), set)
-	fmt.Printf("μpaths: %d, cone generators: %d\n", model.NumPaths(), len(model.Cone().Generators))
+	fmt.Printf("μpaths: %d, cone generators: %d\n", model.NumPaths(), model.Cone().Len())
 
 	if showPaths {
 		paths, err := diagram.Paths()

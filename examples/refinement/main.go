@@ -86,7 +86,7 @@ func main() {
 	// explicitly violates C.
 	c := cone.Constraint{Set: set, Coeffs: exact.VecFromInts(-1, 1), Rel: cone.LEZero}
 	fmt.Printf("  refined cone still implies C: %v\n", refined.Cone().Implies(c))
-	for _, g := range refined.Cone().Generators {
+	for _, g := range refined.Cone().Generators() {
 		if !c.SatisfiedBy(g) {
 			fmt.Printf("  witness μpath signature (causes_walk, pde$_miss) = %v\n", g)
 		}

@@ -23,7 +23,9 @@
 package cone
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 	"strings"
@@ -136,33 +138,26 @@ func (c Constraint) format() string {
 
 // Cone is a model cone in V-representation (generators = μpath counter
 // signatures), with lazy exact H-representation.
+//
+// The generators are held as int64 counts — μpath signatures are small
+// non-negative integers — and become big.Rat vectors only for callers of
+// Generators. A cone built by New from exact vectors with an entry beyond
+// int64 is wide: it keeps the exact vectors and deduces on big.Rat.
 type Cone struct {
-	Set        *counters.Set
-	Generators []exact.Vec // normalised, deduplicated, non-zero
+	Set *counters.Set
+
+	// gens64 holds the normalised, deduplicated, non-zero generators'
+	// integer entries; a nil row marks a generator of a wide cone with an
+	// entry beyond int64.
+	gens64 [][]int64
+	wide   bool // some row of gens64 is nil
+
+	gensOnce sync.Once   // builds gens for Generators
+	gens     []exact.Vec // the generators as exact vectors; set by New for a wide cone
 
 	hOnce sync.Once // guards the deduction: concurrent first callers share one run
 	hRep  *HRep     // cached constraint system
 	hErr  error
-
-	// gen64 caches the generators' int64 kernel image (generators are
-	// GCD-normalised integer vectors, so they virtually always fit); nil
-	// rows mark generators too wide for the kernel. Implies runs its dot
-	// products on this cache instead of big.Rat.
-	gen64Once sync.Once
-	gen64     [][]int64
-}
-
-// generators64 returns (building once) the int64 image of the generators.
-func (c *Cone) generators64() [][]int64 {
-	c.gen64Once.Do(func() {
-		c.gen64 = make([][]int64, len(c.Generators))
-		for i, g := range c.Generators {
-			if v64, ok := exact.Vec64FromVec(g); ok && v64.Den == 1 {
-				c.gen64[i] = v64.Num
-			}
-		}
-	})
-	return c.gen64
 }
 
 // HRep is the H-representation of a model cone: the complete set of model
@@ -204,14 +199,64 @@ func (h *HRep) tabulate() {
 
 // New builds a cone over set from raw signatures: signatures are GCD-
 // normalised, deduplicated, and zero signatures dropped (they generate
-// nothing).
+// nothing). Signatures that all fit the int64 kernel go through NewCounts.
 func New(set *counters.Set, signatures []exact.Vec) *Cone {
+	sigs := make([]exact.Vec64, len(signatures))
+	for i, s := range signatures {
+		checkWidth(set, len(s))
+		v64, ok := exact.Vec64FromVec(s)
+		if !ok {
+			return newWide(set, signatures)
+		}
+		sigs[i] = v64
+	}
+	return NewCounts(set, sigs)
+}
+
+// NewCounts builds a cone over set from integer signatures (μpath counts,
+// as mudd.Diagram.Signatures returns them). Like New it normalises by the
+// GCD, drops zero signatures and deduplicates, keeping first-occurrence
+// order, all on int64.
+func NewCounts(set *counters.Set, signatures []exact.Vec64) *Cone {
+	n := set.Len()
+	c := &Cone{Set: set}
+	seen := make(map[string]bool, len(signatures))
+	scratch := make([]int64, n)
+	key := make([]byte, 0, 8*n)
+	var flat []int64
+	gens := 0
+	for _, s := range signatures {
+		checkWidth(set, s.Len())
+		// The positive denominator does not change the normalised form.
+		copy(scratch, s.Num)
+		if allZero(scratch) {
+			continue
+		}
+		exact.DivideByGCD(scratch)
+		key = key[:0]
+		for _, x := range scratch {
+			key = binary.AppendVarint(key, x)
+		}
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		flat = append(flat, scratch...)
+		gens++
+	}
+	c.gens64 = make([][]int64, gens)
+	for i := range c.gens64 {
+		c.gens64[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return c
+}
+
+// newWide is New for signatures with an entry beyond int64: it normalises
+// and deduplicates on big.Rat and keeps the exact vectors.
+func newWide(set *counters.Set, signatures []exact.Vec) *Cone {
 	c := &Cone{Set: set}
 	seen := map[string]bool{}
 	for _, s := range signatures {
-		if len(s) != set.Len() {
-			panic(fmt.Sprintf("cone: signature width %d != set width %d", len(s), set.Len()))
-		}
 		n := s.NormalizeIntegral()
 		if n.IsZero() {
 			continue
@@ -221,10 +266,47 @@ func New(set *counters.Set, signatures []exact.Vec) *Cone {
 			continue
 		}
 		seen[k] = true
-		c.Generators = append(c.Generators, n)
+		c.gens = append(c.gens, n)
+		var row []int64
+		if v64, ok := exact.Vec64FromVec(n); ok {
+			row = v64.Num
+		} else {
+			c.wide = true
+		}
+		c.gens64 = append(c.gens64, row)
 	}
 	return c
 }
+
+func checkWidth(set *counters.Set, w int) {
+	if w != set.Len() {
+		panic(fmt.Sprintf("cone: signature width %d != set width %d", w, set.Len()))
+	}
+}
+
+// Len returns the number of generators.
+func (c *Cone) Len() int { return len(c.gens64) }
+
+// Generators returns the normalised, deduplicated, non-zero generators as
+// exact vectors, built on first call. Callers must not modify them.
+func (c *Cone) Generators() []exact.Vec {
+	c.gensOnce.Do(func() {
+		if c.gens != nil {
+			return // built by newWide
+		}
+		c.gens = make([]exact.Vec, len(c.gens64))
+		for i, g := range c.gens64 {
+			c.gens[i] = exact.Vec64{Num: g, Den: 1}.Vec()
+		}
+	})
+	return c.gens
+}
+
+// Counts returns the generators' integer entries, in Generators order. A
+// row is nil when the generator has an entry beyond int64, which only a
+// cone New built from such exact vectors has. Callers must not modify
+// them.
+func (c *Cone) Counts() [][]int64 { return c.gens64 }
 
 // Contains reports whether v lies in the cone, i.e. whether non-negative
 // flows f with Σ f_i g_i = v exist. One-off convenience: each call builds
@@ -235,10 +317,13 @@ func (c *Cone) Contains(v exact.Vec) bool {
 
 // hullGens returns the generators as membership-LP vectors.
 func (c *Cone) hullGens() []hullVec {
-	gen64 := c.generators64()
-	out := make([]hullVec, len(c.Generators))
-	for i, g := range c.Generators {
-		out[i] = newHullVec(gen64[i], g)
+	out := make([]hullVec, len(c.gens64))
+	for i, g := range c.gens64 {
+		if g != nil {
+			out[i] = newHullVec(g, nil)
+		} else {
+			out[i] = hullVec{v: c.Generators()[i]}
+		}
 	}
 	return out
 }
@@ -247,14 +332,10 @@ func (c *Cone) hullGens() []hullVec {
 // those not expressible as conic combinations of the remaining generators.
 // This is the paper's LP-based interior-signature pruning step.
 func (c *Cone) EssentialGenerators() []exact.Vec {
-	return c.essentialGenerators(newHullSolver())
-}
-
-func (c *Cone) essentialGenerators(h *hullSolver) []exact.Vec {
-	keep := h.essential(c.hullGens())
+	keep := newHullSolver().essential(c.hullGens())
 	out := make([]exact.Vec, len(keep))
 	for i, k := range keep {
-		out[i] = c.Generators[k]
+		out[i] = c.Generators()[k]
 	}
 	return out
 }
@@ -274,83 +355,229 @@ func (c *Cone) Constraints() (*HRep, error) {
 }
 
 // buildConstraints deduces the H-representation, deciding every
-// membership LP on hs.
+// membership LP on hs. Each linear-algebra step runs on the int64 kernel
+// and redoes itself on big.Rat on overflow (or for a wide cone).
 func (c *Cone) buildConstraints(hs *hullSolver) (*HRep, error) {
-	n := c.Set.Len()
 	h := &HRep{}
 
 	// Step 2 (§6): equality constraints from Gaussian elimination — the
 	// null space of the generator matrix read as rows.
-	for _, e := range exact.NullSpaceBasis(c.Generators, n) {
+	for _, e := range c.equalities() {
 		h.Equalities = append(h.Equalities, Constraint{Set: c.Set, Coeffs: canonicalSign(e), Rel: EQZero})
 	}
 
-	if len(c.Generators) == 0 {
+	if c.Len() == 0 {
 		// The trivial cone {0}: x = 0 componentwise, already captured by the
 		// n equality constraints above.
 		return h, nil
 	}
 
 	// Step 3 (§6): prune interior/redundant generators with LP.
-	gens := c.essentialGenerators(hs)
+	keep := hs.essential(c.hullGens())
 
-	// Express generators in coordinates of a row-space basis B, making the
-	// cone full-dimensional for the dual computation.
-	basis := exact.RowSpaceBasis(gens)
-	d := len(basis)
-	ys := make([]exact.Vec, len(gens))
-	for i, g := range gens {
-		y, ok := exact.SolveInSpan(g, basis)
-		if !ok {
-			return nil, fmt.Errorf("cone: generator not in its own span (internal error)")
-		}
-		ys[i] = y
-	}
-
-	// Step 4 (§6): facets of cone(ys) = extreme rays of the dual cone
-	// {a in R^d : a·y ≤ 0 for all y}, via exact double description.
-	rays, err := dualExtremeRays(hs, ys, d)
+	// Step 4 (§6): facets of the conic hull.
+	facets, err := c.facets(hs, keep)
 	if err != nil {
 		return nil, err
 	}
-
-	// Lift each dual ray a back to counter space: find α in span(B) with
-	// α·b_j = a_j, i.e. solve Gram·w = a, α = Σ w_k b_k.
-	gram := exact.NewMat(d, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			gram.Data[i][j].Set(basis[i].Dot(basis[j]))
-		}
-	}
-	for _, a := range rays {
-		w, ok := solveLinear(gram, a)
-		if !ok {
-			return nil, fmt.Errorf("cone: singular Gram matrix (internal error)")
-		}
-		alpha := exact.NewVec(n)
-		for k, bk := range basis {
-			alpha.AddScaled(w[k], bk)
-		}
-		alpha = alpha.NormalizeIntegral()
-		h.Inequalities = append(h.Inequalities, Constraint{Set: c.Set, Coeffs: alpha, Rel: LEZero})
+	for _, a := range facets {
+		h.Inequalities = append(h.Inequalities, Constraint{Set: c.Set, Coeffs: a, Rel: LEZero})
 	}
 	sortConstraints(h.Inequalities)
 	sortConstraints(h.Equalities)
 	return h, nil
 }
 
+// equalities returns a basis of the generators' orthogonal complement,
+// each vector coprime integral.
+func (c *Cone) equalities() []exact.Vec {
+	n := c.Set.Len()
+	if !c.wide {
+		if basis, ok := exact.NullSpace64(c.gens64, n); ok {
+			out := make([]exact.Vec, len(basis))
+			for i, b := range basis {
+				out[i] = exact.Vec64{Num: b, Den: 1}.Vec()
+			}
+			return out
+		}
+	}
+	return exact.NullSpaceBasis(c.Generators(), n)
+}
+
+// facets returns the facet normals of cone(gens[keep]), coprime integral.
+//
+// The generators are expressed in the coordinates of their row space's
+// reduced echelon basis B, which makes the cone full-dimensional for the
+// dual computation; a generator's coordinates are simply its entries at
+// B's pivot columns. The facets of cone(ys) are the extreme rays of the
+// dual cone {a : a·y ≤ 0 for all y} (double description), and each ray a
+// lifts back to counter space as the α in span(B) with α·b_j = a_j.
+func (c *Cone) facets(hs *hullSolver, keep []int) ([]exact.Vec, error) {
+	n := c.Set.Len()
+	if !c.wide {
+		gens := make([][]int64, len(keep))
+		for i, k := range keep {
+			gens[i] = c.gens64[k]
+		}
+		if e, ok := exact.ReduceEchelon64(gens, n); ok {
+			ys := make([]ddY, len(gens))
+			for i, g := range gens {
+				y := make([]int64, len(e.Pivots))
+				for j, pc := range e.Pivots {
+					y[j] = g[pc]
+				}
+				ys[i] = ddY{iv: y}
+			}
+			rays, err := dualExtremeRays(hs, ys, len(e.Pivots))
+			if err != nil {
+				return nil, err
+			}
+			if out, ok := lift64(e, rays); ok {
+				return out, nil
+			}
+			// The lift overflowed: redo it on big.Rat over the rational
+			// echelon basis, row i being Rows[i]/p_i.
+			basis := make([]exact.Vec, len(e.Rows))
+			for i, r := range e.Rows {
+				basis[i] = exact.Vec64{Num: r, Den: r[e.Pivots[i]]}.Vec()
+			}
+			return liftRat(basis, rays)
+		}
+	}
+	all := c.Generators()
+	m := exact.NewMat(0, n)
+	for _, k := range keep {
+		m.Data = append(m.Data, all[k].Clone())
+	}
+	m.Rows = len(m.Data)
+	pivots := m.RowEchelon()
+	ys := make([]ddY, len(keep))
+	for i, k := range keep {
+		y := make(exact.Vec, len(pivots))
+		for j, pc := range pivots {
+			y[j] = new(big.Rat).Set(all[k][pc])
+		}
+		ys[i] = newDDY(y)
+	}
+	rays, err := dualExtremeRays(hs, ys, len(pivots))
+	if err != nil {
+		return nil, err
+	}
+	return liftRat(m.Data[:len(pivots)], rays)
+}
+
+// lift64 lifts the dual rays to counter space on the int64 kernel. With
+// R the echelon's integer rows (R_i = p_i·b_i, p_i its pivot entry) the
+// lift solves (R·Rᵀ)·u = (p_i·a_i)_i and takes α = Σ u_i R_i; ok is false
+// on overflow or a wide ray.
+func lift64(e exact.Echelon64, rays []ddRay) ([]exact.Vec, bool) {
+	d := len(e.Rows)
+	aug := make([][]int64, d)
+	for i := range aug {
+		aug[i] = make([]int64, d+1)
+	}
+	for i, ri := range e.Rows {
+		for j := 0; j <= i; j++ {
+			g, ok := dot64(ri, e.Rows[j])
+			if !ok {
+				return nil, false
+			}
+			aug[i][j], aug[j][i] = g, g
+		}
+	}
+	out := make([]exact.Vec, len(rays))
+	for r := range rays {
+		a := rays[r].iv
+		if a == nil {
+			return nil, false
+		}
+		for i, ri := range e.Rows {
+			b, ok := exact.MulInt64(ri[e.Pivots[i]], a[i])
+			if !ok {
+				return nil, false
+			}
+			aug[i][d] = b
+		}
+		u, _, ok := exact.SolveSquare64(aug)
+		if !ok {
+			return nil, false
+		}
+		// α is Σ u_i R_i over a positive denominator: the direction is the
+		// numerators' combination.
+		alpha := make([]int64, len(e.Rows[0]))
+		for i, ri := range e.Rows {
+			for j, x := range ri {
+				if u[i] == 0 || x == 0 {
+					continue
+				}
+				t, ok := exact.MulInt64(u[i], x)
+				if !ok {
+					return nil, false
+				}
+				if alpha[j], ok = exact.AddInt64(alpha[j], t); !ok || alpha[j] == math.MinInt64 {
+					return nil, false
+				}
+			}
+		}
+		out[r] = exact.Vec64{Num: alpha, Den: 1}.NormalizeIntegral().Vec()
+	}
+	return out, true
+}
+
+// dot64 returns x·y, ok=false on overflow.
+func dot64(x, y []int64) (int64, bool) {
+	var sum int64
+	for i, a := range x {
+		if a == 0 || y[i] == 0 {
+			continue
+		}
+		t, ok := exact.MulInt64(a, y[i])
+		if !ok {
+			return 0, false
+		}
+		if sum, ok = exact.AddInt64(sum, t); !ok {
+			return 0, false
+		}
+	}
+	return sum, true
+}
+
+// liftRat lifts the dual rays to counter space on big.Rat: α in
+// span(basis) with α·b_j = a_j, i.e. solve Gram·w = a, α = Σ w_k b_k.
+func liftRat(basis []exact.Vec, rays []ddRay) ([]exact.Vec, error) {
+	d := len(basis)
+	gram := exact.NewMat(d, d)
+	for i := 0; i < d; i++ {
+		for j := 0; j < d; j++ {
+			gram.Data[i][j].Set(basis[i].Dot(basis[j]))
+		}
+	}
+	out := make([]exact.Vec, len(rays))
+	for r := range rays {
+		w, ok := solveLinear(gram, rays[r].vec())
+		if !ok {
+			return nil, fmt.Errorf("cone: singular Gram matrix (internal error)")
+		}
+		alpha := exact.NewVec(len(basis[0]))
+		for k, bk := range basis {
+			alpha.AddScaled(w[k], bk)
+		}
+		out[r] = alpha.NormalizeIntegral()
+	}
+	return out, nil
+}
+
 // Implies reports whether every generator of the cone satisfies k — i.e.
 // whether the model implies constraint k (used to confirm refinements such
 // as Figure 6d, where the refined μDD must no longer imply the violated
 // constraint). The generator dot products run on the int64 kernel (the
-// constraint's coefficients and the cached integer generators), falling
-// back to exact big.Rat arithmetic per generator on overflow.
+// constraint's coefficients and the integer generators), falling back to
+// exact big.Rat arithmetic per generator on overflow.
 func (c *Cone) Implies(k Constraint) bool {
 	k64, k64ok := exact.Vec64FromVec(k.Coeffs)
-	gen64 := c.generators64()
-	for i, g := range c.Generators {
-		if k64ok && gen64[i] != nil {
-			if s, ok := k64.IntDotSign(gen64[i]); ok {
+	for i, g := range c.gens64 {
+		if k64ok && g != nil {
+			if s, ok := k64.IntDotSign(g); ok {
 				if k.Rel == EQZero {
 					if s != 0 {
 						return false
@@ -361,7 +588,7 @@ func (c *Cone) Implies(k Constraint) bool {
 				continue
 			}
 		}
-		if !k.SatisfiedBy(g) {
+		if !k.SatisfiedBy(c.Generators()[i]) {
 			return false
 		}
 	}
@@ -396,8 +623,26 @@ func canonicalSign(v exact.Vec) exact.Vec {
 	return v
 }
 
+// sortConstraints orders cs by their coefficients' keys, each computed
+// once.
 func sortConstraints(cs []Constraint) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Coeffs.Key() < cs[j].Coeffs.Key() })
+	keys := make([]string, len(cs))
+	for i, c := range cs {
+		keys[i] = c.Coeffs.Key()
+	}
+	sort.Sort(byKey{cs, keys})
+}
+
+type byKey struct {
+	cs   []Constraint
+	keys []string
+}
+
+func (b byKey) Len() int           { return len(b.cs) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.cs[i], b.cs[j] = b.cs[j], b.cs[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // solveLinear solves the square system A·x = b exactly.

@@ -25,8 +25,8 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 		exact.VecFromInts(0, 0),
 		exact.VecFromInts(1, 0),
 	})
-	if len(c.Generators) != 2 {
-		t.Fatalf("got %d generators, want 2", len(c.Generators))
+	if len(c.Generators()) != 2 {
+		t.Fatalf("got %d generators, want 2", len(c.Generators()))
 	}
 }
 
@@ -132,7 +132,7 @@ func TestEqualityDeduction(t *testing.T) {
 	}
 	eq := h.Equalities[0]
 	// The equality must annihilate both generators.
-	for _, g := range c.Generators {
+	for _, g := range c.Generators() {
 		if eq.Coeffs.Dot(g).Sign() != 0 {
 			t.Fatalf("equality %s does not annihilate %v", eq, g)
 		}
@@ -268,7 +268,7 @@ func TestHRepVRepRoundTrip(t *testing.T) {
 			// H-rep includes all facets.
 			if inCone != satisfiesAll {
 				t.Fatalf("trial %d probe %d: inCone=%v satisfiesAll=%v v=%v gens=%v",
-					trial, probe, inCone, satisfiesAll, v, c.Generators)
+					trial, probe, inCone, satisfiesAll, v, c.Generators())
 			}
 		}
 	}
@@ -299,6 +299,37 @@ func TestConstraintsConcurrentFirstCall(t *testing.T) {
 	for i := 1; i < callers; i++ {
 		if got := <-results; got != first {
 			t.Fatal("concurrent first callers built distinct H-representations")
+		}
+	}
+}
+
+// TestGeneratorsConcurrentFirstCall is the race regression for the lazy
+// exact generators: a cone built from counts converts them on the first
+// Generators call, and racing first callers (alongside a deduction) must
+// share one conversion.
+func TestGeneratorsConcurrentFirstCall(t *testing.T) {
+	c := NewCounts(set3(), []exact.Vec64{
+		{Num: []int64{2, 0, 0}, Den: 1},
+		{Num: []int64{1, 1, 0}, Den: 1},
+		{Num: []int64{1, 1, 1}, Den: 1},
+	})
+	const callers = 8
+	results := make(chan []exact.Vec, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			if _, err := c.Constraints(); err != nil {
+				t.Error(err)
+			}
+			results <- c.Generators()
+		}()
+	}
+	first := <-results
+	if len(first) != 3 || first[0].Key() != "1|0|0" {
+		t.Fatalf("generators %v, want (1,0,0) first", first)
+	}
+	for i := 1; i < callers; i++ {
+		if got := <-results; &got[0] != &first[0] {
+			t.Fatal("concurrent first callers built distinct generator slices")
 		}
 	}
 }

@@ -19,6 +19,26 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
+// empty reports whether no bit is set.
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// subsetOf reports whether every bit of b is set in c.
+func (b bitset) subsetOf(c bitset) bool {
+	for i, w := range b {
+		if w&^c[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (b bitset) or(c bitset) {
 	for i := range b {
 		b[i] |= c[i]
@@ -51,7 +71,8 @@ func appendAnd(b, c bitset, out []int) []int {
 // integer vector carried in the int64 kernel representation (iv) whenever
 // it fits, with a per-ray *big.Rat fallback (bv) otherwise. tight records
 // which processed inequality indices are tight (=0) at the ray, driving
-// the combinatorial adjacency test.
+// the combinatorial adjacency test. Lineality directions use the same
+// representation with no tight set.
 type ddRay struct {
 	iv    []int64   // normalised integer entries; nil when the ray is wide
 	bv    exact.Vec // big fallback (normalised integral); nil when iv != nil
@@ -64,6 +85,18 @@ func (r *ddRay) vec() exact.Vec {
 		return exact.Vec64{Num: r.iv, Den: 1}.Vec()
 	}
 	return r.bv
+}
+
+// neg returns the opposite direction.
+func (r *ddRay) neg() ddRay {
+	if r.iv != nil {
+		iv := make([]int64, len(r.iv))
+		for i, x := range r.iv {
+			iv[i] = -x
+		}
+		return ddRay{iv: iv, tight: r.tight}
+	}
+	return ddRay{bv: r.bv.Scale(big.NewRat(-1, 1)), tight: r.tight}
 }
 
 // key returns the deduplication key; int64 and wide rays of equal value
@@ -88,13 +121,32 @@ func rayFromVec(v exact.Vec, tight bitset) ddRay {
 // ddMaxRays bounds intermediate double-description growth.
 const ddMaxRays = 200000
 
-// ddY is one processed hyperplane normal: the exact big.Rat vector plus,
-// when it fits, the int64 common-denominator form used for kernel dot
-// products (only signs and integer combinations are consumed, so the
-// positive denominator never materialises).
+// ddY is one processed hyperplane normal y, held as a positive multiple:
+// the int64 common-denominator form iv used for kernel arithmetic, and
+// the big.Rat form v, built on first use when iv is set. Only signs and
+// combinations whose direction is all that counts are consumed, so the
+// positive scale never matters.
 type ddY struct {
 	v  exact.Vec
-	iv []int64 // common-denominator numerators; nil when wide
+	iv []int64 // nil when wide
+}
+
+// newDDY wraps an exact normal, converting it to the kernel form when it
+// fits.
+func newDDY(y exact.Vec) ddY {
+	out := ddY{v: y}
+	if v64, ok := exact.Vec64FromVec(y); ok {
+		out.iv = v64.Num
+	}
+	return out
+}
+
+// vec returns the big.Rat form, materialising it from iv on first use.
+func (y *ddY) vec() exact.Vec {
+	if y.v == nil {
+		y.v = exact.Vec64{Num: y.iv, Den: 1}.Vec()
+	}
+	return y.v
 }
 
 // dotSign classifies ray r against y: the sign of r·y. The kernel path is
@@ -106,43 +158,32 @@ func (y *ddY) dotSign(r *ddRay) int {
 			return s
 		}
 	}
-	return r.vec().Dot(y.v).Sign()
+	return r.vec().Dot(y.vec()).Sign()
 }
 
 // intDot returns the integer dot product Σ r.iv[i]·y.iv[i], ok=false on
 // overflow or wide operands. The true r·y is this over y's (positive)
-// denominator; combinations only need the numerator (a positive rescale of
+// scale; combinations only need the numerator (a positive rescale of
 // the combined ray, which GCD normalisation removes anyway).
 func (y *ddY) intDot(r *ddRay) (int64, bool) {
 	if r.iv == nil || y.iv == nil {
 		return 0, false
 	}
-	var sum int64
-	for i, a := range r.iv {
-		if a == 0 || y.iv[i] == 0 {
-			continue
-		}
-		t, ok := exact.MulInt64(a, y.iv[i])
-		if !ok {
-			return 0, false
-		}
-		sum, ok = exact.AddInt64(sum, t)
-		if !ok {
-			return 0, false
-		}
-	}
-	return sum, true
+	return dot64(r.iv, y.iv)
 }
 
-// combineRays builds the hyperplane ray w = (p·y)·n − (n·y)·p for an
-// adjacent (pos, neg) pair, GCD-normalised. The kernel path combines the
-// integer forms with overflow-checked arithmetic (the shared positive
-// denominator of y drops out under normalisation); overflow or wide
-// operands fall back to exact big.Rat arithmetic for this pair only.
+// combineRays builds the ray w = (p·y)·n − (n·y)·p, GCD-normalised, on
+// the hyperplane a·y = 0: for an adjacent (pos, neg) pair it is the new
+// hyperplane ray, and with n a lineality direction strictly inside the
+// half-space (n·y < 0) it is p projected onto the hyperplane, a positive
+// multiple of p + (p·y)/|n·y|·n. The kernel path combines the integer
+// forms with overflow-checked arithmetic (y's positive scale drops out
+// under normalisation); overflow or wide operands fall back to exact
+// big.Rat arithmetic for this pair only. ok is false when w is zero.
 func combineRays(p, n *ddRay, y *ddY, tight bitset) (ddRay, bool) {
 	if sp, ok := y.intDot(p); ok {
 		if sn, ok := y.intDot(n); ok {
-			if w, ok := combineInt(p.iv, n.iv, sp, sn); ok {
+			if w, ok := exact.LinComb64(sp, n.iv, sn, p.iv); ok {
 				if allZero(w) {
 					return ddRay{}, false
 				}
@@ -152,8 +193,8 @@ func combineRays(p, n *ddRay, y *ddY, tight bitset) (ddRay, bool) {
 	}
 	// Big fallback for this pair.
 	pv, nv := p.vec(), n.vec()
-	pd := pv.Dot(y.v)
-	nd := nv.Dot(y.v)
+	pd := pv.Dot(y.vec())
+	nd := nv.Dot(y.vec())
 	w := nv.Scale(pd)
 	negnd := new(big.Rat).Neg(nd)
 	w.AddScaled(negnd, pv)
@@ -163,40 +204,6 @@ func combineRays(p, n *ddRay, y *ddY, tight bitset) (ddRay, bool) {
 	}
 	r := rayFromVec(w, tight)
 	return r, true
-}
-
-// combineInt computes normalise(sp·n − sn·p) in checked int64 arithmetic.
-func combineInt(p, n []int64, sp, sn int64) ([]int64, bool) {
-	out := make([]int64, len(p))
-	g := uint64(0)
-	for i := range p {
-		a, ok := exact.MulInt64(sp, n[i])
-		if !ok {
-			return nil, false
-		}
-		b, ok := exact.MulInt64(sn, p[i])
-		if !ok {
-			return nil, false
-		}
-		d, ok := exact.SubInt64(a, b)
-		if !ok {
-			return nil, false
-		}
-		out[i] = d
-		if d != 0 {
-			g = exact.GCD64(g, exact.AbsU64(d))
-		}
-	}
-	if g > 1 {
-		for i, v := range out {
-			if v < 0 {
-				out[i] = -int64(exact.AbsU64(v) / g)
-			} else {
-				out[i] = int64(uint64(v) / g)
-			}
-		}
-	}
-	return out, true
 }
 
 func allZero(xs []int64) bool {
@@ -213,48 +220,38 @@ func allZero(xs []int64) bool {
 //	D = { a ∈ ℝ^d : a·y ≤ 0 for every y in ys }
 //
 // with the double description (Motzkin) method over exact rationals: int64
-// kernel arithmetic on GCD-normalised integer rays, promoting to big.Rat
-// per ray (and per combination) on overflow.
+// kernel arithmetic on GCD-normalised integer rays and lineality
+// directions, promoting to big.Rat per ray (and per combination) on
+// overflow.
 //
 // Preconditions: the ys span ℝ^d (guaranteed by the caller, which works in
 // row-space coordinates), so D is pointed and the final state carries no
 // lineality. The returned rays are GCD-normalised and minimal (each verified
 // non-redundant by an LP decided on h), and are exactly the facet normals
 // of cone(ys).
-func dualExtremeRays(h *hullSolver, ys []exact.Vec, d int) ([]exact.Vec, error) {
+func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 	if d == 0 {
 		return nil, nil
 	}
 
-	// Hyperplane normals, converted once to the kernel form where possible.
-	dys := make([]ddY, len(ys))
-	for i, y := range ys {
-		dys[i].v = y
-		if v64, ok := exact.Vec64FromVec(y); ok {
-			dys[i].iv = v64.Num
-		}
-	}
-
 	// State: lineality basis L and rays R, all satisfying the inequalities
-	// processed so far. The lineality pivot branch runs at most d times and
-	// stays on big.Rat; the per-constraint ray classification and pairing —
-	// the hot loops — run on the kernel.
-	var lineality []exact.Vec
-	for i := 0; i < d; i++ {
-		l := exact.NewVec(d)
-		l[i].SetInt64(1)
-		lineality = append(lineality, l)
+	// processed so far.
+	lineality := make([]ddRay, d)
+	for i := range lineality {
+		lineality[i].iv = make([]int64, d)
+		lineality[i].iv[i] = 1
 	}
 	var rays []ddRay
 
-	for mi := range dys {
-		y := &dys[mi]
+	for mi := range ys {
+		y := &ys[mi]
 		// 1. If some lineality direction violates the hyperplane, pivot it
-		// out: it becomes the unique ray strictly inside the half-space and
-		// everything else is projected onto the hyperplane a·y = 0.
-		pivot := -1
-		for li, l := range lineality {
-			if l.Dot(y.v).Sign() != 0 {
+		// out: oriented so that l0·y < 0 it becomes the unique ray strictly
+		// inside the half-space, and everything else is projected onto the
+		// hyperplane a·y = 0.
+		pivot, sign := -1, 0
+		for li := range lineality {
+			if sign = y.dotSign(&lineality[li]); sign != 0 {
 				pivot = li
 				break
 			}
@@ -262,33 +259,19 @@ func dualExtremeRays(h *hullSolver, ys []exact.Vec, d int) ([]exact.Vec, error) 
 		if pivot >= 0 {
 			l0 := lineality[pivot]
 			lineality = append(lineality[:pivot], lineality[pivot+1:]...)
-			dot0 := l0.Dot(y.v)
-			// Scale l0 so that l0·y = -1 (strictly feasible direction).
-			scale := new(big.Rat).Inv(dot0)
-			scale.Neg(scale)
-			l0 = l0.Scale(scale)
-			// Project remaining lineality and rays onto the hyperplane:
-			// x' = x + (x·y)·l0  ⇒  x'·y = x·y + (x·y)(l0·y) = 0.
-			for i, l := range lineality {
-				proj := l.Clone()
-				proj.AddScaled(l.Dot(y.v), l0)
-				lineality[i] = proj
+			if sign > 0 {
+				l0 = l0.neg()
 			}
-			for i := range rays {
-				proj := rays[i].vec().Clone()
-				proj.AddScaled(proj.Dot(y.v), l0)
-				tight := rays[i].tight
-				tight.set(mi)
-				rays[i] = rayFromVec(proj, tight)
-			}
+			lineality = projectRays(lineality, &l0, y, -1)
+			rays = projectRays(rays, &l0, y, mi)
 			// l0 came from the lineality space, so it satisfies every
 			// previously processed constraint with equality and the new one
 			// strictly.
-			l0tight := newBitset(len(ys))
+			l0.tight = newBitset(len(ys))
 			for k := 0; k < mi; k++ {
-				l0tight.set(k)
+				l0.tight.set(k)
 			}
-			rays = append(rays, rayFromVec(l0, l0tight))
+			rays = append(rays, l0)
 			continue
 		}
 
@@ -341,7 +324,7 @@ func dualExtremeRays(h *hullSolver, ys []exact.Vec, d int) ([]exact.Vec, error) 
 		var commonScratch []int
 		for pi := range pos {
 			for ni := range neg {
-				ok, common := adjacent(&pos[pi], &neg[ni], dys, d, len(lineality), commonScratch[:0])
+				ok, common := adjacent(&pos[pi], &neg[ni], ys, d, len(lineality), commonScratch[:0])
 				commonScratch = common
 				if !ok {
 					continue
@@ -375,9 +358,9 @@ func dualExtremeRays(h *hullSolver, ys []exact.Vec, d int) ([]exact.Vec, error) 
 		vs[i] = newHullVec(rays[i].iv, rays[i].bv)
 	}
 	keep := h.essential(vs)
-	out := make([]exact.Vec, len(keep))
+	out := make([]ddRay, len(keep))
 	for i, k := range keep {
-		out[i] = rays[k].vec()
+		out[i] = rays[k]
 	}
 	return out, nil
 }
@@ -399,11 +382,40 @@ func adjacent(p, n *ddRay, ys []ddY, d, lin int, common []int) (bool, []int) {
 		return false, common
 	}
 	common = appendAnd(p.tight, n.tight, common)
-	rows := make([]exact.Vec, len(common))
-	for i, k := range common {
-		rows[i] = ys[k].v
+	rows := make([][]int64, 0, len(common))
+	for _, k := range common {
+		if ys[k].iv == nil {
+			break
+		}
+		rows = append(rows, ys[k].iv)
 	}
-	return len(exact.RowSpaceBasis(rows)) >= need, common
+	if len(rows) == len(common) {
+		if rank, ok := exact.Rank64(rows, d); ok {
+			return rank >= need, common
+		}
+	}
+	vs := make([]exact.Vec, len(common))
+	for i, k := range common {
+		vs[i] = ys[k].vec()
+	}
+	return len(exact.RowSpaceBasis(vs)) >= need, common
+}
+
+// projectRays projects each of xs onto the hyperplane a·y = 0 along l0
+// (l0·y < 0; see combineRays), in place, marking constraint mi tight on
+// each when mi ≥ 0. A direction that projects to zero is dropped.
+func projectRays(xs []ddRay, l0 *ddRay, y *ddY, mi int) []ddRay {
+	out := xs[:0]
+	for i := range xs {
+		tight := xs[i].tight
+		if mi >= 0 {
+			tight.set(mi)
+		}
+		if w, ok := combineRays(&xs[i], l0, y, tight); ok {
+			out = append(out, w)
+		}
+	}
+	return out
 }
 
 func dedupeRays(rs []ddRay) []ddRay {

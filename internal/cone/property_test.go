@@ -34,7 +34,7 @@ func TestConicCombinationMembership(t *testing.T) {
 		}
 		for probe := 0; probe < 10; probe++ {
 			v := exact.NewVec(n)
-			for _, g := range c.Generators {
+			for _, g := range c.Generators() {
 				coeff := int64(rng.Intn(4))
 				for j := range v {
 					tmp := g[j].Num().Int64() * coeff

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 
 	"repro/internal/cone"
@@ -70,20 +71,16 @@ func NewModel(name string, d *mudd.Diagram, set *counters.Set) (*Model, error) {
 	if set == nil {
 		set = d.Counters()
 	}
-	paths, err := d.Paths()
+	sigs, err := d.Signatures(set)
 	if err != nil {
 		return nil, fmt.Errorf("core: model %q: %w", name, err)
-	}
-	sigs := make([]exact.Vec, len(paths))
-	for i, p := range paths {
-		sigs[i] = d.Signature(p, set)
 	}
 	return &Model{
 		Name:     name,
 		Diagram:  d,
 		Set:      set,
-		numPaths: len(paths),
-		kcone:    cone.New(set, sigs),
+		numPaths: len(sigs),
+		kcone:    cone.NewCounts(set, sigs),
 	}, nil
 }
 
@@ -125,12 +122,15 @@ func (m *Model) ContentKey() string {
 	m.keyOnce.Do(func() {
 		h := sha256.New()
 		io.WriteString(h, m.Set.Key())
-		for _, g := range m.kcone.Generators {
-			h.Write([]byte{'|'})
+		// A model's cone is built from μpath counts, so every generator
+		// has its int64 row; each entry prints as its RatString would.
+		var buf []byte
+		for _, g := range m.kcone.Counts() {
+			buf = append(buf[:0], '|')
 			for _, c := range g {
-				io.WriteString(h, c.RatString())
-				h.Write([]byte{' '})
+				buf = append(strconv.AppendInt(buf, c, 10), ' ')
 			}
+			h.Write(buf)
 		}
 		m.key = hex.EncodeToString(h.Sum(nil)[:16])
 	})
@@ -229,17 +229,17 @@ func (m *Model) TestObservation(o *counters.Observation, confidence float64, mod
 
 // generatorFloats returns the cone generators' non-zero components as
 // float64s (μpath signatures increment few of the counters under
-// analysis), converted once per (model, counter set) and shared by every
-// subsequent verdict.
+// analysis), converted once per (model, counter set) from the int64
+// counts and shared by every subsequent verdict.
 func (m *Model) generatorFloats() []floatlp.Sparse {
 	m.genOnce.Do(func() {
-		m.genF = make([]floatlp.Sparse, len(m.kcone.Generators))
-		for j, g := range m.kcone.Generators {
+		counts := m.kcone.Counts()
+		m.genF = make([]floatlp.Sparse, len(counts))
+		for j, g := range counts {
 			for k, c := range g {
-				if c.Sign() != 0 {
-					v, _ := c.Float64()
+				if c != 0 {
 					m.genF[j].Idx = append(m.genF[j].Idx, k)
-					m.genF[j].Val = append(m.genF[j].Val, v)
+					m.genF[j].Val = append(m.genF[j].Val, float64(c))
 				}
 			}
 		}

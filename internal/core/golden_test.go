@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -71,5 +74,30 @@ func TestGoldenLPHashes(t *testing.T) {
 				t.Errorf("%s: HashLP %s, want %s", key, got, want)
 			}
 		}
+	}
+}
+
+// TestCatalogueContentKeysGolden pins Model.ContentKey for every catalogue
+// model, over its own counters (as counterpointd compiles it) and over the
+// analysis set: one SHA-256 over each model's name and both keys. The
+// region cache, the LP-hash memo and the verdict cache are keyed by it, so
+// a change to how generators are normalised, ordered or printed that moves
+// one key makes every cached entry for that model unreachable.
+func TestCatalogueContentKeysGolden(t *testing.T) {
+	const want = "0cc004fed4ce70b27846428cd3d20cd74142a2f37d48245dd5e27fe79d56b30c"
+	h := sha256.New()
+	for _, cm := range haswell.Catalog() {
+		own, err := core.ModelFromDSL(cm.Name, cm.Source, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", cm.Name, err)
+		}
+		all, err := haswell.BuildModel(cm.Name, cm.Features, haswell.AnalysisSet())
+		if err != nil {
+			t.Fatalf("%s: %v", cm.Name, err)
+		}
+		fmt.Fprintf(h, "%s %s %s\n", cm.Name, own.ContentKey(), all.ContentKey())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("catalogue content-key digest %s, want %s", got, want)
 	}
 }

@@ -18,8 +18,8 @@ func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 	if !r.Set.Equal(m.Set) {
 		return fmt.Errorf("core: region counter set %v does not match model set %v", r.Set, m.Set)
 	}
-	gens := make([][]float64, len(m.Cone().Generators))
-	for j, g := range m.Cone().Generators {
+	gens := make([][]float64, len(m.Cone().Generators()))
+	for j, g := range m.Cone().Generators() {
 		gens[j] = make([]float64, len(g))
 		for k, c := range g {
 			gens[j][k], _ = c.Float64()

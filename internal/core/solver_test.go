@@ -69,7 +69,8 @@ func pdeDriftLPs(t *testing.T, n int) []*simplex.Problem {
 // certify → exact, with no tier in between. A bound-drift sequence above
 // the filter's size gate is certified by the filter and runs no exact
 // solve; a sub-gate drift sequence skips the filter and every step is a
-// from-scratch exact solve. Every verdict is the exact solver's.
+// from-scratch exact solve, counted as size-gated. Every verdict is the
+// exact solver's.
 func TestTierOrder(t *testing.T) {
 	ref := simplex.NewWorkspace()
 	solve := func(t *testing.T, lps []*simplex.Problem) SolverCounts {
@@ -86,7 +87,7 @@ func TestTierOrder(t *testing.T) {
 
 	t.Run("filter certifies above the gate", func(t *testing.T) {
 		c := solve(t, []*simplex.Problem{slabDriftLP(0), slabDriftLP(1), slabDriftLP(40)})
-		if c.FilterFeasible != 2 || c.FilterInfeasible != 1 || c.ExactFallbacks != 0 || c.ColdSolves != 0 {
+		if c.FilterFeasible != 2 || c.FilterInfeasible != 1 || c.ExactFallbacks != 0 || c.ColdSolves != 0 || c.SizeGated != 0 {
 			t.Fatalf("filter-certified drift reached the exact tier: %+v", c)
 		}
 	})
@@ -94,7 +95,7 @@ func TestTierOrder(t *testing.T) {
 	t.Run("sub-gate LP goes to the exact tier", func(t *testing.T) {
 		lps := pdeDriftLPs(t, 3)
 		c := solve(t, lps)
-		if c.FilterHits() != 0 || c.ExactFallbacks != uint64(len(lps)) || c.ColdSolves != c.ExactFallbacks || c.WarmSolves != 0 {
+		if c.FilterHits() != 0 || c.ExactFallbacks != uint64(len(lps)) || c.SizeGated != c.ExactFallbacks || c.ColdSolves != c.ExactFallbacks || c.WarmSolves != 0 {
 			t.Fatalf("sub-gate drift: want %d exact solves and no other tier, got %+v", len(lps), c)
 		}
 	})

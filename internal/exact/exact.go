@@ -327,32 +327,3 @@ func NullSpaceBasis(rows []Vec, cols int) []Vec {
 	}
 	return basis
 }
-
-// SolveInSpan expresses v as a combination of basis vectors, returning the
-// coefficients, or ok=false if v is not in the span. basis must be linearly
-// independent.
-func SolveInSpan(v Vec, basis []Vec) (coeffs Vec, ok bool) {
-	if len(basis) == 0 {
-		return nil, v.IsZero()
-	}
-	n := len(v)
-	// Augmented system: columns are basis vectors, RHS v.
-	m := NewMat(n, len(basis)+1)
-	for j, b := range basis {
-		for i := 0; i < n; i++ {
-			m.Data[i][j].Set(b[i])
-		}
-	}
-	for i := 0; i < n; i++ {
-		m.Data[i][len(basis)].Set(v[i])
-	}
-	pivots := m.RowEchelon()
-	coeffs = NewVec(len(basis))
-	for i, pc := range pivots {
-		if pc == len(basis) {
-			return nil, false // inconsistent: pivot in RHS column
-		}
-		coeffs[pc].Set(m.Data[i][len(basis)])
-	}
-	return coeffs, true
-}

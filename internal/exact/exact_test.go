@@ -156,28 +156,6 @@ func TestRowSpaceBasis(t *testing.T) {
 	}
 }
 
-func TestSolveInSpan(t *testing.T) {
-	basis := []Vec{VecFromInts(1, 0, 1), VecFromInts(0, 1, 1)}
-	coeffs, ok := SolveInSpan(VecFromInts(2, 3, 5), basis)
-	if !ok {
-		t.Fatal("expected solvable")
-	}
-	ratsEq(t, coeffs[0], 2)
-	ratsEq(t, coeffs[1], 3)
-	if _, ok := SolveInSpan(VecFromInts(0, 0, 1), basis); ok {
-		t.Fatal("expected unsolvable")
-	}
-}
-
-func TestSolveInSpanEmptyBasis(t *testing.T) {
-	if _, ok := SolveInSpan(VecFromInts(0, 0), nil); !ok {
-		t.Fatal("zero should be in empty span")
-	}
-	if _, ok := SolveInSpan(VecFromInts(1, 0), nil); ok {
-		t.Fatal("non-zero should not be in empty span")
-	}
-}
-
 func TestNullSpacePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {

@@ -135,7 +135,7 @@ done;
 	// Figure 6d: the refined μDD contains a μpath violating C.
 	c := cone.Constraint{Set: set, Coeffs: exact.VecFromInts(-1, 1), Rel: cone.LEZero}
 	fmt.Fprintf(w, "refined model still implies C: %v (must be false)\n", refined.Cone().Implies(c))
-	for _, g := range refined.Cone().Generators {
+	for _, g := range refined.Cone().Generators() {
 		if !c.SatisfiedBy(g) {
 			fmt.Fprintf(w, "μpath counter signature violating C: %v (Pde$Status=Miss, Abort=Yes)\n", g)
 		}

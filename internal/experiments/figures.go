@@ -359,7 +359,7 @@ done;
 		return err
 	}
 	fmt.Fprintf(w, "μpaths: %d\n", m.NumPaths())
-	for _, g := range m.Cone().Generators {
+	for _, g := range m.Cone().Generators() {
 		fmt.Fprintf(w, "generator: %v\n", g)
 	}
 	h, err := m.Constraints()

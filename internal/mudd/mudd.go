@@ -17,7 +17,6 @@ package mudd
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 	"strings"
 
@@ -323,35 +322,60 @@ const MaxPaths = 1 << 20
 // follow the matching edge (paper §3), otherwise traversal forks once per
 // labelled edge. The diagram must be valid.
 func (d *Diagram) Paths() ([]Path, error) {
-	if err := d.Validate(); err != nil {
+	var out []Path
+	var nodes []NodeID
+	err := d.walk(func(id NodeID, enter bool) {
+		if enter {
+			nodes = append(nodes, id)
+		} else {
+			nodes = nodes[:len(nodes)-1]
+		}
+	}, func(assign map[string]string) {
+		cp := make([]NodeID, len(nodes))
+		copy(cp, nodes)
+		ca := make(map[string]string, len(assign))
+		for k, v := range assign {
+			ca[k] = v
+		}
+		out = append(out, Path{Nodes: cp, Assignment: ca})
+	})
+	if err != nil {
 		return nil, err
 	}
-	var out []Path
-	var walk func(id NodeID, nodes []NodeID, assign map[string]string) error
-	walk = func(id NodeID, nodes []NodeID, assign map[string]string) error {
-		nodes = append(nodes, id)
+	return out, nil
+}
+
+// walk validates the diagram and enumerates its μpaths depth first, in
+// Paths order: step(id, true) on entering a node and step(id, false) on
+// leaving it, and atEnd at each END node with the property assignment
+// that selected the path, which atEnd must not retain.
+func (d *Diagram) walk(step func(id NodeID, enter bool), atEnd func(assign map[string]string)) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	paths := 0
+	assign := map[string]string{}
+	var visit func(id NodeID) error
+	visit = func(id NodeID) error {
+		step(id, true)
+		defer step(id, false)
 		node := d.nodes[id]
 		if node.Kind == End {
-			if len(out) >= MaxPaths {
+			if paths >= MaxPaths {
 				return fmt.Errorf("mudd(%s): more than %d μpaths", d.Name, MaxPaths)
 			}
-			cp := make([]NodeID, len(nodes))
-			copy(cp, nodes)
-			ca := make(map[string]string, len(assign))
-			for k, v := range assign {
-				ca[k] = v
-			}
-			out = append(out, Path{Nodes: cp, Assignment: ca})
+			paths++
+			atEnd(assign)
 			return nil
 		}
 		edges := d.out[id]
 		if node.Kind != Decision {
-			return walk(edges[0].To, nodes, assign)
+			return visit(edges[0].To)
 		}
 		if v, ok := assign[node.Label]; ok {
 			for _, e := range edges {
 				if e.Value == v {
-					return walk(e.To, nodes, assign)
+					return visit(e.To)
 				}
 			}
 			return fmt.Errorf("mudd(%s): decision %q has no edge for assigned value %q",
@@ -359,45 +383,69 @@ func (d *Diagram) Paths() ([]Path, error) {
 		}
 		for _, e := range edges {
 			assign[node.Label] = e.Value
-			if err := walk(e.To, nodes, assign); err != nil {
+			if err := visit(e.To); err != nil {
 				return err
 			}
 		}
 		delete(assign, node.Label)
 		return nil
 	}
-	if err := walk(d.start, nil, map[string]string{}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return visit(d.start)
 }
 
 // Signature computes the counter signature S(p) of a μpath over set: the
-// count of each HEC's counter-node occurrences along the path.
-func (d *Diagram) Signature(p Path, set *counters.Set) exact.Vec {
-	sig := exact.NewVec(set.Len())
-	one := big.NewRat(1, 1)
+// count of each HEC's counter-node occurrences along the path, as an
+// integer vector (Den 1).
+func (d *Diagram) Signature(p Path, set *counters.Set) exact.Vec64 {
+	sig := exact.Vec64{Num: make([]int64, set.Len()), Den: 1}
 	for _, id := range p.Nodes {
 		n := d.nodes[id]
 		if n.Kind != Counter {
 			continue
 		}
 		if i, ok := set.Index(counters.Event(n.Label)); ok {
-			sig[i].Add(sig[i], one)
+			sig.Num[i]++
 		}
 	}
 	return sig
 }
 
-// Signatures returns the counter signature of every μpath over set.
-func (d *Diagram) Signatures(set *counters.Set) ([]exact.Vec, error) {
-	paths, err := d.Paths()
+// Signatures returns the counter signature of every μpath over set, in
+// Paths order. It keeps one running count vector through the traversal
+// and copies it at each END node, so no Path is built.
+func (d *Diagram) Signatures(set *counters.Set) ([]exact.Vec64, error) {
+	n := set.Len()
+	// col[id] is the set index a counter node increments, or -1.
+	col := make([]int, len(d.nodes))
+	for i, node := range d.nodes {
+		col[i] = -1
+		if node.Kind == Counter {
+			if j, ok := set.Index(counters.Event(node.Label)); ok {
+				col[i] = j
+			}
+		}
+	}
+	counts := make([]int64, n)
+	var flat []int64
+	paths := 0
+	err := d.walk(func(id NodeID, enter bool) {
+		if j := col[id]; j >= 0 {
+			if enter {
+				counts[j]++
+			} else {
+				counts[j]--
+			}
+		}
+	}, func(map[string]string) {
+		flat = append(flat, counts...)
+		paths++
+	})
 	if err != nil {
 		return nil, err
 	}
-	sigs := make([]exact.Vec, len(paths))
-	for i, p := range paths {
-		sigs[i] = d.Signature(p, set)
+	sigs := make([]exact.Vec64, paths)
+	for i := range sigs {
+		sigs[i] = exact.Vec64{Num: flat[i*n : (i+1)*n : (i+1)*n], Den: 1}
 	}
 	return sigs, nil
 }

@@ -62,11 +62,14 @@ func TestRandomDiagramsValidateAndEnumerate(t *testing.T) {
 		for _, p := range paths {
 			sig := d.Signature(p, set)
 			total := int64(0)
-			for _, x := range sig {
-				if x.Sign() < 0 || !x.IsInt() {
-					t.Fatalf("trial %d: bad signature entry %s", trial, x.RatString())
+			if sig.Den != 1 {
+				t.Fatalf("trial %d: signature denominator %d", trial, sig.Den)
+			}
+			for _, x := range sig.Num {
+				if x < 0 {
+					t.Fatalf("trial %d: bad signature entry %d", trial, x)
 				}
-				total += x.Num().Int64()
+				total += x
 			}
 			if total > int64(len(p.Nodes)) {
 				t.Fatalf("trial %d: signature total %d exceeds path length %d",
@@ -112,5 +115,59 @@ func TestMergePathUnion(t *testing.T) {
 				t.Fatalf("trial %d: multiset differs at %s: %d vs %d", trial, k, v, cm[k])
 			}
 		}
+	}
+}
+
+// TestSignaturesMatchPaths: Signatures walks the diagram without building
+// paths, and must return exactly Signature of each of Paths, in order —
+// on random diagrams, their merge, and a diagram whose property is
+// decided twice (the second decision follows the first's value) over a
+// set that leaves one of its counters out.
+func TestSignaturesMatchPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	events := []counters.Event{"x", "y", "z"}
+	var ds []*Diagram
+	for trial := 0; trial < 40; trial++ {
+		ds = append(ds, randomDiagram(rng, fmt.Sprintf("rand%d", trial), events))
+	}
+	ds = append(ds, Merge("merged", ds[:4]...))
+	rep := New("repeat")
+	d1 := rep.AddDecision("P")
+	rep.Link(rep.StartNode(), d1)
+	a, b := rep.AddCounter("x"), rep.AddCounter("w")
+	rep.LinkValue(d1, a, "A")
+	rep.LinkValue(d1, b, "B")
+	d2 := rep.AddDecision("P")
+	rep.Link(a, d2)
+	rep.Link(b, d2)
+	c, e := rep.AddCounter("y"), rep.AddCounter("x")
+	rep.LinkValue(d2, c, "A")
+	rep.LinkValue(d2, e, "B")
+	end := rep.AddEnd()
+	rep.Link(c, end)
+	rep.Link(e, end)
+	ds = append(ds, rep)
+
+	set := counters.NewSet("x", "y", "z")
+	for _, d := range ds {
+		paths, err := d.Paths()
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		sigs, err := d.Signatures(set)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if len(sigs) != len(paths) {
+			t.Fatalf("%s: %d signatures for %d paths", d.Name, len(sigs), len(paths))
+		}
+		for i, p := range paths {
+			if got, want := sigs[i].Key(), d.Signature(p, set).Key(); got != want {
+				t.Fatalf("%s: signature %d is %s, Signature of path %d is %s", d.Name, i, got, i, want)
+			}
+		}
+	}
+	if sigs, _ := rep.Signatures(set); len(sigs) != 2 || sigs[0].Key() != "1|1|0" || sigs[1].Key() != "1|0|0" {
+		t.Fatalf("repeated decision: signatures %v, want [1|1|0 1|0|0]", sigs)
 	}
 }

@@ -597,7 +597,7 @@ func summarise(m *core.Model) modelSummaryJSON {
 		Name:     m.Name,
 		Counters: names,
 		NumPaths: m.NumPaths(),
-		NumCone:  len(m.Cone().Generators),
+		NumCone:  m.Cone().Len(),
 	}
 }
 
@@ -653,9 +653,9 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, sig := range sigs {
-		row := make([]string, len(sig))
-		for j, c := range sig {
-			row[j] = c.RatString()
+		row := make([]string, len(sig.Num))
+		for j, c := range sig.Num {
+			row[j] = strconv.FormatInt(c, 10)
 		}
 		out.Signatures = append(out.Signatures, row)
 	}

@@ -13,6 +13,7 @@ type statsResp struct {
 	FilterInfeasible uint64 `json:"filter_infeasible"`
 	CertFailures     uint64 `json:"certification_failures"`
 	ExactFallbacks   uint64 `json:"exact_fallbacks"`
+	SizeGated        uint64 `json:"exact_size_gated"`
 	FilterHits       uint64 `json:"filter_hits"`
 	Models           int    `json:"models"`
 	Workers          int    `json:"workers"`
@@ -69,6 +70,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if s1.FilterHits+s1.ExactFallbacks != s1.Evaluations {
 		t.Fatalf("counters don't partition: %+v", s1)
 	}
+	// The pde model's region LPs are below the filter's size gate, so
+	// every exact fallback is size-gated.
+	if s1.SizeGated != s1.ExactFallbacks {
+		t.Fatalf("exact_size_gated %d, want every one of %d exact fallbacks", s1.SizeGated, s1.ExactFallbacks)
+	}
 	// The int64 kernel accounts for every exact-tier solve, and the
 	// promotion (overflow fallback) rate is reported, never hidden.
 	if s1.KernelFastSolves+s1.KernelPromotedSolves != s1.ExactFallbacks {
@@ -95,6 +101,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if s2.ExactFallbacks != s1.ExactFallbacks+2 {
 		t.Fatalf("exact fallbacks %d, want %d", s2.ExactFallbacks, s1.ExactFallbacks+2)
+	}
+	// Exact mode never consults the filter, so nothing is size-gated.
+	if s2.SizeGated != s1.SizeGated {
+		t.Fatalf("exact-mode request changed exact_size_gated: %d -> %d", s1.SizeGated, s2.SizeGated)
 	}
 
 	// Malformed exact override is a client error.

@@ -35,6 +35,7 @@ type Stats struct {
 	basisInfeasible  atomic.Uint64
 	certFailures     atomic.Uint64
 	exactFallbacks   atomic.Uint64
+	sizeGated        atomic.Uint64
 
 	kernelFastSolves     atomic.Uint64
 	kernelPromotedSolves atomic.Uint64
@@ -66,6 +67,10 @@ type Counts struct {
 	// the filter was disabled, the LP was below the filter's size gate,
 	// the filter was inconclusive, or certification failed.
 	ExactFallbacks uint64 `json:"exact_fallbacks"`
+	// SizeGated counts the ExactFallbacks that went to the exact tier
+	// without a filter attempt because the LP was below FilterMinSize (a
+	// subset of ExactFallbacks). Only the rest are filter misses.
+	SizeGated uint64 `json:"exact_size_gated"`
 
 	// KernelFastSolves counts exact-tier solves that completed entirely in
 	// overflow-checked int64 arithmetic; KernelPromotedSolves counts those
@@ -105,6 +110,7 @@ func (s *Stats) Snapshot() Counts {
 		FilterInfeasibleBasis: s.basisInfeasible.Load(),
 		CertFailures:          s.certFailures.Load(),
 		ExactFallbacks:        s.exactFallbacks.Load(),
+		SizeGated:             s.sizeGated.Load(),
 		KernelFastSolves:      s.kernelFastSolves.Load(),
 		KernelPromotedSolves:  s.kernelPromotedSolves.Load(),
 		KernelPromotions:      s.kernelPromotions.Load(),
@@ -219,7 +225,8 @@ func (s *Solver) FeasibleStructured(p *simplex.Problem, hint floatlp.Structure) 
 	if s.Stats != nil {
 		s.Stats.evaluations.Add(1)
 	}
-	if s.Filter != nil && p.NumVars*len(p.Constraints) >= FilterMinSize {
+	gated := s.Filter != nil && p.NumVars*len(p.Constraints) < FilterMinSize
+	if s.Filter != nil && !gated {
 		out := s.Filter.FeasibilityStructured(p, hint)
 		if out.Status == floatlp.Infeasible {
 			if _, ok := s.certify(p, out); ok {
@@ -233,6 +240,9 @@ func (s *Solver) FeasibleStructured(p *simplex.Problem, hint floatlp.Structure) 
 	}
 	if s.Stats != nil {
 		s.Stats.exactFallbacks.Add(1)
+		if gated {
+			s.Stats.sizeGated.Add(1)
+		}
 	}
 	ws := s.ExactWorkspace()
 	feasible := ws.SolveStatus(p) == simplex.Optimal

@@ -4,8 +4,8 @@
 #   - any exact-path benchmark's allocs/op regressed by more than 20%, or
 #   - the /evaluate body decode benchmark's allocs/op regressed by more
 #     than 20%, or
-#   - a constraint-deduction benchmark's allocs/op regressed by more
-#     than 20%, or
+#   - a constraint-deduction or model-setup benchmark's allocs/op
+#     regressed by more than 20%, or
 #   - a region-LP build + hash benchmark allocates more than 4 times per
 #     op, or
 #   - the verdict-cache-hit benchmark regressed ns/op or allocs/op by
@@ -21,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
-GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction}"
+GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
@@ -66,16 +66,20 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # Fig9bDeduction gates allocs/op only: it builds the discovered model over
 # the Ret, L2TLB and Walk groups and deduces its constraints (elimination,
 # membership LPs on integer-native rows, double description), so growth
-# means per-signature or per-LP allocation crept into deduction. Model
-# construction and the double description dominate its allocations:
-# moving the membership LPs off big.Rat rows took Walk only from 294862
-# to 292418 allocs/op, so the float-tier counts of the membership LPs are
-# pinned by TestCatalogueConeLPsOnFloatTier instead. Its wall time tracks
-# the runner like the other solver benchmarks'.
+# means per-signature or per-LP allocation crept into deduction. Since
+# signatures, the elimination passes and the facet lift moved onto the
+# int64 kernel (Walk 292418 -> about 5000 allocs/op), growth also means
+# big.Rat work crept back in. The float-tier counts of the membership
+# LPs are pinned by TestCatalogueConeLPsOnFloatTier instead. Its wall
+# time tracks the runner like the other solver benchmarks'.
+# ModelSetup gates allocs/op only, for the same reasons: it compiles m0,
+# a3 and discovered, builds each over its own counters and deduces its
+# constraints, which is what counterpointd pays before a catalogue
+# model's first verdict.
 # RegionLPHash (build + canonical hash of a fresh region LP) gates
 # allocs/op against an absolute bound of 4 per op: its baseline is zero,
 # where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
-  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction' 1.2 \
+  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup' 1.2 \
   --guard-ns 'VerdictCacheHit$' 1.2 \
   --max-allocs 'RegionLPHash/' 4
