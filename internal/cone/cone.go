@@ -155,6 +155,9 @@ type Cone struct {
 	gensOnce sync.Once   // builds gens for Generators
 	gens     []exact.Vec // the generators as exact vectors; set by New for a wide cone
 
+	essOnce sync.Once // guards the essential pass: deduction and EssentialIndices share one run
+	ess     []int     // indices of the essential generators, in generator order
+
 	hOnce sync.Once // guards the deduction: concurrent first callers share one run
 	hRep  *HRep     // cached constraint system
 	hErr  error
@@ -328,11 +331,30 @@ func (c *Cone) hullGens() []hullVec {
 	return out
 }
 
-// EssentialGenerators returns the generators that are not redundant, i.e.
-// those not expressible as conic combinations of the remaining generators.
-// This is the paper's LP-based interior-signature pruning step.
+// EssentialIndices returns the indices (into Generators and Counts) of
+// the generators that are not redundant, i.e. not expressible as conic
+// combinations of the remaining generators: the paper's LP-based
+// interior-signature pruning step. cone(G) is exactly the cone of these
+// generators. Computed once and shared with deduction; callers must not
+// modify the result.
+func (c *Cone) EssentialIndices() []int { return c.essential(nil) }
+
+// essential is EssentialIndices, deciding the pass's membership LPs on hs
+// when this call runs it (a fresh solver when hs is nil).
+func (c *Cone) essential(hs *hullSolver) []int {
+	c.essOnce.Do(func() {
+		if hs == nil {
+			hs = newHullSolver()
+		}
+		c.ess = hs.essential(c.hullGens())
+	})
+	return c.ess
+}
+
+// EssentialGenerators returns the essential generators (see
+// EssentialIndices) as exact vectors.
 func (c *Cone) EssentialGenerators() []exact.Vec {
-	keep := newHullSolver().essential(c.hullGens())
+	keep := c.EssentialIndices()
 	out := make([]exact.Vec, len(keep))
 	for i, k := range keep {
 		out[i] = c.Generators()[k]
@@ -347,17 +369,19 @@ func (c *Cone) EssentialGenerators() []exact.Vec {
 // layer's concurrent requests) share a single deduction.
 func (c *Cone) Constraints() (*HRep, error) {
 	c.hOnce.Do(func() {
-		if c.hRep, c.hErr = c.buildConstraints(newHullSolver()); c.hErr == nil {
+		hs := newHullSolver()
+		if c.hRep, c.hErr = c.buildConstraints(hs, c.essential(hs)); c.hErr == nil {
 			c.hRep.tabulate()
 		}
 	})
 	return c.hRep, c.hErr
 }
 
-// buildConstraints deduces the H-representation, deciding every
-// membership LP on hs. Each linear-algebra step runs on the int64 kernel
-// and redoes itself on big.Rat on overflow (or for a wide cone).
-func (c *Cone) buildConstraints(hs *hullSolver) (*HRep, error) {
+// buildConstraints deduces the H-representation from the essential
+// generators' indices keep, deciding every membership LP on hs. Each
+// linear-algebra step runs on the int64 kernel and redoes itself on
+// big.Rat on overflow (or for a wide cone).
+func (c *Cone) buildConstraints(hs *hullSolver, keep []int) (*HRep, error) {
 	h := &HRep{}
 
 	// Step 2 (§6): equality constraints from Gaussian elimination — the
@@ -372,10 +396,8 @@ func (c *Cone) buildConstraints(hs *hullSolver) (*HRep, error) {
 		return h, nil
 	}
 
-	// Step 3 (§6): prune interior/redundant generators with LP.
-	keep := hs.essential(c.hullGens())
-
-	// Step 4 (§6): facets of the conic hull.
+	// Step 3 (§6), pruning interior/redundant generators with LP, gave
+	// keep. Step 4 (§6): facets of the conic hull.
 	facets, err := c.facets(hs, keep)
 	if err != nil {
 		return nil, err
@@ -468,13 +490,18 @@ func (c *Cone) facets(hs *hullSolver, keep []int) ([]exact.Vec, error) {
 
 // lift64 lifts the dual rays to counter space on the int64 kernel. With
 // R the echelon's integer rows (R_i = p_i·b_i, p_i its pivot entry) the
-// lift solves (R·Rᵀ)·u = (p_i·a_i)_i and takes α = Σ u_i R_i; ok is false
-// on overflow or a wide ray.
+// lift solves (R·Rᵀ)·u = (p_i·a_i)_i for every ray a at once, reducing
+// the Gram matrix R·Rᵀ a single time, and takes α = Σ u_i R_i; ok is
+// false on overflow or a wide ray.
 func lift64(e exact.Echelon64, rays []ddRay) ([]exact.Vec, bool) {
-	d := len(e.Rows)
+	if len(rays) == 0 {
+		return nil, true
+	}
+	d, k := len(e.Rows), len(rays)
 	aug := make([][]int64, d)
+	buf := make([]int64, d*(d+k))
 	for i := range aug {
-		aug[i] = make([]int64, d+1)
+		aug[i] = buf[i*(d+k) : (i+1)*(d+k) : (i+1)*(d+k)]
 	}
 	for i, ri := range e.Rows {
 		for j := 0; j <= i; j++ {
@@ -485,7 +512,6 @@ func lift64(e exact.Echelon64, rays []ddRay) ([]exact.Vec, bool) {
 			aug[i][j], aug[j][i] = g, g
 		}
 	}
-	out := make([]exact.Vec, len(rays))
 	for r := range rays {
 		a := rays[r].iv
 		if a == nil {
@@ -496,15 +522,19 @@ func lift64(e exact.Echelon64, rays []ddRay) ([]exact.Vec, bool) {
 			if !ok {
 				return nil, false
 			}
-			aug[i][d] = b
+			aug[i][d+r] = b
 		}
-		u, _, ok := exact.SolveSquare64(aug)
-		if !ok {
-			return nil, false
-		}
+	}
+	us, _, ok := exact.SolveSquareMany64(aug, k)
+	if !ok {
+		return nil, false
+	}
+	out := make([]exact.Vec, k)
+	alpha := make([]int64, len(e.Rows[0]))
+	for r, u := range us {
 		// α is Σ u_i R_i over a positive denominator: the direction is the
 		// numerators' combination.
-		alpha := make([]int64, len(e.Rows[0]))
+		clear(alpha)
 		for i, ri := range e.Rows {
 			for j, x := range ri {
 				if u[i] == 0 || x == 0 {

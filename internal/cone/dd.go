@@ -242,6 +242,7 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 		lineality[i].iv[i] = 1
 	}
 	var rays []ddRay
+	var adj adjScratch
 
 	for mi := range ys {
 		y := &ys[mi]
@@ -321,12 +322,9 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 		next = append(next, neg...)
 		next = append(next, zero...)
 		// Combine adjacent (pos, neg) pairs into new hyperplane rays.
-		var commonScratch []int
 		for pi := range pos {
 			for ni := range neg {
-				ok, common := adjacent(&pos[pi], &neg[ni], ys, d, len(lineality), commonScratch[:0])
-				commonScratch = common
-				if !ok {
+				if !adj.adjacent(&pos[pi], &neg[ni], ys, d, len(lineality)) {
 					continue
 				}
 				// Tight at the new ray: indices tight at BOTH parents, plus mi.
@@ -365,6 +363,15 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 	return out, nil
 }
 
+// adjScratch is adjacent's reusable storage, one per double-description
+// run: the common tight indices, the rows they select and the rank test's
+// matrix.
+type adjScratch struct {
+	common []int
+	rows   [][]int64
+	rank   exact.RankScratch
+}
+
 // adjacent implements the algebraic (rank-based) adjacency test: extreme
 // rays p and n of a cone with lineality dimension lin in ℝ^d are adjacent
 // iff the constraints tight at both have rank ≥ d − lin − 2. The bitset
@@ -372,33 +379,32 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 // arithmetic; the rank test never rejects a truly adjacent pair even when
 // the working set carries redundant rays, so no facet is ever lost —
 // spurious combinations are removed by the final LP minimality pass.
-// common is a reusable index scratch, returned for the caller to recycle.
-func adjacent(p, n *ddRay, ys []ddY, d, lin int, common []int) (bool, []int) {
+func (s *adjScratch) adjacent(p, n *ddRay, ys []ddY, d, lin int) bool {
 	need := d - lin - 2
 	if need <= 0 {
-		return true, common
+		return true
 	}
 	if andCount(p.tight, n.tight) < need {
-		return false, common
+		return false
 	}
-	common = appendAnd(p.tight, n.tight, common)
-	rows := make([][]int64, 0, len(common))
-	for _, k := range common {
+	s.common = appendAnd(p.tight, n.tight, s.common[:0])
+	s.rows = s.rows[:0]
+	for _, k := range s.common {
 		if ys[k].iv == nil {
 			break
 		}
-		rows = append(rows, ys[k].iv)
+		s.rows = append(s.rows, ys[k].iv)
 	}
-	if len(rows) == len(common) {
-		if rank, ok := exact.Rank64(rows, d); ok {
-			return rank >= need, common
+	if len(s.rows) == len(s.common) {
+		if rank, ok := s.rank.Rank64(s.rows, d); ok {
+			return rank >= need
 		}
 	}
-	vs := make([]exact.Vec, len(common))
-	for i, k := range common {
+	vs := make([]exact.Vec, len(s.common))
+	for i, k := range s.common {
 		vs[i] = ys[k].vec()
 	}
-	return len(exact.RowSpaceBasis(vs)) >= need, common
+	return len(exact.RowSpaceBasis(vs)) >= need
 }
 
 // projectRays projects each of xs onto the hyperplane a·y = 0 along l0

@@ -2,8 +2,9 @@ package cone
 
 import "repro/internal/tier"
 
-// DeduceCounting runs c's deduction afresh, bypassing the cache, with every
-// membership LP reporting into stats.
+// DeduceCounting runs c's deduction afresh, essential pass included,
+// bypassing both caches, with every membership LP reporting into stats.
 func DeduceCounting(c *Cone, stats *tier.Stats) (*HRep, error) {
-	return c.buildConstraints(&hullSolver{sv: tier.NewSolver(stats)})
+	hs := &hullSolver{sv: tier.NewSolver(stats)}
+	return c.buildConstraints(hs, hs.essential(c.hullGens()))
 }

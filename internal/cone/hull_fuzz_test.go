@@ -172,7 +172,8 @@ func FuzzConeRedundancy(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := c.buildConstraints(&hullSolver{sv: &tier.Solver{}})
+		exactOnly := &hullSolver{sv: &tier.Solver{}}
+		ref, err := c.buildConstraints(exactOnly, exactOnly.essential(c.hullGens()))
 		if err != nil {
 			t.Fatal(err)
 		}

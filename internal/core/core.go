@@ -8,8 +8,9 @@
 //
 // A Model wraps a μDD together with the counter set under analysis. Testing
 // an observation builds its confidence region, then solves the Appendix A
-// linear program: non-negative flow variables f(p) for every μpath
-// signature, the counter-flow equation v = Σ S(p)·f(p) substituted into the
+// linear program: non-negative flow variables f(p) for every essential
+// μpath signature (the others are conic combinations of these and add
+// nothing), the counter-flow equation v = Σ S(p)·f(p) substituted into the
 // per-principal-axis box constraints |eᵢ·(v − Ȳ)| ≤ √(λᵢχ²). If the LP is
 // infeasible the observation violates at least one model constraint at the
 // chosen confidence level, and the violated constraints are identified by
@@ -227,16 +228,18 @@ func (m *Model) TestObservation(o *counters.Observation, confidence float64, mod
 	return verdict, nil
 }
 
-// generatorFloats returns the cone generators' non-zero components as
-// float64s (μpath signatures increment few of the counters under
-// analysis), converted once per (model, counter set) from the int64
-// counts and shared by every subsequent verdict.
+// generatorFloats returns the essential cone generators' non-zero
+// components as float64s (μpath signatures increment few of the counters
+// under analysis), converted once per (model, counter set) from the int64
+// counts and shared by every subsequent verdict. The first call runs the
+// cone's essential pass unless deduction already has.
 func (m *Model) generatorFloats() []floatlp.Sparse {
 	m.genOnce.Do(func() {
 		counts := m.kcone.Counts()
-		m.genF = make([]floatlp.Sparse, len(counts))
-		for j, g := range counts {
-			for k, c := range g {
+		ess := m.kcone.EssentialIndices()
+		m.genF = make([]floatlp.Sparse, len(ess))
+		for j, e := range ess {
+			for k, c := range counts[e] {
 				if c != 0 {
 					m.genF[j].Idx = append(m.genF[j].Idx, k)
 					m.genF[j].Val = append(m.genF[j].Val, float64(c))
@@ -249,9 +252,14 @@ func (m *Model) generatorFloats() []floatlp.Sparse {
 
 // RegionLP builds the Appendix A feasibility LP for r into p, replacing
 // p's contents: the counter-flow equation is substituted in, so the
-// variables are the flows f ≥ 0 down each cone generator, constrained so
-// that v = G·f lies inside every principal-axis slab of the region.
-// Counter non-negativity is implied (G ≥ 0, f ≥ 0).
+// variables are the flows f ≥ 0 down each essential cone generator,
+// constrained so that v = E·f lies inside every principal-axis slab of the
+// region. Counter non-negativity is implied (E ≥ 0, f ≥ 0).
+//
+// The columns are the essential generators E rather than every distinct
+// signature G: cone(E) = cone(G) exactly, so {E·f : f ≥ 0} is the same
+// set of counter vectors and the LP has the same answer as the one over
+// G, which only adds columns that are non-negative combinations of E's.
 //
 // Every coefficient is a float64 dot product of an axis (snapped to a
 // dyadic grid) with a generator (small integers), and every bound is
@@ -262,10 +270,14 @@ func (m *Model) generatorFloats() []floatlp.Sparse {
 // The LP depends only on (model, region); solving never mutates it, so
 // callers may cache the problem and re-solve it from any workspace.
 func (m *Model) RegionLP(p *simplex.Problem, r *stats.Region) error {
+	return m.regionLP(p, r, m.generatorFloats())
+}
+
+// regionLP is RegionLP with gens as the columns.
+func (m *Model) regionLP(p *simplex.Problem, r *stats.Region, gens []floatlp.Sparse) error {
 	if !r.Set.Equal(m.Set) {
 		return fmt.Errorf("core: region counter set %v does not match model set %v", r.Set, m.Set)
 	}
-	gens := m.generatorFloats()
 	p.Reset(len(gens))
 	n := m.Set.Len()
 	var buf [256]float64 // the dot products of one axis, on the stack for most models

@@ -15,27 +15,32 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestGoldenLPHashes pins core.HashLP on catalogue region LPs: three
-// models over each of the Ret, L2TLB and Walk counter groups and the full
-// analysis set, on one simulated observation with a fixed seed. (On Ret
-// and L2TLB the three models build the same LP.) A -verdict-db file stores
-// verdicts under these hashes, so a change to the clp2 encoding or to the
-// region LP construction that moves one of them orphans every stored
-// verdict.
+// TestGoldenLPHashes pins core.HashLP on catalogue region LPs, and each
+// LP's column count: three models over each of the Ret, L2TLB and Walk
+// counter groups and the full analysis set, on one simulated observation
+// with a fixed seed. (On Ret and L2TLB the three models build the same
+// LP, and on Walk t9 and a3 do.) A -verdict-db file stores verdicts under
+// these hashes, so a change to the clp2 encoding or to the region LP
+// construction that moves one of them orphans every stored verdict. The
+// columns are the cone's essential generators; vars is their number.
 func TestGoldenLPHashes(t *testing.T) {
-	golden := map[string]string{
-		"m0/Ret":      "8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33",
-		"t9/Ret":      "8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33",
-		"a3/Ret":      "8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33",
-		"m0/L2TLB":    "3aab9f06c22901b6721166a476b1b0a7fbcddc945b06eb4571b6bfa9d0e49fdc",
-		"t9/L2TLB":    "3aab9f06c22901b6721166a476b1b0a7fbcddc945b06eb4571b6bfa9d0e49fdc",
-		"a3/L2TLB":    "3aab9f06c22901b6721166a476b1b0a7fbcddc945b06eb4571b6bfa9d0e49fdc",
-		"m0/Walk":     "ce9a9cc8b53dcd40ea087fbce8e909a981c5221f707d0fbf21249a756834f5f2",
-		"t9/Walk":     "460de67051d5fd737f1cc33b6a023b7847b1ae918da917f4ecd322943a1348e9",
-		"a3/Walk":     "a9964b1ae87775f5281e97a029fed3039f99d1ff335a430d6000b5f04cba1d1a",
-		"m0/analysis": "0f621e6f12dcbfe8f54bad200285c9acce112b9f5b80dc91e2167777ea676399",
-		"t9/analysis": "206007067002c87c7434a18d1c34a2287ef6e32406caef61d4bdcd938a3e6624",
-		"a3/analysis": "7118d13318614ebd46443bcf38b9644e0a195d5ae1060c63e5f2640303980bc7",
+	type lp struct {
+		hash string
+		vars int
+	}
+	golden := map[string]lp{
+		"m0/Ret":      {"8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33", 4},
+		"t9/Ret":      {"8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33", 4},
+		"a3/Ret":      {"8837f713064abc1dc8cf4dd4028bc0e6ccc50032290cc323220c9f89fba3bf33", 4},
+		"m0/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
+		"t9/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
+		"a3/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
+		"m0/Walk":     {"fd3094b0fcf67bd79d78e2295d3fa14e1c0b94dbb1b3aed2b43be08588f22b3f", 28},
+		"t9/Walk":     {"d6c020903f55011b43db54a388341e68dc6b1d38b1d29bc903c5a401c9a22b3b", 20},
+		"a3/Walk":     {"d6c020903f55011b43db54a388341e68dc6b1d38b1d29bc903c5a401c9a22b3b", 20},
+		"m0/analysis": {"89bda40feabe9abf68d6c63a3c90bebf14965e70ce0d4d316f502ac792b28571", 40},
+		"t9/analysis": {"75b5d6e5d709562f3f056ddfa98f6f7fdd36a6e210aaaed146c772aa8d2e1c0f", 32},
+		"a3/analysis": {"3f656baa3cc303d4a63103d571fea3fbf1ac50595a05039949eb7858bd816280", 21},
 	}
 	sim := haswell.NewSimulator(haswell.DefaultConfig(pagetable.Page4K))
 	gen, err := workloads.NewRandomBurst(256<<20, 8, 0.9, 3)
@@ -69,9 +74,10 @@ func TestGoldenLPHashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := name + "/" + string(step.Group)
-			got := core.HashLP(p).String()
+			got := lp{core.HashLP(p).String(), p.NumVars}
 			if want, ok := golden[key]; !ok || got != want {
-				t.Errorf("%s: HashLP %s, want %s", key, got, want)
+				t.Errorf("%s: HashLP %s over %d columns (of %d generators), want %s over %d",
+					key, got.hash, got.vars, m.Cone().Len(), want.hash, want.vars)
 			}
 		}
 	}

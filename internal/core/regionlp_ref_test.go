@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/exact"
+	"repro/internal/floatlp"
 	"repro/internal/simplex"
 	"repro/internal/stats"
 )
@@ -13,13 +14,15 @@ import (
 // against: every coefficient converted from its dense float64 dot product
 // through exact.Rat64FromFloat/SetRatFromFloat, every bound quantised
 // through exact.QuantizeInto, and each row added as big.Rat
-// values through GrowConstraint.
+// values through GrowConstraint. Its columns are the cone's essential
+// generators, as RegionLP's are.
 func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 	if !r.Set.Equal(m.Set) {
 		return fmt.Errorf("core: region counter set %v does not match model set %v", r.Set, m.Set)
 	}
-	gens := make([][]float64, len(m.Cone().Generators()))
-	for j, g := range m.Cone().Generators() {
+	ess := m.Cone().EssentialGenerators()
+	gens := make([][]float64, len(ess))
+	for j, g := range ess {
 		gens[j] = make([]float64, len(g))
 		for k, c := range g {
 			gens[j][k], _ = c.Float64()
@@ -54,4 +57,23 @@ func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 		}
 	}
 	return nil
+}
+
+// RegionLPAllGenerators builds r's region LP the way RegionLP did before
+// its columns became the cone's essential generators: one column per
+// distinct signature, in Cone().Counts() order, each row added through
+// AddFloatRow. It is the reference the essential-column LP's verdicts are
+// pinned against.
+func RegionLPAllGenerators(m *Model, p *simplex.Problem, r *stats.Region) error {
+	counts := m.Cone().Counts()
+	gens := make([]floatlp.Sparse, len(counts))
+	for j, g := range counts {
+		for k, c := range g {
+			if c != 0 {
+				gens[j].Idx = append(gens[j].Idx, k)
+				gens[j].Val = append(gens[j].Val, float64(c))
+			}
+		}
+	}
+	return m.regionLP(p, r, gens)
 }

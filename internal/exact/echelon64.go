@@ -82,19 +82,37 @@ type Echelon64 struct {
 // matrix whose rows are rows, each of length cols (rows is not
 // modified). ok is false on int64 overflow or an entry of magnitude 2⁶³.
 func ReduceEchelon64(rows [][]int64, cols int) (Echelon64, bool) {
-	buf := make([]int64, len(rows)*cols)
 	m := make([][]int64, len(rows))
+	if !load64(m, make([]int64, len(rows)*cols), rows, cols) {
+		return Echelon64{}, false
+	}
+	pivots, ok := reduce64(m, cols, nil)
+	if !ok {
+		return Echelon64{}, false
+	}
+	return Echelon64{Rows: m[:len(pivots)], Pivots: pivots}, true
+}
+
+// load64 copies rows into m, backed by buf (len(rows)·cols entries), each
+// row divided by its GCD. It is false on an entry of magnitude 2⁶³.
+func load64(m [][]int64, buf []int64, rows [][]int64, cols int) bool {
 	for i, r := range rows {
 		m[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
 		for j, x := range r {
 			if x == math.MinInt64 {
-				return Echelon64{}, false
+				return false
 			}
 			m[i][j] = x
 		}
 		DivideByGCD(m[i])
 	}
-	var pivots []int
+	return true
+}
+
+// reduce64 brings m to fraction-free reduced echelon form in place,
+// moving the rank's rows to the top, and returns the pivot columns
+// appended to pivots. ok is false on overflow.
+func reduce64(m [][]int64, cols int, pivots []int) ([]int, bool) {
 	r := 0
 	for c := 0; c < cols && r < len(m); c++ {
 		p := -1
@@ -123,20 +141,40 @@ func ReduceEchelon64(rows [][]int64, cols int) (Echelon64, bool) {
 			// them (scaled by pv) and clears column c.
 			f := m[i][c]
 			if !linComb64(m[i], pv, m[i], f, m[r]) {
-				return Echelon64{}, false
+				return nil, false
 			}
 		}
 		pivots = append(pivots, c)
 		r++
 	}
-	return Echelon64{Rows: m[:r], Pivots: pivots}, true
+	return pivots, true
+}
+
+// RankScratch computes matrix ranks on the int64 kernel, reusing its
+// storage from one call to the next. The zero value is ready to use; it
+// is not safe for concurrent use.
+type RankScratch struct {
+	buf    []int64
+	rows   [][]int64
+	pivots []int
 }
 
 // Rank64 returns the rank of the integer matrix whose rows are rows (each
 // of length cols). ok is false on overflow.
-func Rank64(rows [][]int64, cols int) (int, bool) {
-	e, ok := ReduceEchelon64(rows, cols)
-	return len(e.Pivots), ok
+func (s *RankScratch) Rank64(rows [][]int64, cols int) (int, bool) {
+	if n := len(rows) * cols; cap(s.buf) < n {
+		s.buf = make([]int64, n)
+	}
+	if cap(s.rows) < len(rows) {
+		s.rows = make([][]int64, len(rows))
+	}
+	m := s.rows[:len(rows)]
+	if !load64(m, s.buf[:len(rows)*cols], rows, cols) {
+		return 0, false
+	}
+	var ok bool
+	s.pivots, ok = reduce64(m, cols, s.pivots[:0])
+	return len(s.pivots), ok
 }
 
 // NullSpace64 returns the basis of {x : A·x = 0} that NullSpaceBasis
@@ -185,16 +223,18 @@ func NullSpace64(rows [][]int64, cols int) ([][]int64, bool) {
 	return basis, true
 }
 
-// SolveSquare64 solves the square system A·x = b, given as the augmented
-// rows [A | b] (d rows of d+1 entries), returning x = num/den with
-// den > 0. ok is false on overflow or when A is singular.
-func SolveSquare64(aug [][]int64) (num []int64, den int64, ok bool) {
+// SolveSquareMany64 solves the square system A·X = B for k right-hand
+// sides at once, given as the augmented rows [A | B] (d rows of d+k
+// entries), so A is reduced once: column j of X is num[j]/den, with one
+// den > 0 for every column. ok is false on overflow or when A is
+// singular. aug is not modified.
+func SolveSquareMany64(aug [][]int64, k int) (num [][]int64, den int64, ok bool) {
 	d := len(aug)
-	e, ok := ReduceEchelon64(aug, d+1)
+	e, ok := ReduceEchelon64(aug, d+k)
 	if !ok || len(e.Pivots) != d || (d > 0 && e.Pivots[d-1] != d-1) {
 		return nil, 0, false
 	}
-	// Row i is (0…0, p_i, 0…0 | r_i) with p_i > 0: x_i = r_i/p_i.
+	// Row i is (0…0, p_i, 0…0 | r_i1 … r_ik) with p_i > 0: X_ij = r_ij/p_i.
 	den = 1
 	for i := range e.Rows {
 		p := e.Rows[i][i]
@@ -202,10 +242,14 @@ func SolveSquare64(aug [][]int64) (num []int64, den int64, ok bool) {
 			return nil, 0, false
 		}
 	}
-	num = make([]int64, d)
-	for i, row := range e.Rows {
-		if num[i], ok = MulInt64(row[d], den/row[i]); !ok {
-			return nil, 0, false
+	buf := make([]int64, k*d)
+	num = make([][]int64, k)
+	for j := range num {
+		num[j] = buf[j*d : (j+1)*d : (j+1)*d]
+		for i, row := range e.Rows {
+			if num[j][i], ok = MulInt64(row[d+j], den/row[i]); !ok {
+				return nil, 0, false
+			}
 		}
 	}
 	return num, den, true

@@ -38,11 +38,14 @@ func vecsOf(rows [][]int64) []Vec {
 // TestEchelon64MatchesBig is the int64-against-big.Rat differential for
 // the fraction-free kernel: on random integer matrices, small and with
 // entries that overflow int64 mid-elimination, NullSpace64 must return
-// NullSpaceBasis's vectors, Rank64 RowSpaceBasis's size, every echelon
-// row a multiple of the rational echelon row, and SolveSquare64 the
-// exact solution — or report ok=false, never a wrong answer.
+// NullSpaceBasis's vectors, RankScratch.Rank64 (one scratch reused across
+// every trial) RowSpaceBasis's size, every echelon row a multiple of the
+// rational echelon row, and SolveSquareMany64 the exact solution for
+// each of up to three right-hand sides — or report ok=false, never a
+// wrong answer.
 func TestEchelon64MatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var rank RankScratch
 	declined := 0
 	for trial := 0; trial < 600; trial++ {
 		rows, cols := rng.Intn(7), 1+rng.Intn(7)
@@ -84,34 +87,36 @@ func TestEchelon64MatchesBig(t *testing.T) {
 				}
 			}
 		}
-		if r, ok := Rank64(m, cols); ok && r != len(RowSpaceBasis(vecsOf(m))) {
+		if r, ok := rank.Rank64(m, cols); ok && r != len(RowSpaceBasis(vecsOf(m))) {
 			t.Fatalf("trial %d: Rank64 %d, big.Rat %d", trial, r, len(RowSpaceBasis(vecsOf(m))))
 		}
 
-		// A square system [A | b].
-		d := 1 + rng.Intn(5)
-		aug := randIntRows(rng, d, d+1, 1+int64(rng.Intn(9)), wide)
-		num, den, ok := SolveSquare64(aug)
-		a := NewMat(d, d+1)
+		// A square system [A | B] with k right-hand sides.
+		d, k := 1+rng.Intn(5), 1+rng.Intn(3)
+		aug := randIntRows(rng, d, d+k, 1+int64(rng.Intn(9)), wide)
+		num, den, ok := SolveSquareMany64(aug, k)
+		a := NewMat(d, d+k)
 		for i := range aug {
 			for j, x := range aug[i] {
 				a.Data[i][j].SetInt64(x)
 			}
 		}
 		piv := a.RowEchelon()
-		singular := len(piv) != d || piv[d-1] != d-1
+		singular := len(piv) < d || piv[d-1] != d-1
 		if !ok {
 			continue
 		}
 		if singular {
-			t.Fatalf("trial %d: SolveSquare64 solved a singular system %v", trial, aug)
+			t.Fatalf("trial %d: SolveSquareMany64 solved a singular system %v", trial, aug)
 		}
-		if den <= 0 {
-			t.Fatalf("trial %d: denominator %d", trial, den)
+		if den <= 0 || len(num) != k {
+			t.Fatalf("trial %d: denominator %d, %d solutions for %d right-hand sides", trial, den, len(num), k)
 		}
-		for i := 0; i < d; i++ {
-			if got := new(big.Rat).SetFrac64(num[i], den); got.Cmp(a.Data[i][d]) != 0 {
-				t.Fatalf("trial %d: x[%d] = %s, big.Rat %s", trial, i, got.RatString(), a.Data[i][d].RatString())
+		for j := 0; j < k; j++ {
+			for i := 0; i < d; i++ {
+				if got := new(big.Rat).SetFrac64(num[j][i], den); got.Cmp(a.Data[i][d+j]) != 0 {
+					t.Fatalf("trial %d: x[%d][%d] = %s, big.Rat %s", trial, j, i, got.RatString(), a.Data[i][d+j].RatString())
+				}
 			}
 		}
 	}

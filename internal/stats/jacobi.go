@@ -26,19 +26,19 @@ func SymmetricEigen(m [][]float64) (*Eigen, error) {
 		return nil, err
 	}
 	n := len(m)
-	// Working copy a; accumulated rotations v (columns are eigenvectors).
-	a := make([][]float64, n)
-	v := make([][]float64, n)
+	// Working copy a, row-major; accumulated rotations vt, stored
+	// transposed so that row j is eigenvector j and each rotation updates
+	// two contiguous rows.
+	a := make([]float64, n*n)
+	vt := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		copy(a[i], m[i])
-		v[i] = make([]float64, n)
-		v[i][i] = 1
+		copy(a[i*n:(i+1)*n], m[i])
+		vt[i*n+i] = 1
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if math.Abs(a[i][j]-a[j][i]) > 1e-9*(1+math.Abs(a[i][j])) {
-				return nil, fmt.Errorf("stats: matrix not symmetric at (%d,%d): %g vs %g", i, j, a[i][j], a[j][i])
+			if aij, aji := a[i*n+j], a[j*n+i]; math.Abs(aij-aji) > 1e-9*(1+math.Abs(aij)) {
+				return nil, fmt.Errorf("stats: matrix not symmetric at (%d,%d): %g vs %g", i, j, aij, aji)
 			}
 		}
 	}
@@ -46,47 +46,47 @@ func SymmetricEigen(m [][]float64) (*Eigen, error) {
 	off := func() float64 {
 		s := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				s += a[i][j] * a[i][j]
+			for _, x := range a[i*n+i+1 : (i+1)*n] {
+				s += x * x
 			}
 		}
 		return s
 	}
 	norm := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			norm += a[i][j] * a[i][j]
-		}
+	for _, x := range a {
+		norm += x * x
 	}
 	tol := 1e-24 * (norm + 1)
 
 	for sweep := 0; sweep < jacobiMaxSweeps && off() > tol; sweep++ {
 		for p := 0; p < n-1; p++ {
+			ap, vp := a[p*n:(p+1)*n], vt[p*n:(p+1)*n]
 			for q := p + 1; q < n; q++ {
-				apq := a[p][q]
+				aq, vq := a[q*n:(q+1)*n], vt[q*n:(q+1)*n]
+				apq := ap[q]
 				if apq == 0 {
 					continue
 				}
 				// Rotation angle from the standard Jacobi formulas.
-				theta := (a[q][q] - a[p][p]) / (2 * apq)
+				theta := (aq[q] - ap[p]) / (2 * apq)
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
-				// Apply rotation to a (both sides) and accumulate in v.
-				for k := 0; k < n; k++ {
-					akp, akq := a[k][p], a[k][q]
-					a[k][p] = c*akp - s*akq
-					a[k][q] = s*akp + c*akq
+				// Apply rotation to a (both sides) and accumulate in vt.
+				for k := p; k < len(a); k += n {
+					akp, akq := a[k], a[k+q-p]
+					a[k] = c*akp - s*akq
+					a[k+q-p] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p][k], a[q][k]
-					a[p][k] = c*apk - s*aqk
-					a[q][k] = s*apk + c*aqk
+				for k := range ap {
+					apk, aqk := ap[k], aq[k]
+					ap[k] = c*apk - s*aqk
+					aq[k] = s*apk + c*aqk
 				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v[k][p], v[k][q]
-					v[k][p] = c*vkp - s*vkq
-					v[k][q] = s*vkp + c*vkq
+				for k := range vp {
+					vkp, vkq := vp[k], vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
@@ -99,16 +99,12 @@ func SymmetricEigen(m [][]float64) (*Eigen, error) {
 	}
 	diag := make([]float64, n)
 	for i := 0; i < n; i++ {
-		diag[i] = a[i][i]
+		diag[i] = a[i*n+i]
 	}
 	sort.Slice(order, func(x, y int) bool { return diag[order[x]] > diag[order[y]] })
 	for rank, col := range order {
 		eig.Values[rank] = diag[col]
-		vec := make([]float64, n)
-		for row := 0; row < n; row++ {
-			vec[row] = v[row][col]
-		}
-		eig.Vectors[rank] = vec
+		eig.Vectors[rank] = vt[col*n : (col+1)*n : (col+1)*n]
 	}
 	return eig, nil
 }
