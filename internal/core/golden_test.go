@@ -23,6 +23,9 @@ import (
 // these hashes, so a change to the clp2 encoding or to the region LP
 // construction that moves one of them orphans every stored verdict. The
 // columns are the cone's essential generators; vars is their number.
+// The Walk and analysis LPs are over linearly dependent counters, so
+// they also pin the basis the region eigensolver picks for the
+// covariance's zero eigenspace.
 func TestGoldenLPHashes(t *testing.T) {
 	type lp struct {
 		hash string
@@ -35,12 +38,12 @@ func TestGoldenLPHashes(t *testing.T) {
 		"m0/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
 		"t9/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
 		"a3/L2TLB":    {"9432ba8cdf008ba4c2bc718538cb8cc44887175ab9b334c732798034f78edff0", 10},
-		"m0/Walk":     {"fd3094b0fcf67bd79d78e2295d3fa14e1c0b94dbb1b3aed2b43be08588f22b3f", 28},
-		"t9/Walk":     {"d6c020903f55011b43db54a388341e68dc6b1d38b1d29bc903c5a401c9a22b3b", 20},
-		"a3/Walk":     {"d6c020903f55011b43db54a388341e68dc6b1d38b1d29bc903c5a401c9a22b3b", 20},
-		"m0/analysis": {"89bda40feabe9abf68d6c63a3c90bebf14965e70ce0d4d316f502ac792b28571", 40},
-		"t9/analysis": {"75b5d6e5d709562f3f056ddfa98f6f7fdd36a6e210aaaed146c772aa8d2e1c0f", 32},
-		"a3/analysis": {"3f656baa3cc303d4a63103d571fea3fbf1ac50595a05039949eb7858bd816280", 21},
+		"m0/Walk":     {"6204007e56cc7df2791d03eacfe793f1e2fdcf7c512a5e8b72f5dc3160ee6d68", 28},
+		"t9/Walk":     {"fb7a01928208e5da3eb7d96d8b931895edbc60df6cbcbb4a0396e3fa90678206", 20},
+		"a3/Walk":     {"fb7a01928208e5da3eb7d96d8b931895edbc60df6cbcbb4a0396e3fa90678206", 20},
+		"m0/analysis": {"c0270c6220dcb5a1e7590f10630f1e375f6bf4a46990703e9d47af9b35cb84f0", 40},
+		"t9/analysis": {"47fca9311f04a22001723b54071bf0c3d891decdaafd5f51b6da7defa34957f4", 32},
+		"a3/analysis": {"e31814c86ae57ac16bef43896d64ab103cb54e270404c14d6280c9d921392c30", 21},
 	}
 	sim := haswell.NewSimulator(haswell.DefaultConfig(pagetable.Page4K))
 	gen, err := workloads.NewRandomBurst(256<<20, 8, 0.9, 3)

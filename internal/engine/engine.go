@@ -93,9 +93,10 @@ type restrictKey struct {
 }
 
 // lpKey addresses the LP-hash memo by content: the model's content key
-// and the region's content key. Both are digests, so an entry pins
-// nothing of the request that produced it, and identical payloads
-// arriving through different pointers share one entry.
+// and the region's content key (the sample digest it was built from).
+// Both are digests, so an entry pins nothing of the request that
+// produced it, and identical payloads arriving through different
+// pointers share one entry.
 type lpKey struct {
 	model  string
 	region [16]byte
@@ -257,6 +258,7 @@ const regionCacheLimit = 1 << 12
 // content is cached and built afresh otherwise. Concurrent misses on one
 // digest may both build; the first to finish is kept and the other is
 // dropped, which is cheaper than holding a lock across the spectral work.
+// A fresh region takes the digest as its Key.
 func (s *Session) region(sc *evalScratch, o *counters.Observation) (*stats.Region, error) {
 	e := s.eng
 	k := sc.digest.Key(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
@@ -268,7 +270,7 @@ func (s *Session) region(sc *evalScratch, o *counters.Observation) (*stats.Regio
 		return r, nil
 	}
 	e.caches.regionMisses.Add(1)
-	r, err := e.builder.RegionUncached(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode)
+	r, err := e.builder.RegionKeyed(o, s.model.Set, s.cfg.Confidence, s.cfg.Mode, k)
 	if err != nil {
 		return nil, err
 	}

@@ -40,8 +40,8 @@ type cacheStats struct {
 // telemetry, shaped for JSON (counterpointd's /stats endpoint).
 type CacheCounts struct {
 	// RegionHits / RegionMisses count region LRU lookups by sample
-	// digest (a hit skips covariance, eigendecomposition and the region
-	// key); RegionEvictions counts entries displaced by the LRU policy.
+	// digest (a hit skips covariance and eigendecomposition);
+	// RegionEvictions counts entries displaced by the LRU policy.
 	RegionHits      uint64 `json:"region_hits"`
 	RegionMisses    uint64 `json:"region_misses"`
 	RegionEvictions uint64 `json:"region_evictions"`

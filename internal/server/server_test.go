@@ -285,6 +285,32 @@ func TestTestEndpoint(t *testing.T) {
 	})
 }
 
+// TestTestEndpointHostileSamples: samples near ±1e300 or ±1.7e308
+// overflow the covariance to infinity; /test answers 422 naming the
+// non-finite matrix, in both noise modes, instead of iterating on it.
+func TestTestEndpointHostileSamples(t *testing.T) {
+	ts := newTestServer(t)
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, big := range []float64{1e300, 1.7e308} {
+		o := counters.NewObservation("hostile", pdeSet())
+		for i := 0; i < 12; i++ {
+			s := float64(1 - 2*(i%2))
+			o.Append([]float64{s * big, -s * big})
+		}
+		body, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"correlated", "independent"} {
+			resp, err := client.Post(ts.URL+"/v1/models/pde/test?mode="+mode, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("samples near %g, %s: %v", big, mode, err)
+			}
+			wantError(t, resp, http.StatusUnprocessableEntity, "non-finite")
+		}
+	}
+}
+
 func TestEvaluateJSONCorpus(t *testing.T) {
 	ts := newTestServer(t)
 	corpus := corpusJSON{Observations: []*counters.Observation{

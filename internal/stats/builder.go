@@ -68,6 +68,14 @@ func (b *RegionBuilder) ChiSquareQuantile(confidence float64, df int) (float64, 
 // region's Set is always set itself, never o's, so a region built from a
 // request payload retains nothing of the request.
 func (b *RegionBuilder) RegionUncached(o *counters.Observation, set *counters.Set, confidence float64, mode NoiseMode) (*Region, error) {
+	return b.RegionKeyed(o, set, confidence, mode, pooledKey(o, set, confidence, mode))
+}
+
+// RegionKeyed is RegionUncached for a caller that has already computed
+// key = RegionDigest.Key(o, set, confidence, mode), as a cache addressed
+// by that digest has: the region takes key as its Key instead of hashing
+// the samples a second time.
+func (b *RegionBuilder) RegionKeyed(o *counters.Observation, set *counters.Set, confidence float64, mode NoiseMode, key [16]byte) (*Region, error) {
 	if set == nil {
 		set = o.Set
 	}
@@ -75,12 +83,22 @@ func (b *RegionBuilder) RegionUncached(o *counters.Observation, set *counters.Se
 	if !o.Set.Equal(set) {
 		proj = o.Project(set)
 	}
-	r, err := newRegion(proj, confidence, mode, b.ChiSquareQuantile)
+	r, err := newRegion(proj, confidence, mode, b.ChiSquareQuantile, key)
 	if err != nil {
 		return nil, err
 	}
-	r.Set = set // equal to proj.Set, so the memoised key still holds
+	r.Set = set // equal to proj.Set, so the key still holds
 	return r, nil
+}
+
+// digestPool recycles the digests of callers that bring no key.
+var digestPool = sync.Pool{New: func() any { return new(RegionDigest) }}
+
+// pooledKey is RegionDigest.Key on a pooled digest.
+func pooledKey(o *counters.Observation, set *counters.Set, confidence float64, mode NoiseMode) [16]byte {
+	d := digestPool.Get().(*RegionDigest)
+	defer digestPool.Put(d)
+	return d.Key(o, set, confidence, mode)
 }
 
 // RegionDigest computes content keys for confidence regions. The zero

@@ -40,8 +40,9 @@ func TestBuilderMatchesNewRegion(t *testing.T) {
 		if got.Set != twin || got.Mode != want.Mode || got.Key() != want.Key() {
 			t.Fatalf("region identity mismatch")
 		}
-		if got.Key() != got.contentKey() {
-			t.Fatal("memoised key differs from the content key")
+		var d RegionDigest
+		if got.Key() != d.Key(o, twin, 0.99, mode) {
+			t.Fatal("region key differs from the digest of its samples")
 		}
 		if !reflect.DeepEqual(got.Mean, want.Mean) || !reflect.DeepEqual(got.Axes, want.Axes) || !reflect.DeepEqual(got.HalfWidths, want.HalfWidths) {
 			t.Fatalf("%v: builder region differs from NewRegion", mode)

@@ -4,24 +4,20 @@ import (
 	"fmt"
 	"math"
 	"sort"
-)
 
-// Eigen holds the eigendecomposition of a symmetric matrix: Values[i] is
-// the i-th eigenvalue and Vectors[i] the corresponding unit eigenvector
-// (stored as rows), sorted by descending eigenvalue.
-type Eigen struct {
-	Values  []float64
-	Vectors [][]float64
-}
+	"repro/internal/counters"
+)
 
 // jacobiMaxSweeps bounds the cyclic Jacobi iteration count.
 const jacobiMaxSweeps = 100
 
-// SymmetricEigen computes the eigendecomposition of a symmetric matrix with
-// the cyclic Jacobi rotation method. The input is not modified. Jacobi is
-// slow for huge matrices but numerically robust and dependency-free, and
-// CounterPoint's covariance matrices are at most a few dozen wide.
-func SymmetricEigen(m [][]float64) (*Eigen, error) {
+// jacobiEigen is the reference eigensolver the tests hold SymmetricEigen
+// to: the cyclic Jacobi rotation method, which region construction used
+// before it deflated isolated rows and moved to tridiagonal QL. It is
+// slow but simple and numerically robust. Ties between eigenvalues are
+// ordered by sort.Slice, so their order is not specified. The input is
+// not modified.
+func jacobiEigen(m [][]float64) (*Eigen, error) {
 	if err := checkSquare(m); err != nil {
 		return nil, err
 	}
@@ -107,4 +103,32 @@ func SymmetricEigen(m [][]float64) (*Eigen, error) {
 		eig.Vectors[rank] = vt[col*n : (col+1)*n : (col+1)*n]
 	}
 	return eig, nil
+}
+
+// referenceRegion builds o's region as NewRegion does, but through the
+// covariance chain Scale(Covariance) and the cyclic Jacobi reference:
+// region construction as it was before the eigensolver changed.
+func referenceRegion(o *counters.Observation, confidence float64, mode NoiseMode) (*Region, error) {
+	if err := checkRegionInput(o, confidence); err != nil {
+		return nil, err
+	}
+	cov := Covariance(o.Samples)
+	if mode == Independent {
+		cov = Diagonal(cov)
+	}
+	eig, err := jacobiEigen(Scale(cov, 1/float64(o.Len())))
+	if err != nil {
+		return nil, err
+	}
+	n := o.Set.Len()
+	vt := make([]float64, 0, n*n)
+	for _, v := range eig.Vectors {
+		vt = append(vt, v...)
+	}
+	chi2, err := ChiSquareQuantile(confidence, n)
+	if err != nil {
+		return nil, err
+	}
+	var d RegionDigest
+	return regionFromEigen(o.Set, mode, confidence, o.Mean(), chi2, eig.Values, vt, d.Key(o, nil, confidence, mode)), nil
 }

@@ -1,10 +1,9 @@
 package stats
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/counters"
 )
@@ -39,7 +38,7 @@ func (m NoiseMode) String() string {
 // (Figure 5c, Appendix A).
 //
 // A region is immutable once built: the engine shares one instance among
-// every verdict over the same data, and Key is computed at construction.
+// every verdict over the same data, and Key is fixed at construction.
 type Region struct {
 	Set        *counters.Set
 	Mode       NoiseMode
@@ -48,7 +47,7 @@ type Region struct {
 	Axes       [][]float64 // unit eigenvectors eᵢ, rows
 	HalfWidths []float64   // √(λᵢ·χ²), same order as Axes
 
-	key [16]byte // Key, memoised by newRegion; zero on a hand-built region
+	key [16]byte // Key, set by newRegion; zero on a hand-built region
 }
 
 // NewRegion builds the confidence region of an observation at the given
@@ -59,42 +58,97 @@ type Region struct {
 // many models) should go through the engine, which memoises both the χ²
 // quantiles and the finished regions.
 func NewRegion(o *counters.Observation, confidence float64, mode NoiseMode) (*Region, error) {
-	return newRegion(o, confidence, mode, ChiSquareQuantile)
+	return newRegion(o, confidence, mode, ChiSquareQuantile, pooledKey(o, nil, confidence, mode))
 }
 
+// eigenPool recycles the covariance and eigendecomposition scratch of
+// region construction.
+var eigenPool = sync.Pool{New: func() any { return new(eigenWork) }}
+
 // newRegion is the shared construction core; quantile supplies the χ²
-// quantile (memoised or not, the builder's choice).
-func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quantile func(p float64, df int) (float64, error)) (*Region, error) {
+// quantile (memoised or not, the builder's choice) and key is
+// RegionDigest.Key of exactly what the region is built from.
+func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quantile func(p float64, df int) (float64, error), key [16]byte) (*Region, error) {
+	if err := checkRegionInput(o, confidence); err != nil {
+		return nil, err
+	}
+	w := eigenPool.Get().(*eigenWork)
+	defer eigenPool.Put(w)
+	mean := o.Mean()
+	w.covariance(o.Samples, mean, mode)
+	if err := w.decompose(len(mean)); err != nil {
+		return nil, fmt.Errorf("observation %q covariance: %w", o.Label, err)
+	}
+	chi2, err := quantile(confidence, len(mean))
+	if err != nil {
+		return nil, err
+	}
+	return regionFromEigen(o.Set, mode, confidence, mean, chi2, w.values, w.vt, key), nil
+}
+
+// checkRegionInput rejects what no region can be built from.
+func checkRegionInput(o *counters.Observation, confidence float64) error {
 	if o.Len() == 0 {
-		return nil, fmt.Errorf("stats: observation %q has no samples", o.Label)
+		return fmt.Errorf("stats: observation %q has no samples", o.Label)
 	}
 	if confidence <= 0 || confidence >= 1 {
-		return nil, fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
+		return fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
 	}
-	n := o.Set.Len()
-	cov := Covariance(o.Samples)
-	if mode == Independent {
-		cov = Diagonal(cov)
+	return nil
+}
+
+// covariance fills w's matrix with the sample-mean covariance Σ_Ȳ of
+// samples, bit for bit what Scale(Covariance(samples), 1/M) computes (on
+// Diagonal of the covariance in Independent mode), without the three
+// intermediate matrices.
+func (w *eigenWork) covariance(samples [][]float64, mean []float64, mode NoiseMode) {
+	n, m := len(mean), len(samples)
+	a := w.matrix(n)
+	if m < 2 {
+		return
 	}
-	cov = Scale(cov, 1/float64(o.Len()))
-	eig, err := SymmetricEigen(cov)
-	if err != nil {
-		return nil, err
+	for _, row := range samples {
+		row = row[:n]
+		for i, x := range row {
+			di := x - mean[i]
+			if di == 0 {
+				continue
+			}
+			if mode == Independent {
+				a[i*n+i] += di * di
+				continue
+			}
+			ai := a[i*n+i : (i+1)*n]
+			for j, y := range row[i:] {
+				ai[j] += di * (y - mean[i+j])
+			}
+		}
 	}
-	chi2, err := quantile(confidence, n)
-	if err != nil {
-		return nil, err
+	inv, s := 1.0/float64(m-1), 1/float64(m)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			a[i*n+j] = a[i*n+j] * inv * s
+			a[j*n+i] = a[i*n+j]
+		}
 	}
+}
+
+// regionFromEigen assembles the region from the eigenpairs of its
+// covariance: values sorted descending, vt row r the unit eigenvector of
+// values[r].
+func regionFromEigen(set *counters.Set, mode NoiseMode, confidence float64, mean []float64, chi2 float64, values, vt []float64, key [16]byte) *Region {
+	n := len(mean)
 	r := &Region{
-		Set:        o.Set,
+		Set:        set,
 		Mode:       mode,
 		Confidence: confidence,
-		Mean:       o.Mean(),
-		Axes:       quantizeAxes(eig.Vectors),
+		Mean:       mean,
+		Axes:       quantizeAxes(vt, n),
 		HalfWidths: make([]float64, n),
+		key:        key,
 	}
 	hmax := 0.0
-	for i, lambda := range eig.Values {
+	for i, lambda := range values {
 		if lambda < 0 {
 			// Round-off can produce tiny negative eigenvalues.
 			lambda = 0
@@ -108,9 +162,9 @@ func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quan
 	// (i) axis quantisation slightly rotates the box, and (ii) exactly
 	// linearly dependent counters (walk_done = Σ walk_done_size) produce
 	// zero-eigenvalue axes whose eigenvector components carry O(1e-12)
-	// Jacobi round-off; without a floor those slabs become inconsistent
-	// exact hyperplanes in the downstream rational LP. The margin is far
-	// below measurement noise.
+	// round-off from the eigensolver's rotations; without a floor those
+	// slabs become inconsistent exact hyperplanes in the downstream
+	// rational LP. The margin is far below measurement noise.
 	for i := range r.HalfWidths {
 		dot := 0.0
 		for j := 0; j < n; j++ {
@@ -118,8 +172,7 @@ func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quan
 		}
 		r.HalfWidths[i] += 1e-4*hmax + 1e-6*(1+math.Abs(dot))
 	}
-	r.key = r.contentKey()
-	return r, nil
+	return r
 }
 
 // axisQuantum is the dyadic grid the box axes are snapped to. Quantised
@@ -128,54 +181,28 @@ func newRegion(o *counters.Observation, confidence float64, mode NoiseMode, quan
 // pivots on small numbers.
 const axisQuantum = 1.0 / 65536
 
-func quantizeAxes(axes [][]float64) [][]float64 {
-	out := make([][]float64, len(axes))
-	for i, axis := range axes {
-		q := make([]float64, len(axis))
-		for j, v := range axis {
-			q[j] = math.Round(v/axisQuantum) * axisQuantum
-		}
-		out[i] = q
+// quantizeAxes snaps the n rows of the flat n×n vt onto the axis grid,
+// into rows sharing one backing array.
+func quantizeAxes(vt []float64, n int) [][]float64 {
+	flat := make([]float64, n*n)
+	for i, v := range vt[:n*n] {
+		flat[i] = math.Round(v/axisQuantum) * axisQuantum
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out
 }
 
-// Key returns a compact content key for the region: the first 16 bytes
-// of a SHA-256 over the counter set, noise mode, confidence level, and
-// the exact float64 bit patterns of the mean, axes and half-widths. Two
-// regions with equal keys produce bit-identical feasibility LPs
-// downstream, so the engine uses the key (with the model's content key)
-// to address its LP-hash memo. Regions built by this package compute it
-// once, at construction.
-func (r *Region) Key() [16]byte {
-	if r.key == ([16]byte{}) {
-		return r.contentKey()
-	}
-	return r.key
-}
-
-func (r *Region) contentKey() [16]byte {
-	// Small regions encode on the stack; the key path allocates nothing.
-	var buf [1024]byte
-	b := append(buf[:0], r.Set.Key()...)
-	word := func(bits uint64) { b = binary.LittleEndian.AppendUint64(b, bits) }
-	word(uint64(r.Mode))
-	word(math.Float64bits(r.Confidence))
-	word(uint64(len(r.Mean)))
-	for _, v := range r.Mean {
-		word(math.Float64bits(v))
-	}
-	for _, axis := range r.Axes {
-		for _, v := range axis {
-			word(math.Float64bits(v))
-		}
-	}
-	for _, v := range r.HalfWidths {
-		word(math.Float64bits(v))
-	}
-	sum := sha256.Sum256(b)
-	return [16]byte(sum[:16])
-}
+// Key returns the region's content key: RegionDigest.Key of exactly what
+// it was built from (its counter set and the projected samples, the noise
+// mode and the confidence). A region is a pure function of that content,
+// so two regions with equal keys are identical and produce bit-identical
+// feasibility LPs downstream; the engine uses the key (with the model's
+// content key) to address its LP-hash memo. The key is zero on a region
+// not built by this package.
+func (r *Region) Key() [16]byte { return r.key }
 
 // Contains reports whether v lies inside the bounding box.
 func (r *Region) Contains(v []float64) bool {

@@ -4,7 +4,10 @@
 //   - sample means and covariance matrices of HEC time series;
 //   - Pearson correlation (used to quantify how strongly HECs co-move —
 //     over 25% of counter pairs on Haswell exceed ρ = 0.9);
-//   - symmetric eigendecomposition (cyclic Jacobi) of covariance matrices;
+//   - symmetric eigendecomposition of covariance matrices: rows with no
+//     off-diagonal entry (constant counters, Independent mode) deflate to
+//     exact unit axes, and the rest is Householder tridiagonalisation plus
+//     implicit QL;
 //   - χ² quantiles via the regularised incomplete gamma function;
 //   - confidence ellipsoids and their principal-axis bounding boxes, the
 //     linear encoding used by the feasibility LP (Appendix A).

@@ -21,14 +21,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH="${BENCH:-FeasibilityLP|Fig9aFeasibility|RegionLPHash}"
-GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup}"
+GUARDBENCH="${GUARDBENCH:-VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup|RegionBuild}"
 BENCHTIME="${BENCHTIME:-50x}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
 
 {
   go test -run=NONE -bench "${BENCH}" -benchmem -benchtime="${BENCHTIME}" -timeout 30m .
-  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/counters ./internal/engine ./internal/jobs ./internal/jobstore ./internal/sweep
+  go test -run=NONE -bench "${GUARDBENCH}" -benchmem -timeout 30m . ./internal/counters ./internal/engine ./internal/jobs ./internal/jobstore ./internal/stats ./internal/sweep
 } | tee "${TMP}/bench.txt"
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/bench.txt" > "${TMP}/bench.json"
 
@@ -76,10 +76,16 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # a3 and discovered, builds each over its own counters and deduces its
 # constraints, which is what counterpointd pays before a catalogue
 # model's first verdict.
+# RegionBuild gates allocs/op only: it builds one confidence region
+# (covariance, eigendecomposition, axes, half-widths) from a fresh
+# request's samples and from a full-rank corpus, which every region-cache
+# miss pays. With the covariance accumulated into pooled eigensolver
+# scratch a build allocates only the region it returns, so growth means
+# an intermediate matrix crept back in. Its wall time tracks the runner.
 # RegionLPHash (build + canonical hash of a fresh region LP) gates
 # allocs/op against an absolute bound of 4 per op: its baseline is zero,
 # where a ratio cannot bite, and every fresh verdict pays this path.
 scripts/benchcompare.py BENCH_results.json "${TMP}/bench.json" \
-  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup' 1.2 \
+  --guard '/exact$|VerdictCacheHit|VerdictCacheHitEphemeral|SweepGrid|StreamIngest|JournalAppend|CorpusDecode$|BaseCorpus|Fig9bDeduction|ModelSetup|RegionBuild' 1.2 \
   --guard-ns 'VerdictCacheHit$' 1.2 \
   --max-allocs 'RegionLPHash/' 4
