@@ -12,7 +12,8 @@
 //   - internal/dsl, internal/mudd — the modelling language and μDDs;
 //   - internal/cone, internal/exact, internal/simplex — exact model-cone
 //     geometry (double description, rational simplex LP with reusable
-//     workspaces and exact certificate checkers);
+//     workspaces and exact certificate checkers); the simplex's big.Rat
+//     reference, internal/simplex/simplexref, is imported by tests only;
 //   - internal/floatlp — the float64 revised-simplex filter of the
 //     two-tier feasibility solver: hardware floats propose each verdict
 //     with a certificate, exact arithmetic verifies it, and unverifiable

@@ -19,6 +19,7 @@ import (
 	"repro/internal/haswell"
 	"repro/internal/pagetable"
 	"repro/internal/simplex"
+	"repro/internal/simplex/simplexref"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -80,8 +81,6 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 	corpus := hybridCorpus(t)
 
 	kernelWS := simplex.NewWorkspace()
-	bigWS := simplex.NewWorkspace()
-	bigWS.ForceBigRat = true
 	hstats := &core.SolverStats{}
 	hybrid := core.NewSolver(hstats)
 	filter := floatlp.NewWorkspace()
@@ -104,15 +103,13 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 			if err := m.RegionLP(p, r); err != nil {
 				t.Fatalf("%s/%s: %v", nf.Name, o.Label, err)
 			}
-			want := bigWS.SolveStatus(p) == simplex.Optimal
+			want := simplexref.Solve(p).Status == simplex.Optimal
 			kernelVerdict := kernelWS.SolveStatus(p) == simplex.Optimal
 			if kernelVerdict != want {
 				t.Fatalf("%s/%s: int64-kernel verdict %v, big.Rat verdict %v — divergence",
 					nf.Name, o.Label, kernelVerdict, want)
 			}
-			if isKernel, promos := kernelWS.LastSolveKernel(); !isKernel {
-				t.Fatalf("%s/%s: default workspace did not use the kernel", nf.Name, o.Label)
-			} else if promos == 0 {
+			if kernelWS.LastPromotions() == 0 {
 				kernelFast++
 			} else {
 				kernelPromoted++

@@ -337,16 +337,9 @@ func (c *Cone) hullGens() []hullVec {
 // interior-signature pruning step. cone(G) is exactly the cone of these
 // generators. Computed once and shared with deduction; callers must not
 // modify the result.
-func (c *Cone) EssentialIndices() []int { return c.essential(nil) }
-
-// essential is EssentialIndices, deciding the pass's membership LPs on hs
-// when this call runs it (a fresh solver when hs is nil).
-func (c *Cone) essential(hs *hullSolver) []int {
+func (c *Cone) EssentialIndices() []int {
 	c.essOnce.Do(func() {
-		if hs == nil {
-			hs = newHullSolver()
-		}
-		c.ess = hs.essential(c.hullGens())
+		c.ess = newHullSolver().essential(c.hullGens())
 	})
 	return c.ess
 }
@@ -369,8 +362,7 @@ func (c *Cone) EssentialGenerators() []exact.Vec {
 // layer's concurrent requests) share a single deduction.
 func (c *Cone) Constraints() (*HRep, error) {
 	c.hOnce.Do(func() {
-		hs := newHullSolver()
-		if c.hRep, c.hErr = c.buildConstraints(hs, c.essential(hs)); c.hErr == nil {
+		if c.hRep, c.hErr = c.buildConstraints(c.EssentialIndices()); c.hErr == nil {
 			c.hRep.tabulate()
 		}
 	})
@@ -378,10 +370,10 @@ func (c *Cone) Constraints() (*HRep, error) {
 }
 
 // buildConstraints deduces the H-representation from the essential
-// generators' indices keep, deciding every membership LP on hs. Each
-// linear-algebra step runs on the int64 kernel and redoes itself on
-// big.Rat on overflow (or for a wide cone).
-func (c *Cone) buildConstraints(hs *hullSolver, keep []int) (*HRep, error) {
+// generators' indices keep. It solves no LP: each linear-algebra step runs
+// on the int64 kernel and redoes itself on big.Rat on overflow (or for a
+// wide cone).
+func (c *Cone) buildConstraints(keep []int) (*HRep, error) {
 	h := &HRep{}
 
 	// Step 2 (§6): equality constraints from Gaussian elimination — the
@@ -398,7 +390,7 @@ func (c *Cone) buildConstraints(hs *hullSolver, keep []int) (*HRep, error) {
 
 	// Step 3 (§6), pruning interior/redundant generators with LP, gave
 	// keep. Step 4 (§6): facets of the conic hull.
-	facets, err := c.facets(hs, keep)
+	facets, err := c.facets(keep)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +426,7 @@ func (c *Cone) equalities() []exact.Vec {
 // B's pivot columns. The facets of cone(ys) are the extreme rays of the
 // dual cone {a : a·y ≤ 0 for all y} (double description), and each ray a
 // lifts back to counter space as the α in span(B) with α·b_j = a_j.
-func (c *Cone) facets(hs *hullSolver, keep []int) ([]exact.Vec, error) {
+func (c *Cone) facets(keep []int) ([]exact.Vec, error) {
 	n := c.Set.Len()
 	if !c.wide {
 		gens := make([][]int64, len(keep))
@@ -450,7 +442,7 @@ func (c *Cone) facets(hs *hullSolver, keep []int) ([]exact.Vec, error) {
 				}
 				ys[i] = ddY{iv: y}
 			}
-			rays, err := dualExtremeRays(hs, ys, len(e.Pivots))
+			rays, err := dualExtremeRays(ys, len(e.Pivots))
 			if err != nil {
 				return nil, err
 			}
@@ -481,7 +473,7 @@ func (c *Cone) facets(hs *hullSolver, keep []int) ([]exact.Vec, error) {
 		}
 		ys[i] = newDDY(y)
 	}
-	rays, err := dualExtremeRays(hs, ys, len(pivots))
+	rays, err := dualExtremeRays(ys, len(pivots))
 	if err != nil {
 		return nil, err
 	}

@@ -226,10 +226,28 @@ func allZero(xs []int64) bool {
 //
 // Preconditions: the ys span ℝ^d (guaranteed by the caller, which works in
 // row-space coordinates), so D is pointed and the final state carries no
-// lineality. The returned rays are GCD-normalised and minimal (each verified
-// non-redundant by an LP decided on h), and are exactly the facet normals
-// of cone(ys).
-func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
+// lineality. The returned rays are GCD-normalised and minimal (each passes
+// an exact rank test), and are exactly the facet normals of cone(ys).
+func dualExtremeRays(ys []ddY, d int) ([]ddRay, error) {
+	var adj adjScratch
+	rays, err := doubleDescription(ys, d, &adj)
+	if err != nil {
+		return nil, err
+	}
+	// Minimality pass: keep the extreme rays, in order.
+	out := rays[:0]
+	for i := range rays {
+		if adj.extreme(&rays[i], ys, d) {
+			out = append(out, rays[i])
+		}
+	}
+	return out, nil
+}
+
+// doubleDescription runs the double description of dualExtremeRays on
+// adj's scratch and returns its final rays, every extreme ray of D among
+// them, along with combinations the adjacency test let through.
+func doubleDescription(ys []ddY, d int, adj *adjScratch) ([]ddRay, error) {
 	if d == 0 {
 		return nil, nil
 	}
@@ -242,8 +260,6 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 		lineality[i].iv[i] = 1
 	}
 	var rays []ddRay
-	var adj adjScratch
-
 	for mi := range ys {
 		y := &ys[mi]
 		// 1. If some lineality direction violates the hyperplane, pivot it
@@ -350,22 +366,12 @@ func dualExtremeRays(h *hullSolver, ys []ddY, d int) ([]ddRay, error) {
 		return nil, fmt.Errorf("cone: dual cone not pointed (generators do not span, internal error)")
 	}
 
-	// Final minimality pass: drop any ray in the conic hull of the others.
-	vs := make([]hullVec, len(rays))
-	for i := range rays {
-		vs[i] = newHullVec(rays[i].iv, rays[i].bv)
-	}
-	keep := h.essential(vs)
-	out := make([]ddRay, len(keep))
-	for i, k := range keep {
-		out[i] = rays[k]
-	}
-	return out, nil
+	return rays, nil
 }
 
-// adjScratch is adjacent's reusable storage, one per double-description
-// run: the common tight indices, the rows they select and the rank test's
-// matrix.
+// adjScratch is the reusable storage of adjacent and extreme, one per
+// double-description run: the tight indices under test, the rows they
+// select and the rank test's matrix.
 type adjScratch struct {
 	common []int
 	rows   [][]int64
@@ -378,7 +384,7 @@ type adjScratch struct {
 // AND+popcount pre-test rejects most pairs without touching any rational
 // arithmetic; the rank test never rejects a truly adjacent pair even when
 // the working set carries redundant rays, so no facet is ever lost —
-// spurious combinations are removed by the final LP minimality pass.
+// spurious combinations are removed by the final minimality pass.
 func (s *adjScratch) adjacent(p, n *ddRay, ys []ddY, d, lin int) bool {
 	need := d - lin - 2
 	if need <= 0 {
@@ -388,6 +394,31 @@ func (s *adjScratch) adjacent(p, n *ddRay, ys []ddY, d, lin int) bool {
 		return false
 	}
 	s.common = appendAnd(p.tight, n.tight, s.common[:0])
+	return s.rankAtLeast(ys, d, need)
+}
+
+// extreme reports whether ray r of the pointed cone
+// {a ∈ ℝ^d : a·y ≤ 0 for every y in ys} is extreme: whether the ys tight
+// at r have rank d − 1. A ray that is a positive combination of two or
+// more independent rays of the cone is tight exactly where all of them
+// are, and those constraints, orthogonal to two independent directions,
+// have rank at most d − 2. The tight set is recomputed by exact dot
+// products rather than read from the ray's bitset, so the test does not
+// rest on the double description's bookkeeping.
+func (s *adjScratch) extreme(r *ddRay, ys []ddY, d int) bool {
+	s.common = s.common[:0]
+	for k := range ys {
+		if ys[k].dotSign(r) == 0 {
+			s.common = append(s.common, k)
+		}
+	}
+	return len(s.common) >= d-1 && s.rankAtLeast(ys, d, d-1)
+}
+
+// rankAtLeast reports whether the ys indexed by s.common have rank at
+// least need: Rank64 on their int64 forms, with the big.Rat rows built
+// only when a normal is wide or the elimination overflows.
+func (s *adjScratch) rankAtLeast(ys []ddY, d, need int) bool {
 	s.rows = s.rows[:0]
 	for _, k := range s.common {
 		if ys[k].iv == nil {

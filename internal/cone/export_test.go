@@ -6,5 +6,5 @@ import "repro/internal/tier"
 // bypassing both caches, with every membership LP reporting into stats.
 func DeduceCounting(c *Cone, stats *tier.Stats) (*HRep, error) {
 	hs := &hullSolver{sv: tier.NewSolver(stats)}
-	return c.buildConstraints(hs, hs.essential(c.hullGens()))
+	return c.buildConstraints(hs.essential(c.hullGens()))
 }

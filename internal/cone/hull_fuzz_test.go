@@ -173,7 +173,7 @@ func FuzzConeRedundancy(f *testing.F) {
 			t.Fatal(err)
 		}
 		exactOnly := &hullSolver{sv: &tier.Solver{}}
-		ref, err := c.buildConstraints(exactOnly, exactOnly.essential(c.hullGens()))
+		ref, err := c.buildConstraints(exactOnly.essential(c.hullGens()))
 		if err != nil {
 			t.Fatal(err)
 		}

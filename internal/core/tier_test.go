@@ -8,6 +8,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/floatlp"
 	"repro/internal/simplex"
+	"repro/internal/simplex/simplexref"
 )
 
 // chooser is the source of tierLPs' random choices: a *rand.Rand, or the
@@ -117,11 +118,10 @@ func FuzzTierAgreement(f *testing.F) {
 		hybrid := NewSolver(&SolverStats{})
 		exactOnly := &Solver{Exact: simplex.NewWorkspace()}
 		kernel := simplex.NewWorkspace()
-		ref := &simplex.Workspace{ForceBigRat: true}
 		fl := floatlp.NewWorkspace()
 		cert := simplex.NewCertifier()
 		for k, p := range tierLPs(&in) {
-			want := ref.SolveStatus(p) == simplex.Optimal
+			want := simplexref.Solve(p).Status == simplex.Optimal
 			if got := kernel.SolveStatus(p) == simplex.Optimal; got != want {
 				t.Fatalf("step %d: int64 kernel says %v, reference %v", k, got, want)
 			}

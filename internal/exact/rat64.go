@@ -25,9 +25,9 @@ import (
 
 // Rat64 is an exact rational with an int64 numerator and a positive int64
 // denominator, kept in lowest terms. Construct values with MakeRat64,
-// Rat64FromInt64, Rat64FromRat or Rat64FromFloat; the zero value of the
-// struct is NOT a valid rational (its denominator is zero) — use
-// Rat64FromInt64(0) for zero.
+// Rat64FromInt64 or Rat64FromFloat; the zero value of the struct is NOT a
+// valid rational (its denominator is zero) — use Rat64FromInt64(0) for
+// zero.
 type Rat64 struct {
 	n int64 // numerator, carries the sign
 	d int64 // denominator, always > 0
@@ -178,16 +178,6 @@ func MakeRat64(n, d int64) (Rat64, bool) {
 
 // Rat64FromInt64 returns the integer n as a rational.
 func Rat64FromInt64(n int64) Rat64 { return Rat64{n, 1} }
-
-// Rat64FromRat converts r when both numerator and denominator fit int64.
-// big.Rat values are already reduced, so no normalisation is needed.
-func Rat64FromRat(r *big.Rat) (Rat64, bool) {
-	num, den := r.Num(), r.Denom()
-	if !num.IsInt64() || !den.IsInt64() {
-		return Rat64{}, false
-	}
-	return Rat64{num.Int64(), den.Int64()}, true
-}
 
 // Rat64FromFloat converts a finite float64 exactly. ok is false for NaN,
 // ±Inf, and magnitudes or precisions outside the int64 range (the caller

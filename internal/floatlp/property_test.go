@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/simplex"
+	"repro/internal/simplex/simplexref"
 )
 
 // randomProblem generates a mixed LE/GE/EQ feasibility problem: slab
@@ -116,7 +117,7 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 			// Corrupt one coordinate grossly; unless the problem is
 			// degenerate in that direction, verification must fail — and a
 			// pass is only acceptable if the corrupted point is genuinely
-			// feasible, which CheckPoint establishes exactly by definition.
+			// feasible, which the big.Rat reference checks by definition.
 			bad := make([]float64, len(out.Point))
 			copy(bad, out.Point)
 			j := rng.Intn(len(bad))
@@ -129,7 +130,7 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 					rx[k] = new(big.Rat)
 					rx[k].SetFloat64(v)
 				}
-				if !simplex.CheckPoint(p, rx) {
+				if !simplexref.CheckPoint(p, rx) {
 					t.Fatalf("trial %d: corrupted point certified", trial)
 				}
 			}

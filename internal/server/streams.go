@@ -113,20 +113,18 @@ func (h *latencyHist) record(d time.Duration) {
 }
 
 // quantile returns the upper bound (in ns) of the bucket holding the
-// p-quantile observation, or 0 when nothing was recorded. The estimate
-// is clamped to the exact maximum: when the quantile lands in the same
-// bucket as the max, the bucket's power-of-two bound can exceed every
-// duration actually observed, and a p50 above the max reads as
-// nonsense.
-func (h *latencyHist) quantile(p float64) uint64 {
+// pct-th percentile observation, the one of nearest rank ⌈pct·N/100⌉
+// (computed in integers, so no rounding moves the rank), or 0 when
+// nothing was recorded. The estimate is clamped to the exact maximum:
+// when the quantile lands in the same bucket as the max, the bucket's
+// power-of-two bound can exceed every duration actually observed, and a
+// p50 above the max reads as nonsense.
+func (h *latencyHist) quantile(pct uint64) uint64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
-	target := uint64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
+	target := (pct*total + 99) / 100
 	var cum uint64
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
@@ -156,8 +154,8 @@ type latencyJSON struct {
 func (h *latencyHist) snapshot() latencyJSON {
 	return latencyJSON{
 		Count:    h.count.Load(),
-		P50Micro: float64(h.quantile(0.50)) / 1e3,
-		P99Micro: float64(h.quantile(0.99)) / 1e3,
+		P50Micro: float64(h.quantile(50)) / 1e3,
+		P99Micro: float64(h.quantile(99)) / 1e3,
 		MaxMicro: float64(h.maxNS.Load()) / 1e3,
 	}
 }

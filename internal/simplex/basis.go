@@ -34,10 +34,9 @@ package simplex
 // structural column; they are solved by fraction-free Gauss–Jordan
 // elimination (Bareiss/Edmonds) over the same adaptive integers, exact
 // divisions and retained big.Int scratch as the kernel tableau. A
-// singular basis declines; a solved dual that fails CheckFarkas's
-// conditions is rejected. Either way
-// the caller falls back to the exact simplex, so a wrong basis can cost
-// time but never a verdict.
+// singular basis declines; a solved dual that fails the Farkas
+// conditions is rejected. Either way the caller falls back to the exact
+// simplex, so a wrong basis can cost time but never a verdict.
 
 import (
 	"math"
@@ -122,52 +121,9 @@ func (c *Certifier) CertifyFarkasBasis(p *Problem, b FarkasBasis) bool {
 	return c.basis.checkFarkas(p, q)
 }
 
-// checkFarkasRat checks rational multipliers of the constraints: each is
-// carried onto its integer row (qᵢ·scaleᵢ) and the results are scaled onto
-// integers by a common positive denominator, which leaves the Farkas
-// conditions unchanged, for the gcd-free integer check.
-func (c *Certifier) checkFarkasRat(p *Problem, ray exact.Vec) bool {
-	if len(ray) != len(p.Constraints) || len(ray) == 0 {
-		return false
-	}
-	bs := &c.basis
-	bs.init()
-	iform := p.intForm()
-	// Row i's multiplier is Nᵢ/Dᵢ with Nᵢ = num(rayᵢ)·num(scaleᵢ) and
-	// Dᵢ = den(rayᵢ)·den(scaleᵢ); L is the lcm of the Dᵢ.
-	rowFrac := func(i int) (num, den *big.Int) {
-		ir := &iform.rows[i]
-		if ir.wide != nil {
-			bs.num.Mul(ray[i].Num(), ir.wide.scale.Num())
-			bs.den.Mul(ray[i].Denom(), ir.wide.scale.Denom())
-		} else {
-			bs.num.Mul(ray[i].Num(), bs.t1.SetInt64(ir.scale.Num()))
-			bs.den.Mul(ray[i].Denom(), bs.t1.SetInt64(ir.scale.Den()))
-		}
-		return bs.num, bs.den
-	}
-	bs.lcm.SetInt64(1)
-	for i := range ray {
-		if ray[i].Sign() != 0 {
-			_, den := rowFrac(i)
-			bs.lcmInto(bs.lcm, den)
-		}
-	}
-	bs.q = growIents(bs.q, len(ray))
-	for i := range ray {
-		if ray[i].Sign() == 0 {
-			bs.q[i].setInt(0)
-			continue
-		}
-		num, den := rowFrac(i)
-		bs.t4.Set(bs.divExact(bs.lcm, den))
-		bs.setBig(&bs.q[i], bs.t4.Mul(bs.t4, num))
-	}
-	return bs.checkFarkas(p, bs.q)
-}
-
-// checkFarkas decides CheckFarkas's conditions for integer multipliers q
-// of the integer rows without a single gcd reduction: the combination
+// checkFarkas decides the Farkas conditions (see kernelCheckFarkas) for
+// integer multipliers q of the integer rows without a single gcd
+// reduction: the combination
 // d = Σᵢ qᵢ·aᵢ and the right-hand side Σᵢ qᵢ·bᵢ are accumulated in
 // adaptive integers, and only their signs are read off.
 func (bs *basisSolve) checkFarkas(p *Problem, q []ient) bool {

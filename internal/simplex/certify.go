@@ -225,9 +225,17 @@ func farkasSigns(p *Problem, sign func(i int) int) bool {
 	return true
 }
 
-// kernelCheckFarkas checks multipliers on the integer rows — us[i]
-// multiplies the primitive row a, not the constraint — on the int64
-// kernel; decided=false sends the caller to the gcd-free check.
+// kernelCheckFarkas checks multipliers us of the integer rows — us[i]
+// multiplies the primitive row a, not the constraint — as an exact Farkas
+// certificate of p's infeasibility:
+//
+//	uᵢ ≤ 0 for ≤ rows, uᵢ ≥ 0 for ≥ rows (= rows unrestricted),
+//	d := Σᵢ uᵢ·aᵢ has dⱼ ≤ 0 for every variable, and Σᵢ uᵢ·bᵢ > 0.
+//
+// Summing the rows times their multipliers shows d·x ≥ Σ uᵢbᵢ > 0 for any
+// x in p's feasible set, while the sign conditions force d·x ≤ 0, so no
+// feasible x exists. The check runs on the int64 kernel; decided=false
+// sends the caller to the gcd-free check.
 func (c *Certifier) kernelCheckFarkas(p *Problem, us []exact.Rat64) (verdict, decided bool) {
 	if len(us) != len(p.Constraints) || len(us) == 0 {
 		return false, true
@@ -282,80 +290,6 @@ func farkasCombination(p *Problem, sign func(j int) int) bool {
 		}
 	}
 	return true
-}
-
-// rowMultipliers converts multipliers of the constraints (rq) into
-// multipliers of their integer rows in place: uᵢ = rqᵢ·scaleᵢ. ok=false
-// on overflow or a wide row with a non-zero multiplier.
-func rowMultipliers(p *Problem, rq []exact.Rat64) bool {
-	iform := p.intForm()
-	for i := range rq {
-		if rq[i].Sign() == 0 {
-			continue
-		}
-		ir := &iform.rows[i]
-		if ir.wide != nil {
-			return false
-		}
-		u, ok := rq[i].Mul(ir.scale)
-		if !ok {
-			return false
-		}
-		rq[i] = u
-	}
-	return true
-}
-
-// CheckPoint reports whether x is an exact feasibility witness for p: it
-// has length p.NumVars, is non-negative, and satisfies every constraint
-// exactly. Dot products only; p is not mutated. Runs on the int64 kernel
-// when x and the constraint rows fit, with the gcd-free big-number
-// comparison otherwise.
-func CheckPoint(p *Problem, x exact.Vec) bool {
-	if len(x) != p.NumVars {
-		return false
-	}
-	var c Certifier
-	xs := c.scratch(len(x))
-	for j, v := range x {
-		r, ok := exact.Rat64FromRat(v)
-		if !ok {
-			return c.checkPointRat(p, x)
-		}
-		xs[j] = r
-	}
-	return c.checkPointKernel(p, xs)
-}
-
-// CheckFarkas reports whether ray (one multiplier qᵢ per constraint) is an
-// exact Farkas certificate of p's infeasibility:
-//
-//	qᵢ ≤ 0 for ≤ rows, qᵢ ≥ 0 for ≥ rows (= rows unrestricted),
-//	d := Σᵢ qᵢ·aᵢ has dⱼ ≤ 0 for every variable, and Σᵢ qᵢ·bᵢ > 0.
-//
-// Multiplying each constraint by its qᵢ and summing shows d·x ≥ Σ qᵢbᵢ > 0
-// for any x in p's feasible set, while the sign conditions force d·x ≤ 0 —
-// a contradiction, so no feasible x exists. Runs on the int64 kernel when
-// everything fits, with the gcd-free big-number check otherwise.
-func CheckFarkas(p *Problem, ray exact.Vec) bool {
-	if len(ray) != len(p.Constraints) || len(ray) == 0 {
-		return false
-	}
-	var c Certifier
-	rq := c.scratch(len(ray))
-	for i, v := range ray {
-		r, ok := exact.Rat64FromRat(v)
-		if !ok {
-			return c.checkFarkasRat(p, ray)
-		}
-		rq[i] = r
-	}
-	if rowMultipliers(p, rq) {
-		if verdict, decided := c.kernelCheckFarkas(p, rq); decided {
-			return verdict
-		}
-	}
-	return c.checkFarkasRat(p, ray)
 }
 
 // CertifyPoint rounds a float64 candidate point onto nearby rationals and

@@ -21,8 +21,8 @@ package simplex
 //   - Integer-native rows (AddFloatRow): the integer form is written
 //     directly from exact float64 values and no big.Rat is touched.
 //     Constraints[i] carries only Rel until RatConstraints fills in the
-//     rational view, which only the big.Rat reference tableau
-//     (Workspace.ForceBigRat) and tests need.
+//     rational view, which only tests and the big.Rat reference (package
+//     simplexref) read.
 //
 // A row whose entries or scale do not fit int64 is kept wide (big.Int
 // entries, big.Rat scale); every consumer has a big-number path for it.
@@ -200,7 +200,9 @@ func (p *Problem) growRel(rel Rel) *Constraint {
 // RatConstraints returns the constraints with every coefficient and
 // right-hand side filled in as big.Rat: Constraints itself for rational
 // rows, and for integer-native rows the rational view computed from the
-// integer form on the first call after each mutation. It may run
+// integer form on the first call after each mutation. No solve or
+// certificate check reads it; it is the view the big.Rat reference
+// (package simplexref) and tests compare against. It may run
 // concurrently with solves and other RatConstraints calls, but not with
 // mutation.
 func (p *Problem) RatConstraints() []Constraint {

@@ -1,4 +1,4 @@
-package simplex
+package simplex_test
 
 import (
 	"math"
@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/simplex"
+	"repro/internal/simplex/simplexref"
 )
 
 // TestAddFloatRowMatchesRationalRows pins the integer-native build against
@@ -28,16 +30,14 @@ func TestAddFloatRowMatchesRationalRows(t *testing.T) {
 		}
 		return math.Ldexp(float64(rng.Intn(4001)-2000), rng.Intn(40)-24)
 	}
-	ref := NewWorkspace()
-	ref.ForceBigRat = true
-	kernel := NewWorkspace()
+	kernel := simplex.NewWorkspace()
 	wide := 0
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(5)
-		native, rational := NewProblem(n), NewProblem(n)
+		native, rational := simplex.NewProblem(n), simplex.NewProblem(n)
 		var rows [][]float64
 		for i := 0; i < 1+rng.Intn(6); i++ {
-			rel := Rel(rng.Intn(3))
+			rel := simplex.Rel(rng.Intn(3))
 			row := make([]float64, n+1)
 			for j := range row {
 				row[j] = val()
@@ -77,7 +77,7 @@ func TestAddFloatRowMatchesRationalRows(t *testing.T) {
 				}
 			}
 		}
-		if got, want := kernel.SolveStatus(native), ref.SolveStatus(native); got != want {
+		if got, want := kernel.SolveStatus(native), simplexref.Solve(native).Status; got != want {
 			t.Fatalf("trial %d: kernel %v, reference %v", trial, got, want)
 		}
 	}
@@ -90,18 +90,18 @@ func TestAddFloatRowMatchesRationalRows(t *testing.T) {
 // relation until RatConstraints fills in the rational view, and mixing
 // the two authorities panics.
 func TestIntegerNativeRowsAreHidden(t *testing.T) {
-	p := NewProblem(2)
-	if err := p.AddFloatRow(LE, []float64{0.5, 1.5}, 2); err != nil {
+	p := simplex.NewProblem(2)
+	if err := p.AddFloatRow(simplex.LE, []float64{0.5, 1.5}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c := p.Constraints[0]; c.Rel != LE || len(c.Coeffs) != 0 || c.RHS != nil {
+	if c := p.Constraints[0]; c.Rel != simplex.LE || len(c.Coeffs) != 0 || c.RHS != nil {
 		t.Fatalf("hidden row %+v", c)
 	}
 	half, _ := exact.MakeRat64(1, 2)
 	if a, s, ok := p.IntRow(0); !ok || !slices.Equal(a, []int64{1, 3, 4}) || s != half {
 		t.Fatalf("IntRow = %v·%v, %v", s, a, ok)
 	}
-	if err := p.AddFloatRow(GE, []float64{math.NaN(), 0}, 0); err == nil {
+	if err := p.AddFloatRow(simplex.GE, []float64{math.NaN(), 0}, 0); err == nil {
 		t.Fatal("non-finite coefficient accepted")
 	}
 	func() {
@@ -110,8 +110,8 @@ func TestIntegerNativeRowsAreHidden(t *testing.T) {
 				t.Fatal("GrowConstraint on integer-native rows did not panic")
 			}
 		}()
-		p.GrowConstraint(LE)
+		p.GrowConstraint(simplex.LE)
 	}()
 	p.Reset(2)
-	p.GrowConstraint(LE) // a Reset frees the problem for rational rows
+	p.GrowConstraint(simplex.LE) // a Reset frees the problem for rational rows
 }

@@ -1,9 +1,9 @@
 package simplex
 
-// The int64 kernel tableau: the default execution engine of the exact
-// simplex, built on integer pivoting (the fraction-free scheme used by
-// exact vertex-enumeration codes such as lrs). Instead of a big.Rat matrix
-// the kernel keeps the scaled integer tableau
+// The int64 kernel tableau: the execution engine of the exact simplex,
+// built on integer pivoting (the fraction-free scheme used by exact
+// vertex-enumeration codes such as lrs). Instead of a big.Rat matrix the
+// kernel keeps the scaled integer tableau
 //
 //	T = Δ·B⁻¹·A,  β = Δ·B⁻¹·b,  Δ > 0
 //
@@ -17,7 +17,7 @@ package simplex
 // whose division is exact (the entries are determinants of integer
 // submatrices, Edmonds' theorem); the pivot row itself is left unchanged
 // and Δ' = T[r][c]. No GCD normalisation ever runs — the dominant cost of
-// the big.Rat tableau (big.Rat.Mul/Sub call lehmerGCD on every operation).
+// a big.Rat tableau (big.Rat.Mul/Sub call lehmerGCD on every operation).
 //
 // Entries are adaptive integers: overflow-checked int64 words (math/bits)
 // that promote, per element, to a retained *big.Int on the first operation
@@ -28,9 +28,8 @@ package simplex
 // transformation (row scaling by a positive constant), so the reduced-cost
 // signs, ratio comparisons and Bland pivot sequence — and therefore every
 // verdict and solution — are bit-identical to the big.Rat reference
-// tableau.
-// Workspace.ForceBigRat routes a solve through that reference instead; the
-// differential tests pin the two paths against each other.
+// tableau (package simplexref, the test-only reference the differential
+// tests pin the kernel against).
 
 import (
 	"math"
@@ -78,9 +77,9 @@ func (e *ient) rat(dst *big.Rat, delta *ient, t1, t2 *big.Int) *big.Rat {
 	return dst.SetFrac(e.view(t1), delta.view(t2))
 }
 
-// ktab is the kernel tableau. Like the big.Rat tableau it lives inside a
-// Workspace and reuses its row storage (including each element's retained
-// big.Int promotion slot) across solves.
+// ktab is the kernel tableau. It lives inside a Workspace and reuses its
+// row storage (including each element's retained big.Int promotion slot)
+// across solves.
 type ktab struct {
 	iarith // Δ, promotion counter, big.Int scratch, ient arithmetic
 
@@ -180,12 +179,9 @@ func mag128(a, b int64) (neg bool, hi, lo uint64) {
 	return neg, hi, lo
 }
 
-// runKernel mirrors runBig on the kernel tableau: identical standard-form
-// construction, crash basis, phase 1 and Bland pivoting — on the scaled
-// integer representation instead of big.Rat elements.
-func (w *Workspace) runKernel(p *Problem) Status {
-	w.kactive = true
-
+// run executes phase 1 with Bland pivoting on the kernel tableau from the
+// crash basis, and leaves the final state in place for extraction.
+func (w *Workspace) run(p *Problem) Status {
 	lay := w.layout(p)
 	slackCol, artCol := lay.slack, lay.art
 	m, nArt := lay.m, lay.nArt
@@ -253,7 +249,6 @@ func (w *Workspace) runKernel(p *Problem) Status {
 			st = Infeasible
 		}
 	}
-	w.lastPromotions = k.promotions
 	return st
 }
 
@@ -337,10 +332,10 @@ func (k *ktab) syncBasic() {
 // basis: R[j] = C[j]·Δ − Σᵢ C[basis[i]]·T[i][j], the reduced costs scaled
 // by the positive Δ. Recomputing reduced costs on every entering-column
 // scan is O(n·m) exact multiplications per iteration — the dominant cost
-// of the big.Rat tableau; maintaining the row through pivots makes the
-// scan a row of integer sign checks. The maintained values are positive
-// multiples of the rationals the scan would recompute, so the Bland pivot
-// sequence — and every verdict — is unchanged.
+// of the big.Rat reference tableau; maintaining the row through pivots
+// makes the scan a row of integer sign checks. The maintained values are
+// positive multiples of the rationals the scan would recompute, so the
+// Bland pivot sequence — and every verdict — is unchanged.
 func (k *ktab) computeReducedCosts() {
 	k.r = k.row(k.n)
 	acc := k.t3 // the loop's products use t1 and t2
@@ -365,7 +360,8 @@ func (k *ktab) computeReducedCosts() {
 
 // enteringColumn returns the lowest-index column with negative reduced cost
 // (Bland's rule), or -1 at optimality — the same rule, on the same exact
-// signs, as the big.Rat tableau, so the pivot sequences are identical.
+// signs, as the big.Rat reference tableau, so the pivot sequences are
+// identical.
 func (k *ktab) enteringColumn() int {
 	for j := 0; j < k.n; j++ {
 		if k.basic[j] {

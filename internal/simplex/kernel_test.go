@@ -3,104 +3,8 @@ package simplex
 import (
 	"math"
 	"math/big"
-	"math/rand"
 	"testing"
-
-	"repro/internal/exact"
 )
-
-// randomProblem builds a random LP with small integer coefficients, every
-// relation and right-hand sides of either sign.
-func randomProblem(rng *rand.Rand) *Problem {
-	nv := rng.Intn(4) + 1
-	p := NewProblem(nv)
-	nc := rng.Intn(4) + 2
-	for c := 0; c < nc; c++ {
-		coeffs := exact.NewVec(nv)
-		for i := range coeffs {
-			coeffs[i].SetInt64(int64(rng.Intn(7) - 3))
-		}
-		p.AddConstraint(coeffs, Rel(rng.Intn(3)), big.NewRat(int64(rng.Intn(15)-3), 1))
-	}
-	return p
-}
-
-// TestKernelMatchesBigRat is the differential property pinning the int64
-// kernel tableau against the pure big.Rat reference: same status and the
-// same witness, on randomized LPs that include equalities and negative
-// right-hand sides.
-func TestKernelMatchesBigRat(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
-	kernel := NewWorkspace()
-	ref := NewWorkspace()
-	ref.ForceBigRat = true
-	feasible := 0
-	for trial := 0; trial < 300; trial++ {
-		p := randomProblem(rng)
-		rk := kernel.Solve(p)
-		if got, _ := kernel.LastSolveKernel(); !got {
-			t.Fatal("default workspace must solve on the kernel tableau")
-		}
-		rb := ref.Solve(p)
-		if got, _ := ref.LastSolveKernel(); got {
-			t.Fatal("ForceBigRat workspace must solve on the reference tableau")
-		}
-		if rk.Status != rb.Status {
-			t.Fatalf("trial %d: kernel status %v, reference status %v", trial, rk.Status, rb.Status)
-		}
-		if rk.Status != Optimal {
-			continue
-		}
-		if !rk.X.Equal(rb.X) {
-			t.Fatalf("trial %d: kernel X %v, reference X %v", trial, rk.X, rb.X)
-		}
-		if !checkPointBig(p, rk.X) {
-			t.Fatalf("trial %d: witness %v violates the problem", trial, rk.X)
-		}
-		feasible++
-	}
-	if feasible < 30 {
-		t.Fatalf("only %d feasible LPs: witness coverage too thin", feasible)
-	}
-}
-
-// TestKernelWideCoefficients drives the kernel into big.Rat territory: a
-// coefficient wider than int64 must route that element through the
-// promoted representation and still produce the reference verdict and
-// witness.
-func TestKernelWideCoefficients(t *testing.T) {
-	huge := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(3))
-	build := func() *Problem {
-		p := NewProblem(2)
-		coeffs := exact.NewVec(2)
-		coeffs[0].Set(huge)
-		coeffs[1].SetFrac64(7, 1<<50)
-		p.AddConstraint(coeffs, LE, big.NewRat(1, 1))
-		c2 := exact.NewVec(2)
-		c2[0].SetInt64(1)
-		c2[1].SetInt64(1)
-		p.AddConstraint(c2, GE, big.NewRat(1, 1))
-		return p
-	}
-	kernel := NewWorkspace()
-	ref := NewWorkspace()
-	ref.ForceBigRat = true
-	p := build()
-	rk := kernel.Solve(p)
-	rb := ref.Solve(p)
-	if rk.Status != rb.Status {
-		t.Fatalf("status: kernel %v, reference %v", rk.Status, rb.Status)
-	}
-	if rk.Status != Optimal {
-		t.Fatalf("status %v, want feasible", rk.Status)
-	}
-	if !rk.X.Equal(rb.X) {
-		t.Fatalf("X: kernel %v, reference %v", rk.X, rb.X)
-	}
-	if !checkPointBig(p, rk.X) {
-		t.Fatalf("witness %v violates the problem", rk.X)
-	}
-}
 
 // TestElementPromotionAndDemotion exercises the adaptive integer element
 // directly: a rank-one update whose exact result leaves int64 promotes

@@ -138,11 +138,7 @@ func (s *Stats) noteExactSolve(ws *simplex.Workspace) {
 	if s == nil {
 		return
 	}
-	kernel, promotions := ws.LastSolveKernel()
-	if !kernel {
-		return
-	}
-	if promotions == 0 {
+	if promotions := ws.LastPromotions(); promotions == 0 {
 		s.kernelFastSolves.Add(1)
 	} else {
 		s.kernelPromotedSolves.Add(1)
