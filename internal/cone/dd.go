@@ -226,28 +226,20 @@ func allZero(xs []int64) bool {
 //
 // Preconditions: the ys span ℝ^d (guaranteed by the caller, which works in
 // row-space coordinates), so D is pointed and the final state carries no
-// lineality. The returned rays are GCD-normalised and minimal (each passes
-// an exact rank test), and are exactly the facet normals of cone(ys).
+// lineality. The returned rays are GCD-normalised and are exactly the
+// facet normals of cone(ys), with no redundant ray among them, because
+// every step keeps the ray set minimal (Fukuda–Prodon):
+//
+//   - Each ray's tight set is exact. A pivot keeps the tight sets of the
+//     rays it projects (the lineality direction l0 is orthogonal to every
+//     processed normal) and adds the new row. A combined ray
+//     w = α·n + β·p (α, β > 0) is tight at row k exactly where both
+//     parents are, since n·y_k and p·y_k are both ≤ 0; so its tight set is
+//     their intersection plus the new row.
+//   - With exact tight sets the algebraic adjacency test (adjacent) is
+//     exact on a minimal ray set, so each combination is a new extreme ray
+//     on a distinct face, and the kept rays stay extreme.
 func dualExtremeRays(ys []ddY, d int) ([]ddRay, error) {
-	var adj adjScratch
-	rays, err := doubleDescription(ys, d, &adj)
-	if err != nil {
-		return nil, err
-	}
-	// Minimality pass: keep the extreme rays, in order.
-	out := rays[:0]
-	for i := range rays {
-		if adj.extreme(&rays[i], ys, d) {
-			out = append(out, rays[i])
-		}
-	}
-	return out, nil
-}
-
-// doubleDescription runs the double description of dualExtremeRays on
-// adj's scratch and returns its final rays, every extreme ray of D among
-// them, along with combinations the adjacency test let through.
-func doubleDescription(ys []ddY, d int, adj *adjScratch) ([]ddRay, error) {
 	if d == 0 {
 		return nil, nil
 	}
@@ -260,6 +252,7 @@ func doubleDescription(ys []ddY, d int, adj *adjScratch) ([]ddRay, error) {
 		lineality[i].iv[i] = 1
 	}
 	var rays []ddRay
+	var adj adjScratch
 	for mi := range ys {
 		y := &ys[mi]
 		// 1. If some lineality direction violates the hyperplane, pivot it
@@ -369,7 +362,7 @@ func doubleDescription(ys []ddY, d int, adj *adjScratch) ([]ddRay, error) {
 	return rays, nil
 }
 
-// adjScratch is the reusable storage of adjacent and extreme, one per
+// adjScratch is the reusable storage of adjacent, one per
 // double-description run: the tight indices under test, the rows they
 // select and the rank test's matrix.
 type adjScratch struct {
@@ -382,9 +375,7 @@ type adjScratch struct {
 // rays p and n of a cone with lineality dimension lin in ℝ^d are adjacent
 // iff the constraints tight at both have rank ≥ d − lin − 2. The bitset
 // AND+popcount pre-test rejects most pairs without touching any rational
-// arithmetic; the rank test never rejects a truly adjacent pair even when
-// the working set carries redundant rays, so no facet is ever lost —
-// spurious combinations are removed by the final minimality pass.
+// arithmetic.
 func (s *adjScratch) adjacent(p, n *ddRay, ys []ddY, d, lin int) bool {
 	need := d - lin - 2
 	if need <= 0 {
@@ -395,24 +386,6 @@ func (s *adjScratch) adjacent(p, n *ddRay, ys []ddY, d, lin int) bool {
 	}
 	s.common = appendAnd(p.tight, n.tight, s.common[:0])
 	return s.rankAtLeast(ys, d, need)
-}
-
-// extreme reports whether ray r of the pointed cone
-// {a ∈ ℝ^d : a·y ≤ 0 for every y in ys} is extreme: whether the ys tight
-// at r have rank d − 1. A ray that is a positive combination of two or
-// more independent rays of the cone is tight exactly where all of them
-// are, and those constraints, orthogonal to two independent directions,
-// have rank at most d − 2. The tight set is recomputed by exact dot
-// products rather than read from the ray's bitset, so the test does not
-// rest on the double description's bookkeeping.
-func (s *adjScratch) extreme(r *ddRay, ys []ddY, d int) bool {
-	s.common = s.common[:0]
-	for k := range ys {
-		if ys[k].dotSign(r) == 0 {
-			s.common = append(s.common, k)
-		}
-	}
-	return len(s.common) >= d-1 && s.rankAtLeast(ys, d, d-1)
 }
 
 // rankAtLeast reports whether the ys indexed by s.common have rank at

@@ -9,15 +9,15 @@ import (
 )
 
 // Cone-membership LPs: is v a non-negative combination Σ f_j g_j of the
-// vectors g_j? Constraint deduction asks this a few hundred times per
-// model — once per generator when pruning redundant generators, once per
-// ray in the double description's minimality pass — and Contains and
-// SubsetOf ask it too. Every one goes through hullSolver.
+// vectors g_j? Constraint deduction asks this once per generator when
+// pruning redundant generators, and Contains and SubsetOf ask it too.
+// Every one goes through hullSolver.
 //
 // The rows Σ_j g_j[i]·f_j = v[i] are built integer-native
 // (Problem.AddFloatRow) from the vectors' int64 images, so no big.Rat is
 // touched; a vector with an entry beyond 2^53, which a float64 does not
-// hold exactly, sends its LPs to big.Rat rows instead. Each LP is decided
+// hold exactly, sends its LPs to big.Rat rows (Problem.AddConstraint),
+// converted to the same integer form as they are added. Each LP is decided
 // by the solver tier chain (package tier): the float filter proposes, an
 // exact certificate verifies, and anything unverified goes to the exact
 // simplex. Answers are therefore exact, and deduction stays exact by
@@ -31,8 +31,8 @@ import (
 // The LP keeps those columns and the rows in supp(v); with no candidate
 // column v is outside the hull, with one it is inside exactly when it is a
 // positive multiple of it, both decided without an LP. The answer is the
-// full LP's. Vectors with a negative entry (the double description's
-// rays) or an entry beyond 2^53 take the full LP.
+// full LP's. Vectors with a negative entry (a Contains query may have
+// one) or an entry beyond 2^53 take the full LP.
 
 // maxFloatInt bounds the entries a float64 row holds exactly.
 const maxFloatInt = 1 << 53
@@ -131,12 +131,12 @@ func (h *hullSolver) inHull(v hullVec, gens []hullVec) bool {
 		for j, g := range gens {
 			cols[j] = g.rat()
 		}
+		row := make(exact.Vec, len(gens))
 		for i, b := range vr {
-			row, rhs := p.GrowConstraint(simplex.EQ)
 			for j, g := range cols {
-				row[j].Set(g[i])
+				row[j] = g[i]
 			}
-			rhs.Set(b)
+			p.AddConstraint(row, simplex.EQ, b)
 		}
 	}
 	return h.sv.Feasible(p)

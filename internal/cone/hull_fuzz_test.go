@@ -18,12 +18,12 @@ func exactInHull(ws *simplex.Workspace, v exact.Vec, gens []exact.Vec) bool {
 		return v.IsZero()
 	}
 	p := ws.Prepare(len(gens))
+	row := make(exact.Vec, len(gens))
 	for i := range v {
-		row, rhs := p.GrowConstraint(simplex.EQ)
 		for j, g := range gens {
-			row[j].Set(g[i])
+			row[j] = g[i]
 		}
-		rhs.Set(v[i])
+		p.AddConstraint(row, simplex.EQ, v[i])
 	}
 	return ws.SolveStatus(p) == simplex.Optimal
 }

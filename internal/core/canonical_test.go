@@ -29,7 +29,7 @@ func randomProblem(rng *rand.Rand) *simplex.Problem {
 		case 1:
 			rel = simplex.EQ
 		}
-		coeffs, rhs := p.GrowConstraint(rel)
+		coeffs := exact.NewVec(n)
 		den := int64(1) << uint(rng.Intn(6))
 		for j := range coeffs {
 			if rng.Intn(3) == 0 {
@@ -37,15 +37,11 @@ func randomProblem(rng *rand.Rand) *simplex.Problem {
 			}
 			coeffs[j].SetFrac64(int64(rng.Intn(41)-20), den)
 		}
-		rhs.SetFrac64(int64(rng.Intn(61)-20), 1+int64(rng.Intn(7)))
+		p.AddConstraint(coeffs, rel, big.NewRat(int64(rng.Intn(61)-20), 1+int64(rng.Intn(7))))
 		if i > 0 && rng.Intn(5) == 0 {
 			// Duplicate a prior row verbatim: must not change the hash.
-			src := &p.Constraints[rng.Intn(i)]
-			dup, drhs := p.GrowConstraint(src.Rel)
-			for j := range dup {
-				dup[j].Set(src.Coeffs[j])
-			}
-			drhs.Set(src.RHS)
+			src := p.Constraints[rng.Intn(i)]
+			p.AddConstraint(src.Coeffs, src.Rel, src.RHS)
 		}
 	}
 	return p
@@ -54,14 +50,9 @@ func randomProblem(rng *rand.Rand) *simplex.Problem {
 // permuted returns a copy of p with its rows in a random order.
 func permuted(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 	q := simplex.NewProblem(p.NumVars)
-	order := rng.Perm(len(p.Constraints))
-	for _, i := range order {
+	for _, i := range rng.Perm(len(p.Constraints)) {
 		src := &p.Constraints[i]
-		coeffs, rhs := q.GrowConstraint(src.Rel)
-		for j := range coeffs {
-			coeffs[j].Set(src.Coeffs[j])
-		}
-		rhs.Set(src.RHS)
+		q.AddConstraint(src.Coeffs, src.Rel, src.RHS)
 	}
 	return q
 }
@@ -86,17 +77,10 @@ func scaledRows(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 				rel = simplex.LE
 			}
 		}
-		coeffs, rhs := q.GrowConstraint(rel)
-		for j := range coeffs {
-			coeffs[j].Mul(src.Coeffs[j], &m)
-			if neg {
-				coeffs[j].Neg(coeffs[j])
-			}
-		}
-		rhs.Mul(src.RHS, &m)
 		if neg {
-			rhs.Neg(rhs)
+			m.Neg(&m)
 		}
+		q.AddConstraint(src.Coeffs.Scale(&m), rel, new(big.Rat).Mul(src.RHS, &m))
 	}
 	return q
 }
@@ -147,9 +131,7 @@ func TestCanonicalDistinctLPsDistinctHashes(t *testing.T) {
 		}
 		seen[h] = e
 		// A genuine semantic perturbation must change the hash.
-		q := permuted(p, rng)
-		c := &q.Constraints[rng.Intn(len(q.Constraints))]
-		c.RHS.Add(c.RHS, big.NewRat(1, 3))
+		q := shifted(permuted(p, rng), rng.Intn(len(p.Constraints)), big.NewRat(1, 3))
 		if HashLP(q) == h && !bytes.Equal(EncodeLP(q), EncodeLP(p)) {
 			t.Fatalf("trial %d: rhs perturbation did not change hash", trial)
 		}
@@ -159,23 +141,31 @@ func TestCanonicalDistinctLPsDistinctHashes(t *testing.T) {
 	}
 }
 
+// shifted returns a copy of p with delta added to row k's right-hand side.
+func shifted(p *simplex.Problem, k int, delta *big.Rat) *simplex.Problem {
+	q := simplex.NewProblem(p.NumVars)
+	for i, c := range p.Constraints {
+		rhs := c.RHS
+		if i == k {
+			rhs = new(big.Rat).Add(rhs, delta)
+		}
+		q.AddConstraint(c.Coeffs, c.Rel, rhs)
+	}
+	return q
+}
+
 func TestCanonicalBigPathMatchesFast(t *testing.T) {
 	// A row with a huge denominator takes the big-number path of the
 	// integer form; the same half-space expressed in the int64 domain
 	// takes the int64 path. Both must encode the identical canonical row,
 	// so the hashes agree.
 	huge := new(big.Int).Lsh(big.NewInt(1), 80)
+	over := func(x int64) *big.Rat { return new(big.Rat).SetFrac(big.NewInt(x), huge) }
 	p := simplex.NewProblem(2)
-	coeffs, rhs := p.GrowConstraint(simplex.LE)
-	coeffs[0].SetFrac(big.NewInt(3), huge)
-	coeffs[1].SetFrac(big.NewInt(-6), huge)
-	rhs.SetFrac(big.NewInt(9), huge)
+	p.AddConstraint(exact.Vec{over(3), over(-6)}, simplex.LE, over(9))
 
 	q := simplex.NewProblem(2)
-	qcoeffs, qrhs := q.GrowConstraint(simplex.LE)
-	qcoeffs[0].SetInt64(1)
-	qcoeffs[1].SetInt64(-2)
-	qrhs.SetInt64(3)
+	q.AddConstraint(exact.VecFromInts(1, -2), simplex.LE, big.NewRat(3, 1))
 
 	if HashLP(p) != HashLP(q) {
 		t.Fatalf("big-path canonical form diverges from fast path:\n%x\nvs\n%x",
@@ -185,9 +175,7 @@ func TestCanonicalBigPathMatchesFast(t *testing.T) {
 
 func TestParseLPHashRoundTrip(t *testing.T) {
 	p := simplex.NewProblem(1)
-	coeffs, rhs := p.GrowConstraint(simplex.LE)
-	coeffs[0].SetInt64(1)
-	rhs.SetInt64(5)
+	p.AddConstraint(exact.VecFromInts(1), simplex.LE, big.NewRat(5, 1))
 	h := HashLP(p)
 	got, err := ParseLPHash(h.String())
 	if err != nil {
@@ -287,13 +275,13 @@ func FuzzCanonicalLP(f *testing.F) {
 			case 1:
 				rel = simplex.EQ
 			}
-			coeffs, rhs := p.GrowConstraint(rel)
+			coeffs := exact.NewVec(n)
 			for j := range coeffs {
 				num := int64(rng.Intn(2001) - 1000)
 				den := int64(1 + rng.Intn(999))
 				coeffs[j].SetFrac64(num, den)
 			}
-			rhs.SetFrac64(int64(rng.Intn(2001)-1000), int64(1+rng.Intn(999)))
+			p.AddConstraint(coeffs, rel, big.NewRat(int64(rng.Intn(2001)-1000), int64(1+rng.Intn(999))))
 		}
 		e1 := EncodeLP(p)
 		q, err := decodeLP(e1)
@@ -346,12 +334,8 @@ func duplicated(p *simplex.Problem, rng *rand.Rand) *simplex.Problem {
 		if rng.Intn(2) == 0 {
 			continue
 		}
-		src := &q.Constraints[i]
-		coeffs, rhs := q.GrowConstraint(src.Rel)
-		for j := range coeffs {
-			coeffs[j].Set(src.Coeffs[j])
-		}
-		rhs.Set(src.RHS)
+		src := q.Constraints[i]
+		q.AddConstraint(src.Coeffs, src.Rel, src.RHS)
 	}
 	return q
 }
@@ -396,7 +380,7 @@ func decodeLP(data []byte) (*simplex.Problem, error) {
 		if tag%tagWide == tagEQ {
 			rel = simplex.EQ
 		}
-		coeffs, rhs := p.GrowConstraint(rel)
+		coeffs, rhs := exact.NewVec(int(n)), new(big.Rat)
 		for j := 0; j <= int(n); j++ {
 			v := new(big.Int)
 			if tag < tagWide {
@@ -414,6 +398,7 @@ func decodeLP(data []byte) (*simplex.Problem, error) {
 				rhs.SetInt(v)
 			}
 		}
+		p.AddConstraint(coeffs, rel, rhs)
 	}
 	return p, nil
 }

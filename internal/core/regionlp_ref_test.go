@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/exact"
 	"repro/internal/floatlp"
@@ -14,7 +15,7 @@ import (
 // against: every coefficient converted from its dense float64 dot product
 // through exact.Rat64FromFloat/SetRatFromFloat, every bound quantised
 // through exact.QuantizeInto, and each row added as big.Rat
-// values through GrowConstraint. Its columns are the cone's essential
+// values through AddConstraint. Its columns are the cone's essential
 // generators, as RegionLP's are.
 func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 	if !r.Set.Equal(m.Set) {
@@ -30,20 +31,18 @@ func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 	}
 	p.Reset(len(gens))
 	n := m.Set.Len()
+	row, hi, lo := exact.NewVec(len(gens)), new(big.Rat), new(big.Rat)
 	for i, axis := range r.Axes {
-		upper, hi := p.GrowConstraint(simplex.LE)
-		lower, lo := p.GrowConstraint(simplex.GE)
 		for j, g := range gens {
 			dot := 0.0
 			for k := 0; k < n; k++ {
 				dot += axis[k] * g[k]
 			}
 			if r64, ok := exact.Rat64FromFloat(dot); ok {
-				r64.RatInto(upper[j])
-			} else if err := exact.SetRatFromFloat(upper[j], dot); err != nil {
+				r64.RatInto(row[j])
+			} else if err := exact.SetRatFromFloat(row[j], dot); err != nil {
 				return fmt.Errorf("core: model %q, axis %d: %w", m.Name, i, err)
 			}
-			lower[j].Set(upper[j])
 		}
 		eDotMean := 0.0
 		for k := 0; k < n; k++ {
@@ -55,6 +54,8 @@ func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 		if err := exact.QuantizeInto(lo, eDotMean-r.HalfWidths[i], false, lpQuantum); err != nil {
 			return fmt.Errorf("core: model %q, axis %d lower bound: %w", m.Name, i, err)
 		}
+		p.AddConstraint(row, simplex.LE, hi)
+		p.AddConstraint(row, simplex.GE, lo)
 	}
 	return nil
 }

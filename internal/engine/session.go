@@ -339,22 +339,7 @@ func (s *Session) EvaluateEach(ctx context.Context, corpus []*counters.Observati
 }
 
 // Evaluate tests every observation of corpus against the session's model
-// and returns the aggregate — EvaluateEach without a per-verdict callback,
-// and the drop-in replacement for the seed's core.EvaluateCorpus.
+// and returns the aggregate — EvaluateEach without a per-verdict callback.
 func (s *Session) Evaluate(ctx context.Context, corpus []*counters.Observation) (*CorpusResult, error) {
 	return s.EvaluateEach(ctx, corpus, nil)
-}
-
-// EvaluateCorpus is a one-shot convenience: a session on the default
-// engine with the given settings, evaluated over corpus.
-func EvaluateCorpus(ctx context.Context, m *core.Model, corpus []*counters.Observation, confidence float64, mode stats.NoiseMode, identifyViolations bool) (*CorpusResult, error) {
-	s, err := Default().NewSession(m, Config{
-		Confidence:         confidence,
-		Mode:               mode,
-		IdentifyViolations: identifyViolations,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.Evaluate(ctx, corpus)
 }

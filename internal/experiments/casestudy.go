@@ -169,7 +169,11 @@ func modelTable(w io.Writer, opts Options, models []haswell.NamedFeatures) error
 		if err != nil {
 			return err
 		}
-		res, err := engine.EvaluateCorpus(context.Background(), m, obs, core.DefaultConfidence, stats.Correlated, false)
+		sess, err := engine.Default().NewSession(m, engine.Config{})
+		if err != nil {
+			return err
+		}
+		res, err := sess.Evaluate(context.Background(), obs)
 		if err != nil {
 			return err
 		}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/haswell"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -44,7 +42,11 @@ func runReplay(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	res, err := engine.EvaluateCorpus(context.Background(), r0, obs, core.DefaultConfidence, stats.Correlated, false)
+	sess, err := engine.Default().NewSession(r0, engine.Config{})
+	if err != nil {
+		return err
+	}
+	res, err := sess.Evaluate(context.Background(), obs)
 	if err != nil {
 		return err
 	}
@@ -57,7 +59,11 @@ func runReplay(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	res1, err := engine.EvaluateCorpus(context.Background(), r1, obs, core.DefaultConfidence, stats.Correlated, false)
+	sess1, err := engine.Default().NewSession(r1, engine.Config{})
+	if err != nil {
+		return err
+	}
+	res1, err := sess1.Evaluate(context.Background(), obs)
 	if err != nil {
 		return err
 	}

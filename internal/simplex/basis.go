@@ -138,7 +138,6 @@ func (bs *basisSolve) checkFarkas(p *Problem, q []ient) bool {
 	if !nonzero || !farkasSigns(p, func(i int) int { return q[i].sign() }) {
 		return false
 	}
-	iform := p.intForm()
 	n := p.NumVars
 	bs.acc = growIents(bs.acc, n+1) // d, then the right-hand side
 	for j := range bs.acc {
@@ -149,7 +148,7 @@ func (bs *basisSolve) checkFarkas(p *Problem, q []ient) bool {
 			continue
 		}
 		for j := 0; j <= n; j++ {
-			bs.addMulEntry(&bs.acc[j], &q[i], &iform.rows[i], j)
+			bs.addMulEntry(&bs.acc[j], &q[i], &p.form.rows[i], j)
 		}
 	}
 	if bs.acc[n].sign() <= 0 {
@@ -233,7 +232,6 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	if nArt == 0 {
 		return nil, false // the zero dual certifies nothing
 	}
-	iform := p.intForm()
 	bs.free = bs.free[:0]
 	for i := range p.Constraints {
 		if bs.role[i] == roleFree {
@@ -256,7 +254,7 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		if !(w > 0) || math.IsInf(w, 0) || (s != 1 && s != -1) {
 			return nil, false
 		}
-		bs.artFrac(&iform.rows[i], w)
+		bs.artFrac(&p.form.rows[i], w)
 		bs.lcmInto(bs.lcm, bs.den)
 	}
 	// g_r = −D·u_r, an integer.
@@ -265,7 +263,7 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 		if bs.role[i] != roleArt {
 			continue
 		}
-		bs.artFrac(&iform.rows[i], b.Scale[i])
+		bs.artFrac(&p.form.rows[i], b.Scale[i])
 		bs.t4.Set(bs.divExact(bs.lcm, bs.den))
 		bs.num.Mul(bs.num, bs.t4)
 		if b.Sign[i] > 0 {
@@ -280,13 +278,13 @@ func (c *Certifier) solveBasisDual(p *Problem, b FarkasBasis) ([]ient, bool) {
 	for e, v := range bs.vars {
 		row := bs.mat[e]
 		for c, i := range bs.free {
-			bs.setEntry(&row[c], &iform.rows[i], v)
+			bs.setEntry(&row[c], &p.form.rows[i], v)
 		}
 		rhs := &row[k]
 		rhs.setInt(0)
 		for i := range p.Constraints {
 			if bs.role[i] == roleArt {
-				bs.addMulEntry(rhs, &bs.g[i], &iform.rows[i], v)
+				bs.addMulEntry(rhs, &bs.g[i], &p.form.rows[i], v)
 			}
 		}
 	}

@@ -7,16 +7,17 @@ import (
 	"repro/internal/exact"
 )
 
-// twoArtificialLP builds x ≥ 2, 3y ≥ 6, x + y ≤ 1 over x, y ≥ 0. The basis
+// twoArtificialLP builds x ≥ 2, 3y ≥ 6, x + y rel xyBound over x, y ≥ 0
+// (rel is LE everywhere but one tampering case). The basis
 // {art₀, art₁, x} has the exact dual q = (1, 1/3, −1) once the second
 // row's artificial carries its equilibration weight 1/3: the combination
 // is 0·x + 0·y ≥ 3. With unit weights the dual is (1, 1, −1), whose
 // y-component is positive — not a certificate.
-func twoArtificialLP(xyBound int64) (*Problem, FarkasBasis) {
+func twoArtificialLP(xyBound int64, rel Rel) (*Problem, FarkasBasis) {
 	p := NewProblem(2)
 	p.AddConstraint(exact.VecFromInts(1, 0), GE, big.NewRat(2, 1))
 	p.AddConstraint(exact.VecFromInts(0, 3), GE, big.NewRat(6, 1))
-	p.AddConstraint(exact.VecFromInts(1, 1), LE, big.NewRat(xyBound, 1))
+	p.AddConstraint(exact.VecFromInts(1, 1), rel, big.NewRat(xyBound, 1))
 	n, m := 2, 3
 	return p, FarkasBasis{
 		Cols:  []int{n + m + 0, n + m + 1, 0},
@@ -26,7 +27,7 @@ func twoArtificialLP(xyBound int64) (*Problem, FarkasBasis) {
 }
 
 func TestCertifyFarkasBasis(t *testing.T) {
-	p, b := twoArtificialLP(1)
+	p, b := twoArtificialLP(1, LE)
 	var c Certifier
 	if !c.CertifyFarkasBasis(p, b) {
 		t.Fatal("genuine basis dual rejected")
@@ -44,7 +45,7 @@ func TestCertifyFarkasBasis(t *testing.T) {
 		}
 	}
 	// The same basis against a feasible relaxation must never verify.
-	feasible, fb := twoArtificialLP(10)
+	feasible, fb := twoArtificialLP(10, LE)
 	if c.CertifyFarkasBasis(feasible, fb) {
 		t.Fatal("basis certified a feasible problem")
 	}
@@ -55,8 +56,10 @@ func TestCertifyFarkasBasis(t *testing.T) {
 
 	// Written as −x − y ≥ −1, the third row puts a negative pivot in the
 	// elimination; the dual is the same certificate, (1, 1, 1).
-	p.Constraints[2] = Constraint{Coeffs: exact.VecFromInts(-1, -1), Rel: GE, RHS: big.NewRat(-1, 1)}
-	p.Invalidate()
+	p = NewProblem(2)
+	p.AddConstraint(exact.VecFromInts(1, 0), GE, big.NewRat(2, 1))
+	p.AddConstraint(exact.VecFromInts(0, 3), GE, big.NewRat(6, 1))
+	p.AddConstraint(exact.VecFromInts(-1, -1), GE, big.NewRat(-1, 1))
 	if q, ok = c.solveBasisDual(p, b); !ok {
 		t.Fatal("basis solve declined on a negative pivot")
 	}
@@ -75,9 +78,10 @@ func TestCertifyFarkasBasis(t *testing.T) {
 // whose dual is not a certificate; each must be rejected. Malformed and
 // singular bases decline before any arithmetic.
 func TestCertifyFarkasBasisTampered(t *testing.T) {
-	p, b := twoArtificialLP(1)
+	p, b := twoArtificialLP(1, LE)
 	n, m := 2, 3
-	tamper := func(name string, f func(*FarkasBasis)) {
+	eq, _ := twoArtificialLP(1, EQ)
+	tamper := func(name string, q *Problem, f func(*FarkasBasis)) {
 		t.Helper()
 		tb := FarkasBasis{
 			Cols:  append([]int(nil), b.Cols...),
@@ -86,25 +90,21 @@ func TestCertifyFarkasBasisTampered(t *testing.T) {
 		}
 		f(&tb)
 		var c Certifier
-		if c.CertifyFarkasBasis(p, tb) {
+		if c.CertifyFarkasBasis(q, tb) {
 			t.Errorf("%s: tampered basis certified", name)
 		}
 	}
-	tamper("swapped column", func(tb *FarkasBasis) { tb.Cols[2] = n + 2 }) // x out, row 2's slack in
-	tamper("unit weights", func(tb *FarkasBasis) { tb.Scale = []float64{1, 1, 1} })
-	tamper("flipped sign", func(tb *FarkasBasis) { tb.Sign[0] = -1 })
-	tamper("duplicate column", func(tb *FarkasBasis) { tb.Cols[1] = tb.Cols[0] })
-	tamper("slack and artificial of one row", func(tb *FarkasBasis) { tb.Cols[2] = n + 0 })
-	tamper("slack of an equality row", func(tb *FarkasBasis) {
-		p.Constraints[2].Rel = EQ
-		tb.Cols[2] = n + 2
-	})
-	p.Constraints[2].Rel = LE
-	tamper("no artificial", func(tb *FarkasBasis) { tb.Cols = []int{0, 1, n + 2} })
-	tamper("column out of range", func(tb *FarkasBasis) { tb.Cols[2] = n + 2*m })
-	tamper("short basis", func(tb *FarkasBasis) { tb.Cols = tb.Cols[:2] })
-	tamper("zero scale", func(tb *FarkasBasis) { tb.Scale[1] = 0 })
-	tamper("non-unit sign", func(tb *FarkasBasis) { tb.Sign[1] = 0.5 })
+	tamper("swapped column", p, func(tb *FarkasBasis) { tb.Cols[2] = n + 2 }) // x out, row 2's slack in
+	tamper("unit weights", p, func(tb *FarkasBasis) { tb.Scale = []float64{1, 1, 1} })
+	tamper("flipped sign", p, func(tb *FarkasBasis) { tb.Sign[0] = -1 })
+	tamper("duplicate column", p, func(tb *FarkasBasis) { tb.Cols[1] = tb.Cols[0] })
+	tamper("slack and artificial of one row", p, func(tb *FarkasBasis) { tb.Cols[2] = n + 0 })
+	tamper("slack of an equality row", eq, func(tb *FarkasBasis) { tb.Cols[2] = n + 2 })
+	tamper("no artificial", p, func(tb *FarkasBasis) { tb.Cols = []int{0, 1, n + 2} })
+	tamper("column out of range", p, func(tb *FarkasBasis) { tb.Cols[2] = n + 2*m })
+	tamper("short basis", p, func(tb *FarkasBasis) { tb.Cols = tb.Cols[:2] })
+	tamper("zero scale", p, func(tb *FarkasBasis) { tb.Scale[1] = 0 })
+	tamper("non-unit sign", p, func(tb *FarkasBasis) { tb.Sign[1] = 0.5 })
 }
 
 // TestCertifyFarkasBasisDyadicScales pins the exact dyadic reading of the

@@ -164,10 +164,9 @@ func (c *Certifier) checkPointKernel(p *Problem, xs []exact.Rat64) bool {
 			return false
 		}
 	}
-	iform := p.intForm()
 	var bx exact.Vec
 	for i := range p.Constraints {
-		ir := &iform.rows[i]
+		ir := &p.form.rows[i]
 		cmp, ok := 0, false
 		if ir.wide == nil {
 			n := len(ir.a) - 1
@@ -197,9 +196,8 @@ func (c *Certifier) checkPointRat(p *Problem, x exact.Vec) bool {
 			return false
 		}
 	}
-	iform := p.intForm()
 	for i := range p.Constraints {
-		if !relHolds(p.Constraints[i].Rel, c.rowCmpBig(&iform.rows[i], x)) {
+		if !relHolds(p.Constraints[i].Rel, c.rowCmpBig(&p.form.rows[i], x)) {
 			return false
 		}
 	}
@@ -243,14 +241,13 @@ func (c *Certifier) kernelCheckFarkas(p *Problem, us []exact.Rat64) (verdict, de
 	if !farkasSigns(p, func(i int) int { return us[i].Sign() }) {
 		return false, true
 	}
-	iform := p.intForm()
 	d := c.accum(p.NumVars)
 	rhs := exact.Rat64FromInt64(0)
 	for i, u := range us {
 		if u.Sign() == 0 {
 			continue
 		}
-		ir := &iform.rows[i]
+		ir := &p.form.rows[i]
 		if ir.wide != nil {
 			return false, false
 		}

@@ -71,10 +71,9 @@ func (c *Certifier) CheckFarkasRat(p *Problem, ray exact.Vec) bool {
 // rowMultipliers returns the multipliers of p's integer rows equivalent
 // to the constraint multipliers ray: uᵢ = rayᵢ·scaleᵢ.
 func rowMultipliers(p *Problem, ray exact.Vec) exact.Vec {
-	iform := p.intForm()
 	us := make(exact.Vec, len(ray))
 	for i := range ray {
-		ir := &iform.rows[i]
+		ir := &p.form.rows[i]
 		us[i] = new(big.Rat)
 		if ir.wide != nil {
 			us[i].Set(ir.wide.scale)

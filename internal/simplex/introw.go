@@ -12,17 +12,20 @@ package simplex
 // rational coefficient rounded exactly as before) and the multipliers of
 // original rows read s.
 //
-// A Problem holds its rows under one of two authorities, fixed per Reset:
+// Every row is written in this form when it is added, and the form is
+// the only store of the row's values:
 //
-//   - Rational rows (GrowConstraint, AddConstraint): Constraints[i].Coeffs
-//     and RHS are authoritative and may be edited in place (followed by
-//     Invalidate). The integer form is derived on first use after each
-//     mutation and cached by the mutation generation.
-//   - Integer-native rows (AddFloatRow): the integer form is written
-//     directly from exact float64 values and no big.Rat is touched.
-//     Constraints[i] carries only Rel until RatConstraints fills in the
-//     rational view, which only tests and the big.Rat reference (package
-//     simplexref) read.
+//   - AddConstraint converts big.Rat values (scaled by the lcm of their
+//     denominators, then divided by the gcd) and keeps a copy of them as
+//     the row's rational view in Constraints[i].
+//   - AddFloatRow converts the exact values of float64s without touching
+//     a big.Rat. Constraints[i] carries only Rel until RatConstraints
+//     fills in the rational view, which only tests and the big.Rat
+//     reference (package simplexref) read.
+//
+// The two kinds of row mix freely in one Problem. Rows are immutable once
+// added, so any number of solvers and certifiers may read a Problem
+// concurrently; Reset starts a new one on the same storage.
 //
 // A row whose entries or scale do not fit int64 is kept wide (big.Int
 // entries, big.Rat scale); every consumer has a big-number path for it.
@@ -72,11 +75,8 @@ func (r *intRow) elem(j int, tmp *big.Int) *big.Int {
 	return tmp.SetInt64(r.a[j])
 }
 
-// intForm is the integer form of a whole constraint system. A derived form
-// (rational rows) is immutable once published, so concurrent solvers may
-// share it; a native form is owned by its Problem.
+// intForm is the integer form of a whole constraint system.
 type intForm struct {
-	gen   uint64
 	rows  []intRow
 	store []int64 // backing storage of the narrow rows' entries
 	exps  []int   // floatIntRow's per-entry exponent scratch
@@ -93,42 +93,13 @@ func (f *intForm) alloc(n int) []int64 {
 	return a
 }
 
-// intForm returns the problem's integer form: the native rows themselves,
-// or the form derived from the rational rows on first use after each
-// mutation.
-func (p *Problem) intForm() *intForm {
-	if p.native {
-		return &p.own
-	}
-	if f := p.iform.Load(); f != nil && f.gen == p.gen {
-		return f
-	}
-	f := &intForm{
-		gen:   p.gen,
-		rows:  make([]intRow, len(p.Constraints)),
-		store: make([]int64, 0, len(p.Constraints)*(p.NumVars+1)),
-	}
-	for i := range p.Constraints {
-		con := &p.Constraints[i]
-		f.rows[i] = ratIntRow(f, con.Coeffs, con.RHS)
-	}
-	p.iform.Store(f)
-	return f
-}
-
-// Invalidate marks the derived integer form of rational rows stale. Reset,
-// GrowConstraint and AddConstraint call it automatically; callers that
-// mutate Constraints or RHS storage directly must call it before the next
-// solve. Integer-native rows cannot be edited in place.
-func (p *Problem) Invalidate() { p.gen++ }
-
 // IntRow returns constraint i in primitive integer form: a holds the
 // NumVars coefficients followed by the right-hand side, with gcd 1, and
 // scale > 0 is the factor with Constraints[i] = scale·a. ok is false for a
 // row whose entries or scale do not fit int64; BigIntRow returns those.
 // a shares the problem's storage: treat it as read-only.
 func (p *Problem) IntRow(i int) (a []int64, scale exact.Rat64, ok bool) {
-	r := &p.intForm().rows[i]
+	r := &p.form.rows[i]
 	if r.wide != nil {
 		return nil, exact.Rat64{}, false
 	}
@@ -139,7 +110,7 @@ func (p *Problem) IntRow(i int) (a []int64, scale exact.Rat64, ok bool) {
 // numbers. It is the path for rows IntRow declines; for the others it
 // allocates a copy.
 func (p *Problem) BigIntRow(i int) (a []*big.Int, scale *big.Rat) {
-	r := &p.intForm().rows[i]
+	r := &p.form.rows[i]
 	if r.wide != nil {
 		return r.wide.a, r.wide.scale
 	}
@@ -152,18 +123,10 @@ func (p *Problem) BigIntRow(i int) (a []*big.Int, scale *big.Rat) {
 
 // AddFloatRow appends the constraint coeffs·x rel rhs, whose coefficients
 // and right-hand side are the exact values of the given float64s, writing
-// it straight into integer form. It fails on a non-finite value. Since the
-// last Reset a Problem holds either only rows added this way or only rows
-// added through GrowConstraint/AddConstraint; mixing them panics.
+// it straight into integer form. It fails on a non-finite value.
 func (p *Problem) AddFloatRow(rel Rel, coeffs []float64, rhs float64) error {
 	if len(coeffs) != p.NumVars {
 		panic(fmt.Sprintf("simplex: constraint width %d != vars %d", len(coeffs), p.NumVars))
-	}
-	if !p.native {
-		if len(p.Constraints) > 0 {
-			panic("simplex: AddFloatRow on a problem with rational rows")
-		}
-		p.native = true // Reset emptied p.own
 	}
 	for _, v := range coeffs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -173,14 +136,12 @@ func (p *Problem) AddFloatRow(rel Rel, coeffs []float64, rhs float64) error {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("simplex: non-finite right-hand side %v", rhs)
 	}
-	p.own.rows = append(p.own.rows, floatIntRow(&p.own, coeffs, rhs))
+	p.form.rows = append(p.form.rows, floatIntRow(&p.form, coeffs, rhs))
 	// The rational view stays hidden (no coefficients, nil RHS) until
 	// RatConstraints fills it in; the coefficient storage is kept for reuse.
 	c := p.growRel(rel)
 	c.Coeffs = c.Coeffs[:0]
 	c.RHS = nil
-	p.gen++
-	p.own.gen = p.gen
 	return nil
 }
 
@@ -198,30 +159,23 @@ func (p *Problem) growRel(rel Rel) *Constraint {
 }
 
 // RatConstraints returns the constraints with every coefficient and
-// right-hand side filled in as big.Rat: Constraints itself for rational
-// rows, and for integer-native rows the rational view computed from the
-// integer form on the first call after each mutation. No solve or
-// certificate check reads it; it is the view the big.Rat reference
-// (package simplexref) and tests compare against. It may run
-// concurrently with solves and other RatConstraints calls, but not with
-// mutation.
+// right-hand side filled in as big.Rat, filling in the rational view of
+// rows added by AddFloatRow from their integer form on first call. No
+// solve or certificate check reads it; it is the view the big.Rat
+// reference (package simplexref) and tests compare against. It may run
+// concurrently with solves and other RatConstraints calls.
 func (p *Problem) RatConstraints() []Constraint {
-	if !p.native {
-		return p.Constraints
-	}
 	p.ratMu.Lock()
 	defer p.ratMu.Unlock()
-	if p.ratGen == p.gen {
-		return p.Constraints
-	}
 	t := new(big.Rat)
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
-		c.Coeffs = zeroVec(c.Coeffs, p.NumVars)
-		if c.RHS == nil {
-			c.RHS = new(big.Rat)
+		if c.RHS != nil {
+			continue
 		}
-		r := &p.own.rows[i]
+		c.Coeffs = zeroVec(c.Coeffs, p.NumVars)
+		c.RHS = new(big.Rat)
+		r := &p.form.rows[i]
 		if w := r.wide; w != nil {
 			for j := range c.Coeffs {
 				c.Coeffs[j].Mul(t.SetInt(w.a[j]), w.scale)
@@ -237,7 +191,6 @@ func (p *Problem) RatConstraints() []Constraint {
 		c.RHS.SetInt64(r.a[p.NumVars])
 		c.RHS.Mul(c.RHS, s)
 	}
-	p.ratGen = p.gen
 	return p.Constraints
 }
 

@@ -87,8 +87,9 @@ func TestAddFloatRowMatchesRationalRows(t *testing.T) {
 }
 
 // TestIntegerNativeRowsAreHidden: an integer-native row exposes only its
-// relation until RatConstraints fills in the rational view, and mixing
-// the two authorities panics.
+// relation until RatConstraints fills in the rational view, a rational row
+// added beside it keeps its own view, and the mixed problem solves like
+// the big.Rat reference on both sides of feasibility.
 func TestIntegerNativeRowsAreHidden(t *testing.T) {
 	p := simplex.NewProblem(2)
 	if err := p.AddFloatRow(simplex.LE, []float64{0.5, 1.5}, 2); err != nil {
@@ -104,14 +105,30 @@ func TestIntegerNativeRowsAreHidden(t *testing.T) {
 	if err := p.AddFloatRow(simplex.GE, []float64{math.NaN(), 0}, 0); err == nil {
 		t.Fatal("non-finite coefficient accepted")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("GrowConstraint on integer-native rows did not panic")
-			}
-		}()
-		p.GrowConstraint(simplex.LE)
-	}()
-	p.Reset(2)
-	p.GrowConstraint(simplex.LE) // a Reset frees the problem for rational rows
+	if len(p.Constraints) != 1 {
+		t.Fatalf("a rejected row was added: %d rows", len(p.Constraints))
+	}
+
+	// x ≥ 3 beside 0.5x + 1.5y ≤ 2 is feasible (x = 3, y = 0).
+	three := big.NewRat(3, 1)
+	p.AddConstraint(exact.VecFromInts(1, 0), simplex.GE, three)
+	if c := p.Constraints[1]; c.RHS.Cmp(three) != 0 || c.Coeffs[0].Cmp(big.NewRat(1, 1)) != 0 {
+		t.Fatalf("rational row's view %+v", c)
+	}
+	ws := simplex.NewWorkspace()
+	if got, want := ws.SolveStatus(p), simplexref.Solve(p).Status; got != simplex.Optimal || want != got {
+		t.Fatalf("mixed feasible problem: kernel %v, reference %v", got, want)
+	}
+	rat := p.RatConstraints()
+	if rat[0].RHS.Cmp(big.NewRat(2, 1)) != 0 || rat[0].Coeffs[1].Cmp(big.NewRat(3, 2)) != 0 || rat[1].RHS.Cmp(three) != 0 {
+		t.Fatalf("rational view %v", rat)
+	}
+
+	// A float row x ≥ 5 makes it infeasible: 0.5·5 > 2.
+	if err := p.AddFloatRow(simplex.GE, []float64{1, 0}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ws.SolveStatus(p), simplexref.Solve(p).Status; got != simplex.Infeasible || want != got {
+		t.Fatalf("mixed infeasible problem: kernel %v, reference %v", got, want)
+	}
 }

@@ -202,12 +202,11 @@ func (w *Workspace) run(p *Problem) Status {
 	}
 	k.basis = k.basis[:m]
 
-	iform := p.intForm()
 	for i := range p.Constraints {
 		con := &p.Constraints[i]
 		row := k.row(k.n)
-		if !k.fillRowFast(row, &k.b[i], &iform.rows[i]) {
-			k.fillRowBig(row, &k.b[i], &iform.rows[i], p.NumVars)
+		if !k.fillRowFast(row, &k.b[i], &p.form.rows[i]) {
+			k.fillRowBig(row, &k.b[i], &p.form.rows[i], p.NumVars)
 		}
 		switch con.Rel {
 		case LE:

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/big"
 	"testing"
+
+	"repro/internal/exact"
 )
 
 // TestElementPromotionAndDemotion exercises the adaptive integer element
@@ -77,30 +79,29 @@ func TestPromotedDivisionAsserted(t *testing.T) {
 	k.pivotUpdate(&dst, &x, &p, &zero, &zero)
 }
 
-// TestIntFormInvalidation pins the generation-counter contract: rebuilding
-// a problem through Reset/GrowConstraint must refresh the kernel snapshot.
-func TestIntFormInvalidation(t *testing.T) {
+// TestResetRebuildsRows pins the rebuild contract: rows are written in
+// integer form when added, so a problem rebuilt through Reset on the same
+// storage must solve as its new rows, never as stale ones.
+func TestResetRebuildsRows(t *testing.T) {
 	w := NewWorkspace()
 	p := w.Prepare(1)
-	row, rhs := p.GrowConstraint(GE)
-	row[0].SetInt64(1)
-	rhs.SetInt64(5)
+	p.AddConstraint(exact.VecFromInts(1), GE, big.NewRat(5, 1))
 	if st := w.SolveStatus(p); st != Optimal {
 		t.Fatalf("first solve: %v", st)
 	}
-	// Rebuild with a contradictory system; a stale snapshot would keep the
-	// old feasible row.
+	// Rebuild with a contradictory system; a stale integer form would
+	// keep the old feasible row.
 	p.Reset(1)
-	row, rhs = p.GrowConstraint(GE)
-	row[0].SetInt64(-1) // -x ≥ 1 ⇒ x ≤ -1, impossible for x ≥ 0
-	rhs.SetInt64(1)
+	p.AddConstraint(exact.VecFromInts(-1), GE, big.NewRat(1, 1)) // -x ≥ 1 ⇒ x ≤ -1, impossible for x ≥ 0
 	if st := w.SolveStatus(p); st != Infeasible {
 		t.Fatalf("after Reset: %v, want infeasible", st)
 	}
-	// Direct mutation plus Invalidate.
-	p.Constraints[0].RHS.SetInt64(-1) // -x ≥ -1 ⇒ x ≤ 1, feasible
-	p.Invalidate()
+	// Rebuild again from float rows: -x ≥ -1 ⇒ x ≤ 1, feasible.
+	p.Reset(1)
+	if err := p.AddFloatRow(GE, []float64{-1}, -1); err != nil {
+		t.Fatal(err)
+	}
 	if st := w.SolveStatus(p); st != Optimal {
-		t.Fatalf("after Invalidate: %v, want optimal", st)
+		t.Fatalf("after a float rebuild: %v, want optimal", st)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exact"
 )
@@ -50,30 +49,23 @@ type Constraint struct {
 	RHS    *big.Rat
 }
 
-// Problem is a feasibility LP over NumVars non-negative variables. A
-// Problem must not be copied after first use (it caches its integer form
-// in an atomic pointer).
+// Problem is a feasibility LP over NumVars non-negative variables. Each
+// row is written in integer form when it is added (see introw.go) and is
+// immutable from then on; Reset is the only way to change the rows. A
+// Problem must not be copied after first use.
 //
 // Constraints always has one entry per row with its Rel. Its Coeffs and
-// RHS are authoritative for rows added by GrowConstraint/AddConstraint;
-// for rows added by AddFloatRow they are empty until RatConstraints fills
-// them in (see introw.go).
+// RHS are a copy of the values given to AddConstraint; for rows added by
+// AddFloatRow they are empty until RatConstraints fills them in.
 type Problem struct {
 	NumVars     int
 	Constraints []Constraint
 
-	// gen counts structural mutations; iform caches the integer form
-	// derived from rational rows, keyed by gen.
-	gen   uint64
-	iform atomic.Pointer[intForm]
-
-	// native marks integer-native rows (AddFloatRow), whose integer form
-	// own is authoritative; ratGen is the gen at which RatConstraints last
-	// filled in their rational view, under ratMu.
-	native bool
-	own    intForm
-	ratMu  sync.Mutex
-	ratGen uint64
+	// form holds every row's integer form, the one the solver, the
+	// certifier and the canonical hash read; ratMu serialises
+	// RatConstraints.
+	form  intForm
+	ratMu sync.Mutex
 }
 
 // NewProblem returns an empty problem with n non-negative variables.
@@ -81,47 +73,25 @@ func NewProblem(n int) *Problem {
 	return &Problem{NumVars: n}
 }
 
-// AddConstraint appends coeffs·x rel rhs. Coeffs is cloned.
+// AddConstraint appends coeffs·x rel rhs, converting it to integer form
+// and keeping a copy of coeffs and rhs as the row's rational view.
 func (p *Problem) AddConstraint(coeffs exact.Vec, rel Rel, rhs *big.Rat) {
 	if len(coeffs) != p.NumVars {
 		panic(fmt.Sprintf("simplex: constraint width %d != vars %d", len(coeffs), p.NumVars))
 	}
-	c, r := p.GrowConstraint(rel)
-	for i := range coeffs {
-		c[i].Set(coeffs[i])
-	}
-	r.Set(rhs)
+	p.form.rows = append(p.form.rows, ratIntRow(&p.form, coeffs, rhs))
+	c := p.growRel(rel)
+	c.Coeffs, c.RHS = coeffs.Clone(), new(big.Rat).Set(rhs)
 }
 
 // Reset clears the problem for reuse with n non-negative variables,
-// retaining the constraint storage accumulated by previous uses so that a
-// hot loop (one LP per observation) stops allocating rationals.
+// retaining the row storage accumulated by previous uses so that a hot
+// loop (one LP per observation) stops allocating.
 func (p *Problem) Reset(n int) {
 	p.NumVars = n
 	p.Constraints = p.Constraints[:0]
-	p.native = false
-	p.own.rows = p.own.rows[:0]
-	p.own.store = p.own.store[:0]
-	p.Invalidate()
-}
-
-// GrowConstraint appends one constraint and hands back its coefficient
-// vector (zeroed, length NumVars) and right-hand side for the caller to
-// fill in place. Unlike AddConstraint it reuses the storage of constraints
-// discarded by Reset, so repeated build/solve cycles are allocation-free.
-func (p *Problem) GrowConstraint(rel Rel) (coeffs exact.Vec, rhs *big.Rat) {
-	if p.native {
-		panic("simplex: GrowConstraint on a problem with integer-native rows")
-	}
-	p.Invalidate()
-	c := p.growRel(rel)
-	if c.RHS == nil {
-		c.RHS = new(big.Rat)
-	} else {
-		c.RHS.SetInt64(0)
-	}
-	c.Coeffs = zeroVec(c.Coeffs, p.NumVars)
-	return c.Coeffs, c.RHS
+	p.form.rows = p.form.rows[:0]
+	p.form.store = p.form.store[:0]
 }
 
 // Status reports the outcome of Solve.
@@ -244,8 +214,8 @@ func (w *Workspace) layout(p *Problem) layout {
 	}
 	slackCol := w.slack[:m]
 	artCol := w.art[:m]
-	for i, con := range p.Constraints {
-		if con.Rel == EQ {
+	for i := range p.Constraints {
+		if p.Constraints[i].Rel == EQ {
 			slackCol[i] = -1
 		} else {
 			slackCol[i] = n
@@ -253,10 +223,9 @@ func (w *Workspace) layout(p *Problem) layout {
 		}
 	}
 	nArt := 0
-	iform := p.intForm()
-	for i, con := range p.Constraints {
-		negated := iform.rows[i].rhsSign() < 0
-		if (con.Rel == LE && !negated) || (con.Rel == GE && negated) {
+	for i := range p.Constraints {
+		rel, negated := p.Constraints[i].Rel, p.form.rows[i].rhsSign() < 0
+		if (rel == LE && !negated) || (rel == GE && negated) {
 			artCol[i] = -1
 		} else {
 			artCol[i] = n + nArt

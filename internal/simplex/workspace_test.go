@@ -3,6 +3,7 @@ package simplex
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exact"
@@ -68,37 +69,53 @@ func TestWorkspaceResultSurvivesReuse(t *testing.T) {
 	}
 }
 
-// TestProblemResetAndGrowConstraint checks the in-place rebuild path reuses
-// storage without leaking stale coefficients into the next LP.
-func TestProblemResetAndGrowConstraint(t *testing.T) {
+// TestProblemResetReusesStorage checks that rebuilding a problem through
+// Reset leaks no stale row, coefficient or width into the next LP, and
+// that a warm float-row rebuild reuses the row storage, allocating
+// nothing.
+func TestProblemResetReusesStorage(t *testing.T) {
 	w := NewWorkspace()
 	p := w.Prepare(2)
-	c, rhs := p.GrowConstraint(LE)
-	c[0].SetInt64(1)
-	c[1].SetInt64(1)
-	rhs.SetInt64(-1) // x+y <= -1 with x,y >= 0: infeasible
+	p.AddConstraint(exact.VecFromInts(1, 1), LE, big.NewRat(-1, 1)) // x+y <= -1 with x,y >= 0: infeasible
 	if got := w.Solve(p).Status; got != Infeasible {
 		t.Fatalf("infeasible problem solved as %v", got)
 	}
 
-	// Rebuild with a feasible constraint; the stale coefficients and RHS
-	// must be fully overwritten by GrowConstraint.
+	// Rebuild with a feasible constraint in the same slot; its view and
+	// its integer form must be the new row's.
 	p = w.Prepare(2)
-	c, rhs = p.GrowConstraint(LE)
-	if c[0].Sign() != 0 || c[1].Sign() != 0 || rhs.Sign() != 0 {
-		t.Fatalf("GrowConstraint returned dirty storage: %v %v %v", c[0], c[1], rhs)
+	p.AddConstraint(exact.VecFromInts(1, 0), LE, big.NewRat(5, 1))
+	if c := p.Constraints[0]; c.Coeffs[0].Cmp(big.NewRat(1, 1)) != 0 || c.Coeffs[1].Sign() != 0 || c.RHS.Cmp(big.NewRat(5, 1)) != 0 {
+		t.Fatalf("rebuilt row's rational view %v ≤ %v", c.Coeffs, c.RHS)
 	}
-	c[0].SetInt64(1)
-	rhs.SetInt64(5)
+	if a, _, ok := p.IntRow(0); !ok || !slices.Equal(a, []int64{1, 0, 5}) {
+		t.Fatalf("rebuilt row's integer form %v (%v)", a, ok)
+	}
 	if got := w.Solve(p).Status; got != Optimal {
 		t.Fatalf("feasible problem solved as %v", got)
 	}
 
 	// Shrinking the variable count must trim reused coefficient vectors.
 	p = w.Prepare(1)
-	c, _ = p.GrowConstraint(LE)
-	if len(c) != 1 {
-		t.Fatalf("GrowConstraint width %d after Reset(1)", len(c))
+	if err := p.AddFloatRow(LE, []float64{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.RatConstraints()[0].Coeffs); n != 1 {
+		t.Fatalf("row width %d after Reset(1)", n)
+	}
+
+	// Once warm, a float-row rebuild reuses every slice it needs.
+	row := []float64{0.5, 3}
+	rebuild := func() {
+		p = w.Prepare(2)
+		for range 4 {
+			if err := p.AddFloatRow(LE, row, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, rebuild); allocs != 0 {
+		t.Fatalf("float-row rebuild allocates %v times", allocs)
 	}
 }
 
