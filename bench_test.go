@@ -128,7 +128,7 @@ func BenchmarkFig9aFeasibility(b *testing.B) {
 
 // BenchmarkRegionLPHash measures building one Fig 9a region LP into a
 // reused problem and hashing its canonical form — the per-verdict work of
-// every fresh LP before any solver runs, and of every LP-hash memo miss.
+// every fresh LP before any solver runs when a verdict store is attached.
 func BenchmarkRegionLPHash(b *testing.B) {
 	d, err := haswell.BuildDiagram("bench", haswell.DiscoveredModelFeatures())
 	if err != nil {

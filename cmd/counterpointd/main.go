@@ -65,7 +65,7 @@
 // filter hits, certification failures and exact fallbacks, plus the int64
 // kernel's fast-path/promotion counters and the certification arithmetic
 // split),
-// the engine's LP/verdict cache hit, miss and eviction counters, the
+// the engine's region/verdict cache hit, miss and eviction counters, the
 // sweep planner's telemetry (cells/classes planned, classes evaluated,
 // evaluations_avoided ratio), and the stream tier's telemetry (lifecycle
 // counts, ingest/verdict/drop totals, queue high-water mark,

@@ -88,9 +88,8 @@ func main() {
 		fmt.Printf("  violated %d times: %s\n", n, k)
 	}
 
-	// Evaluating again hits the engine's region cache, LP-hash memo and
-	// verdict cache — the
-	// steady state of a model sweep over a fixed corpus.
+	// Evaluating again hits the engine's region cache and verdict
+	// cache — the steady state of a model sweep over a fixed corpus.
 	t1 := time.Now()
 	if _, err := sess.Evaluate(context.Background(), corpus); err != nil {
 		log.Fatal(err)

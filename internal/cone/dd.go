@@ -11,7 +11,7 @@ import (
 
 // bitset is a fixed-width bit vector over processed inequality indices.
 // Replacing the former map[int]bool tight sets, it makes the adjacency
-// pre-test one AND+popcount sweep and set union one OR sweep.
+// pre-test one AND+popcount sweep.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -37,12 +37,6 @@ func (b bitset) subsetOf(c bitset) bool {
 		}
 	}
 	return true
-}
-
-func (b bitset) or(c bitset) {
-	for i := range b {
-		b[i] |= c[i]
-	}
 }
 
 // andCount returns |b ∩ c|.
@@ -97,15 +91,6 @@ func (r *ddRay) neg() ddRay {
 		return ddRay{iv: iv, tight: r.tight}
 	}
 	return ddRay{bv: r.bv.Scale(big.NewRat(-1, 1)), tight: r.tight}
-}
-
-// key returns the deduplication key; int64 and wide rays of equal value
-// produce equal keys (both print normalised integers).
-func (r *ddRay) key() string {
-	if r.iv != nil {
-		return exact.Vec64{Num: r.iv, Den: 1}.Key()
-	}
-	return r.bv.Key()
 }
 
 // rayFromVec normalises v and stores it in the kernel representation when
@@ -239,6 +224,20 @@ func allZero(xs []int64) bool {
 //   - With exact tight sets the algebraic adjacency test (adjacent) is
 //     exact on a minimal ray set, so each combination is a new extreme ray
 //     on a distinct face, and the kept rays stay extreme.
+//
+// No ray is ever emitted twice, so the state needs no deduplication:
+//
+//   - A combined ray α·n + β·p (α, β > 0) of an adjacent (pos, neg) pair
+//     lies in the relative interior of the 2-face the pair spans. It is
+//     not a kept ray: the neg rays are strictly inside the new half-space
+//     and the zero rays are extreme, while it lies on the hyperplane
+//     inside a 2-face. Nor is it another pair's ray: distinct pairs span
+//     distinct 2-faces, whose relative interiors are disjoint.
+//   - A pivot moves each ray r to r + t·l0. Two rays with one image would
+//     differ by a multiple of l0, a lineality direction orthogonal to
+//     every processed normal, so they would be one ray of a minimal set.
+//     l0 itself is strictly inside the new half-space, off the hyperplane
+//     every projected ray lies on.
 func dualExtremeRays(ys []ddY, d int) ([]ddRay, error) {
 	if d == 0 {
 		return nil, nil
@@ -303,14 +302,11 @@ func dualExtremeRays(ys []ddY, d int) ([]ddRay, error) {
 			}
 		}
 		if nPos == 0 {
-			kept := make([]ddRay, 0, nNeg+nZero)
 			for i := range rays {
 				if signs[i] == 0 {
 					rays[i].tight.set(mi)
 				}
-				kept = append(kept, rays[i])
 			}
-			rays = dedupeRays(kept)
 			continue
 		}
 		neg := make([]ddRay, 0, nNeg)
@@ -352,7 +348,7 @@ func dualExtremeRays(ys []ddY, d int) ([]ddRay, error) {
 				}
 			}
 		}
-		rays = dedupeRays(next)
+		rays = next
 	}
 
 	if len(lineality) != 0 {
@@ -424,22 +420,6 @@ func projectRays(xs []ddRay, l0 *ddRay, y *ddY, mi int) []ddRay {
 		if w, ok := combineRays(&xs[i], l0, y, tight); ok {
 			out = append(out, w)
 		}
-	}
-	return out
-}
-
-func dedupeRays(rs []ddRay) []ddRay {
-	seen := make(map[string]int, len(rs))
-	out := make([]ddRay, 0, len(rs))
-	for i := range rs {
-		k := rs[i].key()
-		if j, dup := seen[k]; dup {
-			// Merge tight sets (same geometric ray discovered twice).
-			out[j].tight.or(rs[i].tight)
-			continue
-		}
-		seen[k] = len(out)
-		out = append(out, rs[i])
 	}
 	return out
 }

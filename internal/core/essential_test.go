@@ -53,7 +53,7 @@ func TestEssentialColumnsMatchAllGenerators(t *testing.T) {
 		catalog = catalog[:6]
 	}
 	corpus := essentialCorpus(t)
-	steps := counters.NewHaswellRegistry(false).CumulativeGroups(false)
+	steps := counters.NewHaswellRegistry(false).CumulativeGroups()
 	steps = append(steps, counters.GroupStep{Group: "analysis", Set: haswell.AnalysisSet()})
 	ess, all := simplex.NewProblem(0), simplex.NewProblem(0)
 	ws, hybrid := simplex.NewWorkspace(), core.NewSolver(nil)

@@ -56,7 +56,7 @@ func TestGoldenLPHashes(t *testing.T) {
 	for _, cm := range haswell.Catalog() {
 		models[cm.Name] = cm
 	}
-	groups := counters.NewHaswellRegistry(false).CumulativeGroups(false)[:3] // Ret, L2TLB, Walk
+	groups := counters.NewHaswellRegistry(false).CumulativeGroups()[:3] // Ret, L2TLB, Walk
 	groups = append(groups, counters.GroupStep{Group: "analysis", Set: haswell.AnalysisSet()})
 	p := simplex.NewProblem(0)
 	for _, step := range groups {

@@ -40,7 +40,7 @@ func TestRefutationsRunOnePhase1(t *testing.T) {
 		corpus = append(corpus, haswell.WithAggregateWalkRef(sim.Observation(gen, 10, 3000)))
 	}
 	sets := []*counters.Set{haswell.AnalysisSet()}
-	for _, step := range counters.NewHaswellRegistry(false).CumulativeGroups(false)[:3] { // Ret, L2TLB, Walk
+	for _, step := range counters.NewHaswellRegistry(false).CumulativeGroups()[:3] { // Ret, L2TLB, Walk
 		sets = append(sets, step.Set)
 	}
 	st := &core.SolverStats{}

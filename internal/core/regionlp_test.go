@@ -34,7 +34,7 @@ func TestRegionLPMatchesRatReference(t *testing.T) {
 		sim.Step(gen, 4000)
 		corpus = append(corpus, haswell.WithAggregateWalkRef(sim.Observation(gen, 10, 3000)))
 	}
-	steps := counters.NewHaswellRegistry(false).CumulativeGroups(false)[:3] // Ret, L2TLB, Walk
+	steps := counters.NewHaswellRegistry(false).CumulativeGroups()[:3] // Ret, L2TLB, Walk
 	native, ref := simplex.NewProblem(0), simplex.NewProblem(0)
 	compared, rows := 0, 0
 	for _, cm := range catalog {

@@ -165,8 +165,8 @@ func (r *Registry) GroupEvents(g Group) []Event {
 // CumulativeGroups returns the cumulative counter sets used on the x-axes of
 // Figures 1b and 9: Ret | 4, L2TLB | 10, Walk | 22, Refs | 26 (the paper
 // labels the Refs step "23" because it drops the redundant T.walk_done
-// aggregates; we keep both variants available via dropAggregates).
-func (r *Registry) CumulativeGroups(dropAggregates bool) []GroupStep {
+// aggregates; every step here keeps them).
+func (r *Registry) CumulativeGroups() []GroupStep {
 	groupsInOrder := []Group{GroupRet, GroupSTLB, GroupWalk, GroupRefs}
 	if len(r.GroupEvents(GroupMMUC)) > 0 {
 		groupsInOrder = append(groupsInOrder, GroupMMUC)
@@ -174,29 +174,10 @@ func (r *Registry) CumulativeGroups(dropAggregates bool) []GroupStep {
 	var steps []GroupStep
 	var acc []Event
 	for _, g := range groupsInOrder {
-		for _, e := range r.GroupEvents(g) {
-			if dropAggregates && g == GroupRefs {
-				// Drop the per-type walk_done aggregate when the Refs step is
-				// reached, mirroring the paper's 23-counter "Refs" step.
-				acc = removeEvent(acc, E(Load, WalkDone))
-				dropAggregates = false
-			}
-			acc = append(acc, e)
-		}
-		set := NewSet(acc...)
-		steps = append(steps, GroupStep{Group: g, Set: set})
+		acc = append(acc, r.GroupEvents(g)...)
+		steps = append(steps, GroupStep{Group: g, Set: NewSet(acc...)})
 	}
 	return steps
-}
-
-func removeEvent(evs []Event, e Event) []Event {
-	out := evs[:0]
-	for _, x := range evs {
-		if x != e {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // GroupStep is one point on the cumulative counter-group axis.

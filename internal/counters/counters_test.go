@@ -41,7 +41,7 @@ func TestHaswellRegistryMMUCache(t *testing.T) {
 
 func TestCumulativeGroups(t *testing.T) {
 	r := NewHaswellRegistry(false)
-	steps := r.CumulativeGroups(false)
+	steps := r.CumulativeGroups()
 	if len(steps) != 4 {
 		t.Fatalf("got %d steps, want 4", len(steps))
 	}

@@ -171,10 +171,10 @@ func BenchmarkSweepSession(b *testing.B) {
 //   - fresh — every ingested observation is new content, the steady state
 //     of a live counter feed: an uncached confidence region, a fresh
 //     feasibility LP and an exact solve per ingest (the pde LP is below
-//     the float filter's size gate), with only the LP-hash memo insert
-//     and the verdict-cache probe shared;
+//     the float filter's size gate), with only the verdict-cache probe
+//     and insert shared;
 //   - warm — the same observation re-ingested, isolating the fixed
-//     per-ingest overhead (state fold, scratch checkout, memo and
+//     per-ingest overhead (state fold, scratch checkout, region and
 //     verdict-cache hits) with no LP built, hashed or solved in the
 //     timed loop.
 func BenchmarkStreamIngest(b *testing.B) {
@@ -248,8 +248,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 // BenchmarkVerdictCacheHit measures the content-addressed verdict cache's
 // steady state: the same observation tested over and over against the
 // same model, so after the first call every Test is a verdict-cache hit —
-// region lookup, region content key, LP-hash memo hit, memoised verdict —
-// with no LP built, hashed or solved in the timed loop.
+// region lookup, then the verdict by (model, region) key — with no LP
+// built, hashed or solved in the timed loop.
 func BenchmarkVerdictCacheHit(b *testing.B) {
 	m := pdeModel(b)
 	e := New(WithWorkers(1))
@@ -279,8 +279,8 @@ func BenchmarkVerdictCacheHit(b *testing.B) {
 // request-scoped observations — the shape of every counterpointd request
 // for content the daemon has seen before: each iteration tests a freshly
 // decoded copy of the same observation, so the sample digest is
-// recomputed, the region cache, the LP-hash memo and the verdict cache
-// all hit, and no region or LP is built, hashed or solved. Copies are
+// recomputed, the region cache and the verdict cache both hit, and no
+// region or LP is built, hashed or solved. Copies are
 // decoded outside the timer, in chunks.
 func BenchmarkVerdictCacheHitEphemeral(b *testing.B) {
 	const chunk = 1024

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/faultfs"
 	"repro/internal/perfdb"
@@ -96,20 +97,24 @@ func TestLRUMatchesReference(t *testing.T) {
 	}
 }
 
+// withVerdictLimit caps the engine's verdict LRU at n entries.
+func withVerdictLimit(n int) Option {
+	return func(e *Engine) { e.verdicts = newLRU[lpKey, bool](n) }
+}
+
 // TestLPCacheAdmitsPastLimit is the regression test for the frozen-cache
 // admission bug: the old map-based cache stopped admitting entries once
 // full, so a long-lived engine eventually served every request uncached.
-// With LRU, LP-hash memo entries admitted after the cap is reached must
-// still hit.
+// With LRU, verdicts admitted after the cap is reached must still hit.
 func TestLPCacheAdmitsPastLimit(t *testing.T) {
-	e := New(WithCacheLimits(4, 1))
+	e := New(withVerdictLimit(4))
 	defer e.Close()
 	m := pdeModel(t)
 	s, err := e.NewSession(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 8 distinct observations fill the 4-entry memo twice over.
+	// 8 distinct observations fill the 4-entry cache twice over.
 	var corpus []*counters.Observation
 	for i := 0; i < 8; i++ {
 		corpus = append(corpus, obsAround(fmt.Sprintf("o%d", i), 400+30*float64(i), 100, 50, int64(40+i)))
@@ -120,12 +125,13 @@ func TestLPCacheAdmitsPastLimit(t *testing.T) {
 		}
 	}
 	c := e.CacheStats()
-	if c.LPMisses != 8 || c.LPHits != 0 {
-		t.Fatalf("first pass: %d misses %d hits, want 8/0", c.LPMisses, c.LPHits)
+	if c.VerdictMisses != 8 || c.VerdictHits != 0 {
+		t.Fatalf("first pass: %d misses %d hits, want 8/0", c.VerdictMisses, c.VerdictHits)
 	}
-	if c.LPEvictions != 4 || c.LPEntries != 4 {
-		t.Fatalf("evictions %d entries %d, want 4/4", c.LPEvictions, c.LPEntries)
+	if c.VerdictEvictions != 4 || c.VerdictEntries != 4 {
+		t.Fatalf("evictions %d entries %d, want 4/4", c.VerdictEvictions, c.VerdictEntries)
 	}
+	evals := e.SolverStats().Evaluations
 	// Re-testing the most recent 4 observations must hit the cache even
 	// though it filled long ago.
 	for _, o := range corpus[4:] {
@@ -134,8 +140,11 @@ func TestLPCacheAdmitsPastLimit(t *testing.T) {
 		}
 	}
 	c = e.CacheStats()
-	if c.LPHits != 4 {
-		t.Fatalf("second pass: %d LP hits, want 4 (cache froze?)", c.LPHits)
+	if c.VerdictHits != 4 {
+		t.Fatalf("second pass: %d verdict hits, want 4 (cache froze?)", c.VerdictHits)
+	}
+	if got := e.SolverStats().Evaluations; got != evals {
+		t.Fatalf("second pass ran %d solver evaluations, want 0", got-evals)
 	}
 }
 
@@ -257,6 +266,53 @@ func TestVerdictStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerdictStoreHitPromotedToMemory: a verdict evicted from memory is
+// served from the store under its LP hash with no solver evaluation, and
+// promoted into memory under its (model, region) key, so the next lookup
+// never reaches the store.
+func TestVerdictStoreHitPromotedToMemory(t *testing.T) {
+	store := &mapStore{}
+	e := New(WithVerdictStore(store), withVerdictLimit(1))
+	defer e.Close()
+	m := pdeModel(t)
+	s, err := e.NewSession(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := func(o *counters.Observation) *core.Verdict {
+		t.Helper()
+		v, err := s.Test(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	ok, bad := obsAround("ok", 500, 100, 100, 31), obsAround("bad", 100, 400, 100, 32)
+	want := test(ok)
+	test(bad) // evicts ok's verdict from the one-entry memory cache
+	evals, gets := e.SolverStats().Evaluations, store.gets
+	if got := test(ok); got.Feasible != want.Feasible {
+		t.Fatalf("store-served verdict %v, solved %v", got.Feasible, want.Feasible)
+	}
+	if got := e.SolverStats().Evaluations; got != evals {
+		t.Fatalf("store hit ran %d solver evaluations, want 0", got-evals)
+	}
+	if c := e.CacheStats(); c.StoreHits != 1 || store.gets != gets+1 {
+		t.Fatalf("store hits %d, store gets %d; want 1, 1", c.StoreHits, store.gets-gets)
+	}
+	k := lpKey{model: m.ContentKey(), region: want.Region.Key()}
+	e.verdictMu.Lock()
+	feasible, cached := e.verdicts.Get(k)
+	e.verdictMu.Unlock()
+	if !cached || feasible != want.Feasible {
+		t.Fatalf("store hit not promoted under its (model, region) key: cached %v feasible %v", cached, feasible)
+	}
+	test(ok)
+	if c := e.CacheStats(); c.StoreHits != 1 || store.gets != gets+1 || e.SolverStats().Evaluations != evals {
+		t.Fatalf("promoted verdict missed memory: store hits %d, store gets %d", c.StoreHits, store.gets-gets)
+	}
+}
+
 // TestVerdictStoreErrorsAreNonFatal pins the best-effort contract: a
 // failing store surfaces in telemetry but never in verdicts.
 func TestVerdictStoreErrorsAreNonFatal(t *testing.T) {
@@ -280,9 +336,9 @@ func TestVerdictStoreErrorsAreNonFatal(t *testing.T) {
 }
 
 // TestEphemeralSessionsConsultVerdictCache: a session set up with the
-// deprecated EphemeralObservations flag shares the region cache, the
-// LP-hash memo and the verdict cache with every other session, so
-// content seen before is never re-solved.
+// deprecated EphemeralObservations flag shares the region cache and the
+// verdict cache with every other session, so content seen before is
+// never re-solved.
 func TestEphemeralSessionsConsultVerdictCache(t *testing.T) {
 	e := New()
 	defer e.Close()

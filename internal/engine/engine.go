@@ -12,8 +12,9 @@
 //     request) shares one covariance and eigendecomposition; cached
 //     regions hold the model's counter set and derived numbers only,
 //     never a request's payload,
-//   - content-addressed LRUs from (model, region) to canonical LP hash
-//     and from LP hash to verdict, optionally backed by a VerdictStore,
+//   - a verdict LRU keyed by (model content key, region key), optionally
+//     backed by a VerdictStore keyed by canonical LP hash, which is the
+//     only reason the engine ever hashes an LP,
 //   - a pool of simplex.Workspaces so the exact LP reuses its rational
 //     tableau from verdict to verdict,
 //   - a cache of Restricted models, so counter-group sweeps (Figure 1b/9)
@@ -45,13 +46,11 @@ var ErrClosed = errors.New("engine: closed")
 // Engine is a long-lived evaluation runtime. The zero value is not usable;
 // call New. Engines are safe for concurrent use.
 type Engine struct {
-	workers      int
-	builder      *stats.RegionBuilder
-	solver       *core.SolverStats
-	caches       *cacheStats
-	store        VerdictStore
-	lpLimit      int
-	verdictLimit int
+	workers int
+	builder *stats.RegionBuilder
+	solver  *core.SolverStats
+	caches  *cacheStats
+	store   VerdictStore
 
 	tasks chan func()
 	quit  chan struct{}
@@ -64,11 +63,8 @@ type Engine struct {
 	mu     sync.Mutex
 	models *lruCache[restrictKey, *core.Model]
 
-	lpMu sync.Mutex
-	lps  *lruCache[lpKey, core.LPHash]
-
 	verdictMu sync.Mutex
-	verdicts  *lruCache[core.LPHash, bool]
+	verdicts  *lruCache[lpKey, bool]
 
 	sessMu   sync.Mutex
 	sessions *lruCache[sessionKey, *Session]
@@ -92,11 +88,12 @@ type restrictKey struct {
 	set     string
 }
 
-// lpKey addresses the LP-hash memo by content: the model's content key
-// and the region's content key (the sample digest it was built from).
-// Both are digests, so an entry pins nothing of the request that
-// produced it, and identical payloads arriving through different
-// pointers share one entry.
+// lpKey addresses the verdict LRU by content: the model's content key and
+// the region's content key (the sample digest it was built from). The
+// region LP is a pure function of the two, so within one process the key
+// names the LP without building or hashing it. Both are digests, so an
+// entry pins nothing of the request that produced it, and identical
+// payloads arriving through different pointers share one entry.
 type lpKey struct {
 	model  string
 	region [16]byte
@@ -129,23 +126,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithVerdictStore attaches a persistent verdict store (typically
-// perfdb's): verdict-cache misses read through to it and fresh verdicts
-// write through, so content-addressed verdicts survive process restarts.
+// perfdb's): verdict-cache misses read through to it under the LP's
+// canonical hash and fresh verdicts write through, so verdicts survive
+// process restarts.
 func WithVerdictStore(s VerdictStore) Option {
 	return func(e *Engine) { e.store = s }
-}
-
-// WithCacheLimits overrides the LP-hash memo and verdict cache bounds.
-// Values below 1 keep the corresponding default.
-func WithCacheLimits(lps, verdicts int) Option {
-	return func(e *Engine) {
-		if lps >= 1 {
-			e.lpLimit = lps
-		}
-		if verdicts >= 1 {
-			e.verdictLimit = verdicts
-		}
-	}
 }
 
 // New starts an engine with its worker pool running. Call Close to stop the
@@ -153,22 +138,19 @@ func WithCacheLimits(lps, verdicts int) Option {
 // engine stays up for the life of the process.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		workers:      runtime.GOMAXPROCS(0),
-		builder:      stats.NewRegionBuilder(),
-		solver:       &core.SolverStats{},
-		caches:       &cacheStats{},
-		lpLimit:      lpCacheLimit,
-		verdictLimit: verdictCacheLimit,
-		quit:         make(chan struct{}),
+		workers:  runtime.GOMAXPROCS(0),
+		builder:  stats.NewRegionBuilder(),
+		solver:   &core.SolverStats{},
+		caches:   &cacheStats{},
+		quit:     make(chan struct{}),
+		models:   newLRU[restrictKey, *core.Model](modelCacheLimit),
+		verdicts: newLRU[lpKey, bool](verdictCacheLimit),
+		sessions: newLRU[sessionKey, *Session](sessionCacheLimit),
+		regions:  newLRU[[16]byte, *stats.Region](regionCacheLimit),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.models = newLRU[restrictKey, *core.Model](modelCacheLimit)
-	e.lps = newLRU[lpKey, core.LPHash](e.lpLimit)
-	e.verdicts = newLRU[core.LPHash, bool](e.verdictLimit)
-	e.sessions = newLRU[sessionKey, *Session](sessionCacheLimit)
-	e.regions = newLRU[[16]byte, *stats.Region](regionCacheLimit)
 	e.scratch.New = func() any {
 		return &evalScratch{
 			ws:   simplex.NewWorkspace(),
@@ -238,14 +220,11 @@ func (e *Engine) submit(ctx context.Context, f func()) error {
 func (e *Engine) getScratch() *evalScratch  { return e.scratch.Get().(*evalScratch) }
 func (e *Engine) putScratch(s *evalScratch) { e.scratch.Put(s) }
 
-// lpCacheLimit bounds the (model, region) → LP-hash memo. The memo is
-// LRU: workloads that revisit pairs keep their hot set resident no matter
-// how many one-shot LPs (explore searches evaluate each node once) pass
-// through in between.
-const lpCacheLimit = 1 << 16
-
-// verdictCacheLimit bounds the in-memory content-addressed verdict
-// cache. Entries are a hash and a bool, so the cap is generous.
+// verdictCacheLimit bounds the in-memory verdict LRU. Entries are a
+// shared model key, a region digest and a bool, so the cap is generous;
+// being LRU, workloads that revisit pairs keep their hot set resident no
+// matter how many one-shot LPs (explore searches evaluate each node once)
+// pass through in between.
 const verdictCacheLimit = 1 << 18
 
 // regionCacheLimit bounds the content-addressed region LRU. A region over
@@ -278,26 +257,6 @@ func (s *Session) region(sc *evalScratch, o *counters.Observation) (*stats.Regio
 	r = e.regions.Add(k, r)
 	e.regionMu.Unlock()
 	return r, nil
-}
-
-// lpHash returns the memoised canonical LP hash for k, if any.
-func (e *Engine) lpHash(k lpKey) (core.LPHash, bool) {
-	e.lpMu.Lock()
-	h, ok := e.lps.Get(k)
-	e.lpMu.Unlock()
-	if ok {
-		e.caches.lpHits.Add(1)
-	} else {
-		e.caches.lpMisses.Add(1)
-	}
-	return h, ok
-}
-
-// memoLPHash records the canonical hash of k's LP.
-func (e *Engine) memoLPHash(k lpKey, h core.LPHash) {
-	e.lpMu.Lock()
-	e.lps.Add(k, h)
-	e.lpMu.Unlock()
 }
 
 // modelFor returns m restricted to set, memoised per (diagram, set) so

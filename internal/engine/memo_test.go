@@ -11,21 +11,22 @@ import (
 	"repro/internal/counters"
 )
 
-// This file pins the contract of the engine's LP-hash memo: every session
-// maps (model content, region content) to the canonical LP hash, so a verdict-cache hit needs neither the LP nor its
-// hash — and nothing about that shortcut may change a verdict.
+// This file pins the contract of the engine's verdict memo: every session
+// maps (model content, region content) to its verdict, so a hit needs
+// neither the LP nor its hash — and nothing about that shortcut may
+// change a verdict.
 
 // memoWorkers are the pool sizes every memo contract test runs on: the
 // serial engine and a 4-worker one whose concurrent misses race on the
-// memo and the verdict cache.
+// verdict cache.
 var memoWorkers = []int{1, 4}
 
 // forEachMemoEngine runs f as a subtest against a fresh engine of each
-// pool size in memoWorkers, passing extra options through.
-func forEachMemoEngine(t *testing.T, f func(t *testing.T, e *Engine), opts ...Option) {
+// pool size in memoWorkers.
+func forEachMemoEngine(t *testing.T, f func(t *testing.T, e *Engine)) {
 	for _, w := range memoWorkers {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			e := New(append([]Option{WithWorkers(w)}, opts...)...)
+			e := New(WithWorkers(w))
 			defer e.Close()
 			f(t, e)
 		})
@@ -79,8 +80,6 @@ func decodeCorpus(t *testing.T, corpus []*counters.Observation) []*counters.Obse
 
 // forceExactVerdicts evaluates corpus on a separate engine with every
 // accelerated path and cache bypassed: the reference the memo must match.
-// The observations must have distinct content, so the reference engine
-// never takes a memo hit itself.
 func forceExactVerdicts(t *testing.T, m *core.Model, corpus []*counters.Observation) [][]byte {
 	t.Helper()
 	e := New(WithWorkers(1))
@@ -104,7 +103,7 @@ func forceExactVerdicts(t *testing.T, m *core.Model, corpus []*counters.Observat
 // twice, from freshly decoded copies each time (as a service decodes every
 // request), gives verdicts byte-identical to the cold exact baseline on
 // both passes, and the second pass is served entirely by the region
-// cache, the memo and the verdict cache.
+// cache and the verdict memo.
 func TestMemoEphemeralMatchesForceExact(t *testing.T) {
 	m := pdeModel(t)
 	corpus := memoCorpus()
@@ -135,8 +134,8 @@ func TestMemoEphemeralMatchesForceExact(t *testing.T) {
 		if hits, misses := after.RegionHits-before.RegionHits, after.RegionMisses-before.RegionMisses; hits != uint64(len(corpus)) || misses != 0 {
 			t.Fatalf("second pass: %d region hits, %d misses; want %d, 0", hits, misses, len(corpus))
 		}
-		if hits, misses := after.LPHits-before.LPHits, after.LPMisses-before.LPMisses; hits != uint64(len(corpus)) || misses != 0 {
-			t.Fatalf("second pass: %d memo hits, %d misses; want %d, 0", hits, misses, len(corpus))
+		if hits, misses := after.VerdictHits-before.VerdictHits, after.VerdictMisses-before.VerdictMisses; hits != uint64(len(corpus)) || misses != 0 {
+			t.Fatalf("second pass: %d verdict hits, %d misses; want %d, 0", hits, misses, len(corpus))
 		}
 		if got := e.SolverStats().Evaluations; got != evals {
 			t.Fatalf("second pass ran %d solver evaluations, want 0", got-evals)
@@ -184,8 +183,8 @@ func TestMemoKeysOnModelContent(t *testing.T) {
 			}
 		}
 		c := e.CacheStats()
-		if c.LPMisses != 2 || c.LPHits != 2 || c.LPEntries != 2 {
-			t.Fatalf("memo misses %d hits %d entries %d; want 2/2/2", c.LPMisses, c.LPHits, c.LPEntries)
+		if c.VerdictMisses != 2 || c.VerdictHits != 2 || c.VerdictEntries != 2 {
+			t.Fatalf("verdict misses %d hits %d entries %d; want 2/2/2", c.VerdictMisses, c.VerdictHits, c.VerdictEntries)
 		}
 		if got := e.SolverStats().Evaluations; got != 2 {
 			t.Fatalf("%d solver evaluations, want one per model", got)
@@ -193,51 +192,15 @@ func TestMemoKeysOnModelContent(t *testing.T) {
 	})
 }
 
-// TestMemoHitAfterVerdictEviction: when the verdict LRU has evicted a
-// verdict whose LP hash is still memoised, the memo hit must fall through
-// to building the LP and solving it afresh, with the same verdict.
-func TestMemoHitAfterVerdictEviction(t *testing.T) {
-	m := pdeModel(t)
-	ok, bad := obsAround("ok", 500, 100, 100, 21), obsAround("bad", 100, 400, 100, 22)
-	want := forceExactVerdicts(t, m, []*counters.Observation{ok, bad})
-	forEachMemoEngine(t, func(t *testing.T, e *Engine) {
-		s, err := e.NewSession(m, Config{IdentifyViolations: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The one-entry verdict cache holds only the latest verdict, so
-		// every test after the first two is a memo hit and a verdict miss.
-		for i, o := range []*counters.Observation{ok, bad, ok, bad} {
-			v, err := s.Test(context.Background(), decodedCopies(t, o, 1)[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := verdictBytes(t, v); !bytes.Equal(got, want[i%2]) {
-				t.Fatalf("test %d:\n got %s\nwant %s", i, got, want[i%2])
-			}
-		}
-		c := e.CacheStats()
-		if c.LPHits != 2 || c.LPMisses != 2 {
-			t.Fatalf("memo hits %d misses %d, want 2/2", c.LPHits, c.LPMisses)
-		}
-		if c.VerdictHits != 0 || c.VerdictMisses != 4 || c.VerdictEvictions != 3 {
-			t.Fatalf("verdict hits %d misses %d evictions %d, want 0/4/3", c.VerdictHits, c.VerdictMisses, c.VerdictEvictions)
-		}
-		if got := e.SolverStats().Evaluations; got != 4 {
-			t.Fatalf("%d solver evaluations, want 4", got)
-		}
-	}, WithCacheLimits(0, 1))
-}
-
-// TestMemoForceExactAlwaysSolves: ForceExact bypasses the verdict cache,
-// so even a memo hit on content whose verdict is cached builds the LP and
-// runs the exact solver.
+// TestMemoForceExactAlwaysSolves: ForceExact bypasses the verdict memo,
+// so even content whose verdict is cached builds the LP and runs the
+// exact solver, and records nothing.
 func TestMemoForceExactAlwaysSolves(t *testing.T) {
 	m := pdeModel(t)
 	corpus := mixedCorpus()
 	want := forceExactVerdicts(t, m, corpus)
 	forEachMemoEngine(t, func(t *testing.T, e *Engine) {
-		// A normal session first fills the memo and the verdict cache.
+		// A normal session first fills the verdict memo.
 		warm, err := e.NewSession(m, Config{IdentifyViolations: true})
 		if err != nil {
 			t.Fatal(err)
@@ -260,11 +223,11 @@ func TestMemoForceExactAlwaysSolves(t *testing.T) {
 			}
 		}
 		after, solved := e.CacheStats(), e.SolverStats()
-		if hits := after.LPHits - before.LPHits; hits != uint64(len(corpus)) {
-			t.Fatalf("%d memo hits, want %d", hits, len(corpus))
-		}
 		if after.VerdictHits != before.VerdictHits || after.VerdictMisses != before.VerdictMisses {
 			t.Fatal("ForceExact consulted the verdict cache")
+		}
+		if after.VerdictEntries != before.VerdictEntries || after.VerdictEvictions != before.VerdictEvictions {
+			t.Fatal("ForceExact recorded verdicts")
 		}
 		n := uint64(len(corpus))
 		if evals, exact := solved.Evaluations-solver.Evaluations, solved.ExactFallbacks-solver.ExactFallbacks; evals != n || exact != n {

@@ -131,31 +131,37 @@ func (s *Session) Restrict(set *counters.Set) (*Session, error) {
 }
 
 // test evaluates one observation using pooled scratch state. The digest
-// of the observation's samples addresses the region LRU, the region
-// content key (with the model's) the LP-hash memo, and the hash the
-// verdict cache; a verdict hit never builds the LP (violations are
-// closed-form over the region). The LP is built at most once, into the
-// scratch workspace: on a memo miss, to hash it, and for any solve.
+// of the observation's samples addresses the region LRU, and the region
+// content key (with the model's) the verdict LRU; a verdict hit never
+// builds the LP (violations are closed-form over the region). On a
+// memory miss the LP is built once, into the scratch workspace, and
+// hashed only when a store is attached, to consult it and write through.
 func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict, error) {
 	r, err := s.region(sc, o)
 	if err != nil {
 		return nil, err
 	}
-	var p *simplex.Problem
+	e := s.eng
 	k := lpKey{model: s.model.ContentKey(), region: r.Key()}
-	hash, ok := s.eng.lpHash(k)
-	if !ok {
-		if p, err = s.buildLP(sc, r); err != nil {
-			return nil, err
-		}
-		hash = core.HashLP(p)
-		s.eng.memoLPHash(k, hash)
-	}
-	var v *core.Verdict
+	var p *simplex.Problem
+	var hash core.LPHash
 	feasible, hit := false, false
 	if !s.cfg.ForceExact {
-		feasible, hit = s.eng.cachedVerdict(hash)
+		feasible, hit = e.cachedVerdict(k)
+		if !hit && e.store != nil {
+			if p, err = s.buildLP(sc, r); err != nil {
+				return nil, err
+			}
+			hash = core.HashLP(p)
+			feasible, hit = e.storedVerdict(k, hash)
+		}
+		if hit {
+			e.caches.verdictHits.Add(1)
+		} else {
+			e.caches.verdictMisses.Add(1)
+		}
 	}
+	var v *core.Verdict
 	if hit {
 		v, err = s.model.VerdictForRegion(r, feasible, s.cfg.IdentifyViolations)
 	} else {
@@ -166,13 +172,13 @@ func (s *Session) test(sc *evalScratch, o *counters.Observation) (*core.Verdict,
 		}
 		// ForceExact is the cold baseline: no float filter or verdict
 		// cache, only a from-scratch exact solve.
-		sv := core.Solver{Exact: sc.ws, Cert: sc.cert, Stats: s.eng.solver}
+		sv := core.Solver{Exact: sc.ws, Cert: sc.cert, Stats: e.solver}
 		if !s.cfg.ForceExact {
 			sv.Filter = sc.fl
 		}
 		v, err = s.model.TestRegionLP(&sv, p, r, s.cfg.IdentifyViolations)
 		if err == nil && !s.cfg.ForceExact {
-			s.eng.storeVerdict(hash, v.Feasible)
+			e.recordVerdict(k, hash, v.Feasible)
 		}
 	}
 	if err != nil {

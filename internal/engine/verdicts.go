@@ -6,10 +6,12 @@ import (
 	"repro/internal/core"
 )
 
-// VerdictStore is a persistent backing tier for the content-addressed
-// verdict cache. Keys are canonical LP hashes (core.LPHash); values are
-// feasibility verdicts. Implementations must be safe for concurrent use;
-// internal/perfdb provides the file-backed one counterpointd wires in.
+// VerdictStore is a persistent backing tier for the in-memory verdict
+// cache. Keys are canonical LP hashes (core.LPHash), which stay valid
+// across processes and versions where the in-memory (model, region) key
+// does not; values are feasibility verdicts. Implementations must be
+// safe for concurrent use; internal/perfdb provides the file-backed one
+// counterpointd wires in.
 // The interface is declared here (not in perfdb) so the engine stays
 // free of storage dependencies.
 type VerdictStore interface {
@@ -27,8 +29,6 @@ type VerdictStore interface {
 type cacheStats struct {
 	regionHits     atomic.Uint64
 	regionMisses   atomic.Uint64
-	lpHits         atomic.Uint64
-	lpMisses       atomic.Uint64
 	verdictHits    atomic.Uint64
 	verdictMisses  atomic.Uint64
 	storeHits      atomic.Uint64
@@ -46,19 +46,13 @@ type CacheCounts struct {
 	RegionMisses    uint64 `json:"region_misses"`
 	RegionEvictions uint64 `json:"region_evictions"`
 	RegionEntries   int    `json:"region_entries"`
-	// LPHits / LPMisses count LP-hash memo lookups, made by every session;
-	// LPEvictions counts entries displaced by the LRU policy.
-	LPHits      uint64 `json:"lp_hits"`
-	LPMisses    uint64 `json:"lp_misses"`
-	LPEvictions uint64 `json:"lp_evictions"`
-	LPEntries   int    `json:"lp_entries"`
-	// VerdictHits / VerdictMisses count content-addressed verdict cache
-	// lookups (a hit skips the solve entirely); StoreHits counts the
-	// subset of hits served by the persistent store after a memory miss,
-	// StoreErrors counts failed persistence writes, and StoreConflicts
-	// counts fresh verdicts the store refused because it holds the
-	// opposite verdict for the same LP hash (a solver bug or a hash
-	// collision; nonzero warrants investigation).
+	// VerdictHits / VerdictMisses count verdict lookups by (model,
+	// region), memory then store (a hit skips the solve entirely);
+	// StoreHits counts the subset of hits served by the persistent store
+	// after a memory miss, StoreErrors counts failed persistence writes,
+	// and StoreConflicts counts fresh verdicts the store refused because
+	// it holds the opposite verdict for the same LP hash (a solver bug or
+	// a hash collision; nonzero warrants investigation).
 	VerdictHits      uint64 `json:"verdict_hits"`
 	VerdictMisses    uint64 `json:"verdict_misses"`
 	VerdictEvictions uint64 `json:"verdict_evictions"`
@@ -77,8 +71,6 @@ func (e *Engine) CacheStats() CacheCounts {
 	c := CacheCounts{
 		RegionHits:     e.caches.regionHits.Load(),
 		RegionMisses:   e.caches.regionMisses.Load(),
-		LPHits:         e.caches.lpHits.Load(),
-		LPMisses:       e.caches.lpMisses.Load(),
 		VerdictHits:    e.caches.verdictHits.Load(),
 		VerdictMisses:  e.caches.verdictMisses.Load(),
 		StoreHits:      e.caches.storeHits.Load(),
@@ -89,10 +81,6 @@ func (e *Engine) CacheStats() CacheCounts {
 	c.RegionEvictions = e.regions.Evictions()
 	c.RegionEntries = e.regions.Len()
 	e.regionMu.Unlock()
-	e.lpMu.Lock()
-	c.LPEvictions = e.lps.Evictions()
-	c.LPEntries = e.lps.Len()
-	e.lpMu.Unlock()
 	e.verdictMu.Lock()
 	c.VerdictEvictions = e.verdicts.Evictions()
 	c.VerdictEntries = e.verdicts.Len()
@@ -106,37 +94,33 @@ func (e *Engine) CacheStats() CacheCounts {
 	return c
 }
 
-// cachedVerdict consults the content-addressed verdict cache: the
-// in-memory LRU first, then the persistent store (promoting a store hit
-// into memory).
-func (e *Engine) cachedVerdict(h core.LPHash) (feasible, ok bool) {
+// cachedVerdict returns the in-memory verdict for k, if any.
+func (e *Engine) cachedVerdict(k lpKey) (feasible, ok bool) {
 	e.verdictMu.Lock()
-	feasible, ok = e.verdicts.Get(h)
+	feasible, ok = e.verdicts.Get(k)
 	e.verdictMu.Unlock()
-	if ok {
-		e.caches.verdictHits.Add(1)
-		return feasible, true
-	}
-	if e.store != nil {
-		if feasible, ok = e.store.Get(h); ok {
-			e.verdictMu.Lock()
-			e.verdicts.Add(h, feasible)
-			e.verdictMu.Unlock()
-			e.caches.verdictHits.Add(1)
-			e.caches.storeHits.Add(1)
-			return feasible, true
-		}
-	}
-	e.caches.verdictMisses.Add(1)
-	return false, false
+	return feasible, ok
 }
 
-// storeVerdict records a freshly solved verdict in memory and writes it
-// through to the persistent store when one is attached. A failed put whose
-// key the store holds with the opposite verdict is a conflict.
-func (e *Engine) storeVerdict(h core.LPHash, feasible bool) {
+// storedVerdict returns the persistent store's verdict for LP hash h,
+// promoting a hit into memory under k. The engine must have a store.
+func (e *Engine) storedVerdict(k lpKey, h core.LPHash) (feasible, ok bool) {
+	if feasible, ok = e.store.Get(h); ok {
+		e.verdictMu.Lock()
+		e.verdicts.Add(k, feasible)
+		e.verdictMu.Unlock()
+		e.caches.storeHits.Add(1)
+	}
+	return feasible, ok
+}
+
+// recordVerdict records a freshly solved verdict in memory under k and,
+// when a store is attached, writes it through under the LP hash h. A
+// failed put whose key the store holds with the opposite verdict is a
+// conflict.
+func (e *Engine) recordVerdict(k lpKey, h core.LPHash, feasible bool) {
 	e.verdictMu.Lock()
-	e.verdicts.Add(h, feasible)
+	e.verdicts.Add(k, feasible)
 	e.verdictMu.Unlock()
 	if e.store != nil {
 		if err := e.store.Put(h, feasible); err != nil {

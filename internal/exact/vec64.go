@@ -202,9 +202,8 @@ func (v Vec64) NormalizeIntegral() Vec64 {
 	return out
 }
 
-// Key returns the canonical deduplication key. For normalised integral
-// vectors it matches Vec.Key() on the same values, so int64 and big.Rat
-// rays deduplicate against each other.
+// Key returns the canonical key. For normalised integral vectors it
+// matches Vec.Key() on the same values.
 func (v Vec64) Key() string {
 	var sb strings.Builder
 	for i, n := range v.Num {

@@ -283,7 +283,7 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 		}
 		// The planner already collapsed aliases, so within a scan each
 		// (class, observation) pair reaches the engine once; the engine's
-		// content-addressed region, LP-hash and verdict caches dedup
+		// content-addressed region and verdict caches dedup
 		// identical content across scans (a repeated seed, a resume).
 		// Region keys are digests of the samples, so the pooled
 		// DecodeClass buffers are never read back through a stale entry.

@@ -514,7 +514,7 @@ func (s *Store) maybeCompactLocked() {
 // compactLocked rewrites the live records into a temp file, fsyncs it,
 // and atomically renames it over the journal. On any failure the old
 // journal stays in place untouched.
-func (s *Store) compactLocked() error {
+func (s *Store) compactLocked() {
 	// Materialize coalesced checkpoints first so the rewrite carries the
 	// newest state (they go straight into the new file, not the old one).
 	for _, id := range s.order {
@@ -538,7 +538,7 @@ func (s *Store) compactLocked() error {
 			s.live += recordlog.FrameLen(payload)
 		}
 	}
-	err := s.log.Rewrite(func(put func(typ byte, payload []byte)) {
+	if err := s.log.Rewrite(func(put func(typ byte, payload []byte)) {
 		for _, id := range s.order {
 			e := s.index[id]
 			if e == nil {
@@ -555,24 +555,11 @@ func (s *Store) compactLocked() error {
 				put(recTerminal, e.termP)
 			}
 		}
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return
 	}
 	s.live = s.log.Size()
 	s.compactions++
-	return nil
-}
-
-// Compact forces a compaction (tests and operators; the write path
-// triggers it automatically via the size heuristics).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
 }
 
 // Sync flushes any coalesced checkpoints and fsyncs the journal.

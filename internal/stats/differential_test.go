@@ -162,7 +162,7 @@ func TestRegionVerdictsMatchJacobiReference(t *testing.T) {
 	if testing.Short() {
 		catalog = catalog[:6]
 	}
-	steps := counters.NewHaswellRegistry(false).CumulativeGroups(false)
+	steps := counters.NewHaswellRegistry(false).CumulativeGroups()
 	steps = append(steps, counters.GroupStep{Group: "analysis", Set: haswell.AnalysisSet()})
 	type pair struct{ got, ref *stats.Region }
 	build := func(o *counters.Observation) pair {

@@ -200,7 +200,7 @@ func quantizeAxes(vt []float64, n int) [][]float64 {
 // mode and the confidence). A region is a pure function of that content,
 // so two regions with equal keys are identical and produce bit-identical
 // feasibility LPs downstream; the engine uses the key (with the model's
-// content key) to address its LP-hash memo. The key is zero on a region
+// content key) to address its verdict cache. The key is zero on a region
 // not built by this package.
 func (r *Region) Key() [16]byte { return r.key }
 

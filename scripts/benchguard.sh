@@ -44,7 +44,7 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -f scripts/benchjson.awk "${TMP}/be
 # 20% budget.
 # VerdictCacheHitEphemeral gates allocs/op only: it is the verdict-cache
 # hit path of every service request (sample digest, region-cache and
-# LP-hash memo hits, no region or LP built), so an allocation there is
+# verdict-cache hits, no region or LP built), so an allocation there is
 # paid per observation served, while its wall time is as noisy as
 # StreamIngest's. The ns/op gate is anchored so it keeps covering exactly
 # VerdictCacheHit.
