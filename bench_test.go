@@ -6,6 +6,7 @@ package repro
 
 import (
 	"io"
+	"repro/internal/tier"
 	"testing"
 
 	"repro/internal/core"
@@ -71,7 +72,7 @@ func BenchmarkFig9aFeasibility(b *testing.B) {
 			solver *core.Solver
 		}{
 			{"exact", &core.Solver{Exact: simplex.NewWorkspace()}},
-			{"hybrid", core.NewSolver(nil)},
+			{"hybrid", tier.NewSolver(nil)},
 		} {
 			b.Run(string(g)+"/"+tier.name, func(b *testing.B) {
 				proj := obs.Project(set)
@@ -301,7 +302,7 @@ func BenchmarkFeasibilityLP(b *testing.B) {
 		solver *core.Solver
 	}{
 		{"exact", &core.Solver{Exact: simplex.NewWorkspace()}},
-		{"hybrid", core.NewSolver(nil)},
+		{"hybrid", tier.NewSolver(nil)},
 	} {
 		b.Run(tier.name, func(b *testing.B) {
 			b.ReportAllocs()

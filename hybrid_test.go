@@ -21,6 +21,7 @@ import (
 	"repro/internal/simplex"
 	"repro/internal/simplex/simplexref"
 	"repro/internal/stats"
+	"repro/internal/tier"
 	"repro/internal/workloads"
 )
 
@@ -82,7 +83,7 @@ func TestHybridMatchesExactOnCatalogue(t *testing.T) {
 
 	kernelWS := simplex.NewWorkspace()
 	hstats := &core.SolverStats{}
-	hybrid := core.NewSolver(hstats)
+	hybrid := tier.NewSolver(hstats)
 	filter := floatlp.NewWorkspace()
 	var cert simplex.Certifier
 

@@ -76,16 +76,6 @@ func (c Constraint) coeffFloats() []float64 {
 	return af
 }
 
-// Eval returns a·v for a float-valued counter vector aligned with the
-// constraint's set.
-func (c Constraint) Eval(v []float64) float64 {
-	sum := 0.0
-	for i, f := range c.Floats() {
-		sum += f * v[i]
-	}
-	return sum
-}
-
 // SatisfiedBy reports whether the exact vector v satisfies the constraint.
 func (c Constraint) SatisfiedBy(v exact.Vec) bool {
 	d := c.Coeffs.Dot(v)
@@ -311,13 +301,6 @@ func (c *Cone) Generators() []exact.Vec {
 // them.
 func (c *Cone) Counts() [][]int64 { return c.gens64 }
 
-// Contains reports whether v lies in the cone, i.e. whether non-negative
-// flows f with Σ f_i g_i = v exist. One-off convenience: each call builds
-// a fresh solver.
-func (c *Cone) Contains(v exact.Vec) bool {
-	return newHullSolver().inHull(vecOf(v), c.hullGens())
-}
-
 // hullGens returns the generators as membership-LP vectors.
 func (c *Cone) hullGens() []hullVec {
 	out := make([]hullVec, len(c.gens64))
@@ -342,17 +325,6 @@ func (c *Cone) EssentialIndices() []int {
 		c.ess = newHullSolver().essential(c.hullGens())
 	})
 	return c.ess
-}
-
-// EssentialGenerators returns the essential generators (see
-// EssentialIndices) as exact vectors.
-func (c *Cone) EssentialGenerators() []exact.Vec {
-	keep := c.EssentialIndices()
-	out := make([]exact.Vec, len(keep))
-	for i, k := range keep {
-		out[i] = c.Generators()[k]
-	}
-	return out
 }
 
 // Constraints computes (and caches) the complete H-representation of the

@@ -44,15 +44,15 @@ func TestCatalogueDeductionGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cm.Name, err)
 		}
-		ess := m.Cone().EssentialGenerators()
+		gens, ess := m.Cone().Generators(), m.Cone().EssentialIndices()
 		writeString(h, cm.Name)
 		writeLen(h, len(hr.All()))
 		for _, k := range hr.All() {
 			writeString(h, k.String())
 		}
 		writeLen(h, len(ess))
-		for _, g := range ess {
-			writeString(h, g.Key())
+		for _, k := range ess {
+			writeString(h, gens[k].Key())
 		}
 		t.Logf("%s: %d constraints, %d essential generators (%v)", cm.Name, len(hr.All()), len(ess), time.Since(start).Round(time.Millisecond))
 	}

@@ -80,16 +80,6 @@ func (h hullVec) rat() exact.Vec {
 	return exact.Vec64{Num: h.n, Den: 1}.Vec()
 }
 
-// vecOf wraps an exact vector, using its common-denominator numerators
-// as the integer image.
-func vecOf(v exact.Vec) hullVec {
-	v64, ok := exact.Vec64FromVec(v)
-	if !ok {
-		return hullVec{v: v}
-	}
-	return newHullVec(v64.Num, v)
-}
-
 // hullSolver decides membership LPs on one solver and one reusable
 // problem. Not safe for concurrent use.
 type hullSolver struct {

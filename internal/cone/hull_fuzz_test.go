@@ -135,7 +135,7 @@ func FuzzConeRedundancy(f *testing.F) {
 			return
 		}
 		c := New(set, sigs)
-		got := c.EssentialGenerators()
+		got := essentialGens(c)
 		want := exactEssential(c.Generators())
 		if len(got) != len(want) {
 			t.Fatalf("hull solver keeps %d generators %v, exact loop %d %v", len(got), got, len(want), want)
@@ -196,7 +196,9 @@ func probes(gens []exact.Vec, dim int) []exact.Vec {
 			out = append(out, v)
 		}
 		for _, h := range gens[i+1:] {
-			out = append(out, g.Add(h))
+			v := g.Clone()
+			v.AddScaled(big.NewRat(1, 1), h)
+			out = append(out, v)
 		}
 	}
 	return out
@@ -258,7 +260,7 @@ func scaledDifferential(t *testing.T, c *Cone, ess []exact.Vec, h *HRep, k int) 
 			t.Fatalf("scaled cone: facet %v matches none of %v", a.Coeffs, h.Inequalities)
 		}
 	}
-	gotEss := dc.EssentialGenerators()
+	gotEss := essentialGens(dc)
 	if len(gotEss) != len(ess) {
 		t.Fatalf("scaled cone keeps %d essential generators, want %d", len(gotEss), len(ess))
 	}

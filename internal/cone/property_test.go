@@ -101,7 +101,7 @@ func TestEssentialGeneratorsPreserveCone(t *testing.T) {
 			}
 		}
 		full := New(set, gens)
-		pruned := New(set, full.EssentialGenerators())
+		pruned := New(set, essentialGens(full))
 		for probe := 0; probe < 10; probe++ {
 			v := exact.NewVec(n)
 			for j := 0; j < n; j++ {

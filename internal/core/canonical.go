@@ -33,7 +33,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"math/big"
 	"slices"
@@ -48,20 +47,6 @@ type LPHash [32]byte
 
 // String returns the hash in hex.
 func (h LPHash) String() string { return hex.EncodeToString(h[:]) }
-
-// ParseLPHash parses the hex form produced by String.
-func ParseLPHash(s string) (LPHash, error) {
-	var h LPHash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("core: bad LP hash %q: %w", s, err)
-	}
-	if len(b) != len(h) {
-		return h, fmt.Errorf("core: bad LP hash %q: want %d bytes, got %d", s, len(h), len(b))
-	}
-	copy(h[:], b)
-	return h, nil
-}
 
 // Row tags of the clp2 encoding.
 const (
@@ -96,13 +81,6 @@ func HashLP(p *simplex.Problem) LPHash {
 	h := sha256.Sum256(e.buf)
 	encoders.Put(e)
 	return h
-}
-
-// EncodeLP returns p's canonical encoding: the bytes HashLP hashes.
-func EncodeLP(p *simplex.Problem) []byte {
-	var e lpEncoder
-	e.encode(p)
-	return e.buf
 }
 
 func (e *lpEncoder) Len() int      { return len(e.order) }

@@ -173,25 +173,6 @@ func TestCanonicalBigPathMatchesFast(t *testing.T) {
 	}
 }
 
-func TestParseLPHashRoundTrip(t *testing.T) {
-	p := simplex.NewProblem(1)
-	p.AddConstraint(exact.VecFromInts(1), simplex.LE, big.NewRat(5, 1))
-	h := HashLP(p)
-	got, err := ParseLPHash(h.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip: %v != %v", got, h)
-	}
-	if _, err := ParseLPHash("zz"); err == nil {
-		t.Fatal("want error for bad hex")
-	}
-	if _, err := ParseLPHash("abcd"); err == nil {
-		t.Fatal("want error for short hash")
-	}
-}
-
 // floatRows is a feasibility LP given as exact float64 rows, built both
 // ways the simplex package accepts: integer-native (AddFloatRow) and as
 // big.Rat rows (AddConstraint).
@@ -425,4 +406,11 @@ func readBig(r *bytes.Reader) (*big.Int, error) {
 		v.Neg(v)
 	}
 	return v, nil
+}
+
+// EncodeLP returns p's canonical encoding: the bytes HashLP hashes.
+func EncodeLP(p *simplex.Problem) []byte {
+	var e lpEncoder
+	e.encode(p)
+	return e.buf
 }

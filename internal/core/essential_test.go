@@ -10,6 +10,7 @@ import (
 	"repro/internal/pagetable"
 	"repro/internal/simplex"
 	"repro/internal/stats"
+	"repro/internal/tier"
 	"repro/internal/workloads"
 )
 
@@ -56,7 +57,7 @@ func TestEssentialColumnsMatchAllGenerators(t *testing.T) {
 	steps := counters.NewHaswellRegistry(false).CumulativeGroups()
 	steps = append(steps, counters.GroupStep{Group: "analysis", Set: haswell.AnalysisSet()})
 	ess, all := simplex.NewProblem(0), simplex.NewProblem(0)
-	ws, hybrid := simplex.NewWorkspace(), core.NewSolver(nil)
+	ws, hybrid := simplex.NewWorkspace(), tier.NewSolver(nil)
 	var lps, feasible, essCols, allCols int
 	for _, cm := range catalog {
 		for _, step := range steps {

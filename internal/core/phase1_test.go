@@ -8,6 +8,7 @@ import (
 	"repro/internal/haswell"
 	"repro/internal/pagetable"
 	"repro/internal/stats"
+	"repro/internal/tier"
 	"repro/internal/workloads"
 )
 
@@ -44,7 +45,7 @@ func TestRefutationsRunOnePhase1(t *testing.T) {
 		sets = append(sets, step.Set)
 	}
 	st := &core.SolverStats{}
-	sv := core.NewSolver(st)
+	sv := tier.NewSolver(st)
 	refuted := 0
 	for _, cm := range catalog {
 		for _, set := range sets {

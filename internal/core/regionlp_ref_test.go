@@ -21,9 +21,10 @@ func RegionLPRat(m *Model, p *simplex.Problem, r *stats.Region) error {
 	if !r.Set.Equal(m.Set) {
 		return fmt.Errorf("core: region counter set %v does not match model set %v", r.Set, m.Set)
 	}
-	ess := m.Cone().EssentialGenerators()
+	all, ess := m.Cone().Generators(), m.Cone().EssentialIndices()
 	gens := make([][]float64, len(ess))
-	for j, g := range ess {
+	for j, e := range ess {
+		g := all[e]
 		gens[j] = make([]float64, len(g))
 		for k, c := range g {
 			gens[j][k], _ = c.Float64()

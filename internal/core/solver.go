@@ -12,7 +12,3 @@ type (
 	// SolverCounts is tier.Counts.
 	SolverCounts = tier.Counts
 )
-
-// NewSolver returns a hybrid solver reporting into stats (which may be
-// nil); see tier.NewSolver.
-func NewSolver(stats *SolverStats) *Solver { return tier.NewSolver(stats) }

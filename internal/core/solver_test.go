@@ -75,7 +75,7 @@ func TestTierOrder(t *testing.T) {
 	ref := simplex.NewWorkspace()
 	solve := func(t *testing.T, lps []*simplex.Problem) SolverCounts {
 		t.Helper()
-		s := NewSolver(&SolverStats{})
+		s := tier.NewSolver(&SolverStats{})
 		for k, p := range lps {
 			want := ref.SolveStatus(p) == simplex.Optimal
 			if got := s.Feasible(p); got != want {

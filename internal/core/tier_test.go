@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/rand"
+	"repro/internal/tier"
 	"testing"
 
 	"repro/internal/exact"
@@ -115,7 +116,7 @@ func FuzzTierAgreement(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzChoices(data)
-		hybrid := NewSolver(&SolverStats{})
+		hybrid := tier.NewSolver(&SolverStats{})
 		exactOnly := &Solver{Exact: simplex.NewWorkspace()}
 		kernel := simplex.NewWorkspace()
 		fl := floatlp.NewWorkspace()

@@ -10,7 +10,6 @@ package counters
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -83,18 +82,6 @@ func E(t AccessType, suffix string) Event {
 	return Event(string(t) + "." + suffix)
 }
 
-// Type reports the access type prefix of e and whether it has one.
-func (e Event) Type() (AccessType, bool) {
-	s := string(e)
-	if strings.HasPrefix(s, "load.") {
-		return Load, true
-	}
-	if strings.HasPrefix(s, "store.") {
-		return Store, true
-	}
-	return "", false
-}
-
 // Registry describes the documented events and their group classification.
 type Registry struct {
 	groups map[Event]Group
@@ -141,14 +128,6 @@ func (r *Registry) Events() []Event {
 	out := make([]Event, len(r.order))
 	copy(out, r.order)
 	return out
-}
-
-// Group returns the group of e, or GroupOther if unknown.
-func (r *Registry) Group(e Event) Group {
-	if g, ok := r.groups[e]; ok {
-		return g
-	}
-	return GroupOther
 }
 
 // GroupEvents returns the events of group g in registry order.
@@ -211,14 +190,6 @@ func NewSet(events ...Event) *Set {
 	return s
 }
 
-// NewSortedSet builds a Set with events in lexicographic order.
-func NewSortedSet(events ...Event) *Set {
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return NewSet(sorted...)
-}
-
 // Len returns the number of events in the set.
 func (s *Set) Len() int { return len(s.events) }
 
@@ -248,16 +219,6 @@ func (s *Set) At(i int) Event { return s.events[i] }
 // of t not already present.
 func (s *Set) Union(t *Set) *Set {
 	return NewSet(append(s.Events(), t.Events()...)...)
-}
-
-// Subset reports whether every event of s is contained in t.
-func (s *Set) Subset(t *Set) bool {
-	for _, e := range s.events {
-		if !t.Contains(e) {
-			return false
-		}
-	}
-	return true
 }
 
 // Restrict returns the events of s that are also in keep, preserving order.
@@ -311,14 +272,6 @@ func NewVector(set *Set) Vector {
 	return Vector{Set: set, Values: make([]float64, set.Len())}
 }
 
-// Get returns the value of event e (0 if absent).
-func (v Vector) Get(e Event) float64 {
-	if i, ok := v.Set.Index(e); ok {
-		return v.Values[i]
-	}
-	return 0
-}
-
 // Add increments event e by delta; events outside the set are ignored,
 // matching hardware where unprogrammed counters simply do not count.
 func (v Vector) Add(e Event, delta float64) {
@@ -327,32 +280,18 @@ func (v Vector) Add(e Event, delta float64) {
 	}
 }
 
+// Get returns the value of event e (0 if absent).
+func (v Vector) Get(e Event) float64 {
+	if i, ok := v.Set.Index(e); ok {
+		return v.Values[i]
+	}
+	return 0
+}
+
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	out := Vector{Set: v.Set, Values: make([]float64, len(v.Values))}
 	copy(out.Values, v.Values)
-	return out
-}
-
-// Plus returns v + w; both must share the same Set.
-func (v Vector) Plus(w Vector) Vector {
-	if !v.Set.Equal(w.Set) {
-		panic("counters: vector set mismatch")
-	}
-	out := v.Clone()
-	for i := range out.Values {
-		out.Values[i] += w.Values[i]
-	}
-	return out
-}
-
-// Project re-expresses v over target, dropping events not in target and
-// zero-filling events of target absent from v.
-func (v Vector) Project(target *Set) Vector {
-	out := NewVector(target)
-	for i, e := range v.Set.events {
-		out.Add(e, v.Values[i])
-	}
 	return out
 }
 
@@ -422,18 +361,6 @@ func (o *Observation) Mean() []float64 {
 		mean[i] *= inv
 	}
 	return mean
-}
-
-// Total returns the per-counter sums over all samples.
-func (o *Observation) Total() []float64 {
-	n := o.Set.Len()
-	tot := make([]float64, n)
-	for _, row := range o.Samples {
-		for i, x := range row {
-			tot[i] += x
-		}
-	}
-	return tot
 }
 
 // Project returns a copy of the observation restricted to target's events.

@@ -24,12 +24,6 @@ func TestHaswellRegistryGroups(t *testing.T) {
 	if got := len(r.Events()); got != 26 {
 		t.Errorf("total: got %d events, want 26", got)
 	}
-	if r.Group("load.causes_walk") != GroupWalk {
-		t.Error("load.causes_walk should be in Walk group")
-	}
-	if r.Group("nonsense") != GroupOther {
-		t.Error("unknown event should be GroupOther")
-	}
 }
 
 func TestHaswellRegistryMMUCache(t *testing.T) {
@@ -53,8 +47,10 @@ func TestCumulativeGroups(t *testing.T) {
 	}
 	// Steps are cumulative.
 	for i := 1; i < len(steps); i++ {
-		if !steps[i-1].Set.Subset(steps[i].Set) {
-			t.Errorf("step %d not cumulative", i)
+		for _, e := range steps[i-1].Set.Events() {
+			if !steps[i].Set.Contains(e) {
+				t.Errorf("step %d not cumulative: %s missing", i, e)
+			}
 		}
 	}
 }
@@ -63,13 +59,6 @@ func TestEventTypeAndE(t *testing.T) {
 	e := E(Load, CausesWalk)
 	if e != "load.causes_walk" {
 		t.Fatalf("E: got %q", e)
-	}
-	typ, ok := e.Type()
-	if !ok || typ != Load {
-		t.Fatalf("Type: got %v %v", typ, ok)
-	}
-	if _, ok := WalkRefL1.Type(); ok {
-		t.Fatal("walk_ref.l1 has no access type")
 	}
 }
 
@@ -89,21 +78,11 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
-func TestNewSortedSet(t *testing.T) {
-	s := NewSortedSet("c", "a", "b")
-	if s.At(0) != "a" || s.At(2) != "c" {
-		t.Fatalf("not sorted: %v", s.Events())
-	}
-}
-
 func TestSetOps(t *testing.T) {
 	s := NewSet("a", "b")
 	u := s.Union(NewSet("b", "c"))
 	if u.Len() != 3 || !u.Contains("c") {
 		t.Fatalf("union wrong: %v", u.Events())
-	}
-	if !s.Subset(u) || u.Subset(s) {
-		t.Fatal("subset wrong")
 	}
 	r := u.Restrict(NewSet("c", "a"))
 	if r.Len() != 2 || r.At(0) != "a" {
@@ -129,14 +108,6 @@ func TestVectorOps(t *testing.T) {
 	if v.Get("b") != 7 {
 		t.Fatal("clone aliases")
 	}
-	sum := v.Plus(w)
-	if sum.Get("b") != 15 {
-		t.Fatalf("plus: %v", sum.Values)
-	}
-	p := v.Project(NewSet("b", "c"))
-	if p.Get("b") != 7 || p.Get("c") != 0 {
-		t.Fatalf("project: %v", p.Values)
-	}
 	if !strings.Contains(v.String(), "a=3") {
 		t.Fatalf("string: %q", v.String())
 	}
@@ -145,7 +116,7 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
-func TestObservationMeanTotal(t *testing.T) {
+func TestObservationMean(t *testing.T) {
 	s := NewSet("a", "b")
 	o := NewObservation("w", s)
 	o.Append([]float64{1, 2})
@@ -153,10 +124,6 @@ func TestObservationMeanTotal(t *testing.T) {
 	m := o.Mean()
 	if m[0] != 2 || m[1] != 3 {
 		t.Fatalf("mean: %v", m)
-	}
-	tot := o.Total()
-	if tot[0] != 4 || tot[1] != 6 {
-		t.Fatalf("total: %v", tot)
 	}
 	if o.Len() != 2 {
 		t.Fatalf("len: %d", o.Len())
@@ -207,13 +174,14 @@ func TestCSVBadInput(t *testing.T) {
 }
 
 func TestVectorProjectProperty(t *testing.T) {
-	// Property: projecting onto the same set is the identity.
+	// Property: projecting a counter vector (an observation's sample row)
+	// onto its own set is the identity.
 	f := func(a, b, c float64) bool {
 		s := NewSet("x", "y", "z")
-		v := NewVector(s)
-		v.Values[0], v.Values[1], v.Values[2] = a, b, c
-		p := v.Project(s)
-		return p.Get("x") == a && p.Get("y") == b && p.Get("z") == c
+		o := NewObservation("v", s)
+		o.Append([]float64{a, b, c})
+		p := o.Project(s).Samples[0]
+		return p[0] == a && p[1] == b && p[2] == c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

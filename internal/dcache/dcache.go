@@ -91,9 +91,6 @@ func (s *Sim) Access(va uint64) {
 	s.haveLast = true
 }
 
-// Counts snapshots the counters.
-func (s *Sim) Counts() counters.Vector { return s.counts.Clone() }
-
 // Observation runs gen for numSamples intervals of accessesPerSample and
 // returns per-interval counter deltas.
 func (s *Sim) Observation(gen workloads.Generator, numSamples, accessesPerSample int) *counters.Observation {

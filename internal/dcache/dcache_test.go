@@ -17,7 +17,7 @@ func TestSimCountsBasics(t *testing.T) {
 	}
 	s.Access(0)
 	s.Access(0)
-	c := s.Counts()
+	c := s.counts.Clone()
 	if c.Get(Hit) != 1 || c.Get(Miss) != 1 || c.Get(Fill) != 1 {
 		t.Fatalf("counts: %s", c)
 	}
@@ -31,13 +31,13 @@ func TestStreamPrefetcherFillsAhead(t *testing.T) {
 	// Sequential lines 0,1: the pair triggers a prefetch of line 2.
 	s.Access(0)
 	s.Access(64)
-	c := s.Counts()
+	c := s.counts.Clone()
 	if c.Get(Fill) != c.Get(Miss)+1 {
 		t.Fatalf("prefetch fill missing: %s", c)
 	}
 	// The prefetched line now hits.
 	s.Access(128)
-	if got := s.Counts().Get(Hit); got != 1 {
+	if got := s.counts.Clone().Get(Hit); got != 1 {
 		t.Fatalf("prefetched line should hit: hits=%g", got)
 	}
 }
@@ -54,7 +54,7 @@ func TestRandomDoesNotTriggerStreams(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		s.Access(gen.Next().VA)
 	}
-	c := s.Counts()
+	c := s.counts.Clone()
 	// A few accidental adjacencies are possible but fills ≈ misses.
 	if c.Get(Fill) > c.Get(Miss)*1.01 {
 		t.Fatalf("random stream should barely prefetch: %s", c)

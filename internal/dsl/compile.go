@@ -38,15 +38,6 @@ func Compile(name, src string) (*mudd.Diagram, error) {
 	return d, nil
 }
 
-// MustCompile is Compile that panics on error, for statically known models.
-func MustCompile(name, src string) *mudd.Diagram {
-	d, err := Compile(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // contFn supplies a continuation node lazily, so unreachable continuations
 // (after `done`) are never allocated.
 type contFn func() (mudd.NodeID, error)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/counters"
+	"repro/internal/mudd"
 )
 
 // figure2Src is the model specification from Figure 2 of the paper.
@@ -34,10 +35,7 @@ func TestCompileFigure2(t *testing.T) {
 	if !set.Equal(counters.NewSet("load.causes_walk", "load.pde$_miss")) {
 		t.Fatalf("counters: %v", set.Events())
 	}
-	sigs := map[string]bool{}
-	for _, p := range paths {
-		sigs[d.Signature(p, set).Key()] = true
-	}
+	sigs := signatureKeys(t, d, set)
 	if !sigs["1|0"] || !sigs["1|1"] {
 		t.Fatalf("signatures: %v", sigs)
 	}
@@ -74,10 +72,7 @@ done;
 		t.Fatalf("got %d μpaths, want 3", len(paths))
 	}
 	set := counters.NewSet("load.causes_walk", "load.pde$_miss")
-	sigs := map[string]bool{}
-	for _, p := range paths {
-		sigs[d.Signature(p, set).Key()] = true
-	}
+	sigs := signatureKeys(t, d, set)
 	// Hit path: (1,0); Miss+NoAbort: (1,1); Miss+Abort: (0,1) — the μpath
 	// whose signature violates constraint C (Figure 6d).
 	for _, want := range []string{"1|0", "1|1", "0|1"} {
@@ -108,10 +103,7 @@ uop Store {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
 	set := counters.NewSet("load.ret", "store.ret")
-	sigs := map[string]bool{}
-	for _, p := range paths {
-		sigs[d.Signature(p, set).Key()] = true
-	}
+	sigs := signatureKeys(t, d, set)
 	if !sigs["1|0"] || !sigs["0|1"] {
 		t.Fatalf("signatures: %v", sigs)
 	}
@@ -249,22 +241,22 @@ incr z;
 	if err != nil {
 		t.Fatal(err)
 	}
-	zCount := 0
-	for _, n := range d.Nodes() {
-		if n.Label == "z" {
-			zCount++
-		}
-	}
+	zCount := strings.Count(d.DOT(), `[label="z",`)
 	if zCount != 1 {
 		t.Fatalf("merge point duplicated: %d z nodes", zCount)
 	}
 }
 
-func TestMustCompilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustCompile("bad", "bogus;")
+// signatureKeys returns the keys of d's distinct μpath signatures over set.
+func signatureKeys(t *testing.T, d *mudd.Diagram, set *counters.Set) map[string]bool {
+	t.Helper()
+	all, err := d.Signatures(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, s := range all {
+		keys[s.Vec().Key()] = true
+	}
+	return keys
 }

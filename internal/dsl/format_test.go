@@ -37,8 +37,14 @@ func TestFormatPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := counters.NewSet("load.causes_walk", "load.pde$_miss")
-	orig := MustCompile("orig", messySrc)
-	fmted := MustCompile("fmt", formatted)
+	orig, err := Compile("orig", messySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmted, err := Compile("fmt", formatted)
+	if err != nil {
+		t.Fatal(err)
+	}
 	os, err := orig.Signatures(set)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +55,11 @@ func TestFormatPreservesSemantics(t *testing.T) {
 	}
 	a := map[string]int{}
 	for _, s := range os {
-		a[s.Key()]++
+		a[s.Vec().Key()]++
 	}
 	b := map[string]int{}
 	for _, s := range fs {
-		b[s.Key()]++
+		b[s.Vec().Key()]++
 	}
 	if len(a) != len(b) {
 		t.Fatalf("signature sets differ: %v vs %v", a, b)

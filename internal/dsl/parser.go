@@ -67,8 +67,7 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) expect(k tokenKind) (token, error) {
 	t := p.cur()

@@ -87,11 +87,11 @@ func TestRandomProgramsCompileAndRoundTrip(t *testing.T) {
 		}
 		m1 := map[string]int{}
 		for _, s := range s1 {
-			m1[s.Key()]++
+			m1[s.Vec().Key()]++
 		}
 		m2 := map[string]int{}
 		for _, s := range s2 {
-			m2[s.Key()]++
+			m2[s.Vec().Key()]++
 		}
 		if len(m1) != len(m2) {
 			t.Fatalf("trial %d: signature sets differ after formatting", trial)

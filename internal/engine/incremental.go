@@ -12,8 +12,9 @@ import (
 // samples continuously, counterpointd's /v1/streams ingest) and adds each
 // verdict to a StreamFold. The fold is defined so that the state after N
 // verdicts is bit-identical to the state derived from a cold batch
-// Evaluate of the same N-observation corpus (StateOf); the differential
-// suite in incremental_diff_test.go pins this at every prefix.
+// Evaluate of the same N-observation corpus; the differential suite in
+// incremental_diff_test.go pins this at every prefix against its batch
+// reference, StateOf.
 
 // StreamState is the monotone verdict state of a stream: a comparable
 // scalar summary of every observation folded in so far.
@@ -59,32 +60,10 @@ func RefutationConfidence(confidence float64, infeasible int) float64 {
 	return 1 - math.Pow(1-confidence, float64(infeasible))
 }
 
-// StateOf derives the stream state a batch evaluation implies: the state
-// a StreamFold reports after adding the verdicts of the corpus behind res
-// in order. This is the reference side of the incremental-vs-batch
-// differential contract — the two paths must agree bit-for-bit on every
-// field, FirstRefuted included.
-func StateOf(res *CorpusResult, confidence float64) StreamState {
-	st := StreamState{
-		Total:        res.Total,
-		Infeasible:   res.Infeasible,
-		Refuted:      res.Infeasible > 0,
-		FirstRefuted: -1,
-		Confidence:   RefutationConfidence(confidence, res.Infeasible),
-	}
-	for i, v := range res.Verdicts {
-		if !v.Feasible {
-			st.FirstRefuted = i
-			break
-		}
-	}
-	return st
-}
-
 // StreamFold folds verdicts into a stream's state one at a time, in
 // arrival order: the online twin of EvaluateEach's aggregation. After the
-// verdicts of a corpus prefix are added, State equals StateOf a batch
-// Evaluate of that prefix and Violated equals its ViolatedConstraints. A
+// verdicts of a corpus prefix are added, State equals the state of a
+// batch Evaluate of that prefix and Violated equals its ViolatedConstraints. A
 // fold holds no lock; its owner serialises Add and every read.
 type StreamFold struct {
 	State StreamState

@@ -296,3 +296,25 @@ func TestIncrementalCatalogueDifferential(t *testing.T) {
 		t.Fatalf("catalogue outcomes did not split: %d/%d refuted", refuted, len(models))
 	}
 }
+
+// StateOf derives the stream state a batch evaluation implies: the state
+// a StreamFold reports after adding the verdicts of the corpus behind res
+// in order. This is the reference side of the incremental-vs-batch
+// differential contract — the two paths must agree bit-for-bit on every
+// field, FirstRefuted included.
+func StateOf(res *CorpusResult, confidence float64) StreamState {
+	st := StreamState{
+		Total:        res.Total,
+		Infeasible:   res.Infeasible,
+		Refuted:      res.Infeasible > 0,
+		FirstRefuted: -1,
+		Confidence:   RefutationConfidence(confidence, res.Infeasible),
+	}
+	for i, v := range res.Verdicts {
+		if !v.Feasible {
+			st.FirstRefuted = i
+			break
+		}
+	}
+	return st
+}

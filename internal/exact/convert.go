@@ -30,17 +30,6 @@ func SetRatFromFloat(dst *big.Rat, f float64) error {
 	return nil
 }
 
-// Quantize rounds f outward onto the dyadic grid of spacing 1/denom: up to
-// the next multiple of 1/denom when ceil is true, down otherwise. See
-// QuantizeInto for the error contract.
-func Quantize(f float64, ceil bool, denom int64) (*big.Rat, error) {
-	r := new(big.Rat)
-	if err := QuantizeInto(r, f, ceil, denom); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // SimplestRatWithin returns the rational with the smallest denominator in
 // the closed interval [f−tol, f+tol] (ties broken toward the smaller
 // numerator). It is the rounding step of the two-tier solver's certificate

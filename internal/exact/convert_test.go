@@ -150,3 +150,14 @@ func TestQuantizeIntoReusesStorage(t *testing.T) {
 		t.Fatalf("reused dst = %v, want %v", r, want)
 	}
 }
+
+// Quantize rounds f outward onto the dyadic grid of spacing 1/denom: up to
+// the next multiple of 1/denom when ceil is true, down otherwise. See
+// QuantizeInto for the error contract.
+func Quantize(f float64, ceil bool, denom int64) (*big.Rat, error) {
+	r := new(big.Rat)
+	if err := QuantizeInto(r, f, ceil, denom); err != nil {
+		return nil, err
+	}
+	return r, nil
+}

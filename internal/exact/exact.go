@@ -74,24 +74,6 @@ func (v Vec) Dot(w Vec) *big.Rat {
 	return sum
 }
 
-// Add returns v + w.
-func (v Vec) Add(w Vec) Vec {
-	out := v.Clone()
-	for i := range out {
-		out[i].Add(out[i], w[i])
-	}
-	return out
-}
-
-// Sub returns v - w.
-func (v Vec) Sub(w Vec) Vec {
-	out := v.Clone()
-	for i := range out {
-		out[i].Sub(out[i], w[i])
-	}
-	return out
-}
-
 // Scale returns c·v.
 func (v Vec) Scale(c *big.Rat) Vec {
 	out := v.Clone()
@@ -111,28 +93,6 @@ func (v Vec) AddScaled(c *big.Rat, w Vec) {
 		t.Mul(c, w[i])
 		v[i].Add(v[i], t)
 	}
-}
-
-// Equal reports component-wise equality.
-func (v Vec) Equal(w Vec) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if v[i].Cmp(w[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Floats converts v to float64 components.
-func (v Vec) Floats() []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i], _ = x.Float64()
-	}
-	return out
 }
 
 // String renders the vector as (a, b, c).
@@ -222,21 +182,6 @@ func MatFromRows(rows []Vec) *Mat {
 	return m
 }
 
-// At returns the element at (i, j).
-func (m *Mat) At(i, j int) *big.Rat { return m.Data[i][j] }
-
-// Set assigns element (i, j).
-func (m *Mat) Set(i, j int, v *big.Rat) { m.Data[i][j].Set(v) }
-
-// Clone returns a deep copy.
-func (m *Mat) Clone() *Mat {
-	out := &Mat{Rows: m.Rows, Cols: m.Cols, Data: make([]Vec, m.Rows)}
-	for i, r := range m.Data {
-		out.Data[i] = r.Clone()
-	}
-	return out
-}
-
 // RowEchelon reduces m in place to reduced row-echelon form and returns the
 // pivot column of each pivot row, in order. Rows below the returned rank are
 // zero.
@@ -276,12 +221,6 @@ func (m *Mat) RowEchelon() (pivotCols []int) {
 		r++
 	}
 	return pivotCols
-}
-
-// Rank returns the rank of m (without modifying m).
-func (m *Mat) Rank() int {
-	c := m.Clone()
-	return len(c.RowEchelon())
 }
 
 // RowSpaceBasis returns a basis (as reduced-echelon rows) for the row space

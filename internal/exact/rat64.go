@@ -89,17 +89,6 @@ func (a Rat64) RatInto(dst *big.Rat) *big.Rat {
 	return dst
 }
 
-// Float64 returns the correctly-rounded nearest float64: when numerator
-// and denominator convert exactly (≤ 2⁵³) one IEEE division rounds the
-// true quotient; otherwise the big.Rat conversion decides.
-func (a Rat64) Float64() float64 {
-	if AbsU64(a.n) <= 1<<53 && a.d <= 1<<53 {
-		return float64(a.n) / float64(a.d)
-	}
-	f, _ := a.Rat(nil).Float64()
-	return f
-}
-
 // GCD64 returns the greatest common divisor of a and b (GCD64(x, 0) = x).
 func GCD64(a, b uint64) uint64 {
 	for b != 0 {
@@ -215,14 +204,6 @@ func (a Rat64) Neg() (Rat64, bool) {
 		return Rat64{}, false
 	}
 	return Rat64{-a.n, a.d}, true
-}
-
-// Abs returns |a|.
-func (a Rat64) Abs() (Rat64, bool) {
-	if a.n >= 0 {
-		return a, true
-	}
-	return a.Neg()
 }
 
 // Inv returns 1/a. ok is false when a is zero or its numerator is MinInt64.
@@ -384,9 +365,6 @@ func (a Rat64) Cmp(b Rat64) int {
 	}
 	return c
 }
-
-// Equal reports a == b (exact; never overflows).
-func (a Rat64) Equal(b Rat64) bool { return a.n == b.n && a.d == b.d }
 
 // QuantizeFloat is QuantizeInto for a power-of-two denominator with the
 // result as a float64: f rounded outward onto the grid of multiples of

@@ -8,8 +8,6 @@ package exact
 
 import (
 	"math/big"
-	"strconv"
-	"strings"
 )
 
 // Vec64 is a dense rational vector with one shared positive denominator:
@@ -56,34 +54,6 @@ func Vec64FromVec(v Vec) (Vec64, bool) {
 // Len returns the number of components.
 func (v Vec64) Len() int { return len(v.Num) }
 
-// At returns component i in lowest terms. It panics on a vector outside
-// the documented domain (Den ≤ 0, or a MinInt64 entry that reduction
-// cannot shrink below magnitude 2⁶³).
-func (v Vec64) At(i int) Rat64 {
-	r, ok := MakeRat64(v.Num[i], v.Den)
-	if !ok {
-		panic("exact: invalid Vec64")
-	}
-	return r
-}
-
-// Clone returns a deep copy.
-func (v Vec64) Clone() Vec64 {
-	num := make([]int64, len(v.Num))
-	copy(num, v.Num)
-	return Vec64{Num: num, Den: v.Den}
-}
-
-// IsZero reports whether every component is zero.
-func (v Vec64) IsZero() bool {
-	for _, n := range v.Num {
-		if n != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Vec materialises v as a big.Rat vector.
 func (v Vec64) Vec() Vec {
 	out := make(Vec, len(v.Num))
@@ -91,34 +61,6 @@ func (v Vec64) Vec() Vec {
 		out[i] = new(big.Rat).SetFrac64(n, v.Den)
 	}
 	return out
-}
-
-// Dot returns the inner product v·w as a reduced rational. ok is false on
-// int64 overflow anywhere in the accumulation.
-func (v Vec64) Dot(w Vec64) (Rat64, bool) {
-	if len(v.Num) != len(w.Num) {
-		panic("exact: dot length mismatch")
-	}
-	sum := int64(0)
-	for i, a := range v.Num {
-		b := w.Num[i]
-		if a == 0 || b == 0 {
-			continue
-		}
-		t, ok := MulInt64(a, b)
-		if !ok {
-			return Rat64{}, false
-		}
-		sum, ok = AddInt64(sum, t)
-		if !ok {
-			return Rat64{}, false
-		}
-	}
-	den, ok := MulInt64(v.Den, w.Den)
-	if !ok {
-		return Rat64{}, false
-	}
-	return MakeRat64(sum, den)
 }
 
 // DotRat64s returns Σᵢ (Num[i]/Den)·xs[i] as a reduced rational, ok=false
@@ -200,25 +142,4 @@ func (v Vec64) NormalizeIntegral() Vec64 {
 		}
 	}
 	return out
-}
-
-// Key returns the canonical key. For normalised integral vectors it
-// matches Vec.Key() on the same values.
-func (v Vec64) Key() string {
-	var sb strings.Builder
-	for i, n := range v.Num {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		if v.Den == 1 {
-			sb.WriteString(strconv.FormatInt(n, 10))
-		} else {
-			r, ok := MakeRat64(n, v.Den)
-			if !ok {
-				panic("exact: invalid Vec64")
-			}
-			sb.WriteString(r.String())
-		}
-	}
-	return sb.String()
 }

@@ -18,7 +18,8 @@ func randQuantizedVec(rng *rand.Rand, n int, denom int64) Vec {
 }
 
 // TestVec64DotMatchesVec is the kernel/big equivalence property on the dot
-// product — the single operation every certificate check reduces to.
+// product every certificate check reduces to (DotRat64s), over quantized
+// vectors on both sides: the shape of LP rows and rounded points.
 func TestVec64DotMatchesVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	denoms := []int64{1, 256, 65536}
@@ -26,18 +27,23 @@ func TestVec64DotMatchesVec(t *testing.T) {
 		n := rng.Intn(24) + 1
 		a := randQuantizedVec(rng, n, denoms[rng.Intn(len(denoms))])
 		b := randQuantizedVec(rng, n, denoms[rng.Intn(len(denoms))])
-		a64, okA := Vec64FromVec(a)
-		b64, okB := Vec64FromVec(b)
-		if !okA || !okB {
+		a64, ok := Vec64FromVec(a)
+		if !ok {
 			t.Fatalf("trial %d: quantized vectors must convert", trial)
 		}
+		xs := make([]Rat64, n)
+		for i, x := range b {
+			if xs[i], ok = MakeRat64(x.Num().Int64(), x.Denom().Int64()); !ok {
+				t.Fatalf("trial %d: quantized entry %s must fit a Rat64", trial, x.RatString())
+			}
+		}
 		want := a.Dot(b)
-		got, ok := a64.Dot(b64)
+		got, ok := a64.DotRat64s(xs)
 		if !ok {
 			continue // promotion is allowed, silence is not: big path answers
 		}
 		if got.Rat(nil).Cmp(want) != 0 {
-			t.Fatalf("trial %d: Vec64.Dot = %s, Vec.Dot = %s", trial, got, want.RatString())
+			t.Fatalf("trial %d: Vec64.DotRat64s = %s, Vec.Dot = %s", trial, got, want.RatString())
 		}
 	}
 }
@@ -79,14 +85,14 @@ func TestVec64NormalizeIntegralAndKey(t *testing.T) {
 	if n.Den != 1 || n.Num[0] != 2 || n.Num[1] != -3 || n.Num[2] != 0 || n.Num[3] != 4 {
 		t.Fatalf("normalize = %+v", n)
 	}
-	// Key must match the big.Rat Vec key on the same values so int64 and
-	// promoted rays deduplicate against each other.
+	// The int64 normalisation must agree with the big.Rat one on the same
+	// values.
 	bigSide := n.Vec().NormalizeIntegral()
-	if n.Key() != bigSide.Key() {
-		t.Fatalf("key mismatch: %q vs %q", n.Key(), bigSide.Key())
+	if n.Vec().Key() != bigSide.Key() {
+		t.Fatalf("key mismatch: %q vs %q", n.Vec().Key(), bigSide.Key())
 	}
 	z := Vec64{Num: []int64{0, 0}, Den: 5}
-	if nz := z.NormalizeIntegral(); nz.Den != 1 || !nz.IsZero() {
+	if nz := z.NormalizeIntegral(); nz.Den != 1 || !nz.Vec().IsZero() {
 		t.Fatalf("zero normalize = %+v", nz)
 	}
 }

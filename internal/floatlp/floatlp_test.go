@@ -17,7 +17,7 @@ func TestFeasibilityBox(t *testing.T) {
 	if out.Status != Feasible {
 		t.Fatalf("status %v, want feasible", out.Status)
 	}
-	if !simplex.CertifyPoint(p, out.Point) {
+	if !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 		t.Fatalf("point certificate %v failed exact verification", out.Point)
 	}
 }
@@ -47,7 +47,7 @@ func TestFeasibilityEmptyProblem(t *testing.T) {
 	if out.Status != Feasible {
 		t.Fatalf("unconstrained problem: status %v", out.Status)
 	}
-	if !simplex.CertifyPoint(p, out.Point) {
+	if !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 		t.Fatal("origin certificate rejected")
 	}
 }
@@ -61,7 +61,7 @@ func TestFeasibilityEqualityRows(t *testing.T) {
 	p.AddConstraint(exact.VecFromInts(1, -1), simplex.EQ, big.NewRat(2, 1))
 	w := NewWorkspace()
 	out := w.Feasibility(p)
-	if out.Status == Feasible && !simplex.CertifyPoint(p, out.Point) {
+	if out.Status == Feasible && !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 		t.Fatalf("feasible claim with uncertifiable point %v", out.Point)
 	}
 	// x + y = 1 and x + y = 2: infeasible.
@@ -86,7 +86,7 @@ func TestFeasibilityFreeVariables(t *testing.T) {
 	if out.Status != Feasible {
 		t.Fatalf("status %v, want feasible (free variable)", out.Status)
 	}
-	if !simplex.CertifyPoint(p, out.Point) {
+	if !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 		t.Fatalf("free-variable point %v failed certification", out.Point)
 	}
 	// Same constraint on a non-negative x alone: infeasible.

@@ -73,7 +73,7 @@ func TestHybridMatchesExactOnRandomLPs(t *testing.T) {
 			if !exactFeasible {
 				t.Fatalf("trial %d: filter claims feasible, exact says infeasible", trial)
 			}
-			if !simplex.CertifyPoint(p, out.Point) {
+			if !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 				certFail++
 			}
 		case Infeasible:
@@ -110,7 +110,7 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 		out := w.Feasibility(p)
 		switch out.Status {
 		case Feasible:
-			if !simplex.CertifyPoint(p, out.Point) {
+			if !new(simplex.Certifier).CertifyPoint(p, out.Point) {
 				continue
 			}
 			pointsChecked++
@@ -122,7 +122,7 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 			copy(bad, out.Point)
 			j := rng.Intn(len(bad))
 			bad[j] += 1e6
-			if simplex.CertifyPoint(p, bad) {
+			if new(simplex.Certifier).CertifyPoint(p, bad) {
 				// Re-verify the claim with the exact solver: the perturbed
 				// point must then really satisfy every constraint.
 				rx := make(exact.Vec, len(bad))

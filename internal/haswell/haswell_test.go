@@ -15,7 +15,7 @@ import (
 
 func totals(t *testing.T, sim *Simulator) counters.Vector {
 	t.Helper()
-	return sim.Counts()
+	return sim.counts.Clone()
 }
 
 func TestGroundTruthBasicInvariants(t *testing.T) {
@@ -203,15 +203,20 @@ func TestObservationDeltas(t *testing.T) {
 	if o.Len() != 5 {
 		t.Fatalf("samples: %d", o.Len())
 	}
-	tot := o.Total()
-	final := sim.Counts()
+	tot := make([]float64, o.Set.Len())
+	for _, row := range o.Samples {
+		for i, x := range row {
+			tot[i] += x
+		}
+	}
+	final := sim.counts.Clone()
 	for i, e := range o.Set.Events() {
 		if tot[i] != final.Get(e) {
 			t.Fatalf("%s: samples sum %g != final count %g", e, tot[i], final.Get(e))
 		}
 	}
-	if sim.Uops() != 50000 {
-		t.Fatalf("uops: %d", sim.Uops())
+	if sim.uops != 50000 {
+		t.Fatalf("uops: %d", sim.uops)
 	}
 }
 
@@ -383,7 +388,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Step(gen, 50000)
-		return sim.Counts()
+		return sim.counts.Clone()
 	}
 	a, b := run(), run()
 	for i := range a.Values {

@@ -128,15 +128,6 @@ func column(set *counters.Set, e counters.Event) int {
 	return -1
 }
 
-// Config returns the simulator's configuration (defaults applied).
-func (s *Simulator) Config() Config { return s.cfg }
-
-// Counts returns a snapshot of the ground-truth counter totals.
-func (s *Simulator) Counts() counters.Vector { return s.counts.Clone() }
-
-// Uops returns the number of micro-ops processed.
-func (s *Simulator) Uops() uint64 { return s.uops }
-
 func (s *Simulator) vpn(va uint64) uint64 { return va / uint64(s.cfg.PageSize) }
 
 // incr counts one occurrence of the per-access-type event ev for access

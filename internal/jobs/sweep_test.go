@@ -387,7 +387,7 @@ func TestSweepBasisCertificatesMatchExact(t *testing.T) {
 	if string(hybrid) != string(exact) {
 		t.Fatalf("two-tier cells diverge from the exact solver's:\nhybrid %s\nexact  %s", hybrid, exact)
 	}
-	if hs.ExactFallbacks != 0 || hs.FilterInfeasibleBasis == 0 {
+	if hs.ExactFallbacks != 0 || hs.FilterInfeasible == 0 {
 		t.Fatalf("solver telemetry: %+v (want no exact fallbacks and basis-certified refutations)", hs)
 	}
 	t.Logf("solver telemetry: %+v", hs)

@@ -112,17 +112,9 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates all lines.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i].valid = false
-	}
-}
-
 // Hierarchy is an inclusive three-level cache hierarchy.
 type Hierarchy struct {
 	l1, l2, l3 *Cache
-	stats      [4]uint64
 }
 
 // HierarchyConfig sizes each level.
@@ -183,17 +175,5 @@ func (h *Hierarchy) Access(addr uint64) Level {
 	case h.l3.Access(addr):
 		lvl = L3
 	}
-	h.stats[lvl]++
 	return lvl
-}
-
-// Served returns how many accesses each level has served.
-func (h *Hierarchy) Served(l Level) uint64 { return h.stats[l] }
-
-// Flush empties every level.
-func (h *Hierarchy) Flush() {
-	h.l1.Flush()
-	h.l2.Flush()
-	h.l3.Flush()
-	h.stats = [4]uint64{}
 }

@@ -55,15 +55,6 @@ func TestCacheGeometryErrors(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c, _ := NewCache(1024, 2, 64)
-	c.Access(0x2000)
-	c.Flush()
-	if c.Access(0x2000) {
-		t.Fatal("flushed line should miss")
-	}
-}
-
 func TestHierarchyLevels(t *testing.T) {
 	h := MustHierarchy(HierarchyConfig{
 		L1Bytes: 128, L1Ways: 2,
@@ -83,9 +74,6 @@ func TestHierarchyLevels(t *testing.T) {
 	if lvl := h.Access(0x100); lvl == L1 {
 		t.Fatal("L1 should have evicted 0x100")
 	}
-	if h.Served(Mem) < 1 {
-		t.Fatal("stats should record memory accesses")
-	}
 }
 
 func TestHierarchyInclusionOrdering(t *testing.T) {
@@ -98,18 +86,6 @@ func TestHierarchyInclusionOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHierarchyFlush(t *testing.T) {
-	h := MustHierarchy(HaswellConfig())
-	h.Access(0x42)
-	h.Flush()
-	if h.Access(0x42) != Mem {
-		t.Fatal("flushed hierarchy should miss everywhere")
-	}
-	if h.Served(L1) != 0 {
-		t.Fatal("flush should reset stats")
 	}
 }
 

@@ -54,32 +54,3 @@ func (d *Diagram) outInOrder() [][]Edge {
 	}
 	return out
 }
-
-// Stats summarises a diagram for reports.
-type Stats struct {
-	Nodes, Events, Counters, Decisions, Ends int
-	CausalityEdges, HappensBeforeEdges       int
-	Properties                               int
-}
-
-// Summarize computes diagram statistics.
-func (d *Diagram) Summarize() Stats {
-	s := Stats{Nodes: len(d.nodes), HappensBeforeEdges: len(d.hb)}
-	for _, n := range d.nodes {
-		switch n.Kind {
-		case Event:
-			s.Events++
-		case Counter:
-			s.Counters++
-		case Decision:
-			s.Decisions++
-		case End:
-			s.Ends++
-		}
-	}
-	for _, es := range d.out {
-		s.CausalityEdges += len(es)
-	}
-	s.Properties = len(d.Properties())
-	return s
-}

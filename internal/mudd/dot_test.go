@@ -27,26 +27,6 @@ func TestDOTOutput(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	d := figure4a()
-	s := d.Summarize()
-	if s.Counters != 2 {
-		t.Fatalf("counters: %d", s.Counters)
-	}
-	if s.Decisions != 2 {
-		t.Fatalf("decisions: %d", s.Decisions)
-	}
-	if s.Ends != 3 {
-		t.Fatalf("ends: %d", s.Ends)
-	}
-	if s.HappensBeforeEdges != 1 {
-		t.Fatalf("hb edges: %d", s.HappensBeforeEdges)
-	}
-	if s.CausalityEdges == 0 || s.Nodes == 0 || s.Properties != 2 {
-		t.Fatalf("stats incomplete: %+v", s)
-	}
-}
-
 func TestEventOrderConsistent(t *testing.T) {
 	d := figure4a()
 	if err := d.CheckHappensBefore(); err != nil {

@@ -133,37 +133,6 @@ func (d *Diagram) HappensBefore(before, after NodeID) {
 	d.hb = append(d.hb, HBEdge{Before: before, After: after})
 }
 
-// Node returns the node with the given id.
-func (d *Diagram) Node(id NodeID) Node { return d.nodes[id] }
-
-// Nodes returns all nodes in creation order.
-func (d *Diagram) Nodes() []Node {
-	out := make([]Node, len(d.nodes))
-	copy(out, d.nodes)
-	return out
-}
-
-// HBEdges returns the happens-before edges.
-func (d *Diagram) HBEdges() []HBEdge {
-	out := make([]HBEdge, len(d.hb))
-	copy(out, d.hb)
-	return out
-}
-
-// Properties returns the sorted set of decision properties in the diagram.
-func (d *Diagram) Properties() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range d.nodes {
-		if n.Kind == Decision && !seen[n.Label] {
-			seen[n.Label] = true
-			out = append(out, n.Label)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Counters returns the set of HECs referenced by counter nodes, in first-
 // occurrence order.
 func (d *Diagram) Counters() *counters.Set {
@@ -391,23 +360,6 @@ func (d *Diagram) walk(step func(id NodeID, enter bool), atEnd func(assign map[s
 		return nil
 	}
 	return visit(d.start)
-}
-
-// Signature computes the counter signature S(p) of a μpath over set: the
-// count of each HEC's counter-node occurrences along the path, as an
-// integer vector (Den 1).
-func (d *Diagram) Signature(p Path, set *counters.Set) exact.Vec64 {
-	sig := exact.Vec64{Num: make([]int64, set.Len()), Den: 1}
-	for _, id := range p.Nodes {
-		n := d.nodes[id]
-		if n.Kind != Counter {
-			continue
-		}
-		if i, ok := set.Index(counters.Event(n.Label)); ok {
-			sig.Num[i]++
-		}
-	}
-	return sig
 }
 
 // Signatures returns the counter signature of every μpath over set, in

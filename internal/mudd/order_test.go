@@ -2,6 +2,10 @@ package mudd
 
 import "fmt"
 
+// The happens-before check of paper §3, as the tests state it: no verdict
+// depends on event order (signatures count events), so it lives here
+// rather than in the package.
+
 // EventOrder returns a linearisation of the μpath's nodes that respects
 // both the causality order (the path sequence itself) and every
 // happens-before edge between nodes on the path (paper §3: "a μop

@@ -99,7 +99,7 @@ func TestMergePathUnion(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range paths {
-				out[d.Signature(p, set).Key()]++
+				out[d.Signature(p, set).Vec().Key()]++
 			}
 			return out
 		}
@@ -162,12 +162,12 @@ func TestSignaturesMatchPaths(t *testing.T) {
 			t.Fatalf("%s: %d signatures for %d paths", d.Name, len(sigs), len(paths))
 		}
 		for i, p := range paths {
-			if got, want := sigs[i].Key(), d.Signature(p, set).Key(); got != want {
+			if got, want := sigs[i].Vec().Key(), d.Signature(p, set).Vec().Key(); got != want {
 				t.Fatalf("%s: signature %d is %s, Signature of path %d is %s", d.Name, i, got, i, want)
 			}
 		}
 	}
-	if sigs, _ := rep.Signatures(set); len(sigs) != 2 || sigs[0].Key() != "1|1|0" || sigs[1].Key() != "1|0|0" {
+	if sigs, _ := rep.Signatures(set); len(sigs) != 2 || sigs[0].Vec().Key() != "1|1|0" || sigs[1].Vec().Key() != "1|0|0" {
 		t.Fatalf("repeated decision: signatures %v, want [1|1|0 1|0|0]", sigs)
 	}
 }

@@ -41,13 +41,6 @@ type Config struct {
 	JitterSeed     int64
 }
 
-// DefaultConfig mirrors a Haswell with SMT disabled (8 programmable
-// counters, as the paper's methodology requires) and perf's default 4 ms
-// rotation inside a 100 ms sample.
-func DefaultConfig() Config {
-	return Config{PhysicalCounters: 8, SlicesPerSample: 25}
-}
-
 // Apply multiplexes a slice-granularity ground-truth observation. truth
 // must contain numSamples × cfg.SlicesPerSample rows, each the counter
 // deltas of one scheduler slice. The result has numSamples rows of

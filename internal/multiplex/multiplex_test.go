@@ -150,10 +150,3 @@ func TestNoiseSummaryEdgeCases(t *testing.T) {
 		t.Fatal("all-zero counters contribute no noise")
 	}
 }
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.PhysicalCounters != 8 || cfg.SlicesPerSample != 25 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-}

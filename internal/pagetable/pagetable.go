@@ -208,32 +208,6 @@ func (t *Table) Walk(steps []Step, va uint64, startLevel int, setAccessed, abort
 	return steps, false
 }
 
-// Translate reports whether va has a valid mapping and its page size.
-func (t *Table) Translate(va uint64) (PageSize, bool) {
-	idx := indices(va)
-	n := t.root
-	for level := 0; level < 4; level++ {
-		i := idx[level]
-		if !n.present[i] {
-			return 0, false
-		}
-		if n.leaf[i] {
-			switch level {
-			case 1:
-				return Page1G, true
-			case 2:
-				return Page2M, true
-			case 3:
-				return Page4K, true
-			default:
-				return 0, false
-			}
-		}
-		n = n.children[i]
-	}
-	return 0, false
-}
-
 // ClearAccessed clears every accessed bit (as an OS page-reclaim scan
 // would), letting tests and workloads re-create the unset-accessed-bit
 // conditions that abort prefetch walks.
@@ -249,10 +223,3 @@ func (t *Table) ClearAccessed() {
 	}
 	rec(t.root)
 }
-
-// MappedPages returns the number of leaf mappings.
-func (t *Table) MappedPages() int { return t.pageCount }
-
-// TableBytes returns the total size of allocated page-table pages — the
-// walker's physical footprint, which determines how well walker refs cache.
-func (t *Table) TableBytes() uint64 { return t.nextPhys }

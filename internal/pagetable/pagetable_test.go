@@ -17,24 +17,24 @@ func TestPageSizeLevels(t *testing.T) {
 func TestMapAndTranslate(t *testing.T) {
 	pt := New(1 << 40)
 	va := uint64(0x10_0000_0000)
-	if _, ok := pt.Translate(va); ok {
+	if _, ok := pt.Walk(nil, va, 0, false, false); ok {
 		t.Fatal("unmapped VA should not translate")
 	}
 	if err := pt.Map(va, Page4K); err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := pt.Translate(va)
-	if !ok || ps != Page4K {
-		t.Fatalf("translate: %v %v", ps, ok)
+	steps, ok := pt.Walk(nil, va, 0, false, false)
+	if !ok || len(steps) != Page4K.Levels() {
+		t.Fatalf("translate: %d steps, %v", len(steps), ok)
 	}
-	if pt.MappedPages() != 1 {
-		t.Fatalf("pages: %d", pt.MappedPages())
+	if pt.pageCount != 1 {
+		t.Fatalf("pages: %d", pt.pageCount)
 	}
 	// Idempotent remap.
 	if err := pt.Map(va, Page4K); err != nil {
 		t.Fatal(err)
 	}
-	if pt.MappedPages() != 1 {
+	if pt.pageCount != 1 {
 		t.Fatal("remap should not add pages")
 	}
 }
@@ -197,7 +197,7 @@ func TestEntryPhysDistinct(t *testing.T) {
 			return true
 		}
 		seen[leaf] = true
-		return leaf >= 1<<40 && leaf < pt.TableBytes()
+		return leaf >= 1<<40 && leaf < pt.nextPhys
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -210,10 +210,10 @@ func TestMappedPagesAndTableBytes(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		pt.EnsureMapped(base+i*uint64(Page4K), Page4K)
 	}
-	if pt.MappedPages() != 10 {
-		t.Fatalf("pages: %d", pt.MappedPages())
+	if pt.pageCount != 10 {
+		t.Fatalf("pages: %d", pt.pageCount)
 	}
-	if pt.TableBytes() <= 1<<40 {
+	if pt.nextPhys <= 1<<40 {
 		t.Fatal("table bytes should grow past the base")
 	}
 }

@@ -206,9 +206,6 @@ func New(opts Options) *Server {
 // Registry exposes the server's model registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Jobs exposes the server's exploration job manager.
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
 // Close shuts down the server's stream tier: every open stream is closed
 // (reason "shutdown"), queued observations are drained, and Close blocks
 // until the last stream worker exits. The jobs manager and engine are

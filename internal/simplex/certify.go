@@ -357,10 +357,3 @@ func (c *Certifier) CertifyFarkas(*Problem, []float64) bool {
 	c.lastKernel = false
 	return false
 }
-
-// CertifyPoint is the pooled-scratch-free convenience form of
-// Certifier.CertifyPoint; hot paths hold a Certifier instead.
-func CertifyPoint(p *Problem, x []float64) bool {
-	var c Certifier
-	return c.CertifyPoint(p, x)
-}

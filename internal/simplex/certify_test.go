@@ -151,17 +151,17 @@ func TestCertifyPointRoundsFloatNoise(t *testing.T) {
 	p := boxProblem()
 	// A strictly interior point carrying float error well inside the
 	// rounding tolerance must certify.
-	if !simplex.CertifyPoint(p, []float64{1.0 + 1e-14, 0.75 - 1e-14}) {
+	if !new(simplex.Certifier).CertifyPoint(p, []float64{1.0 + 1e-14, 0.75 - 1e-14}) {
 		t.Error("noisy interior point failed certification")
 	}
 	// Tiny negative coordinates are solver zeros.
 	p2 := simplex.NewProblem(2)
 	p2.AddConstraint(exact.VecFromInts(1, 1), simplex.LE, big.NewRat(1, 1))
-	if !simplex.CertifyPoint(p2, []float64{-1e-15, 0.5}) {
+	if !new(simplex.Certifier).CertifyPoint(p2, []float64{-1e-15, 0.5}) {
 		t.Error("clamped near-zero coordinate failed certification")
 	}
 	// A clearly exterior point must not certify.
-	if simplex.CertifyPoint(p, []float64{10, 10}) {
+	if new(simplex.Certifier).CertifyPoint(p, []float64{10, 10}) {
 		t.Error("exterior float point certified")
 	}
 }

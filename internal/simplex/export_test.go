@@ -92,3 +92,33 @@ func rat64(r *big.Rat) (exact.Rat64, bool) {
 	}
 	return exact.MakeRat64(r.Num().Int64(), r.Denom().Int64())
 }
+
+// Solve solves p through a fresh Workspace and returns its witness.
+func Solve(p *Problem) Result {
+	return NewWorkspace().Solve(p)
+}
+
+// Solve runs SolveStatus's solve and extracts the witness the tests
+// compare against the big.Rat reference. Like SolveStatus it never
+// mutates the problem.
+func (w *Workspace) Solve(p *Problem) Result {
+	st := w.run(p)
+	if st != Optimal {
+		return Result{Status: st}
+	}
+	// Variable j is column j; non-basic columns are zero. X is built from
+	// fresh rationals so the Result survives workspace reuse.
+	x := exact.NewVec(p.NumVars)
+	kt := &w.kt
+	for i, bi := range kt.basis {
+		if bi < p.NumVars {
+			kt.b[i].rat(x[bi], &kt.delta, kt.t1, kt.t2)
+		}
+	}
+	return Result{Status: Optimal, X: x}
+}
+
+// rat writes e's value divided by delta into dst (reduced by SetFrac).
+func (e *ient) rat(dst *big.Rat, delta *ient, t1, t2 *big.Int) *big.Rat {
+	return dst.SetFrac(e.view(t1), delta.view(t2))
+}

@@ -72,11 +72,6 @@ func (e *ient) view(tmp *big.Int) *big.Int {
 	return tmp.SetInt64(e.v)
 }
 
-// rat writes e's value divided by delta into dst (reduced by SetFrac).
-func (e *ient) rat(dst *big.Rat, delta *ient, t1, t2 *big.Int) *big.Rat {
-	return dst.SetFrac(e.view(t1), delta.view(t2))
-}
-
 // ktab is the kernel tableau. It lives inside a Workspace and reuses its
 // row storage (including each element's retained big.Int promotion slot)
 // across solves.

@@ -94,7 +94,7 @@ func (p *Problem) Reset(n int) {
 	p.form.store = p.form.store[:0]
 }
 
-// Status reports the outcome of Solve.
+// Status reports the outcome of a solve.
 type Status int
 
 // Solve outcomes. Optimal means feasible: phase 1 reached a zero optimum.
@@ -113,8 +113,10 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Result holds the solver outcome. X, valid only when Status == Optimal,
-// is the basic solution phase 1 ended on: a feasibility witness.
+// Result holds a solve's outcome with its witness. X, valid only when
+// Status == Optimal, is the basic solution phase 1 ended on. The daemon
+// asks only for the Status (SolveStatus); the big.Rat reference and the
+// tests that compare witnesses against it return a Result.
 type Result struct {
 	Status Status
 	X      exact.Vec
@@ -147,36 +149,8 @@ func (w *Workspace) Prepare(n int) *Problem {
 	return w.prob
 }
 
-// Solve solves the problem through a freshly allocated Workspace — the
-// convenience path for one-off solves only. Callers that solve in a loop
-// should hold a Workspace (or pool one per worker) and go through its
-// Solve/SolveStatus, which reuse the tableau and problem storage across
-// calls instead of re-allocating them per LP.
-func Solve(p *Problem) Result {
-	return NewWorkspace().Solve(p)
-}
-
-// Solve solves the problem using the workspace's reusable storage.
-func (w *Workspace) Solve(p *Problem) Result {
-	st := w.run(p)
-	if st != Optimal {
-		return Result{Status: st}
-	}
-	// Variable j is column j; non-basic columns are zero. X is built from
-	// fresh rationals so the Result survives workspace reuse.
-	x := exact.NewVec(p.NumVars)
-	kt := &w.kt
-	for i, bi := range kt.basis {
-		if bi < p.NumVars {
-			kt.b[i].rat(x[bi], &kt.delta, kt.t1, kt.t2)
-		}
-	}
-	return Result{Status: Optimal, X: x}
-}
-
-// SolveStatus runs the solver and reports only the status, skipping
-// solution extraction — the fast path for pure feasibility queries, which
-// never look at X. Solve and SolveStatus never mutate the problem, so a
+// SolveStatus runs the solver and reports only the status: every
+// feasibility query needs no witness. It never mutates the problem, so a
 // cached Problem may be solved repeatedly (and concurrently, from
 // distinct workspaces).
 func (w *Workspace) SolveStatus(p *Problem) Status {

@@ -59,7 +59,7 @@ func TestMinimizeWithGE(t *testing.T) {
 	p.AddConstraint(exact.VecFromInts(3, 1), simplex.GE, rat(6, 1))
 	obj := exact.VecFromInts(1, 1)
 	x := solveFeasible(t, levelSet(p, obj, simplex.LE, rat(14, 5)))
-	if !x.Equal(exact.Vec{rat(8, 5), rat(6, 5)}) {
+	if x.Key() != (exact.Vec{rat(8, 5), rat(6, 5)}).Key() {
 		t.Fatalf("witness %v, want the unique point (8/5, 6/5)", x)
 	}
 	if res := simplex.Solve(levelSet(p, obj, simplex.LE, rat(139, 50))); res.Status != simplex.Infeasible {

@@ -39,7 +39,7 @@ func TestWorkspaceMatchesFreshSolve(t *testing.T) {
 		if got.Status != want.Status {
 			t.Fatalf("trial %d: workspace status %v, fresh status %v", trial, got.Status, want.Status)
 		}
-		if got.Status == Optimal && !got.X.Equal(want.X) {
+		if got.Status == Optimal && got.X.Key() != want.X.Key() {
 			t.Fatalf("trial %d: workspace witness %v, fresh %v", trial, got.X, want.X)
 		}
 	}
@@ -64,7 +64,7 @@ func TestWorkspaceResultSurvivesReuse(t *testing.T) {
 	p2 := randomFeasibilityProblem(rand.New(rand.NewSource(1)), 5, 4)
 	_ = w.Solve(p2)
 
-	if !r1.X.Equal(xBefore) {
+	if r1.X.Key() != xBefore.Key() {
 		t.Fatalf("solution clobbered by reuse: %v -> %v", xBefore, r1.X)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"repro/internal/tier"
 	"testing"
 
 	"repro/internal/core"
@@ -178,7 +179,7 @@ func TestRegionVerdictsMatchJacobiReference(t *testing.T) {
 		return pair{got, ref}
 	}
 	p := simplex.NewProblem(0)
-	sv := core.NewSolver(nil)
+	sv := tier.NewSolver(nil)
 	feasibleLP := func(label string, m *core.Model, r *stats.Region) bool {
 		t.Helper()
 		if err := m.RegionLP(p, r); err != nil {

@@ -3,18 +3,9 @@ package stats
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 )
-
-// Eigen holds the eigendecomposition of a symmetric matrix: Values[i] is
-// the i-th eigenvalue and Vectors[i] the corresponding unit eigenvector
-// (stored as rows), sorted by descending eigenvalue.
-type Eigen struct {
-	Values  []float64
-	Vectors [][]float64
-}
 
 // qlMaxIterPerRow bounds the implicit QL iterations: at most this many
 // per row of the decomposed block, in total. QL converges in one or two
@@ -26,35 +17,6 @@ var (
 	errNonFinite   = errors.New("stats: matrix has a non-finite entry")
 	errNotConverge = errors.New("stats: eigendecomposition did not converge")
 )
-
-// SymmetricEigen computes the eigendecomposition of a symmetric matrix
-// (see eigenWork.decompose for the method). The input is not modified.
-func SymmetricEigen(m [][]float64) (*Eigen, error) {
-	if err := checkSquare(m); err != nil {
-		return nil, err
-	}
-	n := len(m)
-	var w eigenWork
-	a := w.matrix(n)
-	for i := range m {
-		copy(a[i*n:(i+1)*n], m[i])
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if aij, aji := a[i*n+j], a[j*n+i]; math.Abs(aij-aji) > 1e-9*(1+math.Abs(aij)) {
-				return nil, fmt.Errorf("stats: matrix not symmetric at (%d,%d): %g vs %g", i, j, aij, aji)
-			}
-		}
-	}
-	if err := w.decompose(n); err != nil {
-		return nil, err
-	}
-	eig := &Eigen{Values: w.values, Vectors: make([][]float64, n)}
-	for r := range eig.Vectors {
-		eig.Vectors[r] = w.vt[r*n : (r+1)*n : (r+1)*n]
-	}
-	return eig, nil
-}
 
 // eigenWork is the flat scratch of one symmetric eigendecomposition. The
 // region builder pools them, so a warm decomposition allocates nothing.

@@ -12,6 +12,34 @@ import (
 	"repro/internal/counters"
 )
 
+// Eigen holds the eigendecomposition of a symmetric matrix: Values[i] is
+// the i-th eigenvalue and Vectors[i] the corresponding unit eigenvector
+// (stored as rows), sorted by descending eigenvalue.
+type Eigen struct {
+	Values  []float64
+	Vectors [][]float64
+}
+
+// symmetricEigen decomposes the symmetric matrix m through eigenWork, the
+// decomposition every region build runs (see eigenWork.decompose for the
+// method). The input is not modified.
+func symmetricEigen(m [][]float64) (*Eigen, error) {
+	n := len(m)
+	var w eigenWork
+	a := w.matrix(n)
+	for i := range m {
+		copy(a[i*n:(i+1)*n], m[i])
+	}
+	if err := w.decompose(n); err != nil {
+		return nil, err
+	}
+	eig := &Eigen{Values: w.values, Vectors: make([][]float64, n)}
+	for r := range eig.Vectors {
+		eig.Vectors[r] = w.vt[r*n : (r+1)*n : (r+1)*n]
+	}
+	return eig, nil
+}
+
 // randomSymmetric returns an n×n symmetric matrix with standard normal
 // entries.
 func randomSymmetric(rng *rand.Rand, n int) [][]float64 {
@@ -188,11 +216,11 @@ func checkValuesMatch(t *testing.T, label string, a [][]float64, got, ref *Eigen
 }
 
 func TestSymmetricEigenEmptyAndScalar(t *testing.T) {
-	eig, err := SymmetricEigen(nil)
+	eig, err := symmetricEigen(nil)
 	if err != nil || len(eig.Values) != 0 || len(eig.Vectors) != 0 {
 		t.Fatalf("0×0: %v %v", eig, err)
 	}
-	eig, err = SymmetricEigen([][]float64{{-2.5}})
+	eig, err = symmetricEigen([][]float64{{-2.5}})
 	if err != nil || eig.Values[0] != -2.5 || eig.Vectors[0][0] != 1 {
 		t.Fatalf("1×1: %v %v", eig, err)
 	}
@@ -206,7 +234,7 @@ func TestSymmetricEigenProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	check := func(label string, a [][]float64) {
 		t.Helper()
-		eig, err := SymmetricEigen(a)
+		eig, err := symmetricEigen(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -261,7 +289,7 @@ func TestSymmetricEigenProperties(t *testing.T) {
 		}
 	}
 	check("repeated", a)
-	eig, _ := SymmetricEigen(a)
+	eig, _ := symmetricEigen(a)
 	for i, l := range lambda {
 		if math.Abs(eig.Values[i]-l) > 1e-12 {
 			t.Fatalf("repeated: eigenvalue %d is %g, want %g", i, eig.Values[i], l)
@@ -284,7 +312,7 @@ func TestSymmetricEigenIsolatedRowsExact(t *testing.T) {
 		}
 		a[i][i] = v
 	}
-	eig, err := SymmetricEigen(a)
+	eig, err := symmetricEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +358,7 @@ func TestSymmetricEigenTieOrder(t *testing.T) {
 		a[i] = make([]float64, len(diag))
 		a[i][i] = diag[i]
 	}
-	eig, err := SymmetricEigen(a)
+	eig, err := symmetricEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +416,7 @@ func TestPMPairCovariances(t *testing.T) {
 		o := pmPairObservation(rng, n, constant)
 		a := sampleCovariance(o, Correlated)
 		label := fmt.Sprintf("trial %d (%d counters, %d constant)", trial, n, constant)
-		eig, err := SymmetricEigen(a)
+		eig, err := symmetricEigen(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -466,10 +494,10 @@ func answers(t *testing.T, label string, f func()) {
 // terminates with either finite eigenpairs or an error.
 func TestSymmetricEigenHostile(t *testing.T) {
 	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, err := SymmetricEigen([][]float64{{1, x}, {x, 1}}); !errors.Is(err, errNonFinite) {
+		if _, err := symmetricEigen([][]float64{{1, x}, {x, 1}}); !errors.Is(err, errNonFinite) {
 			t.Fatalf("entry %g: err %v, want errNonFinite", x, err)
 		}
-		if _, err := SymmetricEigen([][]float64{{x, 0}, {0, 1}}); !errors.Is(err, errNonFinite) {
+		if _, err := symmetricEigen([][]float64{{x, 0}, {0, 1}}); !errors.Is(err, errNonFinite) {
 			t.Fatalf("diagonal %g: err %v, want errNonFinite", x, err)
 		}
 	}
@@ -484,7 +512,7 @@ func TestSymmetricEigenHostile(t *testing.T) {
 			}
 			var eig *Eigen
 			var err error
-			answers(t, fmt.Sprintf("scale %g, %d×%d", scale, n, n), func() { eig, err = SymmetricEigen(a) })
+			answers(t, fmt.Sprintf("scale %g, %d×%d", scale, n, n), func() { eig, err = symmetricEigen(a) })
 			if err != nil {
 				continue
 			}
@@ -569,7 +597,7 @@ func FuzzSymmetricEigen(f *testing.F) {
 				a[i][j], a[j][i] = x, x
 			}
 		}
-		eig, err := SymmetricEigen(a)
+		eig, err := symmetricEigen(a)
 		for _, row := range a {
 			for _, x := range row {
 				if x != 0 && (math.Abs(x) > 1e150 || math.Abs(x) < 1e-150) {

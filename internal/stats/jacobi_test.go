@@ -11,16 +11,14 @@ import (
 // jacobiMaxSweeps bounds the cyclic Jacobi iteration count.
 const jacobiMaxSweeps = 100
 
-// jacobiEigen is the reference eigensolver the tests hold SymmetricEigen
-// to: the cyclic Jacobi rotation method, which region construction used
-// before it deflated isolated rows and moved to tridiagonal QL. It is
+// jacobiEigen is the reference eigensolver the tests hold eigenWork's
+// decomposition to: the cyclic Jacobi rotation method, which region
+// construction used before it deflated isolated rows and moved to
+// tridiagonal QL. It is
 // slow but simple and numerically robust. Ties between eigenvalues are
 // ordered by sort.Slice, so their order is not specified. The input is
 // not modified.
 func jacobiEigen(m [][]float64) (*Eigen, error) {
-	if err := checkSquare(m); err != nil {
-		return nil, err
-	}
 	n := len(m)
 	// Working copy a, row-major; accumulated rotations vt, stored
 	// transposed so that row j is eigenvector j and each rotation updates
@@ -131,4 +129,27 @@ func referenceRegion(o *counters.Observation, confidence float64, mode NoiseMode
 	}
 	var d RegionDigest
 	return regionFromEigen(o.Set, mode, confidence, o.Mean(), chi2, eig.Values, vt, d.Key(o, nil, confidence, mode)), nil
+}
+
+// Diagonal returns a copy of cov with off-diagonal entries zeroed — the
+// independence assumption of naive confidence regions (Figure 3d, green).
+func Diagonal(cov [][]float64) [][]float64 {
+	out := make([][]float64, len(cov))
+	for i := range cov {
+		out[i] = make([]float64, len(cov[i]))
+		out[i][i] = cov[i][i]
+	}
+	return out
+}
+
+// Scale returns cov scaled by s (e.g. the plug-in estimator Σ_Ȳ = Σ_Y / M).
+func Scale(cov [][]float64, s float64) [][]float64 {
+	out := make([][]float64, len(cov))
+	for i := range cov {
+		out[i] = make([]float64, len(cov[i]))
+		for j := range cov[i] {
+			out[i][j] = cov[i][j] * s
+		}
+	}
+	return out
 }

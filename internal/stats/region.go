@@ -204,28 +204,6 @@ func quantizeAxes(vt []float64, n int) [][]float64 {
 // not built by this package.
 func (r *Region) Key() [16]byte { return r.key }
 
-// Contains reports whether v lies inside the bounding box.
-func (r *Region) Contains(v []float64) bool {
-	n := len(r.Mean)
-	for i, axis := range r.Axes {
-		dot := 0.0
-		for j := 0; j < n; j++ {
-			dot += axis[j] * (v[j] - r.Mean[j])
-		}
-		if math.Abs(dot) > r.HalfWidths[i]+1e-9*(1+math.Abs(r.HalfWidths[i])) {
-			return false
-		}
-	}
-	return true
-}
-
-// Center returns the region's centre (the sample mean Ȳ).
-func (r *Region) Center() []float64 {
-	out := make([]float64, len(r.Mean))
-	copy(out, r.Mean)
-	return out
-}
-
 // LogVolume returns the natural log of the box volume Π 2hᵢ, with zero
 // half-widths clamped to a small epsilon so degenerate regions compare
 // sensibly. Correlated regions have smaller volume than independent ones

@@ -14,7 +14,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -75,17 +74,6 @@ func Covariance(samples [][]float64) [][]float64 {
 	return cov
 }
 
-// Diagonal returns a copy of cov with off-diagonal entries zeroed — the
-// independence assumption of naive confidence regions (Figure 3d, green).
-func Diagonal(cov [][]float64) [][]float64 {
-	out := make([][]float64, len(cov))
-	for i := range cov {
-		out[i] = make([]float64, len(cov[i]))
-		out[i][i] = cov[i][i]
-	}
-	return out
-}
-
 // Correlation converts a covariance matrix to a Pearson correlation matrix.
 // Zero-variance rows/columns yield zero correlations (self-correlation 1).
 func Correlation(cov [][]float64) [][]float64 {
@@ -127,38 +115,4 @@ func FractionPairsAbove(corr [][]float64, threshold float64) float64 {
 		}
 	}
 	return float64(count) / float64(total)
-}
-
-// Scale returns cov scaled by s (e.g. the plug-in estimator Σ_Ȳ = Σ_Y / M).
-func Scale(cov [][]float64, s float64) [][]float64 {
-	out := make([][]float64, len(cov))
-	for i := range cov {
-		out[i] = make([]float64, len(cov[i]))
-		for j := range cov[i] {
-			out[i][j] = cov[i][j] * s
-		}
-	}
-	return out
-}
-
-// StdDevs returns the per-counter standard deviations from a covariance
-// matrix diagonal.
-func StdDevs(cov [][]float64) []float64 {
-	out := make([]float64, len(cov))
-	for i := range cov {
-		v := cov[i][i]
-		if v > 0 {
-			out[i] = math.Sqrt(v)
-		}
-	}
-	return out
-}
-
-func checkSquare(m [][]float64) error {
-	for i := range m {
-		if len(m[i]) != len(m) {
-			return fmt.Errorf("stats: matrix not square: row %d has %d cols, want %d", i, len(m[i]), len(m))
-		}
-	}
-	return nil
 }

@@ -32,10 +32,8 @@
 //     walk_ref.{l1,l2,l3,mem}, so umask 0x0F at cmask 0 reproduces the
 //     walk_ref aggregate bit for bit and must be found feasible.
 //
-// Decoding memoises by selection signature: two configs that alias
-// return the *same* *Derived (same observation pointers), so the
-// engine's pointer-keyed region cache — and, through region content
-// hashes, the LP and verdict caches — dedup across grid cells.
+// Two configs that alias share a selection signature, so they decode to
+// the same derived corpus.
 //
 // For grid-scale scans the Decoder also acts as a planner: Plan groups a
 // cell list into behaviour classes by signature before anything is
@@ -185,20 +183,17 @@ type Class struct {
 }
 
 // Decoder deterministically maps raw configs onto derived corpora over a
-// fixed base corpus. Decode memoises by behaviour, so aliased configs
-// reuse observation pointers; Decode/UniqueBehaviours are not safe for
-// concurrent use. Plan, Signature, DecodeClass and Release never touch
-// the memo and may be called from concurrent scan workers.
+// fixed base corpus. Plan, Signature, DecodeClass and Release may be
+// called from concurrent scan workers.
 type Decoder struct {
 	seed    int64
 	base    []*counters.Observation
 	target  *counters.Set
-	sources []int // base-set column indices selectable by hashed banks
-	perm    []int // seeded permutation of sources
-	refBank []int // base-set columns of walk_ref.{l1,l2,l3,mem}
-	proj    []int // base-set column per target column (-1 for the aggregate)
-	aggPos  int   // aggregate column in target
-	memo    map[string]*Derived
+	sources []int     // base-set column indices selectable by hashed banks
+	perm    []int     // seeded permutation of sources
+	refBank []int     // base-set columns of walk_ref.{l1,l2,l3,mem}
+	proj    []int     // base-set column per target column (-1 for the aggregate)
+	aggPos  int       // aggregate column in target
 	pool    sync.Pool // *Derived shaped for base×target, recycled by DecodeClass/Release
 }
 
@@ -248,7 +243,6 @@ func NewDecoder(seed int64, base []*counters.Observation, target *counters.Set) 
 		target: target,
 		aggPos: aggPos,
 		proj:   make([]int, target.Len()),
-		memo:   map[string]*Derived{},
 	}
 	for j := 0; j < target.Len(); j++ {
 		e := target.At(j)
@@ -412,24 +406,9 @@ func (d *Decoder) fill(dv *Derived, cols []int, threshold float64, sig string) {
 	}
 }
 
-// Decode returns the derived corpus for cfg, memoised by behaviour:
-// aliasing configs get the same *Derived back, observation pointers
-// included.
-func (d *Decoder) Decode(cfg RawConfig) *Derived {
-	cols, threshold := d.selection(cfg)
-	sig := signature(cols, threshold)
-	if dv, ok := d.memo[sig]; ok {
-		return dv
-	}
-	dv := d.newDerived()
-	d.fill(dv, cols, threshold, sig)
-	d.memo[sig] = dv
-	return dv
-}
-
 // DecodeClass materialises cfg's derived corpus from the decoder's
-// buffer pool, bypassing the memo: a planned scan decodes each behaviour
-// class exactly once (Plan already collapsed the aliases), so memoising
+// buffer pool: a planned scan decodes each behaviour class exactly once
+// (Plan already collapsed the aliases), so nothing is memoised, which
 // would only pin every class's corpus in memory for the whole scan.
 // Safe for concurrent use. Call Release once the class verdict is
 // committed so peak memory tracks in-flight classes, not grid size; the
@@ -446,10 +425,5 @@ func (d *Decoder) DecodeClass(cfg RawConfig) *Derived {
 }
 
 // Release recycles a DecodeClass derivation's buffers for the next
-// class. Never release a memoised Decode result — those are shared by
-// pointer across aliased configs.
+// class.
 func (d *Decoder) Release(dv *Derived) { d.pool.Put(dv) }
-
-// UniqueBehaviours counts the distinct behaviours decoded so far — the
-// dedup denominator a full-grid scan reports next to its cell count.
-func (d *Decoder) UniqueBehaviours() int { return len(d.memo) }

@@ -32,7 +32,6 @@ type Stats struct {
 	evaluations      atomic.Uint64
 	filterFeasible   atomic.Uint64
 	filterInfeasible atomic.Uint64
-	basisInfeasible  atomic.Uint64
 	certFailures     atomic.Uint64
 	exactFallbacks   atomic.Uint64
 	sizeGated        atomic.Uint64
@@ -50,14 +49,11 @@ type Counts struct {
 	// Evaluations counts feasibility LPs decided (one per verdict).
 	Evaluations uint64 `json:"evaluations"`
 	// FilterFeasible / FilterInfeasible count verdicts decided by the
-	// float tier with an exactly-verified certificate.
+	// float tier with an exactly-verified certificate. Every filter
+	// refutation is certified by the exact dual of the filter's final
+	// phase-1 basis.
 	FilterFeasible   uint64 `json:"filter_feasible"`
 	FilterInfeasible uint64 `json:"filter_infeasible"`
-	// FilterInfeasibleBasis counts the FilterInfeasible verdicts certified
-	// by the exact dual of the filter's final phase-1 basis. Every filter
-	// refutation is certified that way, so it equals FilterInfeasible; the
-	// field remains for telemetry readers.
-	FilterInfeasibleBasis uint64 `json:"filter_infeasible_basis"`
 	// CertFailures counts evaluations whose last float-tier claim failed
 	// exact verification (each also counts an exact fallback). A tightened
 	// solve's basis that fails is not counted: the untightened solve's
@@ -104,18 +100,17 @@ func (c Counts) FilterHits() uint64 { return c.FilterFeasible + c.FilterInfeasib
 // Snapshot returns current counter values.
 func (s *Stats) Snapshot() Counts {
 	c := Counts{
-		Evaluations:           s.evaluations.Load(),
-		FilterFeasible:        s.filterFeasible.Load(),
-		FilterInfeasible:      s.filterInfeasible.Load(),
-		FilterInfeasibleBasis: s.basisInfeasible.Load(),
-		CertFailures:          s.certFailures.Load(),
-		ExactFallbacks:        s.exactFallbacks.Load(),
-		SizeGated:             s.sizeGated.Load(),
-		KernelFastSolves:      s.kernelFastSolves.Load(),
-		KernelPromotedSolves:  s.kernelPromotedSolves.Load(),
-		KernelPromotions:      s.kernelPromotions.Load(),
-		CertifyKernel:         s.certifyKernel.Load(),
-		CertifyBigRat:         s.certifyBigRat.Load(),
+		Evaluations:          s.evaluations.Load(),
+		FilterFeasible:       s.filterFeasible.Load(),
+		FilterInfeasible:     s.filterInfeasible.Load(),
+		CertFailures:         s.certFailures.Load(),
+		ExactFallbacks:       s.exactFallbacks.Load(),
+		SizeGated:            s.sizeGated.Load(),
+		KernelFastSolves:     s.kernelFastSolves.Load(),
+		KernelPromotedSolves: s.kernelPromotedSolves.Load(),
+		KernelPromotions:     s.kernelPromotions.Load(),
+		CertifyKernel:        s.certifyKernel.Load(),
+		CertifyBigRat:        s.certifyBigRat.Load(),
 	}
 	c.ColdSolves = c.ExactFallbacks
 	return c
@@ -276,7 +271,6 @@ func (s *Solver) certify(p *simplex.Problem, out floatlp.Outcome) (feasible, ok 
 		s.Stats.noteCertify(cert)
 		if ok && s.Stats != nil {
 			s.Stats.filterInfeasible.Add(1)
-			s.Stats.basisInfeasible.Add(1)
 		}
 		return false, ok
 	}

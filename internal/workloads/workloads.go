@@ -282,15 +282,6 @@ func (s *Stencil) Next() Access {
 	return Access{VA: va, IsLoad: isLoad}
 }
 
-// Take drains n accesses from g into a slice (test/bench helper).
-func Take(g Generator, n int) []Access {
-	out := make([]Access, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // RandomBurst picks a random page and issues a burst of accesses to it
 // before jumping to another page — the object-access pattern (read many
 // fields of one heap object, then chase to the next). Bursts are what

@@ -304,3 +304,12 @@ func TestNamesAreDescriptive(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// Take drains n accesses from g into a slice.
+func Take(g Generator, n int) []Access {
+	out := make([]Access, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
