@@ -58,10 +58,12 @@ func benchmarkExplore(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkExploreSequential is the sequential reference search (one
-// frontier candidate at a time; corpus batches still use the engine pool).
+// BenchmarkExploreSequential evaluates one frontier candidate at a time
+// (a worker bound of 1 over the same search; corpus batches still use
+// the engine pool).
 func BenchmarkExploreSequential(b *testing.B) { benchmarkExplore(b, 1) }
 
 // BenchmarkExploreParallel evaluates each frontier concurrently. Results
-// are bit-identical to the sequential search; only wall-clock changes.
+// are bit-identical to BenchmarkExploreSequential's; only wall-clock
+// changes.
 func BenchmarkExploreParallel(b *testing.B) { benchmarkExplore(b, 0) }

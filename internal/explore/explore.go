@@ -16,17 +16,17 @@
 // Both phases evaluate one frontier of candidate feature sets at a time —
 // every unexplored single-feature extension of the current model in
 // discovery, every single-feature removal of a node in elimination. The
-// frontier is evaluated concurrently (Search.Workers goroutines, each
-// driving an engine session whose observation batches run on the
-// engine's bounded worker pool), but results are committed to the search
-// graph in the sequential reference order: parallel runs reproduce the
-// sequential search — node order, adopted features, final model,
-// classification, GraphReport — bit for bit. Workers = 1 selects the
-// sequential reference search itself.
+// frontier is evaluated through ordered.Run (at most Search.Workers
+// candidates at once, by default the engine's worker count, each driving an
+// engine session whose observation batches run on the engine's bounded
+// worker pool), and results are committed to the search graph in
+// frontier order: every worker bound yields the same search — node
+// order, adopted features, final model, classification, GraphReport —
+// bit for bit.
 //
 // # Progress events
 //
-// A Search with a non-nil Events channel reports structured progress —
+// A Search with a non-nil Events callback reports structured progress —
 // every node evaluated, every feature the discovery phase adopts, every
 // subtree the elimination phase prunes, every minimal model found — as the
 // search runs, instead of only a final GraphReport. internal/jobs consumes
@@ -39,11 +39,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/engine"
+	"repro/internal/ordered"
 	"repro/internal/stats"
 )
 
@@ -142,7 +142,7 @@ type EventKind string
 // Progress event kinds.
 const (
 	// EventNodeEvaluated fires when a node is committed to the search
-	// graph, in commit (= sequential evaluation) order.
+	// graph, in commit order (the same at every worker bound).
 	EventNodeEvaluated EventKind = "node-evaluated"
 	// EventFeatureAdopted fires when the discovery phase adopts the best
 	// candidate of a frontier; Feature names it, Node is the new model.
@@ -193,14 +193,12 @@ type Search struct {
 	// evaluations; nil means context.Background().
 	Ctx context.Context
 	// Workers bounds how many frontier candidates are evaluated
-	// concurrently. 0 means the engine's worker count; 1 selects the
-	// sequential reference search. Every setting commits nodes in the
-	// sequential order, so results are bit-identical.
+	// concurrently; 0 means the engine's worker count. Every bound commits
+	// nodes in the same order, so results are bit-identical.
 	Workers int
-	// Events, when non-nil, receives structured progress events. The
-	// consumer must keep receiving (or cancel Ctx): sends block, and an
-	// event that cannot be delivered before Ctx ends is dropped.
-	Events chan<- Event
+	// Events, when non-nil, is called with each structured progress
+	// event, on the goroutine running the search.
+	Events func(Event)
 
 	nodes  map[string]*Node
 	order  []*Node
@@ -274,15 +272,10 @@ func (s *Search) workers() int {
 	return s.engine().Workers()
 }
 
-// emit delivers a progress event, dropping it if the search context ends
-// before the consumer takes it.
+// emit delivers a progress event.
 func (s *Search) emit(ev Event) {
-	if s.Events == nil {
-		return
-	}
-	select {
-	case s.Events <- ev:
-	case <-s.ctx().Done():
+	if s.Events != nil {
+		s.Events(ev)
 	}
 }
 
@@ -350,12 +343,10 @@ func (s *Search) Evaluate(fs FeatureSet, parent string, op Op) (*Node, error) {
 }
 
 // prefetch evaluates a frontier of feature sets concurrently into the
-// staging area, where Evaluate picks them up in the sequential commit
-// order. Sets already evaluated or staged are skipped; with one worker (or
-// a frontier of one) evaluation is left to the lazy sequential path. The
-// first evaluation error cancels the rest of the frontier and is returned;
-// a cancelled search context is reported even when every launched
-// evaluation happened to finish.
+// staging area, where Evaluate picks them up in the search's commit
+// order. Sets already evaluated or staged are skipped. It returns the
+// first failing candidate's error in frontier order, or the search
+// context's error once it ends.
 func (s *Search) prefetch(frontier []FeatureSet) error {
 	if s.staged == nil {
 		s.staged = map[string]*Node{}
@@ -376,59 +367,12 @@ func (s *Search) prefetch(frontier []FeatureSet) error {
 		}
 		todo = append(todo, fs)
 	}
-	if s.workers() <= 1 || len(todo) <= 1 {
-		return s.ctx().Err()
-	}
-	ctx, cancel := context.WithCancel(s.ctx())
-	defer cancel()
-	sem := make(chan struct{}, s.workers())
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, fs := range todo {
-		wg.Add(1)
-		go func(fs FeatureSet) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			// Contain panics from the caller-supplied Builder (or anything
-			// under it): on this goroutine an unrecovered panic would kill
-			// the whole process, not just the search — with Workers=1 the
-			// same panic unwinds through the caller, who may have its own
-			// recovery (the jobs runner does).
-			n, err := func() (n *Node, err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("explore: evaluate %s panicked: %v", fs, p)
-					}
-				}()
-				return s.build(ctx, fs)
-			}()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				// Errors caused by the frontier-wide cancellation are
-				// echoes of firstErr, not findings of their own.
-				if firstErr == nil && ctx.Err() == nil {
-					firstErr = err
-				}
-				cancel()
-				return
-			}
-			s.staged[fs.Key()] = n
-		}(fs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return s.ctx().Err()
+	return ordered.Run(s.ctx(), len(todo), s.workers(),
+		func(ctx context.Context, i int) (*Node, error) { return s.build(ctx, todo[i]) },
+		func(i int, n *Node) error {
+			s.staged[todo[i].Key()] = n
+			return nil
+		})
 }
 
 // Discover runs the discovery phase from the initial feature set: while

@@ -142,8 +142,8 @@ func TestParallelMatchesSequentialCatalogue(t *testing.T) {
 func TestSearchEvents(t *testing.T) {
 	s := NewSearch(builder(t), corpus())
 	s.Workers = 4
-	events := make(chan Event, 256)
-	s.Events = events
+	var events []Event
+	s.Events = func(ev Event) { events = append(events, ev) }
 
 	final, err := s.Discover(NewFeatureSet(), []string{"abort", "doublewalk"})
 	if err != nil {
@@ -152,11 +152,10 @@ func TestSearchEvents(t *testing.T) {
 	if _, err := s.Eliminate(final, []string{"abort", "doublewalk"}); err != nil {
 		t.Fatal(err)
 	}
-	close(events)
 
 	var evaluated []string
 	kinds := map[EventKind]int{}
-	for ev := range events {
+	for _, ev := range events {
 		kinds[ev.Kind]++
 		if ev.Kind == EventNodeEvaluated {
 			evaluated = append(evaluated, ev.Node.Features.Key())

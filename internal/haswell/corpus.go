@@ -3,11 +3,9 @@ package haswell
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/counters"
+	"repro/internal/ordered"
 	"repro/internal/pagetable"
 	"repro/internal/workloads"
 )
@@ -65,42 +63,31 @@ func BuildCorpus(spec CorpusSpec) ([]*counters.Observation, error) {
 // SimulateEntries simulates every entry for samples intervals of uops
 // micro-ops each, after a one-interval warm-up, and returns the
 // observations in entry order, labelled "<entry label>/<workload>" and
-// extended with the walk_ref aggregate. Entries are independent, so a
-// fixed pool of min(GOMAXPROCS, len(entries)) workers takes them in order
-// and each result lands in its entry's slot: the corpus does not depend
-// on scheduling. ctx is checked before each entry; the first error in
-// entry order is returned with no corpus.
+// extended with the walk_ref aggregate. Entries are independent, so they
+// all run at once through ordered.Run and each result lands in its
+// entry's slot: the corpus does not depend on scheduling. The tables are
+// short (6 entries for a sweep's base, 17 for the default corpus) and
+// their entries differ in cost several times over; since Run claims no
+// further ahead than its bound, any smaller bound idles cores behind a
+// slow entry. Every entry checks ctx between sampling intervals; the
+// first error in entry order is returned with no corpus.
 func SimulateEntries(ctx context.Context, entries []Entry, samples, uops int) ([]*counters.Observation, error) {
 	obs := make([]*counters.Observation, len(entries))
-	errs := make([]error, len(entries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(entries)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(entries) {
-					return
-				}
-				if errs[i] = ctx.Err(); errs[i] != nil {
-					return
-				}
-				obs[i], errs[i] = simulateEntry(entries[i], samples, uops)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := ordered.Run(ctx, len(entries), len(entries),
+		func(ctx context.Context, i int) (*counters.Observation, error) {
+			return simulateEntry(ctx, entries[i], samples, uops)
+		},
+		func(i int, o *counters.Observation) error {
+			obs[i] = o
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return obs, nil
 }
 
-func simulateEntry(e Entry, samples, uops int) (*counters.Observation, error) {
+func simulateEntry(ctx context.Context, e Entry, samples, uops int) (*counters.Observation, error) {
 	gen, err := e.Gen()
 	if err != nil {
 		return nil, fmt.Errorf("corpus %s: %w", e.Label, err)
@@ -108,7 +95,10 @@ func simulateEntry(e Entry, samples, uops int) (*counters.Observation, error) {
 	sim := NewSimulator(e.Config)
 	// Warm up: one sample's worth of micro-ops reaches steady state.
 	sim.Step(gen, uops)
-	o := sim.Observation(gen, samples, uops)
+	o, err := sim.observe(ctx, gen, samples, uops)
+	if err != nil {
+		return nil, err
+	}
 	o.Label = e.Label + "/" + o.Label
 	return WithAggregateWalkRef(o), nil
 }

@@ -3,7 +3,9 @@ package haswell
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -377,6 +379,50 @@ func TestSimulateEntriesFirstError(t *testing.T) {
 	}
 	if !strings.HasPrefix(obs[0].Label, "a/") || !strings.HasPrefix(obs[1].Label, "c/") {
 		t.Fatalf("observations out of entry order: %q, %q", obs[0].Label, obs[1].Label)
+	}
+}
+
+// cancellingGen counts the accesses drawn across every entry sharing
+// drawn and ends the build's context at the limit-th one.
+type cancellingGen struct {
+	workloads.Generator
+	drawn  *atomic.Int64
+	limit  int64
+	cancel func()
+}
+
+func (g cancellingGen) Next() workloads.Access {
+	if g.drawn.Add(1) == g.limit {
+		g.cancel()
+	}
+	return g.Generator.Next()
+}
+
+// TestSimulateEntriesCancelMidBuild checks that a context ended while
+// entries are simulating stops each of them within one interval, and the
+// build returns the context's error with no corpus.
+func TestSimulateEntriesCancelMidBuild(t *testing.T) {
+	const entries, samples, uops, limit = 4, 50, 2000, 10 * 2000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var drawn atomic.Int64
+	gen := func() (workloads.Generator, error) {
+		g, err := workloads.NewRandom(24<<20, 1.0, 7)
+		return cancellingGen{g, &drawn, limit, cancel}, err
+	}
+	table := make([]Entry, entries)
+	for i := range table {
+		table[i] = Entry{Label: fmt.Sprint(i), Config: DefaultConfig(pagetable.Page4K), Gen: gen}
+	}
+	obs, err := SimulateEntries(ctx, table, samples, uops)
+	if !errors.Is(err, context.Canceled) || obs != nil {
+		t.Fatalf("got %d observations, err %v; want none and %v", len(obs), err, context.Canceled)
+	}
+	// Past the limit, each entry finishes at most the interval (or the
+	// warm-up) it is in.
+	if got, most := drawn.Load(), int64(limit+entries*uops); got > most {
+		t.Fatalf("%d accesses drawn, want at most %d of the %d a full build draws",
+			got, most, entries*(samples+1)*uops)
 	}
 }
 

@@ -1,6 +1,7 @@
 package haswell
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/counters"
@@ -153,9 +154,19 @@ func (s *Simulator) Step(gen workloads.Generator, n int) {
 // the noise-free time series that perf would see with one physical counter
 // per event.
 func (s *Simulator) Observation(gen workloads.Generator, numSamples, uopsPerSample int) *counters.Observation {
+	o, _ := s.observe(context.Background(), gen, numSamples, uopsPerSample)
+	return o
+}
+
+// observe is Observation stopping with ctx's error, and no observation,
+// when ctx ends between two intervals.
+func (s *Simulator) observe(ctx context.Context, gen workloads.Generator, numSamples, uopsPerSample int) (*counters.Observation, error) {
 	o := counters.NewObservation(gen.Name(), s.set)
 	prev := s.counts.Clone()
 	for k := 0; k < numSamples; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		s.Step(gen, uopsPerSample)
 		cur := s.counts
 		delta := make([]float64, s.set.Len())
@@ -165,7 +176,7 @@ func (s *Simulator) Observation(gen workloads.Generator, numSamples, uopsPerSamp
 		o.Append(delta)
 		prev = cur.Clone()
 	}
-	return o
+	return o, nil
 }
 
 // process runs one access: its translation, whose walker references reach

@@ -34,9 +34,8 @@ type ExploreSpec struct {
 	ForceExact         bool
 	// MaxDiscoverySteps bounds the discovery phase (0 = explore default).
 	MaxDiscoverySteps int
-	// Workers bounds concurrent frontier evaluation (0 = engine workers,
-	// 1 = the sequential reference search). Results are identical either
-	// way.
+	// Workers bounds concurrent frontier evaluation (0 = engine worker
+	// count). Results are identical at every bound.
 	Workers int
 	// SkipElimination stops after the discovery phase.
 	SkipElimination bool
@@ -195,46 +194,35 @@ func exploreRunner(spec ExploreSpec, restore []*explore.Node) Runner {
 			s.MaxDiscoverySteps = spec.MaxDiscoverySteps
 		}
 
-		// Forward search progress into the job's event log from a side
-		// goroutine so the search never blocks on a slow subscriber. The
-		// same goroutine accumulates committed nodes and checkpoints after
-		// each one (restored prefix included), so the durable journal
+		// Progress goes into the job's event log as the search emits it,
+		// on the search goroutine. Each committed node (restored prefix
+		// included) is checkpointed as it lands, so the durable journal
 		// tracks the frontier as it grows — a kill -9 between exit-path
 		// checkpoints still resumes from the last committed node. Node
-		// events arrive in sequential commit order regardless of Workers,
-		// so the incremental checkpoints match s.Nodes() prefixes exactly.
-		events := make(chan explore.Event, 16)
-		s.Events = events
-		drained := make(chan struct{})
+		// events arrive in commit order regardless of Workers, so the
+		// incremental checkpoints match s.Nodes() prefixes exactly.
 		committed := append([]*explore.Node(nil), restore...)
-		go func() {
-			defer close(drained)
-			for ev := range events {
-				data := ExploreEventData{Feature: ev.Feature}
-				if ev.Kind == explore.EventFeatureAdopted {
-					step := ev.Step
-					data.Step = &step
-				}
-				if ev.Node != nil {
-					n := nodeJSON(ev.Node)
-					data.Node = &n
-				}
-				if ev.Kind == explore.EventNodeEvaluated && ev.Node != nil {
-					committed = append(committed, ev.Node)
-					job.EmitCheckpoint(string(ev.Kind), data, committed[:len(committed):len(committed)])
-				} else {
-					job.Emit(string(ev.Kind), data)
-				}
+		s.Events = func(ev explore.Event) {
+			data := ExploreEventData{Feature: ev.Feature}
+			if ev.Kind == explore.EventFeatureAdopted {
+				step := ev.Step
+				data.Step = &step
 			}
-		}()
+			if ev.Node != nil {
+				n := nodeJSON(ev.Node)
+				data.Node = &n
+			}
+			if ev.Kind == explore.EventNodeEvaluated && ev.Node != nil {
+				committed = append(committed, ev.Node)
+				job.EmitCheckpoint(string(ev.Kind), data, committed[:len(committed):len(committed)])
+			} else {
+				job.Emit(string(ev.Kind), data)
+			}
+		}
 		// The checkpoint is the committed search graph. Taken on every exit
 		// path — success, error, cancellation, panic — so interrupted jobs
 		// resume from their last completed frontier.
-		defer func() {
-			close(events)
-			<-drained
-			job.SetCheckpoint(s.Nodes())
-		}()
+		defer func() { job.SetCheckpoint(s.Nodes()) }()
 
 		s.Restore(restore)
 		if len(restore) > 0 {

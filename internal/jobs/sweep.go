@@ -3,12 +3,12 @@ package jobs
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
 	"repro/internal/haswell"
+	"repro/internal/ordered"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -37,10 +37,10 @@ type SweepSpec struct {
 	Mode       stats.NoiseMode
 	ForceExact bool
 	// Workers bounds how many behaviour classes are evaluated
-	// concurrently. 0 means the engine's worker count; 1 selects the
-	// sequential reference pipeline. Every setting commits cells in grid
-	// order, so cells, events and checkpoints are bit-identical across
-	// settings (pinned by the differential suite).
+	// concurrently; 0 means the engine's worker count. Every bound runs
+	// the same pipeline and commits cells in grid order, so cells, events
+	// and checkpoints are bit-identical across settings (pinned by the
+	// differential suite).
 	Workers int
 	// Engine hosts the evaluation session. nil gives the job a private
 	// engine created at start and closed at completion. The service
@@ -230,17 +230,16 @@ type classVerdict struct {
 //
 //  1. Plan — group grid cells into behaviour classes by decoder
 //     signature before any solving.
-//  2. Evaluate — fan class representatives out onto the engine's worker
-//     pool (bounded by spec.Workers), one Session.Evaluate per class
-//     over its pooled derived corpus.
-//  3. Commit — walk cells in strict grid order, blocking on each cell's
-//     class verdict and copying it onto the cell; aliased cells never
+//  2. Evaluate — fan class representatives out through ordered.Run
+//     (bounded by spec.Workers), one Session.Evaluate per class over its
+//     pooled derived corpus.
+//  3. Commit — walk cells in strict grid order as class verdicts arrive,
+//     copying each cell's class verdict onto it; aliased cells never
 //     touch the engine.
 //
 // Because commit order is the grid order regardless of evaluation
-// interleaving, the event log, checkpoints and resume behaviour are
-// bit-identical to the sequential scan (Workers: 1), which the
-// differential suite pins.
+// interleaving, the event log, checkpoints and resume behaviour are the
+// same at every worker bound, which the differential suite pins.
 func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 	return func(ctx context.Context, job *Job) (any, error) {
 		m.sweep.jobs.Add(1)
@@ -352,135 +351,75 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 			}
 		}
 
-		var evaluated atomic.Int64
-		evalClass := func(ctx context.Context, k int) (classVerdict, error) {
-			cfg := cells[plan[k].Cells[0]]
+		evalClass := func(ctx context.Context, j int) (classVerdict, error) {
+			cfg := cells[plan[todo[j]].Cells[0]]
 			dv := dec.DecodeClass(cfg)
 			defer dec.Release(dv)
 			res, err := sess.Evaluate(ctx, dv.Corpus)
 			if err != nil {
 				return classVerdict{}, fmt.Errorf("jobs: sweep class %s (%s): %w", dv.Sig, cfg, err)
 			}
-			evaluated.Add(1)
 			m.sweep.classesEvaluated.Add(1)
 			return classVerdict{feasible: res.Total - res.Infeasible, infeasible: res.Infeasible}, nil
 		}
-		commit := func(i int) {
-			cfg := cells[i]
-			k := classOf[i]
-			v := verdicts[k]
-			cell := SweepCell{
-				Index:      i,
-				Code:       cfg.String(),
-				Event:      cfg.Event,
-				Umask:      cfg.Umask,
-				Cmask:      cfg.Cmask,
-				Sig:        plan[k].Sig,
-				Class:      k,
-				Feasible:   v.feasible,
-				Infeasible: v.infeasible,
-				Consistent: v.infeasible == 0,
+		// commitCells commits, in grid order, every cell from next on whose
+		// class verdict is known, checking ctx after each one.
+		next := len(restore)
+		commitCells := func() error {
+			for ; next < len(cells) && verdicts[classOf[next]] != nil; next++ {
+				cfg, k := cells[next], classOf[next]
+				v := verdicts[k]
+				cell := SweepCell{
+					Index:      next,
+					Code:       cfg.String(),
+					Event:      cfg.Event,
+					Umask:      cfg.Umask,
+					Cmask:      cfg.Cmask,
+					Sig:        plan[k].Sig,
+					Class:      k,
+					Feasible:   v.feasible,
+					Infeasible: v.infeasible,
+					Consistent: v.infeasible == 0,
+				}
+				results = append(results, cell)
+				m.sweep.cellsCommitted.Add(1)
+				// Checkpoint with every committed cell so the durable journal
+				// can resume a kill -9'd scan from here. The capped three-index
+				// slice is O(1): committed prefixes are immutable, and later
+				// appends beyond len can never show through the view. The
+				// journal coalesces the burst; only the latest must land.
+				job.EmitCheckpoint("cell", SweepEventData{Cell: &cell}, results[:len(results):len(results)])
+				if hook := m.opts.AfterSweepCell; hook != nil {
+					hook(next)
+				}
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-			results = append(results, cell)
-			m.sweep.cellsCommitted.Add(1)
-			c := cell
-			// Checkpoint with every committed cell so the durable journal
-			// can resume a kill -9'd scan from here. The capped three-index
-			// slice is O(1): committed prefixes are immutable, and later
-			// appends beyond len can never show through the view. The
-			// journal coalesces the burst; only the latest must land.
-			job.EmitCheckpoint("cell", SweepEventData{Cell: &c}, results[:len(results):len(results)])
-			if hook := m.opts.AfterSweepCell; hook != nil {
-				hook(i)
-			}
+			return nil
 		}
 
+		// Stages 2+3 overlapped: class evaluations run concurrently
+		// (bounded by workers) in representative order, and each verdict,
+		// taken in that order, releases the cells up to the next
+		// unevaluated class's representative.
 		workers := spec.Workers
 		if workers <= 0 {
 			workers = eng.Workers()
 		}
-		if workers > 1 && len(todo) > 1 {
-			// Stages 2+3 overlapped: class evaluations run concurrently
-			// (bounded by workers); the commit loop below consumes their
-			// verdicts strictly in grid order, exactly like explore's staged
-			// prefetch commits frontier nodes in sequential order.
-			fctx, fcancel := context.WithCancel(ctx)
-			defer fcancel()
-			type classResult struct {
-				class int
-				v     classVerdict
-				err   error
+		err = commitCells()
+		if err == nil {
+			err = ordered.Run(ctx, len(todo), workers, evalClass, func(j int, v classVerdict) error {
+				verdicts[todo[j]] = &v
+				return commitCells()
+			})
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				// The error is an echo of cancellation.
+				return nil, ctx.Err()
 			}
-			resCh := make(chan classResult, len(todo))
-			sem := make(chan struct{}, workers)
-			var wg sync.WaitGroup
-			// Drained before the deferred eng.Close (LIFO): fcancel unblocks
-			// any evaluation still in flight.
-			defer wg.Wait()
-			for _, k := range todo {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					select {
-					case sem <- struct{}{}:
-					case <-fctx.Done():
-						return
-					}
-					defer func() { <-sem }()
-					v, err := func() (v classVerdict, err error) {
-						// Contain panics like the job harness would: a dying
-						// class becomes an error verdict instead of tearing
-						// down the process from an unrecovered goroutine.
-						defer func() {
-							if p := recover(); p != nil {
-								err = fmt.Errorf("jobs: sweep class %d panicked: %v", k, p)
-							}
-						}()
-						return evalClass(fctx, k)
-					}()
-					resCh <- classResult{class: k, v: v, err: err}
-				}(k)
-			}
-			for i := len(restore); i < len(cells); i++ {
-				for verdicts[classOf[i]] == nil {
-					select {
-					case r := <-resCh:
-						if r.err != nil {
-							if ctx.Err() != nil {
-								// The error is an echo of cancellation.
-								return nil, ctx.Err()
-							}
-							return nil, r.err
-						}
-						v := r.v
-						verdicts[r.class] = &v
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					}
-				}
-				commit(i)
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			// Sequential reference pipeline: classes are evaluated lazily at
-			// first committed use, so cancellation points and engine call
-			// order match the pre-batched serial scan.
-			for i := len(restore); i < len(cells); i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				k := classOf[i]
-				if verdicts[k] == nil {
-					v, err := evalClass(ctx, k)
-					if err != nil {
-						return nil, err
-					}
-					verdicts[k] = &v
-				}
-				commit(i)
-			}
+			return nil, err
 		}
 
 		res := &SweepResult{
@@ -488,7 +427,7 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 			BaseObservations: len(base),
 			UniqueBehaviours: len(plan),
 			ClassesPlanned:   len(plan),
-			ClassesEvaluated: int(evaluated.Load()),
+			ClassesEvaluated: len(todo),
 			CellsAliased:     len(cells) - len(plan),
 			Cells:            results,
 		}

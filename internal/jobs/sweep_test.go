@@ -348,7 +348,8 @@ func benchmarkSweep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSweepGrid is the sequential reference pipeline.
+// BenchmarkSweepGrid evaluates one behaviour class at a time (a worker
+// bound of 1 over the same pipeline).
 func BenchmarkSweepGrid(b *testing.B) { benchmarkSweep(b, 1) }
 
 // BenchmarkSweepGridBatched is the batched fan-out (4 class evaluations

@@ -69,9 +69,8 @@ type node struct {
 
 // Table is a four-level page table with a bump physical-frame allocator.
 type Table struct {
-	root      *node
-	nextPhys  uint64
-	pageCount int
+	root     *node
+	nextPhys uint64
 }
 
 // New returns an empty table. Physical addresses for table pages and data
@@ -129,7 +128,6 @@ func (t *Table) Map(va uint64, s PageSize) error {
 	n.leaf[i] = true
 	n.target[i] = t.nextPhys
 	t.nextPhys += uint64(s)
-	t.pageCount++
 	return nil
 }
 

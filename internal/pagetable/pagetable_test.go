@@ -27,15 +27,13 @@ func TestMapAndTranslate(t *testing.T) {
 	if !ok || len(steps) != Page4K.Levels() {
 		t.Fatalf("translate: %d steps, %v", len(steps), ok)
 	}
-	if pt.pageCount != 1 {
-		t.Fatalf("pages: %d", pt.pageCount)
-	}
-	// Idempotent remap.
+	// Idempotent remap: a page already mapped allocates nothing.
+	mapped := pt.nextPhys
 	if err := pt.Map(va, Page4K); err != nil {
 		t.Fatal(err)
 	}
-	if pt.pageCount != 1 {
-		t.Fatal("remap should not add pages")
+	if pt.nextPhys != mapped {
+		t.Fatalf("remap allocated %d bytes", pt.nextPhys-mapped)
 	}
 }
 
@@ -206,14 +204,14 @@ func TestEntryPhysDistinct(t *testing.T) {
 
 func TestMappedPagesAndTableBytes(t *testing.T) {
 	pt := New(1 << 40)
+	start := pt.nextPhys
 	base := uint64(0x10_0000_0000)
 	for i := uint64(0); i < 10; i++ {
 		pt.EnsureMapped(base+i*uint64(Page4K), Page4K)
 	}
-	if pt.pageCount != 10 {
-		t.Fatalf("pages: %d", pt.pageCount)
-	}
-	if pt.nextPhys <= 1<<40 {
-		t.Fatal("table bytes should grow past the base")
+	// Ten pages under one new PDPT, PD and PT: their bytes plus three
+	// tables.
+	if want := start + 10*uint64(Page4K) + 3*tableBytes; pt.nextPhys != want {
+		t.Fatalf("nextPhys %#x, want %#x", pt.nextPhys, want)
 	}
 }

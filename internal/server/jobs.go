@@ -47,8 +47,8 @@ type exploreRequestJSON struct {
 	Observations []*counters.Observation `json:"observations,omitempty"`
 	// Eliminate runs the elimination phase after discovery (default true).
 	Eliminate *bool `json:"eliminate,omitempty"`
-	// MaxSteps bounds discovery; Workers bounds frontier parallelism
-	// (0 = engine workers, 1 = the sequential reference search).
+	// MaxSteps bounds discovery; Workers bounds concurrent frontier
+	// evaluations (0 = engine worker count).
 	MaxSteps int `json:"max_steps,omitempty"`
 	Workers  int `json:"workers,omitempty"`
 }

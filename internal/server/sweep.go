@@ -43,8 +43,7 @@ type sweepRequestJSON struct {
 	Samples       int `json:"samples,omitempty"`
 	UopsPerSample int `json:"uops_per_sample,omitempty"`
 	// Workers bounds concurrent behaviour-class evaluations (0 = engine
-	// worker count, 1 = sequential reference pipeline). Results are
-	// bit-identical across settings.
+	// worker count). Results are bit-identical at every bound.
 	Workers int `json:"workers,omitempty"`
 }
 
