@@ -386,8 +386,8 @@ func runFig9b(w io.Writer, opts Options) error {
 // session per base model, restricted per step. It uses a dedicated,
 // freshly-created engine — not engine.Default() — so the timed region
 // always measures cold per-verdict (or per-deduction) cost: the shared
-// engine's region cache and LP-hash memo would otherwise make every re-run of the
-// figure in one process report warm cache hits instead of the paper's
+// engine's region and verdict caches would otherwise make every re-run of
+// the figure in one process report warm cache hits instead of the paper's
 // scaling curve.
 func timingSweep(w io.Writer, opts Options, deduce bool) error {
 	obsList, err := corpus(opts)

@@ -286,8 +286,8 @@ func (s *Search) emit(ev Event) {
 // returns a fresh model pointer per call, so the pointer-keyed session
 // cache could never produce a hit — it would only accumulate one dead
 // entry per node in a shared engine. Sessions are stateless and cheap;
-// the sharing that matters (worker pool, region cache, LP-hash memo, workspace
-// pools) is engine-level and fully in effect.
+// the sharing that matters (worker pool, region cache, verdict cache,
+// workspace pools) is engine-level and fully in effect.
 func (s *Search) build(ctx context.Context, fs FeatureSet) (*Node, error) {
 	m, err := s.Builder(fs)
 	if err != nil {

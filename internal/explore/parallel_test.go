@@ -65,9 +65,10 @@ func runSearch(t *testing.T, workers int, universe []string, b Builder, obs []*c
 }
 
 // TestParallelMatchesSequential pins the tentpole determinism contract on
-// a synthetic space: the frontier-parallel search must reproduce the
-// sequential reference bit for bit — same final model, same node-for-node
-// graph report, same minimal models, same classification.
+// a synthetic space: the frontier fan-out at 8 workers must reproduce the
+// same fan-out bounded to one node in flight (Workers: 1) bit for bit —
+// same final model, same node-for-node graph report, same minimal models,
+// same classification.
 func TestParallelMatchesSequential(t *testing.T) {
 	universe := []string{"abort", "redherring0", "redherring1", "redherring2"}
 	b := wideBuilder(universe[1:])

@@ -17,11 +17,11 @@ type Simulator struct {
 	cfg   Config
 	table *pagetable.Table
 	mem   *memsim.Hierarchy
-	dtlb  *tlbCache
-	stlb  *tlbCache
-	pde   *pscCache // VA[47:21] → PD entry
-	pdpte *pscCache // VA[47:30] → PDPT entry
-	pml4e *pscCache // VA[47:39] → PML4 entry
+	dtlb  *memsim.LRU // keyed by virtual page number
+	stlb  *memsim.LRU
+	pde   *memsim.LRU // fully associative: VA[47:21] → PD entry
+	pdpte *memsim.LRU // fully associative: VA[47:30] → PDPT entry
+	pml4e *memsim.LRU // fully associative: VA[47:39] → PML4 entry
 	rng   *rand.Rand
 
 	counts counters.Vector
@@ -85,8 +85,13 @@ var typedSuffixes = [numTypedEvents]string{
 	evWalkDone1G:  counters.WalkDone1G,
 }
 
-// physBase places page-table pages far above workload identity-mapped data
-// so walker refs and data never alias in the cache hierarchy.
+// physBase is where the page table's bump allocator starts handing out
+// table pages and data frames. Data reaches the cache hierarchy
+// identity-mapped, from workloads.VABase (1<<36) up, so for footprints of
+// a few GB walker refs and data never alias. It does not keep them apart
+// for random-1gpage: its 4 TB footprint carries data VAs past 1<<40, and
+// every 1 GB data frame moves the allocator a gigabyte up between table
+// pages, so both ranges cross 1<<40. Moving it would change every corpus.
 const physBase = 1 << 40
 
 // NewSimulator builds a simulator for cfg.
@@ -96,11 +101,11 @@ func NewSimulator(cfg Config) *Simulator {
 		cfg:         cfg,
 		table:       pagetable.New(physBase),
 		mem:         memsim.MustHierarchy(memsim.HaswellConfig()),
-		dtlb:        newTLB(cfg.DTLBEntries, 4),
-		stlb:        newTLB(cfg.STLBEntries, 8),
-		pde:         newPSC(cfg.PDEEntries),
-		pdpte:       newPSC(cfg.PDPTEEntries),
-		pml4e:       newPSC(cfg.PML4EEntries),
+		dtlb:        memsim.NewLRU(cfg.DTLBEntries, 4),
+		stlb:        memsim.NewLRU(cfg.STLBEntries, 8),
+		pde:         memsim.NewLRU(cfg.PDEEntries, cfg.PDEEntries),
+		pdpte:       memsim.NewLRU(cfg.PDPTEEntries, cfg.PDPTEEntries),
+		pml4e:       memsim.NewLRU(cfg.PML4EEntries, cfg.PML4EEntries),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		set:         GroundTruthSet(),
 		pendingVPNs: map[uint64]bool{},

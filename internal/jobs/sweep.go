@@ -25,7 +25,8 @@ type SweepSpec struct {
 	// Samples, UopsPerSample), which is what makes resume bit-identical.
 	Seed int64
 	// Samples and UopsPerSample size the simulated base corpus (defaults
-	// from sweep.DefaultBaseSpec). Ignored when Base is set.
+	// from sweep.DefaultBaseSpec), within MaxSweepSamples and
+	// MaxSweepUops. Ignored when Base is set.
 	Samples       int
 	UopsPerSample int
 	// Base supplies a pre-built base corpus; nil builds one inside the
@@ -49,9 +50,27 @@ type SweepSpec struct {
 	Engine *engine.Engine
 }
 
+// MaxSweepSamples and MaxSweepUops bound the base corpus one sweep may
+// simulate: the samples of each observation, and its micro-ops (samples
+// × uops per sample). The micro-op bound is about 9 times
+// haswell.DefaultCorpusSpec's 24 × 20000 and 58 times a sweep's default
+// base; an observation at it simulates in a few seconds on one core, and
+// a sampling interval, the unit a cancelled job stops at, in no more.
+const (
+	MaxSweepSamples = 4096
+	MaxSweepUops    = 1 << 22
+)
+
 func (spec SweepSpec) validate() error {
 	if err := spec.Grid.Validate(); err != nil {
 		return err
+	}
+	if spec.Base == nil {
+		b := sweep.BaseSpec{Samples: spec.Samples, UopsPerSample: spec.UopsPerSample}.WithDefaults()
+		if b.Samples > MaxSweepSamples || b.UopsPerSample > MaxSweepUops/b.Samples {
+			return fmt.Errorf("jobs: sweep base corpus of %d samples × %d uops per sample is over the bound of %d samples and %d uops per observation",
+				b.Samples, b.UopsPerSample, MaxSweepSamples, MaxSweepUops)
+		}
 	}
 	if spec.Confidence != 0 && (spec.Confidence <= 0 || spec.Confidence >= 1) {
 		return fmt.Errorf("jobs: sweep confidence must be in (0, 1), got %g", spec.Confidence)

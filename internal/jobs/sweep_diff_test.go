@@ -49,11 +49,13 @@ func runSweep(t *testing.T, spec SweepSpec) sweepArtifacts {
 
 // TestSweepBatchedSerialBitIdentity is the differential suite for the
 // batched pipeline: across a mixed grid, an aliased-heavy grid and the
-// one-class degenerate grid, the parallel class fan-out (Workers: 4) must
-// reproduce the sequential reference scan (Workers: 1) bit for bit —
-// result cells, event log (order and payloads), and checkpoint bytes.
-// The 1-core recording box cannot show a wall-clock win; this equality is
-// what stands in for it.
+// one-class degenerate grid, the class fan-out at Workers: 4 must
+// reproduce the same fan-out bounded to one class in flight (Workers: 1)
+// bit for bit — result cells, event log (order and payloads), and
+// checkpoint bytes. Both run the one ordered.Run path, so this equality
+// pins that the bound changes only the schedule; the wall-clock side is
+// BenchmarkSweepGrid (Workers: 1) against BenchmarkSweepGridBatched
+// (Workers: 4).
 func TestSweepBatchedSerialBitIdentity(t *testing.T) {
 	grids := []struct {
 		name string

@@ -171,10 +171,32 @@ func TestSweepSpecValidation(t *testing.T) {
 		{Grid: sweep.Grid{Events: []uint8{1}}},
 		{Grid: sweepTestGrid(), Confidence: 1.5},
 		{Grid: sweepTestGrid(), Workers: -1},
+		{Grid: sweepTestGrid(), Samples: 1_000_000_000},
+		{Grid: sweepTestGrid(), Samples: MaxSweepSamples + 1, UopsPerSample: 1},
+		// The default 12 samples count: one 2^31-uop interval alone is over
+		// the bound, and so is the smallest uops that puts 12 over.
+		{Grid: sweepTestGrid(), UopsPerSample: 1 << 31},
+		{Grid: sweepTestGrid(), UopsPerSample: MaxSweepUops/sweep.DefaultBaseSpec().Samples + 1},
+		{Grid: sweepTestGrid(), Samples: MaxSweepSamples, UopsPerSample: MaxSweepUops/MaxSweepSamples + 1},
 	}
 	for i, spec := range bad {
 		if _, err := m.SubmitSweep(spec); err == nil {
 			t.Fatalf("spec %d should be rejected", i)
+		}
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("%d jobs queued by rejected specs", n)
+	}
+	// At the bound, and over it with a supplied base whose sizes are
+	// ignored, specs are valid (checked without running them).
+	for i, spec := range []SweepSpec{
+		{Grid: sweepTestGrid(), Samples: MaxSweepSamples, UopsPerSample: MaxSweepUops / MaxSweepSamples},
+		{Grid: sweepTestGrid(), Samples: 1, UopsPerSample: MaxSweepUops},
+		{Grid: sweepTestGrid(), UopsPerSample: MaxSweepUops / sweep.DefaultBaseSpec().Samples},
+		{Grid: sweepTestGrid(), Samples: 1_000_000_000, Base: sweepTestBase()},
+	} {
+		if err := spec.validate(); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
 		}
 	}
 }

@@ -39,23 +39,95 @@ func (l Level) String() string {
 	return "?"
 }
 
-// Cache is one set-associative LRU cache level.
-type Cache struct {
-	sets     int
-	ways     int
-	lineBits uint
-	setBits  uint // log2(sets): the tag is the line number above the set index
-	// lines is set-major: set s occupies lines[s*ways : (s+1)*ways].
-	lines []line
-	clock uint64
+// LRU is a set-associative array of keys with least-recently-used
+// replacement: the caches here, and the simulated TLBs and
+// paging-structure caches. Each set lists its resident keys most recent
+// first, each stored as key+1 so that a zero is an empty way; empty ways
+// only ever trail the resident keys, so a set needs no initialising
+// beyond make. A hit moves its key to the front, and a fill on a miss
+// shifts the resident keys down one way, dropping the least recently used
+// key once the set is full, and writes the key at the front. Nothing is ever invalidated, so this is exact LRU.
+// Keys must be below 1<<64-1.
+type LRU struct {
+	sets uint64
+	mask uint64 // sets-1 when sets is a power of two, which skips the division
+	ways int
+	// tags is set-major: set s occupies tags[s*ways : (s+1)*ways].
+	tags []uint64
 }
 
-// line is one way of a set; lru is the clock of its last use (higher =
-// more recent).
-type line struct {
-	tag   uint64
-	lru   uint64
-	valid bool
+// NewLRU builds an LRU of entries keys in sets of ways, indexed by key
+// modulo the set count. With fewer entries than ways it is one fully
+// associative set of entries keys.
+func NewLRU(entries, ways int) *LRU {
+	sets := entries / ways
+	if sets < 1 {
+		sets = 1
+		ways = entries
+	}
+	l := &LRU{sets: uint64(sets), ways: ways, tags: make([]uint64, sets*ways)}
+	if sets&(sets-1) == 0 {
+		l.mask = uint64(sets) - 1
+	}
+	return l
+}
+
+// set returns the ways of the set key maps to.
+func (l *LRU) set(key uint64) []uint64 {
+	s := key & l.mask
+	if l.mask+1 != l.sets {
+		s = key % l.sets
+	}
+	i := int(s) * l.ways
+	return l.tags[i : i+l.ways]
+}
+
+// Lookup reports whether key is resident, moving it to the front of its
+// set on a hit.
+func (l *LRU) Lookup(key uint64) bool {
+	ways, k := l.set(key), key+1
+	p, hit := find(ways, k)
+	if hit {
+		promote(ways, p, k)
+	}
+	return hit
+}
+
+// Fill makes key the most recently used key of its set, inserting it on
+// a miss, and reports whether it was already resident.
+func (l *LRU) Fill(key uint64) bool {
+	ways, k := l.set(key), key+1
+	p, hit := find(ways, k)
+	promote(ways, p, k)
+	return hit
+}
+
+// find returns the way holding the stored key k, or on a miss the way a
+// fill overwrites: the first empty way, else the last, least recently
+// used one.
+func find(ways []uint64, k uint64) (int, bool) {
+	for p, t := range ways {
+		if t == k {
+			return p, true
+		}
+		if t == 0 {
+			return p, false
+		}
+	}
+	return len(ways) - 1, false
+}
+
+// promote shifts ways[:p] down one way, over way p, and writes k at the
+// front.
+func promote(ways []uint64, p int, k uint64) {
+	copy(ways[1:p+1], ways[:p])
+	ways[0] = k
+}
+
+// Cache is one set-associative LRU cache level, keyed by line number.
+type Cache struct {
+	lineBits uint
+	lines    *LRU
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and
@@ -76,40 +148,14 @@ func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("memsim: set count %d not a power of two", sets)
 	}
 	return &Cache{
-		sets:     sets,
-		ways:     ways,
 		lineBits: uint(bits.TrailingZeros(uint(lineBytes))),
-		setBits:  uint(bits.TrailingZeros(uint(sets))),
-		lines:    make([]line, sets*ways),
+		lines:    NewLRU(lines, ways),
 	}, nil
 }
 
 // Access looks up addr, filling on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	ln := addr >> c.lineBits
-	set := int(ln) & (c.sets - 1)
-	tag := ln >> c.setBits
-	c.clock++
-	ways := c.lines[set*c.ways : (set+1)*c.ways]
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			ways[w].lru = c.clock
-			return true
-		}
-	}
-	// Miss: fill the first invalid way after way 0, else the LRU way.
-	victim := 0
-	for w := 1; w < len(ways); w++ {
-		if !ways[w].valid {
-			victim = w
-			break
-		}
-		if ways[w].lru < ways[victim].lru {
-			victim = w
-		}
-	}
-	ways[victim] = line{tag: tag, lru: c.clock, valid: true}
-	return false
+	return c.lines.Fill(addr >> c.lineBits)
 }
 
 // Hierarchy is an inclusive three-level cache hierarchy.

@@ -268,7 +268,7 @@ func TestSweepEndToEnd(t *testing.T) {
 }
 
 func TestSweepSubmitValidation(t *testing.T) {
-	ts, _ := newJobsServer(t, jobs.Options{})
+	ts, jm := newJobsServer(t, jobs.Options{})
 	cases := []struct {
 		name   string
 		body   map[string]any
@@ -281,6 +281,9 @@ func TestSweepSubmitValidation(t *testing.T) {
 		{"negative axis", map[string]any{"events": []int{-1}, "umasks": []int{1}, "cmasks": []int{0}}, "", http.StatusBadRequest, "out of range"},
 		{"negative samples", map[string]any{"samples": -1}, "", http.StatusBadRequest, "non-negative"},
 		{"negative workers", map[string]any{"workers": -1}, "", http.StatusBadRequest, "non-negative"},
+		{"samples over bound", map[string]any{"samples": 1_000_000_000}, "", http.StatusBadRequest, "over the bound"},
+		{"uops over bound", map[string]any{"uops_per_sample": 1 << 31}, "", http.StatusBadRequest, "over the bound"},
+		{"product over bound", map[string]any{"samples": jobs.MaxSweepSamples, "uops_per_sample": jobs.MaxSweepUops/jobs.MaxSweepSamples + 1}, "", http.StatusBadRequest, "over the bound"},
 		{"bad confidence", map[string]any{}, "?confidence=2", http.StatusBadRequest, "confidence"},
 		{"unknown preset", map[string]any{"grid": "huge"}, "", http.StatusBadRequest, "grid preset"},
 		{"preset with axes", map[string]any{"grid": "large", "events": []int{1}, "umasks": []int{1}, "cmasks": []int{0}}, "", http.StatusBadRequest, "mutually exclusive"},
@@ -290,6 +293,9 @@ func TestSweepSubmitValidation(t *testing.T) {
 			resp := postJSON(t, ts.URL+"/v1/sweep"+tc.query, tc.body)
 			wantError(t, resp, tc.status, tc.substr)
 		})
+	}
+	if n := jm.Len(); n != 0 {
+		t.Fatalf("%d jobs queued by rejected submissions", n)
 	}
 }
 

@@ -29,7 +29,9 @@ func DefaultBaseSpec() BaseSpec {
 	return BaseSpec{Samples: 12, UopsPerSample: 6000, Seed: 1}
 }
 
-func (s BaseSpec) withDefaults() BaseSpec {
+// WithDefaults is s with DefaultBaseSpec's sizes in place of
+// non-positive ones: the corpus BuildBaseCorpus simulates for s.
+func (s BaseSpec) WithDefaults() BaseSpec {
 	d := DefaultBaseSpec()
 	if s.Samples <= 0 {
 		s.Samples = d.Samples
@@ -76,10 +78,10 @@ func baseEntries(seed int64) []haswell.Entry {
 // BuildBaseCorpus simulates the sweep's workload table on the ground-truth
 // hardware and returns one observation per entry, extended with the
 // walk_ref aggregate. The entries run on haswell.SimulateEntries' worker
-// pool, which checks the context before each one (corpus synthesis is the
-// slow prefix of a sweep job, and a cancelled job must not keep
-// simulating).
+// pool, and each checks the context between sampling intervals (corpus
+// synthesis is the slow prefix of a sweep job, and a cancelled job must
+// not keep simulating).
 func BuildBaseCorpus(ctx context.Context, spec BaseSpec) ([]*counters.Observation, error) {
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	return haswell.SimulateEntries(ctx, baseEntries(spec.Seed), spec.Samples, spec.UopsPerSample)
 }
