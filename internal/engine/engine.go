@@ -5,7 +5,8 @@
 //
 // An Engine is long-lived. It owns
 //
-//   - a bounded, context-aware worker pool shared by every Session,
+//   - a bounded, context-aware worker pool shared by every Session, the
+//     executor ordered.Run starts a corpus's chunks on,
 //   - a content-addressed LRU of confidence regions, keyed by a digest
 //     of the samples a region is built from, so every model tested
 //     against the same data (a sweep, the refine loop, a re-sent
@@ -23,7 +24,8 @@
 // A Session binds one model to an evaluation configuration (confidence,
 // noise mode, violation identification, batching, early exit). Sessions
 // are cheap; create one per model and reuse it for every corpus. See
-// session.go for the evaluation API (EvaluateEach and its adapters).
+// session.go for the evaluation API: EvaluateEach, which is ordered.Run
+// over corpus chunks on the pool, and its adapters.
 package engine
 
 import (

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,6 +273,42 @@ func TestStreamDeliversErrorItems(t *testing.T) {
 			if verdicts != j || res.Total != j || len(res.Verdicts) != j {
 				t.Fatalf("%d verdict callbacks, total %d, %d verdicts; want %d", verdicts, res.Total, len(res.Verdicts), j)
 			}
+		})
+	}
+}
+
+// TestEvaluateEachPanicIsError checks a panic inside one verdict
+// evaluation (s.test dereferences a nil observation) comes back from
+// EvaluateEach as an error instead of ending the process on a pool
+// worker, with the result ending just before the panicking chunk and no
+// goroutine left behind.
+func TestEvaluateEachPanicIsError(t *testing.T) {
+	const j, size = 5, 2 // the nil observation and the batch size
+	for _, workers := range evalWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(WithWorkers(workers))
+			s, err := e.NewSession(pdeModel(t), Config{BatchSize: size})
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus := leakCorpus(16)
+			corpus[j] = nil
+			res, err := s.EvaluateEach(context.Background(), corpus, nil)
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("EvaluateEach error = %v, want a panic error", err)
+			}
+			if want := j / size * size; res.Total != want || len(res.Verdicts) != want {
+				t.Fatalf("total %d, %d verdicts; want the %d before the panicking chunk", res.Total, len(res.Verdicts), want)
+			}
+			for i, v := range res.Verdicts {
+				if v.Observation != corpus[i].Label {
+					t.Fatalf("result is not a prefix: Verdicts[%d] is %q", i, v.Observation)
+				}
+			}
+			settleGoroutines(t, before+e.Workers())
+			e.Close()
+			settleGoroutines(t, before)
 		})
 	}
 }

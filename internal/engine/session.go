@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/ordered"
 	"repro/internal/simplex"
 	"repro/internal/stats"
 )
@@ -226,122 +228,96 @@ type CorpusResult struct {
 // Feasible reports whether every evaluated observation was feasible.
 func (r *CorpusResult) Feasible() bool { return r.Infeasible == 0 }
 
-// chunk is one pool task's share of an EvaluateEach run. The task writes
-// n verdicts into its own slots of the run's verdict slice, stopping early
-// at an evaluation error (err, at slot n), at an infeasible verdict under
-// StopOnInfeasible, or on cancellation; done closes when it returns.
-type chunk struct {
-	done chan struct{}
-	n    int
-	err  error
+// errStop ends an EvaluateEach run after the first infeasible verdict
+// under Config.StopOnInfeasible; EvaluateEach returns nil for it.
+var errStop = errors.New("engine: stopped on infeasible")
+
+// chunkResult is what one pool task hands back: the verdicts of a corpus
+// chunk's prefix, and the evaluation error that cut the chunk short, if
+// any.
+type chunkResult struct {
+	verdicts []*core.Verdict
+	err      error
 }
 
-// runChunk evaluates obs into out on a pool worker.
-func (s *Session) runChunk(ctx context.Context, c *chunk, obs []*counters.Observation, out []*core.Verdict) {
-	defer close(c.done)
+// evalChunk evaluates obs with one borrowed scratch, stopping at an
+// evaluation error, after an infeasible verdict under StopOnInfeasible,
+// or with ctx's error once ctx ends.
+func (s *Session) evalChunk(ctx context.Context, obs []*counters.Observation) (chunkResult, error) {
 	sc := s.eng.getScratch()
 	defer s.eng.putScratch(sc)
-	for i, o := range obs {
-		if ctx.Err() != nil {
-			return
+	c := chunkResult{verdicts: make([]*core.Verdict, 0, len(obs))}
+	for _, o := range obs {
+		if err := ctx.Err(); err != nil {
+			return c, err
 		}
 		v, err := s.test(sc, o)
 		if err != nil {
 			c.err = err
-			return
+			break
 		}
-		out[i] = v
-		c.n++
+		c.verdicts = append(c.verdicts, v)
 		if s.cfg.StopOnInfeasible && !v.Feasible {
-			return
+			break
 		}
 	}
+	return c, nil
 }
 
 // EvaluateEach tests every observation of corpus against the session's
-// model on the engine's worker pool and returns the aggregate. The corpus
-// is cut into Config.BatchSize chunks, at most two per worker in flight;
-// the calling goroutine consumes them in order and, when fn is non-nil,
-// calls fn(i, v, nil) for each verdict in corpus order.
+// model and returns the aggregate. It is ordered.Run over Config.BatchSize
+// chunks of the corpus, each chunk one task on the engine's worker pool,
+// at most 2 * Workers chunks claimed and not yet consumed. The calling
+// goroutine consumes them in order and, when fn is non-nil, calls
+// fn(i, v, nil) for each verdict in corpus order.
 //
 // The run stops at the lowest-index evaluation error — fn then receives
 // (i, nil, err) for it and EvaluateEach returns err — or, with
 // Config.StopOnInfeasible, after the lowest-index infeasible verdict. In
 // both cases the result covers exactly the corpus prefix before that
-// point (the infeasible verdict included), at any worker count. A
-// cancelled ctx returns the delivered prefix with ctx's error; a closed
-// engine returns ErrClosed. Every pool task has finished when EvaluateEach
-// returns. Must not be called from inside an engine pool task — it blocks
-// on pool capacity.
+// point (the infeasible verdict included), at any worker count. A panic
+// inside an evaluation is returned as an error, with the result ending
+// before the panicking chunk. A cancelled ctx returns the delivered
+// prefix with ctx's error; a closed engine returns ErrClosed. Every pool
+// task has finished when EvaluateEach returns. Must not be called from
+// inside an engine pool task — it blocks on pool capacity.
 func (s *Session) EvaluateEach(ctx context.Context, corpus []*counters.Observation, fn func(i int, v *core.Verdict, err error)) (*CorpusResult, error) {
-	res := &CorpusResult{Model: s.model.Name, ViolatedConstraints: map[string]int{}}
-	if err := ctx.Err(); err != nil {
-		return res, err
+	res := &CorpusResult{
+		Model:               s.model.Name,
+		ViolatedConstraints: map[string]int{},
+		Verdicts:            make([]*core.Verdict, 0, len(corpus)),
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	size := s.cfg.BatchSize
-	verdicts := make([]*core.Verdict, len(corpus))
-	chunks := make([]chunk, (len(corpus)+size-1)/size)
-	window := 2 * s.eng.workers
-	submitted := 0
-	var runErr, submitErr error
-	stopped := false
-	for k := 0; k < len(chunks) && !stopped && runErr == nil; k++ {
-		for submitErr == nil && submitted < len(chunks) && submitted < k+window {
-			start := submitted * size
-			end := min(start+size, len(corpus))
-			c := &chunks[submitted]
-			c.done = make(chan struct{})
-			submitErr = s.eng.submit(cctx, func() {
-				s.runChunk(cctx, c, corpus[start:end], verdicts[start:end])
-			})
-			if submitErr == nil {
-				submitted++
-			}
-		}
-		if k == submitted {
-			runErr = submitErr
-			break
-		}
-		c := &chunks[k]
-		<-c.done
-		start := k * size
-		for i := start; i < start+c.n; i++ {
-			v := verdicts[i]
-			res.Total++
-			if !v.Feasible {
-				res.Infeasible++
-				for _, vc := range v.Violations {
-					res.ViolatedConstraints[vc.String()]++
+	err := ordered.Run(ctx, (len(corpus)+size-1)/size, 2*s.eng.workers, s.eng.submit,
+		func(ctx context.Context, k int) (chunkResult, error) {
+			return s.evalChunk(ctx, corpus[k*size:min(k*size+size, len(corpus))])
+		},
+		func(_ int, c chunkResult) error {
+			for _, v := range c.verdicts {
+				res.Verdicts = append(res.Verdicts, v)
+				res.Total++
+				if !v.Feasible {
+					res.Infeasible++
+					for _, vc := range v.Violations {
+						res.ViolatedConstraints[vc.String()]++
+					}
+				}
+				if fn != nil {
+					fn(res.Total-1, v, nil)
+				}
+				if s.cfg.StopOnInfeasible && !v.Feasible {
+					return errStop
 				}
 			}
-			if fn != nil {
-				fn(i, v, nil)
+			if c.err != nil && fn != nil {
+				fn(res.Total, nil, c.err)
 			}
-			if s.cfg.StopOnInfeasible && !v.Feasible {
-				stopped = true
-				break
-			}
-		}
-		switch {
-		case stopped:
-		case c.err != nil:
-			if fn != nil {
-				fn(start+c.n, nil, c.err)
-			}
-			runErr = c.err
-		case start+c.n < min(start+size, len(corpus)):
-			runErr = ctx.Err() // only the caller's context cuts a chunk short
-		}
+			return c.err
+		})
+	if errors.Is(err, errStop) {
+		err = nil
 	}
-	cancel()
-	for k := range chunks[:submitted] {
-		<-chunks[k].done
-	}
-	clear(verdicts[res.Total:])
-	res.Verdicts = verdicts[:res.Total:res.Total]
-	return res, runErr
+	return res, err
 }
 
 // Evaluate tests every observation of corpus against the session's model

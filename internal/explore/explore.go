@@ -367,7 +367,9 @@ func (s *Search) prefetch(frontier []FeatureSet) error {
 		}
 		todo = append(todo, fs)
 	}
-	return ordered.Run(s.ctx(), len(todo), s.workers(),
+	// Each node runs Session.Evaluate, which must not run inside an
+	// engine pool task, so nodes get goroutines of their own.
+	return ordered.Run(s.ctx(), len(todo), s.workers(), ordered.Go,
 		func(ctx context.Context, i int) (*Node, error) { return s.build(ctx, todo[i]) },
 		func(i int, n *Node) error {
 			s.staged[todo[i].Key()] = n

@@ -64,16 +64,17 @@ func BuildCorpus(spec CorpusSpec) ([]*counters.Observation, error) {
 // micro-ops each, after a one-interval warm-up, and returns the
 // observations in entry order, labelled "<entry label>/<workload>" and
 // extended with the walk_ref aggregate. Entries are independent, so they
-// all run at once through ordered.Run and each result lands in its
-// entry's slot: the corpus does not depend on scheduling. The tables are
-// short (6 entries for a sweep's base, 17 for the default corpus) and
-// their entries differ in cost several times over; since Run claims no
-// further ahead than its bound, any smaller bound idles cores behind a
-// slow entry. Every entry checks ctx between sampling intervals; the
-// first error in entry order is returned with no corpus.
+// all run at once through ordered.Run, each on a goroutine of its own,
+// and each result lands in its entry's slot: the corpus does not depend
+// on scheduling. The tables are short (6 entries for a sweep's base, 17
+// for the default corpus) and their entries differ in cost several times
+// over; since Run claims no further ahead than its window, any smaller
+// window idles cores behind a slow entry. Every entry checks ctx between
+// sampling intervals; the first error in entry order is returned with no
+// corpus.
 func SimulateEntries(ctx context.Context, entries []Entry, samples, uops int) ([]*counters.Observation, error) {
 	obs := make([]*counters.Observation, len(entries))
-	err := ordered.Run(ctx, len(entries), len(entries),
+	err := ordered.Run(ctx, len(entries), len(entries), ordered.Go,
 		func(ctx context.Context, i int) (*counters.Observation, error) {
 			return simulateEntry(ctx, entries[i], samples, uops)
 		},

@@ -87,12 +87,13 @@ var typedSuffixes = [numTypedEvents]string{
 
 // physBase is where the page table's bump allocator starts handing out
 // table pages and data frames. Data reaches the cache hierarchy
-// identity-mapped, from workloads.VABase (1<<36) up, so for footprints of
-// a few GB walker refs and data never alias. It does not keep them apart
-// for random-1gpage: its 4 TB footprint carries data VAs past 1<<40, and
-// every 1 GB data frame moves the allocator a gigabyte up between table
-// pages, so both ranges cross 1<<40. Moving it would change every corpus.
-const physBase = 1 << 40
+// identity-mapped, from workloads.VABase (1<<36) up; the largest corpus
+// footprint (random-1gpage, 4 TB) ends below 1<<43, and the allocator,
+// moved a gigabyte up by each of at most 4096 1 GB data frames, stays
+// within 1<<44 + 1<<43. So for every corpus workload walker refs and data
+// never share lines. 1<<40 and 1<<44 map to the same cache sets, and the
+// corpus goldens held across the move from 1<<40.
+const physBase = 1 << 44
 
 // NewSimulator builds a simulator for cfg.
 func NewSimulator(cfg Config) *Simulator {

@@ -421,14 +421,16 @@ func (m *Manager) sweepRunner(spec SweepSpec, restore []SweepCell) Runner {
 		// Stages 2+3 overlapped: class evaluations run concurrently
 		// (bounded by workers) in representative order, and each verdict,
 		// taken in that order, releases the cells up to the next
-		// unevaluated class's representative.
+		// unevaluated class's representative. A class runs
+		// Session.Evaluate, which must not run inside an engine pool
+		// task, so classes get goroutines of their own.
 		workers := spec.Workers
 		if workers <= 0 {
 			workers = eng.Workers()
 		}
 		err = commitCells()
 		if err == nil {
-			err = ordered.Run(ctx, len(todo), workers, evalClass, func(j int, v classVerdict) error {
+			err = ordered.Run(ctx, len(todo), workers, ordered.Go, evalClass, func(j int, v classVerdict) error {
 				verdicts[todo[j]] = &v
 				return commitCells()
 			})

@@ -18,13 +18,14 @@ type scenario struct {
 	evalPanic   int // eval panics
 	commitErr   int // commit returns an error
 	cancelAt    int // commit cancels ctx
+	refuseAt    int // the executor refuses to start the task
 	preCanceled bool
 }
 
 // firstFailure is the lowest planted index that stops a run, or n.
 func (sc scenario) firstFailure(n int) int {
 	f := n
-	for _, i := range []int{sc.evalErr, sc.evalPanic, sc.commitErr, sc.cancelAt} {
+	for _, i := range []int{sc.evalErr, sc.evalPanic, sc.commitErr, sc.cancelAt, sc.refuseAt} {
 		if i >= 0 && i < f {
 			f = i
 		}
@@ -33,7 +34,7 @@ func (sc scenario) firstFailure(n int) int {
 }
 
 func scenarios(n int, rng *rand.Rand) []scenario {
-	none := scenario{evalErr: -1, evalPanic: -1, commitErr: -1, cancelAt: -1}
+	none := scenario{evalErr: -1, evalPanic: -1, commitErr: -1, cancelAt: -1, refuseAt: -1}
 	out := []scenario{none}
 	with := func(name string, set func(*scenario)) {
 		sc := none
@@ -53,16 +54,31 @@ func scenarios(n int, rng *rand.Rand) []scenario {
 	with("cancel-in-commit", func(sc *scenario) { sc.cancelAt = at() })
 	with("error-and-panic", func(sc *scenario) { sc.evalErr, sc.evalPanic = at(), at() })
 	with("last-item-fails", func(sc *scenario) { sc.evalErr = n - 1 })
+	with("exec-refused", func(sc *scenario) { sc.refuseAt = at() })
 	return out
 }
 
-// plainLoop is the sequential reference Run must reproduce.
-func plainLoop[T any](ctx context.Context, n int, eval func(context.Context, int) (T, error), commit func(int, T) error) error {
+// executor is Run's exec argument.
+type executor = func(context.Context, func()) error
+
+// inline runs each task before it returns: the plain loop's executor.
+func inline(_ context.Context, task func()) error {
+	task()
+	return nil
+}
+
+// plainLoop is the sequential reference Run must reproduce; exec must run
+// the task before it returns.
+func plainLoop[T any](ctx context.Context, n int, exec executor, eval func(context.Context, int) (T, error), commit func(int, T) error) error {
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		v, err := call(ctx, i, eval)
+		var v T
+		var err error
+		if xerr := exec(ctx, func() { v, err = call(ctx, i, eval) }); xerr != nil {
+			return xerr
+		}
 		if err != nil {
 			return err
 		}
@@ -79,12 +95,51 @@ type outcome struct {
 	err       string
 	evaluated []bool
 	maxFlight int32
+	running   int32 // evaluations still running when run returned
+}
+
+// testPool is a fixed set of workers taking tasks from one unbuffered
+// channel: the shape of the engine's pool.
+type testPool struct {
+	tasks chan func()
+	wg    sync.WaitGroup
+}
+
+func newTestPool(workers int) *testPool {
+	p := &testPool{tasks: make(chan func())}
+	p.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer p.wg.Done()
+			for task := range p.tasks {
+				task()
+			}
+		}()
+	}
+	return p
+}
+
+// submit blocks until a worker takes task or ctx ends.
+func (p *testPool) submit(ctx context.Context, task func()) error {
+	select {
+	case p.tasks <- task:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (p *testPool) close() {
+	close(p.tasks)
+	p.wg.Wait()
 }
 
 // runScenario drives sc through run (Run or plainLoop) with items that
-// sleep delays[i] before answering i*i.
-func runScenario(sc scenario, n int, delays []time.Duration,
-	run func(context.Context, func(context.Context, int) (int, error), func(int, int) error) error) outcome {
+// sleep delays[i] before answering i*i, started through exec; the
+// executor refuses index sc.refuseAt (Run calls exec once per index, in
+// index order).
+func runScenario(sc scenario, n int, delays []time.Duration, exec executor,
+	run func(context.Context, executor, func(context.Context, int) (int, error), func(int, int) error) error) outcome {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if sc.preCanceled {
@@ -126,55 +181,85 @@ func runScenario(sc scenario, n int, delays []time.Duration,
 		}
 		return nil
 	}
-	if err := run(ctx, eval, commit); err != nil {
+	calls := 0
+	refusing := func(ctx context.Context, task func()) error {
+		i := calls
+		calls++
+		if i == sc.refuseAt {
+			return fmt.Errorf("planted refusal at %d", i)
+		}
+		return exec(ctx, task)
+	}
+	if err := run(ctx, refusing, eval, commit); err != nil {
 		out.err = err.Error()
 	}
+	out.running = inFlight.Load()
 	out.maxFlight = maxFlight.Load()
 	return out
 }
 
 // TestRunMatchesPlainLoop checks Run against the sequential loop for
-// every worker count: the same commits in the same order, the same
-// error, no more than workers items in flight, nothing evaluated more
-// than workers-1 past the first failure, and no goroutine left behind.
+// every window, on plain goroutines (ordered.Go) and on a pool with fewer
+// workers than most windows: the same commits in the same order, the same
+// error, no more than min(window, pool workers) items in flight, nothing
+// evaluated more than window-1 past the first failure, no evaluation
+// still running when Run returns, and no goroutine left behind. A refused
+// start must act like an eval error at its index. Subtest names keep
+// calling the window "workers", so the names already pinned stay valid.
 func TestRunMatchesPlainLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 64} {
-		for _, workers := range []int{1, 2, 8} {
-			for _, sc := range scenarios(n, rng) {
-				t.Run(fmt.Sprintf("n=%d/workers=%d/%s", n, workers, sc.name), func(t *testing.T) {
-					delays := make([]time.Duration, n)
-					for i := range delays {
-						delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+		for _, window := range []int{1, 2, 8} {
+			poolSize := (window + 1) / 2
+			for _, onPool := range []bool{false, true} {
+				for _, sc := range scenarios(n, rng) {
+					name := fmt.Sprintf("n=%d/workers=%d/%s", n, window, sc.name)
+					if onPool {
+						name = fmt.Sprintf("n=%d/workers=%d/pool=%d/%s", n, window, poolSize, sc.name)
 					}
-					want := runScenario(sc, n, delays, func(ctx context.Context, eval func(context.Context, int) (int, error), commit func(int, int) error) error {
-						return plainLoop(ctx, n, eval, commit)
-					})
-					baseline := runtime.NumGoroutine()
-					got := runScenario(sc, n, delays, func(ctx context.Context, eval func(context.Context, int) (int, error), commit func(int, int) error) error {
-						return Run(ctx, n, workers, eval, commit)
-					})
-					settle(t, baseline)
-
-					if fmt.Sprint(got.committed) != fmt.Sprint(want.committed) {
-						t.Fatalf("committed %v, plain loop committed %v", got.committed, want.committed)
-					}
-					if got.err != want.err {
-						t.Fatalf("error %q, plain loop returned %q", got.err, want.err)
-					}
-					if int(got.maxFlight) > workers {
-						t.Fatalf("%d evaluations in flight at once, bound is %d", got.maxFlight, workers)
-					}
-					limit := sc.firstFailure(n) + workers - 1
-					if sc.preCanceled {
-						limit = -1
-					}
-					for i, ev := range got.evaluated {
-						if ev && i > limit {
-							t.Fatalf("index %d evaluated; nothing past %d may be", i, limit)
+					t.Run(name, func(t *testing.T) {
+						delays := make([]time.Duration, n)
+						for i := range delays {
+							delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
 						}
-					}
-				})
+						want := runScenario(sc, n, delays, inline, func(ctx context.Context, exec executor, eval func(context.Context, int) (int, error), commit func(int, int) error) error {
+							return plainLoop(ctx, n, exec, eval, commit)
+						})
+						exec, inFlight := executor(Go), window
+						if onPool {
+							p := newTestPool(poolSize)
+							defer p.close()
+							exec, inFlight = p.submit, min(window, poolSize)
+						}
+						baseline := runtime.NumGoroutine()
+						got := runScenario(sc, n, delays, exec, func(ctx context.Context, exec executor, eval func(context.Context, int) (int, error), commit func(int, int) error) error {
+							return Run(ctx, n, window, exec, eval, commit)
+						})
+						settle(t, baseline)
+
+						if got.running != 0 {
+							t.Fatalf("%d evaluations still running after Run returned", got.running)
+						}
+						if fmt.Sprint(got.committed) != fmt.Sprint(want.committed) {
+							t.Fatalf("committed %v, plain loop committed %v", got.committed, want.committed)
+						}
+						if got.err != want.err {
+							t.Fatalf("error %q, plain loop returned %q", got.err, want.err)
+						}
+						if int(got.maxFlight) > inFlight {
+							t.Fatalf("%d evaluations in flight at once, bound is %d", got.maxFlight, inFlight)
+						}
+						limit := sc.firstFailure(n) + window - 1
+						if sc.preCanceled {
+							limit = -1
+						}
+						for i, ev := range got.evaluated {
+							if ev && i > limit {
+								t.Fatalf("index %d evaluated; nothing past %d may be", i, limit)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -191,7 +276,7 @@ func TestRunCommitPanicLeavesNoGoroutine(t *testing.T) {
 				t.Fatalf("recovered %v, want the commit panic", p)
 			}
 		}()
-		Run(context.Background(), 16, 4,
+		Run(context.Background(), 16, 4, Go,
 			func(context.Context, int) (int, error) { return 0, nil },
 			func(i, _ int) error {
 				if i == 3 {
