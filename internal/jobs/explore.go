@@ -127,35 +127,13 @@ type ExploreResult struct {
 
 // SubmitExplore queues an exploration job for spec. Progress is streamed
 // through the job's event log; the committed search graph is checkpointed
-// on every exit path, so ResumeExplore can continue a cancelled, failed or
+// on every exit path, so Resume can continue a cancelled, failed or
 // crashed search from its last completed frontier.
 func (m *Manager) SubmitExplore(spec ExploreSpec) (*Job, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	return m.submit("explore", exploreRunner(spec, nil), spec, "")
-}
-
-// ResumeExplore submits a new job that continues id's search from its last
-// checkpoint: already-evaluated nodes are restored into the new search, so
-// only the unexplored remainder costs anything, and the finished graph is
-// bit-identical to an uninterrupted run. The source job must be terminal
-// (cancel it first otherwise) and must have been submitted by
-// SubmitExplore or ResumeExplore.
-func (m *Manager) ResumeExplore(id string) (*Job, error) {
-	j, ok := m.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
-	}
-	spec, ok := j.Spec().(ExploreSpec)
-	if !ok {
-		return nil, fmt.Errorf("jobs: job %s is not an exploration job", id)
-	}
-	if state := j.State(); !state.Terminal() {
-		return nil, fmt.Errorf("%w: %s is %s; cancel it before resuming", ErrActive, id, state)
-	}
-	checkpoint, _ := j.Checkpoint().([]*explore.Node)
-	return m.submit("explore", exploreRunner(spec, checkpoint), spec, id)
 }
 
 func exploreRunner(spec ExploreSpec, restore []*explore.Node) Runner {

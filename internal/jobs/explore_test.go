@@ -240,7 +240,7 @@ func TestExploreResumeEquivalence(t *testing.T) {
 		t.Fatalf("checkpoint should hold exactly the initial node, got %d", len(cp))
 	}
 
-	rj, err := m.ResumeExplore(j.ID)
+	rj, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestResumeRequiresTerminalExploreJob(t *testing.T) {
 	release := make(chan struct{})
 	plain, _ := m.Submit("other", blockingRunner(started, release))
 	<-started
-	if _, err := m.ResumeExplore(plain.ID); err == nil {
+	if _, err := m.Resume(plain.ID); err == nil {
 		t.Fatal("resuming a non-explore job should fail")
 	}
 	close(release)
@@ -289,13 +289,13 @@ func TestResumeRequiresTerminalExploreJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-blocked // deterministically mid-search
-	if _, err := m.ResumeExplore(j.ID); !errors.Is(err, ErrActive) {
+	if _, err := m.Resume(j.ID); !errors.Is(err, ErrActive) {
 		t.Fatalf("resuming an active job: %v", err)
 	}
 	m.Cancel(j.ID)
 	close(releaseGate)
 	j.Wait(context.Background())
-	rj, err := m.ResumeExplore(j.ID)
+	rj, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,8 @@ var (
 	// ErrActive reports an operation that needs a terminal job (Remove,
 	// resume) applied to one still queued or running.
 	ErrActive = errors.New("jobs: job is still active")
-	// ErrQueueFull rejects a submission when MaxQueued jobs are already
-	// waiting — the manager's backpressure signal.
+	// ErrQueueFull rejects a submission when DefaultMaxQueued jobs are
+	// already waiting — the manager's backpressure signal.
 	ErrQueueFull = errors.New("jobs: queue is full")
 	// ErrJournal wraps a journal failure on the submission path: the job
 	// was NOT accepted, because accepting it without a durable spec would
@@ -113,10 +113,14 @@ type Journal interface {
 // Default Options values.
 const (
 	DefaultMaxConcurrent = 2
-	DefaultMaxQueued     = 32
 	DefaultMaxRetained   = 64
 	DefaultRetainFor     = time.Hour
 )
+
+// DefaultMaxQueued bounds a Manager's waiting queue: submissions beyond
+// it fail with ErrQueueFull instead of pinning their payloads (an
+// exploration job's spec holds its whole uploaded corpus) without bound.
+const DefaultMaxQueued = 32
 
 // Options configures a Manager.
 type Options struct {
@@ -124,11 +128,6 @@ type Options struct {
 	// it queue and run in strict submission order. 0 means
 	// DefaultMaxConcurrent.
 	MaxConcurrent int
-	// MaxQueued bounds the waiting queue: submissions beyond it fail with
-	// ErrQueueFull instead of pinning their payloads (an exploration
-	// job's spec holds its whole uploaded corpus) without bound. 0 means
-	// DefaultMaxQueued.
-	MaxQueued int
 	// MaxRetained bounds the ring of finished jobs kept for status and
 	// result queries; the oldest finished job is evicted first. 0 means
 	// DefaultMaxRetained.
@@ -154,9 +153,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = DefaultMaxConcurrent
-	}
-	if o.MaxQueued <= 0 {
-		o.MaxQueued = DefaultMaxQueued
 	}
 	if o.MaxRetained <= 0 {
 		o.MaxRetained = DefaultMaxRetained
@@ -216,7 +212,7 @@ func (m *Manager) submit(kind string, run Runner, spec any, resumedFrom string) 
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(m.queue) >= m.opts.MaxQueued {
+	if len(m.queue) >= DefaultMaxQueued {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, len(m.queue))
 	}
@@ -664,7 +660,7 @@ func (j *Job) Emit(kind string, data any) {
 // SetCheckpoint records the runner's latest resumable state. The
 // exploration runner stores the committed search graph here after every
 // run, so a cancelled or crashed job can continue from its last completed
-// frontier (see Manager.ResumeExplore).
+// frontier (see Manager.Resume).
 func (j *Job) SetCheckpoint(cp any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

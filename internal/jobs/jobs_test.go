@@ -338,18 +338,18 @@ func TestCloseCancelsEverything(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure pins the submission bound: MaxQueued waiting jobs
-// reject further submissions with ErrQueueFull instead of pinning their
-// payloads without limit.
+// TestQueueBackpressure pins the submission bound: DefaultMaxQueued
+// waiting jobs reject further submissions with ErrQueueFull instead of
+// pinning their payloads without limit.
 func TestQueueBackpressure(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1, MaxQueued: 2})
+	m := NewManager(Options{MaxConcurrent: 1})
 	defer m.Close()
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
 	m.Submit("test", blockingRunner(started, release))
 	<-started
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultMaxQueued; i++ {
 		if _, err := m.Submit("test", blockingRunner(nil, release)); err != nil {
 			t.Fatalf("queued submission %d: %v", i, err)
 		}
@@ -365,7 +365,7 @@ func TestUnknownJobErrors(t *testing.T) {
 	if err := m.Cancel("j999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("cancel: %v", err)
 	}
-	if _, err := m.ResumeExplore("j999999"); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Resume("j999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("resume: %v", err)
 	}
 }

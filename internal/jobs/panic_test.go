@@ -140,7 +140,7 @@ func TestSweepPanicStillJournalsCheckpointAndTerminal(t *testing.T) {
 
 	// The manager survived the panic and resumes the job bit-identically
 	// (the panic hook disarmed itself when it fired).
-	r, err := m.ResumeSweep(j.ID)
+	r, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestExplorePanicMidFrontierResumesBitIdentically(t *testing.T) {
 		t.Fatalf("journal order: checkpoint@%d finished@%d", ci, fi)
 	}
 
-	r, err := m.ResumeExplore(j.ID)
+	r, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

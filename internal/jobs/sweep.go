@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/engine"
+	"repro/internal/explore"
 	"repro/internal/haswell"
 	"repro/internal/ordered"
 	"repro/internal/stats"
@@ -190,7 +191,7 @@ func (m *Manager) SweepStats() SweepCounts {
 
 // SubmitSweep queues a sweep job for spec. Progress is streamed through
 // the job's event log (one "cell" event per committed grid cell); the
-// committed cell list is checkpointed on every exit path, so ResumeSweep
+// committed cell list is checkpointed on every exit path, so Resume
 // can continue a cancelled or failed scan from its last completed cell.
 func (m *Manager) SubmitSweep(spec SweepSpec) (*Job, error) {
 	if err := spec.validate(); err != nil {
@@ -199,43 +200,50 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (*Job, error) {
 	return m.submit("sweep", m.sweepRunner(spec, nil), spec, "")
 }
 
-// ResumeSweep submits a new job that continues id's scan from its last
-// checkpoint: committed cells are restored verbatim and only the
-// remaining grid suffix is evaluated. Determinism of the decoder and the
-// base corpus makes the finished cell list bit-identical to an
+// Resume submits a new job that continues id's work from its last
+// checkpoint, dispatching on the spec it was submitted with. A sweep
+// restores its committed cells verbatim and evaluates only the remaining
+// grid suffix; an exploration restores its evaluated nodes and searches
+// only the unexplored remainder. Determinism of the decoder, the base
+// corpus and the search makes the finished result bit-identical to an
 // uninterrupted run. The source job must be terminal (cancel it first
-// otherwise) and must have been submitted by SubmitSweep or ResumeSweep.
-func (m *Manager) ResumeSweep(id string) (*Job, error) {
-	j, ok := m.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
-	}
-	spec, ok := j.Spec().(SweepSpec)
-	if !ok {
-		return nil, fmt.Errorf("jobs: job %s is not a sweep job", id)
-	}
-	if state := j.State(); !state.Terminal() {
-		return nil, fmt.Errorf("%w: %s is %s; cancel it before resuming", ErrActive, id, state)
-	}
-	checkpoint, _ := j.Checkpoint().([]SweepCell)
-	return m.submit("sweep", m.sweepRunner(spec, checkpoint), spec, id)
-}
-
-// Resume continues a terminal job from its checkpoint, dispatching on the
-// kind it was submitted as. It is the generic entry point behind
-// POST /v1/jobs/{id}/resume.
+// otherwise) and must have been submitted by SubmitSweep, SubmitExplore
+// or Resume. It is the entry point behind POST /v1/jobs/{id}/resume.
 func (m *Manager) Resume(id string) (*Job, error) {
 	j, ok := m.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	switch j.Spec().(type) {
-	case ExploreSpec:
-		return m.ResumeExplore(id)
+	// A spec rebuilt from the journal is checked as a submitted one is:
+	// the journal is a file on disk, and a spec past the bounds would
+	// otherwise run unchecked on restart.
+	var runner func(checkpoint any) Runner
+	switch spec := j.Spec().(type) {
 	case SweepSpec:
-		return m.ResumeSweep(id)
+		if err := spec.validate(); err != nil {
+			return nil, err
+		}
+		runner = func(cp any) Runner {
+			cells, _ := cp.([]SweepCell)
+			return m.sweepRunner(spec, cells)
+		}
+	case ExploreSpec:
+		if err := spec.validate(); err != nil {
+			return nil, err
+		}
+		runner = func(cp any) Runner {
+			nodes, _ := cp.([]*explore.Node)
+			return exploreRunner(spec, nodes)
+		}
+	default:
+		return nil, fmt.Errorf("jobs: job %s (kind %q) is not resumable", id, j.Kind)
 	}
-	return nil, fmt.Errorf("jobs: job %s (kind %q) is not resumable", id, j.Status().Kind)
+	// The state is read before the checkpoint: a job seen terminal has
+	// stored its final checkpoint.
+	if state := j.State(); !state.Terminal() {
+		return nil, fmt.Errorf("%w: %s is %s; cancel it before resuming", ErrActive, id, state)
+	}
+	return m.submit(j.Kind, runner(j.Checkpoint()), j.Spec(), id)
 }
 
 // classVerdict is one behaviour class's engine outcome, shared by every

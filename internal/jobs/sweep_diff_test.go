@@ -161,7 +161,7 @@ func TestSweepBatchedCancelResume(t *testing.T) {
 		t.Fatalf("checkpoint: %d cells (ok=%v)", len(cp), ok)
 	}
 
-	r, err := m.ResumeSweep(j.ID)
+	r, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSweepLargeGridResumeEquivalence(t *testing.T) {
 		t.Fatalf("checkpoint size %d", len(cp))
 	}
 
-	r, err := m.ResumeSweep(j.ID)
+	r, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

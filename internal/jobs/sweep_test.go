@@ -248,7 +248,7 @@ func TestSweepResumeEquivalence(t *testing.T) {
 		t.Fatalf("checkpoint: %d cells (ok=%v)", len(cp), ok)
 	}
 
-	r, err := m.ResumeSweep(j.ID)
+	r, err := m.Resume(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func (spec SweepSpec) DurableSpec() (any, bool) {
 
 // RebuildSweep returns the jobstore rebuilder for "sweep" jobs: it
 // decodes the journaled wire spec and checkpoint back into the typed
-// forms ResumeSweep expects, attaching the daemon's shared engine.
+// forms Manager.Resume expects, attaching the daemon's shared engine.
 func RebuildSweep(eng *engine.Engine) func(spec, checkpoint []byte) (any, any, error) {
 	return func(spec, checkpoint []byte) (any, any, error) {
 		var w sweepWire

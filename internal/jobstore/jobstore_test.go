@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,14 +55,17 @@ func sweepSpec(eng *engine.Engine) jobs.SweepSpec {
 	}
 }
 
-// fastOpts are store options tuned for tests: every checkpoint flushes
-// (no coalescing window to wait out) and retries are instant.
+// fastOpts are store options tuned for tests: the clock steps a whole
+// checkpoint window per reading, so every checkpoint flushes (no
+// coalescing window to wait out), and retries are instant.
 func fastOpts(m *faultfs.Mem) Options {
+	var ticks atomic.Int64
 	return Options{
-		FS:              m,
-		CheckpointEvery: -1,
-		RetryAttempts:   2,
-		RetryBackoff:    time.Microsecond,
+		FS: m,
+		now: func() time.Time {
+			return time.Unix(1700000000, 0).Add(time.Duration(ticks.Add(1)) * DefaultCheckpointEvery)
+		},
+		sleep: func(time.Duration) {},
 	}
 }
 
@@ -376,9 +380,7 @@ func TestDegradationAndProbeRecovery(t *testing.T) {
 	mem := faultfs.NewMem()
 	now := time.Unix(1700000000, 0)
 	opts := fastOpts(mem)
-	opts.DegradedBackoff = 10 * time.Second
 	opts.now = func() time.Time { return now }
-	opts.sleep = func(time.Duration) {}
 	st, err := Open("jobs.db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +404,7 @@ func TestDegradationAndProbeRecovery(t *testing.T) {
 		t.Fatal("submit accepted while degraded and before probe time")
 	}
 	// Past the probe time: the reopen probe succeeds and clears the state.
-	now = now.Add(11 * time.Second)
+	now = now.Add(DefaultDegradedBackoff + time.Second)
 	if err := st.JobSubmitted("j000003", "test", "", now, nil); err != nil {
 		t.Fatalf("submit after probe: %v", err)
 	}
@@ -418,18 +420,17 @@ func TestDegradationAndProbeRecovery(t *testing.T) {
 }
 
 // TestCompactionDropsDeadRecords: removed jobs are dead weight that
-// compaction reclaims, and the compacted journal reloads cleanly.
+// compaction reclaims, and the compacted journal reloads cleanly. Each
+// job carries over a quarter of DefaultCompactMinBytes, so the log crosses
+// the compaction floor, stays past it after the first compaction (at the
+// 15th removal, when the log first exceeds DefaultCompactFactor times
+// its live content), and compacts again at the last removal, down to
+// the survivor alone.
 func TestCompactionDropsDeadRecords(t *testing.T) {
 	mem := faultfs.NewMem()
-	opts := fastOpts(mem)
-	opts.CompactMinBytes = 1
-	opts.CompactFactor = 2
-	st, err := Open("jobs.db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustOpen(t, mem)
 	t0 := time.Unix(1700000000, 0).UTC()
-	big := bytes.Repeat([]byte("x"), 1000)
+	big := bytes.Repeat([]byte("x"), DefaultCompactMinBytes/8)
 	for i := 0; i < 20; i++ {
 		id := jobID(i)
 		if err := st.JobSubmitted(id, "test", "", t0, map[string]string{"pad": string(big)}); err != nil {
@@ -474,7 +475,6 @@ func TestCheckpointCoalescing(t *testing.T) {
 	mem := faultfs.NewMem()
 	now := time.Unix(1700000000, 0)
 	opts := fastOpts(mem)
-	opts.CheckpointEvery = time.Minute
 	opts.now = func() time.Time { return now }
 	st, err := Open("jobs.db", opts)
 	if err != nil {
@@ -538,7 +538,7 @@ func TestShortWriteRepairedOnRetry(t *testing.T) {
 // per-cell/per-node hot path of a journaled job (alloc-gated in CI).
 func BenchmarkJournalAppend(b *testing.B) {
 	mem := faultfs.NewMem()
-	st, err := Open("jobs.db", Options{FS: mem, CheckpointEvery: -1})
+	st, err := Open("jobs.db", Options{FS: mem})
 	if err != nil {
 		b.Fatal(err)
 	}

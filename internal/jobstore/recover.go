@@ -6,7 +6,7 @@ package jobstore
 // about. Jobs that were in flight when the process died are first closed
 // out (a terminal "interrupted" record is journaled so a second restart
 // agrees), then automatically resumed from their last durable checkpoint
-// through the same ResumeExplore/ResumeSweep paths a client would use —
+// through the same Manager.Resume path a client would use —
 // which is exactly why the resumed run is bit-identical to an
 // uninterrupted one.
 

@@ -12,18 +12,22 @@
 //   - JobSubmitted fsyncs before acking: a job the client was told
 //     exists is on disk. A failed write rejects the submission.
 //   - Events are appended without fsync (they ride the next commit
-//     barrier); checkpoints are coalesced per job (CheckpointEvery) and
-//     fsynced when flushed; the terminal record flushes the pending
+//     barrier); checkpoints are coalesced per job (DefaultCheckpointEvery)
+//     and fsynced when flushed; the terminal record flushes the pending
 //     checkpoint and fsyncs, so every exit path — success, failure,
 //     cancellation, panic — lands its final frontier durably.
-//   - Transient write errors are retried with backoff; persistent ones
+//   - Transient write errors are retried with backoff
+//     (DefaultRetryAttempts, from DefaultRetryBackoff); persistent ones
 //     flip the store into a degraded state: records are dropped (and
 //     counted), Health reports the error and the next probe time, and
 //     the daemon keeps serving from memory while refusing new durable
 //     submits (the server maps that to 503 + Retry-After). A later
-//     successful probe reopens the file and clears the state.
+//     successful probe reopens the file and clears the state; probes
+//     wait DefaultDegradedBackoff, doubling per consecutive degradation
+//     up to DefaultDegradedBackoffMax.
 //   - The log compacts (rewrite live records, fsync, atomic rename)
-//     when it exceeds CompactFactor times its live content.
+//     when it is larger than DefaultCompactMinBytes and more than
+//     DefaultCompactFactor times its live content.
 package jobstore
 
 import (
@@ -41,7 +45,11 @@ import (
 // ErrClosed reports an append on a closed store.
 var ErrClosed = errors.New("jobstore: store closed")
 
-// Default Options values.
+// The journal's tuning. DefaultCheckpointEvery is the per-job checkpoint
+// coalescing window: within it only the latest checkpoint is kept,
+// flushed when the window elapses or the job finishes. Sweeps checkpoint
+// per cell; this is what keeps that O(cells) fsyncs instead of O(cells²)
+// bytes.
 const (
 	DefaultCheckpointEvery    = 200 * time.Millisecond
 	DefaultRetryAttempts      = 3
@@ -57,27 +65,9 @@ type Options struct {
 	// FS is the filesystem the journal lives on. nil means the real one
 	// (faultfs.OS); tests inject faultfs.Mem to simulate crashes.
 	FS faultfs.FS
-	// CheckpointEvery coalesces per-job checkpoint journaling: within the
-	// window only the latest checkpoint is kept, flushed when the window
-	// elapses or the job finishes. Sweeps checkpoint per cell — this is
-	// what keeps that O(cells) fsyncs instead of O(cells²) bytes.
-	// 0 means DefaultCheckpointEvery; negative flushes every checkpoint.
-	CheckpointEvery time.Duration
-	// RetryAttempts and RetryBackoff govern transient-error retries per
-	// append (backoff doubles per attempt). 0 means the defaults.
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	// DegradedBackoff is the initial probe delay after the store degrades,
-	// doubling per consecutive degradation up to DegradedBackoffMax.
-	DegradedBackoff    time.Duration
-	DegradedBackoffMax time.Duration
-	// CompactMinBytes and CompactFactor bound compaction: the log is
-	// rewritten when it is larger than CompactMinBytes AND more than
-	// CompactFactor times its live content.
-	CompactMinBytes int64
-	CompactFactor   float64
 
-	// now and sleep are test hooks for the retry/degradation clocks.
+	// now and sleep are test hooks for the checkpoint window and the
+	// retry/degradation clocks.
 	now   func() time.Time
 	sleep func(time.Duration)
 }
@@ -85,27 +75,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = faultfs.OS{}
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = DefaultCheckpointEvery
-	}
-	if o.RetryAttempts <= 0 {
-		o.RetryAttempts = DefaultRetryAttempts
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = DefaultRetryBackoff
-	}
-	if o.DegradedBackoff <= 0 {
-		o.DegradedBackoff = DefaultDegradedBackoff
-	}
-	if o.DegradedBackoffMax <= 0 {
-		o.DegradedBackoffMax = DefaultDegradedBackoffMax
-	}
-	if o.CompactMinBytes <= 0 {
-		o.CompactMinBytes = DefaultCompactMinBytes
-	}
-	if o.CompactFactor <= 1 {
-		o.CompactFactor = DefaultCompactFactor
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -129,7 +98,7 @@ type jobEntry struct {
 
 	terminal bool
 	// pendingCp coalesces checkpoint bursts: only the latest value in a
-	// CheckpointEvery window is serialized and journaled.
+	// DefaultCheckpointEvery window is serialized and journaled.
 	pendingCp any
 	lastCkpt  time.Time
 }
@@ -141,7 +110,6 @@ type Store struct {
 
 	mu     sync.Mutex
 	log    *recordlog.Log
-	live   int64 // bytes of live records (compaction denominator)
 	index  map[string]*jobEntry
 	order  []string
 	closed bool
@@ -175,7 +143,6 @@ func Open(path string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	s.log, s.repaired = log, repaired
-	s.recomputeLiveLocked()
 	s.maybeCompactLocked()
 	return s, nil
 }
@@ -243,20 +210,23 @@ func (s *Store) removeEntryLocked(id string) {
 	}
 }
 
-func (s *Store) recomputeLiveLocked() {
-	s.live = 0
+// liveLocked sums the frames of the live records: what a compaction
+// would rewrite, and its denominator.
+func (s *Store) liveLocked() int64 {
+	var live int64
 	for _, e := range s.index {
-		s.live += recordlog.FrameLen(e.specP)
+		live += recordlog.FrameLen(e.specP)
 		for _, p := range e.events {
-			s.live += recordlog.FrameLen(p)
+			live += recordlog.FrameLen(p)
 		}
 		if e.ckptP != nil {
-			s.live += recordlog.FrameLen(e.ckptP)
+			live += recordlog.FrameLen(e.ckptP)
 		}
 		if e.termP != nil {
-			s.live += recordlog.FrameLen(e.termP)
+			live += recordlog.FrameLen(e.termP)
 		}
 	}
+	return live
 }
 
 // appendLocked is the journal's write path: degradation gate, bounded
@@ -269,9 +239,9 @@ func (s *Store) appendLocked(typ byte, payload []byte, sync bool) error {
 		s.dropped++
 		return fmt.Errorf("jobstore: degraded: %w", s.lastErr)
 	}
-	backoff := s.opts.RetryBackoff
+	backoff := DefaultRetryBackoff
 	var err error
-	for try := 0; try < s.opts.RetryAttempts; try++ {
+	for try := 0; try < DefaultRetryAttempts; try++ {
 		if try > 0 {
 			s.retries++
 			s.opts.sleep(backoff)
@@ -301,12 +271,9 @@ func (s *Store) degradeLocked(err error) {
 	s.degraded = true
 	s.lastErr = err
 	if s.degradeBackoff <= 0 {
-		s.degradeBackoff = s.opts.DegradedBackoff
+		s.degradeBackoff = DefaultDegradedBackoff
 	} else {
-		s.degradeBackoff *= 2
-		if s.degradeBackoff > s.opts.DegradedBackoffMax {
-			s.degradeBackoff = s.opts.DegradedBackoffMax
-		}
+		s.degradeBackoff = min(2*s.degradeBackoff, DefaultDegradedBackoffMax)
 	}
 	s.nextRetry = s.opts.now().Add(s.degradeBackoff)
 	// Drop the handle: the probe after nextRetry reopens from scratch.
@@ -357,7 +324,6 @@ func (s *Store) JobSubmitted(id, kind, resumedFrom string, created time.Time, sp
 	e := &jobEntry{id: id, spec: rec, specP: payload}
 	s.index[id] = e
 	s.order = append(s.order, id)
-	s.live += recordlog.FrameLen(payload)
 	return nil
 }
 
@@ -387,14 +353,14 @@ func (s *Store) JobEvent(id string, ev jobs.Event) {
 	// The in-memory index is authoritative even when the disk write
 	// fails: a later compaction rewrites from it, healing the gap.
 	e.events = append(e.events, payload)
-	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recEvent, payload, false)
 }
 
 // JobCheckpoint implements jobs.Journal. Checkpoints coalesce per job:
-// within a CheckpointEvery window only the newest value is kept (the
-// value is serialized lazily at flush, so a sweep checkpointing per cell
-// costs one retained slice reference, not one serialization, per cell).
+// within a DefaultCheckpointEvery window only the newest value is kept
+// (the value is serialized lazily at flush, so a sweep checkpointing per
+// cell costs one retained slice reference, not one serialization, per
+// cell).
 func (s *Store) JobCheckpoint(id string, cp any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -403,7 +369,7 @@ func (s *Store) JobCheckpoint(id string, cp any) {
 		return
 	}
 	e.pendingCp = cp
-	if s.opts.CheckpointEvery > 0 && s.opts.now().Sub(e.lastCkpt) < s.opts.CheckpointEvery {
+	if s.opts.now().Sub(e.lastCkpt) < DefaultCheckpointEvery {
 		return
 	}
 	s.flushCheckpointLocked(e, true)
@@ -426,11 +392,7 @@ func (s *Store) flushCheckpointLocked(e *jobEntry, sync bool) {
 		s.encodeErrors++
 		return
 	}
-	if e.ckptP != nil {
-		s.live -= recordlog.FrameLen(e.ckptP)
-	}
 	e.ckptP = payload
-	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recCheckpoint, payload, sync)
 }
 
@@ -462,7 +424,6 @@ func (s *Store) JobFinished(id string, state jobs.State, errMsg string, result a
 	e.term = rec
 	e.termP = payload
 	e.terminal = true
-	s.live += recordlog.FrameLen(payload)
 	s.appendLocked(recTerminal, payload, true)
 	s.maybeCompactLocked()
 }
@@ -482,16 +443,6 @@ func (s *Store) JobRemoved(id string) {
 		s.encodeErrors++
 		return
 	}
-	s.live -= recordlog.FrameLen(e.specP)
-	for _, p := range e.events {
-		s.live -= recordlog.FrameLen(p)
-	}
-	if e.ckptP != nil {
-		s.live -= recordlog.FrameLen(e.ckptP)
-	}
-	if e.termP != nil {
-		s.live -= recordlog.FrameLen(e.termP)
-	}
 	s.removeEntryLocked(id)
 	s.appendLocked(recRemove, payload, false)
 	s.maybeCompactLocked()
@@ -502,10 +453,12 @@ func (s *Store) maybeCompactLocked() {
 	if s.closed || s.degraded {
 		return
 	}
-	if s.log.Size() <= s.opts.CompactMinBytes {
+	// The size check comes first: it is free, and summing the live
+	// records walks every one.
+	if s.log.Size() <= DefaultCompactMinBytes {
 		return
 	}
-	if float64(s.log.Size()) <= s.opts.CompactFactor*float64(s.live) {
+	if float64(s.log.Size()) <= DefaultCompactFactor*float64(s.liveLocked()) {
 		return
 	}
 	s.compactLocked()
@@ -531,11 +484,7 @@ func (s *Store) compactLocked() {
 				s.encodeErrors++
 				continue
 			}
-			if e.ckptP != nil {
-				s.live -= recordlog.FrameLen(e.ckptP)
-			}
 			e.ckptP = payload
-			s.live += recordlog.FrameLen(payload)
 		}
 	}
 	if err := s.log.Rewrite(func(put func(typ byte, payload []byte)) {
@@ -558,7 +507,6 @@ func (s *Store) compactLocked() {
 	}); err != nil {
 		return
 	}
-	s.live = s.log.Size()
 	s.compactions++
 }
 
@@ -660,7 +608,7 @@ func (s *Store) Stats() Counts {
 		State:          "ok",
 		Jobs:           len(s.index),
 		SizeBytes:      s.log.Size(),
-		LiveBytes:      s.live,
+		LiveBytes:      s.liveLocked(),
 		Appends:        s.appends,
 		Fsyncs:         s.fsyncs,
 		Retries:        s.retries,

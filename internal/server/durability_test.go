@@ -15,16 +15,11 @@ import (
 )
 
 // durableServer wires a Server to a jobstore on a fault-injectable
-// in-memory fs, with retry/backoff knobs tuned so tests never wait.
+// in-memory fs. The store runs its real retry and degradation clocks.
 func durableServer(t *testing.T) (*Server, *jobstore.Store, *faultfs.Mem) {
 	t.Helper()
 	mem := faultfs.NewMem()
-	st, err := jobstore.Open("jobs.db", jobstore.Options{
-		FS:              mem,
-		RetryAttempts:   1,
-		RetryBackoff:    time.Microsecond,
-		DegradedBackoff: time.Millisecond,
-	})
+	st, err := jobstore.Open("jobs.db", jobstore.Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +83,7 @@ func TestHealthzDegradedBlockAndDurableSubmitShedding(t *testing.T) {
 	if !ok {
 		t.Fatalf("degraded healthz missing block: %v", h)
 	}
-	// retry_in_ms may already have counted down to omission under the
-	// test's 1ms backoff; the countdown itself is unit-tested in jobstore.
+	// The retry_in_ms countdown is unit-tested in jobstore.
 	if deg["state"] != "degraded" || deg["last_error"] != "disk on fire" {
 		t.Fatalf("degraded block = %v", deg)
 	}
@@ -118,9 +112,10 @@ func TestHealthzDegradedBlockAndDurableSubmitShedding(t *testing.T) {
 		}
 	}
 
-	// Recovery: the store heals, a probe append succeeds, healthz clears.
+	// Recovery: the store heals, a probe append past the degraded
+	// backoff succeeds, healthz clears.
 	mem.Heal()
-	time.Sleep(5 * time.Millisecond)
+	time.Sleep(jobstore.DefaultDegradedBackoff + 50*time.Millisecond)
 	if err := st.JobSubmitted("jprobe1", "test", "", time.Now(), nil); err != nil {
 		t.Fatalf("probe append after heal: %v", err)
 	}

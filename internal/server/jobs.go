@@ -129,13 +129,8 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "corpus contains a null observation")
 			return
 		}
-		if o.Len() == 0 {
-			writeError(w, http.StatusBadRequest, "observation %q has no samples", o.Label)
-			return
-		}
-		if missing := missingCounters(full, o); len(missing) > 0 {
-			writeError(w, http.StatusBadRequest,
-				"observation %q does not record model counters %v", o.Label, missing)
+		if err := checkObservation(full, o); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}

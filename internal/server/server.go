@@ -74,8 +74,7 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultMaxBodyBytes bounds request bodies (corpus uploads included)
-// unless Options.MaxBodyBytes says otherwise.
+// DefaultMaxBodyBytes bounds request bodies (corpus uploads included).
 const DefaultMaxBodyBytes = 64 << 20
 
 // Model is a (name, DSL source) pair for seeding a server's registry.
@@ -95,8 +94,6 @@ type Options struct {
 	// evaluate, stream). 0 means unlimited. Requests beyond the cap queue
 	// until a slot frees or their context ends.
 	MaxConcurrent int
-	// MaxBodyBytes bounds request bodies; 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// Catalog seeds the registry at construction (sources compile lazily).
 	Catalog []Model
 	// Jobs manages the asynchronous jobs behind /v1/explore, /v1/sweep
@@ -138,7 +135,7 @@ type Server struct {
 	reg       *Registry
 	defaults  engine.Config
 	sem       chan struct{}
-	bodyLimit int64
+	bodyLimit int64 // DefaultMaxBodyBytes; tests lower it to reach the 413 path
 	mux       *http.ServeMux
 	jobs      *jobs.Manager
 	store     *jobstore.Store
@@ -153,7 +150,7 @@ func New(opts Options) *Server {
 		eng:       opts.Engine,
 		reg:       NewRegistry(),
 		defaults:  opts.Defaults,
-		bodyLimit: opts.MaxBodyBytes,
+		bodyLimit: DefaultMaxBodyBytes,
 		mux:       http.NewServeMux(),
 		jobs:      opts.Jobs,
 		store:     opts.JobStore,
@@ -168,9 +165,6 @@ func New(opts Options) *Server {
 	}
 	if s.jobs == nil {
 		s.jobs = jobs.NewManager(jobs.Options{})
-	}
-	if s.bodyLimit <= 0 {
-		s.bodyLimit = DefaultMaxBodyBytes
 	}
 	if opts.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, opts.MaxConcurrent)
@@ -277,7 +271,7 @@ func putBody(buf *bytes.Buffer) {
 }
 
 // bodyStatus is the status for a request body that could not be read or
-// decoded: 413 when it ran past MaxBodyBytes, 400 otherwise.
+// decoded: 413 when it ran past the body limit, 400 otherwise.
 func bodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -430,33 +424,26 @@ func (s *Server) requestConfig(r *http.Request) (engine.Config, error) {
 	return cfg, nil
 }
 
-// missingCounters lists the model counters an observation did not record.
-// Testing such an observation would silently substitute constant 0 for
-// the unrecorded events — a confidently wrong verdict — so the handlers
-// reject it instead (the counterpoint CLI guards the same way, by
-// intersecting counter sets up front).
-func missingCounters(m *core.Model, o *counters.Observation) []string {
+// checkObservation rejects an observation no verdict on m can be drawn
+// from: one with no samples, or one that does not record every counter
+// of m. Testing the latter would silently substitute constant 0 for the
+// unrecorded events — a confidently wrong verdict — so every endpoint
+// that takes observations rejects it instead (the counterpoint CLI
+// guards the same way, by intersecting counter sets up front).
+func checkObservation(m *core.Model, o *counters.Observation) error {
+	if o.Len() == 0 {
+		return fmt.Errorf("observation %q has no samples", o.Label)
+	}
 	var missing []string
 	for _, e := range m.Set.Events() {
 		if !o.Set.Contains(e) {
 			missing = append(missing, string(e))
 		}
 	}
-	return missing
-}
-
-// checkCovers validates every observation against the session's model,
-// writing a 400 naming the unrecorded counters on failure.
-func checkCovers(w http.ResponseWriter, sess *engine.Session, corpus ...*counters.Observation) bool {
-	for _, o := range corpus {
-		if missing := missingCounters(sess.Model(), o); len(missing) > 0 {
-			writeError(w, http.StatusBadRequest,
-				"observation %q does not record model counters %v (see GET /v1/models/%s for the full set)",
-				o.Label, missing, sess.Model().Name)
-			return false
-		}
+	if len(missing) > 0 {
+		return fmt.Errorf("observation %q does not record model counters %v", o.Label, missing)
 	}
-	return true
+	return nil
 }
 
 // session resolves model and per-request configuration to the shared
@@ -692,15 +679,11 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o, err := counters.DecodeObservationBody(body.Bytes())
+	if err == nil {
+		err = checkObservation(sess.Model(), o)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if o.Len() == 0 {
-		writeError(w, http.StatusBadRequest, "observation %q has no samples", o.Label)
-		return
-	}
-	if !checkCovers(w, sess, o) {
 		return
 	}
 	if err := s.acquire(r.Context()); err != nil {
@@ -718,17 +701,18 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 
 // --- corpus decoding shared by evaluate and stream ---
 
-// readCorpus decodes the request corpus: a JSON body {"observations":
-// [...]} or a multipart/form-data upload whose file parts are observation
-// CSVs (labelled by filename). Errors are client errors.
-func readCorpus(r *http.Request) ([]*counters.Observation, error) {
+// readCorpus decodes the request corpus for model m: a JSON body
+// {"observations": [...]} or a multipart/form-data upload whose file
+// parts are observation CSVs (labelled by filename). Every observation
+// passes checkObservation. Errors are client errors.
+func readCorpus(r *http.Request, m *core.Model) ([]*counters.Observation, error) {
 	ct := r.Header.Get("Content-Type")
 	mt, params, err := mime.ParseMediaType(ct)
 	if err != nil && ct != "" {
 		return nil, fmt.Errorf("parse content type: %w", err)
 	}
 	if mt == "multipart/form-data" {
-		return readCorpusMultipart(multipart.NewReader(r.Body, params["boundary"]))
+		return readCorpusMultipart(multipart.NewReader(r.Body, params["boundary"]), m)
 	}
 	body, err := readBody(r)
 	defer putBody(body)
@@ -747,14 +731,14 @@ func readCorpus(r *http.Request) ([]*counters.Observation, error) {
 		if o == nil {
 			return nil, fmt.Errorf("observation %d is null", i)
 		}
-		if o.Len() == 0 {
-			return nil, fmt.Errorf("observation %q has no samples", o.Label)
+		if err := checkObservation(m, o); err != nil {
+			return nil, err
 		}
 	}
 	return corpus, nil
 }
 
-func readCorpusMultipart(mr *multipart.Reader) ([]*counters.Observation, error) {
+func readCorpusMultipart(mr *multipart.Reader, m *core.Model) ([]*counters.Observation, error) {
 	var corpus []*counters.Observation
 	for {
 		part, err := mr.NextPart()
@@ -773,8 +757,8 @@ func readCorpusMultipart(mr *multipart.Reader) ([]*counters.Observation, error) 
 		if err != nil {
 			return nil, err
 		}
-		if o.Len() == 0 {
-			return nil, fmt.Errorf("observation %q has no samples", label)
+		if err := checkObservation(m, o); err != nil {
+			return nil, err
 		}
 		corpus = append(corpus, o)
 	}
@@ -800,12 +784,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	corpus, err := readCorpus(r)
+	corpus, err := readCorpus(r, sess.Model())
 	if err != nil {
 		writeError(w, bodyStatus(err), "%v", err)
-		return
-	}
-	if !checkCovers(w, sess, corpus...) {
 		return
 	}
 	if err := s.acquire(r.Context()); err != nil {
@@ -853,12 +834,9 @@ func (s *Server) handleEvaluateNDJSON(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	corpus, err := readCorpus(r)
+	corpus, err := readCorpus(r, sess.Model())
 	if err != nil {
 		writeError(w, bodyStatus(err), "%v", err)
-		return
-	}
-	if !checkCovers(w, sess, corpus...) {
 		return
 	}
 	if err := s.acquire(r.Context()); err != nil {

@@ -48,6 +48,13 @@ func obsAround(label string, cw, pm float64, samples int, seed int64) *counters.
 // model pre-seeded, torn down with the test.
 func newTestServer(t *testing.T, opts ...func(*Options)) *httptest.Server {
 	t.Helper()
+	return serveTest(t, newTestSrv(t, opts...))
+}
+
+// newTestSrv builds the Server behind newTestServer, for tests that set
+// its unexported fields before serving.
+func newTestSrv(t *testing.T, opts ...func(*Options)) *Server {
+	t.Helper()
 	eng := engine.New(engine.WithWorkers(2))
 	t.Cleanup(eng.Close)
 	o := Options{
@@ -60,6 +67,10 @@ func newTestServer(t *testing.T, opts ...func(*Options)) *httptest.Server {
 	}
 	srv := New(o)
 	t.Cleanup(srv.Close)
+	return srv
+}
+
+func serveTest(t *testing.T, srv *Server) *httptest.Server {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
@@ -411,11 +422,13 @@ func TestEvaluateRejectsBadCorpus(t *testing.T) {
 	})
 }
 
-// TestOverCapBodies413 sends bodies past Options.MaxBodyBytes to every
-// kind of handler that reads one: each answers 413, not the 400 of a
-// malformed body, while a body under the cap is still served.
+// TestOverCapBodies413 sends bodies past the body limit to every kind of
+// handler that reads one: each answers 413, not the 400 of a malformed
+// body, while a body under the cap is still served.
 func TestOverCapBodies413(t *testing.T) {
-	ts := newTestServer(t, func(o *Options) { o.MaxBodyBytes = 512 })
+	srv := newTestSrv(t)
+	srv.bodyLimit = 512
+	ts := serveTest(t, srv)
 	small, err := json.Marshal(obsAround("small", 500, 100, 4, 1))
 	if err != nil {
 		t.Fatal(err)

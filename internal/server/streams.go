@@ -190,13 +190,16 @@ type stream struct {
 	// no-reordering guarantee, so the second request waits.
 	ingestMu sync.Mutex
 
-	// qmu guards the closed transition and enqueue admission. A blocking
-	// enqueue holds it across the channel send — close therefore cannot
-	// race an in-flight send, and after closedCh is closed no sender can
-	// be mid-send, so the worker's final drain observes every queued
-	// observation.
+	// qmu serialises enqueue admission against the closed transition. A
+	// blocking enqueue holds it across the channel send — close therefore
+	// cannot race an in-flight send, and after closedCh is closed no
+	// sender can be mid-send, so the worker's final drain observes every
+	// queued observation. Nothing else takes qmu: readers load closed,
+	// and read closeReason (written once, before closed is set) only once
+	// closed reads true, so a backpressured producer stalls no one but
+	// the stream's own closers.
 	qmu         sync.Mutex
-	closed      bool
+	closed      atomic.Bool
 	closeReason string
 
 	lat latencyHist
@@ -211,11 +214,7 @@ type stream struct {
 	hwm        int
 }
 
-func (st *stream) isClosed() bool {
-	st.qmu.Lock()
-	defer st.qmu.Unlock()
-	return st.closed
-}
+func (st *stream) isClosed() bool { return st.closed.Load() }
 
 func (st *stream) terminal() bool {
 	select {
@@ -243,7 +242,7 @@ func (st *stream) touch(now time.Time) {
 func (st *stream) enqueue(ctx context.Context, o *counters.Observation) disposition {
 	st.qmu.Lock()
 	defer st.qmu.Unlock()
-	if st.closed {
+	if st.closed.Load() {
 		return dispClosed
 	}
 	qo := queuedObs{o: o, enq: time.Now()}
@@ -543,12 +542,12 @@ func (m *streamManager) list() []*stream {
 // drains the queued backlog, appends the terminal event and exits.
 func (m *streamManager) closeStream(st *stream, reason string) bool {
 	st.qmu.Lock()
-	if st.closed {
+	if st.closed.Load() {
 		st.qmu.Unlock()
 		return false
 	}
-	st.closed = true
 	st.closeReason = reason
+	st.closed.Store(true)
 	close(st.closedCh)
 	st.qmu.Unlock()
 	st.touch(m.now())
@@ -693,9 +692,10 @@ type streamJSON struct {
 }
 
 func (st *stream) describe() streamJSON {
-	st.qmu.Lock()
-	closed, reason := st.closed, st.closeReason
-	st.qmu.Unlock()
+	closed, reason := st.closed.Load(), ""
+	if closed {
+		reason = st.closeReason
+	}
 	st.mu.Lock()
 	out := streamJSON{
 		ID:          st.id,
@@ -855,11 +855,8 @@ func decodeStreamObs(line []byte, m *core.Model) (*counters.Observation, error) 
 	if err != nil {
 		return nil, err
 	}
-	if o.Len() == 0 {
-		return nil, fmt.Errorf("observation %q has no samples", o.Label)
-	}
-	if missing := missingCounters(m, o); len(missing) > 0 {
-		return nil, fmt.Errorf("observation %q does not record model counters %v", o.Label, missing)
+	if err := checkObservation(m, o); err != nil {
+		return nil, err
 	}
 	return o, nil
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/counters"
-	"repro/internal/engine"
 	"repro/internal/jobs"
 )
 
@@ -21,21 +20,8 @@ import (
 // that reach into the stream manager (manual reaps, direct Close).
 func newStreamServer(t *testing.T, opts ...func(*Options)) (*httptest.Server, *Server) {
 	t.Helper()
-	eng := engine.New(engine.WithWorkers(2))
-	t.Cleanup(eng.Close)
-	o := Options{
-		Engine:   eng,
-		Defaults: engine.Config{IdentifyViolations: true},
-		Catalog:  []Model{{Name: "pde", Source: pdeModelSrc}},
-	}
-	for _, f := range opts {
-		f(&o)
-	}
-	srv := New(o)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, srv
+	srv := newTestSrv(t, opts...)
+	return serveTest(t, srv), srv
 }
 
 // createStream opens a stream and decodes its describe body.
@@ -434,6 +420,101 @@ func holdStreamWorkers(t *testing.T, srv *Server) (release func()) {
 	release = func() { once.Do(func() { close(hold) }) }
 	t.Cleanup(release)
 	return release
+}
+
+// TestStreamBlockedProducerStallsNothingElse holds a block-policy
+// producer mid-send on a full queue and requires the rest of the stream
+// tier to keep answering: /healthz, /stats, describe of the blocked and
+// of a healthy stream, and a new create. Once the worker runs, every
+// queued observation is evaluated, in ingest order.
+func TestStreamBlockedProducerStallsNothingElse(t *testing.T) {
+	ts, srv := newStreamServer(t)
+	healthy := createStream(t, ts.URL, map[string]any{"model": "pde"})
+	release := holdStreamWorkers(t, srv)
+	blocked := createStream(t, ts.URL, map[string]any{"model": "pde", "buffer": 1})
+	lines := make([]string, 4)
+	for i := range lines {
+		lines[i] = ndjsonObs(fmt.Sprintf("b%d", i), 500, 100, 10, int64(i))
+	}
+	type result struct {
+		status int
+		sum    ingestSummaryJSON
+		err    error
+	}
+	ingested := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/streams/"+blocked.ID+"/ingest", "application/x-ndjson",
+			strings.NewReader(strings.Join(lines, "\n")))
+		if err != nil {
+			ingested <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var r result
+		r.status = resp.StatusCode
+		r.err = json.NewDecoder(resp.Body).Decode(&r.sum)
+		ingested <- r
+	}()
+
+	// The producer is blocked once the one-slot queue is full and it
+	// holds the stream's enqueue lock for its next send.
+	st, _ := srv.streams.get(blocked.ID)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		n := st.ingested
+		st.mu.Unlock()
+		if n == 1 {
+			if !st.qmu.TryLock() {
+				break
+			}
+			st.qmu.Unlock()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("producer never blocked (ingested %d)", n)
+		}
+	}
+
+	client := &http.Client{Timeout: time.Second}
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/healthz", "", http.StatusOK},
+		{http.MethodGet, "/stats", "", http.StatusOK},
+		{http.MethodPost, "/v1/streams", `{"model":"pde"}`, http.StatusCreated},
+		{http.MethodGet, "/v1/streams/" + blocked.ID, "", http.StatusOK},
+		{http.MethodGet, "/v1/streams/" + healthy.ID, "", http.StatusOK},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Errorf("%s %s while a producer is blocked: %v", c.method, c.path, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s while a producer is blocked: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+
+	release()
+	r := <-ingested
+	if r.err != nil || r.status != http.StatusOK || r.sum.Queued != len(lines) {
+		t.Fatalf("blocked ingest: status %d, summary %+v, err %v; want 200 with %d queued", r.status, r.sum, r.err, len(lines))
+	}
+	waitTotal(t, ts.URL, blocked.ID, len(lines))
+	var got []string
+	for _, ev := range readEvents(t, ts.URL, blocked.ID, 0, 1+len(lines)) {
+		if ev.Kind == "verdict" {
+			got = append(got, ev.Data.(map[string]any)["observation"].(string))
+		}
+	}
+	if want := []string{"b0", "b1", "b2", "b3"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("verdicts for %v, want %v in ingest order", got, want)
+	}
 }
 
 // TestStreamRejectPolicy exercises the fail-fast policy: the first
